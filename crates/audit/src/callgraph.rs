@@ -118,23 +118,14 @@ pub const DET_SINKS: &[(&str, &str)] = &[
     ("Simulator", "new"),
     ("Simulator", "with_scheduler"),
     ("Simulator", "add_node"),
-    ("Simulator", "connect"),
-    ("Simulator", "connect_directed"),
     ("Simulator", "inject_frame"),
     ("Simulator", "schedule_timer"),
     ("Simulator", "install_link"),
-    ("Simulator", "new_frame"),
-    ("Simulator", "new_frame_zeroed"),
-    ("Simulator", "new_frame_copied"),
     ("Simulator", "recycle_frame"),
     ("Simulator", "frame"),
     ("Context", "send"),
     ("Context", "set_timer"),
     ("Context", "deliver_local"),
-    ("Context", "new_frame"),
-    ("Context", "new_frame_with_meta"),
-    ("Context", "new_frame_zeroed"),
-    ("Context", "new_frame_copied"),
     ("Context", "recycle"),
     ("Context", "frame"),
     ("Context", "clone_frame"),

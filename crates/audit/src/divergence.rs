@@ -449,7 +449,7 @@ fn run_metro(kind: tn_topo::metro::CircuitKind, sched: SchedulerKind) -> RunSign
     sim_signature(&sim)
 }
 
-/// Mirrors `exp_loss_recovery` (trimmed): lossy feed, gap requests,
+/// Mirrors `tn-exp run loss-recovery` (trimmed): lossy feed, gap requests,
 /// retransmission fills. The fault layer owns its own PRNG, so two runs
 /// must agree even though every drop decision is random-looking.
 fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
@@ -466,7 +466,7 @@ fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
     }
 }
 
-/// Mirrors `exp_ab_failover` (trimmed): A-side outage, arbitration keeps
+/// Mirrors `tn-exp run ab-failover` (trimmed): A-side outage, arbitration keeps
 /// the stream whole out of B.
 fn run_fault_ab_failover(kind: SchedulerKind) -> RunSignature {
     use tn_bench::faultsim::{run_ab_failover, AbFailoverConfig};
@@ -599,7 +599,7 @@ fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
     on
 }
 
-/// Mirrors `exp_latency_decomposition` (E21): the shared decomposition
+/// Mirrors `tn-exp run latency-decomposition` (E21): the shared decomposition
 /// chain with full telemetry — per-frame provenance through a tap and a
 /// store-and-forward relay.
 fn run_latency_decomposition(kind: SchedulerKind) -> RunSignature {
@@ -728,11 +728,11 @@ fn run_cloud_fairness_design(kind: SchedulerKind) -> RunSignature {
     }
 }
 
-/// The tn-cloud harness point `bench_cloud` measures at jitter 2 µs: a
-/// fan-out-4 overlay with a 5 µs hold and 20 ns residual. Jitter rides
-/// `FaultLink` streams and the residual rides the node-owned stream, so
-/// the whole frontier point must dual-run bit-for-bit; its digest is
-/// what `BENCH_cloud.json` reports for this cell.
+/// One cell of E22's frontier (`tn-exp run cloud-fairness`): jitter
+/// 2 µs on a fan-out-4 overlay with a 5 µs hold, 20 ns residual and 8
+/// subscribers. Jitter rides `FaultLink` streams and the residual rides
+/// the node-owned stream, so the whole frontier point must dual-run
+/// bit-for-bit.
 fn run_cloud_fairness_frontier(kind: SchedulerKind) -> RunSignature {
     use tn_cloud::{run_fairness, DesignKind, FairnessScenario};
 
@@ -934,8 +934,8 @@ mod tests {
 
     #[test]
     fn cloud_frontier_digest_is_pinned() {
-        // The exact cell `bench_cloud` reports at jitter 2 µs: the
-        // digest in BENCH_cloud.json and the one the registry replays
+        // E22's jitter-2 µs / hold-5 µs / fan-out-4 / S=8 cell: the
+        // digest EXPERIMENTS.md quotes and the one the registry replays
         // must be the same number.
         let sig = run_cloud_fairness_frontier(SchedulerKind::BinaryHeap);
         assert_eq!(sig.digest, 0xb6000289d5a38e48, "{sig:?}");

@@ -11,7 +11,6 @@
 /// Keep sorted; adding a format or bumping a version starts here.
 pub const SCHEMA_REGISTRY: &[&str] = &[
     "tn-audit/v1",
-    "tn-bench/v1",
     "tn-exp/v1",
     "tn-flight/v1",
     "tn-lab-spec/v1",

@@ -6,14 +6,14 @@
 //! resync, just a win-share swing. This experiment runs the pair through
 //! a scheduled outage and a burst-degraded primary and reports who won
 //! each packet and what throughput looked like inside the window.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_ab_failover [-- --json]
-//! ```
 
-use tn_bench::faultsim::{run_ab_failover, AbFailoverConfig, AbFailoverRun};
+use std::io::{self, Write};
+
 use tn_fault::FaultSpec;
 use tn_sim::SimTime;
+
+use super::{exp_json, Check, Outcome};
+use crate::faultsim::{run_ab_failover, AbFailoverConfig, AbFailoverRun};
 
 fn sweep() -> Vec<(&'static str, AbFailoverRun)> {
     let outage = AbFailoverConfig::new(2);
@@ -36,13 +36,8 @@ fn sweep() -> Vec<(&'static str, AbFailoverRun)> {
 }
 
 fn json(runs: &[(&str, AbFailoverRun)]) -> String {
-    let mut out =
-        String::from("{\"schema\":\"tn-exp/v1\",\"experiment\":\"ab_failover\",\"runs\":[");
-    for (i, (name, r)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let runs = runs.iter().map(|(name, r)| {
+        format!(
             "{{\"fault\":\"{name}\",\"published\":{},\"delivered\":{},\"gap_events\":{},\
              \"gap_messages\":{},\"duplicates\":{},\"a_won\":{},\"b_won\":{},\
              \"window_throughput\":{:.1},\"clean_throughput\":{:.1},\
@@ -58,24 +53,20 @@ fn json(runs: &[(&str, AbFailoverRun)]) -> String {
             r.clean_throughput,
             r.digest,
             r.events,
-        ));
-    }
-    out.push_str("]}");
-    out
+        )
+    });
+    exp_json("ab_failover", runs)
 }
 
-fn main() {
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let runs = sweep();
-    if tn_bench::json_flag() {
-        println!("{}", json(&runs));
-        return;
-    }
-
-    println!(
+    writeln!(
+        out,
         "A/B arbitration, B {} behind A (6,000 packets / 24,000 messages, 30 ms):\n",
         SimTime::from_us(2)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<18} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>13} {:>13}",
         "primary fault",
         "published",
@@ -86,9 +77,10 @@ fn main() {
         "gaps",
         "window msg/s",
         "clean msg/s"
-    );
+    )?;
     for (name, r) in &runs {
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>13} {:>13}",
             name,
             r.published_messages,
@@ -97,40 +89,56 @@ fn main() {
             r.side_b.1,
             r.duplicates,
             r.gap_messages,
-            tn_bench::eng(r.window_throughput),
-            tn_bench::eng(r.clean_throughput),
-        );
+            crate::eng(r.window_throughput),
+            crate::eng(r.clean_throughput),
+        )?;
     }
-    println!();
+    writeln!(out)?;
 
     let outage = &runs[0].1;
     let both = &runs[2].1;
-    println!(
+    writeln!(
+        out,
         "through the outage the stream never blinks: {} of {} delivered, {} records lost, \
          window throughput {} msg/s (vs {} clean).",
         outage.delivered_messages,
         outage.published_messages,
         outage.gap_messages,
-        tn_bench::eng(outage.window_throughput),
-        tn_bench::eng(outage.clean_throughput),
-    );
-    println!(
+        crate::eng(outage.window_throughput),
+        crate::eng(outage.clean_throughput),
+    )?;
+    writeln!(
+        out,
         "only correlated loss hurts: with both sides at 10% i.i.d., {} records die on both \
          copies (~1% of the stream) — the pair turns p into p^2.",
         both.gap_messages
-    );
+    )?;
 
-    assert_eq!(outage.delivered_messages, outage.published_messages);
-    assert_eq!(outage.gap_messages, 0);
-    assert!(outage.side_b.1 > 0, "B must win inside the outage");
-    assert!(outage.side_a.1 > outage.side_b.1, "A wins outside it");
-    assert!(
-        runs[1].1.gap_messages == 0,
-        "B covers a degraded-but-alive A"
-    );
-    assert!(
-        both.gap_messages > 0,
-        "correlated loss is the only real gap source"
-    );
-    assert!(both.gap_messages < both.published_messages / 50);
+    let degraded = &runs[1].1;
+    Ok(Outcome {
+        json: Some(json(&runs)),
+        checks: vec![
+            Check::eq(
+                "A outage: delivered vs published",
+                outage.published_messages,
+                outage.delivered_messages,
+            ),
+            Check::eq("A outage: records lost", 0, outage.gap_messages),
+            Check::above("A outage: packets B won (inside it)", 0, outage.side_b.1),
+            Check::above(
+                "A outage: packets A won (outside it) vs B's",
+                outage.side_b.1,
+                outage.side_a.1,
+            ),
+            // B covers a degraded-but-alive A; correlated loss is the
+            // only real gap source, and it turns p into p^2 (~1%).
+            Check::eq("A burst-degraded: records lost", 0, degraded.gap_messages),
+            Check::above("A+B 10% i.i.d.: records lost", 0, both.gap_messages),
+            Check::below(
+                "A+B 10% i.i.d.: records lost vs 2% of the stream",
+                both.published_messages / 50,
+                both.gap_messages,
+            ),
+        ],
+    })
 }

@@ -7,10 +7,8 @@
 //! Runs Design 3 twice — internal feed framed as Eth+IP+UDP versus the
 //! 8-byte `l1t` header — and accounts for the wire time the custom
 //! framing returns.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_custom_transport
-//! ```
+
+use std::io::{self, Write};
 
 use tn_core::design::{LayerOneSwitches, TradingNetworkDesign};
 use tn_core::ScenarioConfig;
@@ -18,7 +16,9 @@ use tn_sim::SimTime;
 use tn_wire::l1t;
 use tn_wire::stack::UDP_OVERHEAD;
 
-fn main() {
+use super::{Check, Outcome};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let sc = ScenarioConfig::builder(21)
         .background_rate(20_000.0)
         .duration(SimTime::from_ms(60))
@@ -32,42 +32,58 @@ fn main() {
     }
     .run(&sc);
 
-    if tn_bench::json_flag() {
-        println!("[{},{}]", udp.to_json(), custom.to_json());
-        return;
-    }
-
-    println!("Design 3 internal feed, UDP framing vs the §5 custom transport:\n");
-    println!(
+    writeln!(
+        out,
+        "Design 3 internal feed, UDP framing vs the §5 custom transport:\n"
+    )?;
+    writeln!(
+        out,
         "{:<22} {:>10} {:>12} {:>12} {:>12}",
         "framing", "orders", "react min", "react med", "hdr B/pkt"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<22} {:>10} {:>12} {:>12} {:>12}",
         "Eth+IPv4+UDP",
         udp.orders_sent,
         udp.reaction.min.to_string(),
         udp.reaction.median.to_string(),
         UDP_OVERHEAD
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<22} {:>10} {:>12} {:>12} {:>12}",
         "l1t (custom)",
         custom.orders_sent,
         custom.reaction.min.to_string(),
         custom.reaction.median.to_string(),
         l1t::HEADER_LEN
-    );
-    println!();
+    )?;
+    writeln!(out)?;
     let saved_bytes = (UDP_OVERHEAD - l1t::HEADER_LEN) as u64;
     let per_pkt = SimTime::serialization(saved_bytes as usize, 10_000_000_000);
-    println!(
+    writeln!(
+        out,
         "savings: {saved_bytes} header bytes/packet = {per_pkt} of 10G wire time per hop; \
          behaviour is\nbit-identical otherwise ({} orders either way). The custom header \
          also exposes the\npartition at a fixed offset — exactly what an FPGA filter \
          stage wants (§5).",
         custom.orders_sent
-    );
-    assert_eq!(udp.orders_sent, custom.orders_sent);
-    assert!(custom.reaction.min <= udp.reaction.min);
+    )?;
+    Ok(Outcome {
+        json: Some(format!("[{},{}]", udp.to_json(), custom.to_json())),
+        checks: vec![
+            Check::eq(
+                "orders sent under l1t vs UDP framing",
+                udp.orders_sent,
+                custom.orders_sent,
+            ),
+            Check::new(
+                "uncongested reaction under l1t framing",
+                format!("<= {} (UDP framing)", udp.reaction.min),
+                custom.reaction.min,
+                custom.reaction.min <= udp.reaction.min,
+            ),
+        ],
+    })
 }

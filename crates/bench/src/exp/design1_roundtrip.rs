@@ -4,16 +4,16 @@
 //! back to the exchange) would involve 12 switch hops and 3 software
 //! hops. Assuming each switch hop incurs 500 nanoseconds of latency, half
 //! of the overall time through the system is spent in the network!"
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_design1_roundtrip
-//! ```
+
+use std::io::{self, Write};
 
 use tn_core::design::{TradingNetworkDesign, TraditionalSwitches};
 use tn_core::ScenarioConfig;
 use tn_sim::SimTime;
 
-fn main() {
+use super::{Check, Outcome};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     // The paper's assumptions: every software function ~2 us, light load
     // so queueing does not blur the path.
     let sc = ScenarioConfig::builder(5)
@@ -26,43 +26,54 @@ fn main() {
         .build()
         .expect("valid scenario");
 
-    if tn_bench::json_flag() {
-        println!("{}", TraditionalSwitches::default().run(&sc).to_json());
-        return;
-    }
-
     // The analytic model first.
     let switch_hop = SimTime::from_ns(500);
     let hops = 12u64;
     let network_analytic = switch_hop * hops;
     let software_analytic = sc.software_path();
-    println!("§4.1 analytic model:");
-    println!("  4 legs x 3 switch hops       = {hops} switch hops");
-    println!("  {hops} x {switch_hop} = {network_analytic} network");
-    println!("  3 software hops x 2us        = {software_analytic} software");
-    println!(
+    writeln!(out, "§4.1 analytic model:")?;
+    writeln!(out, "  4 legs x 3 switch hops       = {hops} switch hops")?;
+    writeln!(out, "  {hops} x {switch_hop} = {network_analytic} network")?;
+    writeln!(
+        out,
+        "  3 software hops x 2us        = {software_analytic} software"
+    )?;
+    writeln!(
+        out,
         "  network share                = {:.0}%  (the paper's 'half')",
         100.0 * network_analytic.as_ps() as f64
             / (network_analytic + software_analytic).as_ps() as f64
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     // Then the measured system.
     let report = TraditionalSwitches::default().run(&sc);
-    println!("measured on the simulated fabric:");
-    println!("{}", report.summary());
-    println!();
-    println!(
+    writeln!(out, "measured on the simulated fabric:")?;
+    writeln!(out, "{}", report.summary())?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "  median reaction {} = {} software + {} network/serialization/exchange",
         report.reaction.median,
         report.software_path,
         report.network_time()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  measured network share = {:.0}%  (paper: ~50%; serialization and the \n\
          exchange-side hop push the measured share above the pure-switch analytic)",
         report.network_share * 100.0
-    );
-    assert!(report.reaction.count > 0);
-    assert!((0.3..=0.8).contains(&report.network_share));
+    )?;
+    Ok(Outcome {
+        json: Some(report.to_json()),
+        checks: vec![
+            Check::above("reactions measured", 0, report.reaction.count),
+            Check::new(
+                "measured network share",
+                "~50% (30%..=80%)",
+                format!("{:.0}%", report.network_share * 100.0),
+                (0.3..=0.8).contains(&report.network_share),
+            ),
+        ],
+    })
 }

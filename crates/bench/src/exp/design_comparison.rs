@@ -4,16 +4,16 @@
 //! of per-hop network latency versus commodity switches (6 ns vs 500 ns
 //! per hop; +50 ns per merge), and the cloud's equalization constant puts
 //! it milliseconds behind both.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_design_comparison
-//! ```
+
+use std::io::{self, Write};
 
 use tn_core::design::{CloudDesign, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches};
 use tn_core::ScenarioConfig;
 use tn_sim::SimTime;
 
-fn main() {
+use super::{Check, Outcome};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let sc = ScenarioConfig::builder(9)
         .background_rate(10_000.0)
         .tick_interval(SimTime::from_us(20)) // near-per-event: clean paths
@@ -28,18 +28,14 @@ fn main() {
     ];
     let reports: Vec<_> = designs.iter().map(|d| d.run(&sc)).collect();
 
-    if tn_bench::json_flag() {
-        let docs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        println!("[{}]", docs.join(","));
-        return;
-    }
-
-    println!(
+    writeln!(
+        out,
         "{:<32} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "design", "react min", "react median", "react p99", "net time", "net %"
-    );
+    )?;
     for r in &reports {
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>12} {:>12} {:>12} {:>12} {:>7.1}%",
             r.design,
             r.reaction.min.to_string(),
@@ -47,9 +43,9 @@ fn main() {
             r.reaction.p99.to_string(),
             r.network_time().to_string(),
             r.network_share * 100.0
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
 
     let d1 = &reports[0];
     let d2 = &reports[1];
@@ -58,26 +54,46 @@ fn main() {
     // serialization in every design, so the min-reaction *difference* is
     // the pure switching difference (12 commodity hops vs 4 L1 stages).
     let switching_gap = d1.reaction.min.saturating_sub(d3.reaction.min);
-    println!(
+    writeln!(
+        out,
         "switching time removed by the L1 fabric    : {} on the uncongested path",
         switching_gap
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  analytic: 12 x 500 ns - (6+6+50+50) ns   = {} (four L1 stages, two merged)",
         SimTime::from_ns(12 * 500 - 112)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "per-hop advantage (500 ns vs 6 ns fan-out)  : {:.0}x  (paper: 'two orders of magnitude')",
         500.0 / 6.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cloud penalty over commodity                : {:.0}x on median reaction",
         d2.reaction.median.as_ps() as f64 / d1.reaction.median.as_ps() as f64
-    );
-    assert!(d3.reaction.median < d1.reaction.median);
-    assert!(d2.reaction.median > d1.reaction.median * 10);
-    assert!(
-        switching_gap > SimTime::from_us(4) && switching_gap < SimTime::from_us(8),
-        "switching gap should be near the analytic 5.9us: {switching_gap}"
-    );
+    )?;
+    let docs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+    Ok(Outcome {
+        json: Some(format!("[{}]", docs.join(","))),
+        checks: vec![
+            Check::below(
+                "L1 median reaction vs commodity's",
+                d1.reaction.median,
+                d3.reaction.median,
+            ),
+            Check::above(
+                "cloud median reaction vs 10x commodity's",
+                d1.reaction.median * 10,
+                d2.reaction.median,
+            ),
+            Check::new(
+                "switching time removed by L1",
+                "analytic 5.9 us (4 us..8 us, exclusive)",
+                switching_gap,
+                switching_gap > SimTime::from_us(4) && switching_gap < SimTime::from_us(8),
+            ),
+        ],
+    })
 }

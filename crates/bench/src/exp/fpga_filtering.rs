@@ -9,29 +9,18 @@
 //! whose ingress filters drop the groups the consumer never subscribed
 //! to *before* the mux. The consumer wants 1/N of each feed, so the
 //! filtered aggregate fits the circuit that the naive merge overran.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_fpga_filtering
-//! ```
 
 use std::collections::HashSet;
+use std::io::{self, Write};
 
 use tn_fault::{FaultConnect, LinkSpec};
-use tn_sim::{Context, Frame, Node, PortId, SimTime, Simulator};
+use tn_sim::{PortId, SimTime, Simulator};
 use tn_stats::Summary;
-use tn_switch::l1s::{L1Config, L1Switch};
 use tn_switch::{FpgaConfig, FpgaL1Switch};
 use tn_wire::{eth, ipv4, stack};
 
-struct Rx {
-    latencies_ns: Vec<u64>,
-}
-
-impl Node for Rx {
-    fn on_frame(&mut self, ctx: &mut Context<'_>, _p: PortId, f: Frame) {
-        self.latencies_ns.push((ctx.now() - f.born).as_ns());
-    }
-}
+use super::merge_bottleneck::{merge_burst, Rx};
+use super::{Check, Outcome};
 
 const SOURCES: usize = 4;
 const GROUPS_PER_SOURCE: u32 = 4;
@@ -66,32 +55,8 @@ fn burst(sim: &mut Simulator, switch: tn_sim::NodeId) {
     }
 }
 
-fn run_naive() -> (u64, u64, u64, u64) {
-    let mut sim = Simulator::new(4);
-    let mut sw = L1Switch::new(L1Config::default());
-    let out = PortId(100);
-    for s in 0..SOURCES {
-        sw.provision_merge(PortId(s as u16), out);
-    }
-    let sw = sim.add_node("merge", sw);
-    let rx = sim.add_node(
-        "rx",
-        Rx {
-            latencies_ns: vec![],
-        },
-    );
-    sim.connect_spec(
-        sw,
-        out,
-        rx,
-        PortId(0),
-        &LinkSpec::ten_gig(SimTime::ZERO).with_queue_bytes(65_536),
-    );
-    burst(&mut sim, sw);
-    sim.run();
-    summarize(&sim, rx)
-}
-
+/// The same burst through the filtering fabric; returns (delivered,
+/// dropped, median ns, max ns).
 fn run_filtered() -> (u64, u64, u64, u64) {
     let mut sim = Simulator::new(4);
     let mut sw = FpgaL1Switch::new(FpgaConfig::default());
@@ -122,10 +87,6 @@ fn run_filtered() -> (u64, u64, u64, u64) {
     );
     burst(&mut sim, sw);
     sim.run();
-    summarize(&sim, rx)
-}
-
-fn summarize(sim: &Simulator, rx: tn_sim::NodeId) -> (u64, u64, u64, u64) {
     let lat = &sim.node::<Rx>(rx).unwrap().latencies_ns;
     let mut s = Summary::new();
     s.extend(lat.iter().copied());
@@ -137,33 +98,50 @@ fn summarize(sim: &Simulator, rx: tn_sim::NodeId) -> (u64, u64, u64, u64) {
     )
 }
 
-fn main() {
-    println!(
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
+    writeln!(
+        out,
         "{SOURCES} feeds x {FRAMES_PER_BURST} frames, consumer wants 1 of \
          {GROUPS_PER_SOURCE} groups per feed, one 10G circuit out\n"
-    );
+    )?;
     let wanted_total = (SOURCES * FRAMES_PER_BURST) as u64 / u64::from(GROUPS_PER_SOURCE);
-    let (d1, drop1, med1, max1) = run_naive();
+    // The E10 overload itself: frame contents are irrelevant to an L1 mux.
+    let (d1, drop1, med1, _, max1) = merge_burst(SOURCES, FRAMES_PER_BURST, FRAME_LEN);
     let (d2, drop2, med2, max2) = run_filtered();
-    println!(
+    writeln!(
+        out,
         "{:<26} {:>10} {:>10} {:>12} {:>12}",
         "merge", "delivered", "dropped", "median", "max"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>10} {:>9} ns {:>9} ns   (delivers everything, incl. 3/4 junk)",
         "naive L1S (56 ns)", d1, drop1, med1, max1
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<26} {:>10} {:>10} {:>9} ns {:>9} ns   (wanted: {wanted_total})",
         "FPGA-L1S filter (100 ns)", d2, drop2, med2, max2
-    );
-    println!();
-    println!("the naive merge offers 4x the circuit rate: it loses frames and its queue");
-    println!("holds ~52 us. Filtering in the fabric drops the 75% the consumer never");
-    println!("wanted *before* the mux, so the merged stream fits — zero loss, flat");
-    println!("latency — §5's 'safely merge feeds while avoiding these issues'.");
-    assert!(drop1 > 0, "naive merge must overload");
-    assert_eq!(drop2, 0, "filtered merge must not drop");
-    assert_eq!(d2, wanted_total);
-    assert!(med2 < med1 / 10);
+    )?;
+    writeln!(
+        out,
+        "\n\
+         the naive merge offers 4x the circuit rate: it loses frames and its queue\n\
+         holds ~52 us. Filtering in the fabric drops the 75% the consumer never\n\
+         wanted *before* the mux, so the merged stream fits — zero loss, flat\n\
+         latency — §5's 'safely merge feeds while avoiding these issues'."
+    )?;
+    Ok(Outcome {
+        json: None,
+        checks: vec![
+            Check::above("frames the naive merge drops", 0, drop1),
+            Check::eq("frames the filtered merge drops", 0, drop2),
+            Check::eq(
+                "wanted frames the filtered merge delivers",
+                wanted_total,
+                d2,
+            ),
+            Check::below("filtered median vs 1/10 of naive, ns", med1 / 10, med2),
+        ],
+    })
 }

@@ -9,10 +9,8 @@
 //!    at 10 Gbps.
 //! 3. What the §5 custom transport buys: the same traffic re-framed with
 //!    the 8-byte `l1t` header.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_header_overhead
-//! ```
+
+use std::io::{self, Write};
 
 use tn_market::ExchangeProfile;
 use tn_sim::SimTime;
@@ -20,12 +18,15 @@ use tn_wire::pitch::Side;
 use tn_wire::stack::{TCP_OVERHEAD, UDP_OVERHEAD};
 use tn_wire::{boe, l1t, Symbol};
 
-fn main() {
-    println!("— feed header share (Table 1 traffic) —");
-    println!(
+use super::{Check, Outcome};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
+    writeln!(out, "— feed header share (Table 1 traffic) —")?;
+    writeln!(
+        out,
         "{:<12} {:>10} {:>12} {:>12} {:>10} {:>10}",
         "feed", "frames", "total B", "header B", "share", "l1t share"
-    );
+    )?;
     for p in ExchangeProfile::table1() {
         let lens = p.sample_frame_lengths(77, 300_000);
         let total: u64 = lens.iter().sum();
@@ -38,7 +39,8 @@ fn main() {
             .map(|&l| l - stack_hdr + l1t::HEADER_LEN as u64)
             .sum();
         let l1t_headers = l1t::HEADER_LEN as u64 * lens.len() as u64;
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>10} {:>12} {:>12} {:>9.1}% {:>9.1}%",
             p.name,
             lens.len(),
@@ -46,11 +48,14 @@ fn main() {
             headers,
             100.0 * headers as f64 / total as f64,
             100.0 * l1t_headers as f64 / l1t_total as f64,
-        );
+        )?;
     }
-    println!("(paper: network + protocol headers are 25%-40% of feed bytes)\n");
+    writeln!(
+        out,
+        "(paper: network + protocol headers are 25%-40% of feed bytes)\n"
+    )?;
 
-    println!("— order entry —");
+    writeln!(out, "— order entry —")?;
     let new_order = boe::Message::NewOrder {
         cl_ord_id: 1,
         side: Side::Buy,
@@ -62,7 +67,8 @@ fn main() {
     for (name, msg, pitch_equiv) in [("new order", &new_order, 26usize), ("cancel", &cancel, 14)] {
         let body = msg.wire_len();
         let framed = TCP_OVERHEAD + body;
-        println!(
+        writeln!(
+            out,
             "{:<10}: {:>3} B message (PITCH equivalent {} B) under {} B of Eth+IP+TCP \
              -> {} B on the wire ({:.0}% headers)",
             name,
@@ -71,28 +77,41 @@ fn main() {
             TCP_OVERHEAD,
             framed,
             100.0 * TCP_OVERHEAD as f64 / framed as f64
-        );
+        )?;
     }
     let hdr_time = SimTime::serialization(TCP_OVERHEAD - 4, 10_000_000_000);
-    println!(
+    writeln!(
+        out,
         "serializing ~50 B of Eth+IP+TCP headers at 10 Gbps costs {} — §5's \"40 \
          nanoseconds\" that strategies pay to ignore those fields",
         hdr_time
-    );
-    assert_eq!(hdr_time, SimTime::from_ns(40));
+    )?;
 
-    println!();
-    println!("— custom transport (§5) —");
+    writeln!(
+        out,
+        "\n\
+         — custom transport (§5) —"
+    )?;
     let savings_udp = UDP_OVERHEAD - l1t::HEADER_LEN;
     let savings_tcp = TCP_OVERHEAD - l1t::HEADER_LEN;
-    println!(
+    writeln!(
+        out,
         "l1t header is {} B: saves {savings_udp} B/packet vs UDP framing and \
          {savings_tcp} B/packet vs TCP framing,",
         l1t::HEADER_LEN
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "i.e. {} of wire time per packet back at 10 Gbps — most of a commodity \
          switch hop.",
         SimTime::serialization(savings_tcp, 10_000_000_000)
-    );
+    )?;
+    Ok(Outcome {
+        json: None,
+        checks: vec![Check::eq(
+            "Eth+IP+TCP header serialization at 10 Gbps",
+            SimTime::from_ns(40),
+            hdr_time,
+        )],
+    })
 }

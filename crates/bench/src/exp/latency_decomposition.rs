@@ -8,59 +8,66 @@
 //! serialization, propagation — reconciled to the picosecond against the
 //! kernel's own clock.
 //!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_latency_decomposition
-//! cargo run --release -p tn-bench --bin exp_latency_decomposition -- --json
-//! ```
-//!
-//! `--json` emits the run as `tn-trace/v1` JSONL (meta, node bindings,
+//! The JSON form is the run as `tn-trace/v1` JSONL (meta, node bindings,
 //! one span per provenance segment, arrival events, metric snapshot).
 
-use tn_bench::obssim::{run_decomposition, trace_jsonl, DecompositionConfig};
+use std::io::{self, Write};
+
 use tn_sim::ObsConfig;
 
-fn main() {
+use super::{Check, Outcome};
+use crate::obssim::{run_decomposition, trace_jsonl, DecompositionConfig};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let cfg = DecompositionConfig::new(42);
     let run = run_decomposition(&cfg, ObsConfig::full());
     let jsonl = trace_jsonl(&cfg, &run);
 
-    if tn_bench::json_flag() {
-        print!("{jsonl}");
-        return;
-    }
-
-    println!(
+    writeln!(
+        out,
         "latency decomposition: {} bursts x {} frames of {} B every {}\n",
         cfg.bursts, cfg.burst_frames, cfg.payload, cfg.interval
-    );
+    )?;
     let doc = tn_obs::parse(&jsonl).expect("self-emitted trace parses");
     let summary = tn_obs::summarize(&doc);
-    print!("{}", summary.render(&doc, 3));
+    write!(out, "{}", summary.render(&doc, 3))?;
 
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "frames: sent={} delivered={} digest={:016x} events={}",
         run.sent_frames,
         run.deliveries.len(),
         run.digest,
         run.events
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "reconciliation: max |provenance total - measured latency| = {} ps over {} frames",
         run.max_residual_ps,
         run.deliveries.len()
-    );
-    assert_eq!(run.max_residual_ps, 0, "provenance must reconcile exactly");
+    )?;
 
     // Full telemetry includes the kernel self-profiler: the same run,
     // annotated with what the *kernel* did to deliver it.
     if let Some(p) = &run.profile {
-        println!();
-        print!("{}", p.render(""));
+        writeln!(out)?;
+        write!(out, "{}", p.render(""))?;
     }
 
-    println!();
-    println!("the slow 1 Gb/s hop dominates: bursts of four frames queue behind each");
-    println!("other's serialization, so queue time rises with position in the burst —");
-    println!("the \u{a7}2 tap-and-timestamp picture, reproduced from pure simulation.");
+    writeln!(
+        out,
+        "\n\
+         the slow 1 Gb/s hop dominates: bursts of four frames queue behind each\n\
+         other's serialization, so queue time rises with position in the burst —\n\
+         the \u{a7}2 tap-and-timestamp picture, reproduced from pure simulation."
+    )?;
+    Ok(Outcome {
+        checks: vec![Check::eq(
+            "max abs(provenance total - measured latency), ps",
+            0,
+            run.max_residual_ps,
+        )],
+        json: Some(jsonl),
+    })
 }

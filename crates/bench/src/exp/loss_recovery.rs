@@ -5,14 +5,14 @@
 //! detection + retransmission requests rather than a reliable transport.
 //! This experiment sweeps loss models over the same 16k-message stream
 //! and reports what the recovery loop gave back and what it cost.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_loss_recovery [-- --json]
-//! ```
 
-use tn_bench::faultsim::{run_loss_recovery, LossRecoveryConfig, LossRecoveryRun};
+use std::io::{self, Write};
+
 use tn_core::LatencyStats;
 use tn_fault::FaultSpec;
+
+use super::{exp_json, Check, Outcome};
+use crate::faultsim::{run_loss_recovery, LossRecoveryConfig, LossRecoveryRun};
 
 fn sweep() -> Vec<(&'static str, LossRecoveryRun)> {
     let cases: Vec<(&'static str, FaultSpec)> = vec![
@@ -34,14 +34,9 @@ fn sweep() -> Vec<(&'static str, LossRecoveryRun)> {
 }
 
 fn json(runs: &[(&str, LossRecoveryRun)]) -> String {
-    let mut out =
-        String::from("{\"schema\":\"tn-exp/v1\",\"experiment\":\"loss_recovery\",\"runs\":[");
-    for (i, (name, r)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let runs = runs.iter().map(|(name, r)| {
         let fill = LatencyStats::from_samples(&r.fill_latency_ps);
-        out.push_str(&format!(
+        format!(
             "{{\"fault\":\"{name}\",\"published\":{},\"delivered\":{},\"gaps\":{},\
              \"requests\":{},\"recovered\":{},\"abandoned\":{},\"refused\":{},\
              \"fill_median_ps\":{},\"fill_p99_ps\":{},\"digest\":\"{:016x}\",\"events\":{}}}",
@@ -56,21 +51,19 @@ fn json(runs: &[(&str, LossRecoveryRun)]) -> String {
             fill.p99.as_ps(),
             r.digest,
             r.events,
-        ));
-    }
-    out.push_str("]}");
-    out
+        )
+    });
+    exp_json("loss_recovery", runs)
 }
 
-fn main() {
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let runs = sweep();
-    if tn_bench::json_flag() {
-        println!("{}", json(&runs));
-        return;
-    }
-
-    println!("Gap recovery over a lossy feed (4,000 packets / 16,000 messages, 20 ms):\n");
-    println!(
+    writeln!(
+        out,
+        "Gap recovery over a lossy feed (4,000 packets / 16,000 messages, 20 ms):\n"
+    )?;
+    writeln!(
+        out,
         "{:<12} {:>10} {:>10} {:>7} {:>9} {:>10} {:>10} {:>11} {:>11}",
         "fault",
         "published",
@@ -81,10 +74,11 @@ fn main() {
         "abandoned",
         "fill med",
         "fill p99"
-    );
+    )?;
     for (name, r) in &runs {
         let fill = LatencyStats::from_samples(&r.fill_latency_ps);
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>10} {:>10} {:>7} {:>9} {:>10} {:>10} {:>11} {:>11}",
             name,
             r.published_messages,
@@ -95,17 +89,19 @@ fn main() {
             r.abandoned,
             fill.median.to_string(),
             fill.p99.to_string(),
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
 
     let clean = &runs[0].1;
     let heavy = &runs[3].1;
-    println!(
+    writeln!(
+        out,
         "clean feed: {} of {} delivered, zero requests — the recovery path is free when unused.",
         clean.delivered_messages, clean.published_messages
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "at 5% i.i.d. loss the loop recovers {} messages across {} gaps \
          ({:.1}% delivery without it, {:.1}% with).",
         heavy.recovered_messages,
@@ -113,21 +109,42 @@ fn main() {
         100.0 * (heavy.published_messages - heavy.recovered_messages) as f64
             / heavy.published_messages as f64,
         100.0 * heavy.delivery_rate(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "burstiness at equal mean loss concentrates gaps: {} gap events vs {} i.i.d. \
          — fewer, longer, cheaper to repair per record.",
         runs[4].1.gaps_seen, heavy.gaps_seen
-    );
+    )?;
 
-    assert_eq!(clean.delivered_messages, clean.published_messages);
-    assert_eq!(clean.gaps_seen, 0);
-    for (name, r) in &runs {
-        assert_eq!(
-            r.delivered_messages, r.published_messages,
-            "{name}: recovery must close every gap at these loss rates"
-        );
-        assert_eq!(r.abandoned, 0, "{name}");
-    }
-    assert!(runs[4].1.gaps_seen < heavy.gaps_seen);
+    // Recovery must close every gap at these loss rates, in every run.
+    let incomplete: Vec<&str> = runs
+        .iter()
+        .filter(|(_, r)| r.delivered_messages != r.published_messages)
+        .map(|&(name, _)| name)
+        .collect();
+    let abandoned: u64 = runs.iter().map(|(_, r)| r.abandoned).sum();
+    Ok(Outcome {
+        json: Some(json(&runs)),
+        checks: vec![
+            Check::eq(
+                "clean feed, delivered vs published",
+                clean.published_messages,
+                clean.delivered_messages,
+            ),
+            Check::eq("clean feed gaps", 0, clean.gaps_seen),
+            Check::new(
+                "runs with delivered != published",
+                "none of the 5",
+                format!("{incomplete:?}"),
+                incomplete.is_empty(),
+            ),
+            Check::eq("gaps abandoned across all runs", 0, abandoned),
+            Check::below(
+                "gap events, burst ~5% vs i.i.d. 5%",
+                heavy.gaps_seen,
+                runs[4].1.gaps_seen,
+            ),
+        ],
+    })
 }

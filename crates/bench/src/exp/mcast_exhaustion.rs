@@ -9,13 +9,9 @@
 //!
 //! The demand axis is expressed as a `tn-lab` sweep spec and executed by
 //! the lab's batch runner through a custom [`RunExecutor`] — the
-//! proof-of-reuse example for lab-backed experiments. Pass `--threads N`
-//! to fan the sweep out across cores; the results are identical for any
-//! thread count.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_mcast_exhaustion [-- --threads 4]
-//! ```
+//! proof-of-reuse example for lab-backed experiments.
+
+use std::io::{self, Write};
 
 use tn_fault::{FaultConnect, LinkSpec};
 use tn_lab::{run_batch, Axis, AxisValues, RunExecutor, RunOutcome, RunPlan, SweepSpec};
@@ -23,6 +19,8 @@ use tn_sim::{Context, Frame, Node, PortId, SimTime, Simulator};
 use tn_stats::Summary;
 use tn_switch::{switch_generations, CommoditySwitch, SwitchConfig};
 use tn_wire::{eth, igmp, ipv4, stack};
+
+use super::{lookup, Check, Outcome};
 
 struct Receiver {
     arrivals: Vec<(u32, SimTime)>,
@@ -152,7 +150,7 @@ fn run_sweep(groups: usize, table: usize, packets_per_group: usize) -> SweepResu
 /// free-form parameter interpreted by [`McastExecutor`], not a
 /// `ScenarioConfig` field — the lab's manifest/runner/aggregation layers
 /// don't care which executor resolves a cell.
-pub fn e7_spec() -> SweepSpec {
+fn e7_spec() -> SweepSpec {
     SweepSpec {
         name: "mcast-exhaustion".into(),
         base: "small".into(),
@@ -167,17 +165,12 @@ pub fn e7_spec() -> SweepSpec {
 }
 
 /// Lab executor that resolves a cell of [`e7_spec`] with [`run_sweep`].
-pub struct McastExecutor;
+struct McastExecutor;
 
 impl RunExecutor for McastExecutor {
     fn execute(&self, plan: &RunPlan) -> Result<RunOutcome, String> {
-        let param = |name: &str| {
-            plan.params
-                .iter()
-                .find(|(p, _)| p == name)
-                .map(|&(_, v)| v)
-                .ok_or(format!("missing param `{name}`"))
-        };
+        let param =
+            |name: &str| lookup(&plan.params, name).ok_or(format!("missing param `{name}`"));
         let groups = param("groups")? as usize;
         let table = param("table")? as usize;
         let packets = param("packets_per_group")? as usize;
@@ -196,39 +189,30 @@ impl RunExecutor for McastExecutor {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|t| t.parse::<usize>().ok())
-        .unwrap_or(1);
-
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let spec = e7_spec();
     let manifest = spec.expand().expect("static spec expands");
-    let outcomes = run_batch(&manifest, threads, &McastExecutor).expect("sweep runs");
+    let outcomes = run_batch(&manifest, 1, &McastExecutor).expect("sweep runs");
 
     let table = 512usize;
-    println!("mroute table capacity: {table} groups; sweeping demanded groups");
-    println!("(lab-backed: spec `{}`, {threads} thread(s))\n", spec.name);
-    println!(
+    writeln!(
+        out,
+        "mroute table capacity: {table} groups; sweeping demanded groups"
+    )?;
+    writeln!(out, "(lab-backed: spec `{}`)\n", spec.name)?;
+    writeln!(
+        out,
         "{:>8} {:>10} {:>12} {:>12} {:>14} {:>14}",
         "groups", "overflow", "hw del %", "sw del %", "hw median", "sw median"
-    );
-    for (plan, out) in manifest.iter().zip(&outcomes) {
-        let metric = |name: &str| {
-            out.metrics
-                .iter()
-                .find(|(m, _)| m == name)
-                .map_or(0.0, |&(_, v)| v)
-        };
-        let groups = plan
-            .params
-            .iter()
-            .find(|(p, _)| p == "groups")
-            .map_or(0.0, |&(_, v)| v) as usize;
-        println!(
+    )?;
+    // Worst case over the rows: in-table delivery, overflow delivery, and
+    // the overflow/in-table median latency ratio.
+    let (mut hw_del_min, mut sw_del_max, mut slowdown_min) = (f64::MAX, 0.0f64, f64::MAX);
+    for (plan, res) in manifest.iter().zip(&outcomes) {
+        let metric = |name: &str| lookup(&res.metrics, name).unwrap_or(0.0);
+        let groups = lookup(&plan.params, "groups").unwrap_or(0.0) as usize;
+        writeln!(
+            out,
             "{:>8} {:>10} {:>11.1}% {:>11.1}% {:>11} ns {:>11} ns",
             groups,
             groups.saturating_sub(table),
@@ -236,23 +220,62 @@ fn main() {
             metric("sw_delivery_pct"),
             metric("hw_median_ns") as u64,
             metric("sw_median_ns") as u64,
-        );
+        )?;
+        hw_del_min = hw_del_min.min(metric("hw_delivery_pct"));
+        if groups > table {
+            sw_del_max = sw_del_max.max(metric("sw_delivery_pct"));
+            slowdown_min = slowdown_min.min(metric("sw_median_ns") / metric("hw_median_ns"));
+        }
     }
-    println!();
-    println!("the cliff: once demand passes the table, overflow groups run ~50x slower");
-    println!("and drop most of their traffic — §3's 'cripples performance and induces");
-    println!("heavy packet loss'.\n");
+    writeln!(
+        out,
+        "\n\
+         the cliff: once demand passes the table, overflow groups run ~50x slower\n\
+         and drop most of their traffic — §3's 'cripples performance and induces\n\
+         heavy packet loss'.\n"
+    )?;
 
     // The §3 trend collision.
     let gens = switch_generations();
     let first = gens.first().unwrap();
     let last = gens.last().unwrap();
-    println!(
+    writeln!(
+        out,
         "trend: market data +500% in 5 years (Fig 2a) vs multicast groups +{:.0}%\n\
          over a decade of switch generations ({} -> {}); one strategy's partition\n\
          count alone grew 600 -> 1300 in two years (§3).",
         100.0 * (last.mcast_groups as f64 / first.mcast_groups as f64 - 1.0),
         first.mcast_groups,
         last.mcast_groups,
-    );
+    )?;
+    let group_growth = 100.0 * (last.mcast_groups as f64 / first.mcast_groups as f64 - 1.0);
+    Ok(Outcome {
+        json: None,
+        checks: vec![
+            Check::new(
+                "delivery of groups inside the table",
+                "100% on every row",
+                format!("min {hw_del_min:.1}%"),
+                hw_del_min == 100.0,
+            ),
+            Check::new(
+                "delivery of overflow groups",
+                "heavy loss: <11% delivered on every overflow row",
+                format!("max {sw_del_max:.1}%"),
+                sw_del_max < 11.0,
+            ),
+            Check::new(
+                "overflow median latency vs in-table",
+                "~50x slower: at least 40x on every overflow row",
+                format!("min {slowdown_min:.1}x"),
+                slowdown_min >= 40.0,
+            ),
+            Check::new(
+                "multicast group capacity over a decade",
+                "+80% (to the percent)",
+                format!("+{group_growth:.0}%"),
+                group_growth.round() == 80.0,
+            ),
+        ],
+    })
 }

@@ -7,18 +7,16 @@
 //! Builds Design 1 at that scale (24 normalizers + 930 strategies + 24
 //! gateways = 978 servers, each with two NICs, on an auto-sized
 //! leaf-spine with 4 spines) and runs a burst of market activity.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_paper_scale
-//! ```
+
+use std::io::{self, Write};
 
 use tn_core::design::{TradingNetworkDesign, TraditionalSwitches};
 use tn_core::ScenarioConfig;
 use tn_sim::SimTime;
 
-fn main() {
-    // audit:allow(det-wallclock): measuring the harness itself; timings are reported, never fed back into the schedule
-    let t0 = std::time::Instant::now();
+use super::{Check, Outcome};
+
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     let sc = ScenarioConfig::paper_scale(3)
         .to_builder()
         .duration(SimTime::from_ms(20))
@@ -32,14 +30,9 @@ fn main() {
     let servers = sc.normalizers + sc.strategies + sc.gateways;
 
     let report = TraditionalSwitches::default().run(&sc);
-    let wall = t0.elapsed();
 
-    if tn_bench::json_flag() {
-        println!("{}", report.to_json());
-        return;
-    }
-
-    println!(
+    writeln!(
+        out,
         "{} servers ({} normalizers, {} strategies, {} gateways), {} feed units,\n\
          {} internal partitions, {} events/s background:\n",
         servers,
@@ -49,18 +42,24 @@ fn main() {
         sc.feed_units,
         sc.internal_partitions,
         sc.background_rate
-    );
-    println!("{}", report.summary());
-    println!();
-    println!(
-        "simulated {} of trading across ~{} simulation nodes in {:.1?} of wall time",
-        sc.duration,
-        servers + 130,
-        wall
-    );
+    )?;
+    writeln!(out, "{}", report.summary())?;
     // The §4 assumption holds: every software function under 2 us average
     // (configured), and the fabric delivers with zero loss at this scale.
-    assert!(report.frames_dropped == 0, "no loss at the paper's scale");
-    assert!(report.orders_sent > 100, "{}", report.summary());
-    assert!(report.feed_latency.median < SimTime::from_us(50));
+    Ok(Outcome {
+        json: Some(report.to_json()),
+        checks: vec![
+            Check::eq(
+                "frames dropped at the paper's scale",
+                0,
+                report.frames_dropped,
+            ),
+            Check::above("orders sent", 100, report.orders_sent),
+            Check::below(
+                "feed latency median",
+                SimTime::from_us(50),
+                report.feed_latency.median,
+            ),
+        ],
+    })
 }

@@ -7,14 +7,14 @@
 //! order across capture points. This experiment sweeps clock-sync
 //! quality and measures how many event pairs two drifting capture
 //! appliances would mis-order.
-//!
-//! ```sh
-//! cargo run --release -p tn-bench --bin exp_timestamps
-//! ```
+
+use std::io::{self, Write};
 
 use tn_market::MicroburstModel;
 use tn_netdev::clock::DriftClock;
 use tn_sim::SimTime;
+
+use super::{Check, Outcome};
 
 fn misordered_pairs(events_ps: &[u64], residual_ps: i64, drift_ppb: i64) -> (u64, u64) {
     // Two capture appliances see the same stream; A is the reference, B
@@ -41,64 +41,78 @@ fn misordered_pairs(events_ps: &[u64], residual_ps: i64, drift_ppb: i64) -> (u64
     (misordered, pairs)
 }
 
-fn main() {
+pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
     // Event times inside the Fig 2(c) busiest second.
     let model = MicroburstModel::default();
     let events = model.event_times_ps(6);
     let mean_gap_ns = 1e9 / events.len() as f64;
-    println!(
+    writeln!(
+        out,
         "{} events in the busiest second (mean spacing {:.0} ns); cross-appliance\n\
          ordering vs clock quality:\n",
         events.len(),
         mean_gap_ns
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>22} {:>16} {:>16}",
         "sync residual", "misordered pairs", "rate"
-    );
+    )?;
     for residual_ns in [10_000i64, 1_000, 100, 10, 1, 0] {
         let residual_ps = residual_ns * 1_000;
         let (bad, pairs) = misordered_pairs(&events, residual_ps, 0);
-        println!(
+        writeln!(
+            out,
             "{:>18} ns {:>16} {:>15.3}%",
             residual_ns,
             bad,
             100.0 * bad as f64 / pairs as f64
-        );
+        )?;
     }
     // Sub-nanosecond: the regime the paper's 100 ps target lives in.
     for residual_ps in [500i64, 100, 50] {
         let (bad, pairs) = misordered_pairs(&events, residual_ps, 0);
-        println!(
+        writeln!(
+            out,
             "{:>18} ps {:>16} {:>15.3}%",
             residual_ps,
             bad,
             100.0 * bad as f64 / pairs as f64
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
     // Drift between syncs: a 10 ppb oscillator accumulates 10 ns/s.
     let (bad, pairs) = misordered_pairs(&events, 0, 10);
-    println!(
-        "perfect sync but 10 ppb drift, 1 s since sync: {bad}/{pairs} pairs misordered \
-         by second's end"
-    );
-    println!();
-    println!("at microsecond-class sync (NTP), ordering is meaningless during bursts;");
-    println!("at 100 ns (good PTP) ~18% of adjacent pairs still flip; at 100 ps fewer");
-    println!("than 0.02% do — only events essentially simultaneous on the wire remain");
-    println!("ambiguous. Hence §2's 'precision below 100 picoseconds'.");
+    writeln!(
+        out,
+        "perfect sync but 10 ppb drift, 1 s since sync: {bad}/{pairs} pairs misordered by second's end\n\
+         \n\
+         at microsecond-class sync (NTP), ordering is meaningless during bursts;\n\
+         at 100 ns (good PTP) ~18% of adjacent pairs still flip; at 100 ps fewer\n\
+         than 0.02% do — only events essentially simultaneous on the wire remain\n\
+         ambiguous. Hence §2's 'precision below 100 picoseconds'."
+    )?;
     let (bad_100ps, pairs) = misordered_pairs(&events, 100, 0);
     let rate_100ps = bad_100ps as f64 / pairs as f64;
-    assert!(
-        rate_100ps < 0.0005,
-        "100 ps should flip <0.05%: {rate_100ps}"
-    );
     let (bad_100ns, _) = misordered_pairs(&events, 100_000, 0);
-    assert!(
-        bad_100ns as f64 / pairs as f64 > 0.05,
-        "100 ns must flip a visible fraction"
-    );
+    let rate_100ns = bad_100ns as f64 / pairs as f64;
     let (bad_10us, _) = misordered_pairs(&events, 10_000_000, 0);
-    assert!(bad_10us > 0, "10 us sync must scramble ordering");
+    Ok(Outcome {
+        json: None,
+        checks: vec![
+            Check::new(
+                "pairs misordered at 100 ps sync",
+                "<0.05%",
+                format!("{:.3}%", 100.0 * rate_100ps),
+                rate_100ps < 0.0005,
+            ),
+            Check::new(
+                "pairs misordered at 100 ns sync",
+                "a visible fraction (>5%)",
+                format!("{:.1}%", 100.0 * rate_100ns),
+                rate_100ns > 0.05,
+            ),
+            Check::above("pairs misordered at 10 us sync", 0, bad_10us),
+        ],
+    })
 }

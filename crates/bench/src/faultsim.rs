@@ -1,7 +1,7 @@
 //! Shared fault-injection scenarios.
 //!
-//! The two degraded-mode experiments (`exp_loss_recovery`,
-//! `exp_ab_failover`) and tn-audit's fault divergence scenarios run
+//! The two degraded-mode experiments (`loss-recovery`,
+//! `ab-failover`) and tn-audit's fault divergence scenarios run
 //! *exactly* this code — one implementation, so the digests the audit
 //! pins are the digests the experiments print.
 //!

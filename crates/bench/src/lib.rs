@@ -1,26 +1,12 @@
-//! Shared helpers for the experiment binaries: table rendering and tiny
-//! ASCII charts, so every figure regenerates as terminal output without
-//! plotting dependencies — plus the shared fault scenarios
-//! ([`faultsim`]) behind `exp_loss_recovery`/`exp_ab_failover` and
-//! tn-audit's fault divergence checks.
+//! The experiment registry ([`exp`]) behind the `tn-exp` binary, plus
+//! what its experiments share: table rendering and tiny ASCII charts, so
+//! every figure regenerates as terminal output without plotting
+//! dependencies, and the fault and telemetry scenarios ([`faultsim`],
+//! [`obssim`]) that tn-audit's divergence registry replays too.
 
+pub mod exp;
 pub mod faultsim;
 pub mod obssim;
-
-/// True when the process was invoked with `--json` (experiment binaries
-/// then emit a machine-readable report instead of tables).
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Render a labeled table row with right-aligned numeric cells.
-pub fn row(label: &str, cells: &[String]) -> String {
-    let mut out = format!("{label:<16}");
-    for c in cells {
-        out.push_str(&format!(" {c:>12}"));
-    }
-    out
-}
 
 /// Render a vertical-bar ASCII chart of a series (max `width` columns,
 /// `height` rows), downsampling by taking column maxima — peaks are the
@@ -101,12 +87,5 @@ mod tests {
         assert!(lines[0].trim_end().ends_with('█'));
         assert!(lines[0].starts_with(' '));
         assert!(ascii_chart(&[], 10, 4).is_empty());
-    }
-
-    #[test]
-    fn row_alignment() {
-        let r = row("label", &["1".into(), "22".into()]);
-        assert!(r.starts_with("label"));
-        assert!(r.contains("            1"));
     }
 }

@@ -1,6 +1,6 @@
 //! Shared latency-decomposition scenario.
 //!
-//! `exp_latency_decomposition` (E21) and tn-audit's
+//! `latency-decomposition` (E21) and tn-audit's
 //! `latency-decomposition` divergence scenario run *exactly* this code —
 //! one implementation, so the digest the audit pins is the digest the
 //! experiment prints.

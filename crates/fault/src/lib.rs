@@ -52,9 +52,8 @@ use tn_sim::{Link, NodeId, PortId, Simulator};
 
 /// A declarative link between two ports: propagation, optional
 /// serialization rate, bounded queueing, MTU, and an optional fault
-/// model. Replaces the positional `impl Link` parameters of
-/// `Simulator::connect` / `connect_directed` (the old signatures remain
-/// for low-level use but new call sites should build a `LinkSpec`).
+/// model. Already-built `impl Link` instances go through the raw
+/// `Simulator::install_link` instead.
 #[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// One-way propagation delay.
@@ -137,8 +136,8 @@ impl LinkSpec {
     }
 }
 
-/// Spec-based connection API for [`Simulator`]: the `LinkSpec`
-/// counterparts of `connect` / `connect_directed`.
+/// Spec-based connection API for [`Simulator`], over its raw
+/// `install_link` primitive.
 pub trait FaultConnect {
     /// Connect two ports bidirectionally; each direction gets its own
     /// independently built instance of `spec`.

@@ -23,7 +23,8 @@
 //!
 //! The `tn-lab` binary exposes `expand`, `run`, and `summarize`;
 //! `tn-bench` experiments reuse the runner through the [`RunExecutor`]
-//! trait (see `exp_mcast_exhaustion` for a custom executor).
+//! trait (see tn-bench's `mcast-exhaustion` experiment for a custom
+//! executor).
 
 pub mod agg;
 pub mod json;

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use tn_obs::{FlightKind, FlightRecord, FlightRecorder};
 
-use crate::frame::{Frame, FrameArena, FrameBuilder, FrameId, FrameMeta};
+use crate::frame::{Frame, FrameArena, FrameBuilder};
 use crate::node::{NodeId, PortId};
 use crate::time::SimTime;
 
@@ -113,43 +113,6 @@ impl Context<'_> {
         }
     }
 
-    /// Create a brand-new frame born now, with a fresh [`FrameId`].
-    #[deprecated(note = "use `ctx.frame()` (arena-first builder): \
-                         `ctx.frame().fill(|b| ...).build()`")]
-    pub fn new_frame(&mut self, bytes: Vec<u8>) -> Frame {
-        let id = FrameId(*self.next_frame_id);
-        *self.next_frame_id += 1;
-        Frame {
-            bytes,
-            id,
-            born: self.now,
-            meta: FrameMeta::default(),
-        }
-    }
-
-    /// Create a new frame carrying application metadata.
-    #[deprecated(note = "use `ctx.frame().meta(meta)` (arena-first builder)")]
-    pub fn new_frame_with_meta(&mut self, bytes: Vec<u8>, meta: FrameMeta) -> Frame {
-        #[allow(deprecated)]
-        let mut f = self.new_frame(bytes);
-        f.meta = meta;
-        f
-    }
-
-    /// Create a new frame of `len` zero bytes, drawing the payload buffer
-    /// from the kernel's [`FrameArena`].
-    #[deprecated(note = "use `ctx.frame().zeroed(len)` (arena-first builder)")]
-    pub fn new_frame_zeroed(&mut self, len: usize) -> Frame {
-        self.frame().zeroed(len).build()
-    }
-
-    /// Create a new frame carrying a copy of `bytes`, drawing the payload
-    /// buffer from the kernel's [`FrameArena`].
-    #[deprecated(note = "use `ctx.frame().copy_from(bytes)` (arena-first builder)")]
-    pub fn new_frame_copied(&mut self, bytes: &[u8]) -> Frame {
-        self.frame().copy_from(bytes).build()
-    }
-
     /// Return a finished frame's payload buffer to the [`FrameArena`].
     /// Terminal consumers (sinks, handlers that fully decode and discard)
     /// should prefer this over dropping the frame, closing the recycling
@@ -215,6 +178,7 @@ impl Context<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameId;
     use rand::SeedableRng;
 
     fn ctx<'a>(

@@ -79,9 +79,7 @@ impl Frame {
 /// from the kernel's [`FrameArena`] the moment the builder is created (in
 /// steady state a recycled buffer — no allocation), the combinators fill
 /// it in place, and [`FrameBuilder::build`] stamps the frame with a fresh
-/// monotonic [`FrameId`] and the current simulation time. Replaces the
-/// four `new_frame` / `new_frame_with_meta` / `new_frame_zeroed` /
-/// `new_frame_copied` variants.
+/// monotonic [`FrameId`] and the current simulation time.
 ///
 /// ```
 /// # use tn_sim::{Simulator, SimTime};
@@ -115,15 +113,13 @@ impl<'h> FrameBuilder<'h> {
         }
     }
 
-    /// Extend the payload to `len` zero bytes (replaces
-    /// `new_frame_zeroed`).
+    /// Extend the payload to `len` zero bytes.
     pub fn zeroed(mut self, len: usize) -> Self {
         self.bytes.resize(len, 0);
         self
     }
 
-    /// Append a copy of `src` to the payload (replaces
-    /// `new_frame_copied`).
+    /// Append a copy of `src` to the payload.
     pub fn copy_from(mut self, src: &[u8]) -> Self {
         self.bytes.extend_from_slice(src);
         self
@@ -136,8 +132,7 @@ impl<'h> FrameBuilder<'h> {
         self
     }
 
-    /// Replace the frame's metadata wholesale (replaces
-    /// `new_frame_with_meta`).
+    /// Replace the frame's metadata wholesale.
     pub fn meta(mut self, meta: FrameMeta) -> Self {
         self.meta = meta;
         self
@@ -186,9 +181,9 @@ const DEFAULT_MAX_FREE: usize = 1024;
 /// A slab of reusable payload buffers.
 ///
 /// The kernel owns one and hands its buffers out through
-/// `Simulator::new_frame_zeroed` / `Context::new_frame_zeroed` (and the
-/// `_copied` variants); buffers come back via `recycle` or when the kernel
-/// itself discards a frame (unrouted ports, link drops). This kills the
+/// `Simulator::frame` / `Context::frame`; buffers come back via `recycle`
+/// or when the kernel itself discards a frame (unrouted ports, link
+/// drops). This kills the
 /// per-frame `Vec<u8>` allocation on the hot path that tn-audit's
 /// `hotpath-alloc` lint flags — in steady state every frame reuses a
 /// previously freed buffer.

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use tn_obs::{FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler};
 
 use crate::context::{Action, Context, TimerToken};
-use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId, FrameMeta};
+use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
 use crate::sched::{EventKind, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
@@ -311,35 +311,6 @@ impl Simulator {
             .downcast_mut::<T>()
     }
 
-    /// Connect two ports bidirectionally with clones of `link`.
-    #[deprecated(note = "use tn-fault's `connect_spec` (LinkSpec-based); \
-                         `install_link` remains for already-built link models")]
-    pub fn connect(
-        &mut self,
-        a: NodeId,
-        a_port: PortId,
-        b: NodeId,
-        b_port: PortId,
-        link: impl Link + Clone + 'static,
-    ) {
-        self.install_link(a, a_port, b, b_port, Box::new(link.clone()));
-        self.install_link(b, b_port, a, a_port, Box::new(link));
-    }
-
-    /// Install a directional link from `(src, src_port)` to `(dst, dst_port)`.
-    #[deprecated(note = "use tn-fault's `connect_directed_spec` (LinkSpec-based); \
-                         `install_link` remains for already-built link models")]
-    pub fn connect_directed(
-        &mut self,
-        src: NodeId,
-        src_port: PortId,
-        dst: NodeId,
-        dst_port: PortId,
-        link: Box<dyn Link>,
-    ) {
-        self.install_link(src, src_port, dst, dst_port, link);
-    }
-
     /// Install a directional, already-built link model from
     /// `(src, src_port)` to `(dst, dst_port)` — the raw primitive behind
     /// `connect_directed_spec`. Most call sites should describe the link
@@ -401,34 +372,6 @@ impl Simulator {
             });
         }
         FrameBuilder::start(&mut self.arena, &mut self.next_frame_id, self.now)
-    }
-
-    /// Allocate a frame with a fresh id, born at the current time. For
-    /// scenario drivers; nodes use [`Context::frame`].
-    #[deprecated(note = "use `sim.frame()` (arena-first builder): \
-                         `sim.frame().fill(|b| ...).build()`")]
-    pub fn new_frame(&mut self, bytes: Vec<u8>) -> Frame {
-        let id = FrameId(self.next_frame_id);
-        self.next_frame_id += 1;
-        Frame {
-            bytes,
-            id,
-            born: self.now,
-            meta: FrameMeta::default(),
-        }
-    }
-
-    /// Allocate a frame of `len` zero bytes from the [`FrameArena`].
-    #[deprecated(note = "use `sim.frame().zeroed(len)` (arena-first builder)")]
-    pub fn new_frame_zeroed(&mut self, len: usize) -> Frame {
-        self.frame().zeroed(len).build()
-    }
-
-    /// Allocate a frame carrying a copy of `bytes`, drawing the buffer
-    /// from the [`FrameArena`].
-    #[deprecated(note = "use `sim.frame().copy_from(bytes)` (arena-first builder)")]
-    pub fn new_frame_copied(&mut self, bytes: &[u8]) -> Frame {
-        self.frame().copy_from(bytes).build()
     }
 
     /// Return a finished frame's payload buffer to the [`FrameArena`] for

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # The full CI gauntlet. Everything runs offline (deps are vendored in
-# vendor/); any failure fails the script.
+# vendor/); any failure fails the script, and so does a dirty tree at the
+# end. Scratch files go under target/, which is ignored.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -9,147 +10,60 @@ run() {
     echo "==> $*"
     "$@"
 }
+# `bin <package> args...`: run a workspace CLI from the release build.
+bin() {
+    pkg=$1
+    shift
+    cargo run --release --offline -q -p "$pkg" -- "$@"
+}
+# `leads_with <file> <marker>`: the artifact's first line names its schema.
+leads_with() {
+    head -1 "$1" | grep -q "\"schema\":\"$2\""
+    echo "==> $1: $2 ok"
+}
 
 run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
-# Static analysis + divergence, gated against the committed baseline:
-# any finding not in AUDIT_BASELINE.json — suppressed or not — fails CI,
-# so suppression creep is visible in review. The JSON report must lead
-# with the registered tn-audit/v1 marker and validate against it.
-audit_report=target/audit-report.json
-run cargo run --release --offline -q -p tn-audit -- check \
-    --json "$audit_report" --baseline AUDIT_BASELINE.json
-head -1 "$audit_report" | grep -q '"schema":"tn-audit/v1"'
-run cargo run --release --offline -q -p tn-audit -- schema --json "$audit_report"
-# Fault-injection determinism: dual-run the degraded scenarios explicitly
-# (check already covers the registry; this keeps the fault paths loud).
-run cargo run --release --offline -q -p tn-audit -- divergence --filter fault
-# Telemetry determinism: full observability must not move any digest.
-run cargo run --release --offline -q -p tn-audit -- divergence --filter obs
-# Flight-recorder determinism: recorder + profiler fully on must
-# reproduce the golden quickstart digest, bit for bit.
-run cargo run --release --offline -q -p tn-audit -- divergence --filter flight
-run cargo run --release --offline -q -p tn-audit -- divergence --filter latency-decomposition
-# tn-trace/v1 smoke: E21's JSONL leads with the schema marker.
-echo "==> exp_latency_decomposition --json (tn-trace/v1 schema check)"
-trace_out=target/e21-trace.jsonl
-cargo run --release --offline -q -p tn-bench --bin exp_latency_decomposition -- --json \
-    > "$trace_out"
-head -1 "$trace_out" | grep -q '"schema":"tn-trace/v1"'
-# tn-flight/v1 smoke: the timeline export of the same trace leads with
-# its schema marker, and the folded-stacks rendering is byte-stable
-# across two summarize runs.
-echo "==> tn-obs summarize --timeline/--folded (tn-flight/v1 + stability)"
-flight_out=target/e21-flight.json
-cargo run --release --offline -q -p tn-obs -- summarize --timeline "$trace_out" \
-    > "$flight_out"
-head -1 "$flight_out" | grep -q '"schema":"tn-flight/v1"'
-cargo run --release --offline -q -p tn-obs -- summarize --folded "$trace_out" \
-    > target/e21-folded-1.txt
-cargo run --release --offline -q -p tn-obs -- summarize --folded "$trace_out" \
-    > target/e21-folded-2.txt
-cmp target/e21-folded-1.txt target/e21-folded-2.txt
-rm -f "$trace_out" "$flight_out" target/e21-folded-1.txt target/e21-folded-2.txt
-# Scheduler equivalence: a reduced-case differential sweep (the full
-# 64-case sweep runs with the workspace tests above).
-echo "==> scheduler_equivalence (reduced proptest sweep)"
-PROPTEST_CASES=8 cargo test -q --offline --test scheduler_equivalence
-# Shard equivalence: sharded execution must reproduce the serial kernel
-# bit-for-bit — a reduced random-topology sweep here, plus the registry
-# scenarios pinning the golden quickstart digest through the sharded
-# path for every shard count 1..=8 under all three schedulers.
-echo "==> shard_equivalence (reduced proptest sweep)"
-PROPTEST_CASES=8 cargo test -q --offline --test shard_equivalence
-run cargo run --release --offline -q -p tn-audit -- divergence --filter shard
-# BENCH shard smoke: serial-vs-sharded with digests asserted equal
-# inside the harness. Smoke mode never writes BENCH_shard.json, so the
-# committed full-scale numbers stay untouched.
-run cargo run --release --offline -q -p tn-bench --bin bench_shard -- --smoke
-head -1 BENCH_shard.json | grep -q '"schema":"tn-bench/v1"'
-echo "==> BENCH_shard.json: tn-bench/v1 ok"
-# BENCH smoke + regression gate: all three schedulers on the small
-# scales, digests asserted equal inside the harness, and the artifact
-# parses as tn-bench/v1. The committed full-run summary is captured
-# BEFORE the smoke run overwrites the artifact; the gate then requires
-# (a) the smoke geomean within tolerance of the committed one — smoke is
-# one rep at the smallest scales, so the bar catches a scheduler
-# collapsing, not single-digit drift — and (b) the scheduler-bound
-# timer-churn row still beating the reference heap. The committed
-# artifact is restored afterwards so CI leaves the tree clean.
-committed_bench=target/ci-bench-committed.json
-cp BENCH_kernel.json "$committed_bench"
-committed_geo=$(sed -n 's/.*"geomean_speedup":\([0-9.]*\).*/\1/p' "$committed_bench")
-run cargo run --release --offline -q -p tn-bench --bin bench_kernel -- --smoke
-head -1 BENCH_kernel.json | grep -q '"schema":"tn-bench/v1"'
-echo "==> BENCH_kernel.json: tn-bench/v1 ok"
-smoke_geo=$(sed -n 's/.*"geomean_speedup":\([0-9.]*\).*/\1/p' BENCH_kernel.json)
-churn_wheel=$(grep -o '"speedup_wheel":[0-9.]*' BENCH_kernel.json | tail -1 | cut -d: -f2)
-mv "$committed_bench" BENCH_kernel.json
-awk -v s="$smoke_geo" -v c="$committed_geo" -v w="$churn_wheel" 'BEGIN {
-    if (s + 0 < c - 0.25) {
-        printf "bench gate FAIL: smoke geomean %.4f below committed %.4f - 0.25\n", s, c
-        exit 1
-    }
-    if (w + 0 < 1.0) {
-        printf "bench gate FAIL: timer-churn wheel speedup %.4f < 1.0\n", w
-        exit 1
-    }
-    printf "==> bench gate: smoke geomean %.4f (committed %.4f), churn wheel %.2fx\n", s, c, w
-}'
-# Suppression-creep gate for the zero-alloc hot path: the retired
-# hotpath-alloc suppressions must stay retired. 19 remain by design
-# (cold paths: scheduler rebuilds and rewinds, session setup, telemetry
-# buffers); anything above that means an alloc crept back onto the hot
-# path and was re-suppressed instead of fixed.
-alloc_suppressions=$(grep -o '"lint":"hotpath-alloc"' AUDIT_BASELINE.json | wc -l)
-if [ "$alloc_suppressions" -gt 19 ]; then
-    echo "audit gate FAIL: $alloc_suppressions hotpath-alloc suppressions in baseline (ceiling 19)"
-    exit 1
-fi
-echo "==> audit gate: $alloc_suppressions hotpath-alloc suppressions (ceiling 19)"
-# Cloud fairness determinism: the zero-knob spec must be bit-transparent,
-# the enabled mechanism set must dual-run, and the frontier point must
-# reproduce the digest committed in BENCH_cloud.json (all asserted inside
-# the registry runners; "cloud" also re-covers shootout-cloud).
-run cargo run --release --offline -q -p tn-audit -- divergence --filter cloud
-# Cloud property tests: exactly-zero spread / exact arrival-order release
-# with every stochastic knob zeroed — a reduced sweep here, the full one
-# runs with the workspace tests above.
-echo "==> cloud_properties (reduced proptest sweep)"
-PROPTEST_CASES=8 cargo test -q --offline --test cloud_properties
-# E22 smoke: the fairness frontier sweep asserts its claims internally
-# (cloud beats L1 only by paying >= hold; zero-hold leaks) and the JSON
-# leads with the tn-exp/v1 schema marker.
-echo "==> exp_cloud_fairness --smoke --json (tn-exp/v1 schema check)"
-cloud_exp=target/ci-cloud-fairness.json
-cargo run --release --offline -q -p tn-bench --bin exp_cloud_fairness -- --smoke --json \
-    > "$cloud_exp"
-head -1 "$cloud_exp" | grep -q '"schema":"tn-exp/v1"'
-rm -f "$cloud_exp"
-# BENCH cloud smoke: rep-determinism and the frontier claim asserted
-# inside the harness; smoke never writes BENCH_cloud.json, so the
-# committed frontier table stays untouched.
-run cargo run --release --offline -q -p tn-bench --bin bench_cloud -- --smoke
-head -1 BENCH_cloud.json | grep -q '"schema":"tn-bench/v1"'
-echo "==> BENCH_cloud.json: tn-bench/v1 ok"
-# Lab determinism: parallel batches must be byte-identical to serial and
-# reproduce the standalone golden digests (registry scenarios).
-run cargo run --release --offline -q -p tn-audit -- divergence --filter lab
-# Lab smoke: expand the smoke grid, run it on 2 workers, and check the
-# report leads with the tn-lab/v1 schema marker.
-echo "==> tn-lab expand + run --threads 2 (tn-lab/v1 schema check)"
-lab_out=target/ci-lab-smoke.json
-cargo run --release --offline -q -p tn-lab -- expand --preset smoke > /dev/null
-cargo run --release --offline -q -p tn-lab -- run --preset smoke --threads 2 \
-    --out "$lab_out" > /dev/null
-head -1 "$lab_out" | grep -q '"schema":"tn-lab/v1"'
-rm -f "$lab_out"
-# BENCH lab smoke: serial-vs-parallel wall clock with byte-identity
-# asserted inside the harness.
-run cargo run --release --offline -q -p tn-bench --bin bench_lab -- --smoke
-head -1 BENCH_lab.json | grep -q '"schema":"tn-bench/v1"'
-echo "==> BENCH_lab.json: tn-bench/v1 ok"
 
+# Static analysis + the whole divergence registry, gated against the
+# committed baseline: any finding not in AUDIT_BASELINE.json — suppressed
+# or not — fails CI, so suppression creep is visible in review.
+run bin tn-audit check --json target/audit-report.json --baseline AUDIT_BASELINE.json
+leads_with target/audit-report.json tn-audit/v1
+run bin tn-audit schema --json target/audit-report.json
+# The zero-alloc hot path: 19 hotpath-alloc suppressions remain by design
+# (cold paths: scheduler rebuilds and rewinds, session setup, telemetry
+# buffers); more means an alloc was re-suppressed instead of fixed.
+allocs=$(grep -o '"lint":"hotpath-alloc"' AUDIT_BASELINE.json | wc -l)
+echo "==> audit gate: $allocs hotpath-alloc suppressions (ceiling 19)"
+[ "$allocs" -le 19 ]
+
+# Paper fidelity: every registered experiment at full size, every anchor.
+run bin tn-bench check
+
+# E21's tn-trace/v1 JSONL exports as a tn-flight/v1 timeline, and the
+# folded-stacks rendering is byte-stable across two summarize runs.
+bin tn-bench run latency-decomposition --json > target/e21-trace.jsonl
+leads_with target/e21-trace.jsonl tn-trace/v1
+bin tn-obs summarize --timeline target/e21-trace.jsonl > target/e21-flight.json
+leads_with target/e21-flight.json tn-flight/v1
+for n in 1 2; do
+    bin tn-obs summarize --folded target/e21-trace.jsonl > target/e21-folded-$n.txt
+done
+run cmp target/e21-folded-1.txt target/e21-folded-2.txt
+
+# tn-lab CLI: expand the smoke grid and run it on 2 workers.
+bin tn-lab expand --preset smoke > /dev/null
+bin tn-lab run --preset smoke --threads 2 --out target/ci-lab-smoke.json > /dev/null
+leads_with target/ci-lab-smoke.json tn-lab/v1
+
+# Speed is gated on BENCHMARK.json by the pipeline; here the benchmark
+# package only has to build and pass its own checks, untraced and traced.
+run benchmark/run.sh --smoke
+run benchmark/run.sh --smoke --trace
+
+dirty=$(git status --porcelain)
+[ -z "$dirty" ] || { printf 'ci: the tree is dirty:\n%s\n' "$dirty"; exit 1; }
 echo "==> ci: all green"
