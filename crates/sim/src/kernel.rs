@@ -1,7 +1,11 @@
 //! The event loop: queue, dispatch, link lookup, statistics.
+//!
+//! Routing state lives with the node: each [`NodeSlot`] carries its own
+//! port → link-index table ([`Ports`]), so `transmit` finds the outgoing
+//! link by indexing off the slot the dispatch just touched, and a shard
+//! that takes a node takes its routes with it.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -36,9 +40,112 @@ impl<T: Node + 'static> AnyNode for T {
     }
 }
 
+/// Everything dispatch and routing need about one node. Kept to 40 bytes
+/// (`Option<NodeSlot>` included): a shard of a partitioned run holds a
+/// global-size vector of these, so every byte here is paid `K × nodes`
+/// times. The diagnostic name lives in [`Simulator::names`] instead.
 pub(crate) struct NodeSlot {
     pub(crate) node: Box<dyn AnyNode>,
-    pub(crate) name: String,
+    pub(crate) ports: Ports,
+}
+
+/// [`Ports::Table`] entry for a port with no link.
+const NO_LINK: u32 = u32::MAX;
+/// Connected ports a node keeps inline before it gets a table.
+const INLINE_PORTS: usize = 3;
+
+/// A node's outgoing port → index into [`Simulator::links`]. Hosts (one
+/// to three NICs, every swarm agent) keep their routes inside the slot
+/// and allocate nothing; a switch gets a dense table indexed by port
+/// number.
+pub(crate) enum Ports {
+    /// `ports[i]` leads to `links[i]`; connected entries first, ascending
+    /// by port, the rest [`NO_LINK`].
+    Inline {
+        ports: [PortId; INLINE_PORTS],
+        links: [u32; INLINE_PORTS],
+    },
+    /// `table[port]` is the link index, or [`NO_LINK`]. Sized past the
+    /// highest connected port by doubling, so wiring a switch's ports in
+    /// ascending order copies O(ports) in total.
+    Table(Box<[u32]>),
+}
+
+impl Ports {
+    /// No outgoing link yet.
+    const EMPTY: Ports = Ports::Inline {
+        ports: [PortId(0); INLINE_PORTS],
+        links: [NO_LINK; INLINE_PORTS],
+    };
+
+    /// Link index behind `port`, if one is connected.
+    #[inline]
+    fn get(&self, port: PortId) -> Option<usize> {
+        let link = match self {
+            Ports::Inline { ports, links } => {
+                // All three compared, no early exit: which NIC a host
+                // sends on is not something a branch predictor learns.
+                // (A free entry's port reads 0, hence the second test.)
+                let mut found = NO_LINK;
+                for (p, l) in ports.iter().zip(links) {
+                    if *p == port && *l != NO_LINK {
+                        found = *l;
+                    }
+                }
+                found
+            }
+            Ports::Table(table) => *table.get(usize::from(port.0)).unwrap_or(&NO_LINK),
+        };
+        (link != NO_LINK).then_some(link as usize)
+    }
+
+    /// Connect `port` to `link`. The caller has checked the port is free.
+    fn set(&mut self, port: PortId, link: u32) {
+        match self {
+            Ports::Inline { ports, links } if links[INLINE_PORTS - 1] == NO_LINK => {
+                let n = links.iter().take_while(|&&l| l != NO_LINK).count();
+                let at = ports[..n].partition_point(|&p| p < port);
+                ports.copy_within(at..n, at + 1);
+                links.copy_within(at..n, at + 1);
+                (ports[at], links[at]) = (port, link);
+            }
+            Ports::Inline { ports, links } => {
+                // Fourth port: spill into a table wide enough for all four.
+                let mut table = Self::widened(&[], port.max(ports[INLINE_PORTS - 1]));
+                for (p, l) in ports.iter().zip(links.iter()) {
+                    table[usize::from(p.0)] = *l;
+                }
+                table[usize::from(port.0)] = link;
+                *self = Ports::Table(table);
+            }
+            Ports::Table(table) => {
+                if usize::from(port.0) >= table.len() {
+                    *table = Self::widened(table, port);
+                }
+                table[usize::from(port.0)] = link;
+            }
+        }
+    }
+
+    /// A copy of `table` long enough to index by `top`: the next power of
+    /// two, new entries [`NO_LINK`].
+    fn widened(table: &[u32], top: PortId) -> Box<[u32]> {
+        let mut wider = vec![NO_LINK; (usize::from(top.0) + 1).next_power_of_two()];
+        wider[..table.len()].copy_from_slice(table);
+        wider.into_boxed_slice()
+    }
+
+    /// Connected link indices, ascending by port.
+    pub(crate) fn links(&self) -> impl Iterator<Item = usize> + '_ {
+        let entries: &[u32] = match self {
+            Ports::Inline { links, .. } => links,
+            Ports::Table(table) => table,
+        };
+        entries
+            .iter()
+            .filter(|&&link| link != NO_LINK)
+            .map(|&link| link as usize)
+    }
 }
 
 pub(crate) struct LinkSlot {
@@ -76,9 +183,12 @@ pub struct Simulator {
     /// (every slot `Some`); a shard of a partitioned run keeps global ids
     /// and leaves foreign nodes `None`.
     pub(crate) nodes: Vec<Option<NodeSlot>>,
-    /// Link slots, sparse exactly like `nodes` in a shard.
+    /// Diagnostic node names, indexed like `nodes`. Cold, so kept out of
+    /// the slots; a shard carries none (the leader keeps them).
+    pub(crate) names: Vec<String>,
+    /// Link slots, sparse exactly like `nodes` in a shard: a link lives
+    /// wherever its source node does, whose [`Ports`] index into here.
     pub(crate) links: Vec<Option<LinkSlot>>,
-    pub(crate) port_map: BTreeMap<(NodeId, PortId), usize>,
     pub(crate) rng: SmallRng,
     pub(crate) next_frame_id: u64,
     pub(crate) scratch: Vec<Action>,
@@ -119,8 +229,8 @@ impl Simulator {
             queue: kind.build(),
             sched_kind: kind,
             nodes: Vec::new(),
+            names: Vec::new(),
             links: Vec::new(),
-            port_map: BTreeMap::new(),
             rng: SmallRng::seed_from_u64(seed),
             next_frame_id: 0,
             scratch: Vec::new(),
@@ -264,8 +374,9 @@ impl Simulator {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(NodeSlot {
             node: Box::new(node),
-            name: name.into(),
+            ports: Ports::EMPTY,
         }));
+        self.names.push(name.into());
         if self.metrics.is_enabled() {
             if let Some(slot) = self.nodes[id.0 as usize].as_mut() {
                 slot.node.on_attach_metrics(&self.metrics);
@@ -282,13 +393,9 @@ impl Simulator {
         self.nodes.len()
     }
 
-    /// Diagnostic name of a node (`"<remote>"` for a node that lives on a
-    /// different shard of a partitioned run).
+    /// Diagnostic name of a node. Panics if the id is out of range.
     pub fn node_name(&self, id: NodeId) -> &str {
-        match self.nodes[id.0 as usize].as_ref() {
-            Some(slot) => &slot.name,
-            None => "<remote>",
-        }
+        &self.names[id.0 as usize]
     }
 
     /// Borrow a node by concrete type. Panics if the id is out of range;
@@ -317,8 +424,8 @@ impl Simulator {
     /// with tn-fault's `LinkSpec` and use `connect_spec` /
     /// `connect_directed_spec` instead; this remains public for link
     /// models a `LinkSpec` cannot express (hand-built `impl Link`
-    /// instances). Panics if the source port already has a link (ports
-    /// are point-to-point).
+    /// instances). Panics if either end is not a registered node, or if
+    /// the source port already has a link (ports are point-to-point).
     pub fn install_link(
         &mut self,
         src: NodeId,
@@ -327,27 +434,51 @@ impl Simulator {
         dst_port: PortId,
         link: Box<dyn Link>,
     ) {
+        assert!(
+            (dst.0 as usize) < self.nodes.len(),
+            "link destination {dst:?} is not a registered node"
+        );
+        assert!(
+            !self.is_connected(src, src_port),
+            "port ({src:?}, {src_port:?}) already connected; ports are point-to-point"
+        );
         let idx = self.links.len();
-        self.links.push(Some(LinkSlot {
+        assert!(idx < NO_LINK as usize, "link table full");
+        let Some(src_slot) = self.nodes.get_mut(src.0 as usize).and_then(Option::as_mut) else {
+            panic!("link source {src:?} is not a registered node");
+        };
+        src_slot.ports.set(src_port, idx as u32);
+        let mut slot = LinkSlot {
             link,
             dst,
             dst_port,
-        }));
+        };
         if self.metrics.is_enabled() {
-            if let Some(slot) = self.links[idx].as_mut() {
-                slot.link.on_attach_metrics(&self.metrics);
-            }
+            slot.link.on_attach_metrics(&self.metrics);
         }
-        let prev = self.port_map.insert((src, src_port), idx);
-        assert!(
-            prev.is_none(),
-            "port ({src:?}, {src_port:?}) already connected; ports are point-to-point"
-        );
+        self.links.push(Some(slot));
     }
 
-    /// True if the port has an outgoing link.
+    /// True if the port has an outgoing link. An unknown node or a port
+    /// past the node's table is simply not connected.
     pub fn is_connected(&self, node: NodeId, port: PortId) -> bool {
-        self.port_map.contains_key(&(node, port))
+        self.link_index(node, port).is_some()
+    }
+
+    /// Index into `links` of the link leaving `(node, port)`, if any.
+    #[inline]
+    fn link_index(&self, node: NodeId, port: PortId) -> Option<usize> {
+        self.nodes.get(node.0 as usize)?.as_ref()?.ports.get(port)
+    }
+
+    /// Every installed link as `(source node, link index)`, ascending by
+    /// `(node, port)`: the cold walk shard planning and splitting use.
+    pub(crate) fn links_by_source(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.nodes.iter().enumerate().flat_map(|(i, slot)| {
+            slot.iter()
+                .flat_map(|slot| slot.ports.links())
+                .map(move |idx| (NodeId(i as u32), idx))
+        })
     }
 
     /// Start building a new frame born at the current time: the unified
@@ -398,8 +529,10 @@ impl Simulator {
     }
 
     /// Schedule delivery of `frame` to `(node, port)` at absolute time `at`.
+    /// Panics if `at` is in the past: popping such an event would run the
+    /// clock backwards.
     pub fn inject_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
+        assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.bump_seq();
         self.push_event(QueuedEvent {
             at,
@@ -408,9 +541,10 @@ impl Simulator {
         });
     }
 
-    /// Schedule a timer callback on `node` at absolute time `at`.
+    /// Schedule a timer callback on `node` at absolute time `at`. Panics
+    /// if `at` is in the past, like [`Simulator::inject_frame`].
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
+        assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.bump_seq();
         self.push_event(QueuedEvent {
             at,
@@ -795,7 +929,7 @@ impl Simulator {
     }
 
     fn transmit(&mut self, src: NodeId, port: PortId, mut frame: Frame) {
-        let Some(&idx) = self.port_map.get(&(src, port)) else {
+        let Some(idx) = self.link_index(src, port) else {
             self.stats.frames_unrouted += 1;
             self.metrics.inc("kernel", "unrouted", Some(src.0));
             if self.wlog.is_none() {
@@ -832,7 +966,7 @@ impl Simulator {
         };
         let coin = self.rng.gen::<f64>();
         let Some(slot) = self.links[idx].as_mut() else {
-            unreachable!("port_map routed to a link outside this shard")
+            unreachable!("port table routed to a link outside this shard")
         };
         match slot.link.transmit(self.now, frame.len(), coin) {
             LinkOutcome::Deliver(at) => {
@@ -1360,6 +1494,128 @@ mod tests {
         }
         assert_eq!(digest(false), digest(true));
         assert!(digest(true).1 > 0);
+    }
+
+    #[test]
+    fn node_slot_stays_forty_bytes() {
+        // A K-shard run holds K global-size `Vec<Option<NodeSlot>>`s:
+        // 24 more bytes here was +17 MiB on the 8-shard 100k swarm.
+        assert!(std::mem::size_of::<Option<NodeSlot>>() <= 40);
+    }
+
+    #[test]
+    fn ports_stay_in_port_order_inline_and_after_spilling() {
+        // Shard planning walks links in (node, port) order whatever
+        // order the ports were wired in.
+        let mut ports = Ports::EMPTY;
+        assert_eq!(ports.get(PortId(0)), None);
+        for (port, link) in [(9, 0), (2, 1), (4, 2)] {
+            ports.set(PortId(port), link);
+        }
+        assert!(matches!(ports, Ports::Inline { .. }));
+        assert_eq!(ports.links().collect::<Vec<_>>(), [1, 2, 0]);
+        assert_eq!(ports.get(PortId(4)), Some(2));
+        assert_eq!(ports.get(PortId(0)), None);
+        ports.set(PortId(3), 3);
+        assert!(matches!(ports, Ports::Table(_)));
+        assert_eq!(ports.links().collect::<Vec<_>>(), [1, 3, 2, 0]);
+        assert_eq!(ports.get(PortId(9)), Some(0));
+        assert_eq!(ports.get(PortId(5)), None);
+        assert_eq!(ports.get(PortId(16)), None, "past the table");
+    }
+
+    /// Sends one pooled frame out of each port in `ports` when its timer
+    /// fires.
+    struct Sprayer {
+        ports: Vec<u16>,
+    }
+
+    impl Node for Sprayer {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+            ctx.recycle(frame);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+            for &port in &self.ports {
+                let frame = ctx.frame().zeroed(64).build();
+                ctx.send(PortId(port), frame);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_ports_route_and_the_gap_between_them_does_not() {
+        let mut sim = Simulator::new(1);
+        let hub = sim.add_node(
+            "hub",
+            Sprayer {
+                ports: vec![0, 6_000, 12_500, 40_000],
+            },
+        );
+        let sink = sim.add_node(
+            "sink",
+            Repeater {
+                seen: vec![],
+                bounce: false,
+            },
+        );
+        let link = IdealLink::new(SimTime::from_ns(5));
+        sim.install_link(hub, PortId(0), sink, PortId(0), Box::new(link.clone()));
+        sim.install_link(hub, PortId(12_500), sink, PortId(1), Box::new(link));
+        assert!(sim.is_connected(hub, PortId(0)));
+        assert!(sim.is_connected(hub, PortId(12_500)));
+        // Inside the table but unwired, past the table, a node with no
+        // links at all, and a node that does not exist: all just "no".
+        assert!(!sim.is_connected(hub, PortId(6_000)));
+        assert!(!sim.is_connected(hub, PortId(40_000)));
+        assert!(!sim.is_connected(sink, PortId(0)));
+        assert!(!sim.is_connected(NodeId(99), PortId(0)));
+
+        sim.schedule_timer(SimTime::ZERO, hub, TimerToken(0));
+        sim.run();
+        assert_eq!(sim.node::<Repeater>(sink).unwrap().seen.len(), 2);
+        assert_eq!(sim.stats().frames_unrouted, 2);
+        assert_eq!(
+            sim.arena_stats().recycled,
+            2,
+            "unrouted payloads go back to the arena"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "destination NodeId(7) is not a registered node")]
+    fn link_to_an_unregistered_node_panics_at_build_time() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Sprayer { ports: vec![] });
+        let link = IdealLink::new(SimTime::ZERO);
+        sim.install_link(a, PortId(0), NodeId(7), PortId(0), Box::new(link));
+    }
+
+    #[test]
+    #[should_panic(expected = "source NodeId(7) is not a registered node")]
+    fn link_from_an_unregistered_node_panics_at_build_time() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Sprayer { ports: vec![] });
+        let link = IdealLink::new(SimTime::ZERO);
+        sim.install_link(NodeId(7), PortId(0), a, PortId(0), Box::new(link));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn timer_into_the_past_panics_in_every_profile() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Sprayer { ports: vec![] });
+        sim.run_until(SimTime::from_us(1));
+        sim.schedule_timer(SimTime::from_ns(999), a, TimerToken(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn frame_into_the_past_panics_in_every_profile() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Sprayer { ports: vec![] });
+        sim.run_until(SimTime::from_us(1));
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::from_ns(999), a, PortId(0), f);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A [`ShardedSimulator`] partitions a built [`Simulator`] into K shards,
 //! each owning a disjoint subset of the nodes (and every link whose
-//! *source* it owns) with its own [`crate::Scheduler`] instance, and runs
-//! them window-by-window under a conservative-lookahead protocol:
+//! *source* it owns: a node's port table moves with its slot) with its
+//! own [`crate::Scheduler`] instance, and runs them window-by-window
+//! under a conservative-lookahead protocol:
 //!
 //! 1. **Safe window.** Each round the leader computes one global horizon
 //!    `H = min over shards j with pending events of (T_j + L_j)`, where
@@ -175,7 +176,7 @@ impl ShardPlan {
         // Undirected pairwise constraints: minimum cut delay per pair,
         // and whether the pair can be cut at all.
         let mut pair_delay: BTreeMap<(u32, u32), (SimTime, bool)> = BTreeMap::new();
-        for (&(src, _port), &idx) in &sim.port_map {
+        for (src, idx) in sim.links_by_source() {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -281,7 +282,7 @@ impl ShardPlan {
                 )));
             }
         }
-        for (&(src, _port), &idx) in &sim.port_map {
+        for (src, idx) in sim.links_by_source() {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -325,6 +326,9 @@ const DEFAULT_PARALLEL_THRESHOLD: usize = 256;
 pub struct ShardedSimulator {
     shards: Vec<Simulator>,
     assignment: Vec<u32>,
+    /// The parent's node names, held here while the nodes are out on
+    /// their shards.
+    names: Vec<String>,
     /// Per shard: minimum `min_delay` over cut links leaving it
     /// (`None` = no cut links, i.e. infinite lookahead).
     out_look: Vec<Option<SimTime>>,
@@ -371,7 +375,7 @@ impl ShardedSimulator {
 
         // Cross-shard lookahead per source shard.
         let mut out_look: Vec<Option<SimTime>> = vec![None; k];
-        for (&(src, _port), &idx) in &sim.port_map {
+        for (src, idx) in sim.links_by_source() {
             let Some(slot) = sim.links[idx].as_ref() else {
                 continue;
             };
@@ -421,16 +425,14 @@ impl ShardedSimulator {
             })
             .collect();
 
-        // Distribute nodes; links and their port-map entries follow the
-        // *source* node (transmit runs on the source's shard).
+        // Distribute nodes; each takes its port table along, and its
+        // links follow it (transmit runs on the source's shard).
         for (i, slot) in sim.nodes.iter_mut().enumerate() {
-            let s = plan.assignment[i] as usize;
-            shards[s].nodes[i] = slot.take();
-        }
-        for (&(src, port), &idx) in &sim.port_map {
-            let s = plan.assignment[src.0 as usize] as usize;
-            shards[s].links[idx] = sim.links[idx].take();
-            shards[s].port_map.insert((src, port), idx);
+            let shard = &mut shards[plan.assignment[i] as usize];
+            for idx in slot.iter().flat_map(|slot| slot.ports.links()) {
+                shard.links[idx] = sim.links[idx].take();
+            }
+            shard.nodes[i] = slot.take();
         }
         // Pending events (pre-split injections carry real seqs) go to the
         // target node's shard. Direct queue pushes: their Schedule
@@ -444,6 +446,7 @@ impl ShardedSimulator {
 
         Ok(ShardedSimulator {
             assignment: plan.assignment.clone(),
+            names: std::mem::take(&mut sim.names),
             out_look,
             seq: sim.seq,
             next_frame_id: sim.next_frame_id,
@@ -748,6 +751,7 @@ impl ShardedSimulator {
         let n_nodes = self.shards.first().map_or(0, |s| s.nodes.len());
         let n_links = self.shards.first().map_or(0, |s| s.links.len());
         sim.nodes = (0..n_nodes).map(|_| None).collect();
+        sim.names = std::mem::take(&mut self.names);
         sim.links = (0..n_links).map(|_| None).collect();
         let mut rings: Vec<&FlightRecorder> = Vec::with_capacity(k + 1);
         for (s, sh) in self.shards.iter_mut().enumerate() {
@@ -762,7 +766,6 @@ impl ShardedSimulator {
                     sim.links[i] = Some(slot);
                 }
             }
-            sim.port_map.append(&mut sh.port_map);
             // Residual events (beyond the deadline) rejoin the unified
             // queue with their ids translated to serial order.
             while let Some(mut ev) = sh.queue.pop() {
@@ -933,6 +936,35 @@ mod tests {
             ),
             want
         );
+    }
+
+    #[test]
+    fn reassembled_kernel_keeps_routing_every_link() {
+        // Split, run half way, reassemble, and finish on the serial
+        // kernel: every link must have come back with its source node,
+        // or the second half drops frames the all-serial run delivers.
+        let (half, full) = (SimTime::from_us(2), SimTime::from_us(20));
+        for kind in SchedulerKind::ALL {
+            let want = serial_signature(kind, full);
+            let sim = build_line(kind);
+            let plan = ShardPlan::manual(vec![0, 1, 0, 1]);
+            let mut sharded = ShardedSimulator::split(sim, &plan).expect("plan is valid");
+            sharded.run_until(half);
+            let mut merged = sharded.finish();
+            for (node, port) in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0)] {
+                assert!(merged.is_connected(NodeId(node), PortId(port)));
+            }
+            assert_eq!(merged.links_by_source().count(), 6);
+            assert_eq!(merged.node_name(NodeId(2)), "c");
+            merged.run_until(full);
+            let got = (
+                merged.trace.digest(),
+                merged.trace.recorded(),
+                merged.stats(),
+            );
+            assert_eq!(got, want, "kind={}", kind.name());
+            assert_eq!(merged.stats().frames_unrouted, 0);
+        }
     }
 
     #[test]
