@@ -1,255 +1,25 @@
-//! Baseline gating: parse, validate, and diff `tn-audit/v1` reports.
+//! Baseline gating: validate and diff `tn-audit/v1` reports.
 //!
 //! CI commits a known-good report (`AUDIT_BASELINE.json`) and fails when
 //! a *new* finding appears — including suppressed ones, so suppression
 //! creep is caught in review even though `audit:allow` keeps the exit
-//! code green. The JSON parser is hand-rolled (offline workspace, no
-//! serde) and minimal: just enough of RFC 8259 for our own documents.
+//! code green. Documents are parsed with the workspace's one JSON tree,
+//! [`tn_lab::json`].
+
+use tn_lab::json::Json;
 
 use crate::lints::Finding;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (we only emit integers).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Value>),
-    /// Object, insertion-ordered.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member of an object, by key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Integer payload, if this is a non-negative whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v.as_slice()),
-            _ => None,
-        }
-    }
-
-    /// Bool payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a char offset.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut p = Parser { chars, i: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.chars.len() {
-        return Err(format!("trailing data at char {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser {
-    chars: Vec<char>,
-    i: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.i).copied()
-    }
-
-    fn ws(&mut self) {
-        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at char {}", self.i))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        for c in word.chars() {
-            self.expect(c)?;
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.lit("true", Value::Bool(true)),
-            Some('f') => self.lit("false", Value::Bool(false)),
-            Some('n') => self.lit("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at char {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect('{')?;
-        let mut members = Vec::new();
-        self.ws();
-        if self.peek() == Some('}') {
-            self.i += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(':')?;
-            self.ws();
-            let val = self.value()?;
-            members.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(',') => self.i += 1,
-                Some('}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(format!("expected `,` or `}}` at char {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(']') {
-            self.i += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(',') => self.i += 1,
-                Some(']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at char {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some('"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.i += 1;
-                    let esc = self.peek().ok_or("dangling escape")?;
-                    self.i += 1;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .peek()
-                                    .and_then(|c| c.to_digit(16))
-                                    .ok_or("bad \\u escape")?;
-                                code = code * 16 + d;
-                                self.i += 1;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape `\\{other}`")),
-                    }
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.i += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        if self.peek() == Some('-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || ".eE+-".contains(c))
-        {
-            self.i += 1;
-        }
-        let text: String = self.chars[start..self.i].iter().collect();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number `{text}`"))
-    }
-}
 
 /// Validate that `doc` is a well-formed `tn-audit/v1` report: schema
 /// marker, finding fields with the right types, and self-consistent
 /// counts. Returns a description of the first violation.
-pub fn validate_report(doc: &Value) -> Result<(), String> {
-    if doc.get("schema").and_then(Value::as_str) != Some("tn-audit/v1") {
+pub fn validate_report(doc: &Json) -> Result<(), String> {
+    if doc.get("schema").and_then(Json::as_str) != Some("tn-audit/v1") {
         return Err("missing or wrong `schema` marker (want \"tn-audit/v1\")".into());
     }
     let findings = doc
         .get("findings")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("`findings` must be an array")?;
     let known: Vec<&str> = crate::lints::LINTS.iter().map(|l| l.id).collect();
     let mut suppressed = 0usize;
@@ -257,35 +27,35 @@ pub fn validate_report(doc: &Value) -> Result<(), String> {
         let ctx = |field: &str| format!("finding {i}: bad `{field}`");
         let lint = f
             .get("lint")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("lint"))?;
         if !known.contains(&lint) {
             return Err(format!("finding {i}: unknown lint id `{lint}`"));
         }
         let sev = f
             .get("severity")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("severity"))?;
         if sev != "error" && sev != "warning" {
             return Err(format!("finding {i}: bad severity `{sev}`"));
         }
         f.get("file")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("file"))?;
         f.get("line")
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| ctx("line"))?;
         f.get("column")
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| ctx("column"))?;
         f.get("message")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("message"))?;
         if let Some(note) = f.get("note") {
             note.as_str().ok_or_else(|| ctx("note"))?;
         }
         if f.get("suppressed")
-            .and_then(Value::as_bool)
+            .and_then(Json::as_bool)
             .ok_or_else(|| ctx("suppressed"))?
         {
             suppressed += 1;
@@ -295,7 +65,7 @@ pub fn validate_report(doc: &Value) -> Result<(), String> {
     let n = |k: &str| {
         counts
             .get(k)
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("counts: bad `{k}`"))
     };
     let (total, sup, active) = (n("total")?, n("suppressed")?, n("active")?);
@@ -325,18 +95,18 @@ fn key(lint: &str, file: &str, line: u64) -> String {
 }
 
 /// Keys of every finding in a parsed `tn-audit/v1` document.
-fn doc_keys(doc: &Value) -> Result<Vec<String>, String> {
+fn doc_keys(doc: &Json) -> Result<Vec<String>, String> {
     let findings = doc
         .get("findings")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("`findings` must be an array")?;
     findings
         .iter()
         .map(|f| {
             Ok(key(
-                f.get("lint").and_then(Value::as_str).ok_or("bad lint")?,
-                f.get("file").and_then(Value::as_str).ok_or("bad file")?,
-                f.get("line").and_then(Value::as_u64).ok_or("bad line")?,
+                f.get("lint").and_then(Json::as_str).ok_or("bad lint")?,
+                f.get("file").and_then(Json::as_str).ok_or("bad file")?,
+                f.get("line").and_then(Json::as_u64).ok_or("bad line")?,
             ))
         })
         .collect()
@@ -346,7 +116,7 @@ fn doc_keys(doc: &Value) -> Result<Vec<String>, String> {
 /// "new" when its `(lint, file, line)` key is not in the baseline.
 pub fn diff_against_baseline(
     findings: &[Finding],
-    baseline: &Value,
+    baseline: &Json,
 ) -> Result<BaselineDiff, String> {
     let base = doc_keys(baseline)?;
     let live: Vec<String> = findings
@@ -367,6 +137,7 @@ mod tests {
     use super::*;
     use crate::lints::{Finding, Severity};
     use crate::report::render_json;
+    use tn_lab::json::parse;
 
     fn finding(lint: &'static str, file: &str, line: usize) -> Finding {
         Finding {
@@ -387,19 +158,10 @@ mod tests {
         let fs = vec![finding("det-wallclock", "a.rs", 3)];
         let doc = parse(&render_json(&fs)).unwrap();
         assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
+            doc.get("schema").and_then(Json::as_str),
             Some("tn-audit/v1")
         );
         validate_report(&doc).unwrap();
-    }
-
-    #[test]
-    fn parse_handles_escapes_and_nesting() {
-        let v = parse("{\"a\": [1, -2.5, \"x\\n\\\"y\\u0041\", true, null], \"b\": {}}").unwrap();
-        let arr = v.get("a").and_then(Value::as_arr).unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[2].as_str(), Some("x\n\"yA"));
-        assert_eq!(arr[4], Value::Null);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn json_schema_is_stable() {
 fn reports_validate_against_their_own_schema() {
     let (name, text) = fixture!("suppressed");
     let findings = scan_fixture(name, text);
-    let doc = tn_audit::baseline::parse(&render_json(&findings)).unwrap();
+    let doc = tn_lab::json::parse(&render_json(&findings)).unwrap();
     tn_audit::baseline::validate_report(&doc).unwrap();
 }
 
@@ -135,7 +135,7 @@ fn workspace_findings_match_the_committed_baseline() {
     let root = tn_audit::scan::default_root();
     let findings = tn_audit::scan_workspace(&root).unwrap();
     let text = std::fs::read_to_string(root.join("AUDIT_BASELINE.json")).unwrap();
-    let doc = tn_audit::baseline::parse(&text).unwrap();
+    let doc = tn_lab::json::parse(&text).unwrap();
     tn_audit::baseline::validate_report(&doc).unwrap();
     let diff = tn_audit::baseline::diff_against_baseline(&findings, &doc).unwrap();
     assert!(

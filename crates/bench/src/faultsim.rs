@@ -272,8 +272,13 @@ impl LossRecoveryRun {
 /// reordering receiver, with a clean tap into a retransmission unit and
 /// a clean unicast recovery channel.
 pub fn run_loss_recovery(cfg: &LossRecoveryConfig) -> LossRecoveryRun {
+    loss_recovery_sim(cfg).0
+}
+
+/// [`run_loss_recovery`], keeping the finished kernel for inspection.
+fn loss_recovery_sim(cfg: &LossRecoveryConfig) -> (LossRecoveryRun, Simulator) {
     let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
-    apply_obs(&mut sim, &cfg.obs);
+    sim.set_obs(&cfg.obs);
     let src = sim.add_node(
         "src",
         PitchSource::new(cfg.interval, cfg.packets, cfg.msgs_per_packet, 2),
@@ -302,7 +307,7 @@ pub fn run_loss_recovery(cfg: &LossRecoveryConfig) -> LossRecoveryRun {
     let rx_node = sim.node::<RecoveryReceiver>(rx).expect("rx");
     let reorder = rx_node.client().reorderer().stats();
     let unit_node = sim.node::<RetransUnit>(unit).expect("unit");
-    LossRecoveryRun {
+    let run = LossRecoveryRun {
         published_messages: published,
         delivered_messages: rx_node.stats().delivered_messages,
         gaps_seen: reorder.requests,
@@ -315,17 +320,8 @@ pub fn run_loss_recovery(cfg: &LossRecoveryConfig) -> LossRecoveryRun {
         profile: sim.profile(),
         digest: sim.trace.digest(),
         events: sim.trace.recorded(),
-    }
-}
-
-/// Turn on the digest-neutral kernel observability a config asks for.
-fn apply_obs(sim: &mut Simulator, obs: &ObsConfig) {
-    if obs.flight {
-        sim.set_flight_capacity(obs.flight_capacity as usize);
-    }
-    if obs.profile {
-        sim.set_profile(true);
-    }
+    };
+    (run, sim)
 }
 
 // ---------------------------------------------------------------------
@@ -414,7 +410,7 @@ pub struct AbFailoverRun {
 /// independently faulted links, arbitration at the receiver.
 pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
     let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
-    apply_obs(&mut sim, &cfg.obs);
+    sim.set_obs(&cfg.obs);
     let src = sim.add_node(
         "src",
         PitchSource::new(cfg.interval, cfg.packets, cfg.msgs_per_packet, 2),
@@ -470,6 +466,8 @@ pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tn_core::Telemetry;
+    use tn_sim::{fnv1a_fold, EMPTY_DIGEST};
 
     fn small_loss(seed: u64, fault: FaultSpec) -> LossRecoveryConfig {
         let mut c = LossRecoveryConfig::new(seed, fault);
@@ -504,12 +502,25 @@ mod tests {
         let off = run_loss_recovery(&small_loss(1, fault.clone()));
         let mut cfg = small_loss(1, fault);
         cfg.obs = ObsConfig::full();
-        let on = run_loss_recovery(&cfg);
+        let (on, sim) = loss_recovery_sim(&cfg);
         assert_eq!(off.digest, on.digest);
         assert_eq!(off.events, on.events);
         assert!(off.profile.is_none());
         let p = on.profile.expect("profiler was on");
         assert!(p.frames > 0 && p.timers > 0, "{p:?}");
+        // The profile's content, as computed before the kernel's
+        // observation sites were folded into one function.
+        let content = fnv1a_fold(EMPTY_DIGEST, format!("{p:?}").as_bytes());
+        assert_eq!(content, 0x91d0_d4f8_6ac0_6f2d, "{p:?}");
+        // `full()` means the registry and provenance too: the kernel
+        // counted every delivery and timed every hop.
+        let snapshot = sim.metrics().snapshot(0).expect("registry was on");
+        let seen = Telemetry::from_snapshot(&snapshot);
+        let total = |name: &str| seen.counter_total("kernel", name);
+        assert_eq!(total("deliver"), sim.stats().frames_delivered);
+        assert_eq!(total("drop"), sim.stats().frames_dropped);
+        assert!(sim.stats().frames_dropped > 0);
+        assert!(!seen.hops.is_empty(), "provenance was on");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use tn_netdev::{EtherLink, Tap};
 use tn_obs::TraceWriter;
 use tn_sim::{
-    Context, Frame, KernelProfile, Metrics, Node, ObsConfig, PortId, Provenance, SchedulerKind,
-    SimTime, Simulator, Snapshot, TimerToken,
+    Context, Frame, KernelProfile, Node, ObsConfig, PortId, Provenance, SchedulerKind, SimTime,
+    Simulator, Snapshot, TimerToken,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -187,18 +187,7 @@ pub struct DecompositionRun {
 /// depend on `obs` — that is the invariant `tn-audit divergence` pins.
 pub fn run_decomposition(cfg: &DecompositionConfig, obs: ObsConfig) -> DecompositionRun {
     let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
-    if obs.provenance {
-        sim.set_provenance(true);
-    }
-    if obs.registry {
-        sim.set_metrics(Metrics::enabled());
-    }
-    if obs.flight {
-        sim.set_flight_capacity(obs.flight_capacity as usize);
-    }
-    if obs.profile {
-        sim.set_profile(true);
-    }
+    sim.set_obs(&obs);
     let src = sim.add_node(
         "src",
         BurstSource {

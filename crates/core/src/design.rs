@@ -230,18 +230,7 @@ fn build_sim(sc: &ScenarioConfig) -> Simulator {
     if !sc.frame_pooling {
         sim.set_arena_max_free(0);
     }
-    if sc.obs.provenance {
-        sim.set_provenance(true);
-    }
-    if sc.obs.registry {
-        sim.set_metrics(tn_sim::Metrics::enabled());
-    }
-    if sc.obs.flight {
-        sim.set_flight_capacity(sc.obs.flight_capacity as usize);
-    }
-    if sc.obs.profile {
-        sim.set_profile(true);
-    }
+    sim.set_obs(&sc.obs);
     sim
 }
 

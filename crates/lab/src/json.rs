@@ -313,12 +313,15 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let doc = r#" {"a": [1, 2.5, -3e2], "b": {"c": "x\"y", "d": null}, "e": true} "#;
+        let doc =
+            r#" {"a": [1, 2.5, -3e2], "b": {"c": "x\n\"y\u0041", "d": null, "f": {}}, "e": true} "#;
         let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\"y"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
+        let b = v.get("b").unwrap();
+        assert_eq!(b.get("c").unwrap().as_str(), Some("x\n\"yA"));
+        assert_eq!(b.get("d"), Some(&Json::Null));
+        assert_eq!(b.get("f"), Some(&Json::Obj(vec![])));
         assert_eq!(v.get("e").unwrap().as_bool(), Some(true));
     }
 

@@ -80,22 +80,13 @@ impl Context<'_> {
     /// [`FrameBuilder::copy_from`] / [`FrameBuilder::zeroed`] and finish
     /// with [`FrameBuilder::build`].
     pub fn frame(&mut self) -> FrameBuilder<'_> {
-        if self.flight.is_enabled() {
-            let kind = if self.arena.will_reuse() {
-                FlightKind::FrameReuse
-            } else {
-                FlightKind::FrameAlloc
-            };
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind,
-                node: self.me.0,
-                shard: 0,
-                a: *self.next_frame_id,
-                b: 0,
-            });
-        }
-        FrameBuilder::start(self.arena, self.next_frame_id, self.now)
+        start_frame(
+            self.flight,
+            self.arena,
+            self.next_frame_id,
+            self.now,
+            self.me.0,
+        )
     }
 
     /// Duplicate a frame for replication (switch fan-out, A/B feed
@@ -162,17 +153,42 @@ impl Context<'_> {
     /// side-state; cannot affect scheduling or the digest.
     #[inline]
     pub fn flight_note(&mut self, kind: FlightKind, a: u64, b: u64) {
-        if self.flight.is_enabled() {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind,
-                node: self.me.0,
-                shard: 0,
-                a,
-                b,
-            });
-        }
+        self.flight.record(FlightRecord {
+            at_ps: self.now.as_ps(),
+            kind,
+            node: self.me.0,
+            shard: 0,
+            a,
+            b,
+        });
     }
+}
+
+/// Start a frame born at `now`, on behalf of `node` (`u32::MAX` for the
+/// scenario driver): the one frame constructor behind [`Context::frame`]
+/// and `Simulator::frame`, so the flight ring's note of whether the
+/// payload buffer is fresh or recycled is made in one place.
+pub(crate) fn start_frame<'a>(
+    flight: &mut FlightRecorder,
+    arena: &mut FrameArena,
+    next_frame_id: &'a mut u64,
+    now: SimTime,
+    node: u32,
+) -> FrameBuilder<'a> {
+    let kind = if arena.will_reuse() {
+        FlightKind::FrameReuse
+    } else {
+        FlightKind::FrameAlloc
+    };
+    flight.record(FlightRecord {
+        at_ps: now.as_ps(),
+        kind,
+        node,
+        shard: 0,
+        a: *next_frame_id,
+        b: 0,
+    });
+    FrameBuilder::start(arena, next_frame_id, now)
 }
 
 #[cfg(test)]

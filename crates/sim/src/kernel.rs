@@ -4,17 +4,29 @@
 //! port → link-index table ([`Ports`]), so `transmit` finds the outgoing
 //! link by indexing off the slot the dispatch just touched, and a shard
 //! that takes a node takes its routes with it.
+//!
+//! Two functions are the only way in and out of the loop's bookkeeping.
+//! `Simulator::observe` is the observation spine: a delivery, a fired
+//! timer, an unrouted frame and a link drop each reach every sink —
+//! [`SimStats`], the metrics registry, the trace (or, on a shard, the
+//! window log), the profiler and the flight ring — from there and from
+//! nowhere else, so a new sink is added in that one function.
+//! `Simulator::schedule` is the only place an event gets its seq, and
+//! with `schedule_frame` the only place a shard tells the merge leader
+//! about a push or hands it a frame bound for another shard.
 
 use std::any::Any;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use tn_obs::{FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler};
+use tn_obs::{
+    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, Metrics, ObsConfig,
+};
 
-use crate::context::{Action, Context, TimerToken};
+use crate::context::{start_frame, Action, Context, TimerToken};
 use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
-use crate::link::{Link, LinkOutcome};
+use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
 use crate::sched::{EventKind, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
 use crate::shard::{WEntry, WindowState};
@@ -167,6 +179,19 @@ pub struct SimStats {
     pub frames_unrouted: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
+}
+
+/// The four things the kernel reports to its sinks, each at the current
+/// time and about one node, through `Simulator::observe`.
+enum Seen {
+    /// The popped event `seq` hands a frame to the node's `on_frame`.
+    Deliver { seq: u64 },
+    /// The popped event `seq` fires the node's timer.
+    Timer { seq: u64, token: TimerToken },
+    /// The node sent a frame out of a port with no link.
+    Unrouted,
+    /// The link behind the node's port refused the frame.
+    LinkDrop(DropReason),
 }
 
 /// The discrete-event simulator.
@@ -339,6 +364,27 @@ impl Simulator {
         }
     }
 
+    /// Switch on everything `obs` asks of the kernel: per-hop provenance,
+    /// a fresh metrics registry, the flight ring at its configured
+    /// capacity and the profiler. What `obs` leaves off stays as it was,
+    /// and `obs.trace` is the driver's concern (it decides where a trace
+    /// document goes). Call it on an empty simulator: nodes and links
+    /// added afterwards are handed the registry.
+    pub fn set_obs(&mut self, obs: &ObsConfig) {
+        if obs.provenance {
+            self.set_provenance(true);
+        }
+        if obs.registry {
+            self.set_metrics(Metrics::enabled());
+        }
+        if obs.flight {
+            self.set_flight_capacity(obs.flight_capacity as usize);
+        }
+        if obs.profile {
+            self.set_profile(true);
+        }
+    }
+
     /// Snapshot the profiler into a [`KernelProfile`], folding in the
     /// scheduler's structural counters and the arena's reuse statistics.
     /// `None` unless [`Simulator::set_profile`] enabled collection.
@@ -487,22 +533,13 @@ impl Simulator {
     /// [`FrameArena`] (in steady state a recycled buffer — no
     /// allocation).
     pub fn frame(&mut self) -> FrameBuilder<'_> {
-        if self.flight.is_enabled() {
-            let kind = if self.arena.will_reuse() {
-                FlightKind::FrameReuse
-            } else {
-                FlightKind::FrameAlloc
-            };
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind,
-                node: u32::MAX,
-                shard: 0,
-                a: self.next_frame_id,
-                b: 0,
-            });
-        }
-        FrameBuilder::start(&mut self.arena, &mut self.next_frame_id, self.now)
+        start_frame(
+            &mut self.flight,
+            &mut self.arena,
+            &mut self.next_frame_id,
+            self.now,
+            u32::MAX,
+        )
     }
 
     /// Return a finished frame's payload buffer to the [`FrameArena`] for
@@ -529,34 +566,61 @@ impl Simulator {
     }
 
     /// Schedule delivery of `frame` to `(node, port)` at absolute time `at`.
-    /// Panics if `at` is in the past: popping such an event would run the
-    /// clock backwards.
+    /// Panics if `at` is in the past — popping such an event would run the
+    /// clock backwards — or if `node` was never registered.
     pub fn inject_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.bump_seq();
-        self.push_event(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Frame { node, port, frame },
-        });
+        self.schedule_frame(at, node, port, frame);
     }
 
     /// Schedule a timer callback on `node` at absolute time `at`. Panics
-    /// if `at` is in the past, like [`Simulator::inject_frame`].
+    /// if `at` is in the past or `node` was never registered, like
+    /// [`Simulator::inject_frame`].
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.bump_seq();
-        self.push_event(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Timer { node, token },
-        });
+        self.schedule(at, EventKind::Timer { node, token });
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queue `kind` for `at` under the next seq. Every event the kernel
+    /// orders itself comes through here — driver injections, timers,
+    /// local and link deliveries — so here is where an event for a node
+    /// nobody registered is refused, while the caller is still on the
+    /// stack, and where a shard logs the push for the merge leader to
+    /// match with a real seq.
+    #[inline]
+    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.seq;
+        let ev = QueuedEvent { at, seq, kind };
+        let node = ev.target_node();
+        assert!(
+            (node.0 as usize) < self.nodes.len(),
+            "{node:?} is not a registered node"
+        );
         self.seq += 1;
-        s
+        self.push_event(ev);
+        if let Some(w) = self.wlog.as_mut() {
+            w.entries.push(WEntry::LocalPush);
+        }
+    }
+
+    /// [`Simulator::schedule`] for a frame, which unlike a timer may be
+    /// bound for a node on another shard: that frame goes to the merge
+    /// leader, which assigns the real seq in serial order and routes it
+    /// (or panics, coldly, if it lands inside the safe window).
+    #[inline]
+    fn schedule_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
+        if let Some(w) = self.wlog.as_mut() {
+            if matches!(self.nodes.get(node.0 as usize), Some(None)) {
+                w.entries.push(WEntry::Remote {
+                    arrival: at,
+                    dst: node,
+                    dst_port: port,
+                });
+                w.remote.push(frame);
+                return;
+            }
+        }
+        self.schedule(at, EventKind::Frame { node, port, frame });
     }
 
     /// Single funnel for every scheduler insertion. The profiler and
@@ -565,19 +629,18 @@ impl Simulator {
     #[inline]
     fn push_event(&mut self, ev: QueuedEvent) {
         if self.profiler.is_enabled() {
+            // Guarded for the queue-length call, not the record.
             self.profiler
                 .record_schedule(ev.at.as_ps(), self.queue.len() + 1);
         }
-        if self.flight.is_enabled() {
-            self.flight.record(FlightRecord {
-                at_ps: ev.at.as_ps(),
-                kind: FlightKind::Schedule,
-                node: ev.target_node().0,
-                shard: 0,
-                a: ev.seq,
-                b: self.now.as_ps(),
-            });
-        }
+        self.flight.record(FlightRecord {
+            at_ps: ev.at.as_ps(),
+            kind: FlightKind::Schedule,
+            node: ev.target_node().0,
+            shard: 0,
+            a: ev.seq,
+            b: self.now.as_ps(),
+        });
         self.queue.push(ev);
         self.note_sched_activity();
     }
@@ -626,36 +689,110 @@ impl Simulator {
         // wheel cascades and the calendar may rebuild; catch up on the
         // counter deltas before dispatching.
         self.note_sched_activity();
-        if let Some(w) = self.wlog.as_mut() {
-            // Window mode: open this dispatch's reconciliation block. The
-            // popped seq is the block's tag — the merge leader orders
-            // blocks across shards by `(at, translated tag)`, which is
-            // exactly the serial kernel's pop order.
-            let entry = match &ev.kind {
-                EventKind::Frame { node, port, frame } => WEntry::Dispatch {
-                    at: ev.at,
-                    tag: ev.seq,
-                    node: *node,
-                    port: *port,
-                    frame: frame.id.0,
-                    timer: false,
-                },
-                EventKind::Timer { node, .. } => WEntry::Dispatch {
-                    at: ev.at,
-                    tag: ev.seq,
-                    node: *node,
-                    port: PortId(u16::MAX),
-                    frame: u64::MAX,
-                    timer: true,
-                },
-            };
-            w.entries.push(entry);
+        let node = ev.target_node();
+        let seq = ev.seq;
+        match &ev.kind {
+            EventKind::Frame { port, frame, .. } => {
+                self.observe(Seen::Deliver { seq }, node, *port, frame.id);
+            }
+            EventKind::Timer { token, .. } => {
+                let (port, frame) = (PortId(u16::MAX), FrameId(u64::MAX));
+                self.observe(Seen::Timer { seq, token: *token }, node, port, frame);
+            }
         }
+        let frames_before = self.next_frame_id;
+        let Some(slot) = self.nodes[node.0 as usize].as_mut() else {
+            unreachable!("event dispatched to a node outside this shard")
+        };
+        let mut ctx = Context {
+            now: self.now,
+            me: node,
+            actions: &mut self.scratch,
+            rng: &mut self.rng,
+            next_frame_id: &mut self.next_frame_id,
+            arena: &mut self.arena,
+            flight: &mut self.flight,
+        };
         match ev.kind {
-            EventKind::Frame { node, port, frame } => self.dispatch_frame(node, port, frame),
-            EventKind::Timer { node, token } => self.dispatch_timer(node, token),
+            EventKind::Frame { port, frame, .. } => slot.node.on_frame(&mut ctx, port, frame),
+            EventKind::Timer { token, .. } => slot.node.on_timer(&mut ctx, token),
         }
+        if let Some(w) = self.wlog.as_mut() {
+            // The callback drew this many provisional frame ids; the
+            // merge leader hands out the matching real ones in serial
+            // order.
+            let built = self.next_frame_id - frames_before;
+            if built > 0 {
+                w.entries.push(WEntry::Builds(built as u32));
+            }
+        }
+        self.apply_actions(node);
         true
+    }
+
+    /// The observation spine: tell every sink that `seen` happened now,
+    /// to `node`, involving `port` and `frame` (the trace's timer
+    /// sentinels for a timer). No other kernel code counts a delivery,
+    /// timer or drop, so the sinks cannot drift apart, and a new sink is
+    /// one more line here. Serial and window mode differ only in the
+    /// last step: a shard logs the trace record it would have made — a
+    /// delivery or timer record opens that dispatch's block, keyed by the
+    /// popped seq — for the merge leader to record in serial order.
+    #[inline]
+    fn observe(&mut self, seen: Seen, node: NodeId, port: PortId, frame: FrameId) {
+        let at_ps = self.now.as_ps();
+        // `tag` keys a shard's dispatch block; `a` and `b` are the flight
+        // ring's two words: which frame on which port, or which timer.
+        let (mut tag, mut a, mut b) = (0, frame.0, u64::from(port.0));
+        let (name, kind) = match seen {
+            Seen::Deliver { seq } => {
+                tag = seq;
+                self.stats.frames_delivered += 1;
+                self.profiler.record_frame(at_ps, node.0);
+                ("deliver", TraceKind::Deliver)
+            }
+            Seen::Timer { seq, token } => {
+                (tag, a, b) = (seq, token.0, u64::MAX);
+                self.stats.timers_fired += 1;
+                self.profiler.record_timer(at_ps, node.0);
+                ("timer", TraceKind::Timer)
+            }
+            Seen::Unrouted => {
+                self.stats.frames_unrouted += 1;
+                ("unrouted", TraceKind::Drop)
+            }
+            Seen::LinkDrop(reason) => {
+                self.stats.frames_dropped += 1;
+                self.metrics.inc("link_drop", reason.name(), None);
+                ("drop", TraceKind::Drop)
+            }
+        };
+        let flight = if kind == TraceKind::Drop {
+            self.profiler.record_drop(node.0);
+            FlightKind::Drop
+        } else {
+            FlightKind::Dispatch
+        };
+        self.metrics.inc("kernel", name, Some(node.0));
+        self.flight.record(FlightRecord {
+            at_ps,
+            kind: flight,
+            node: node.0,
+            shard: 0,
+            a,
+            b,
+        });
+        let ev = TraceEvent {
+            at: self.now,
+            node,
+            port,
+            frame,
+            kind,
+        };
+        match self.wlog.as_mut() {
+            None => self.trace.record(ev),
+            Some(w) => w.entries.push(WEntry::Record { ev, tag }),
+        }
     }
 
     /// Time of the next pending event, if any. Shard coordination probes
@@ -728,105 +865,6 @@ impl Simulator {
         self.queue.len()
     }
 
-    fn dispatch_frame(&mut self, node: NodeId, port: PortId, frame: Frame) {
-        self.stats.frames_delivered += 1;
-        self.metrics.inc("kernel", "deliver", Some(node.0));
-        if self.wlog.is_none() {
-            self.trace.record(TraceEvent {
-                at: self.now,
-                node,
-                port,
-                frame: frame.id,
-                kind: TraceKind::Deliver,
-            });
-        }
-        if self.profiler.is_enabled() {
-            self.profiler.record_frame(self.now.as_ps(), node.0);
-        }
-        if self.flight.is_enabled() {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::Dispatch,
-                node: node.0,
-                shard: 0,
-                a: frame.id.0,
-                b: u64::from(port.0),
-            });
-        }
-        let frames_before = self.next_frame_id;
-        let Some(slot) = self.nodes[node.0 as usize].as_mut() else {
-            unreachable!("frame dispatched to a node outside this shard")
-        };
-        let mut ctx = Context {
-            now: self.now,
-            me: node,
-            actions: &mut self.scratch,
-            rng: &mut self.rng,
-            next_frame_id: &mut self.next_frame_id,
-            arena: &mut self.arena,
-            flight: &mut self.flight,
-        };
-        slot.node.on_frame(&mut ctx, port, frame);
-        self.log_builds(frames_before);
-        self.apply_actions(node);
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, token: TimerToken) {
-        self.stats.timers_fired += 1;
-        self.metrics.inc("kernel", "timer", Some(node.0));
-        if self.wlog.is_none() {
-            self.trace.record(TraceEvent {
-                at: self.now,
-                node,
-                port: PortId(u16::MAX),
-                frame: FrameId(u64::MAX),
-                kind: TraceKind::Timer,
-            });
-        }
-        if self.profiler.is_enabled() {
-            self.profiler.record_timer(self.now.as_ps(), node.0);
-        }
-        if self.flight.is_enabled() {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::Dispatch,
-                node: node.0,
-                shard: 0,
-                a: token.0,
-                b: u64::MAX,
-            });
-        }
-        let frames_before = self.next_frame_id;
-        let Some(slot) = self.nodes[node.0 as usize].as_mut() else {
-            unreachable!("timer dispatched to a node outside this shard")
-        };
-        let mut ctx = Context {
-            now: self.now,
-            me: node,
-            actions: &mut self.scratch,
-            rng: &mut self.rng,
-            next_frame_id: &mut self.next_frame_id,
-            arena: &mut self.arena,
-            flight: &mut self.flight,
-        };
-        slot.node.on_timer(&mut ctx, token);
-        self.log_builds(frames_before);
-        self.apply_actions(node);
-    }
-
-    /// Window mode: record how many frame ids the just-returned callback
-    /// allocated, so the merge leader can hand out the matching real ids
-    /// in serial order.
-    #[inline]
-    fn log_builds(&mut self, frames_before: u64) {
-        if let Some(w) = self.wlog.as_mut() {
-            let built = self.next_frame_id - frames_before;
-            if built > 0 {
-                w.entries.push(WEntry::Builds(built as u32));
-            }
-        }
-    }
-
     fn apply_actions(&mut self, src: NodeId) {
         // Drain into a local vec to keep borrowck happy while links and the
         // queue are touched; scratch is reused to avoid steady-state allocs.
@@ -835,53 +873,14 @@ impl Simulator {
             match action {
                 Action::Send { port, frame } => self.transmit(src, port, frame),
                 Action::Timer { delay, token } => {
-                    let at = self.now + delay;
-                    let seq = self.bump_seq();
-                    self.push_event(QueuedEvent {
-                        at,
-                        seq,
-                        kind: EventKind::Timer { node: src, token },
-                    });
-                    if let Some(w) = self.wlog.as_mut() {
-                        w.entries.push(WEntry::LocalPush);
-                    }
+                    self.schedule(self.now + delay, EventKind::Timer { node: src, token });
                 }
                 Action::DeliverLocal {
                     dst,
                     port,
                     delay,
                     frame,
-                } => {
-                    let at = self.now + delay;
-                    if self.wlog.is_some() && self.nodes[dst.0 as usize].is_none() {
-                        // Destination lives on another shard: hand the
-                        // frame to the merge leader, which assigns the
-                        // real seq and routes it (or panics, coldly, if
-                        // the delivery lands inside the safe window).
-                        if let Some(w) = self.wlog.as_mut() {
-                            w.entries.push(WEntry::Remote {
-                                arrival: at,
-                                dst,
-                                dst_port: port,
-                            });
-                            w.remote.push(frame);
-                        }
-                    } else {
-                        let seq = self.bump_seq();
-                        self.push_event(QueuedEvent {
-                            at,
-                            seq,
-                            kind: EventKind::Frame {
-                                node: dst,
-                                port,
-                                frame,
-                            },
-                        });
-                        if let Some(w) = self.wlog.as_mut() {
-                            w.entries.push(WEntry::LocalPush);
-                        }
-                    }
-                }
+                } => self.schedule_frame(self.now + delay, dst, port, frame),
             }
         }
         self.scratch = actions;
@@ -929,117 +928,28 @@ impl Simulator {
     }
 
     fn transmit(&mut self, src: NodeId, port: PortId, mut frame: Frame) {
-        let Some(idx) = self.link_index(src, port) else {
-            self.stats.frames_unrouted += 1;
-            self.metrics.inc("kernel", "unrouted", Some(src.0));
-            if self.wlog.is_none() {
-                self.trace.record(TraceEvent {
-                    at: self.now,
-                    node: src,
-                    port,
-                    frame: frame.id,
-                    kind: TraceKind::Drop,
-                });
-            }
-            if self.profiler.is_enabled() {
-                self.profiler.record_drop(src.0);
-            }
-            if self.flight.is_enabled() {
-                self.flight.record(FlightRecord {
-                    at_ps: self.now.as_ps(),
-                    kind: FlightKind::Drop,
-                    node: src.0,
-                    shard: 0,
-                    a: frame.id.0,
-                    b: u64::from(port.0),
-                });
-            }
-            if let Some(w) = self.wlog.as_mut() {
-                w.entries.push(WEntry::DropRec {
-                    node: src,
-                    port,
-                    frame: frame.id.0,
-                });
-            }
-            self.arena.give(frame.bytes);
-            return;
-        };
-        let coin = self.rng.gen::<f64>();
-        let Some(slot) = self.links[idx].as_mut() else {
-            unreachable!("port table routed to a link outside this shard")
-        };
-        match slot.link.transmit(self.now, frame.len(), coin) {
-            LinkOutcome::Deliver(at) => {
-                debug_assert!(at >= self.now);
-                let (dst, dst_port) = (slot.dst, slot.dst_port);
-                if self.provenance {
-                    self.record_hop_provenance(src, port, &mut frame, idx, at);
-                }
-                if self.wlog.is_some() && self.nodes[dst.0 as usize].is_none() {
-                    // Cross-shard hop: buffer the frame for the merge
-                    // leader instead of pushing it locally. The leader
-                    // assigns the real seq in serial order and routes it
-                    // to the owning shard.
-                    if let Some(w) = self.wlog.as_mut() {
-                        w.entries.push(WEntry::Remote {
-                            arrival: at,
-                            dst,
-                            dst_port,
-                        });
-                        w.remote.push(frame);
+        let lost = match self.link_index(src, port) {
+            None => Seen::Unrouted,
+            Some(idx) => {
+                let coin = self.rng.gen::<f64>();
+                let Some(slot) = self.links[idx].as_mut() else {
+                    unreachable!("port table routed to a link outside this shard")
+                };
+                match slot.link.transmit(self.now, frame.len(), coin) {
+                    LinkOutcome::Deliver(at) => {
+                        debug_assert!(at >= self.now);
+                        let (dst, dst_port) = (slot.dst, slot.dst_port);
+                        if self.provenance {
+                            self.record_hop_provenance(src, port, &mut frame, idx, at);
+                        }
+                        return self.schedule_frame(at, dst, dst_port, frame);
                     }
-                } else {
-                    let seq = self.bump_seq();
-                    self.push_event(QueuedEvent {
-                        at,
-                        seq,
-                        kind: EventKind::Frame {
-                            node: dst,
-                            port: dst_port,
-                            frame,
-                        },
-                    });
-                    if let Some(w) = self.wlog.as_mut() {
-                        w.entries.push(WEntry::LocalPush);
-                    }
+                    LinkOutcome::Drop(reason) => Seen::LinkDrop(reason),
                 }
             }
-            LinkOutcome::Drop(reason) => {
-                self.stats.frames_dropped += 1;
-                self.metrics.inc("kernel", "drop", Some(src.0));
-                self.metrics.inc("link_drop", reason.name(), None);
-                if self.wlog.is_none() {
-                    self.trace.record(TraceEvent {
-                        at: self.now,
-                        node: src,
-                        port,
-                        frame: frame.id,
-                        kind: TraceKind::Drop,
-                    });
-                }
-                if self.profiler.is_enabled() {
-                    self.profiler.record_drop(src.0);
-                }
-                if self.flight.is_enabled() {
-                    self.flight.record(FlightRecord {
-                        at_ps: self.now.as_ps(),
-                        kind: FlightKind::Drop,
-                        node: src.0,
-                        shard: 0,
-                        a: frame.id.0,
-                        b: u64::from(port.0),
-                    });
-                }
-                if let Some(w) = self.wlog.as_mut() {
-                    w.entries.push(WEntry::DropRec {
-                        node: src,
-                        port,
-                        frame: frame.id.0,
-                    });
-                }
-                self.arena.give(frame.bytes);
-            }
-        }
+        };
+        self.observe(lost, src, port, frame.id);
+        self.arena.give(frame.bytes);
     }
 }
 
@@ -1504,6 +1414,13 @@ mod tests {
     }
 
     #[test]
+    fn window_log_entries_stay_thirty_two_bytes() {
+        // One per dispatch, push and drop of every shard window; the
+        // trace record rides in the entry with its kind as the niche.
+        assert!(std::mem::size_of::<WEntry>() <= 32);
+    }
+
+    #[test]
     fn ports_stay_in_port_order_inline_and_after_spilling() {
         // Shard planning walks links in (node, port) order whatever
         // order the ports were wired in.
@@ -1597,6 +1514,41 @@ mod tests {
         let a = sim.add_node("a", Sprayer { ports: vec![] });
         let link = IdealLink::new(SimTime::ZERO);
         sim.install_link(NodeId(7), PortId(0), a, PortId(0), Box::new(link));
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(7) is not a registered node")]
+    fn frame_for_an_unregistered_node_panics_at_the_injection() {
+        let mut sim = Simulator::new(1);
+        sim.add_node("a", Sprayer { ports: vec![] });
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::ZERO, NodeId(7), PortId(0), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(7) is not a registered node")]
+    fn timer_for_an_unregistered_node_panics_at_the_call() {
+        let mut sim = Simulator::new(1);
+        sim.add_node("a", Sprayer { ports: vec![] });
+        sim.schedule_timer(SimTime::ZERO, NodeId(7), TimerToken(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(7) is not a registered node")]
+    fn local_delivery_to_an_unregistered_node_panics_in_the_sending_dispatch() {
+        struct Misdirected;
+        impl Node for Misdirected {
+            fn on_frame(&mut self, _: &mut Context<'_>, _: PortId, _: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+                let f = ctx.frame().zeroed(64).build();
+                ctx.deliver_local(NodeId(7), PortId(0), SimTime::from_ns(1), f);
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Misdirected);
+        sim.schedule_timer(SimTime::ZERO, a, TimerToken(0));
+        // The delivery would pop 1 ns later; the panic must not wait.
+        sim.step();
     }
 
     #[test]

@@ -23,16 +23,19 @@
 //!    distinguishable. Within one shard, provisional order equals the
 //!    eventual real order.
 //!
-//! 3. **Window log merge.** Each shard logs one [`WEntry::Dispatch`]
-//!    block per dispatched event (pushes, drops and cross-shard sends it
-//!    caused, in exact apply order). The leader K-way merges the blocks
-//!    by `(time, translated tag)` — exactly the serial kernel's pop
-//!    order — assigning real seqs and frame ids from global counters at
-//!    the positions the serial kernel would have, reconstructing the
-//!    trace records in serial order, and routing cross-shard frames
-//!    (with their ids rewritten to real ids) into the owning shard's
-//!    queue. By induction over windows the merged record stream is
-//!    bit-for-bit the serial one, so the trace digest is too.
+//! 3. **Window log merge.** Each shard logs one block per dispatched
+//!    event: the dispatch's own [`WEntry::Record`] — the trace record
+//!    the serial kernel would have made, logged by the kernel's
+//!    observation spine in place of recording it — then the pushes,
+//!    drop records and cross-shard sends it caused, in exact apply
+//!    order. The leader K-way merges the blocks by `(time, translated
+//!    tag)` — exactly the serial kernel's pop order — assigning real
+//!    seqs and frame ids from global counters at the positions the
+//!    serial kernel would have, recording each logged record with its
+//!    frame id translated, and routing cross-shard frames (with their
+//!    ids rewritten to real ids) into the owning shard's queue. By
+//!    induction over windows the merged record stream is bit-for-bit
+//!    the serial one, so the trace digest is too.
 //!
 //! The protocol refuses topologies it cannot reproduce exactly: a cut
 //! link with zero `min_delay` (no lookahead) or one whose outcome
@@ -63,21 +66,16 @@ fn prov_base(shard: usize) -> u64 {
 }
 
 /// One entry in a shard's per-window reconciliation log. A window's log
-/// is a sequence of blocks, each opened by a [`WEntry::Dispatch`] and
-/// followed by what that dispatch caused, in exact apply order.
+/// is a sequence of blocks, each opened by the [`WEntry::Record`] of a
+/// dispatch and followed by what that dispatch caused, in exact apply
+/// order.
 pub(crate) enum WEntry {
-    /// An event was popped and dispatched. `tag` is its (possibly
-    /// provisional) seq — the merge key. Timer dispatches use
-    /// `port = u16::MAX`, `frame = u64::MAX` (the serial trace's timer
-    /// sentinel).
-    Dispatch {
-        at: SimTime,
-        tag: u64,
-        node: NodeId,
-        port: PortId,
-        frame: u64,
-        timer: bool,
-    },
+    /// The trace record the serial kernel would have made here, its
+    /// frame id possibly provisional. A `Deliver` or `Timer` record
+    /// opens a block, and `tag` is the popped event's (possibly
+    /// provisional) seq — the merge key; a `Drop` record belongs to the
+    /// block it sits in and its `tag` is unused.
+    Record { ev: TraceEvent, tag: u64 },
     /// The dispatch callback built `n` frames (ids from the shard's
     /// provisional counter); the leader assigns the matching real ids.
     Builds(u32),
@@ -85,13 +83,6 @@ pub(crate) enum WEntry {
     /// link delivery); the shard consumed one provisional seq and the
     /// leader assigns the matching real one.
     LocalPush,
-    /// A frame was dropped (unrouted port or link drop) — becomes a
-    /// serial-order `Drop` trace record.
-    DropRec {
-        node: NodeId,
-        port: PortId,
-        frame: u64,
-    },
     /// A frame left the shard: the leader assigns its real seq, rewrites
     /// its id, and routes it. The n-th `Remote` entry pairs with the
     /// n-th frame in [`WindowState::remote`].
@@ -100,6 +91,16 @@ pub(crate) enum WEntry {
         dst: NodeId,
         dst_port: PortId,
     },
+}
+
+impl WEntry {
+    /// The `(time, tag)` merge key, if this entry opens a dispatch block.
+    fn opens_block(&self) -> Option<(SimTime, u64)> {
+        match self {
+            WEntry::Record { ev, tag } if ev.kind != TraceKind::Drop => Some((ev.at, *tag)),
+            _ => None,
+        }
+    }
 }
 
 /// Per-shard window log: reconciliation entries plus the cross-shard
@@ -606,52 +607,32 @@ impl ShardedSimulator {
             remote.push(w.remote.into_iter());
         }
         loop {
-            // Head of each shard's log is always a Dispatch block (the
-            // shard appends one before anything the dispatch causes);
-            // pick the (at, translated tag) minimum — serial pop order.
-            // A provisional head tag always translates: its LocalPush
-            // was logged earlier in the *same* shard's log (intra-shard
+            // Head of each shard's log is always a dispatch record (the
+            // shard logs it before anything the dispatch causes); pick
+            // the (at, translated tag) minimum — serial pop order. A
+            // provisional head tag always translates: its LocalPush was
+            // logged earlier in the *same* shard's log (intra-shard
             // push) or in a previous window, so its map entry exists.
             let mut best: Option<(SimTime, u64, usize)> = None;
             for s in 0..k {
-                if let Some(WEntry::Dispatch { at, tag, .. }) = entries[s].get(cursor[s]) {
-                    let real = Self::translate(&self.seq_map[s], *tag);
-                    if best.is_none_or(|(ba, bt, _)| (*at, real) < (ba, bt)) {
-                        best = Some((*at, real, s));
+                if let Some((at, tag)) = entries[s].get(cursor[s]).and_then(WEntry::opens_block) {
+                    let real = Self::translate(&self.seq_map[s], tag);
+                    if best.is_none_or(|(ba, bt, _)| (at, real) < (ba, bt)) {
+                        best = Some((at, real, s));
                     }
                 }
             }
             let Some((_, _, s)) = best else {
                 break;
             };
-            // Consume the block: the Dispatch entry plus everything up
-            // to the next Dispatch (or end of log).
-            let Some(WEntry::Dispatch {
-                at,
-                node,
-                port,
-                frame,
-                timer,
-                ..
-            }) = entries[s].get(cursor[s])
-            else {
-                unreachable!("merge cursor left a block boundary");
-            };
-            self.trace.record(TraceEvent {
-                at: *at,
-                node: *node,
-                port: *port,
-                frame: FrameId(Self::translate(&self.frame_map[s], *frame)),
-                kind: if *timer {
-                    TraceKind::Timer
-                } else {
-                    TraceKind::Deliver
-                },
-            });
-            cursor[s] += 1;
-            while let Some(e) = entries[s].get(cursor[s]) {
-                match e {
-                    WEntry::Dispatch { .. } => break,
+            // Consume the block: the dispatch record plus everything up
+            // to the next one (or the end of the log).
+            loop {
+                match &entries[s][cursor[s]] {
+                    WEntry::Record { ev, .. } => {
+                        let frame = FrameId(Self::translate(&self.frame_map[s], ev.frame.0));
+                        self.trace.record(TraceEvent { frame, ..*ev });
+                    }
                     WEntry::Builds(n) => {
                         for _ in 0..*n {
                             self.frame_map[s].push(self.next_frame_id);
@@ -661,15 +642,6 @@ impl ShardedSimulator {
                     WEntry::LocalPush => {
                         self.seq_map[s].push(self.seq);
                         self.seq += 1;
-                    }
-                    WEntry::DropRec { node, port, frame } => {
-                        self.trace.record(TraceEvent {
-                            at: *at,
-                            node: *node,
-                            port: *port,
-                            frame: FrameId(Self::translate(&self.frame_map[s], *frame)),
-                            kind: TraceKind::Drop,
-                        });
                     }
                     WEntry::Remote {
                         arrival,
@@ -703,6 +675,12 @@ impl ShardedSimulator {
                     }
                 }
                 cursor[s] += 1;
+                if entries[s]
+                    .get(cursor[s])
+                    .is_none_or(|e| e.opens_block().is_some())
+                {
+                    break;
+                }
             }
         }
         // Hand the (cleared) buffers back for the next window.
@@ -1079,6 +1057,28 @@ mod tests {
         plan.validate(&sim).expect("min_delay looks positive");
         let mut sharded = ShardedSimulator::split(sim, &plan).expect("valid");
         sharded.run_until(SimTime::from_us(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(9) is not a registered node")]
+    fn local_delivery_to_an_unregistered_node_panics_on_a_shard_too() {
+        // A shard's node table is sparse: "not here" must not be taken
+        // for "on another shard" when the id is past the table's end.
+        struct Misdirected;
+        impl Node for Misdirected {
+            fn on_frame(&mut self, _: &mut Context<'_>, _: PortId, _: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+                let f = ctx.frame().zeroed(64).build();
+                ctx.deliver_local(NodeId(9), PortId(0), SimTime::from_ns(1), f);
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a", Misdirected);
+        sim.add_node("b", Bouncer { hops_left: 0 });
+        sim.schedule_timer(SimTime::ZERO, a, TimerToken(0));
+        let plan = ShardPlan::manual(vec![0, 1]);
+        let mut sharded = ShardedSimulator::split(sim, &plan).expect("valid");
+        sharded.run_until(SimTime::from_us(1));
     }
 
     #[test]
