@@ -191,6 +191,20 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_bound_longer_than_simtime_never_overflows() {
+        // 2,305,844 bytes at 1 bps is 2^64 ps and 7.9 s more: a bound that
+        // wrapped would be those 7.9 s, and the second one-byte frame
+        // (8 s behind the first) would drop.
+        let mut l = EtherLink::new(1, SimTime::ZERO).with_queue_bytes(2_305_844);
+        for sent in 1..=3 {
+            assert_eq!(
+                l.transmit(SimTime::ZERO, 1, 0.9),
+                LinkOutcome::Deliver(SimTime::from_secs(8 * sent))
+            );
+        }
+    }
+
+    #[test]
     fn mtu_enforced() {
         let mut l = EtherLink::ten_gig(SimTime::ZERO).with_mtu(1514);
         assert_eq!(

@@ -398,20 +398,18 @@ impl Metrics {
     }
 
     /// Increment a counter by 1.
+    #[inline]
     pub fn inc(&self, scope: &'static str, name: &'static str, node: Option<u32>) {
-        if let Some(r) = &self.inner {
-            if let Ok(mut g) = r.lock() {
-                g.inc(scope, name, node);
-            }
-        }
+        self.add(scope, name, node, 1);
     }
 
-    /// Increment a counter by `delta`.
+    /// Increment a counter by `delta`. The disabled test is inlined into
+    /// the caller — the kernel asks on every dispatch — and only a live
+    /// handle pays the call.
+    #[inline]
     pub fn add(&self, scope: &'static str, name: &'static str, node: Option<u32>, delta: u64) {
         if let Some(r) = &self.inner {
-            if let Ok(mut g) = r.lock() {
-                g.add(scope, name, node, delta);
-            }
+            Self::record(r, |g| g.add(scope, name, node, delta));
         }
     }
 
@@ -425,11 +423,19 @@ impl Metrics {
     }
 
     /// Record a distribution sample (default histogram shape).
+    #[inline]
     pub fn observe(&self, scope: &'static str, name: &'static str, node: Option<u32>, v: u64) {
         if let Some(r) = &self.inner {
-            if let Ok(mut g) = r.lock() {
-                g.observe(scope, name, node, v);
-            }
+            Self::record(r, |g| g.observe(scope, name, node, v));
+        }
+    }
+
+    /// The recording half of [`Metrics::add`] and [`Metrics::observe`],
+    /// kept out of line so their inlined halves are one test.
+    #[inline(never)]
+    fn record(r: &Mutex<MetricsRegistry>, f: impl FnOnce(&mut MetricsRegistry)) {
+        if let Ok(mut g) = r.lock() {
+            f(&mut g);
         }
     }
 

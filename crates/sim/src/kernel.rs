@@ -649,10 +649,16 @@ impl Simulator {
     /// the last observation into records: calendar rebuilds and wheel
     /// cascades happen inside the scheduler, which has no recorder
     /// access, so the kernel watches the counters at its boundaries.
+    #[inline]
     fn note_sched_activity(&mut self) {
-        if !self.flight.is_enabled() {
-            return;
+        if self.flight.is_enabled() {
+            self.record_sched_activity();
         }
+    }
+
+    /// The recording half of [`Simulator::note_sched_activity`].
+    #[inline(never)]
+    fn record_sched_activity(&mut self) {
         let s = self.queue.stats();
         if s.rebuilds > self.last_sched.rebuilds {
             self.flight.record(FlightRecord {
@@ -1283,6 +1289,70 @@ mod tests {
             done.reused > warm.reused + 500,
             "recycled buffers must carry the steady state: {done:?}"
         );
+    }
+
+    #[test]
+    fn arena_allocations_go_flat_after_a_paper_scale_fan_out_warms_up() {
+        // The shape of Design 3's feed path: bursts of frames copied 30
+        // ways and then 31 ways to 930 hosts, with a pause between bursts
+        // long enough for every copy to come home. Some 9,600 buffers are
+        // out at a burst's peak and parked at its end; the arena must keep
+        // them all, or every burst allocates afresh what the last one
+        // dropped.
+        const BURST: u64 = 10;
+        struct Source;
+        impl Node for Source {
+            fn on_frame(&mut self, _ctx: &mut Context<'_>, _p: PortId, _f: Frame) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+                for _ in 0..BURST {
+                    let f = ctx.frame().zeroed(128).build();
+                    ctx.send(PortId(0), f);
+                }
+                ctx.set_timer(SimTime::from_us(10), timer);
+            }
+        }
+        struct Stage {
+            ways: u16,
+        }
+        impl Node for Stage {
+            fn on_frame(&mut self, ctx: &mut Context<'_>, _p: PortId, f: Frame) {
+                for port in 1..=self.ways {
+                    let copy = ctx.frame().copy_from(&f.bytes).build();
+                    ctx.send(PortId(port), copy);
+                }
+                ctx.recycle(f);
+            }
+        }
+        struct Host;
+        impl Node for Host {
+            fn on_frame(&mut self, ctx: &mut Context<'_>, _p: PortId, f: Frame) {
+                ctx.recycle(f);
+            }
+        }
+        let mut sim = Simulator::new(5);
+        let wire = |ns| Box::new(IdealLink::new(SimTime::from_ns(ns)));
+        let source = sim.add_node("source", Source);
+        let first = sim.add_node("stage1", Stage { ways: 30 });
+        sim.install_link(source, PortId(0), first, PortId(0), wire(10));
+        for i in 1..=30 {
+            let second = sim.add_node(format!("stage2.{i}"), Stage { ways: 31 });
+            sim.install_link(first, PortId(i), second, PortId(0), wire(100));
+            for j in 1..=31 {
+                let host = sim.add_node(format!("host{i}.{j}"), Host);
+                sim.install_link(second, PortId(j), host, PortId(0), wire(1_000));
+            }
+        }
+        sim.schedule_timer(SimTime::ZERO, source, TimerToken(0));
+        sim.run_until(SimTime::from_us(15)); // warmup: two bursts
+        let warm = sim.arena_stats();
+        assert!(warm.allocated >= BURST * 930, "{warm:?}");
+        sim.run_until(SimTime::from_us(55)); // four more
+        let done = sim.arena_stats();
+        assert_eq!(
+            done.allocated, warm.allocated,
+            "a warmed-up fan-out must not allocate: {warm:?} -> {done:?}"
+        );
+        assert!(done.reused >= warm.reused + 4 * BURST * 961, "{done:?}");
     }
 
     #[test]

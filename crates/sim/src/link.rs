@@ -129,15 +129,7 @@ pub trait Link: Send {
         };
         let remain = total - propagate;
         let serialize = match self.rate_bps() {
-            Some(rate) if rate > 0 => {
-                let ps = (len as u128 * 8 * 1_000_000_000_000) / u128::from(rate);
-                let ser = SimTime::from_ps(ps.min(u128::from(u64::MAX)) as u64);
-                if ser < remain {
-                    ser
-                } else {
-                    remain
-                }
-            }
+            Some(rate) if rate > 0 => SimTime::serialization(len, rate).min(remain),
             _ => SimTime::ZERO,
         };
         HopTiming {

@@ -12,7 +12,9 @@
 //! * [`BinaryHeapScheduler`] — the reference `O(log n)` min-heap: 24-byte
 //!   `(time, seq, slot)` keys sifted over a payload slab, so the part of
 //!   the queue every push and pop walks stays cache-resident at 10⁵
-//!   pending events. Default.
+//!   pending events. A key stands for a *run* — consecutive pushes for
+//!   one instant under consecutive seqs, which is what a fan-out is — so
+//!   only a run's first push and last pop touch the heap at all. Default.
 //! * [`CalendarQueue`] — Brown's calendar queue (CACM '88), `O(1)`
 //!   amortized for the dense, near-future event horizons that link and
 //!   switch latencies produce. Selected per scenario via
@@ -174,10 +176,11 @@ impl std::str::FromStr for SchedulerKind {
     }
 }
 
-/// What the heap sifts: an event's `(at, seq)` sort key and the slab slot
-/// its payload waits in. 24 bytes, so 100,000 pending events are a 2.4 MB
-/// array and a sift level moves three words; the 72-byte [`EventKind`]
-/// (a whole [`Frame`] rides in every one, timers included) never moves.
+/// What the heap sifts: a run's `(at, seq)` sort key — its head's — and
+/// the slab slot the head's payload waits in. 24 bytes, so 100,000 pending
+/// timers are a 2.4 MB array and a sift level moves three words; the
+/// 72-byte [`EventKind`] (a whole [`Frame`] rides in every one, timers
+/// included) never moves.
 #[derive(Clone, Copy)]
 struct HeapKey {
     at: SimTime,
@@ -193,67 +196,126 @@ impl HeapKey {
     }
 }
 
-/// Reference scheduler: an implicit binary min-heap of [`HeapKey`]s over
-/// a free-listed payload slab. A payload is written once on push and read
-/// once on pop; in between only its key is compared and moved. Vacated
-/// slots are reused newest-first, so the pop-dispatch-push cycle of a
-/// periodic timer keeps hitting the slot it just vacated. `seq` makes
-/// keys unique, so the pop order is the `(time, seq)` total order whatever
-/// the heap's internal shape.
-#[derive(Default)]
+/// "No slot": ends a run's chain, ends the vacant list, and marks the
+/// open run closed. The slab stops growing one short of it.
+const NIL: u32 = u32::MAX;
+
+/// Reference scheduler: an implicit binary min-heap of *runs* over a
+/// payload slab.
+///
+/// A run is a maximal sequence of consecutive pushes for one instant
+/// under consecutive seqs — what a switch's fan-out, or a node setting N
+/// timers for one deadline, produces. It owns one [`HeapKey`] (its
+/// head's) and its members are chained through their slots' `link`s. A
+/// push that continues the last push's run costs one link store and no
+/// heap operation; a pop that leaves a successor advances the root key
+/// in place, with no sift. Only a run's first push sifts up and only its
+/// last pop sifts down, so a 930-way fan-out is one heap entry, not 930.
+///
+/// Why that preserves the `(time, seq)` pop order: seqs are unique, so a
+/// run `(t, s)..=(t, s + k)` is an interval no other pending event can
+/// sort inside, and two runs compare as their heads do. After the head
+/// `(t, s)` pops, every other run still sorts after `(t, s + k)`, hence
+/// after the new head `(t, s + 1)`: the root is still the minimum. The
+/// join rule is therefore contiguity (`seq == last + 1`), not `seq >
+/// last`: a shard pushes leader-assigned real seqs among provisional
+/// bit-63 ones at one instant, and a run with a hole in it is not an
+/// interval — the event that belongs in the hole would pop late.
+///
+/// A payload is written once on push and read once on pop; in between
+/// only its run's key is compared and moved. Vacated slots are reused
+/// newest-first, so the pop-dispatch-push cycle of a periodic timer keeps
+/// hitting the slot it just vacated.
 pub struct BinaryHeapScheduler {
-    /// The heap: `keys[0]` is the minimum, children of `i` at `2i + 1`
-    /// and `2i + 2`.
+    /// The heap, one key per run: `keys[0]` is the minimum, children of
+    /// `i` at `2i + 1` and `2i + 2`.
     keys: Vec<HeapKey>,
-    /// Payloads, indexed by [`HeapKey`]'s `slot`, threaded with the list
-    /// of vacant slots.
+    /// Payloads and run links, indexed by slot.
     slab: Vec<Slot>,
-    /// Most recently vacated slab slot: the head of the free list. The
-    /// list lives in the slab itself, so a shallow queue (depth 4 on the
-    /// feed path) works in two arrays per event, not three.
-    free: Option<u32>,
+    /// Most recently vacated slab slot, or [`NIL`].
+    free: u32,
+    /// Pending events (not runs: `sim.max_queue_depth` reads this).
+    len: usize,
+    /// The open run — the one the next push may join: the last push's
+    /// `(at, seq, slot)`. `slot` is [`NIL`] once that event has popped, so
+    /// a slot the free list may have handed out again is never linked to.
+    open: HeapKey,
 }
 
 /// One slab entry.
-enum Slot {
-    /// A pending event's payload.
-    Full(EventKind),
-    /// Vacant; `next` was vacated before this one.
-    Free { next: Option<u32> },
+struct Slot {
+    /// A pending event's payload; `None` is vacant.
+    kind: Option<EventKind>,
+    /// For a pending event: the slot of its successor in its run, or
+    /// [`NIL`]. For a vacant slot: the slot vacated before it, or [`NIL`].
+    /// In the slot rather than in an array beside the slab, so a run costs
+    /// no allocation the per-event heap did not make.
+    link: u32,
+}
+
+impl Default for BinaryHeapScheduler {
+    fn default() -> Self {
+        BinaryHeapScheduler::new()
+    }
 }
 
 impl BinaryHeapScheduler {
     /// An empty heap.
     pub fn new() -> Self {
-        BinaryHeapScheduler::default()
+        BinaryHeapScheduler {
+            keys: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
+            len: 0,
+            open: HeapKey {
+                at: SimTime::ZERO,
+                seq: 0,
+                slot: NIL,
+            },
+        }
     }
 }
 
 impl Scheduler for BinaryHeapScheduler {
     fn push(&mut self, ev: QueuedEvent) {
         let slot = match self.free {
-            Some(slot) => {
-                let full = Slot::Full(ev.kind);
-                let Slot::Free { next } = std::mem::replace(&mut self.slab[slot as usize], full)
-                else {
-                    unreachable!("free list runs through a pending event")
-                };
-                self.free = next;
-                slot
-            }
-            None => {
+            NIL => {
                 // Growth only: the steady state reuses vacated slots.
-                assert!(self.slab.len() < u32::MAX as usize, "event slab full");
-                self.slab.push(Slot::Full(ev.kind));
+                assert!(self.slab.len() < NIL as usize, "event slab full");
+                self.slab.push(Slot {
+                    kind: Some(ev.kind),
+                    link: NIL,
+                });
                 (self.slab.len() - 1) as u32
             }
+            slot => {
+                let vacant = &mut self.slab[slot as usize];
+                debug_assert!(
+                    vacant.kind.is_none(),
+                    "free list runs through a pending event"
+                );
+                self.free = vacant.link;
+                *vacant = Slot {
+                    kind: Some(ev.kind),
+                    link: NIL,
+                };
+                slot
+            }
         };
+        self.len += 1;
         let key = HeapKey {
             at: ev.at,
             seq: ev.seq,
             slot,
         };
-        // Sift up: pull parents down into the hole until `key` fits.
+        let last = std::mem::replace(&mut self.open, key);
+        if last.slot != NIL && last.at == key.at && last.seq.checked_add(1) == Some(key.seq) {
+            // Joins the open run: no ordering decision to make.
+            self.slab[last.slot as usize].link = slot;
+            return;
+        }
+        // Opens a run. Sift up: pull parents down into the hole until
+        // `key` fits.
         let mut hole = self.keys.len();
         self.keys.push(key);
         while hole > 0 {
@@ -268,13 +330,24 @@ impl Scheduler for BinaryHeapScheduler {
     }
 
     fn pop(&mut self) -> Option<QueuedEvent> {
-        let last = self.keys.pop()?;
-        let top = match self.keys.first() {
-            None => last,
-            Some(&top) => {
-                // Sift down: the old last key re-enters at the root, the
-                // smaller child rising into the hole until it fits.
-                let keys = self.keys.as_mut_slice();
+        let top = *self.keys.first()?;
+        let next = self.slab[top.slot as usize].link;
+        if next != NIL {
+            // The run goes on: its next member is the new minimum.
+            self.keys[0] = HeapKey {
+                at: top.at,
+                seq: top.seq + 1,
+                slot: next,
+            };
+        } else {
+            if top.slot == self.open.slot {
+                self.open.slot = NIL;
+            }
+            // The run is spent. Sift down: the last key re-enters at the
+            // root, the smaller child rising into the hole until it fits.
+            let last = self.keys.pop()?;
+            let keys = self.keys.as_mut_slice();
+            if !keys.is_empty() {
                 let mut hole = 0;
                 loop {
                     let mut child = 2 * hole + 1;
@@ -291,14 +364,17 @@ impl Scheduler for BinaryHeapScheduler {
                     hole = child;
                 }
                 keys[hole] = last;
-                top
             }
-        };
-        let vacant = Slot::Free { next: self.free };
-        let Slot::Full(kind) = std::mem::replace(&mut self.slab[top.slot as usize], vacant) else {
+        }
+        self.len -= 1;
+        let vacated = &mut self.slab[top.slot as usize];
+        vacated.link = self.free;
+        self.free = top.slot;
+        // Taken last: moved out any earlier, the payload is spilled across
+        // the heap indexing above.
+        let Some(kind) = vacated.kind.take() else {
             unreachable!("heap key points at a vacant slab slot")
         };
-        self.free = Some(top.slot);
         Some(QueuedEvent {
             at: top.at,
             seq: top.seq,
@@ -311,7 +387,7 @@ impl Scheduler for BinaryHeapScheduler {
     }
 
     fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     fn name(&self) -> &'static str {
@@ -944,36 +1020,124 @@ mod tests {
     }
 
     #[test]
-    fn heap_key_stays_three_words() {
+    fn heap_key_stays_three_words_and_a_slab_slot_ten() {
         // The heap's footprint at 10^5 pending events is this times 10^5;
         // a fourth word is +0.8 MB there and shows up only as RSS drift.
         assert_eq!(std::mem::size_of::<HeapKey>(), 24);
+        // The payload's 72 bytes and the run link.
+        assert_eq!(std::mem::size_of::<Slot>(), 80);
+    }
+
+    #[test]
+    fn a_fan_out_is_one_heap_entry() {
+        let t = SimTime::from_us(1);
+        let mut heap = BinaryHeapScheduler::new();
+        for seq in 0..930 {
+            heap.push(timer(t, seq));
+        }
+        assert_eq!((heap.keys.len(), heap.len()), (1, 930));
+        // Pops mid-run advance the one key; an append still joins.
+        for seq in 0..10 {
+            assert_eq!(heap.pop().map(|e| e.seq), Some(seq));
+        }
+        heap.push(timer(t, 930));
+        assert_eq!((heap.keys.len(), heap.len()), (1, 921));
+        // A skipped seq, another instant and a provisional seq each open
+        // a run; so does the real seq that follows the provisional one.
+        heap.push(timer(t, 932));
+        heap.push(timer(SimTime::from_us(2), 933));
+        heap.push(timer(SimTime::from_us(2), 1 << 63));
+        heap.push(timer(SimTime::from_us(2), 934));
+        assert_eq!((heap.keys.len(), heap.len()), (5, 925));
+        // Once the last push has popped there is no run left to join,
+        // though the instant and the seq would fit.
+        while heap.pop().is_some() {}
+        heap.push(timer(SimTime::from_us(2), 935));
+        heap.push(timer(SimTime::from_us(2), 936));
+        assert_eq!((heap.keys.len(), heap.len()), (1, 2));
+        assert_eq!(heap.slab.len(), 930, "vacated slots are reused first");
+        // The last seq there is has no successor: seq 0 sorts before it.
+        heap.push(timer(SimTime::from_us(3), u64::MAX));
+        heap.push(timer(SimTime::from_us(3), 0));
+        let order: Vec<u64> = std::iter::from_fn(|| heap.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [935, 936, 0, u64::MAX]);
+    }
+
+    /// Pop the heap and the oracle once and hold them against each other.
+    fn pop_both(
+        heap: &mut BinaryHeapScheduler,
+        oracle: &mut Vec<(SimTime, u64)>,
+    ) -> Result<Option<(SimTime, u64)>, proptest::TestCaseError> {
+        let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+        let got = heap.pop().map(|ev| match ev.kind {
+            EventKind::Timer { token, .. } => (ev.at, ev.seq, token.0),
+            EventKind::Frame { .. } => unreachable!("only timers were pushed"),
+        });
+        prop_assert_eq!(got, want.map(|(at, seq)| (at, seq, seq)));
+        prop_assert_eq!(heap.len(), oracle.len());
+        prop_assert_eq!(heap.next_at(), oracle.first().map(|&(at, _)| at));
+        Ok(want)
     }
 
     proptest! {
-        /// The key heap against a sorted-`Vec` oracle, one op at a time:
-        /// same pops, `next_at` is the next pop's time, `len` is exact,
-        /// each payload comes back under the key it was pushed with, and
-        /// vacated slab slots are reused before the slab grows.
+        /// The run heap against a sorted-`Vec` oracle, one op at a time:
+        /// same pops, `next_at` is the next pop's time, `len` counts
+        /// events, each payload comes back under the key it was pushed
+        /// with, and vacated slab slots are reused before the slab grows.
+        /// The ops are what runs can get wrong: bursts that join, pops
+        /// that stop mid-run, appends to a run partly popped, the next
+        /// seq for the same instant after the open run's tail has popped,
+        /// a real seq at the instant of an open provisional (bit-63) run,
+        /// seqs that skip, and the shard rekey's drain-and-repush.
         #[test]
         fn heap_matches_a_sorted_vec_oracle(
-            ops in proptest::collection::vec((0..5u8, 0..4096u64), 1..400)
+            ops in proptest::collection::vec((0..9u8, 0..4096u64), 1..400)
         ) {
             let mut heap = BinaryHeapScheduler::new();
             let mut oracle: Vec<(SimTime, u64)> = Vec::new();
-            let mut next_seq = 0u64;
+            // Real seqs and shard-provisional ones (bit 63 set) each count
+            // up on their own, as the kernel's two counters do.
+            let mut next_seq = [0u64, 1 << 63];
+            let (mut last_at, mut last_prov) = (SimTime::ZERO, false);
             let mut high_water = 0usize;
             for (op, arg) in ops {
-                let push_at = match op {
-                    // Equal-timestamp bursts: eight distinct times only.
-                    0 | 1 => Some(SimTime::from_ns(arg % 8)),
-                    2 => Some(SimTime::from_ps(arg * 977)),
-                    _ => None,
+                // (pops first, pushes, provisional?, seqs skipped first)
+                let (pops, pushes, prov, skip) = match op {
+                    0 => (0, 1, false, 0),
+                    1 => (0, 1, true, 0),
+                    2 => (0, 2 + arg % 7, false, 0),
+                    3 => (0, 2 + arg % 7, true, 0),
+                    4 => (0, 1, false, 1 + arg % 3),
+                    5 | 6 => (1 + arg % 6, 0, false, 0),
+                    // Drain, then the seq after the last push's.
+                    7 => (u64::MAX, 1, last_prov, 0),
+                    // Rekey: drain, push everything back in sorted order.
+                    _ => (0, 0, false, 0),
                 };
-                if let Some(at) = push_at {
-                    // Odd `arg`s take a shard-provisional seq (bit 63 set).
-                    let seq = next_seq | (arg & 1) << 63;
-                    next_seq += 1;
+                for _ in 0..pops {
+                    if pop_both(&mut heap, &mut oracle)?.is_none() {
+                        break;
+                    }
+                }
+                let mut keys: Vec<(SimTime, u64)> = Vec::new();
+                if op == 8 {
+                    while let Some(key) = pop_both(&mut heap, &mut oracle)? {
+                        keys.push(key);
+                    }
+                }
+                // Half the pushes land on the previous push's instant.
+                let at = match arg % 4 {
+                    0 | 1 => last_at,
+                    _ if op == 7 => last_at,
+                    2 => SimTime::from_ns(arg % 8),
+                    _ => SimTime::from_ps(arg * 977),
+                };
+                next_seq[usize::from(prov)] += skip;
+                for _ in 0..pushes {
+                    keys.push((at, next_seq[usize::from(prov)]));
+                    next_seq[usize::from(prov)] += 1;
+                }
+                for (at, seq) in keys {
                     heap.push(QueuedEvent {
                         at,
                         seq,
@@ -982,25 +1146,18 @@ mod tests {
                             token: TimerToken(seq),
                         },
                     });
+                    (last_at, last_prov) = (at, seq >> 63 != 0);
                     let at_sorted = oracle.partition_point(|&k| k < (at, seq));
                     oracle.insert(at_sorted, (at, seq));
                     high_water = high_water.max(oracle.len());
-                } else {
-                    for _ in 0..=(arg % 6) {
-                        let want = (!oracle.is_empty()).then(|| oracle.remove(0));
-                        let got = heap.pop().map(|ev| match ev.kind {
-                            EventKind::Timer { token, .. } => (ev.at, ev.seq, token.0),
-                            EventKind::Frame { .. } => unreachable!("only timers were pushed"),
-                        });
-                        prop_assert_eq!(got, want.map(|(at, seq)| (at, seq, seq)));
-                    }
+                    prop_assert_eq!(heap.len(), oracle.len());
+                    prop_assert_eq!(heap.next_at(), oracle.first().map(|&(at, _)| at));
                 }
-                prop_assert_eq!(heap.len(), oracle.len());
                 prop_assert_eq!(heap.is_empty(), oracle.is_empty());
-                prop_assert_eq!(heap.next_at(), oracle.first().map(|&(at, _)| at));
+                prop_assert!(heap.keys.len() <= heap.len(), "more runs than events");
                 prop_assert_eq!(heap.slab.len(), high_water);
-                let vacant = heap.slab.iter().filter(|s| matches!(s, Slot::Free { .. }));
-                prop_assert_eq!(vacant.count(), high_water - oracle.len());
+                let vacant = heap.slab.iter().filter(|s| s.kind.is_none()).count();
+                prop_assert_eq!(vacant, high_water - oracle.len());
             }
         }
     }

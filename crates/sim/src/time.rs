@@ -146,16 +146,25 @@ impl SimTime {
         }
     }
 
-    /// Time to serialize `bytes` onto a link of `bits_per_sec`.
+    /// Time to serialize `bytes` onto a link of `bits_per_sec`, truncated
+    /// to whole picoseconds and saturating at [`SimTime::MAX`].
     ///
     /// Used by link and NIC models; exact integer arithmetic (picoseconds
-    /// per bit is not integral for common rates, so compute in u128).
+    /// per bit is not integral for common rates). `bytes × 8·10¹²` fits a
+    /// `u64` up to 2,305,843 bytes — every frame the simulator carries —
+    /// so the per-transmit call is one 64-bit divide; only larger counts
+    /// (a bounded link's `queue_bytes`) take the 128-bit one.
     #[inline]
     pub fn serialization(bytes: usize, bits_per_sec: u64) -> SimTime {
         debug_assert!(bits_per_sec > 0);
-        let bits = bytes as u128 * 8;
-        let ps = bits * 1_000_000_000_000u128 / bits_per_sec as u128;
-        SimTime(ps as u64)
+        const PS_PER_BYTE: u64 = 8 * SimTime::SECOND.0;
+        match (bytes as u64).checked_mul(PS_PER_BYTE) {
+            Some(ps_at_1bps) => SimTime(ps_at_1bps / bits_per_sec),
+            None => {
+                let ps = bytes as u128 * u128::from(PS_PER_BYTE) / u128::from(bits_per_sec);
+                SimTime(ps.min(u128::from(u64::MAX)) as u64)
+            }
+        }
     }
 }
 
@@ -234,6 +243,7 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unit_constructors_agree() {
@@ -271,6 +281,48 @@ mod tests {
         // 64 bytes at 10 Gbps = 51.2 ns.
         let t = SimTime::serialization(64, 10_000_000_000);
         assert_eq!(t, SimTime::from_ps(51_200));
+    }
+
+    /// The formula in full width: what `serialization` must equal.
+    fn serialization_u128(bytes: usize, bits_per_sec: u64) -> u128 {
+        bytes as u128 * 8 * 1_000_000_000_000 / u128::from(bits_per_sec)
+    }
+
+    #[test]
+    fn serialization_switches_width_at_the_u64_boundary_and_saturates() {
+        // 2,305,843 bytes is the last count whose picoseconds-at-1-bps
+        // fit a u64; both sides of it agree with the wide formula.
+        for bytes in [2_305_842usize, 2_305_843, 2_305_844, 2_305_845] {
+            for rate in [1, 999_983, 10_000_000_000, u64::MAX] {
+                let want = serialization_u128(bytes, rate).min(u128::from(u64::MAX)) as u64;
+                assert_eq!(SimTime::serialization(bytes, rate), SimTime(want));
+            }
+        }
+        // A 4 GB queue bound on a 1 kbps link is 3.2e19 ps > 2^64: the
+        // bound saturates rather than wrapping to a small backlog.
+        assert!(serialization_u128(4_000_000_000, 1_000) > u128::from(u64::MAX));
+        assert_eq!(SimTime::serialization(4_000_000_000, 1_000), SimTime::MAX);
+        assert_eq!(SimTime::serialization(usize::MAX, 1), SimTime::MAX);
+    }
+
+    proptest! {
+        /// Bit-identical to the 128-bit formula over every frame size the
+        /// simulator can carry and beyond (0–4 MB), at the rates in use
+        /// and at odd ones.
+        #[test]
+        fn serialization_matches_the_u128_reference(
+            bytes in 0usize..4_194_304,
+            rate in prop_oneof![
+                (6u32..12).prop_map(|e| 10u64.pow(e)),
+                Just(25_000_000_000u64),
+                Just(40_000_000_000u64),
+                1u64..200_000_000_000,
+            ],
+        ) {
+            let want = serialization_u128(bytes, rate);
+            prop_assert!(want <= u128::from(u64::MAX));
+            prop_assert_eq!(SimTime::serialization(bytes, rate), SimTime(want as u64));
+        }
     }
 
     #[test]

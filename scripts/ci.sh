@@ -64,7 +64,10 @@ bin tn-lab run --preset smoke --threads 2 --out target/ci-lab-smoke.json > /dev/
 leads_with target/ci-lab-smoke.json tn-lab/v1
 
 # Speed is gated on BENCHMARK.json by the pipeline; here the benchmark
-# package only has to build and pass its own checks, untraced and traced.
+# package has to pass its own tests against these crates — sharded digest
+# equals serial, same seed same result, the BENCHMARK.json contract — and
+# then build and pass its own checks, untraced and traced.
+run cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 run benchmark/run.sh --smoke
 run benchmark/run.sh --smoke --trace
 

@@ -7,14 +7,19 @@
 //!
 //! This is the contract that makes `ScenarioConfig::scheduler` a pure
 //! performance knob: no choice of scheduler may ever change a result.
+//!
+//! A second plant manufactures what the heap's equal-instant runs are
+//! built from — same-instant timer bursts, driver injections at that very
+//! instant, cross-shard arrivals among a shard's provisional seqs — and
+//! compares the stored trace event by event.
 
 use proptest::prelude::*;
 
 use trading_networks::fault::{FaultLink, FaultSpec};
-use trading_networks::netdev::EtherLink;
+use trading_networks::netdev::{EtherLink, TxQueue};
 use trading_networks::sim::{
-    Context, Frame, IdealLink, Link, Metrics, Node, PortId, SchedulerKind, SimTime, Simulator,
-    TimerToken,
+    Context, Frame, IdealLink, Link, Metrics, Node, PortId, SchedulerKind, ShardPlan,
+    ShardedSimulator, SimTime, Simulator, TimerToken, TraceEvent,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -264,6 +269,184 @@ proptest! {
                     Some(b) => prop_assert_eq!(b, &heap, "telemetry moved the digest"),
                 }
             }
+        }
+    }
+}
+
+const KICK: TimerToken = TimerToken(1);
+const FIRE: TimerToken = TimerToken(2);
+const TXQ: u64 = 3;
+
+/// One station of the run plant. A `KICK` sets `burst` timers for one
+/// instant (consecutive seqs: a run in the heap); each `FIRE` builds a
+/// frame and hands it to the station's [`TxQueue`], whose completion
+/// timers — with zero service time — land on the instant being popped and
+/// extend the run mid-drain; each completion sends to the next station of
+/// the ring, where the arrivals share an instant with that station's own
+/// next burst. A frame's tag is the hops it has left.
+struct Station {
+    txq: TxQueue,
+    service: SimTime,
+    burst: u32,
+    gap: SimTime,
+    period: SimTime,
+    kicks_left: u32,
+    hops: u64,
+}
+
+impl Node for Station {
+    fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, mut frame: Frame) {
+        if frame.meta.tag == 0 {
+            ctx.recycle(frame);
+        } else {
+            frame.meta.tag -= 1;
+            self.txq.send_after(ctx, self.service, PortId(0), frame);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        if timer == KICK {
+            for _ in 0..self.burst {
+                ctx.set_timer(self.gap, FIRE);
+            }
+            self.kicks_left -= 1;
+            if self.kicks_left > 0 {
+                ctx.set_timer(self.period, KICK);
+            }
+        } else if timer == FIRE {
+            let frame = ctx.frame().zeroed(64).tag(self.hops).build();
+            self.txq.send_after(ctx, self.service, PortId(0), frame);
+        } else {
+            self.txq.on_timer(ctx, timer);
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct RunPlant {
+    /// Per-station TxQueue service time, ns; zero keeps every completion
+    /// on the instant of the timer that caused it.
+    service_ns: Vec<u64>,
+    burst: u32,
+    gap_ns: u64,
+    /// Ring link delay, and the kick period: arrivals meet the next burst.
+    link_ns: u64,
+    kicks: u32,
+    hops: u64,
+    /// Timer/frame pairs the driver schedules for the first burst's
+    /// instant before the run starts.
+    injected: u32,
+}
+
+fn arb_run_plant() -> impl Strategy<Value = RunPlant> {
+    (
+        proptest::collection::vec(prop_oneof![Just(0u64), Just(0u64), 1u64..40], 2..5),
+        1u32..24,
+        1u64..200,
+        50u64..2_000,
+        1u32..4,
+        0u64..3,
+        0u32..12,
+    )
+        .prop_map(
+            |(service_ns, burst, gap_ns, link_ns, kicks, hops, injected)| RunPlant {
+                service_ns,
+                burst,
+                gap_ns,
+                link_ns,
+                kicks,
+                hops,
+                injected,
+            },
+        )
+}
+
+/// Build the ring, queue the driver's events and run it to completion,
+/// serially or split `shards` ways; the stored trace is the result.
+fn run_plant(plant: &RunPlant, kind: SchedulerKind, shards: Option<u16>) -> Vec<TraceEvent> {
+    let mut sim = Simulator::with_scheduler(7, kind);
+    sim.trace.set_enabled(true);
+    let link = SimTime::from_ns(plant.link_ns);
+    let stations: Vec<_> = plant
+        .service_ns
+        .iter()
+        .enumerate()
+        .map(|(i, &service_ns)| {
+            sim.add_node(
+                format!("station{i}"),
+                Station {
+                    txq: TxQueue::new(TXQ),
+                    service: SimTime::from_ns(service_ns),
+                    burst: plant.burst,
+                    gap: SimTime::from_ns(plant.gap_ns),
+                    period: link,
+                    kicks_left: plant.kicks,
+                    hops: plant.hops,
+                },
+            )
+        })
+        .collect();
+    let n = stations.len();
+    for i in 0..n {
+        let next = stations[(i + 1) % n];
+        let wire = Box::new(IdealLink::new(link));
+        sim.install_link(stations[i], PortId(0), next, PortId(1), wire);
+    }
+    // The driver's own events for the first burst's instant, timers and
+    // frames alternating under consecutive seqs, ahead of the kicks that
+    // will set that burst.
+    let start = SimTime::from_ns(10);
+    let first_burst = start + SimTime::from_ns(plant.gap_ns);
+    for i in 0..plant.injected as usize {
+        sim.schedule_timer(first_burst, stations[i % n], FIRE);
+        let frame = sim.frame().zeroed(64).tag(1).build();
+        sim.inject_frame(first_burst, stations[(i + 1) % n], PortId(1), frame);
+    }
+    for &station in &stations {
+        sim.schedule_timer(start, station, KICK);
+    }
+    let drain = SimTime::from_ms(1);
+    let sim = match shards {
+        None => {
+            sim.run_until(drain);
+            sim
+        }
+        Some(k) => {
+            let plan = ShardPlan::auto(&sim, k);
+            let mut sharded = ShardedSimulator::split(sim, &plan).expect("auto plans validate");
+            sharded.run_until(drain);
+            sharded.finish()
+        }
+    };
+    assert_eq!(sim.pending_events(), 0, "plant never drained");
+    sim.trace.events().to_vec()
+}
+
+proptest! {
+    /// The run plant's stored trace is the same, event by event, under
+    /// every scheduler and split two and three ways.
+    #[test]
+    fn same_instant_runs_replay_event_by_event(plant in arb_run_plant()) {
+        let want = run_plant(&plant, SchedulerKind::CalendarQueue, None);
+        let ties = want.windows(2).filter(|w| w[0].at == w[1].at).count();
+        prop_assert!(
+            ties >= plant.burst as usize - 1,
+            "the plant made no same-instant burst: {} ties", ties
+        );
+        let runs = [
+            (SchedulerKind::BinaryHeap, None),
+            (SchedulerKind::TimingWheel, None),
+            (SchedulerKind::BinaryHeap, Some(2)),
+            (SchedulerKind::BinaryHeap, Some(3)),
+        ];
+        for (kind, shards) in runs {
+            let got = run_plant(&plant, kind, shards);
+            let first_diff = want.iter().zip(&got).position(|(w, g)| w != g);
+            prop_assert_eq!(
+                first_diff.map(|i| (i, want[i], got[i])), None,
+                "{} shards={:?} diverged", kind.name(), shards
+            );
+            prop_assert_eq!(want.len(), got.len(), "{} shards={:?}", kind.name(), shards);
         }
     }
 }
