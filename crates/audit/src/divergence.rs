@@ -829,17 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_pooling_off_reproduces_the_golden_quickstart_digest() {
-        // The arena is pure side-state: a run that allocates every
-        // payload buffer fresh must not perturb a single kernel event.
-        let mut sc = trimmed(ScenarioConfig::small(42));
-        sc.frame_pooling = false;
-        let report = TraditionalSwitches::default().run(&sc);
-        assert_eq!(report.trace_digest, 0xff1dbcd7cf7e729e);
-        assert_eq!(report.events_recorded, 19_924);
-    }
-
-    #[test]
     fn zero_fault_spec_reproduces_quickstart_digest() {
         // A no-op FaultSpec routes the feed through FaultLink wrappers;
         // the wrapping itself must be bit-transparent.

@@ -1,32 +1,34 @@
-//! The three §4 designs behind one trait.
+//! The §4 designs and §5's FPGA hybrid: one trait, one run path.
 //!
-//! Each design builds the *same* market + firm (from a
-//! [`ScenarioConfig`]) over its own fabric, runs it, and reports. The
-//! firm tier is: normalizers owning disjoint feed units, strategies
-//! subscribing to internal partitions and running momentum logic, and
-//! gateways holding the exchange sessions.
+//! Every design hosts the *same* market + firm (from a
+//! [`ScenarioConfig`]): normalizers owning disjoint feed units,
+//! strategies subscribing to internal partitions and running momentum
+//! logic, and gateways holding the exchange sessions. [`run_on`] alone
+//! builds the kernel, firm and exchange, cables every NIC, starts the run
+//! and collects the report; a design contributes only its fabric, through
+//! the private [`Fabric`] seam.
+//!
+//! `run_on` also fixes the order of kernel mutations (nodes, links,
+//! injected joins), which a design's `NodeId`s, link indices, event
+//! `seq`s and so its trace digest follow from; `tests/design_digests.rs`
+//! pins every design's.
 
-use std::collections::HashSet;
-
+use tn_cloud::{equalizer, sequencer, DelayEqualizer};
+use tn_fault::{FaultLink, FaultSpec};
 use tn_market::{Exchange, ExchangeConfig, PartitionScheme, SymbolDirectory};
 use tn_netdev::EtherLink;
-use tn_sim::{NodeId, PortId, SimTime, Simulator};
-use tn_switch::{FpgaConfig, FpgaL1Switch};
+use tn_sim::{IdealLink, Link, NodeId, PortId, ShardedSimulator, SimTime, Simulator};
+use tn_stats::FairnessWindow;
+use tn_switch::{commodity::igmp_frame, FpgaConfig, FpgaL1Switch};
 use tn_topo::{
-    CloudConfig, CloudFabric, L1FabricConfig, L1TradingFabric, LeafSpine, LeafSpineConfig,
+    CloudConfig, CloudFabric, CloudOverlayFeed, L1FabricConfig, L1TradingFabric, LeafSpine,
+    LeafSpineConfig,
 };
 use tn_trading::{
     gateway, normalizer, strategy, Gateway, GatewayConfig, MomentumLogic, Normalizer,
     NormalizerConfig, OutputTransport, Strategy, StrategyConfig,
 };
-use tn_wire::{eth, igmp, ipv4, Symbol};
-
-use tn_cloud::{equalizer, sequencer, DelayEqualizer};
-use tn_fault::FaultLink;
-use tn_sim::Link;
-use tn_stats::FairnessWindow;
-
-use tn_sim::{IdealLink, ShardedSimulator};
+use tn_wire::{igmp, ipv4, Symbol};
 
 use crate::report::{DesignReport, FairnessStats, LatencyStats, RecoveryStats, ShardReport};
 use crate::scenario::ScenarioConfig;
@@ -44,109 +46,261 @@ pub trait TradingNetworkDesign {
     fn run(&self, scenario: &ScenarioConfig) -> DesignReport;
 }
 
+/// A tier of firm hosts, in wiring order.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Normalizer,
+    Strategy,
+    Gateway,
+}
+
+/// What runs between a NIC and its attachment point.
+enum Wire {
+    /// One Ethernet profile, an instance per direction. The cloud's
+    /// hold-and-release sequencer, when named, is spliced into the
+    /// fabric-to-NIC direction, a zero-delay hop from the NIC.
+    Duplex(EtherLink, Option<NodeId>),
+    /// The NIC only transmits here (the cloud overlay's publisher hop).
+    HostTx(Box<dyn Link>),
+    /// The NIC only receives here, a zero-delay hop from an equalizer gate.
+    HostRx,
+}
+
+/// Where one NIC plugs into a fabric, and over what.
+struct Attachment {
+    node: NodeId,
+    port: PortId,
+    wire: Wire,
+}
+
+impl Attachment {
+    fn duplex(node: NodeId, port: PortId, link: EtherLink) -> Attachment {
+        let wire = Wire::Duplex(link, None);
+        Attachment { node, port, wire }
+    }
+}
+
+/// What a design contributes to [`run_on`]: its built fabric.
+trait Fabric {
+    /// Where the exchange's ports plug in, `PortId(0)` first: the port
+    /// that publishes the feed and that its address is routed to.
+    fn exchange_attach(&mut self, sim: &mut Simulator) -> Vec<Attachment>;
+
+    /// Where NIC `nic` (0 or 1, the order of [`Host::nics`]) of the
+    /// `index`-th host of `tier` plugs in.
+    fn host_attach(&mut self, tier: Tier, index: usize, nic: usize) -> Attachment;
+
+    /// Make `addr` reachable through attachment point `at`. Circuit
+    /// fabrics have nothing to program.
+    fn route(&self, _sim: &mut Simulator, _at: (NodeId, PortId), _addr: ipv4::Addr) {}
+
+    /// Lay the cloud's fairness overlay, its nodes numbered after the
+    /// firm's and before the exchange: one equalizer gate per subscriber.
+    fn fairness_overlay(&mut self, _sim: &mut Simulator, _subscribers: usize) -> Vec<NodeId> {
+        Vec::new()
+    }
+}
+
+/// Cable a NIC to its attachment point and return that point. `tx_fault`
+/// degrades the NIC-to-fabric direction of a duplex wire only.
+fn plug(
+    sim: &mut Simulator,
+    host: NodeId,
+    nic: PortId,
+    at: Attachment,
+    tx_fault: Option<&FaultSpec>,
+) -> (NodeId, PortId) {
+    let (node, port) = (at.node, at.port);
+    let hop = || Box::new(IdealLink::new(SimTime::ZERO));
+    match at.wire {
+        Wire::HostTx(link) => sim.install_link(host, nic, node, port, link),
+        Wire::HostRx => sim.install_link(node, port, host, nic, hop()),
+        Wire::Duplex(link, sequencer) => {
+            let tx: Box<dyn Link> = match tx_fault {
+                Some(spec) => Box::new(FaultLink::wrap(link.clone(), spec.clone())),
+                None => Box::new(link.clone()),
+            };
+            sim.install_link(host, nic, node, port, tx);
+            let (rx_node, rx_port) = sequencer.map_or((host, nic), |s| (s, sequencer::IN));
+            sim.install_link(node, port, rx_node, rx_port, Box::new(link));
+            if let Some(seqr) = sequencer {
+                sim.install_link(seqr, sequencer::OUT, host, nic, hop());
+            }
+        }
+    }
+    (node, port)
+}
+
+/// The one wire-up-and-run path: the scenario's market and firm hosted
+/// on whatever `build` lays down.
+fn run_on<F: Fabric>(
+    name: String,
+    sc: &ScenarioConfig,
+    opts: FirmOptions,
+    build: impl FnOnce(&mut Simulator) -> F,
+) -> DesignReport {
+    let mut sim = build_sim(sc);
+    let dir = SymbolDirectory::synthetic(sc.symbols);
+    let mut fabric = build(&mut sim);
+    let exch_cfg = exchange_config(sc, &dir);
+    let firm = build_firm(&mut sim, sc, &dir, &exch_cfg, opts);
+    let gates = fabric.fairness_overlay(&mut sim, sc.strategies);
+
+    let exch_ip = exch_cfg.src_ip;
+    let exchange = sim.add_node("exchange", Exchange::new(exch_cfg));
+    for (p, at) in fabric.exchange_attach(&mut sim).into_iter().enumerate() {
+        // The scenario's feed fault rides the publish direction only;
+        // order entry and acks keep a clean path.
+        let fault = sc.feed_fault.as_ref().filter(|_| p == 0);
+        let point = plug(&mut sim, exchange, PortId(p as u16), at, fault);
+        if p == 0 {
+            fabric.route(&mut sim, point, exch_ip);
+        }
+    }
+
+    for (tier, hosts) in [
+        (Tier::Normalizer, &firm.normalizers),
+        (Tier::Strategy, &firm.strategies),
+        (Tier::Gateway, &firm.gateways),
+    ] {
+        for (i, host) in hosts.iter().enumerate() {
+            let points = [0, 1].map(|nic| {
+                let at = fabric.host_attach(tier, i, nic);
+                plug(&mut sim, host.node, host.nics[nic].0, at, None)
+            });
+            for join in &host.joins {
+                let f = sim.frame().copy_from(join).build();
+                sim.inject_frame(SimTime::ZERO, points[0].0, points[0].1, f);
+            }
+            for (&(_, addr), point) in host.nics.iter().zip(points) {
+                if let Some(addr) = addr {
+                    fabric.route(&mut sim, point, addr);
+                }
+            }
+        }
+    }
+
+    start_everything(&mut sim, &firm, exchange, sc.warmup);
+    collect_report(sim, name, sc, &firm, exchange, &gates)
+}
+
 // ---------------------------------------------------------------------
-// Shared firm construction
+// The shared market and firm
 // ---------------------------------------------------------------------
 
+/// What a fabric asks of the firm's hosts.
+struct FirmOptions {
+    /// The fabric delivers the exchange feed by multicast group: a
+    /// normalizer's IGMP reports for the units it owns go in at its feed
+    /// attachment. On circuits (`false`) every normalizer gets the whole
+    /// feed and filters its units host-side instead.
+    feed_groups: bool,
+    /// Strategies join their subscribed partitions' groups by IGMP.
+    strategy_joins: bool,
+    /// Framing of the firm's internal (normalized) feed.
+    transport: OutputTransport,
+}
+
+impl FirmOptions {
+    /// An IP fabric that learns groups from IGMP, standard UDP framing.
+    const IP_MULTICAST: FirmOptions = FirmOptions {
+        feed_groups: true,
+        strategy_joins: true,
+        transport: OutputTransport::UdpMulticast,
+    };
+}
+
+/// One firm host.
+struct Host {
+    node: NodeId,
+    /// Its two NICs in wiring order, each with the unicast address (if
+    /// any) the fabric must route to it.
+    nics: [(PortId, Option<ipv4::Addr>); 2],
+    /// IGMP reports to inject at NIC 0's attachment point at time zero.
+    joins: Vec<Vec<u8>>,
+}
+
 struct Firm {
-    normalizers: Vec<NodeId>,
-    strategies: Vec<NodeId>,
-    gateways: Vec<NodeId>,
-    gateway_addrs: Vec<(eth::MacAddr, ipv4::Addr, ipv4::Addr)>, // (mac, exch_ip, internal_ip)
-    strategy_addrs: Vec<(eth::MacAddr, ipv4::Addr)>,
-    normalizer_addrs: Vec<(eth::MacAddr, ipv4::Addr)>,
+    normalizers: Vec<Host>,
+    strategies: Vec<Host>,
+    gateways: Vec<Host>,
+}
+
+/// The feed units normalizer `n` owns: round-robin, `u % normalizers`.
+fn owned_units(sc: &ScenarioConfig, n: usize) -> impl Iterator<Item = u8> + '_ {
+    (0..sc.feed_units)
+        .filter(move |u| usize::from(*u) % sc.normalizers == n)
+        .map(|u| u8::try_from(u).expect("a PITCH unit id is one byte: feed_units <= 256"))
 }
 
 fn build_firm(
     sim: &mut Simulator,
     sc: &ScenarioConfig,
     dir: &SymbolDirectory,
-    exch_mac: eth::MacAddr,
-    exch_ip: ipv4::Addr,
-    send_igmp_joins: bool,
-    accept_units: bool,
-) -> Firm {
-    build_firm_with_transport(
-        sim,
-        sc,
-        dir,
-        exch_mac,
-        exch_ip,
-        send_igmp_joins,
-        accept_units,
-        OutputTransport::UdpMulticast,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_firm_with_transport(
-    sim: &mut Simulator,
-    sc: &ScenarioConfig,
-    dir: &SymbolDirectory,
-    exch_mac: eth::MacAddr,
-    exch_ip: ipv4::Addr,
-    send_igmp_joins: bool,
-    accept_units: bool,
-    transport: OutputTransport,
+    exchange: &ExchangeConfig,
+    opts: FirmOptions,
 ) -> Firm {
     let symbols: Vec<Symbol> = dir.instruments().iter().map(|i| i.symbol).collect();
 
     let mut gateways = Vec::new();
-    let mut gateway_addrs = Vec::new();
+    let mut gateway_addrs = Vec::new(); // (mac, internal_ip)
     for g in 0..sc.gateways {
-        let mut cfg = GatewayConfig::new(g as u32, exch_mac, exch_ip);
+        let mut cfg = GatewayConfig::new(g as u32, exchange.src_mac, exchange.src_ip);
         cfg.service = sc.gateway_service;
-        gateway_addrs.push((cfg.src_mac, cfg.src_ip, cfg.internal_ip));
-        gateways.push(sim.add_node(format!("gw{g}"), Gateway::new(cfg)));
+        gateway_addrs.push((cfg.src_mac, cfg.internal_ip));
+        let nics = [
+            (gateway::INTERNAL, Some(cfg.internal_ip)),
+            (gateway::EXCHANGE, Some(cfg.src_ip)),
+        ];
+        let node = sim.add_node(format!("gw{g}"), Gateway::new(cfg));
+        let joins = Vec::new();
+        gateways.push(Host { node, nics, joins });
     }
 
     let mut strategies = Vec::new();
-    let mut strategy_addrs = Vec::new();
     for s in 0..sc.strategies {
         let mut cfg = StrategyConfig::new(s as u32, symbols.clone());
         cfg.mcast_base = NORM_MCAST_BASE;
         cfg.decision_service = sc.decision_service;
-        cfg.send_igmp_joins = send_igmp_joins;
-        let mut subs = tn_feed::SubscriptionSet::unbounded();
+        cfg.send_igmp_joins = opts.strategy_joins;
         for p in sc.subscriptions_for(s) {
-            subs.subscribe(p);
+            cfg.subscriptions.subscribe(p);
         }
-        cfg.subscriptions = subs;
-        let (gmac, _gip, ginternal) = gateway_addrs[s % gateway_addrs.len()];
-        cfg.gw_mac = gmac;
-        cfg.gw_ip = ginternal;
-        strategy_addrs.push((cfg.src_mac, cfg.src_ip));
+        (cfg.gw_mac, cfg.gw_ip) = gateway_addrs[s % gateway_addrs.len()];
+        let nics = [(strategy::FEED, None), (strategy::ORDERS, Some(cfg.src_ip))];
         let logic = MomentumLogic::new(sc.momentum_threshold);
-        strategies.push(sim.add_node(format!("strat{s}"), Strategy::new(cfg, logic)));
+        let node = sim.add_node(format!("strat{s}"), Strategy::new(cfg, logic));
+        let joins = Vec::new();
+        strategies.push(Host { node, nics, joins });
     }
 
     let mut normalizers = Vec::new();
-    let mut normalizer_addrs = Vec::new();
     for n in 0..sc.normalizers {
         let mut cfg = NormalizerConfig::new(1, n as u32);
         cfg.out_partitions = sc.internal_partitions;
         cfg.out_mcast_base = NORM_MCAST_BASE;
         cfg.per_message_service = sc.normalizer_service;
         cfg.preload = symbols.clone();
-        cfg.transport = transport;
-        if accept_units {
-            let mine: HashSet<u8> = (0..sc.feed_units)
-                .filter(|u| (*u as usize) % sc.normalizers == n)
-                .map(|u| u as u8)
-                .collect();
-            cfg.accept_units = Some(mine);
+        cfg.transport = opts.transport;
+        let mut joins = Vec::new();
+        if opts.feed_groups {
+            for u in owned_units(sc, n) {
+                let group = ipv4::Addr::multicast_group(FEED_MCAST_BASE + u32::from(u));
+                let report = igmp::MessageType::Report;
+                joins.push(igmp_frame(report, cfg.src_mac, cfg.src_ip, group));
+            }
+        } else {
+            cfg.accept_units = Some(owned_units(sc, n).collect());
         }
-        normalizer_addrs.push((cfg.src_mac, cfg.src_ip));
-        normalizers.push(sim.add_node(format!("norm{n}"), Normalizer::new(cfg)));
+        let nics = [(normalizer::FEED_A, None), (normalizer::OUT, None)];
+        let node = sim.add_node(format!("norm{n}"), Normalizer::new(cfg));
+        normalizers.push(Host { node, nics, joins });
     }
 
     Firm {
         normalizers,
         strategies,
         gateways,
-        gateway_addrs,
-        strategy_addrs,
-        normalizer_addrs,
     }
 }
 
@@ -163,111 +317,42 @@ fn exchange_config(sc: &ScenarioConfig, dir: &SymbolDirectory) -> ExchangeConfig
     cfg
 }
 
-/// The units normalizer `n` owns under round-robin unit assignment.
-fn units_for(sc: &ScenarioConfig, n: usize) -> Vec<u32> {
-    (0..u32::from(sc.feed_units))
-        .filter(|u| (*u as usize) % sc.normalizers == n)
-        .collect()
-}
-
-/// Bidirectional attach of an already-built link model. The designs wire
-/// concrete hardware models (`EtherLink`, fabric host links) that the
-/// `LinkSpec`-based `connect_spec` cannot express, so they go in through
-/// the raw `install_link` primitive, one instance per direction.
-fn attach(
-    sim: &mut Simulator,
-    a: NodeId,
-    a_port: PortId,
-    b: NodeId,
-    b_port: PortId,
-    link: impl Link + Clone + 'static,
-) {
-    sim.install_link(a, a_port, b, b_port, Box::new(link.clone()));
-    sim.install_link(b, b_port, a, a_port, Box::new(link));
-}
-
-/// Attach the exchange's feed port to the fabric, injecting the
-/// scenario's feed fault (if any) on the publish direction only — order
-/// entry and acks ride the clean reverse path. With no fault configured
-/// this is exactly a plain bidirectional attach, so pre-fault digests
-/// reproduce bit-for-bit.
-fn connect_exchange_feed(
-    sim: &mut Simulator,
-    sc: &ScenarioConfig,
-    exchange: NodeId,
-    exch_port: PortId,
-    fabric: NodeId,
-    fabric_port: PortId,
-    link: impl Link + Clone + 'static,
-) {
-    match &sc.feed_fault {
-        Some(spec) => {
-            sim.install_link(
-                exchange,
-                exch_port,
-                fabric,
-                fabric_port,
-                Box::new(FaultLink::wrap(link.clone(), spec.clone())),
-            );
-            sim.install_link(fabric, fabric_port, exchange, exch_port, Box::new(link));
-        }
-        None => attach(sim, exchange, exch_port, fabric, fabric_port, link),
-    }
-}
-
 /// Build the kernel a design runs on: the scenario's event scheduler,
 /// then the telemetry it asked for. Called before any node or link
 /// exists: `add_node` / `install_link` hand the metrics handle to
-/// everything added later, including the fault wrappers
-/// `connect_exchange_feed` installs. None of the knobs move the run —
-/// schedulers pop in identical `(time, seq)` order, telemetry is purely
-/// side-state, and arena pooling hands out logically empty buffers
-/// either way, so the event schedule and trace digest are identical for
-/// any [`tn_sim::SchedulerKind`] / [`tn_sim::ObsConfig`] /
-/// `frame_pooling` setting (pinned by `tn-audit divergence`).
+/// everything added later, fault wrappers included. Neither knob moves
+/// the run — schedulers pop in identical `(time, seq)` order and
+/// telemetry is purely side-state — so the trace digest is identical for
+/// any [`tn_sim::SchedulerKind`] / [`tn_sim::ObsConfig`] setting (pinned
+/// by `tn-audit divergence`).
 fn build_sim(sc: &ScenarioConfig) -> Simulator {
     let mut sim = Simulator::with_scheduler(sc.seed, sc.scheduler);
-    if !sc.frame_pooling {
-        sim.set_arena_max_free(0);
-    }
     sim.set_obs(&sc.obs);
     sim
 }
 
 fn start_everything(sim: &mut Simulator, firm: &Firm, exchange: NodeId, warmup: SimTime) {
-    for &g in &firm.gateways {
-        sim.schedule_timer(SimTime::ZERO, g, gateway::START);
+    for g in &firm.gateways {
+        sim.schedule_timer(SimTime::ZERO, g.node, gateway::START);
     }
-    for &s in &firm.strategies {
-        sim.schedule_timer(SimTime::from_us(10), s, strategy::START);
+    for s in &firm.strategies {
+        sim.schedule_timer(SimTime::from_us(10), s.node, strategy::START);
     }
     sim.schedule_timer(warmup, exchange, tn_market::TICK);
 }
 
+/// Drive the run to `warmup + duration` and read the report off the
+/// nodes. `gates` are the per-subscriber equalizers a fairness section is
+/// folded from; none (every fabric but the fair cloud) skips the section.
 fn collect_report(
-    sim: Simulator,
-    name: String,
-    sc: &ScenarioConfig,
-    firm: &Firm,
-    exchange: NodeId,
-    deadline: SimTime,
-) -> DesignReport {
-    collect_report_with_fairness(sim, name, sc, firm, exchange, deadline, &[])
-}
-
-/// [`collect_report`] plus a fairness section folded from the given
-/// equalizer gates (one per subscriber). An empty slice skips the
-/// section entirely — every non-cloud design passes through here with
-/// no fairness machinery.
-fn collect_report_with_fairness(
     mut sim: Simulator,
     name: String,
     sc: &ScenarioConfig,
     firm: &Firm,
     exchange: NodeId,
-    deadline: SimTime,
     gates: &[NodeId],
 ) -> DesignReport {
+    let deadline = sc.warmup + sc.duration;
     // Serial or sharded execution per the scenario's `shards` spec. The
     // sharded path reassembles into the same dense kernel afterwards, so
     // everything below — downcasts, registry snapshot, profile, digest —
@@ -301,8 +386,10 @@ fn collect_report_with_fairness(
     let mut fills = 0;
     let mut evaluated = 0;
     let mut discarded = 0;
-    for &s in &firm.strategies {
-        let node = sim.node::<Strategy<MomentumLogic>>(s).expect("strategy");
+    for s in &firm.strategies {
+        let node = sim
+            .node::<Strategy<MomentumLogic>>(s.node)
+            .expect("strategy");
         feed_samples.extend_from_slice(&node.decision_latency_ps);
         let st = node.stats();
         orders += st.orders_sent;
@@ -316,8 +403,8 @@ fn collect_report_with_fairness(
     // copies absorbed. (Retransmission fills come from the dedicated
     // recovery experiments, not the design topologies.)
     let mut recovery = RecoveryStats::none();
-    for &n in &firm.normalizers {
-        let node = sim.node::<Normalizer>(n).expect("normalizer");
+    for n in &firm.normalizers {
+        let node = sim.node::<Normalizer>(n.node).expect("normalizer");
         let arb = node.core().arbiter().stats();
         recovery.gaps_seen += arb.gap_events;
         recovery.records_lost += arb.gap_messages;
@@ -392,13 +479,9 @@ fn collect_report_with_fairness(
     }
 }
 
-fn igmp_join_frame(mac: eth::MacAddr, ip: ipv4::Addr, group_idx: u32) -> Vec<u8> {
-    tn_switch::commodity::igmp_frame(
-        igmp::MessageType::Report,
-        mac,
-        ip,
-        ipv4::Addr::multicast_group(group_idx),
-    )
+/// The 10G, 25 ns (~5 m of fiber) cable of the L1 and FPGA fabrics.
+fn short_10g() -> EtherLink {
+    EtherLink::ten_gig(SimTime::from_ns(25))
 }
 
 // ---------------------------------------------------------------------
@@ -412,142 +495,57 @@ pub struct TraditionalSwitches {
     pub fabric: LeafSpineConfig,
 }
 
+/// A leaf-spine with each tier's racks set aside: normalizers in the
+/// first racks, strategies in the middle, gateways in the last.
+struct RackedLeafSpine {
+    fabric: LeafSpine,
+    hosts_per_rack: usize,
+    /// First rack of each tier.
+    tier_base: [usize; 3],
+}
+
 impl TradingNetworkDesign for TraditionalSwitches {
     fn name(&self) -> String {
         "design-1-traditional-switches".into()
     }
 
     fn run(&self, sc: &ScenarioConfig) -> DesignReport {
-        let mut sim = build_sim(sc);
-        let dir = SymbolDirectory::synthetic(sc.symbols);
-        // Auto-size racks: every host consumes two ports (Fig 1(d):
-        // separate NICs for market data and orders), grouped by function.
-        let hpr = self.fabric.hosts_per_rack;
-        let racks_for = |hosts: usize| (2 * hosts).div_ceil(hpr);
-        let norm_racks = racks_for(sc.normalizers);
-        let strat_racks = racks_for(sc.strategies);
-        let gw_racks = racks_for(sc.gateways);
-        let mut fabric_cfg = self.fabric.clone();
-        fabric_cfg.racks = norm_racks + strat_racks + gw_racks;
-        let mut fabric = LeafSpine::build(&mut sim, fabric_cfg);
-
-        let firm = build_firm(
-            &mut sim,
-            sc,
-            &dir,
-            eth::MacAddr::host(0xEE01),
-            ipv4::Addr::new(10, 200, 1, 1),
-            true,
-            false,
-        );
-
-        // Exchange on the dedicated ToR.
-        let exch_cfg = exchange_config(sc, &dir);
-        let (exch_mac, exch_ip) = (exch_cfg.src_mac, exch_cfg.src_ip);
-        let exchange = sim.add_node("exchange", Exchange::new(exch_cfg));
-        let (tor, tor_port) = fabric.exchange_attach[0];
-        connect_exchange_feed(
-            &mut sim,
-            sc,
-            exchange,
-            PortId(0),
-            tor,
-            tor_port,
-            fabric.host_link(),
-        );
-        fabric.install_host_routes(&mut sim, tor, tor_port, exch_ip);
-        debug_assert_eq!(exch_mac, eth::MacAddr::host(0xEE01));
-
-        // Normalizers in the first racks: FEED_A + OUT ports.
-        for (n, &node) in firm.normalizers.iter().enumerate() {
-            let rack = (2 * n) / hpr;
-            let (leaf_f, port_f) = fabric.take_host_port_in_rack(rack);
-            let (leaf_o, port_o) = fabric.take_host_port_in_rack(rack);
-            attach(
-                &mut sim,
-                node,
-                normalizer::FEED_A,
-                leaf_f,
-                port_f,
-                fabric.host_link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                normalizer::OUT,
-                leaf_o,
-                port_o,
-                fabric.host_link(),
-            );
-            // Join this normalizer's feed units.
-            let (mac, ip) = firm.normalizer_addrs[n];
-            for u in units_for(sc, n) {
-                let join = igmp_join_frame(mac, ip, FEED_MCAST_BASE + u);
-                let f = sim.frame().copy_from(&join).build();
-                sim.inject_frame(SimTime::ZERO, leaf_f, port_f, f);
+        run_on(self.name(), sc, FirmOptions::IP_MULTICAST, |sim| {
+            // Auto-size racks: every host consumes two ports (Fig 1(d):
+            // separate NICs for market data and orders), grouped by
+            // function.
+            let hosts_per_rack = self.fabric.hosts_per_rack;
+            let racks_for = |hosts: usize| (2 * hosts).div_ceil(hosts_per_rack);
+            let norm_racks = racks_for(sc.normalizers);
+            let strat_racks = racks_for(sc.strategies);
+            let mut cfg = self.fabric.clone();
+            cfg.racks = norm_racks + strat_racks + racks_for(sc.gateways);
+            RackedLeafSpine {
+                fabric: LeafSpine::build(sim, cfg),
+                hosts_per_rack,
+                tier_base: [0, norm_racks, norm_racks + strat_racks],
             }
-        }
+        })
+    }
+}
 
-        // Strategies in the middle racks.
-        for (s, &node) in firm.strategies.iter().enumerate() {
-            let rack = norm_racks + (2 * s) / hpr;
-            let (leaf_f, port_f) = fabric.take_host_port_in_rack(rack);
-            let (leaf_o, port_o) = fabric.take_host_port_in_rack(rack);
-            attach(
-                &mut sim,
-                node,
-                strategy::FEED,
-                leaf_f,
-                port_f,
-                fabric.host_link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                strategy::ORDERS,
-                leaf_o,
-                port_o,
-                fabric.host_link(),
-            );
-            let (_mac, ip) = firm.strategy_addrs[s];
-            fabric.install_host_routes(&mut sim, leaf_o, port_o, ip);
-        }
+impl Fabric for RackedLeafSpine {
+    /// The exchange sits on the dedicated ToR.
+    fn exchange_attach(&mut self, _sim: &mut Simulator) -> Vec<Attachment> {
+        let (tor, port) = self.fabric.exchange_attach[0];
+        vec![Attachment::duplex(tor, port, self.fabric.host_link())]
+    }
 
-        // Gateways in the last racks.
-        for (g, &node) in firm.gateways.iter().enumerate() {
-            let rack = norm_racks + strat_racks + (2 * g) / hpr;
-            let (leaf_i, port_i) = fabric.take_host_port_in_rack(rack);
-            let (leaf_x, port_x) = fabric.take_host_port_in_rack(rack);
-            attach(
-                &mut sim,
-                node,
-                gateway::INTERNAL,
-                leaf_i,
-                port_i,
-                fabric.host_link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                gateway::EXCHANGE,
-                leaf_x,
-                port_x,
-                fabric.host_link(),
-            );
-            let (_mac, exch_side_ip, internal_ip) = firm.gateway_addrs[g];
-            fabric.install_host_routes(&mut sim, leaf_i, port_i, internal_ip);
-            fabric.install_host_routes(&mut sim, leaf_x, port_x, exch_side_ip);
-        }
+    /// A tier fills its racks port by port, so a host's second NIC moves
+    /// to the next rack when an odd `hosts_per_rack` leaves one port.
+    fn host_attach(&mut self, tier: Tier, index: usize, nic: usize) -> Attachment {
+        let rack = self.tier_base[tier as usize] + (2 * index + nic) / self.hosts_per_rack;
+        let (leaf, port) = self.fabric.take_host_port_in_rack(rack);
+        Attachment::duplex(leaf, port, self.fabric.host_link())
+    }
 
-        start_everything(&mut sim, &firm, exchange, sc.warmup);
-        collect_report(
-            sim,
-            self.name(),
-            sc,
-            &firm,
-            exchange,
-            sc.warmup + sc.duration,
-        )
+    fn route(&self, sim: &mut Simulator, (leaf, port): (NodeId, PortId), addr: ipv4::Addr) {
+        self.fabric.install_host_routes(sim, leaf, port, addr);
     }
 }
 
@@ -563,188 +561,80 @@ pub struct CloudDesign {
     pub cloud: CloudConfig,
 }
 
+/// The provider fabric plus, when its fairness spec is on, the software
+/// overlay that carries the firm's internal feed.
+struct CloudTenancy {
+    cloud: CloudFabric,
+    overlay: Option<CloudOverlayFeed>,
+}
+
 impl TradingNetworkDesign for CloudDesign {
     fn name(&self) -> String {
         "design-2-cloud".into()
     }
 
     fn run(&self, sc: &ScenarioConfig) -> DesignReport {
-        let mut sim = build_sim(sc);
-        let dir = SymbolDirectory::synthetic(sc.symbols);
-        let mut cloud_cfg = self.cloud.clone();
-        cloud_cfg.tenant_ports = 2 * (sc.normalizers + sc.strategies + sc.gateways) + 4;
-        let mut cloud = CloudFabric::build(&mut sim, cloud_cfg);
-        let fair = cloud.fairness().enabled();
-
-        // With the fairness machinery on, the firm's internal feed rides
-        // the software overlay instead of provider multicast, so
-        // strategies must not send IGMP joins into a path that cannot
-        // parse them.
-        let firm = build_firm(
-            &mut sim,
-            sc,
-            &dir,
-            eth::MacAddr::host(0xEE01),
-            ipv4::Addr::new(10, 200, 1, 1),
-            !fair,
-            false,
-        );
-        let overlay = if fair {
-            Some(cloud.build_overlay_feed(&mut sim, sc.strategies))
-        } else {
-            None
+        let opts = FirmOptions {
+            // The overlay cannot parse IGMP: with it on, strategies must
+            // not send joins into their feed path.
+            strategy_joins: !self.cloud.fairness.enabled(),
+            ..FirmOptions::IP_MULTICAST
         };
-
-        let exch_cfg = exchange_config(sc, &dir);
-        let exch_ip = exch_cfg.src_ip;
-        let exchange = sim.add_node("exchange", Exchange::new(exch_cfg));
-        if fair {
-            // Splice the hold-and-release sequencer into the order
-            // direction only: fabric → sequencer → exchange. The publish
-            // direction keeps the scenario's feed-fault discipline of
-            // `connect_exchange_feed` exactly.
-            let seqr = cloud.build_sequencer(&mut sim);
-            let wan = cloud.external_link();
-            let publish: Box<dyn Link> = match &sc.feed_fault {
-                Some(spec) => Box::new(FaultLink::wrap(wan.clone(), spec.clone())),
-                None => Box::new(wan.clone()),
-            };
-            sim.install_link(
-                exchange,
-                PortId(0),
-                cloud.fabric,
-                cloud.external_port,
-                publish,
-            );
-            sim.install_link(
-                cloud.fabric,
-                cloud.external_port,
-                seqr,
-                sequencer::IN,
-                Box::new(wan),
-            );
-            sim.install_link(
-                seqr,
-                sequencer::OUT,
-                exchange,
-                PortId(0),
-                Box::new(IdealLink::new(SimTime::ZERO)),
-            );
-        } else {
-            connect_exchange_feed(
-                &mut sim,
-                sc,
-                exchange,
-                PortId(0),
-                cloud.fabric,
-                cloud.external_port,
-                cloud.external_link(),
-            );
-        }
-        cloud.install_route(&mut sim, exch_ip, cloud.external_port);
-
-        for (n, &node) in firm.normalizers.iter().enumerate() {
-            let pf = cloud.take_tenant_port();
-            let po = cloud.take_tenant_port();
-            attach(
-                &mut sim,
-                node,
-                normalizer::FEED_A,
-                cloud.fabric,
-                pf,
-                cloud.tenant_link(),
-            );
-            match &overlay {
-                // Publisher hop: one jittery VM link into the overlay
-                // root. Edge indices above 2^41 stay disjoint from both
-                // tree edges and the gate leaf hops.
-                Some(ov) => {
-                    let link = cloud.overlay_link((1u64 << 41) | n as u64);
-                    sim.install_link(node, normalizer::OUT, ov.root, cloud.overlay_in(), link);
-                }
-                None => attach(
-                    &mut sim,
-                    node,
-                    normalizer::OUT,
-                    cloud.fabric,
-                    po,
-                    cloud.tenant_link(),
-                ),
+        run_on(self.name(), sc, opts, |sim| {
+            let mut cfg = self.cloud.clone();
+            cfg.tenant_ports = 2 * (sc.normalizers + sc.strategies + sc.gateways) + 4;
+            CloudTenancy {
+                cloud: CloudFabric::build(sim, cfg),
+                overlay: None,
             }
-            let (mac, ip) = firm.normalizer_addrs[n];
-            for u in units_for(sc, n) {
-                let join = igmp_join_frame(mac, ip, FEED_MCAST_BASE + u);
-                let f = sim.frame().copy_from(&join).build();
-                sim.inject_frame(SimTime::ZERO, cloud.fabric, pf, f);
-            }
-        }
-        for (s, &node) in firm.strategies.iter().enumerate() {
-            let pf = cloud.take_tenant_port();
-            let po = cloud.take_tenant_port();
-            match &overlay {
-                // Subscriber side: the equalizer gate releases straight
-                // into the strategy's feed NIC.
-                Some(ov) => sim.install_link(
-                    ov.gates[s],
-                    equalizer::OUT,
-                    node,
-                    strategy::FEED,
-                    Box::new(IdealLink::new(SimTime::ZERO)),
-                ),
-                None => attach(
-                    &mut sim,
-                    node,
-                    strategy::FEED,
-                    cloud.fabric,
-                    pf,
-                    cloud.tenant_link(),
-                ),
-            }
-            attach(
-                &mut sim,
-                node,
-                strategy::ORDERS,
-                cloud.fabric,
-                po,
-                cloud.tenant_link(),
-            );
-            cloud.install_route(&mut sim, firm.strategy_addrs[s].1, po);
-        }
-        for (g, &node) in firm.gateways.iter().enumerate() {
-            let pi = cloud.take_tenant_port();
-            let px = cloud.take_tenant_port();
-            attach(
-                &mut sim,
-                node,
-                gateway::INTERNAL,
-                cloud.fabric,
-                pi,
-                cloud.tenant_link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                gateway::EXCHANGE,
-                cloud.fabric,
-                px,
-                cloud.tenant_link(),
-            );
-            let (_mac, exch_side_ip, internal_ip) = firm.gateway_addrs[g];
-            cloud.install_route(&mut sim, internal_ip, pi);
-            cloud.install_route(&mut sim, exch_side_ip, px);
-        }
+        })
+    }
+}
 
-        start_everything(&mut sim, &firm, exchange, sc.warmup);
-        let gates = overlay.map(|ov| ov.gates).unwrap_or_default();
-        collect_report_with_fairness(
-            sim,
-            self.name(),
-            sc,
-            &firm,
-            exchange,
-            sc.warmup + sc.duration,
-            &gates,
-        )
+impl Fabric for CloudTenancy {
+    fn fairness_overlay(&mut self, sim: &mut Simulator, subscribers: usize) -> Vec<NodeId> {
+        if !self.cloud.fairness().enabled() {
+            return Vec::new();
+        }
+        let overlay = self.cloud.build_overlay_feed(sim, subscribers);
+        self.overlay.insert(overlay).gates.clone()
+    }
+
+    /// The WAN circuit. With the fairness machinery on, the
+    /// hold-and-release sequencer guards the order direction.
+    fn exchange_attach(&mut self, sim: &mut Simulator) -> Vec<Attachment> {
+        let cloud = &self.cloud;
+        let sequencer = self.overlay.as_ref().map(|_| cloud.build_sequencer(sim));
+        let wire = Wire::Duplex(cloud.external_link(), sequencer);
+        let (node, port) = (cloud.fabric, cloud.external_port);
+        vec![Attachment { node, port, wire }]
+    }
+
+    fn host_attach(&mut self, tier: Tier, index: usize, nic: usize) -> Attachment {
+        // Every NIC claims a tenant port, even the two the overlay
+        // carries instead: the port numbers of all later NICs (and so
+        // the digest) must not depend on the fairness spec.
+        let port = self.cloud.take_tenant_port();
+        let cloud = &self.cloud;
+        match (&self.overlay, tier, nic) {
+            // Publisher hop: one jittery VM link into the overlay root.
+            (Some(ov), Tier::Normalizer, 1) => Attachment {
+                node: ov.root,
+                port: cloud.overlay_in(),
+                wire: Wire::HostTx(cloud.publisher_link(index)),
+            },
+            // Subscriber side: the gate releases into the feed NIC.
+            (Some(ov), Tier::Strategy, 0) => Attachment {
+                node: ov.gates[index],
+                port: equalizer::OUT,
+                wire: Wire::HostRx,
+            },
+            _ => Attachment::duplex(cloud.fabric, port, cloud.tenant_link()),
+        }
+    }
+
+    fn route(&self, sim: &mut Simulator, (_, port): (NodeId, PortId), addr: ipv4::Addr) {
+        self.cloud.install_route(sim, addr, port);
     }
 }
 
@@ -769,121 +659,50 @@ impl TradingNetworkDesign for LayerOneSwitches {
     }
 
     fn run(&self, sc: &ScenarioConfig) -> DesignReport {
-        let mut sim = build_sim(sc);
-        let dir = SymbolDirectory::synthetic(sc.symbols);
-        let l1_cfg = L1FabricConfig {
-            normalizers: sc.normalizers,
-            strategies: sc.strategies,
-            gateways: sc.gateways,
-            subscription_cap: self.subscription_cap.unwrap_or(sc.normalizers),
-            ..L1FabricConfig::default()
+        let opts = FirmOptions {
+            feed_groups: false, // no IGMP on circuits
+            strategy_joins: false,
+            transport: if self.custom_transport {
+                OutputTransport::L1Transport
+            } else {
+                OutputTransport::UdpMulticast
+            },
         };
-        let fabric = L1TradingFabric::build(&mut sim, &l1_cfg);
+        run_on(self.name(), sc, opts, |sim| {
+            let cfg = L1FabricConfig {
+                normalizers: sc.normalizers,
+                strategies: sc.strategies,
+                gateways: sc.gateways,
+                subscription_cap: self.subscription_cap.unwrap_or(sc.normalizers),
+                ..L1FabricConfig::default()
+            };
+            L1TradingFabric::build(sim, &cfg)
+        })
+    }
+}
 
-        let transport = if self.custom_transport {
-            OutputTransport::L1Transport
-        } else {
-            OutputTransport::UdpMulticast
+impl Fabric for L1TradingFabric {
+    /// Feed out on port 0 into network 1; orders in/out on port 1 via
+    /// network 4.
+    fn exchange_attach(&mut self, _sim: &mut Simulator) -> Vec<Attachment> {
+        let (feed, entry) = (&self.feed_net, &self.entry_net);
+        vec![
+            Attachment::duplex(feed.switch, feed.inputs[0], short_10g()),
+            Attachment::duplex(entry.switch, entry.outputs[0], short_10g()),
+        ]
+    }
+
+    /// Each NIC gets a circuit on the network its tier shares with the next.
+    fn host_attach(&mut self, tier: Tier, index: usize, nic: usize) -> Attachment {
+        let (node, port) = match (tier, nic) {
+            (Tier::Normalizer, 0) => (self.feed_net.switch, self.feed_net.outputs[index]),
+            (Tier::Normalizer, _) => (self.dist_net.switch, self.dist_net.inputs[index]),
+            (Tier::Strategy, 0) => (self.dist_merge_node(), self.dist_net.outputs[index]),
+            (Tier::Strategy, _) => (self.order_net.switch, self.order_net.inputs[index]),
+            (Tier::Gateway, 0) => (self.order_net.switch, self.order_net.outputs[index]),
+            (Tier::Gateway, _) => (self.entry_net.switch, self.entry_net.inputs[index]),
         };
-        let firm = build_firm_with_transport(
-            &mut sim,
-            sc,
-            &dir,
-            eth::MacAddr::host(0xEE01),
-            ipv4::Addr::new(10, 200, 1, 1),
-            false, // no IGMP on circuits
-            true,  // normalizers host-filter their units
-            transport,
-        );
-
-        let link = || EtherLink::ten_gig(SimTime::from_ns(25));
-
-        let exch_cfg = exchange_config(sc, &dir);
-        let exchange = sim.add_node("exchange", Exchange::new(exch_cfg));
-        // Feed out on port 0 into network 1; orders in/out on port 1 via
-        // network 4.
-        connect_exchange_feed(
-            &mut sim,
-            sc,
-            exchange,
-            PortId(0),
-            fabric.feed_net.switch,
-            fabric.feed_net.inputs[0],
-            link(),
-        );
-        attach(
-            &mut sim,
-            exchange,
-            PortId(1),
-            fabric.entry_net.switch,
-            fabric.entry_net.outputs[0],
-            link(),
-        );
-
-        for (n, &node) in firm.normalizers.iter().enumerate() {
-            attach(
-                &mut sim,
-                node,
-                normalizer::FEED_A,
-                fabric.feed_net.switch,
-                fabric.feed_net.outputs[n],
-                link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                normalizer::OUT,
-                fabric.dist_net.switch,
-                fabric.dist_net.inputs[n],
-                link(),
-            );
-        }
-        for (s, &node) in firm.strategies.iter().enumerate() {
-            attach(
-                &mut sim,
-                node,
-                strategy::FEED,
-                fabric.dist_merge_node(),
-                fabric.dist_net.outputs[s],
-                link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                strategy::ORDERS,
-                fabric.order_net.switch,
-                fabric.order_net.inputs[s],
-                link(),
-            );
-        }
-        for (g, &node) in firm.gateways.iter().enumerate() {
-            attach(
-                &mut sim,
-                node,
-                gateway::INTERNAL,
-                fabric.order_net.switch,
-                fabric.order_net.outputs[g],
-                link(),
-            );
-            attach(
-                &mut sim,
-                node,
-                gateway::EXCHANGE,
-                fabric.entry_net.switch,
-                fabric.entry_net.inputs[g],
-                link(),
-            );
-        }
-
-        start_everything(&mut sim, &firm, exchange, sc.warmup);
-        collect_report(
-            sim,
-            self.name(),
-            sc,
-            &firm,
-            exchange,
-            sc.warmup + sc.duration,
-        )
+        Attachment::duplex(node, port, short_10g())
     }
 }
 
@@ -913,83 +732,49 @@ impl Default for FpgaHybrid {
     }
 }
 
+/// The one device, handing out its ports in order: the exchange first,
+/// then every host's two NICs.
+struct FpgaDevice {
+    node: NodeId,
+    next_port: u16,
+}
+
 impl TradingNetworkDesign for FpgaHybrid {
     fn name(&self) -> String {
         "design-3b-fpga-hybrid".into()
     }
 
     fn run(&self, sc: &ScenarioConfig) -> DesignReport {
-        let mut sim = build_sim(sc);
-        let dir = SymbolDirectory::synthetic(sc.symbols);
-        let fabric = sim.add_node("fpga-fabric", FpgaL1Switch::new(self.fpga.clone()));
-        let firm = build_firm(
-            &mut sim,
-            sc,
-            &dir,
-            eth::MacAddr::host(0xEE01),
-            ipv4::Addr::new(10, 200, 1, 1),
-            true,  // the FPGA learns groups from IGMP
-            false, // normalizers get only their joined units
-        );
-        let link = || EtherLink::ten_gig(SimTime::from_ns(25));
-        let mut next_port = 0u16;
-        let mut take = || {
-            let p = PortId(next_port);
-            next_port += 1;
-            p
-        };
-
-        let exch_cfg = exchange_config(sc, &dir);
-        let exch_ip = exch_cfg.src_ip;
-        let exchange = sim.add_node("exchange", Exchange::new(exch_cfg));
-        let xp = take();
-        connect_exchange_feed(&mut sim, sc, exchange, PortId(0), fabric, xp, link());
-        sim.node_mut::<FpgaL1Switch>(fabric)
-            .unwrap()
-            .add_route(exch_ip, xp);
-
-        for (n, &node) in firm.normalizers.iter().enumerate() {
-            let pf = take();
-            let po = take();
-            attach(&mut sim, node, normalizer::FEED_A, fabric, pf, link());
-            attach(&mut sim, node, normalizer::OUT, fabric, po, link());
-            let (mac, ip) = firm.normalizer_addrs[n];
-            for u in units_for(sc, n) {
-                let join = igmp_join_frame(mac, ip, FEED_MCAST_BASE + u);
-                let f = sim.frame().copy_from(&join).build();
-                sim.inject_frame(SimTime::ZERO, fabric, pf, f);
+        run_on(self.name(), sc, FirmOptions::IP_MULTICAST, |sim| {
+            FpgaDevice {
+                node: sim.add_node("fpga-fabric", FpgaL1Switch::new(self.fpga.clone())),
+                next_port: 0,
             }
-        }
-        for (s, &node) in firm.strategies.iter().enumerate() {
-            let pf = take();
-            let po = take();
-            attach(&mut sim, node, strategy::FEED, fabric, pf, link());
-            attach(&mut sim, node, strategy::ORDERS, fabric, po, link());
-            let ip = firm.strategy_addrs[s].1;
-            sim.node_mut::<FpgaL1Switch>(fabric)
-                .unwrap()
-                .add_route(ip, po);
-        }
-        for (g, &node) in firm.gateways.iter().enumerate() {
-            let pi = take();
-            let px = take();
-            attach(&mut sim, node, gateway::INTERNAL, fabric, pi, link());
-            attach(&mut sim, node, gateway::EXCHANGE, fabric, px, link());
-            let (_mac, exch_side_ip, internal_ip) = firm.gateway_addrs[g];
-            let f = sim.node_mut::<FpgaL1Switch>(fabric).unwrap();
-            f.add_route(internal_ip, pi);
-            f.add_route(exch_side_ip, px);
-        }
+        })
+    }
+}
 
-        start_everything(&mut sim, &firm, exchange, sc.warmup);
-        collect_report(
-            sim,
-            self.name(),
-            sc,
-            &firm,
-            exchange,
-            sc.warmup + sc.duration,
-        )
+impl FpgaDevice {
+    fn take_port(&mut self) -> Attachment {
+        let port = PortId(self.next_port);
+        self.next_port += 1;
+        Attachment::duplex(self.node, port, short_10g())
+    }
+}
+
+impl Fabric for FpgaDevice {
+    fn exchange_attach(&mut self, _sim: &mut Simulator) -> Vec<Attachment> {
+        vec![self.take_port()]
+    }
+
+    fn host_attach(&mut self, _tier: Tier, _index: usize, _nic: usize) -> Attachment {
+        self.take_port()
+    }
+
+    fn route(&self, sim: &mut Simulator, (node, port): (NodeId, PortId), addr: ipv4::Addr) {
+        sim.node_mut::<FpgaL1Switch>(node)
+            .expect("the fabric node is the FPGA switch")
+            .add_route(addr, port);
     }
 }
 
@@ -1107,6 +892,21 @@ mod tests {
         // Reaction includes 12 switch hops + 3 software hops; must exceed
         // the raw software budget.
         assert!(report.reaction.median > sc.software_path());
+    }
+
+    #[test]
+    fn design1_wires_an_odd_rack_size() {
+        // Three ports per rack: host 1's second NIC spills into the next
+        // rack, which the port-sized fabric has room for.
+        let odd = TraditionalSwitches {
+            fabric: LeafSpineConfig {
+                hosts_per_rack: 3,
+                ..LeafSpineConfig::default()
+            },
+        };
+        let report = odd.run(&ScenarioConfig::small(7));
+        assert!(report.orders_sent > 0, "{}", report.summary());
+        assert_eq!(report.frames_dropped, 0, "{}", report.summary());
     }
 
     #[test]

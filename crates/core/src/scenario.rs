@@ -10,6 +10,9 @@ pub enum ConfigError {
     ZeroHosts(&'static str),
     /// A structural count (symbols, feed units, partitions, …) is zero.
     ZeroField(&'static str),
+    /// More feed units than the one-byte PITCH unit id can name: units
+    /// 256 apart would share an id and corrupt each other's sequencing.
+    TooManyFeedUnits(u16),
     /// Warm-up must end before the measured interval does.
     WarmupExceedsDuration {
         /// Configured warm-up.
@@ -37,6 +40,12 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroHosts(tier) => write!(f, "scenario needs at least one {tier}"),
             ConfigError::ZeroField(field) => write!(f, "{field} must be non-zero"),
+            ConfigError::TooManyFeedUnits(units) => {
+                write!(
+                    f,
+                    "feed_units {units} exceeds the 256 a PITCH unit id can name"
+                )
+            }
             ConfigError::WarmupExceedsDuration { warmup, duration } => {
                 write!(
                     f,
@@ -137,13 +146,6 @@ pub struct ScenarioConfig {
     /// digests are bit-for-bit unchanged (pinned by `tn-audit
     /// divergence` and the scheduler-equivalence proptest).
     pub scheduler: SchedulerKind,
-    /// Recycle frame payload buffers through the kernel's
-    /// [`tn_sim::FrameArena`] (the default). Turning pooling off makes
-    /// every frame build a fresh allocation but never moves the run:
-    /// buffers are handed out logically empty either way, so the event
-    /// schedule and trace digest are bit-for-bit identical (pinned by
-    /// `tn-audit divergence`).
-    pub frame_pooling: bool,
     /// Sharded (parallel) execution of the built topology. The default
     /// [`ShardSpec::Serial`] is the reference single-kernel run; sharded
     /// runs reproduce its trace digest bit-for-bit (pinned by `tn-audit
@@ -194,7 +196,6 @@ impl ScenarioConfig {
             feed_fault: None,
             obs: ObsConfig::off(),
             scheduler: SchedulerKind::BinaryHeap,
-            frame_pooling: true,
             shards: ShardSpec::Serial,
         }
     }
@@ -223,7 +224,6 @@ impl ScenarioConfig {
             feed_fault: None,
             obs: ObsConfig::off(),
             scheduler: SchedulerKind::BinaryHeap,
-            frame_pooling: true,
             shards: ShardSpec::Serial,
         }
     }
@@ -359,13 +359,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Frame-buffer pooling through the kernel arena (digest-neutral;
-    /// see [`ScenarioConfig::frame_pooling`]).
-    pub fn frame_pooling(mut self, on: bool) -> ScenarioBuilder {
-        self.cfg.frame_pooling = on;
-        self
-    }
-
     /// Sharded execution (digest-neutral; see [`ScenarioConfig::shards`]).
     pub fn shards(mut self, shards: ShardSpec) -> ScenarioBuilder {
         self.cfg.shards = shards;
@@ -394,6 +387,9 @@ impl ScenarioBuilder {
             if n == 0 {
                 return Err(ConfigError::ZeroField(field));
             }
+        }
+        if c.feed_units > 256 {
+            return Err(ConfigError::TooManyFeedUnits(c.feed_units));
         }
         if c.warmup >= c.duration {
             return Err(ConfigError::WarmupExceedsDuration {
@@ -452,6 +448,12 @@ mod tests {
             ScenarioConfig::builder(1).feed_units(0).build(),
             Err(ConfigError::ZeroField("feed_units"))
         );
+        // PITCH unit ids are one byte: 256 units is the last that fits.
+        assert_eq!(
+            ScenarioConfig::builder(1).feed_units(257).build(),
+            Err(ConfigError::TooManyFeedUnits(257))
+        );
+        assert!(ScenarioConfig::builder(1).feed_units(256).build().is_ok());
         let err = ScenarioConfig::builder(1)
             .warmup(SimTime::from_ms(40))
             .build()

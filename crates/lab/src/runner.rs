@@ -112,13 +112,18 @@ pub fn build_config(plan: &RunPlan, scheduler: SchedulerKind) -> Result<Scenario
 
 fn apply_param(sc: &mut ScenarioConfig, seed: u64, param: &str, value: f64) -> Result<(), String> {
     let count = || as_count(param, value);
+    // A wrapped count (65,537 units becoming 1) would pass validation.
+    let count16 = || {
+        u16::try_from(count()?)
+            .map_err(|_| format!("parameter `{param}` must be at most 65535, got {value}"))
+    };
     match param {
         "symbols" => sc.symbols = count()?,
         "normalizers" => sc.normalizers = count()?,
         "strategies" => sc.strategies = count()?,
         "gateways" => sc.gateways = count()?,
-        "feed_units" => sc.feed_units = count()? as u16,
-        "internal_partitions" => sc.internal_partitions = count()? as u16,
+        "feed_units" => sc.feed_units = count16()?,
+        "internal_partitions" => sc.internal_partitions = count16()?,
         "subs_per_strategy" => sc.subs_per_strategy = count()?,
         "background_rate" => sc.background_rate = value,
         "duration_us" => sc.duration = SimTime::from_us(count()? as u64),
@@ -277,6 +282,18 @@ mod tests {
         // Builder validation still applies (zero strategies).
         bad.params = vec![("strategies".into(), 0.0)];
         assert!(build_config(&bad, SchedulerKind::BinaryHeap).is_err());
+
+        // 16-bit counts do not wrap: 65,537 feed units is an error, not
+        // 1, and 257 still reaches the builder's one-byte-unit-id check.
+        for (param, too_many) in [
+            ("feed_units", 65_537.0),
+            ("internal_partitions", 65_536.0),
+            ("feed_units", 257.0),
+        ] {
+            bad.params = vec![(param.into(), too_many)];
+            let err = build_config(&bad, SchedulerKind::BinaryHeap).unwrap_err();
+            assert!(err.contains(param), "{err}");
+        }
     }
 
     #[test]

@@ -39,15 +39,18 @@ pub struct FeedPublisher {
 
 impl FeedPublisher {
     /// Publisher for `scheme`, packing up to `max_payload` bytes per
-    /// packet (excluding `extra_header`).
+    /// packet (excluding `extra_header`). Panics on a scheme with more
+    /// than 256 units: a PITCH unit id is one byte, and two units sharing
+    /// one would interleave their sequence streams.
     pub fn new(scheme: PartitionScheme, max_payload: usize, extra_header: usize) -> FeedPublisher {
-        let units = scheme.units() as usize;
+        let units = scheme.units();
         FeedPublisher {
             scheme,
             builders: (0..units)
-                .map(|u| PacketBuilder::new(u as u8, 1, max_payload))
+                .map(|u| u8::try_from(u).expect("a PITCH unit id is one byte: at most 256 units"))
+                .map(|unit| PacketBuilder::new(unit, 1, max_payload))
                 .collect(),
-            last_time_sec: vec![None; units],
+            last_time_sec: vec![None; usize::from(units)],
             order_units: HashMap::new(),
             extra_header,
         }

@@ -560,7 +560,7 @@ impl Simulator {
     /// a fresh allocation). Call before the first frame is built — the
     /// swap resets [`ArenaStats`]. Pooling is pure side-state, so runs
     /// with any cap produce bit-identical trace digests (pinned by
-    /// `tn-audit divergence`).
+    /// `tests/kernel_properties.rs`).
     pub fn set_arena_max_free(&mut self, max_free: usize) {
         self.arena = FrameArena::with_max_free(max_free);
     }

@@ -7,17 +7,23 @@ use tn_sim::{Context, Frame, IdealLink, Node, NodeId, PortId, SimTime, Simulator
 
 /// Forwards every frame out a fixed port after a per-node delay, up to a
 /// TTL carried in the first payload byte (prevents infinite ping-pong).
+/// Each hop re-emits through the frame arena and recycles what it
+/// received, as fan-out nodes do, so a pooled run reuses buffers mid-run.
 struct Hopper {
     out: PortId,
     arrivals: Vec<(SimTime, u64)>,
 }
 
 impl Node for Hopper {
-    fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, mut frame: Frame) {
+    fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, frame: Frame) {
         self.arrivals.push((ctx.now(), frame.id.0));
-        if frame.bytes[0] > 0 {
-            frame.bytes[0] -= 1;
-            ctx.send(self.out, frame);
+        let next = frame.bytes[0].checked_sub(1).map(|ttl| {
+            let hop = ctx.frame().fill(|b| b.resize(8, ttl));
+            hop.tag(frame.meta.tag).build()
+        });
+        ctx.recycle(frame);
+        if let Some(next) = next {
+            ctx.send(self.out, next);
         }
     }
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _t: TimerToken) {}
@@ -42,8 +48,13 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
     })
 }
 
-fn run_plan(plan: &Plan, seed: u64) -> (Vec<Vec<(SimTime, u64)>>, tn_sim::SimStats, SimTime) {
-    let mut sim = Simulator::new(seed);
+type History = (Vec<Vec<(SimTime, u64)>>, tn_sim::SimStats, SimTime, u64);
+
+fn run_plan(plan: &Plan, seed: u64) -> History {
+    run_plan_on(Simulator::new(seed), plan)
+}
+
+fn run_plan_on(mut sim: Simulator, plan: &Plan) -> History {
     let ids: Vec<NodeId> = (0..plan.nodes)
         .map(|i| {
             sim.add_node(
@@ -90,7 +101,7 @@ fn run_plan(plan: &Plan, seed: u64) -> (Vec<Vec<(SimTime, u64)>>, tn_sim::SimSta
         .iter()
         .map(|&id| sim.node::<Hopper>(id).unwrap().arrivals.clone())
         .collect();
-    (arrivals, sim.stats(), sim.now())
+    (arrivals, sim.stats(), sim.now(), sim.trace.digest())
 }
 
 proptest! {
@@ -102,6 +113,17 @@ proptest! {
         prop_assert_eq!(a.0, b.0);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.2, b.2);
+        prop_assert_eq!(a.3, b.3);
+    }
+
+    /// The frame arena is pure side-state: a run that allocates every
+    /// payload buffer fresh has the same history and trace digest as one
+    /// that recycles them.
+    #[test]
+    fn frame_pooling_never_moves_the_run(plan in arb_plan()) {
+        let mut unpooled = Simulator::new(42);
+        unpooled.set_arena_max_free(0);
+        prop_assert_eq!(run_plan_on(unpooled, &plan), run_plan(&plan, 42));
     }
 
     /// Time never goes backwards at any observer, and every delivered
@@ -109,7 +131,7 @@ proptest! {
     /// ≤ injections × (ttl + 1)).
     #[test]
     fn causality_and_conservation(plan in arb_plan()) {
-        let (arrivals, stats, _) = run_plan(&plan, 7);
+        let (arrivals, stats, ..) = run_plan(&plan, 7);
         for node_arrivals in &arrivals {
             for w in node_arrivals.windows(2) {
                 prop_assert!(w[0].0 <= w[1].0, "time went backwards at an observer");

@@ -222,6 +222,13 @@ impl CloudFabric {
         }
     }
 
+    /// The VM hop from publisher `n` into the overlay root. Edge indices
+    /// above 2^41 stay disjoint from both tree edges and the gate leaf
+    /// hops.
+    pub fn publisher_link(&self, n: usize) -> Box<dyn Link> {
+        self.overlay_link((1u64 << 41) | n as u64)
+    }
+
     /// Build the software multicast overlay plus per-subscriber
     /// equalizer gates that replace provider multicast for the firm's
     /// internal feed. Publishers attach into the returned root; each

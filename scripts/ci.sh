@@ -63,6 +63,13 @@ bin tn-lab expand --preset smoke > /dev/null
 bin tn-lab run --preset smoke --threads 2 --out target/ci-lab-smoke.json > /dev/null
 leads_with target/ci-lab-smoke.json tn-lab/v1
 
+# The two examples that go through every design's `run()`, executed, not
+# just compiled: their own asserts make a nonzero exit a real failure.
+for example in quickstart design_shootout; do
+    echo "==> example $example"
+    cargo run --release --offline -q --example "$example" > /dev/null
+done
+
 # Speed is gated on BENCHMARK.json by the pipeline; here the benchmark
 # package has to pass its own tests against these crates — sharded digest
 # equals serial, same seed same result, the BENCHMARK.json contract — and

@@ -1,0 +1,138 @@
+//! Literal pins for every design's wiring.
+//!
+//! A design's `NodeId`s, port numbers and event `seq`s all follow from
+//! the order in which its `run()` mutates the kernel (`add_node`,
+//! `install_link`, `inject_frame`, port claims), so a trace digest is a
+//! fingerprint of that order. Run-twice equality cannot see a wiring
+//! refactor that reorders it consistently; these literals can. They
+//! change only with a deliberate, CHANGES.md-recorded change to what a
+//! design builds.
+
+use trading_networks::core::design::{
+    CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
+};
+use trading_networks::core::{DesignReport, ScenarioConfig, ShardSpec};
+use trading_networks::fault::FaultSpec;
+use trading_networks::sim::SimTime;
+use trading_networks::topo::{CloudConfig, CloudFairnessSpec};
+
+/// `(trace_digest, events_recorded, orders_sent, frames_dropped)`.
+type Pin = (u64, u64, u64, u64);
+
+fn pin_of(r: &DesignReport) -> Pin {
+    (
+        r.trace_digest,
+        r.events_recorded,
+        r.orders_sent,
+        r.frames_dropped,
+    )
+}
+
+fn fair_cloud() -> CloudDesign {
+    CloudDesign {
+        cloud: CloudConfig {
+            fairness: CloudFairnessSpec::demo(),
+            ..CloudConfig::default()
+        },
+    }
+}
+
+/// The five fabrics the small-scenario pins cover, in pin-table order:
+/// Designs 1, 2, 3, 3b, then Design 2 with its fairness machinery on
+/// (overlay + sequencer splice).
+fn fabrics() -> Vec<(&'static str, Box<dyn TradingNetworkDesign>)> {
+    vec![
+        ("design1", Box::new(TraditionalSwitches::default())),
+        ("design2", Box::new(CloudDesign::default())),
+        ("design3", Box::new(LayerOneSwitches::default())),
+        ("design3b", Box::new(FpgaHybrid::default())),
+        ("design2-fair", Box::new(fair_cloud())),
+    ]
+}
+
+const SMALL: [Pin; 5] = [
+    (0x3bdb_e130_2c52_ad01, 58_981, 841, 0),
+    (0x8e8c_1f57_b80a_acdc, 27_481, 603, 0),
+    (0x7148_2d62_2fe1_2946, 73_551, 970, 0),
+    (0xd5b1_932e_9397_333a, 35_093, 970, 0),
+    (0xa5af_f4d0_b940_12de, 49_178, 540, 0),
+];
+
+const SMALL_FEED_LOSS: [Pin; 5] = [
+    (0xe382_475f_1ece_e9ff, 54_801, 782, 27),
+    (0x053a_5573_6d39_d314, 27_316, 603, 24),
+    (0xcce6_83d0_6fd5_7291, 60_364, 763, 14),
+    (0x4d04_0fae_9dbf_0bf7, 32_521, 916, 28),
+    (0x5272_bbf9_5147_100d, 48_456, 533, 23),
+];
+
+#[test]
+fn every_fabric_reproduces_its_small_scenario_pin() {
+    let sc = ScenarioConfig::small(7);
+    for ((label, design), want) in fabrics().iter().zip(SMALL) {
+        assert_eq!(pin_of(&design.run(&sc)), want, "{label}");
+    }
+}
+
+#[test]
+fn every_fabric_reproduces_its_lossy_feed_pin() {
+    let mut sc = ScenarioConfig::small(7);
+    sc.feed_fault = FaultSpec::iid(7, 0.01);
+    for ((label, design), want) in fabrics().iter().zip(SMALL_FEED_LOSS) {
+        assert_eq!(pin_of(&design.run(&sc)), want, "{label}");
+    }
+}
+
+#[test]
+fn sharded_runs_reproduce_the_serial_pins() {
+    let mut sc = ScenarioConfig::small(7);
+    sc.shards = ShardSpec::Auto(4);
+    for ((label, design), want) in fabrics().iter().zip(SMALL) {
+        assert_eq!(pin_of(&design.run(&sc)), want, "{label} sharded");
+    }
+}
+
+#[test]
+fn layer_one_variants_reproduce_their_pins() {
+    let sc = ScenarioConfig::small(7);
+    let custom = LayerOneSwitches {
+        custom_transport: true,
+        ..LayerOneSwitches::default()
+    };
+    assert_eq!(
+        pin_of(&custom.run(&sc)),
+        (0xb5b5_021e_a6c7_3796, 73_551, 970, 0),
+        "custom transport"
+    );
+    // A cap of 2 covers both of the small scenario's normalizers, so it
+    // must land on the uncapped pin; a cap of 1 halves every strategy's
+    // circuits and moves the run.
+    for (cap, want) in [(2, SMALL[2]), (1, (0x262f_731a_502b_ab66, 39_717, 639, 0))] {
+        let capped = LayerOneSwitches {
+            subscription_cap: Some(cap),
+            ..LayerOneSwitches::default()
+        };
+        assert_eq!(pin_of(&capped.run(&sc)), want, "subscription cap {cap}");
+    }
+}
+
+/// The benchmark's two design workloads: the paper-scale preset with
+/// only the simulated interval trimmed.
+#[test]
+fn paper_scale_designs_reproduce_their_pins() {
+    let mut sc = ScenarioConfig::paper_scale(7);
+    sc.duration = SimTime::from_ms(3);
+    sc.warmup = SimTime::from_ms(1);
+    let d1 = TraditionalSwitches::default().run(&sc);
+    assert_eq!(
+        pin_of(&d1),
+        (0x359b_6ba7_2aaf_fe6b, 91_837, 536, 0),
+        "design1 paper scale"
+    );
+    let d3 = LayerOneSwitches::default().run(&sc);
+    assert_eq!(
+        pin_of(&d3),
+        (0x7ba7_c643_d86b_4e9b, 1_555_587, 536, 0),
+        "design3 paper scale"
+    );
+}
