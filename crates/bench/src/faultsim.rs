@@ -39,7 +39,8 @@ pub struct PitchSource {
     msgs_per_packet: u32,
     copies: u16,
     sent_packets: u64,
-    next_seq: u32,
+    /// Carries the next sequence number from packet to packet.
+    builder: pitch::PacketBuilder,
     payload_scratch: Vec<u8>,
     wire_scratch: Vec<u8>,
 }
@@ -53,7 +54,7 @@ impl PitchSource {
             msgs_per_packet,
             copies,
             sent_packets: 0,
-            next_seq: 1,
+            builder: pitch::PacketBuilder::new(0, 1, 1_400),
             payload_scratch: Vec::new(),
             wire_scratch: Vec::new(),
         }
@@ -74,20 +75,19 @@ impl Node for PitchSource {
             return;
         }
         self.payload_scratch.clear();
-        let mut pb = pitch::PacketBuilder::new(0, self.next_seq, 1_400);
+        let first_seq = self.builder.next_seq();
         for i in 0..self.msgs_per_packet {
-            pb.push_into(
+            self.builder.push_into(
                 &pitch::Message::DeleteOrder {
                     offset_ns: i,
-                    order_id: u64::from(self.next_seq.wrapping_add(i)),
+                    order_id: u64::from(first_seq.wrapping_add(i)),
                 },
                 &mut self.payload_scratch,
             );
         }
-        if !pb.flush_into(&mut self.payload_scratch) && self.payload_scratch.is_empty() {
+        if !self.builder.flush_into(&mut self.payload_scratch) && self.payload_scratch.is_empty() {
             return; // msgs_per_packet == 0: nothing to publish
         }
-        self.next_seq = self.next_seq.wrapping_add(self.msgs_per_packet);
         self.wire_scratch.clear();
         stack::emit_udp_into(
             eth::MacAddr::host(0x0A00),
@@ -162,16 +162,14 @@ impl Default for AbReceiver {
 
 impl Node for AbReceiver {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
-        let Ok(view) = stack::parse_udp(&frame.bytes) else {
-            self.parse_errors += 1;
-            return;
-        };
         let side = if port == AB_A {
             FeedSide::A
         } else {
             FeedSide::B
         };
-        match self.arb.offer_from(side, view.payload) {
+        let offered =
+            stack::parse_udp(&frame.bytes).and_then(|v| self.arb.offer_from(side, v.payload));
+        match offered {
             Ok(Some(msgs)) => {
                 self.delivered += msgs.len() as u64;
                 self.deliveries.push((ctx.now(), msgs.len() as u32));
@@ -179,6 +177,9 @@ impl Node for AbReceiver {
             Ok(None) => {}
             Err(_) => self.parse_errors += 1,
         }
+        // Terminal consumer: decoded or rejected, the buffer goes back to
+        // the arena either way.
+        ctx.recycle(frame);
     }
 }
 
@@ -409,6 +410,11 @@ pub struct AbFailoverRun {
 /// Run the A/B-failover scenario: one publisher, two copies over
 /// independently faulted links, arbitration at the receiver.
 pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
+    ab_failover_sim(cfg).0
+}
+
+/// [`run_ab_failover`], keeping the finished kernel for inspection.
+fn ab_failover_sim(cfg: &AbFailoverConfig) -> (AbFailoverRun, Simulator) {
     let mut sim = Simulator::with_scheduler(cfg.seed, cfg.scheduler);
     sim.set_obs(&cfg.obs);
     let src = sim.add_node(
@@ -446,7 +452,7 @@ pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
     let secs = |t: SimTime| t.as_ps() as f64 / 1e12;
     let window_secs = secs(w1.saturating_sub(w0)).max(1e-12);
     let clean_secs = (secs(duration) - window_secs).max(1e-12);
-    AbFailoverRun {
+    let run = AbFailoverRun {
         published_messages: published,
         delivered_messages: rx_node.delivered(),
         gap_events: arb.gap_events,
@@ -460,7 +466,8 @@ pub fn run_ab_failover(cfg: &AbFailoverConfig) -> AbFailoverRun {
         profile: sim.profile(),
         digest: sim.trace.digest(),
         events: sim.trace.recorded(),
-    }
+    };
+    (run, sim)
 }
 
 #[cfg(test)]
@@ -547,6 +554,152 @@ mod tests {
         assert!(run.window_delivered > 0, "{run:?}");
         // Everything B won it won during the window (A wins otherwise).
         assert_eq!(run.side_b.1, run.window_delivered / 4, "{run:?}");
+    }
+
+    /// Every field of a run as one line, so a pin is one literal.
+    fn loss_pin(run: &LossRecoveryRun) -> String {
+        let fills = run
+            .fill_latency_ps
+            .iter()
+            .fold(EMPTY_DIGEST, |d, ps| fnv1a_fold(d, &ps.to_le_bytes()));
+        format!(
+            "published={} delivered={} gaps={} requests={} recovered={} abandoned={} \
+             fills={}/{fills:#018x} refused={} duration_ps={} profile={} digest={:#018x} events={}",
+            run.published_messages,
+            run.delivered_messages,
+            run.gaps_seen,
+            run.retrans_requests,
+            run.recovered_messages,
+            run.abandoned,
+            run.fill_latency_ps.len(),
+            run.refused,
+            run.duration.as_ps(),
+            run.profile.is_some(),
+            run.digest,
+            run.events,
+        )
+    }
+
+    fn ab_pin(run: &AbFailoverRun) -> String {
+        format!(
+            "published={} delivered={} gap_events={} gap_messages={} duplicates={} a={:?} b={:?} \
+             window_delivered={} window_tput={} clean_tput={} profile={} digest={:#018x} events={}",
+            run.published_messages,
+            run.delivered_messages,
+            run.gap_events,
+            run.gap_messages,
+            run.duplicates,
+            run.side_a,
+            run.side_b,
+            run.window_delivered,
+            run.window_throughput,
+            run.clean_throughput,
+            run.profile.is_some(),
+            run.digest,
+            run.events,
+        )
+    }
+
+    fn iid(seed: u64) -> FaultSpec {
+        FaultSpec::new(seed).with_iid_loss(0.01)
+    }
+
+    fn gilbert_elliott(seed: u64) -> FaultSpec {
+        FaultSpec::new(seed).with_burst_loss(0.02, 0.3, 0.0, 0.9)
+    }
+
+    fn outage() -> FaultSpec {
+        FaultSpec::new(5).with_outage(SimTime::from_ms(5), SimTime::from_ms(6))
+    }
+
+    /// Recorded at the commit before the two sequencing machines became
+    /// one merge: every field of the default-size run, per fault model,
+    /// plus two rows for the paths those leave cold (reordered arrivals
+    /// draining the hold; the hold bound abandoning a gap).
+    #[test]
+    fn loss_recovery_runs_are_pinned() {
+        let run = |fault: FaultSpec, max_held: usize| {
+            let mut cfg = LossRecoveryConfig::new(42, fault);
+            cfg.recovery.max_held = max_held;
+            loss_pin(&run_loss_recovery(&cfg))
+        };
+        let jittered = iid(77).with_jitter(SimTime::from_us(20));
+        assert_eq!(
+            run(iid(77), 10_000),
+            "published=16000 delivered=16000 gaps=43 requests=43 recovered=344 abandoned=0 \
+             fills=43/0x4024c0f3020e3a9d refused=0 duration_ps=25000000000 profile=false \
+             digest=0x8998b2a3c85ba745 events=12167"
+        );
+        assert_eq!(
+            run(gilbert_elliott(3), 10_000),
+            "published=16000 delivered=16000 gaps=79 requests=79 recovered=1192 abandoned=0 \
+             fills=79/0xac56bd21c388dcda refused=0 duration_ps=25000000000 profile=false \
+             digest=0x2c4a51eda9478320 events=12576"
+        );
+        assert_eq!(
+            run(outage(), 10_000),
+            "published=16000 delivered=16000 gaps=1 requests=1 recovered=820 abandoned=0 \
+             fills=1/0x9ddda28c6481e60f refused=0 duration_ps=25000000000 profile=false \
+             digest=0x6bc9c67ef3fe8414 events=12402"
+        );
+        assert_eq!(
+            run(jittered, 10_000),
+            "published=16000 delivered=16000 gaps=1032 requests=1033 recovered=10040 abandoned=0 \
+             fills=1032/0xf74807052bf3bfa3 refused=0 duration_ps=25000000000 profile=false \
+             digest=0x376a10327e3f58b4 events=16078"
+        );
+        assert_eq!(
+            run(gilbert_elliott(3), 3),
+            "published=16000 delivered=15124 gaps=79 requests=79 recovered=0 abandoned=876 \
+             fills=0/0xcbf29ce484222325 refused=0 duration_ps=25000000000 profile=false \
+             digest=0xc12b6b67e0948d1d events=12517"
+        );
+    }
+
+    /// As above for A/B failover: the loss models fault both sides
+    /// independently (so both-lost gaps occur); the outage row is the
+    /// scenario's own default, A down for 10 ms and B clean.
+    #[test]
+    fn ab_failover_runs_are_pinned() {
+        let run = |faults: Option<(FaultSpec, FaultSpec)>| {
+            let mut cfg = AbFailoverConfig::new(42);
+            if let Some((a, b)) = faults {
+                cfg.a_fault = a;
+                cfg.b_fault = Some(b);
+            }
+            ab_pin(&run_ab_failover(&cfg))
+        };
+        assert_eq!(
+            run(Some((iid(77), iid(78)))),
+            "published=24000 delivered=24000 gap_events=0 gap_messages=0 duplicates=5862 \
+             a=(5938, 5938) b=(5924, 62) window_delivered=8000 window_tput=800000 \
+             clean_tput=761904.761904762 profile=false digest=0x093d3fd1547d1e77 events=18000"
+        );
+        assert_eq!(
+            run(Some((gilbert_elliott(3), gilbert_elliott(4)))),
+            "published=24000 delivered=23968 gap_events=8 gap_messages=32 duplicates=5280 \
+             a=(5674, 5674) b=(5598, 318) window_delivered=7996 window_tput=799600 \
+             clean_tput=760571.4285714286 profile=false digest=0x613fc1bf53c9c3f4 events=18000"
+        );
+        assert_eq!(
+            run(None),
+            "published=24000 delivered=24000 gap_events=0 gap_messages=0 duplicates=4000 \
+             a=(4000, 4000) b=(6000, 2000) window_delivered=8000 window_tput=800000 \
+             clean_tput=761904.761904762 profile=false digest=0x2eed4fad30f08a3b events=18000"
+        );
+    }
+
+    #[test]
+    fn ab_failover_reuses_frame_buffers_after_warm_up() {
+        let mut cfg = AbFailoverConfig::new(4);
+        cfg.packets = 1_000;
+        let (run, sim) = ab_failover_sim(&cfg);
+        assert_eq!(run.delivered_messages, run.published_messages);
+        // 2,000 frames built; only the few in flight at once are ever
+        // allocated, because the receiver hands every one back.
+        let arena = sim.arena_stats();
+        assert!(arena.allocated <= 8, "{arena:?}");
+        assert!(arena.reused >= 1_900, "{arena:?}");
     }
 
     #[test]

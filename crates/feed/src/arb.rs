@@ -5,11 +5,11 @@
 //! each sequence range to arrive, drops the duplicate, and reports gaps —
 //! which in production trigger retransmission requests or a re-snapshot.
 
-use std::collections::HashMap;
-
 use tn_sim::Metrics;
 use tn_wire::pitch;
 use tn_wire::Result;
+
+use crate::retrans::{Arrival, Reorderer};
 
 /// Which of the exchange's two feed copies a packet arrived on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct ArbStats {
     pub accepted: u64,
     /// Packets dropped as duplicates (other side arrived first).
     pub duplicates: u64,
-    /// Packets dropped as stale (entirely before the expected sequence).
+    /// Packets dropped as stale (empty: no message to deliver).
     pub stale: u64,
     /// Sequence numbers skipped (lost on both sides).
     pub gap_messages: u64,
@@ -49,18 +49,16 @@ pub struct ArbStats {
     pub side_b: SideStats,
 }
 
-/// Per-unit arbitration state.
-#[derive(Debug, Default)]
-struct UnitState {
-    next_seq: Option<u32>,
-}
-
 /// The arbiter. Feed it packets from either side; it yields each unique
 /// packet's messages exactly once, in sequence order per unit (gaps are
 /// skipped forward, as real feed handlers do after declaring loss).
+///
+/// It is the merge of [`crate::retrans`] with a hold bound of zero: a
+/// packet ahead of the cursor trips the bound as it is held, so its gap is
+/// abandoned and its messages released in the same call.
 #[derive(Debug, Default)]
 pub struct Arbiter {
-    units: HashMap<u8, UnitState>,
+    merge: Reorderer,
     stats: ArbStats,
     metrics: Metrics,
 }
@@ -82,60 +80,39 @@ impl Arbiter {
         self.metrics = metrics.clone();
     }
 
-    /// Offer a sequenced-unit packet (the UDP payload). Returns the
-    /// decoded messages if this packet advanced the stream, or `None` for
-    /// duplicates/stale copies.
-    pub fn offer(&mut self, payload: &[u8]) -> Result<Option<Vec<pitch::Message>>> {
-        let pkt = pitch::Packet::new_checked(payload)?;
-        let count = u32::from(pkt.count());
-        let seq = pkt.sequence();
-        let unit = self.units.entry(pkt.unit()).or_default();
-        let next = unit.next_seq.unwrap_or(seq);
-        let end = seq.wrapping_add(count);
-        // Entirely before the cursor: duplicate of something delivered.
-        if wrapping_le(end, next) && count > 0 && unit.next_seq.is_some() {
-            self.stats.duplicates += 1;
-            self.metrics.inc("feed", "arb_duplicate", None);
-            return Ok(None);
-        }
-        // Overlapping start: partial duplicate — deliver only the new tail.
-        let skip = if wrapping_lt(seq, next) {
-            next.wrapping_sub(seq)
-        } else {
-            0
-        };
-        if skip > 0 {
-            self.stats.duplicates += 1; // overlapping copy counted once
-        }
-        // Gap: the packet starts beyond the cursor.
-        if wrapping_lt(next, seq) && unit.next_seq.is_some() {
-            self.stats.gap_events += 1;
-            self.stats.gap_messages += u64::from(seq.wrapping_sub(next));
-            self.metrics.inc("feed", "arb_gap", None);
-            self.metrics.add(
-                "feed",
-                "arb_gap_msgs",
-                None,
-                u64::from(seq.wrapping_sub(next)),
-            );
-        }
-        // audit:allow(hotpath-alloc): per-replay message batch; zero-alloc feed path is ROADMAP item 2
-        let mut msgs = Vec::with_capacity(count as usize);
-        for (i, m) in pkt.messages().enumerate() {
-            let m = m?;
-            if (i as u32) < skip {
-                continue;
+    /// Offer a sequenced-unit packet (the UDP payload). Lends the decoded
+    /// messages, until the next call, if this packet advanced the stream;
+    /// `None` for duplicates/stale copies.
+    pub fn offer(&mut self, payload: &[u8]) -> Result<Option<&[pitch::Message]>> {
+        let (_, arrival) = self.merge.accept(payload)?;
+        match arrival {
+            Arrival::Empty => {
+                self.stats.stale += 1;
+                return Ok(None);
             }
-            msgs.push(m);
-        }
-        unit.next_seq = Some(end);
-        if msgs.is_empty() && skip >= count {
-            self.stats.stale += 1;
-            return Ok(None);
+            Arrival::Old => {
+                self.stats.duplicates += 1;
+                self.metrics.inc("feed", "arb_duplicate", None);
+                return Ok(None);
+            }
+            // Partial duplicate: only the new tail is delivered, and the
+            // overlapping copy is counted once.
+            Arrival::Next(skip) => {
+                if skip > 0 {
+                    self.stats.duplicates += 1;
+                }
+            }
+            Arrival::Ahead(missing) => {
+                self.stats.gap_events += 1;
+                self.stats.gap_messages += u64::from(missing);
+                self.metrics.inc("feed", "arb_gap", None);
+                self.metrics
+                    .add("feed", "arb_gap_msgs", None, u64::from(missing));
+            }
         }
         self.stats.accepted += 1;
         self.metrics.inc("feed", "arb_accepted", None);
-        Ok(Some(msgs))
+        Ok(Some(&self.merge.released().messages))
     }
 
     /// [`offer`](Arbiter::offer), attributed to a feed side so the stats
@@ -146,35 +123,25 @@ impl Arbiter {
         &mut self,
         side: FeedSide,
         payload: &[u8],
-    ) -> Result<Option<Vec<pitch::Message>>> {
-        let out = self.offer(payload)?;
+    ) -> Result<Option<&[pitch::Message]>> {
+        let won = self.offer(payload)?.is_some();
         let (s, offered_name, won_name) = match side {
             FeedSide::A => (&mut self.stats.side_a, "a_offered", "a_won"),
             FeedSide::B => (&mut self.stats.side_b, "b_offered", "b_won"),
         };
         s.offered += 1;
-        if out.is_some() {
-            s.won += 1;
-        }
         self.metrics.inc("feed", offered_name, None);
-        if out.is_some() {
+        if won {
+            s.won += 1;
             self.metrics.inc("feed", won_name, None);
         }
-        Ok(out)
+        Ok(won.then_some(&self.merge.released().messages))
     }
 
     /// The next expected sequence for a unit (`None` before any packet).
     pub fn expected_seq(&self, unit: u8) -> Option<u32> {
-        self.units.get(&unit).and_then(|u| u.next_seq)
+        self.merge.expected_seq(unit)
     }
-}
-
-fn wrapping_lt(a: u32, b: u32) -> bool {
-    b.wrapping_sub(a) as i32 > 0
-}
-
-fn wrapping_le(a: u32, b: u32) -> bool {
-    a == b || wrapping_lt(a, b)
 }
 
 #[cfg(test)]

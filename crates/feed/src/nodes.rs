@@ -116,8 +116,14 @@ impl RecoveryReceiver {
         &self.deliveries
     }
 
-    fn send_requests(&mut self, ctx: &mut Context<'_>, requests: &[GapRequest]) {
-        let cfg = &self.cfg;
+    /// Takes the two fields it touches rather than `self`, so it can run
+    /// while the client is still lending `requests`.
+    fn send_requests(
+        cfg: &RecoveryReceiverConfig,
+        stats: &mut RecoveryReceiverStats,
+        ctx: &mut Context<'_>,
+        requests: &[GapRequest],
+    ) {
         for req in requests {
             // Single-pass emission into the arena buffer: reserve the
             // headers, append the request, fill the headers in place.
@@ -145,7 +151,7 @@ impl RecoveryReceiver {
                 u64::from(req.seq),
                 u64::from(req.count),
             );
-            self.stats.requests_sent += 1;
+            stats.requests_sent += 1;
         }
     }
 
@@ -182,8 +188,9 @@ impl Node for RecoveryReceiver {
             Ok(view) if port == RECV_FEED || port == RECV_RETRANS => {
                 match self.client.offer(ctx.now(), view.payload) {
                     Ok(out) => {
-                        self.record_release(ctx.now(), out.messages.len());
-                        self.send_requests(ctx, &out.requests);
+                        let released = out.messages.len();
+                        Self::send_requests(&self.cfg, &mut self.stats, ctx, &out.requests);
+                        self.record_release(ctx.now(), released);
                         self.rearm(ctx);
                     }
                     Err(_) => self.stats.parse_errors += 1,
@@ -192,8 +199,8 @@ impl Node for RecoveryReceiver {
             // audit:allow(hotpath-unwrap): port fan-in is fixed by connect() wiring at build time; a mismatch is a topology bug where stopping loudly beats simulating garbage
             Ok(_) => panic!("recovery receiver has 2 ports, got {port:?}"),
         }
-        // Terminal consumer: the payload has been copied into the
-        // reorderer (or rejected), so the buffer goes back to the arena.
+        // Terminal consumer: the payload has been decoded, copied into the
+        // hold or rejected, so the buffer goes back to the arena.
         ctx.recycle(frame);
     }
 
@@ -201,8 +208,9 @@ impl Node for RecoveryReceiver {
         debug_assert_eq!(timer, POLL_TOKEN);
         self.armed = None;
         let out = self.client.poll(ctx.now());
-        self.record_release(ctx.now(), out.messages.len());
-        self.send_requests(ctx, &out.requests);
+        let released = out.messages.len();
+        Self::send_requests(&self.cfg, &mut self.stats, ctx, &out.requests);
+        self.record_release(ctx.now(), released);
         self.rearm(ctx);
     }
 
@@ -330,7 +338,7 @@ impl RetransUnit {
                                         requester_ip,
                                         udp_port,
                                         udp_port,
-                                        &payload,
+                                        payload,
                                         b,
                                     )
                                 })
@@ -441,6 +449,71 @@ mod tests {
         let unit_node = sim.node::<RetransUnit>(unit).unwrap();
         assert_eq!(unit_node.stats().requests_in, 1);
         assert_eq!(unit_node.stats().replays_out, 1);
+    }
+
+    #[test]
+    fn replay_is_byte_identical_and_unknown_ranges_are_refused() {
+        struct Collector(Vec<Vec<u8>>);
+        impl Node for Collector {
+            fn on_frame(&mut self, _ctx: &mut Context<'_>, _p: PortId, f: Frame) {
+                self.0.push(f.bytes);
+            }
+        }
+        let mut sim = Simulator::new(4);
+        let unit = sim.add_node("unit", RetransUnit::new(RetransUnitConfig::default()));
+        let col = sim.add_node("col", Collector(Vec::new()));
+        sim.connect_spec(
+            col,
+            PortId(0),
+            unit,
+            UNIT_REQ,
+            &LinkSpec::ideal(SimTime::ZERO),
+        );
+        let live = feed_frame(7, 3);
+        let original = stack::parse_udp(&live).unwrap().payload.to_vec();
+        let tap = sim.frame().copy_from(&live).build();
+        sim.inject_frame(SimTime::ZERO, unit, UNIT_TAP, tap);
+        let requester_ip = ipv4::Addr::new(10, 0, 0, 9);
+        let ask = |sim: &mut Simulator, req: GapRequest| {
+            let bytes = stack::build_udp(
+                eth::MacAddr::host(9),
+                None,
+                requester_ip,
+                ipv4::Addr::new(10, 60, 255, 1),
+                32_000,
+                32_000,
+                &req.emit(),
+            );
+            let f = sim.frame().copy_from(&bytes).build();
+            let at = sim.now() + SimTime::from_us(1);
+            sim.inject_frame(at, unit, UNIT_REQ, f);
+            sim.run();
+        };
+        ask(
+            &mut sim,
+            GapRequest {
+                unit: 0,
+                seq: 7,
+                count: 3,
+            },
+        );
+        let replies = &sim.node::<Collector>(col).unwrap().0;
+        assert_eq!(replies.len(), 1, "one retransmitted packet");
+        let v = stack::parse_udp(&replies[0]).unwrap();
+        assert_eq!(v.dst_ip, requester_ip); // unicast to the requester
+        assert_eq!(v.payload, &original[..], "replay is byte-identical");
+        // A range that never existed is refused, silently.
+        ask(
+            &mut sim,
+            GapRequest {
+                unit: 99,
+                seq: 1,
+                count: 1,
+            },
+        );
+        assert_eq!(sim.node::<Collector>(col).unwrap().0.len(), 1);
+        let stats = sim.node::<RetransUnit>(unit).unwrap().stats();
+        assert_eq!((stats.replays_out, stats.refused), (1, 1));
     }
 
     #[test]

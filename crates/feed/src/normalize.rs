@@ -93,28 +93,40 @@ pub struct NormStats {
     pub records_out: u64,
 }
 
-/// The normalizer core for one exchange's feed.
+/// The normalizer core for one exchange's feed: the merge stage
+/// (A/B arbitration), then decode into normalized records.
 pub struct NormalizerCore<R: Repartition> {
-    exchange_id: u8,
     arbiter: Arbiter,
+    decode: Decode<R>,
+    stats: NormStats,
+    /// Records of the last packet, lent until the next.
+    out: Vec<NormalizerOutput>,
+    /// Emit depth deltas in addition to BBO updates.
+    pub emit_depth: bool,
+}
+
+/// The decode stage: book state, symbol ids and the partition map. Apart
+/// from the arbiter, so it can run over the messages the arbiter lends.
+struct Decode<R: Repartition> {
+    exchange_id: u8,
     builder: BookBuilder,
     interner: MapInterner,
     repartition: R,
-    stats: NormStats,
-    /// Emit depth deltas in addition to BBO updates.
-    pub emit_depth: bool,
 }
 
 impl<R: Repartition> NormalizerCore<R> {
     /// A normalizer for `exchange_id`'s feed, repartitioning with `r`.
     pub fn new(exchange_id: u8, repartition: R) -> NormalizerCore<R> {
         NormalizerCore {
-            exchange_id,
             arbiter: Arbiter::new(),
-            builder: BookBuilder::new(),
-            interner: MapInterner::default(),
-            repartition,
+            decode: Decode {
+                exchange_id,
+                builder: BookBuilder::new(),
+                interner: MapInterner::default(),
+                repartition,
+            },
             stats: NormStats::default(),
+            out: Vec::new(),
             emit_depth: false,
         }
     }
@@ -137,28 +149,42 @@ impl<R: Repartition> NormalizerCore<R> {
     /// Pre-assign symbol ids in iteration order (to match a firm-wide
     /// dictionary shared with strategies).
     pub fn preload_symbols(&mut self, symbols: impl IntoIterator<Item = Symbol>) {
-        self.interner.preload(symbols);
+        self.decode.interner.preload(symbols);
     }
 
     /// Process one feed packet (UDP payload from either A or B side).
     /// `src_time_ns` is the receive timestamp propagated into records.
-    pub fn on_packet(&mut self, payload: &[u8], src_time_ns: u64) -> Result<Vec<NormalizerOutput>> {
-        let Some(msgs) = self.arbiter.offer(payload)? else {
-            // audit:allow(hotpath-alloc): capacity-0 Vec never touches the heap
-            return Ok(Vec::new()); // duplicate
-        };
-        self.stats.packets_in += 1;
-        // audit:allow(hotpath-alloc): per-packet message batch; zero-alloc feed path is ROADMAP item 2
-        let mut out = Vec::new();
-        for msg in msgs {
-            self.stats.messages_in += 1;
-            self.normalize(&msg, src_time_ns, &mut out);
+    /// Lends the records it produced (none for a duplicate) until the
+    /// next call.
+    pub fn on_packet(&mut self, payload: &[u8], src_time_ns: u64) -> Result<&[NormalizerOutput]> {
+        self.out.clear();
+        if let Some(msgs) = self.arbiter.offer(payload)? {
+            self.stats.packets_in += 1;
+            self.stats.messages_in += msgs.len() as u64;
+            for msg in msgs {
+                self.decode
+                    .normalize(msg, src_time_ns, self.emit_depth, &mut self.out);
+            }
+            self.stats.records_out += self.out.len() as u64;
         }
-        self.stats.records_out += out.len() as u64;
-        Ok(out)
+        Ok(&self.out)
     }
 
-    fn normalize(&mut self, msg: &Message, src_time_ns: u64, out: &mut Vec<NormalizerOutput>) {
+    /// The records the last [`on_packet`](NormalizerCore::on_packet)
+    /// produced.
+    pub fn outputs(&self) -> &[NormalizerOutput] {
+        &self.out
+    }
+}
+
+impl<R: Repartition> Decode<R> {
+    fn normalize(
+        &mut self,
+        msg: &Message,
+        src_time_ns: u64,
+        emit_depth: bool,
+        out: &mut Vec<NormalizerOutput>,
+    ) {
         // Resolve the symbol before mutating the book (deletes forget it).
         let symbol = msg
             .symbol()
@@ -231,7 +257,7 @@ impl<R: Repartition> NormalizerCore<R> {
                     src_time_ns,
                 },
             ));
-        } else if self.emit_depth {
+        } else if emit_depth {
             if let Some(symbol) = symbol {
                 let symbol_id = self.interner.intern(symbol);
                 out.push(self.make(

@@ -1,52 +1,191 @@
-//! Gap recovery: reordering receivers and retransmission servers.
+//! The merge stage and gap recovery.
 //!
 //! Sequenced multicast feeds (§2's "highly-optimized, stateful
-//! protocols") pair the lossy multicast stream with a unicast recovery
-//! channel: receivers detect sequence gaps, request retransmission, and
-//! hold later packets in a reorder buffer until the hole fills or a
-//! give-up bound passes. The exchange side answers from a bounded history
-//! under a token-bucket rate limit — recovery bandwidth is a shared,
-//! policed resource.
+//! protocols") arrive twice (an A/B pair) and pair the lossy multicast
+//! stream with a unicast recovery channel. One per-unit state machine
+//! merges all of it — live copies from either side and retransmitted
+//! ranges alike — back into sequence order: a cursor, a bounded hold of
+//! packets that arrived ahead of it, and a flag for whether the hole at
+//! the cursor has been requested. The hold bound is the only policy:
 //!
-//! [`Reorderer`] is the receiver half (a stricter alternative to
-//! [`crate::Arbiter`]'s skip-forward policy); [`RetransmissionServer`]
-//! is the exchange half.
+//! * [`Reorderer`] is that machine. Packets ahead of the cursor wait (as
+//!   the bytes that arrived) until the hole fills or more than `max_held`
+//!   messages are waiting, at which point the hole is declared lost.
+//! * [`crate::Arbiter`] is a `Reorderer` that holds nothing — every gap
+//!   is given up at once, i.e. skipped forward — plus the A/B counters.
+//! * [`RecoveryClient`] adds the timeout/backoff retry policy around a
+//!   `Reorderer`'s requests.
+//!
+//! A packet is validated when it is offered, before anything moves, so an
+//! `Err` leaves every cursor, hold and counter as it was and releasing a
+//! held packet cannot fail. An in-order message is decoded once, straight
+//! into the release buffer, and never stored.
+//!
+//! Every stage here owns its output buffer and lends it until the next
+//! call: [`Released`] out of the merge and the client, the history ring's
+//! own packets out of [`RetransmissionServer::serve`]. The exchange side
+//! answers from a bounded history under a token-bucket rate limit —
+//! recovery bandwidth is a shared, policed resource.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use tn_netdev::queues::TokenBucket;
 use tn_sim::{Metrics, SimTime};
 use tn_wire::pitch::{self, GapRequest};
 use tn_wire::{Result, WireError};
 
-/// What the reorderer wants done after a packet is offered.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReorderOutput {
+/// `a` is strictly before `b` in wrapping sequence space.
+fn wrapping_lt(a: u32, b: u32) -> bool {
+    b.wrapping_sub(a) as i32 > 0
+}
+
+/// Where a packet covering `[seq, seq + count)` stands against a unit's
+/// cursor — the one classification every arrival and every held packet
+/// goes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Carries no messages.
+    Empty,
+    /// Ends at or before the cursor: a copy of something already released.
+    Old,
+    /// Reaches the cursor: this many leading messages are old, the rest
+    /// are next in sequence.
+    Next(u32),
+    /// Starts this many sequence numbers past the cursor.
+    Ahead(u32),
+}
+
+impl Arrival {
+    fn classify(next: u32, seq: u32, count: u32) -> Arrival {
+        if count == 0 {
+            Arrival::Empty
+        } else if !wrapping_lt(next, seq.wrapping_add(count)) {
+            Arrival::Old
+        } else if !wrapping_lt(next, seq) {
+            Arrival::Next(next.wrapping_sub(seq))
+        } else {
+            Arrival::Ahead(seq.wrapping_sub(next))
+        }
+    }
+}
+
+/// Decode `pkt`'s messages, appending those from the `skip`-th on to
+/// `out`. Fails on the first malformed message, whichever side of `skip`.
+fn decode_from(pkt: &pitch::Packet<&[u8]>, skip: u32, out: &mut Vec<pitch::Message>) -> Result<()> {
+    for (i, m) in pkt.messages().enumerate() {
+        let m = m?;
+        if i as u32 >= skip {
+            out.push(m);
+        }
+    }
+    Ok(())
+}
+
+/// A request for the `missing` sequence numbers from `seq` on, as much of
+/// them as one request can name.
+fn gap_request(unit: u8, seq: u32, missing: u32) -> GapRequest {
+    GapRequest {
+        unit,
+        seq,
+        count: u16::try_from(missing).unwrap_or(u16::MAX),
+    }
+}
+
+/// What one merge or client call released and asked for. The stage owns
+/// it and lends it until its next call.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Released {
     /// Messages released in sequence order.
     pub messages: Vec<pitch::Message>,
-    /// A retransmission request to send, if a new gap opened.
-    pub request: Option<GapRequest>,
-    /// Sequence numbers abandoned (buffer bound passed before recovery).
+    /// Retransmission requests to send: a newly opened gap and, from
+    /// [`RecoveryClient::poll`], timed-out re-requests.
+    pub requests: Vec<GapRequest>,
+    /// Sequence numbers abandoned (hold bound passed or retries spent).
     pub abandoned: u64,
 }
 
+impl Released {
+    fn clear(&mut self) {
+        self.messages.clear();
+        self.requests.clear();
+        self.abandoned = 0;
+    }
+}
+
+/// A packet kept as the bytes that arrived, beside the sequence range its
+/// header declared: what the hold and the server's history are made of.
+#[derive(Debug)]
+struct Kept {
+    seq: u32,
+    count: u32,
+    bytes: Vec<u8>,
+}
+
+impl Kept {
+    /// Copy `payload` into `buffer` (a spare one, for its capacity).
+    fn new(mut buffer: Vec<u8>, seq: u32, count: u32, payload: &[u8]) -> Kept {
+        buffer.clear();
+        buffer.extend_from_slice(payload);
+        Kept {
+            seq,
+            count,
+            bytes: buffer,
+        }
+    }
+
+    /// Does this packet carry any of `[start, end)`?
+    fn overlaps(&self, start: u32, end: u32) -> bool {
+        wrapping_lt(self.seq, end) && wrapping_lt(start, self.seq.wrapping_add(self.count))
+    }
+}
+
 #[derive(Debug, Default)]
-struct UnitReorder {
+struct Unit {
+    /// Next sequence to release; `None` before the unit's first packet.
     next_seq: Option<u32>,
-    /// Out-of-order packets keyed by start sequence.
-    held: BTreeMap<u32, Vec<pitch::Message>>,
+    /// Packets ahead of the cursor, nearest first.
+    held: VecDeque<Kept>,
     held_messages: usize,
-    /// Whether the current gap has already been requested.
+    /// Whether the hole at the cursor has already been requested.
     requested: bool,
 }
 
-/// Receiver-side reordering with gap requests.
-#[derive(Debug)]
+impl Unit {
+    /// Release every held packet the cursor has reached, dropping ranges
+    /// already released; emptied buffers go to `spare`.
+    fn drain(&mut self, out: &mut Vec<pitch::Message>, spare: &mut Vec<Vec<u8>>) {
+        while let (Some(cur), Some(h)) = (self.next_seq, self.held.front()) {
+            let arrival = Arrival::classify(cur, h.seq, h.count);
+            if matches!(arrival, Arrival::Ahead(_)) {
+                break; // still a hole before the nearest held packet
+            }
+            let Some(h) = self.held.pop_front() else {
+                break;
+            };
+            self.held_messages -= h.count as usize;
+            if let Arrival::Next(skip) = arrival {
+                let decoded = pitch::Packet::new_checked(&h.bytes[..])
+                    .and_then(|pkt| decode_from(&pkt, skip, out));
+                debug_assert!(decoded.is_ok(), "held packets were validated at offer");
+                self.next_seq = Some(h.seq.wrapping_add(h.count));
+            }
+            spare.push(h.bytes);
+        }
+    }
+}
+
+/// The per-unit merge: sequence order out of A/B copies, late arrivals
+/// and retransmitted ranges, with gap requests. The default holds nothing.
+#[derive(Debug, Default)]
 pub struct Reorderer {
-    units: BTreeMap<u8, UnitReorder>,
+    /// Indexed by unit id, grown on first sight.
+    units: Vec<Unit>,
     /// Held messages per unit before giving up on a gap.
     max_held: usize,
     stats: ReorderStats,
+    out: Released,
+    /// Buffers of held packets since released, reused by the next hold.
+    spare: Vec<Vec<u8>>,
 }
 
 /// Reorderer counters.
@@ -70,9 +209,8 @@ impl Reorderer {
     /// waiting for a retransmission.
     pub fn new(max_held: usize) -> Reorderer {
         Reorderer {
-            units: BTreeMap::new(),
             max_held,
-            stats: ReorderStats::default(),
+            ..Reorderer::default()
         }
     }
 
@@ -83,14 +221,22 @@ impl Reorderer {
 
     /// Messages currently buffered behind gaps (all units).
     pub fn held(&self) -> usize {
-        self.units.values().map(|u| u.held_messages).sum()
+        self.units.iter().map(|u| u.held_messages).sum()
+    }
+
+    fn unit(&self, unit: u8) -> Option<&Unit> {
+        self.units.get(usize::from(unit))
+    }
+
+    /// The next expected sequence for a unit (`None` before any packet).
+    pub fn expected_seq(&self, unit: u8) -> Option<u32> {
+        self.unit(unit)?.next_seq
     }
 
     /// Is a gap currently open (request outstanding / packets held) on
     /// `unit`?
     pub fn gap_open(&self, unit: u8) -> bool {
-        self.units
-            .get(&unit)
+        self.unit(unit)
             .is_some_and(|u| u.requested || !u.held.is_empty())
     }
 
@@ -98,142 +244,104 @@ impl Reorderer {
     /// (first missing sequence up to the first held packet), or `None`
     /// when the unit is flowing in order.
     pub fn current_gap(&self, unit: u8) -> Option<GapRequest> {
-        let u = self.units.get(&unit)?;
+        let u = self.unit(unit)?;
         let next = u.next_seq?;
-        let (&first_held, _) = u.held.iter().next()?;
-        Some(GapRequest {
-            unit,
-            seq: next,
-            count: first_held.wrapping_sub(next).min(u32::from(u16::MAX)) as u16,
-        })
+        let first_held = u.held.front()?.seq;
+        Some(gap_request(unit, next, first_held.wrapping_sub(next)))
     }
 
-    /// Give up on `unit`'s open gap: declare the hole lost, skip the
-    /// cursor to the first held packet, and drain. The timeout/backoff
-    /// path of [`RecoveryClient`] calls this when retries are exhausted.
-    pub fn abandon_gap(&mut self, unit: u8) -> ReorderOutput {
-        let mut out = ReorderOutput::default();
-        let Some(u) = self.units.get_mut(&unit) else {
-            return out;
-        };
-        let Some((&first_held, _)) = u.held.iter().next() else {
-            u.requested = false;
-            return out;
-        };
-        // audit:allow(hotpath-unwrap): a unit holding packets always has a cursor, set when its first gap opened
-        let next = u.next_seq.expect("held implies a cursor");
-        let lost = u64::from(first_held.wrapping_sub(next));
-        out.abandoned += lost;
-        self.stats.abandoned += lost;
-        u.next_seq = Some(first_held);
-        u.requested = false;
-        drain_held(u, &mut out);
-        self.stats.released += out.messages.len() as u64;
-        out
+    /// What the last call released and asked for.
+    pub(crate) fn released(&self) -> &Released {
+        &self.out
     }
 
     /// Offer a sequenced-unit packet (multicast or retransmitted — the
     /// server replays the same packets, so both paths converge here).
-    pub fn offer(&mut self, payload: &[u8]) -> Result<ReorderOutput> {
-        let pkt = pitch::Packet::new_checked(payload)?;
-        let unit_id = pkt.unit();
-        let seq = pkt.sequence();
-        let count = u32::from(pkt.count());
-        let msgs: Vec<pitch::Message> = pkt.messages().collect::<Result<_>>()?;
-        let max_held = self.max_held;
-        let unit = self.units.entry(unit_id).or_default();
-        let mut out = ReorderOutput::default();
+    pub fn offer(&mut self, payload: &[u8]) -> Result<&Released> {
+        self.accept(payload)?;
+        Ok(&self.out)
+    }
 
-        let next = *unit.next_seq.get_or_insert(seq);
-        let end = seq.wrapping_add(count);
-        // Entirely old: duplicate.
-        if wrapping_le(end, next) {
-            return Ok(out);
+    /// [`offer`](Reorderer::offer), reporting the packet's unit and how it
+    /// stood against the cursor instead of lending the output (which
+    /// [`released`](Reorderer::released) still holds).
+    pub(crate) fn accept(&mut self, payload: &[u8]) -> Result<(u8, Arrival)> {
+        let pkt = pitch::Packet::new_checked(payload)?;
+        let (unit_id, seq, count) = (pkt.unit(), pkt.sequence(), u32::from(pkt.count()));
+        let next = self.expected_seq(unit_id).unwrap_or(seq);
+        let arrival = Arrival::classify(next, seq, count);
+        self.out.clear();
+        // Validate before anything moves. What is next in sequence decodes
+        // straight into the release buffer; what is ahead decodes to
+        // nothing here and again, from its held bytes, when it is reached.
+        let skip = match arrival {
+            Arrival::Empty | Arrival::Old => return Ok((unit_id, arrival)),
+            Arrival::Next(skip) => skip,
+            Arrival::Ahead(_) => count,
+        };
+        if let Err(e) = decode_from(&pkt, skip, &mut self.out.messages) {
+            self.out.messages.clear();
+            return Err(e);
         }
-        if seq == next || wrapping_lt(seq, next) {
-            // In-order (possibly overlapping): release the new tail.
-            let skip = next.wrapping_sub(seq) as usize;
-            let released = msgs.into_iter().skip(skip);
-            out.messages.extend(released);
-            unit.next_seq = Some(end);
-            // Drain any held packets that are now contiguous.
-            let gap_was_open = unit.requested;
-            drain_held(unit, &mut out);
-            if gap_was_open && unit.held.is_empty() {
-                unit.requested = false;
-                self.stats.recovered_gaps += 1;
-            }
-            if gap_was_open {
-                self.stats.recovered_messages += out.messages.len() as u64;
-            }
-        } else {
-            // Future packet: a gap is open. Hold it and maybe request.
-            if !unit.held.contains_key(&seq) {
-                unit.held_messages += msgs.len();
-                unit.held.insert(seq, msgs);
+
+        let index = usize::from(unit_id);
+        if self.units.len() <= index {
+            self.units.resize_with(index + 1, Unit::default);
+        }
+        let unit = &mut self.units[index];
+        if let Arrival::Ahead(missing) = arrival {
+            let at = unit.held.partition_point(|h| wrapping_lt(h.seq, seq));
+            if unit.held.get(at).is_none_or(|h| h.seq != seq) {
+                let buffer = self.spare.pop().unwrap_or_default();
+                unit.held.insert(at, Kept::new(buffer, seq, count, payload));
+                unit.held_messages += count as usize;
             }
             if !unit.requested {
                 unit.requested = true;
                 self.stats.requests += 1;
-                out.request = Some(GapRequest {
-                    unit: unit_id,
-                    seq: next,
-                    count: seq.wrapping_sub(next).min(u32::from(u16::MAX)) as u16,
-                });
+                self.out.requests.push(gap_request(unit_id, next, missing));
             }
-            // Give up if the hold buffer is past its bound: skip to the
-            // first held packet (declaring the hole lost) and drain.
-            if unit.held_messages > max_held {
-                // audit:allow(hotpath-unwrap): held_messages > 0 implies the held map is non-empty
-                let (&first_held, _) = unit.held.iter().next().expect("non-empty");
-                let lost = first_held.wrapping_sub(next);
-                out.abandoned += u64::from(lost);
-                self.stats.abandoned += u64::from(lost);
-                unit.next_seq = Some(first_held);
+            if unit.held_messages > self.max_held {
+                self.abandon(unit_id);
+            }
+        } else {
+            unit.next_seq = Some(seq.wrapping_add(count));
+            let gap_was_open = unit.requested;
+            unit.drain(&mut self.out.messages, &mut self.spare);
+            if gap_was_open && unit.held.is_empty() {
                 unit.requested = false;
-                drain_held(unit, &mut out);
+                self.stats.recovered_gaps += 1;
             }
+            let released = self.out.messages.len() as u64;
+            if gap_was_open {
+                self.stats.recovered_messages += released;
+            }
+            self.stats.released += released;
         }
-        self.stats.released += out.messages.len() as u64;
-        Ok(out)
+        Ok((unit_id, arrival))
     }
-}
 
-/// Release every held packet that became contiguous with `unit`'s
-/// cursor, skipping fully/partially duplicate ranges.
-// Peek-then-conditionally-pop; clippy's while-let suggestion would hold
-// the map borrow across the pop.
-#[allow(clippy::while_let_loop)]
-fn drain_held(unit: &mut UnitReorder, out: &mut ReorderOutput) {
-    loop {
-        let Some((&held_seq, _)) = unit.held.iter().next() else {
-            break;
+    /// Give up on `unit`'s open gap: declare the hole at the cursor lost,
+    /// resume at the nearest held packet, and append what that releases
+    /// to the output. The hold bound does this from
+    /// [`offer`](Reorderer::offer); [`RecoveryClient::poll`] does it when
+    /// retries are exhausted.
+    fn abandon(&mut self, unit: u8) {
+        let Some(u) = self.units.get_mut(usize::from(unit)) else {
+            return;
         };
-        // audit:allow(hotpath-unwrap): drain_held is only entered after the caller set the cursor
-        let cur = unit.next_seq.expect("drain requires a cursor");
-        if wrapping_lt(cur, held_seq) {
-            break; // still a hole before the next held packet
-        }
-        // audit:allow(hotpath-unwrap): the loop head just observed a held entry; pop_first cannot miss
-        let (held_seq, held_msgs) = unit.held.pop_first().expect("non-empty");
-        let held_count = held_msgs.len() as u32;
-        unit.held_messages -= held_msgs.len();
-        let held_end = held_seq.wrapping_add(held_count);
-        if wrapping_le(held_end, cur) {
-            continue; // fully duplicate of what we released
-        }
-        let skip = cur.wrapping_sub(held_seq) as usize;
-        out.messages.extend(held_msgs.into_iter().skip(skip));
-        unit.next_seq = Some(held_end);
+        u.requested = false;
+        let (Some(next), Some(first)) = (u.next_seq, u.held.front()) else {
+            return;
+        };
+        let lost = u64::from(first.seq.wrapping_sub(next));
+        u.next_seq = Some(first.seq);
+        let before = self.out.messages.len();
+        u.drain(&mut self.out.messages, &mut self.spare);
+        self.out.abandoned += lost;
+        self.stats.abandoned += lost;
+        self.stats.released += (self.out.messages.len() - before) as u64;
     }
-}
-
-fn wrapping_lt(a: u32, b: u32) -> bool {
-    b.wrapping_sub(a) as i32 > 0
-}
-
-fn wrapping_le(a: u32, b: u32) -> bool {
-    a == b || wrapping_lt(a, b)
 }
 
 /// Timeout/backoff policy for [`RecoveryClient`].
@@ -268,25 +376,6 @@ struct OpenGap {
     /// When the next re-request (or the abandon) fires.
     deadline: SimTime,
     retries: u32,
-}
-
-/// What a [`RecoveryClient`] call produced.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecoveryOutput {
-    /// Messages released in sequence order.
-    pub messages: Vec<pitch::Message>,
-    /// Gap requests (first requests and timed-out re-requests) to send.
-    pub requests: Vec<GapRequest>,
-    /// Sequence numbers abandoned as unrecoverable.
-    pub abandoned: u64,
-}
-
-impl RecoveryOutput {
-    fn absorb(&mut self, out: ReorderOutput) {
-        self.messages.extend(out.messages);
-        self.requests.extend(out.request);
-        self.abandoned += out.abandoned;
-    }
 }
 
 /// Receiver-side gap recovery with timeout/backoff: a [`Reorderer`] plus
@@ -368,13 +457,12 @@ impl RecoveryClient {
         self.open.values().map(|g| g.deadline).min()
     }
 
-    /// Offer an arriving packet at time `now`.
-    pub fn offer(&mut self, now: SimTime, payload: &[u8]) -> Result<RecoveryOutput> {
-        let unit = pitch::Packet::new_checked(payload)?.unit();
-        let inner = self.reorderer.offer(payload)?;
-        let mut out = RecoveryOutput::default();
-        let abandoned_by_bound = inner.abandoned > 0;
-        if inner.request.is_some() {
+    /// Offer an arriving packet at time `now`. The output is the inner
+    /// reorderer's own, lent on.
+    pub fn offer(&mut self, now: SimTime, payload: &[u8]) -> Result<&Released> {
+        let (unit, _) = self.reorderer.accept(payload)?;
+        let out = self.reorderer.released();
+        if !out.requests.is_empty() {
             self.metrics.inc("feed", "gap_detected", None);
             self.open.insert(
                 unit,
@@ -385,11 +473,10 @@ impl RecoveryClient {
                 },
             );
         }
-        out.absorb(inner);
         if let Some(gap) = self.open.get(&unit).copied() {
             if !self.reorderer.gap_open(unit) {
                 self.open.remove(&unit);
-                if abandoned_by_bound {
+                if out.abandoned > 0 {
                     self.abandoned_gaps += 1;
                     self.metrics.inc("feed", "gap_abandoned", None);
                 } else {
@@ -404,52 +491,47 @@ impl RecoveryClient {
 
     /// Fire timeouts due at `now`: re-request still-open gaps (with
     /// exponential backoff) and abandon those out of retries.
-    pub fn poll(&mut self, now: SimTime) -> RecoveryOutput {
-        let mut out = RecoveryOutput::default();
-        let due: Vec<u8> = self
-            .open
-            .iter()
-            .filter(|(_, g)| g.deadline <= now)
-            .map(|(&u, _)| u)
-            .collect();
-        for unit in due {
+    pub fn poll(&mut self, now: SimTime) -> &Released {
+        self.reorderer.out.clear();
+        self.open.retain(|&unit, gap| {
+            if gap.deadline > now {
+                return true;
+            }
             let Some(req) = self.reorderer.current_gap(unit) else {
                 // Nothing held any more (e.g. closed by an abandon path);
                 // drop the bookkeeping entry.
-                self.open.remove(&unit);
-                continue;
+                return false;
             };
-            // audit:allow(hotpath-unwrap): `due` was filtered from `open`; the entry cannot have vanished since
-            let gap = self.open.get_mut(&unit).expect("due implies open");
             if gap.retries >= self.cfg.max_retries {
-                self.open.remove(&unit);
                 self.abandoned_gaps += 1;
                 self.metrics.inc("feed", "gap_abandoned", None);
-                let drained = self.reorderer.abandon_gap(unit);
-                out.messages.extend(drained.messages);
-                out.abandoned += drained.abandoned;
-            } else {
-                gap.retries += 1;
-                let wait_ps = self
-                    .cfg
-                    .timeout
-                    .as_ps()
-                    .saturating_mul(u64::from(self.cfg.backoff).saturating_pow(gap.retries));
-                gap.deadline = now + SimTime::from_ps(wait_ps);
-                self.re_requests += 1;
-                self.metrics.inc("feed", "re_request", None);
-                out.requests.push(req);
+                self.reorderer.abandon(unit);
+                return false;
             }
-        }
-        out
+            gap.retries += 1;
+            let wait_ps = self
+                .cfg
+                .timeout
+                .as_ps()
+                .saturating_mul(u64::from(self.cfg.backoff).saturating_pow(gap.retries));
+            gap.deadline = now + SimTime::from_ps(wait_ps);
+            self.re_requests += 1;
+            self.metrics.inc("feed", "re_request", None);
+            self.reorderer.out.requests.push(req);
+            true
+        });
+        &self.reorderer.out
     }
 }
 
 /// Exchange-side retransmission server: bounded per-unit history, rate
 /// limited by a token bucket (recovery must not starve the live feed).
 pub struct RetransmissionServer {
-    history: HashMap<u8, VecDeque<(u32, Vec<u8>)>>,
+    /// Indexed by unit id, grown on first sight; each ring in store order.
+    history: Vec<VecDeque<Kept>>,
     max_packets_per_unit: usize,
+    /// The buffer the last eviction freed, reused by the next store.
+    spare: Vec<u8>,
     bucket: TokenBucket,
     stats: RetransStats,
 }
@@ -476,8 +558,9 @@ impl RetransmissionServer {
         burst_bytes: u64,
     ) -> RetransmissionServer {
         RetransmissionServer {
-            history: HashMap::new(),
+            history: Vec::new(),
             max_packets_per_unit,
+            spare: Vec::new(),
             bucket: TokenBucket::new(rate_bytes_per_sec, burst_bytes),
             stats: RetransStats::default(),
         }
@@ -491,49 +574,58 @@ impl RetransmissionServer {
     /// Record a published packet (call for every live packet).
     pub fn store(&mut self, payload: &[u8]) -> Result<()> {
         let pkt = pitch::Packet::new_checked(payload)?;
-        let ring = self.history.entry(pkt.unit()).or_default();
-        // audit:allow(hotpath-alloc): retention ring owns a copy of every live payload; pooling is ROADMAP item 2
-        ring.push_back((pkt.sequence(), payload.to_vec()));
+        let unit = usize::from(pkt.unit());
+        if self.history.len() <= unit {
+            self.history.resize_with(unit + 1, VecDeque::new);
+        }
+        let ring = &mut self.history[unit];
+        let buffer = std::mem::take(&mut self.spare);
+        let count = u32::from(pkt.count());
+        ring.push_back(Kept::new(buffer, pkt.sequence(), count, payload));
         if ring.len() > self.max_packets_per_unit {
-            ring.pop_front();
+            self.spare = ring.pop_front().map(|s| s.bytes).unwrap_or_default();
         }
         self.stats.stored += 1;
         Ok(())
     }
 
-    /// Serve a gap request at time `now`: returns the stored packets
-    /// covering the requested range, subject to history and rate limits.
-    pub fn serve(&mut self, now: SimTime, req: &GapRequest) -> Result<Vec<Vec<u8>>> {
-        let Some(ring) = self.history.get(&req.unit) else {
-            self.stats.too_old += 1;
-            return Err(WireError::BadField);
-        };
-        let want_end = req.seq.wrapping_add(u32::from(req.count));
-        // audit:allow(hotpath-alloc): replay batch for one gap request; zero-alloc feed path is ROADMAP item 2
-        let mut replay = Vec::new();
-        let mut covered_start = false;
-        for (seq, payload) in ring {
-            let pkt = pitch::Packet::new_checked(&payload[..])?;
-            let end = seq.wrapping_add(u32::from(pkt.count()));
-            // Overlaps the requested range?
-            if wrapping_lt(*seq, want_end) && wrapping_lt(req.seq, end) {
-                if wrapping_le(*seq, req.seq) {
-                    covered_start = true;
-                }
-                replay.push(payload.clone());
+    /// Serve a gap request at time `now`: lends the stored packets
+    /// covering the requested range — the run of history from the first
+    /// to the last packet that overlaps it — subject to history and rate
+    /// limits.
+    pub fn serve(
+        &mut self,
+        now: SimTime,
+        req: &GapRequest,
+    ) -> Result<impl ExactSizeIterator<Item = &[u8]> + '_> {
+        let ring = match self.history.get(usize::from(req.unit)) {
+            Some(ring) if !ring.is_empty() => ring,
+            _ => {
+                self.stats.too_old += 1;
+                return Err(WireError::BadField);
             }
-        }
-        if replay.is_empty() || !covered_start {
+        };
+        let (start, end) = (req.seq, req.seq.wrapping_add(u32::from(req.count)));
+        // Gaps are recent: find the run from the ring's young end.
+        let run = ring
+            .iter()
+            .rposition(|s| s.overlaps(start, end))
+            .map(|last| {
+                let older = ring.range(..last).rev();
+                let first = last - older.take_while(|s| s.overlaps(start, end)).count();
+                first..last + 1
+            });
+        let Some(run) = run.filter(|run| !wrapping_lt(start, ring[run.start].seq)) else {
             self.stats.too_old += 1;
             return Err(WireError::BadLength);
-        }
-        let bytes: usize = replay.iter().map(|p| p.len()).sum();
+        };
+        let bytes: usize = ring.range(run.clone()).map(|s| s.bytes.len()).sum();
         if !self.bucket.try_consume(now, bytes) {
             self.stats.throttled += 1;
             return Err(WireError::BadLength);
         }
         self.stats.served += 1;
-        Ok(replay)
+        Ok(ring.range(run).map(|s| &s.bytes[..]))
     }
 }
 
@@ -561,7 +653,7 @@ mod tests {
         let mut r = Reorderer::new(100);
         let out = r.offer(&packet(0, 1, 3)).unwrap();
         assert_eq!(ids(&out.messages), vec![1, 2, 3]);
-        assert!(out.request.is_none());
+        assert!(out.requests.is_empty());
         let out = r.offer(&packet(0, 4, 2)).unwrap();
         assert_eq!(ids(&out.messages), vec![4, 5]);
         assert_eq!(r.stats().released, 5);
@@ -576,17 +668,17 @@ mod tests {
         let out = r.offer(&packet(0, 5, 2)).unwrap();
         assert!(out.messages.is_empty());
         assert_eq!(
-            out.request,
-            Some(GapRequest {
+            out.requests,
+            vec![GapRequest {
                 unit: 0,
                 seq: 3,
                 count: 2
-            })
+            }]
         );
         assert_eq!(r.held(), 2);
         // More future data: held, but no duplicate request.
         let out = r.offer(&packet(0, 7, 1)).unwrap();
-        assert!(out.request.is_none());
+        assert!(out.requests.is_empty());
         // Retransmission of 3..=4 arrives: everything drains in order.
         let out = r.offer(&packet(0, 3, 2)).unwrap();
         assert_eq!(ids(&out.messages), vec![3, 4, 5, 6, 7]);
@@ -602,7 +694,7 @@ mod tests {
         let mut r = Reorderer::new(3);
         r.offer(&packet(0, 1, 1)).unwrap();
         // Lose 2; buffer 3,4,5,6 — the 4th held message trips the bound.
-        assert!(r.offer(&packet(0, 3, 1)).unwrap().request.is_some());
+        assert_eq!(r.offer(&packet(0, 3, 1)).unwrap().requests.len(), 1);
         r.offer(&packet(0, 4, 1)).unwrap();
         r.offer(&packet(0, 5, 1)).unwrap();
         let out = r.offer(&packet(0, 6, 1)).unwrap();
@@ -612,6 +704,51 @@ mod tests {
         // Stream continues normally afterward.
         let out = r.offer(&packet(0, 7, 1)).unwrap();
         assert_eq!(ids(&out.messages), vec![7]);
+    }
+
+    #[test]
+    fn held_packets_drain_in_sequence_order_across_the_wrap() {
+        let mut r = Reorderer::new(100);
+        r.offer(&packet(0, u32::MAX - 2, 1)).unwrap();
+        // MAX-1 is lost; what follows arrives newest first, so the hold
+        // must order 1 (past the wrap) after MAX (before it).
+        r.offer(&packet(0, 1, 1)).unwrap();
+        r.offer(&packet(0, u32::MAX, 2)).unwrap();
+        assert_eq!(r.held(), 3);
+        let out = r.offer(&packet(0, u32::MAX - 1, 1)).unwrap();
+        let max = u64::from(u32::MAX);
+        assert_eq!(ids(&out.messages), vec![max - 1, max, 0, 1]);
+        assert_eq!(r.held(), 0);
+        assert_eq!(r.expected_seq(0), Some(2));
+    }
+
+    #[test]
+    fn a_damaged_packet_ahead_is_refused_when_offered_not_when_released() {
+        let mut r = Reorderer::new(100);
+        r.offer(&packet(0, 1, 1)).unwrap();
+        let mut ahead = packet(0, 5, 2);
+        let second = ahead.len() - 14; // a delete is 14 bytes: length, type, ...
+        ahead[second + 1] = 0xFF; // no such message type
+        assert!(r.offer(&ahead).is_err());
+        assert_eq!((r.held(), r.gap_open(0)), (0, false));
+        assert_eq!(
+            r.stats(),
+            ReorderStats {
+                released: 1,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    fn empty_packets_move_nothing() {
+        let mut r = Reorderer::new(100);
+        r.offer(&packet(0, 1, 1)).unwrap();
+        let mut empty = packet(0, 9, 1);
+        empty[2] = 0; // count
+        let out = r.offer(&empty).unwrap();
+        assert!(out.messages.is_empty() && out.requests.is_empty());
+        assert_eq!((r.expected_seq(0), r.gap_open(0)), (Some(2), false));
     }
 
     #[test]
@@ -630,7 +767,7 @@ mod tests {
         for seq in [1u32, 4, 7] {
             s.store(&packet(2, seq, 3)).unwrap();
         }
-        let replay = s
+        let mut replay = s
             .serve(
                 SimTime::ZERO,
                 &GapRequest {
@@ -641,8 +778,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(replay.len(), 1);
-        let pkt = pitch::Packet::new_checked(&replay[0][..]).unwrap();
-        assert_eq!(pkt.sequence(), 4);
+        // The ring's own bytes, as stored.
+        assert_eq!(replay.next(), Some(&packet(2, 4, 3)[..]));
+        drop(replay);
         assert_eq!(s.stats().served, 1);
         // A range spanning two packets returns both.
         let replay = s
@@ -828,9 +966,9 @@ mod tests {
             }
             let out = rx.offer(&p).unwrap();
             delivered.extend(ids(&out.messages));
-            if let Some(req) = out.request {
+            if let Some(req) = out.requests.first().copied() {
                 for replay in server.serve(SimTime::ZERO, &req).unwrap() {
-                    let out = rx.offer(&replay).unwrap();
+                    let out = rx.offer(replay).unwrap();
                     delivered.extend(ids(&out.messages));
                 }
             }

@@ -35,8 +35,6 @@ use tn_netdev::TxQueue;
 use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::{boe, eth, ipv4, stack, tcp};
 
-use tn_feed::RetransmissionServer;
-
 use crate::engine::{MatchingEngine, Reply};
 use crate::feedpub::FeedPublisher;
 use crate::flow::{FlowMix, OrderFlowGenerator};
@@ -52,9 +50,6 @@ const MATCH_TOKEN: u64 = 1;
 
 /// Exchange-side TCP port for order-entry sessions.
 pub const ORDER_ENTRY_PORT: u16 = 7_001;
-
-/// UDP port of the exchange's gap-request (retransmission) service.
-pub const RETRANS_PORT: u16 = 7_002;
 
 /// Exchange configuration.
 pub struct ExchangeConfig {
@@ -85,9 +80,6 @@ pub struct ExchangeConfig {
     pub bursts: Vec<u32>,
     /// Largest feed payload per packet.
     pub max_payload: usize,
-    /// Retransmission history depth per unit (packets). Zero disables the
-    /// gap-request service.
-    pub retrans_history: usize,
     /// PRNG seed for the exchange's own randomness.
     pub seed: u64,
 }
@@ -109,7 +101,6 @@ impl ExchangeConfig {
             tick_interval: SimTime::from_ms(1),
             bursts: Vec::new(),
             max_payload: 1_400,
-            retrans_history: 256,
             seed: 1,
         }
     }
@@ -152,7 +143,6 @@ pub struct Exchange {
     /// Peer → session (so mid-stream messages resolve their session).
     peer_session: HashMap<(ipv4::Addr, u16), u32>,
     matcher: TxQueue,
-    retrans: Option<RetransmissionServer>,
     stats: ExchangeStats,
     event_counter: u64,
     /// Wire-to-wire response latencies: for every inbound order frame
@@ -182,10 +172,6 @@ impl Exchange {
         let flow = OrderFlowGenerator::new(&cfg.directory, FlowMix::default());
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let matcher = TxQueue::new(MATCH_TOKEN);
-        // Recovery replay is policed at ~1 Gbps with a 64 kB burst so it
-        // cannot starve the live feed.
-        let retrans = (cfg.retrans_history > 0)
-            .then(|| RetransmissionServer::new(cfg.retrans_history, 125_000_000, 65_536));
         Exchange {
             cfg,
             engine,
@@ -196,7 +182,6 @@ impl Exchange {
             sessions: HashMap::new(),
             peer_session: HashMap::new(),
             matcher,
-            retrans,
             stats: ExchangeStats::default(),
             event_counter: 0,
             response_latency_ps: Vec::new(),
@@ -245,9 +230,6 @@ impl Exchange {
         self.stats.feed_messages += msgs.len() as u64;
         let packets = self.publisher.publish(&self.cfg.directory, time_ns, msgs);
         for pkt in packets {
-            if let Some(server) = &mut self.retrans {
-                let _ = server.store(&pkt.bytes);
-            }
             let group = ipv4::Addr::multicast_group(self.cfg.mcast_base + u32::from(pkt.unit));
             // Emit the wire frame once into the reusable scratch buffer;
             // each feed port then gets an arena-backed copy.
@@ -392,38 +374,6 @@ impl Exchange {
         }
         self.boe_scratch = messages;
     }
-
-    fn on_gap_request(&mut self, ctx: &mut Context<'_>, port: PortId, view: stack::UdpView<'_>) {
-        let Ok(req) = tn_wire::pitch::GapRequest::parse(view.payload) else {
-            return;
-        };
-        let Some(server) = &mut self.retrans else {
-            return;
-        };
-        let Ok(replays) = server.serve(ctx.now(), &req) else {
-            return; // aged out or throttled: the requester re-snapshots
-        };
-        let (src_mac, src_ip) = (self.cfg.src_mac, self.cfg.src_ip);
-        let (dst_mac, dst_ip, dst_port) = (view.src_mac, view.src_ip, view.src_port);
-        for payload in replays {
-            let frame = ctx
-                .frame()
-                .fill(|b| {
-                    stack::emit_udp_into(
-                        src_mac,
-                        Some(dst_mac),
-                        src_ip,
-                        dst_ip,
-                        RETRANS_PORT,
-                        dst_port,
-                        &payload,
-                        b,
-                    )
-                })
-                .build();
-            ctx.send(port, frame);
-        }
-    }
 }
 
 impl Node for Exchange {
@@ -434,12 +384,9 @@ impl Node for Exchange {
         }
         if let Ok(view) = stack::parse_tcp(&frame.bytes) {
             self.on_order_entry(ctx, port, view);
-        } else if let Ok(view) = stack::parse_udp(&frame.bytes) {
-            if view.dst_port == RETRANS_PORT {
-                self.on_gap_request(ctx, port, view);
-            }
         }
-        // Anything else (stray multicast, unknown ports) is ignored. Either
+        // Anything else (stray multicast, gap requests — those go to the
+        // feed's `RetransUnit`) is ignored. Either
         // way the exchange is a terminal consumer: the frame is fully
         // decoded here, so its buffer goes back to the arena.
         ctx.recycle(frame);
@@ -644,78 +591,6 @@ mod tests {
             .iter()
             .any(|m| matches!(m, pitch::Message::AddOrder { qty: 100, .. })));
         let _ = Symbol::new("X");
-    }
-
-    #[test]
-    fn gap_requests_are_served_over_the_wire() {
-        let mut cfg = small_exchange(0.0);
-        cfg.bursts = vec![50];
-        let mut sim = Simulator::new(3);
-        let ex = sim.add_node("exch", Exchange::new(cfg));
-        let col = sim.add_node("col", Collector { frames: vec![] });
-        sim.connect_spec(
-            ex,
-            PortId(0),
-            col,
-            PortId(0),
-            &LinkSpec::ideal(SimTime::ZERO),
-        );
-        sim.schedule_timer(SimTime::from_ms(1), ex, TimerToken(BURST_BASE));
-        sim.run();
-        // Take the first published packet and pretend we lost it.
-        let (unit, seq, count, original) = {
-            let frames = &sim.node::<Collector>(col).unwrap().frames;
-            assert!(!frames.is_empty());
-            let v = stack::parse_udp(&frames[0].1).unwrap();
-            let pkt = tn_wire::pitch::Packet::new_checked(v.payload).unwrap();
-            (pkt.unit(), pkt.sequence(), pkt.count(), v.payload.to_vec())
-        };
-        let before = sim.node::<Collector>(col).unwrap().frames.len();
-        // Ask for it back over the recovery channel.
-        let req = tn_wire::pitch::GapRequest {
-            unit,
-            seq,
-            count: u16::from(count),
-        };
-        let frame_bytes = stack::build_udp(
-            eth::MacAddr::host(9),
-            Some(eth::MacAddr::host(0xEE01)),
-            ipv4::Addr::new(10, 0, 0, 9),
-            ipv4::Addr::new(10, 200, 1, 1),
-            50_000,
-            RETRANS_PORT,
-            &req.emit(),
-        );
-        let f = sim.frame().copy_from(&frame_bytes).build();
-        let t = sim.now();
-        sim.inject_frame(t, ex, PortId(0), f);
-        sim.run();
-        let frames = &sim.node::<Collector>(col).unwrap().frames;
-        assert_eq!(frames.len(), before + 1, "one retransmitted packet");
-        let v = stack::parse_udp(&frames[before].1).unwrap();
-        assert_eq!(v.src_port, RETRANS_PORT);
-        assert_eq!(v.dst_ip, ipv4::Addr::new(10, 0, 0, 9)); // unicast to requester
-        assert_eq!(v.payload, &original[..], "replay is byte-identical");
-        // A request for data that never existed is refused silently.
-        let bad = tn_wire::pitch::GapRequest {
-            unit: 99,
-            seq: 1,
-            count: 1,
-        };
-        let frame_bytes = stack::build_udp(
-            eth::MacAddr::host(9),
-            Some(eth::MacAddr::host(0xEE01)),
-            ipv4::Addr::new(10, 0, 0, 9),
-            ipv4::Addr::new(10, 200, 1, 1),
-            50_000,
-            RETRANS_PORT,
-            &bad.emit(),
-        );
-        let f = sim.frame().copy_from(&frame_bytes).build();
-        let t = sim.now();
-        sim.inject_frame(t, ex, PortId(0), f);
-        sim.run();
-        assert_eq!(sim.node::<Collector>(col).unwrap().frames.len(), before + 1);
     }
 
     #[test]

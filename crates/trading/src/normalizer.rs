@@ -11,7 +11,7 @@
 //! core — §3's per-event budget arithmetic (650 ns/event at the busiest
 //! second, 100 ns at the 100 µs peak) runs against exactly this knob.
 
-use tn_feed::normalize::{HashRepartition, NormalizerCore, NormalizerOutput};
+use tn_feed::normalize::{HashRepartition, NormalizerCore};
 use tn_netdev::TxQueue;
 use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::{eth, ipv4, l1t, norm, stack};
@@ -153,10 +153,11 @@ impl Normalizer {
         &self.core
     }
 
-    fn emit(&mut self, ctx: &mut Context<'_>, outputs: &[NormalizerOutput], src: &Frame) {
-        if outputs.is_empty() {
-            return;
-        }
+    /// Publish the records the core produced from the last packet. Reads
+    /// them where the core keeps them: the core lends, this node's own
+    /// buffers (`wire_scratch`, `bounds_scratch`) take it from there.
+    fn emit(&mut self, ctx: &mut Context<'_>, src: &Frame) {
+        let outputs = self.core.outputs();
         // Group contiguous same-partition records into packets; feeds are
         // bursty per symbol so runs are common.
         let mut i = 0;
@@ -230,19 +231,17 @@ impl Normalizer {
         }
         let time_ns = ctx.now().as_ps() / 1_000;
         let msgs_before = self.core.stats().messages_in;
-        match self.core.on_packet(view.payload, time_ns) {
-            Ok(outputs) => {
-                // Every native message costs core time whether or
-                // not it survives normalization — the basis of the
-                // §3 filtering analysis.
-                let consumed = self.core.stats().messages_in - msgs_before;
-                self.svc
-                    .charge(ctx.now(), self.cfg.per_message_service * consumed);
-                self.stats.records_out += outputs.len() as u64;
-                self.emit(ctx, &outputs, frame);
-            }
-            Err(_) => self.stats.parse_errors += 1,
-        }
+        let Ok(outputs) = self.core.on_packet(view.payload, time_ns) else {
+            self.stats.parse_errors += 1;
+            return;
+        };
+        self.stats.records_out += outputs.len() as u64;
+        // Every native message costs core time whether or not it survives
+        // normalization — the basis of the §3 filtering analysis.
+        let consumed = self.core.stats().messages_in - msgs_before;
+        self.svc
+            .charge(ctx.now(), self.cfg.per_message_service * consumed);
+        self.emit(ctx, frame);
     }
 }
 
