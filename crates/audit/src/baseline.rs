@@ -4,9 +4,9 @@
 //! a *new* finding appears — including suppressed ones, so suppression
 //! creep is caught in review even though `audit:allow` keeps the exit
 //! code green. Documents are parsed with the workspace's one JSON tree,
-//! [`tn_lab::json`].
+//! [`tn_sim::json`].
 
-use tn_lab::json::Json;
+use tn_sim::json::Json;
 
 use crate::lints::Finding;
 
@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use crate::lints::{Finding, Severity};
     use crate::report::render_json;
-    use tn_lab::json::parse;
+    use tn_sim::json::parse;
 
     fn finding(lint: &'static str, file: &str, line: usize) -> Finding {
         Finding {

@@ -216,7 +216,7 @@ fn run_feed_handler(kind: SchedulerKind) -> RunSignature {
     let dir = SymbolDirectory::synthetic(100);
     let mut engine = MatchingEngine::new(dir.instruments().iter().map(|i| i.symbol));
     let mut flow = OrderFlowGenerator::new(&dir, FlowMix::default());
-    let mut publisher = FeedPublisher::new(PartitionScheme::ByHash { units: 4 }, 1400, 0);
+    let mut publisher = FeedPublisher::new(PartitionScheme::ByHash { units: 4 }, 1400);
     let mut rng = SmallRng::seed_from_u64(99);
 
     let mut digest = EMPTY_DIGEST;

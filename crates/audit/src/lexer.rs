@@ -127,7 +127,7 @@ impl Lexer {
                 self.i += 1; // the `b`; raw_string consumes from `r`
                 self.raw_string(h)
             } else if c == '\'' {
-                self.quote()
+                self.apostrophe()
             } else if c.is_alphanumeric() || c == '_' {
                 while self
                     .peek(0)
@@ -203,7 +203,7 @@ impl Lexer {
     }
 
     /// `'` disambiguation: char literal vs lifetime/label, cursor on `'`.
-    fn quote(&mut self) -> TokKind {
+    fn apostrophe(&mut self) -> TokKind {
         let next = self.peek(1);
         let is_char = match next {
             Some('\\') => true,

@@ -133,7 +133,7 @@ fn run_lint(args: &Args) -> ExitCode {
 /// must be visible in review, not waved through).
 fn check_baseline(findings: &[tn_audit::Finding], path: &PathBuf) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = tn_lab::json::parse(&text)?;
+    let doc = tn_sim::json::parse(&text)?;
     baseline::validate_report(&doc)?;
     let diff = baseline::diff_against_baseline(findings, &doc)?;
     for k in &diff.new {
@@ -168,7 +168,7 @@ fn run_schema(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match tn_lab::json::parse(&text).and_then(|doc| baseline::validate_report(&doc)) {
+    match tn_sim::json::parse(&text).and_then(|doc| baseline::validate_report(&doc)) {
         Ok(()) => {
             println!("schema: {} is a valid tn-audit/v1 report", path.display());
             ExitCode::SUCCESS

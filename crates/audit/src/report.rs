@@ -17,6 +17,8 @@
 //! }
 //! ```
 
+use tn_sim::json::{num_u64, Json};
+
 use crate::lints::Finding;
 
 /// Aggregate counts over a finding set.
@@ -100,54 +102,40 @@ fn digits(mut n: usize) -> usize {
     d + 1 // one space of padding, matching rustc's gutter
 }
 
-/// Render the versioned JSON document (schema above).
+/// Render the versioned JSON document (schema above), newline-terminated.
 pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"schema\":\"tn-audit/v1\",\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let text = |s: &str| Json::Str(s.into());
+    let count = |n: usize| num_u64(n as u64);
+    let findings_json = findings.iter().map(|f| {
+        let mut members = vec![
+            ("lint", text(f.lint)),
+            ("severity", text(f.severity.name())),
+            ("file", text(&f.file)),
+            ("line", count(f.line)),
+            ("column", count(f.column)),
+            ("message", text(&f.message)),
+        ];
+        if let Some(note) = &f.note {
+            members.push(("note", text(note)));
         }
-        let note = match &f.note {
-            Some(n) => format!(",\"note\":{}", json_str(n)),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "{{\"lint\":{},\"severity\":{},\"file\":{},\"line\":{},\"column\":{},\"message\":{}{},\"suppressed\":{}}}",
-            json_str(f.lint),
-            json_str(f.severity.name()),
-            json_str(&f.file),
-            f.line,
-            f.column,
-            json_str(&f.message),
-            note,
-            f.suppressed
-        ));
-    }
+        members.push(("suppressed", Json::Bool(f.suppressed)));
+        Json::obj(members)
+    });
     let c = counts(findings);
-    out.push_str(&format!(
-        "],\"counts\":{{\"total\":{},\"suppressed\":{},\"active\":{}}}}}",
-        c.total, c.suppressed, c.active
-    ));
+    let mut out = Json::obj([
+        ("schema", text("tn-audit/v1")),
+        ("findings", Json::Arr(findings_json.collect())),
+        (
+            "counts",
+            Json::obj([
+                ("total", count(c.total)),
+                ("suppressed", count(c.suppressed)),
+                ("active", count(c.active)),
+            ]),
+        ),
+    ])
+    .render();
     out.push('\n');
-    out
-}
-
-/// Escape a string as a JSON literal (hand-rolled; no serde offline).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -215,11 +203,6 @@ mod tests {
             out.contains("\"note\":\"hot root Node::on_frame\",\"suppressed\":false"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -114,11 +114,63 @@ fn json_schema_is_stable() {
     );
 }
 
+/// A fixed finding set that exercises every field and every escape the
+/// renderer has: a note and its absence, both severities, a suppressed
+/// entry, quotes, backslashes, control characters and non-ASCII text.
+fn fixed_findings() -> Vec<tn_audit::Finding> {
+    let finding =
+        |lint, severity, line, message: &str, note: Option<&str>, suppressed| tn_audit::Finding {
+            lint,
+            severity,
+            file: format!("crates/x/src/{lint}.rs"),
+            line,
+            column: line % 7 + 1,
+            message: message.into(),
+            snippet: "ignored by the JSON form".into(),
+            note: note.map(Into::into),
+            suppressed,
+        };
+    use tn_audit::Severity::{Error, Warning};
+    vec![
+        finding(
+            "det-wallclock",
+            Error,
+            7,
+            "`Instant` reads \"the\" wall clock",
+            None,
+            false,
+        ),
+        finding(
+            "hotpath-alloc",
+            Warning,
+            120,
+            "allocates in C:\\hot\tpath\n(µs)",
+            Some("hot root Node::on_frame -> emit\u{1}"),
+            true,
+        ),
+        finding("schema-version", Error, 3, "", Some(""), false),
+    ]
+}
+
+#[test]
+fn json_report_content_is_pinned_and_round_trips() {
+    let json = render_json(&fixed_findings());
+    let doc = tn_sim::json::parse(&json).unwrap();
+    assert_eq!(doc.render() + "\n", json);
+    tn_audit::baseline::validate_report(&doc).unwrap();
+    // Recorded before the JSON writers were folded into one module.
+    assert_eq!(
+        tn_sim::fnv1a_fold(tn_sim::EMPTY_DIGEST, json.as_bytes()),
+        0xf423_4b3e_68aa_fa55,
+        "{json}"
+    );
+}
+
 #[test]
 fn reports_validate_against_their_own_schema() {
     let (name, text) = fixture!("suppressed");
     let findings = scan_fixture(name, text);
-    let doc = tn_lab::json::parse(&render_json(&findings)).unwrap();
+    let doc = tn_sim::json::parse(&render_json(&findings)).unwrap();
     tn_audit::baseline::validate_report(&doc).unwrap();
 }
 
@@ -135,7 +187,7 @@ fn workspace_findings_match_the_committed_baseline() {
     let root = tn_audit::scan::default_root();
     let findings = tn_audit::scan_workspace(&root).unwrap();
     let text = std::fs::read_to_string(root.join("AUDIT_BASELINE.json")).unwrap();
-    let doc = tn_lab::json::parse(&text).unwrap();
+    let doc = tn_sim::json::parse(&text).unwrap();
     tn_audit::baseline::validate_report(&doc).unwrap();
     let diff = tn_audit::baseline::diff_against_baseline(&findings, &doc).unwrap();
     assert!(

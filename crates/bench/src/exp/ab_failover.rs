@@ -10,6 +10,7 @@
 use std::io::{self, Write};
 
 use tn_fault::FaultSpec;
+use tn_sim::json::{num_fixed, num_u64, Json};
 use tn_sim::SimTime;
 
 use super::{exp_json, Check, Outcome};
@@ -37,23 +38,20 @@ fn sweep() -> Vec<(&'static str, AbFailoverRun)> {
 
 fn json(runs: &[(&str, AbFailoverRun)]) -> String {
     let runs = runs.iter().map(|(name, r)| {
-        format!(
-            "{{\"fault\":\"{name}\",\"published\":{},\"delivered\":{},\"gap_events\":{},\
-             \"gap_messages\":{},\"duplicates\":{},\"a_won\":{},\"b_won\":{},\
-             \"window_throughput\":{:.1},\"clean_throughput\":{:.1},\
-             \"digest\":\"{:016x}\",\"events\":{}}}",
-            r.published_messages,
-            r.delivered_messages,
-            r.gap_events,
-            r.gap_messages,
-            r.duplicates,
-            r.side_a.1,
-            r.side_b.1,
-            r.window_throughput,
-            r.clean_throughput,
-            r.digest,
-            r.events,
-        )
+        Json::obj([
+            ("fault", Json::Str(name.to_string())),
+            ("published", num_u64(r.published_messages)),
+            ("delivered", num_u64(r.delivered_messages)),
+            ("gap_events", num_u64(r.gap_events)),
+            ("gap_messages", num_u64(r.gap_messages)),
+            ("duplicates", num_u64(r.duplicates)),
+            ("a_won", num_u64(r.side_a.1)),
+            ("b_won", num_u64(r.side_b.1)),
+            ("window_throughput", num_fixed(r.window_throughput, 1)),
+            ("clean_throughput", num_fixed(r.clean_throughput, 1)),
+            ("digest", Json::Str(format!("{:016x}", r.digest))),
+            ("events", num_u64(r.events)),
+        ])
     });
     exp_json("ab_failover", runs)
 }

@@ -19,6 +19,7 @@ use std::io::{self, Write};
 
 use tn_cloud::{run_fairness, DesignKind, FairnessScenario};
 use tn_lab::{run_batch, Axis, AxisValues, RunExecutor, RunOutcome, RunPlan, SweepSpec};
+use tn_sim::json::{num_u64, Json};
 use tn_sim::SimTime;
 
 use super::{exp_json, lookup, Check, Outcome};
@@ -134,21 +135,19 @@ fn rows<'a>(manifest: &'a [RunPlan], outcomes: &'a [RunOutcome]) -> Vec<Row<'a>>
 
 fn json(rows: &[Row<'_>]) -> String {
     let runs = rows.iter().map(|r| {
-        format!(
-            "{{\"design\":\"{}\",\"jitter_ns\":{},\"hold_us\":{},\"fanout\":{},\
-             \"subscribers\":{},\"spread_p50_ps\":{},\"spread_p99_ps\":{},\
-             \"spread_max_ps\":{},\"added_median_ps\":{},\"late\":{}}}",
-            r.design,
-            r.jitter_ns,
-            r.hold_us,
-            r.fanout,
-            r.subscribers,
-            metric(r.out, "spread_p50_ps") as u64,
-            metric(r.out, "spread_p99_ps") as u64,
-            metric(r.out, "spread_max_ps") as u64,
-            metric(r.out, "added_median_ps") as u64,
-            metric(r.out, "late") as u64,
-        )
+        let m = |name: &str| num_u64(metric(r.out, name) as u64);
+        Json::obj([
+            ("design", Json::Str(r.design.to_string())),
+            ("jitter_ns", num_u64(r.jitter_ns)),
+            ("hold_us", num_u64(r.hold_us)),
+            ("fanout", num_u64(r.fanout)),
+            ("subscribers", num_u64(r.subscribers)),
+            ("spread_p50_ps", m("spread_p50_ps")),
+            ("spread_p99_ps", m("spread_p99_ps")),
+            ("spread_max_ps", m("spread_max_ps")),
+            ("added_median_ps", m("added_median_ps")),
+            ("late", m("late")),
+        ])
     });
     exp_json("cloud_fairness", runs)
 }

@@ -12,6 +12,7 @@ use std::io::{self, Write};
 
 use tn_core::design::{LayerOneSwitches, TradingNetworkDesign};
 use tn_core::ScenarioConfig;
+use tn_sim::json::Json;
 use tn_sim::SimTime;
 use tn_wire::l1t;
 use tn_wire::stack::UDP_OVERHEAD;
@@ -71,7 +72,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
         custom.orders_sent
     )?;
     Ok(Outcome {
-        json: Some(format!("[{},{}]", udp.to_json(), custom.to_json())),
+        json: Some(Json::Arr(vec![udp.json(), custom.json()]).render()),
         checks: vec![
             Check::eq(
                 "orders sent under l1t vs UDP framing",

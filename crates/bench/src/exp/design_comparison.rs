@@ -8,7 +8,8 @@
 use std::io::{self, Write};
 
 use tn_core::design::{CloudDesign, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches};
-use tn_core::ScenarioConfig;
+use tn_core::{DesignReport, ScenarioConfig};
+use tn_sim::json::Json;
 use tn_sim::SimTime;
 
 use super::{Check, Outcome};
@@ -74,9 +75,8 @@ pub fn run(out: &mut dyn Write) -> io::Result<Outcome> {
         "cloud penalty over commodity                : {:.0}x on median reaction",
         d2.reaction.median.as_ps() as f64 / d1.reaction.median.as_ps() as f64
     )?;
-    let docs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
     Ok(Outcome {
-        json: Some(format!("[{}]", docs.join(","))),
+        json: Some(Json::Arr(reports.iter().map(DesignReport::json).collect()).render()),
         checks: vec![
             Check::below(
                 "L1 median reaction vs commodity's",

@@ -10,6 +10,7 @@ use std::io::{self, Write};
 
 use tn_core::LatencyStats;
 use tn_fault::FaultSpec;
+use tn_sim::json::{num_u64, Json};
 
 use super::{exp_json, Check, Outcome};
 use crate::faultsim::{run_loss_recovery, LossRecoveryConfig, LossRecoveryRun};
@@ -36,22 +37,20 @@ fn sweep() -> Vec<(&'static str, LossRecoveryRun)> {
 fn json(runs: &[(&str, LossRecoveryRun)]) -> String {
     let runs = runs.iter().map(|(name, r)| {
         let fill = LatencyStats::from_samples(&r.fill_latency_ps);
-        format!(
-            "{{\"fault\":\"{name}\",\"published\":{},\"delivered\":{},\"gaps\":{},\
-             \"requests\":{},\"recovered\":{},\"abandoned\":{},\"refused\":{},\
-             \"fill_median_ps\":{},\"fill_p99_ps\":{},\"digest\":\"{:016x}\",\"events\":{}}}",
-            r.published_messages,
-            r.delivered_messages,
-            r.gaps_seen,
-            r.retrans_requests,
-            r.recovered_messages,
-            r.abandoned,
-            r.refused,
-            fill.median.as_ps(),
-            fill.p99.as_ps(),
-            r.digest,
-            r.events,
-        )
+        Json::obj([
+            ("fault", Json::Str(name.to_string())),
+            ("published", num_u64(r.published_messages)),
+            ("delivered", num_u64(r.delivered_messages)),
+            ("gaps", num_u64(r.gaps_seen)),
+            ("requests", num_u64(r.retrans_requests)),
+            ("recovered", num_u64(r.recovered_messages)),
+            ("abandoned", num_u64(r.abandoned)),
+            ("refused", num_u64(r.refused)),
+            ("fill_median_ps", num_u64(fill.median.as_ps())),
+            ("fill_p99_ps", num_u64(fill.p99.as_ps())),
+            ("digest", Json::Str(format!("{:016x}", r.digest))),
+            ("events", num_u64(r.events)),
+        ])
     });
     exp_json("loss_recovery", runs)
 }

@@ -7,6 +7,8 @@
 use std::fmt::Display;
 use std::io::{self, Write};
 
+use tn_sim::json::Json;
+
 mod ab_failover;
 mod cloud_fairness;
 mod custom_transport;
@@ -76,12 +78,13 @@ fn lookup(pairs: &[(String, f64)], name: &str) -> Option<f64> {
 }
 
 /// The `tn-exp/v1` document: one JSON object per run under `runs`.
-fn exp_json(experiment: &str, runs: impl Iterator<Item = String>) -> String {
-    let runs: Vec<String> = runs.collect();
-    format!(
-        "{{\"schema\":\"tn-exp/v1\",\"experiment\":\"{experiment}\",\"runs\":[{}]}}",
-        runs.join(",")
-    )
+fn exp_json(experiment: &str, runs: impl Iterator<Item = Json>) -> String {
+    Json::obj([
+        ("schema", Json::Str("tn-exp/v1".into())),
+        ("experiment", Json::Str(experiment.into())),
+        ("runs", Json::Arr(runs.collect())),
+    ])
+    .render()
 }
 
 /// What one experiment run hands back besides the text it wrote.

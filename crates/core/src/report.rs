@@ -1,5 +1,6 @@
 //! Evaluation reports: what a design run produces.
 
+use tn_sim::json::{num_fixed, num_u64, Json};
 use tn_sim::{KernelProfile, SimTime, Snapshot, SnapshotValue};
 use tn_stats::{FairnessWindow, Summary};
 
@@ -465,230 +466,157 @@ impl DesignReport {
     /// be *added* within a version. All times are integer picoseconds;
     /// the digest is 16 lowercase hex digits.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        json_str(&mut s, "schema", SCHEMA_V1);
-        s.push(',');
-        json_str(&mut s, "design", &self.design);
-        s.push(',');
-        json_latency(&mut s, "feed_latency", &self.feed_latency);
-        s.push(',');
-        json_latency(&mut s, "reaction", &self.reaction);
-        for (k, v) in [
-            ("feed_messages", self.feed_messages),
-            ("records_evaluated", self.records_evaluated),
-            ("records_discarded", self.records_discarded),
-            ("orders_sent", self.orders_sent),
-            ("acks", self.acks),
-            ("fills", self.fills),
-            ("frames_dropped", self.frames_dropped),
-            ("software_path_ps", self.software_path.as_ps()),
-            ("events_recorded", self.events_recorded),
-        ] {
-            s.push(',');
-            json_u64(&mut s, k, v);
-        }
-        s.push(',');
-        json_f64(&mut s, "network_share", self.network_share);
-        s.push(',');
-        json_str(
-            &mut s,
-            "trace_digest",
-            &format!("{:016x}", self.trace_digest),
-        );
+        self.json().render()
+    }
+
+    /// The `tn-report/v1` document as a tree, for callers that embed it
+    /// in a larger document.
+    pub fn json(&self) -> Json {
+        let n = num_u64;
         let r = &self.recovery;
-        s.push_str(",\"recovery\":{");
-        for (i, (k, v)) in [
-            ("gaps_seen", r.gaps_seen),
-            ("records_lost", r.records_lost),
-            ("records_recovered", r.records_recovered),
-            ("duplicates_absorbed", r.duplicates_absorbed),
-            ("retrans_requests", r.retrans_requests),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            json_u64(&mut s, k, v);
-        }
-        s.push(',');
-        json_latency(&mut s, "gap_fill", &r.gap_fill);
-        s.push(',');
-        json_f64(&mut s, "degraded_throughput", r.degraded_throughput);
-        s.push('}');
+        let mut doc = vec![
+            ("schema", Json::Str(SCHEMA_V1.into())),
+            ("design", Json::Str(self.design.clone())),
+            ("feed_latency", latency(&self.feed_latency)),
+            ("reaction", latency(&self.reaction)),
+            ("feed_messages", n(self.feed_messages)),
+            ("records_evaluated", n(self.records_evaluated)),
+            ("records_discarded", n(self.records_discarded)),
+            ("orders_sent", n(self.orders_sent)),
+            ("acks", n(self.acks)),
+            ("fills", n(self.fills)),
+            ("frames_dropped", n(self.frames_dropped)),
+            ("software_path_ps", n(self.software_path.as_ps())),
+            ("events_recorded", n(self.events_recorded)),
+            ("network_share", num_fixed(self.network_share, 6)),
+            (
+                "trace_digest",
+                Json::Str(format!("{:016x}", self.trace_digest)),
+            ),
+            (
+                "recovery",
+                Json::obj([
+                    ("gaps_seen", n(r.gaps_seen)),
+                    ("records_lost", n(r.records_lost)),
+                    ("records_recovered", n(r.records_recovered)),
+                    ("duplicates_absorbed", n(r.duplicates_absorbed)),
+                    ("retrans_requests", n(r.retrans_requests)),
+                    ("gap_fill", latency(&r.gap_fill)),
+                    ("degraded_throughput", num_fixed(r.degraded_throughput, 6)),
+                ]),
+            ),
+        ];
         if let Some(t) = &self.telemetry {
-            s.push_str(",\"telemetry\":{");
-            json_u64(&mut s, "at_ps", t.at_ps);
-            s.push_str(",\"hops\":[");
-            for (i, h) in t.hops.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                json_str(&mut s, "kind", &h.kind);
-                for (k, v) in [
-                    ("count", h.count),
-                    ("total_ps", clamp_u64(h.total_ps)),
-                    ("mean_ps", h.mean_ps),
-                    ("max_ps", h.max_ps),
-                ] {
-                    s.push(',');
-                    json_u64(&mut s, k, v);
-                }
-                s.push(',');
-                json_f64(&mut s, "share", h.share);
-                s.push('}');
-            }
-            s.push_str("],\"hottest_nodes\":[");
-            for (i, n) in t.hottest_nodes.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                json_u64(&mut s, "node", u64::from(n.node));
-                s.push(',');
-                json_u64(&mut s, "count", n.count);
-                s.push(',');
-                json_u64(&mut s, "total_ps", clamp_u64(n.total_ps));
-                s.push('}');
-            }
-            s.push_str("],\"counters\":[");
-            for (i, (scope, name, node, v)) in t.counters.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                json_str(&mut s, "scope", scope);
-                s.push(',');
-                json_str(&mut s, "name", name);
-                s.push_str(",\"node\":");
-                match node {
-                    Some(n) => s.push_str(&n.to_string()),
-                    None => s.push_str("null"),
-                }
-                s.push(',');
-                json_u64(&mut s, "value", *v);
-                s.push('}');
-            }
-            s.push_str("]}");
+            let hops = t.hops.iter().map(|h| {
+                Json::obj([
+                    ("kind", Json::Str(h.kind.clone())),
+                    ("count", n(h.count)),
+                    ("total_ps", n(clamp_u64(h.total_ps))),
+                    ("mean_ps", n(h.mean_ps)),
+                    ("max_ps", n(h.max_ps)),
+                    ("share", num_fixed(h.share, 6)),
+                ])
+            });
+            let hottest = t.hottest_nodes.iter().map(|h| {
+                Json::obj([
+                    ("node", n(h.node.into())),
+                    ("count", n(h.count)),
+                    ("total_ps", n(clamp_u64(h.total_ps))),
+                ])
+            });
+            let counters = t.counters.iter().map(|(scope, name, node, v)| {
+                Json::obj([
+                    ("scope", Json::Str(scope.clone())),
+                    ("name", Json::Str(name.clone())),
+                    ("node", node.map_or(Json::Null, |id| n(id.into()))),
+                    ("value", n(*v)),
+                ])
+            });
+            doc.push((
+                "telemetry",
+                Json::obj([
+                    ("at_ps", n(t.at_ps)),
+                    ("hops", Json::Arr(hops.collect())),
+                    ("hottest_nodes", Json::Arr(hottest.collect())),
+                    ("counters", Json::Arr(counters.collect())),
+                ]),
+            ));
         }
         if let Some(p) = &self.profile {
-            s.push_str(",\"kernel_profile\":{");
-            json_u64(&mut s, "at_ps", p.at_ps);
-            s.push(',');
-            json_str(&mut s, "scheduler", &p.scheduler);
-            for (k, v) in [
-                ("frames", p.frames),
-                ("timers", p.timers),
-                ("drops", p.drops),
-                ("schedules", p.schedules),
-                ("max_queue_depth", p.max_queue_depth),
-                ("queue_stride", p.queue_stride),
-                ("sched_rebuilds", p.sched_rebuilds),
-                ("sched_cascades", p.sched_cascades),
-                ("sched_bucket_count", p.sched_bucket_count),
-                ("sched_bucket_width_ps", p.sched_bucket_width_ps),
-                ("arena_allocated", p.arena_allocated),
-                ("arena_reused", p.arena_reused),
-                ("arena_recycled", p.arena_recycled),
-            ] {
-                s.push(',');
-                json_u64(&mut s, k, v);
-            }
-            s.push_str(",\"arena_reuse_ratio\":");
-            match p.arena_reuse_ratio() {
-                Some(r) => s.push_str(&format!("{r:.6}")),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"wheel_occupancy\":[");
-            for (i, occ) in p.wheel_occupancy.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&occ.to_string());
-            }
-            s.push_str("],\"queue_depth\":[");
-            for (i, (at, depth)) in p.queue_depth.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{at},{depth}]"));
-            }
-            s.push_str("],\"busiest_nodes\":[");
-            for (i, n) in p.busiest_nodes(5).iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                for (j, (k, v)) in [
-                    ("node", u64::from(n.node)),
-                    ("frames", n.frames),
-                    ("timers", n.timers),
-                    ("drops", n.drops),
-                    ("last_at_ps", n.last_at_ps),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    json_u64(&mut s, k, v);
-                }
-                s.push('}');
-            }
-            s.push_str("]}");
+            let depth = p
+                .queue_depth
+                .iter()
+                .map(|&(at, depth)| Json::Arr(vec![n(at), n(depth)]));
+            let busiest = p.busiest_nodes(5).into_iter().map(|b| {
+                Json::obj([
+                    ("node", n(b.node.into())),
+                    ("frames", n(b.frames)),
+                    ("timers", n(b.timers)),
+                    ("drops", n(b.drops)),
+                    ("last_at_ps", n(b.last_at_ps)),
+                ])
+            });
+            doc.push((
+                "kernel_profile",
+                Json::obj([
+                    ("at_ps", n(p.at_ps)),
+                    ("scheduler", Json::Str(p.scheduler.clone())),
+                    ("frames", n(p.frames)),
+                    ("timers", n(p.timers)),
+                    ("drops", n(p.drops)),
+                    ("schedules", n(p.schedules)),
+                    ("max_queue_depth", n(p.max_queue_depth)),
+                    ("queue_stride", n(p.queue_stride)),
+                    ("sched_rebuilds", n(p.sched_rebuilds)),
+                    ("sched_cascades", n(p.sched_cascades)),
+                    ("sched_bucket_count", n(p.sched_bucket_count)),
+                    ("sched_bucket_width_ps", n(p.sched_bucket_width_ps)),
+                    ("arena_allocated", n(p.arena_allocated)),
+                    ("arena_reused", n(p.arena_reused)),
+                    ("arena_recycled", n(p.arena_recycled)),
+                    (
+                        "arena_reuse_ratio",
+                        p.arena_reuse_ratio()
+                            .map_or(Json::Null, |ratio| num_fixed(ratio, 6)),
+                    ),
+                    (
+                        "wheel_occupancy",
+                        Json::Arr(p.wheel_occupancy.iter().map(|&o| n(o)).collect()),
+                    ),
+                    ("queue_depth", Json::Arr(depth.collect())),
+                    ("busiest_nodes", Json::Arr(busiest.collect())),
+                ]),
+            ));
         }
         if let Some(sh) = &self.shard {
-            s.push_str(",\"shard\":{");
-            json_u64(&mut s, "shards", u64::from(sh.shards));
-            s.push(',');
-            json_u64(&mut s, "windows", sh.windows);
-            s.push(',');
-            json_u64(&mut s, "cross_shard_frames", sh.cross_shard_frames);
-            for (key, vals) in [
-                ("events_per_shard", &sh.events_per_shard),
-                ("nodes_per_shard", &sh.nodes_per_shard),
-            ] {
-                s.push_str(",\"");
-                s.push_str(key);
-                s.push_str("\":[");
-                for (i, v) in vals.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&v.to_string());
-                }
-                s.push(']');
-            }
-            s.push('}');
+            let list = |vals: &[u64]| Json::Arr(vals.iter().map(|&v| n(v)).collect());
+            doc.push((
+                "shard",
+                Json::obj([
+                    ("shards", n(sh.shards.into())),
+                    ("windows", n(sh.windows)),
+                    ("cross_shard_frames", n(sh.cross_shard_frames)),
+                    ("events_per_shard", list(&sh.events_per_shard)),
+                    ("nodes_per_shard", list(&sh.nodes_per_shard)),
+                ]),
+            ));
         }
         if let Some(fa) = &self.fairness {
-            s.push_str(",\"fairness\":{");
-            for (i, (k, v)) in [
-                ("subscribers", fa.subscribers),
-                ("events_measured", fa.events_measured),
-                ("events_incomplete", fa.events_incomplete),
-                ("late_deliveries", fa.late_deliveries),
-                ("spread_p50_ps", fa.spread_p50.as_ps()),
-                ("spread_p99_ps", fa.spread_p99.as_ps()),
-                ("spread_max_ps", fa.spread_max.as_ps()),
-                ("pad_median_ps", fa.pad_median.as_ps()),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_u64(&mut s, k, v);
-            }
-            s.push('}');
+            doc.push((
+                "fairness",
+                Json::obj([
+                    ("subscribers", n(fa.subscribers)),
+                    ("events_measured", n(fa.events_measured)),
+                    ("events_incomplete", n(fa.events_incomplete)),
+                    ("late_deliveries", n(fa.late_deliveries)),
+                    ("spread_p50_ps", n(fa.spread_p50.as_ps())),
+                    ("spread_p99_ps", n(fa.spread_p99.as_ps())),
+                    ("spread_max_ps", n(fa.spread_max.as_ps())),
+                    ("pad_median_ps", n(fa.pad_median.as_ps())),
+                ]),
+            ));
         }
-        s.push('}');
-        s
+        Json::obj(doc)
     }
 }
 
@@ -701,56 +629,15 @@ fn clamp_u64(v: u128) -> u64 {
 /// Schema tag emitted by [`DesignReport::to_json`].
 pub const SCHEMA_V1: &str = "tn-report/v1";
 
-fn json_str(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in val.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_u64(out: &mut String, key: &str, val: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&val.to_string());
-}
-
-fn json_f64(out: &mut String, key: &str, val: f64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    // JSON has no NaN/Inf; clamp to null for robustness.
-    if val.is_finite() {
-        out.push_str(&format!("{val:.6}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn json_latency(out: &mut String, key: &str, l: &LatencyStats) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":{");
-    json_u64(out, "count", l.count as u64);
-    for (k, v) in [
-        ("min_ps", l.min),
-        ("mean_ps", l.mean),
-        ("median_ps", l.median),
-        ("p99_ps", l.p99),
-        ("max_ps", l.max),
-    ] {
-        out.push(',');
-        json_u64(out, k, v.as_ps());
-    }
-    out.push('}');
+fn latency(l: &LatencyStats) -> Json {
+    Json::obj([
+        ("count", num_u64(l.count as u64)),
+        ("min_ps", num_u64(l.min.as_ps())),
+        ("mean_ps", num_u64(l.mean.as_ps())),
+        ("median_ps", num_u64(l.median.as_ps())),
+        ("p99_ps", num_u64(l.p99.as_ps())),
+        ("max_ps", num_u64(l.max.as_ps())),
+    ])
 }
 
 #[cfg(test)]
@@ -782,6 +669,12 @@ mod tests {
         let s = LatencyStats::from_samples(&[1_000_000]);
         let out = s.to_string();
         assert!(out.contains("median=1.000us"), "{out}");
+    }
+
+    /// The one parser reads the report back and it re-renders unchanged.
+    fn assert_round_trips(j: &str) {
+        let doc = tn_sim::json::parse(j).unwrap_or_else(|e| panic!("{e}: {j}"));
+        assert_eq!(doc.render(), j);
     }
 
     fn sample_report() -> DesignReport {
@@ -883,13 +776,7 @@ mod tests {
         assert!(j.contains("\"gap_fill\":{\"count\":1"), "{j}");
         assert!(j.contains("\"median_ps\":9000"), "{j}");
         assert!(j.contains("\"degraded_throughput\":1234.5"), "{j}");
-        // Balanced braces — cheap structural sanity without a parser.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
-        assert!(j.ends_with("}}"), "{j}");
+        assert_round_trips(&j);
     }
 
     #[test]
@@ -915,11 +802,7 @@ mod tests {
             j.contains("{\"scope\":\"switch\",\"name\":\"frames\",\"node\":3,\"value\":4}"),
             "{j}"
         );
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
+        assert_round_trips(&j);
     }
 
     #[test]
@@ -960,12 +843,7 @@ mod tests {
             j.contains("\"busiest_nodes\":[{\"node\":2,\"frames\":40"),
             "{j}"
         );
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_round_trips(&j);
     }
 
     #[test]
@@ -1004,12 +882,7 @@ mod tests {
         );
         assert!(j.contains("\"events_per_shard\":[100,90,80]"), "{j}");
         assert!(j.contains("\"nodes_per_shard\":[2,2,1]"), "{j}");
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_round_trips(&j);
         let s = r.summary();
         assert!(
             s.contains("shard    : k=3 windows=17 cross_shard_frames=42"),
@@ -1048,11 +921,7 @@ mod tests {
             "{j}"
         );
         assert!(j.contains("\"pad_median_ps\":30000000"), "{j}");
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
+        assert_round_trips(&j);
         let s = r.summary();
         assert!(
             s.contains("fairness : subs=8 events=40 incomplete=2 late=3"),

@@ -11,9 +11,9 @@
 
 use tn_stats::Summary;
 
-use crate::json::{self, num_f64, num_u64, Json};
 use crate::runner::RunOutcome;
 use crate::spec::RunPlan;
+use tn_sim::json::{self, num_f64, num_u64, Json};
 
 /// Schema marker for lab reports.
 pub const REPORT_SCHEMA: &str = "tn-lab/v1";
@@ -228,7 +228,7 @@ impl LabReport {
             ("runs".into(), Json::Arr(runs)),
             ("cells".into(), Json::Arr(cells)),
         ])
-        .emit();
+        .render();
         out.push('\n');
         out
     }

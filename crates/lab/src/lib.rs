@@ -21,13 +21,16 @@
 //!   pooled p50/p99/p999, min/max, and cross-seed spread, serialized as
 //!   `tn-lab/v1` plus a human summary table.
 //!
+//! Both documents are built and parsed with the workspace's one JSON
+//! module, [`tn_sim::json`], whose raw number tokens make
+//! serialize → parse → serialize a byte identity.
+//!
 //! The `tn-lab` binary exposes `expand`, `run`, and `summarize`;
 //! `tn-bench` experiments reuse the runner through the [`RunExecutor`]
 //! trait (see tn-bench's `mcast-exhaustion` experiment for a custom
 //! executor).
 
 pub mod agg;
-pub mod json;
 pub mod runner;
 pub mod spec;
 
@@ -36,6 +39,9 @@ pub use runner::{
     build_config, resolve_design, run_batch, RunExecutor, RunOutcome, ScenarioExecutor,
 };
 pub use spec::{Axis, AxisValues, RunPlan, SweepSpec, SPEC_SCHEMA};
+/// The workspace's JSON module (`tn_sim::json`), also reachable here
+/// because the benchmark package's contract test imports it by this path.
+pub use tn_sim::json;
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 //! which is what lets the parallel runner merge results by manifest
 //! index and still be byte-identical to a serial run.
 
-use crate::json::{self, num_f64, num_u64, Json};
+use tn_sim::json::{self, num_f64, num_u64, Json};
 
 /// Schema marker for serialized specs.
 pub const SPEC_SCHEMA: &str = "tn-lab-spec/v1";
@@ -312,7 +312,7 @@ impl SweepSpec {
                 Json::Arr(self.seeds.iter().map(|&s| num_u64(s)).collect()),
             ),
         ])
-        .emit()
+        .render()
     }
 
     /// Parse a `tn-lab-spec/v1` document.

@@ -168,7 +168,7 @@ impl Exchange {
     /// Build the node.
     pub fn new(cfg: ExchangeConfig) -> Exchange {
         let engine = MatchingEngine::new(cfg.directory.instruments().iter().map(|i| i.symbol));
-        let publisher = FeedPublisher::new(cfg.scheme, cfg.max_payload, 0);
+        let publisher = FeedPublisher::new(cfg.scheme, cfg.max_payload);
         let flow = OrderFlowGenerator::new(&cfg.directory, FlowMix::default());
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let matcher = TxQueue::new(MATCH_TOKEN);

@@ -32,17 +32,14 @@ pub struct FeedPublisher {
     /// forgotten on DeleteOrder) — messages like executions don't carry a
     /// symbol, mirroring the statefulness of real PITCH.
     order_units: HashMap<u64, u16>,
-    /// Per-packet protocol-specific extra header bytes (paper: "another
-    /// 8–16 bytes of protocol-specific headers"); prepended as padding.
-    extra_header: usize,
 }
 
 impl FeedPublisher {
     /// Publisher for `scheme`, packing up to `max_payload` bytes per
-    /// packet (excluding `extra_header`). Panics on a scheme with more
-    /// than 256 units: a PITCH unit id is one byte, and two units sharing
-    /// one would interleave their sequence streams.
-    pub fn new(scheme: PartitionScheme, max_payload: usize, extra_header: usize) -> FeedPublisher {
+    /// packet. Panics on a scheme with more than 256 units: a PITCH unit
+    /// id is one byte, and two units sharing one would interleave their
+    /// sequence streams.
+    pub fn new(scheme: PartitionScheme, max_payload: usize) -> FeedPublisher {
         let units = scheme.units();
         FeedPublisher {
             scheme,
@@ -52,7 +49,6 @@ impl FeedPublisher {
                 .collect(),
             last_time_sec: vec![None; usize::from(units)],
             order_units: HashMap::new(),
-            extra_header,
         }
     }
 
@@ -115,15 +111,6 @@ impl FeedPublisher {
                 sealed.push(UnitPacket { unit, bytes: done });
             }
         }
-        if self.extra_header > 0 {
-            for p in &mut sealed {
-                // Prepend the exchange's extra framing as opaque padding.
-                // audit:allow(hotpath-alloc): re-framing copy when an extra header is configured; zero-copy emit is ROADMAP item 2
-                let mut with = vec![0u8; self.extra_header];
-                with.extend_from_slice(&p.bytes);
-                p.bytes = with;
-            }
-        }
         sealed
     }
 
@@ -161,7 +148,7 @@ mod tests {
     #[test]
     fn time_message_prefixes_each_new_second() {
         let d = dir();
-        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400, 0);
+        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400);
         let packets = p.publish(&d, 34_200_000_000_000, &[add(1, sym("A0000"))]);
         assert_eq!(packets.len(), 1);
         let pkt = pitch::Packet::new_checked(&packets[0].bytes[..]).unwrap();
@@ -182,7 +169,7 @@ mod tests {
     fn messages_route_to_units_and_track_orders() {
         let d = dir();
         let scheme = PartitionScheme::ByHash { units: 4 };
-        let mut p = FeedPublisher::new(scheme, 1400, 0);
+        let mut p = FeedPublisher::new(scheme, 1400);
         let s1 = sym("A0000");
         let s2 = sym("B0001");
         let u1 = scheme.unit_for(&d, s1);
@@ -211,7 +198,7 @@ mod tests {
     #[test]
     fn sequences_are_continuous_per_unit() {
         let d = dir();
-        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400, 0);
+        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400);
         let mut next_seq = 1u32;
         for batch in 0..5 {
             let msgs: Vec<_> = (0..3)
@@ -229,7 +216,7 @@ mod tests {
     #[test]
     fn bursts_overflow_into_multiple_packets() {
         let d = dir();
-        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 120, 0);
+        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 120);
         let msgs: Vec<_> = (0..20).map(|i| add(i + 1, sym("A0000"))).collect();
         let packets = p.publish(&d, 1_000_000_000, &msgs);
         assert!(packets.len() > 1);
@@ -241,17 +228,5 @@ mod tests {
         for pk in &packets {
             assert!(pk.bytes.len() <= 120);
         }
-    }
-
-    #[test]
-    fn extra_header_pads_packets() {
-        let d = dir();
-        let mut with = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400, 9);
-        let mut without = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400, 0);
-        let a = with.publish(&d, 1_000_000_000, &[add(1, sym("A0000"))]);
-        let b = without.publish(&d, 1_000_000_000, &[add(1, sym("A0000"))]);
-        assert_eq!(a[0].bytes.len(), b[0].bytes.len() + 9);
-        // The PITCH packet still parses after skipping the extra header.
-        assert!(pitch::Packet::new_checked(&a[0].bytes[9..]).is_ok());
     }
 }

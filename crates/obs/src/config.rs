@@ -12,9 +12,6 @@ pub struct ObsConfig {
     /// Maintain a [`crate::MetricsRegistry`] fed by kernel, link, switch,
     /// and feed-path hooks.
     pub registry: bool,
-    /// Emit a `tn-trace/v1` JSONL document at the end of the run (drivers
-    /// decide where it goes; the kernel itself never does I/O).
-    pub trace: bool,
     /// Keep a bounded ring of the last kernel events in a
     /// [`crate::FlightRecorder`], dumped on panic or on demand.
     pub flight: bool,
@@ -43,29 +40,22 @@ impl ObsConfig {
         ObsConfig {
             provenance: false,
             registry: false,
-            trace: false,
             flight: false,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: false,
         }
     }
 
-    /// Everything on: provenance, registry, trace export, flight
-    /// recorder, and kernel profiler.
+    /// Everything on: provenance, registry, flight recorder, and kernel
+    /// profiler.
     pub const fn full() -> ObsConfig {
         ObsConfig {
             provenance: true,
             registry: true,
-            trace: true,
             flight: true,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: true,
         }
-    }
-
-    /// True if any collection is enabled.
-    pub const fn any(&self) -> bool {
-        self.provenance || self.registry || self.trace || self.flight || self.profile
     }
 
     /// [`ObsConfig::full`] when `on`, [`ObsConfig::off`] otherwise — the
@@ -86,27 +76,13 @@ mod tests {
     #[test]
     fn defaults_are_off() {
         assert_eq!(ObsConfig::default(), ObsConfig::off());
-        assert!(!ObsConfig::off().any());
-        assert!(ObsConfig::full().any());
-        assert!(ObsConfig::full().provenance);
-        assert!(ObsConfig::full().registry);
-        assert!(ObsConfig::full().trace);
-        assert!(ObsConfig::full().flight);
-        assert!(ObsConfig::full().profile);
+        let flags = |c: ObsConfig| [c.provenance, c.registry, c.flight, c.profile];
+        assert_eq!(flags(ObsConfig::off()), [false; 4]);
+        assert_eq!(flags(ObsConfig::full()), [true; 4]);
         // Capacity is preset even while the recorder is off, so flipping
         // `flight` alone yields a usable ring.
         assert_eq!(ObsConfig::off().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
         assert_eq!(ObsConfig::full().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
-    }
-
-    #[test]
-    fn flight_and_profile_alone_count_as_any() {
-        let mut c = ObsConfig::off();
-        c.flight = true;
-        assert!(c.any());
-        let mut c = ObsConfig::off();
-        c.profile = true;
-        assert!(c.any());
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   `DesignReport`.
 //! - [`timeline`] — `tn-flight/v1` Chrome trace-event (Perfetto) export
 //!   and folded-stacks rendering of provenance documents.
+//! - [`json`] — the one JSON tree, renderer and parser every versioned
+//!   `tn-*/v1` document in the workspace is written and read with.
 //!
 //! Everything here is pure side-state over plain integers (`u64`
 //! picoseconds, `u32` node ids, `u16` ports): recording never draws
@@ -32,6 +34,7 @@
 
 mod config;
 mod flight;
+pub mod json;
 mod profile;
 mod provenance;
 mod registry;

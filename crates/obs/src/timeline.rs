@@ -14,37 +14,22 @@
 //!   picoseconds, aggregated and ordered via `BTreeMap` so repeated runs
 //!   over the same document are byte-identical.
 //!
-//! Like every other wire format in the workspace the emitters are
-//! hand-rolled; the schema marker is registered with tn-audit.
+//! Every event is a [`Json`] object rendered by the workspace's one JSON
+//! module; the schema marker is registered with tn-audit.
 
 use std::collections::BTreeMap;
 
+use crate::json::{num_u64, Json};
 use crate::trace::TraceDoc;
 
 /// Schema identifier carried by the leading line of the Chrome trace
 /// export.
 pub const FLIGHT_SCHEMA: &str = "tn-flight/v1";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Picoseconds rendered as an exact microsecond decimal (`ts`/`dur`
 /// fields are microseconds in the trace-event format).
-fn us(ps: u64) -> String {
-    format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+fn us(ps: u64) -> Json {
+    Json::Num(format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000))
 }
 
 fn node_name(doc: &TraceDoc, id: u32) -> String {
@@ -61,11 +46,13 @@ fn node_name(doc: &TraceDoc, id: u32) -> String {
 /// line. Deterministic: document order for spans/events, `BTreeMap`
 /// order for thread names.
 pub fn chrome_trace(doc: &TraceDoc) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"tn-sim\"}}"
-            .to_string(),
-    );
+    let text = |s: &str| Json::Str(s.into());
+    let mut events = vec![Json::obj([
+        ("ph", text("M")),
+        ("pid", num_u64(1)),
+        ("name", text("process_name")),
+        ("args", Json::obj([("name", text("tn-sim"))])),
+    ])];
     // Thread (= node) names, plus any node that appears only in spans or
     // events without a name record.
     let mut tids: BTreeMap<u32, String> = doc.nodes.clone();
@@ -78,46 +65,52 @@ pub fn chrome_trace(doc: &TraceDoc) -> String {
             .or_insert_with(|| format!("node{}", e.node));
     }
     for (id, name) in &tids {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{id},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
-        ));
+        events.push(Json::obj([
+            ("ph", text("M")),
+            ("pid", num_u64(1)),
+            ("tid", num_u64((*id).into())),
+            ("name", text("thread_name")),
+            ("args", Json::obj([("name", text(name))])),
+        ]));
     }
     for s in &doc.spans {
-        events.push(format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"cat\":\"provenance\",\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{\"frame\":{},\"port\":{}}}}}",
-            s.seg.node,
-            s.seg.kind.name(),
-            us(s.seg.start_ps),
-            us(s.seg.duration_ps()),
-            s.frame,
-            s.seg.port
-        ));
+        events.push(Json::obj([
+            ("ph", text("X")),
+            ("pid", num_u64(1)),
+            ("tid", num_u64(s.seg.node.into())),
+            ("cat", text("provenance")),
+            ("name", text(s.seg.kind.name())),
+            ("ts", us(s.seg.start_ps)),
+            ("dur", us(s.seg.duration_ps())),
+            (
+                "args",
+                Json::obj([
+                    ("frame", num_u64(s.frame)),
+                    ("port", num_u64(s.seg.port.into())),
+                ]),
+            ),
+        ]));
     }
     for e in &doc.events {
-        events.push(format!(
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"ts\":{},\"s\":\"t\",\"args\":{{\"value\":{}}}}}",
-            e.node,
-            esc(&e.name),
-            us(e.at_ps),
-            e.value
-        ));
+        events.push(Json::obj([
+            ("ph", text("i")),
+            ("pid", num_u64(1)),
+            ("tid", num_u64(e.node.into())),
+            ("name", text(&e.name)),
+            ("ts", us(e.at_ps)),
+            ("s", text("t")),
+            ("args", Json::obj([("value", num_u64(e.value))])),
+        ]));
     }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"{FLIGHT_SCHEMA}\",\"scenario\":\"{}\",\"seed\":{},\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n",
-        esc(&doc.scenario),
-        doc.seed
-    ));
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    let mut out = Json::obj([
+        ("schema", text(FLIGHT_SCHEMA)),
+        ("scenario", text(&doc.scenario)),
+        ("seed", num_u64(doc.seed)),
+        ("displayTimeUnit", text("ns")),
+        ("traceEvents", Json::Arr(events)),
+    ])
+    .render_listed();
+    out.push('\n');
     out
 }
 
@@ -163,14 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_leads_with_schema_and_is_balanced() {
+    fn chrome_trace_leads_with_schema_and_parses() {
         let doc = sample_doc();
         let out = chrome_trace(&doc);
         let first = out.lines().next().expect("non-empty");
         assert!(first.contains("\"schema\":\"tn-flight/v1\""), "{first}");
         assert!(first.contains("\"traceEvents\":["));
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
-        assert!(out.ends_with("]}\n"));
+        let parsed = crate::json::parse(&out).expect("valid JSON");
+        assert_eq!(parsed.render_listed() + "\n", out);
         // One X event per span, one i event per point event, thread
         // metadata for both named nodes + the process name record.
         assert_eq!(out.matches("\"ph\":\"X\"").count(), doc.spans.len());

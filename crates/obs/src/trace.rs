@@ -7,41 +7,20 @@
 //! within a version: consumers must ignore unknown fields, and fields are
 //! only ever added.
 //!
-//! Both the writer and the parser are hand-rolled over the small JSON
-//! subset the schema uses (flat objects; string / unsigned / signed /
-//! null values) — the workspace has no serde, and a strict tiny parser
-//! doubles as a schema check.
+//! Every line is a [`Json`] object rendered compact by the workspace's
+//! one JSON module, and [`parse`] reads each line back with that module's
+//! parser plus typed field getters that reject a value outside its
+//! field's range instead of narrowing it.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
+use crate::json::{self, num_u64, Json};
 use crate::provenance::{HopSegment, Provenance, SegmentKind};
 use crate::registry::{Snapshot, SnapshotValue};
 
 /// Schema identifier carried by the leading `meta` record.
 pub const SCHEMA: &str = "tn-trace/v1";
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn opt_u32(v: Option<u32>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".to_string(),
-    }
-}
 
 /// Builds a `tn-trace/v1` document line by line.
 #[derive(Debug, Clone)]
@@ -53,32 +32,40 @@ impl TraceWriter {
     /// Start a document for `scenario` run with `seed`; writes the `meta`
     /// record.
     pub fn new(scenario: &str, seed: u64) -> TraceWriter {
-        TraceWriter {
-            lines: vec![format!(
-                "{{\"schema\":\"{SCHEMA}\",\"type\":\"meta\",\"scenario\":\"{}\",\"seed\":{seed}}}",
-                json_escape(scenario)
-            )],
-        }
+        let mut w = TraceWriter { lines: Vec::new() };
+        w.push_record(vec![
+            ("schema", Json::Str(SCHEMA.into())),
+            ("type", Json::Str("meta".into())),
+            ("scenario", Json::Str(scenario.into())),
+            ("seed", num_u64(seed)),
+        ]);
+        w
+    }
+
+    fn push_record(&mut self, members: Vec<(&str, Json)>) {
+        self.lines.push(Json::obj(members).render());
     }
 
     /// Record a node id → diagnostic name binding.
     pub fn node(&mut self, id: u32, name: &str) {
-        self.lines.push(format!(
-            "{{\"type\":\"node\",\"id\":{id},\"name\":\"{}\"}}",
-            json_escape(name)
-        ));
+        self.push_record(vec![
+            ("type", Json::Str("node".into())),
+            ("id", num_u64(id.into())),
+            ("name", Json::Str(name.into())),
+        ]);
     }
 
     /// Record one provenance segment of frame `frame`.
     pub fn span(&mut self, frame: u64, seg: &HopSegment) {
-        self.lines.push(format!(
-            "{{\"type\":\"span\",\"frame\":{frame},\"node\":{},\"port\":{},\"kind\":\"{}\",\"start_ps\":{},\"end_ps\":{}}}",
-            seg.node,
-            seg.port,
-            seg.kind.name(),
-            seg.start_ps,
-            seg.end_ps
-        ));
+        self.push_record(vec![
+            ("type", Json::Str("span".into())),
+            ("frame", num_u64(frame)),
+            ("node", num_u64(seg.node.into())),
+            ("port", num_u64(seg.port.into())),
+            ("kind", Json::Str(seg.kind.name().into())),
+            ("start_ps", num_u64(seg.start_ps)),
+            ("end_ps", num_u64(seg.end_ps)),
+        ]);
     }
 
     /// Record every segment of a frame's provenance.
@@ -90,24 +77,33 @@ impl TraceWriter {
 
     /// Record a point event at `at_ps` on `node`.
     pub fn event(&mut self, at_ps: u64, node: u32, name: &str, value: u64) {
-        self.lines.push(format!(
-            "{{\"type\":\"event\",\"at_ps\":{at_ps},\"node\":{node},\"name\":\"{}\",\"value\":{value}}}",
-            json_escape(name)
-        ));
+        self.push_record(vec![
+            ("type", Json::Str("event".into())),
+            ("at_ps", num_u64(at_ps)),
+            ("node", num_u64(node.into())),
+            ("name", Json::Str(name.into())),
+            ("value", num_u64(value)),
+        ]);
     }
 
     /// Record every entry of a registry snapshot as `metric` records.
     pub fn snapshot(&mut self, snap: &Snapshot) {
         for e in &snap.entries {
-            let head = format!(
-                "{{\"type\":\"metric\",\"scope\":\"{}\",\"name\":\"{}\",\"node\":{}",
-                json_escape(&e.scope),
-                json_escape(&e.name),
-                opt_u32(e.node)
-            );
-            let tail = match &e.value {
-                SnapshotValue::Counter(c) => format!(",\"kind\":\"counter\",\"value\":{c}}}"),
-                SnapshotValue::Gauge(g) => format!(",\"kind\":\"gauge\",\"value\":{g}}}"),
+            let mut members = vec![
+                ("type", Json::Str("metric".into())),
+                ("scope", Json::Str(e.scope.clone())),
+                ("name", Json::Str(e.name.clone())),
+                ("node", e.node.map_or(Json::Null, |n| num_u64(n.into()))),
+            ];
+            match &e.value {
+                SnapshotValue::Counter(c) => members.extend([
+                    ("kind", Json::Str("counter".into())),
+                    ("value", num_u64(*c)),
+                ]),
+                SnapshotValue::Gauge(g) => members.extend([
+                    ("kind", Json::Str("gauge".into())),
+                    ("value", Json::Num(g.to_string())),
+                ]),
                 SnapshotValue::Distribution {
                     count,
                     sum,
@@ -115,11 +111,17 @@ impl TraceWriter {
                     max,
                     p50,
                     p99,
-                } => format!(
-                    ",\"kind\":\"distribution\",\"count\":{count},\"sum\":{sum},\"min\":{min},\"max\":{max},\"p50\":{p50},\"p99\":{p99}}}"
-                ),
-            };
-            self.lines.push(head + &tail);
+                } => members.extend([
+                    ("kind", Json::Str("distribution".into())),
+                    ("count", num_u64(*count)),
+                    ("sum", Json::Num(sum.to_string())),
+                    ("min", num_u64(*min)),
+                    ("max", num_u64(*max)),
+                    ("p50", num_u64(*p50)),
+                    ("p99", num_u64(*p99)),
+                ]),
+            }
+            self.push_record(members);
         }
     }
 
@@ -217,122 +219,37 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    Num(i128),
-    Null,
-}
-
-/// Parse one flat JSON object (the only shape tn-trace/v1 emits).
-fn parse_object(line: &str) -> Result<BTreeMap<String, Val>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = BTreeMap::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected key, found {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        let val = match chars.peek() {
-            Some('"') => Val::Str(parse_string(&mut chars)?),
-            Some('n') => {
-                for expect in "null".chars() {
-                    if chars.next() != Some(expect) {
-                        return Err("expected 'null'".into());
-                    }
-                }
-                Val::Null
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == '-' || c.is_ascii_digit() {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                Val::Num(num.parse::<i128>().map_err(|e| e.to_string())?)
-            }
-            other => return Err(format!("unsupported value start {other:?}")),
-        };
-        out.insert(key, val);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(out)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code =
-                        u32::from_str_radix(&hex, 16).map_err(|_| "bad \\u escape".to_string())?;
-                    out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
+/// Parse one line as a JSON object.
+fn parse_line(line: &str) -> Result<Json, String> {
+    match json::parse(line)? {
+        obj @ Json::Obj(_) => Ok(obj),
+        _ => Err("expected a JSON object".into()),
     }
 }
 
-fn get_u64(obj: &BTreeMap<String, Val>, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        Some(Val::Num(n)) if *n >= 0 && *n <= i128::from(u64::MAX) => Ok(*n as u64),
-        other => Err(format!("field {key:?}: expected u64, found {other:?}")),
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// Integer field `key`, which must fit `T`: an out-of-range value is an
+/// error naming the field, never a narrowed one.
+fn int<T: FromStr>(obj: &Json, key: &str) -> Result<T, String> {
+    match field(obj, key)? {
+        Json::Num(tok) => tok.parse().map_err(|_| {
+            format!(
+                "field {key:?}: {tok} is not a {}",
+                std::any::type_name::<T>()
+            )
+        }),
+        other => Err(format!(
+            "field {key:?}: expected an integer, found {other:?}"
+        )),
     }
 }
 
-fn get_u128(obj: &BTreeMap<String, Val>, key: &str) -> Result<u128, String> {
-    match obj.get(key) {
-        Some(Val::Num(n)) if *n >= 0 => Ok(*n as u128),
-        other => Err(format!("field {key:?}: expected u128, found {other:?}")),
-    }
-}
-
-fn get_i64(obj: &BTreeMap<String, Val>, key: &str) -> Result<i64, String> {
-    match obj.get(key) {
-        Some(Val::Num(n)) => i64::try_from(*n).map_err(|e| e.to_string()),
-        other => Err(format!("field {key:?}: expected i64, found {other:?}")),
-    }
-}
-
-fn get_str<'a>(obj: &'a BTreeMap<String, Val>, key: &str) -> Result<&'a str, String> {
-    match obj.get(key) {
-        Some(Val::Str(s)) => Ok(s),
+fn text<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
+    match field(obj, key)? {
+        Json::Str(s) => Ok(s),
         other => Err(format!("field {key:?}: expected string, found {other:?}")),
     }
 }
@@ -351,15 +268,15 @@ pub fn parse(input: &str) -> Result<TraceDoc, ParseError> {
     if header.trim().is_empty() {
         return Err(ParseError::BadHeader("blank first line".into()));
     }
-    let obj = parse_object(header).map_err(ParseError::BadHeader)?;
-    if get_str(&obj, "schema").map_err(ParseError::BadHeader)? != SCHEMA {
+    let obj = parse_line(header).map_err(ParseError::BadHeader)?;
+    if text(&obj, "schema").map_err(ParseError::BadHeader)? != SCHEMA {
         return Err(ParseError::BadHeader(format!("schema is not {SCHEMA:?}")));
     }
     let mut doc = TraceDoc {
-        scenario: get_str(&obj, "scenario")
+        scenario: text(&obj, "scenario")
             .map_err(ParseError::BadHeader)?
             .to_string(),
-        seed: get_u64(&obj, "seed").map_err(ParseError::BadHeader)?,
+        seed: int(&obj, "seed").map_err(ParseError::BadHeader)?,
         ..TraceDoc::default()
     };
     for (idx, line) in lines {
@@ -370,59 +287,58 @@ pub fn parse(input: &str) -> Result<TraceDoc, ParseError> {
                 "blank line (tn-trace/v1 is one record per line)".to_string()
             ));
         }
-        let obj = parse_object(line).map_err(bad)?;
-        match get_str(&obj, "type").map_err(bad)? {
+        let obj = parse_line(line).map_err(bad)?;
+        match text(&obj, "type").map_err(bad)? {
             "node" => {
                 doc.nodes.insert(
-                    get_u64(&obj, "id").map_err(bad)? as u32,
-                    get_str(&obj, "name").map_err(bad)?.to_string(),
+                    int(&obj, "id").map_err(bad)?,
+                    text(&obj, "name").map_err(bad)?.to_string(),
                 );
             }
             "span" => {
-                let kind_name = get_str(&obj, "kind").map_err(bad)?;
+                let kind_name = text(&obj, "kind").map_err(bad)?;
                 let kind = SegmentKind::parse(kind_name)
                     .ok_or_else(|| bad(format!("unknown span kind {kind_name:?}")))?;
                 doc.spans.push(SpanRecord {
-                    frame: get_u64(&obj, "frame").map_err(bad)?,
+                    frame: int(&obj, "frame").map_err(bad)?,
                     seg: HopSegment {
-                        node: get_u64(&obj, "node").map_err(bad)? as u32,
-                        port: get_u64(&obj, "port").map_err(bad)? as u16,
+                        node: int(&obj, "node").map_err(bad)?,
+                        port: int(&obj, "port").map_err(bad)?,
                         kind,
-                        start_ps: get_u64(&obj, "start_ps").map_err(bad)?,
-                        end_ps: get_u64(&obj, "end_ps").map_err(bad)?,
+                        start_ps: int(&obj, "start_ps").map_err(bad)?,
+                        end_ps: int(&obj, "end_ps").map_err(bad)?,
                     },
                 });
             }
             "event" => {
                 doc.events.push(EventRecord {
-                    at_ps: get_u64(&obj, "at_ps").map_err(bad)?,
-                    node: get_u64(&obj, "node").map_err(bad)? as u32,
-                    name: get_str(&obj, "name").map_err(bad)?.to_string(),
-                    value: get_u64(&obj, "value").map_err(bad)?,
+                    at_ps: int(&obj, "at_ps").map_err(bad)?,
+                    node: int(&obj, "node").map_err(bad)?,
+                    name: text(&obj, "name").map_err(bad)?.to_string(),
+                    value: int(&obj, "value").map_err(bad)?,
                 });
             }
             "metric" => {
                 let node = match obj.get("node") {
-                    Some(Val::Null) | None => None,
-                    Some(Val::Num(n)) if *n >= 0 => Some(*n as u32),
-                    other => return Err(bad(format!("bad node field {other:?}"))),
+                    Some(Json::Null) | None => None,
+                    Some(_) => Some(int(&obj, "node").map_err(bad)?),
                 };
-                let value = match get_str(&obj, "kind").map_err(bad)? {
-                    "counter" => SnapshotValue::Counter(get_u64(&obj, "value").map_err(bad)?),
-                    "gauge" => SnapshotValue::Gauge(get_i64(&obj, "value").map_err(bad)?),
+                let value = match text(&obj, "kind").map_err(bad)? {
+                    "counter" => SnapshotValue::Counter(int(&obj, "value").map_err(bad)?),
+                    "gauge" => SnapshotValue::Gauge(int(&obj, "value").map_err(bad)?),
                     "distribution" => SnapshotValue::Distribution {
-                        count: get_u64(&obj, "count").map_err(bad)?,
-                        sum: get_u128(&obj, "sum").map_err(bad)?,
-                        min: get_u64(&obj, "min").map_err(bad)?,
-                        max: get_u64(&obj, "max").map_err(bad)?,
-                        p50: get_u64(&obj, "p50").map_err(bad)?,
-                        p99: get_u64(&obj, "p99").map_err(bad)?,
+                        count: int(&obj, "count").map_err(bad)?,
+                        sum: int(&obj, "sum").map_err(bad)?,
+                        min: int(&obj, "min").map_err(bad)?,
+                        max: int(&obj, "max").map_err(bad)?,
+                        p50: int(&obj, "p50").map_err(bad)?,
+                        p99: int(&obj, "p99").map_err(bad)?,
                     },
                     other => return Err(bad(format!("unknown metric kind {other:?}"))),
                 };
                 doc.metrics.push(MetricRecord {
-                    scope: get_str(&obj, "scope").map_err(bad)?.to_string(),
-                    name: get_str(&obj, "name").map_err(bad)?.to_string(),
+                    scope: text(&obj, "scope").map_err(bad)?.to_string(),
+                    name: text(&obj, "name").map_err(bad)?.to_string(),
                     node,
                     value,
                 });
@@ -602,6 +518,45 @@ mod tests {
             matches!(err, ParseError::BadRecord { line: 2, .. }),
             "{err}"
         );
+    }
+
+    /// One record per field the types narrow (`u32` node ids, `u16`
+    /// ports): the largest value that fits parses, one past it is a
+    /// line-numbered error naming the field.
+    #[test]
+    fn out_of_range_ids_and_ports_are_errors_not_narrowed() {
+        let records = |id: u64, port: u64| {
+            [
+                ("id", format!("{{\"type\":\"node\",\"id\":{id},\"name\":\"a\"}}")),
+                (
+                    "node",
+                    format!("{{\"type\":\"span\",\"frame\":1,\"node\":{id},\"port\":0,\"kind\":\"process\",\"start_ps\":0,\"end_ps\":1}}"),
+                ),
+                (
+                    "port",
+                    format!("{{\"type\":\"span\",\"frame\":1,\"node\":0,\"port\":{port},\"kind\":\"process\",\"start_ps\":0,\"end_ps\":1}}"),
+                ),
+                (
+                    "node",
+                    format!("{{\"type\":\"event\",\"at_ps\":1,\"node\":{id},\"name\":\"g\",\"value\":1}}"),
+                ),
+                (
+                    "node",
+                    format!("{{\"type\":\"metric\",\"scope\":\"s\",\"name\":\"n\",\"node\":{id},\"kind\":\"counter\",\"value\":1}}"),
+                ),
+            ]
+        };
+        for (_, record) in records(u64::from(u32::MAX), u64::from(u16::MAX)) {
+            parse(&format!("{HEADER}\n{record}\n")).unwrap_or_else(|e| panic!("{record}: {e}"));
+        }
+        for (field, record) in records((1 << 32) + 1, 1 << 16) {
+            match parse(&format!("{HEADER}\n{record}\n")) {
+                Err(ParseError::BadRecord { line: 2, why }) => {
+                    assert!(why.contains(&format!("{field:?}")), "{record}: {why}")
+                }
+                other => panic!("{record}: expected BadRecord on line 2, got {other:?}"),
+            }
+        }
     }
 
     #[test]

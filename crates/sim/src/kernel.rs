@@ -366,10 +366,9 @@ impl Simulator {
 
     /// Switch on everything `obs` asks of the kernel: per-hop provenance,
     /// a fresh metrics registry, the flight ring at its configured
-    /// capacity and the profiler. What `obs` leaves off stays as it was,
-    /// and `obs.trace` is the driver's concern (it decides where a trace
-    /// document goes). Call it on an empty simulator: nodes and links
-    /// added afterwards are handed the registry.
+    /// capacity and the profiler. What `obs` leaves off stays as it was.
+    /// Call it on an empty simulator: nodes and links added afterwards are
+    /// handed the registry.
     pub fn set_obs(&mut self, obs: &ObsConfig) {
         if obs.provenance {
             self.set_provenance(true);

@@ -79,6 +79,10 @@ pub use tn_obs::{
     Snapshot, SnapshotEntry, SnapshotValue,
 };
 
+/// The workspace's one JSON module, so every crate that writes or reads a
+/// versioned document reaches it through the kernel it already depends on.
+pub use tn_obs::json;
+
 /// Re-export of the PRNG used throughout the workspace, so models can name
 /// it without depending on `rand` directly.
 pub use rand::rngs::SmallRng;

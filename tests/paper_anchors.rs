@@ -1,15 +1,41 @@
 //! The paper-fidelity gate: every registered experiment runs at full size
-//! and every anchor it checks holds, and the docs name the experiments by
-//! the ids the registry actually has.
+//! and every anchor it checks holds, its machine-readable form is the one
+//! pinned, and the docs name the experiments by the ids the registry
+//! actually has.
 
 use tn_bench::exp::EXPERIMENTS;
+use trading_networks::sim::{fnv1a_fold, json, EMPTY_DIGEST};
+
+/// FNV-1a of every machine-readable form `tn-exp run <id> --json` prints
+/// (`tn-report/v1`, `tn-exp/v1`, `tn-trace/v1`), recorded before the JSON
+/// writers were folded into one module. Each document (each line of the
+/// JSONL trace) must also survive the one parser and re-render byte for
+/// byte.
+const DOCUMENT_PINS: [(&str, u64); 8] = [
+    ("design1-roundtrip", 0x0267_fd50_a343_0790),
+    ("design-comparison", 0xa84a_dd0c_31e6_9a64),
+    ("custom-transport", 0x2349_a21e_533a_cb23),
+    ("paper-scale", 0xe375_4041_39cc_019d),
+    ("loss-recovery", 0xa876_720d_0a6e_a8e4),
+    ("ab-failover", 0x2be3_792c_e124_1599),
+    ("latency-decomposition", 0xf87f_239f_b871_5b55),
+    ("cloud-fairness", 0x4219_751a_61f8_aab2),
+];
 
 #[test]
 fn every_paper_anchor_holds_at_full_size() {
     let mut failed = Vec::new();
+    let mut documents = Vec::new();
     for e in EXPERIMENTS {
         let outcome = (e.run)(&mut std::io::sink()).expect("writing to a sink cannot fail");
         assert!(!outcome.checks.is_empty(), "`{}` checks nothing", e.id);
+        if let Some(doc) = &outcome.json {
+            documents.push((e.id, fnv1a_fold(EMPTY_DIGEST, doc.as_bytes())));
+            for line in doc.lines() {
+                let parsed = json::parse(line).unwrap_or_else(|err| panic!("{}: {err}", e.id));
+                assert_eq!(parsed.render(), line, "{} does not re-render", e.id);
+            }
+        }
         for c in outcome.checks.into_iter().filter(|c| !c.ok) {
             failed.push(format!(
                 "{} | {} | {} | {}",
@@ -22,6 +48,7 @@ fn every_paper_anchor_holds_at_full_size() {
         "paper anchors that no longer hold:\nid | what | paper | measured\n{}",
         failed.join("\n")
     );
+    assert_eq!(documents, DOCUMENT_PINS, "machine-readable forms moved");
 }
 
 #[test]
