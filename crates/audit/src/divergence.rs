@@ -236,7 +236,7 @@ fn run_feed_handler(kind: SchedulerKind) -> RunSignature {
         }
         let time_ns = 34_200_000_000_000 + batch * 2_000_000;
         for p in publisher.publish(&dir, time_ns, &msgs) {
-            packets.push(p.bytes);
+            packets.push(p.bytes.to_vec());
         }
     }
 

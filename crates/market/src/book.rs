@@ -4,8 +4,17 @@
 //! at price levels; incoming marketable orders execute against the
 //! opposite side best-first, oldest-first. The book reports BBO changes
 //! so feed publication can be driven directly off book mutations.
+//!
+//! ## Layout
+//!
+//! Every resting order of the book lives in one slab, `orders`. A price
+//! level is an intrusive FIFO list over that slab — `{ head, tail, total }`
+//! in a `BTreeMap` per side — so creating a level allocates nothing, a
+//! cancel or reduce unlinks its slot in O(1), and the displayed size at a
+//! level is a cached sum. Freed slots are threaded into a free list and
+//! reused before the slab grows.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use tn_wire::pitch::Side;
 
@@ -29,35 +38,69 @@ pub struct Execution {
     pub resting_leaves: Qty,
 }
 
-/// Outcome of submitting an order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmitResult {
+/// Outcome of submitting an order, lent from a buffer the book owns: it
+/// lives until the book's next mutation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubmitResult<'a> {
     /// Fills against resting orders, in match order.
-    pub executions: Vec<Execution>,
+    pub executions: &'a [Execution],
     /// Quantity left posted on the book (0 if fully filled or IOC).
     pub posted: Qty,
 }
 
-#[derive(Debug, Clone)]
-struct Resting {
+/// End of a level list (and of the free list).
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resting order linked into its level, or a free slot
+/// linked into the free list through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     id: OrderId,
     qty: Qty,
+    prev: u32,
+    next: u32,
+}
+
+/// A price level: the ends of its FIFO list and its displayed size.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    head: u32,
+    tail: u32,
+    total: Qty,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Locator {
     side: Side,
     price: Price,
+    slot: u32,
 }
 
 /// The book itself. One instance per symbol.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OrderBook {
     /// Bids: highest price first (iterate via `.rev()`).
-    bids: BTreeMap<Price, VecDeque<Resting>>,
+    bids: BTreeMap<Price, Level>,
     /// Asks: lowest price first.
-    asks: BTreeMap<Price, VecDeque<Resting>>,
+    asks: BTreeMap<Price, Level>,
     locators: HashMap<OrderId, Locator>,
+    orders: Vec<Slot>,
+    free: u32,
+    /// The last submit's fills, lent out by [`SubmitResult`].
+    executions: Vec<Execution>,
+}
+
+impl Default for OrderBook {
+    fn default() -> OrderBook {
+        OrderBook {
+            bids: BTreeMap::new(),
+            asks: BTreeMap::new(),
+            locators: HashMap::new(),
+            orders: Vec::new(),
+            free: NIL,
+            executions: Vec::new(),
+        }
+    }
 }
 
 impl OrderBook {
@@ -68,18 +111,12 @@ impl OrderBook {
 
     /// Best bid (price, total displayed size).
     pub fn best_bid(&self) -> Option<(Price, Qty)> {
-        self.bids
-            .iter()
-            .next_back()
-            .map(|(&p, level)| (p, level_size(level)))
+        self.bids.last_key_value().map(|(&p, l)| (p, l.total))
     }
 
     /// Best ask (price, total displayed size).
     pub fn best_ask(&self) -> Option<(Price, Qty)> {
-        self.asks
-            .iter()
-            .next()
-            .map(|(&p, level)| (p, level_size(level)))
+        self.asks.first_key_value().map(|(&p, l)| (p, l.total))
     }
 
     /// Number of resting orders.
@@ -93,7 +130,7 @@ impl OrderBook {
             Side::Buy => self.bids.get(&price),
             Side::Sell => self.asks.get(&price),
         };
-        level.map(level_size).unwrap_or(0)
+        level.map_or(0, |l| l.total)
     }
 
     /// Submit a limit order. Marketable quantity executes immediately;
@@ -105,46 +142,32 @@ impl OrderBook {
         price: Price,
         mut qty: Qty,
         ioc: bool,
-    ) -> SubmitResult {
+    ) -> SubmitResult<'_> {
         assert!(!self.locators.contains_key(&id), "duplicate order id {id}");
-        // audit:allow(hotpath-alloc): per-submit execution batch; batch reuse is ROADMAP item 2
-        let mut executions = Vec::new();
+        self.executions.clear();
+        let (opposite, own) = match side {
+            Side::Buy => (&mut self.asks, &mut self.bids),
+            Side::Sell => (&mut self.bids, &mut self.asks),
+        };
         // Match against the opposite side while crossed.
-        loop {
-            if qty == 0 {
-                break;
-            }
+        while qty > 0 {
             let best = match side {
-                Side::Buy => self
-                    .asks
-                    .iter()
-                    .next()
-                    .map(|(&p, _)| p)
-                    .filter(|&p| p <= price),
-                Side::Sell => self
-                    .bids
-                    .iter()
-                    .next_back()
-                    .map(|(&p, _)| p)
-                    .filter(|&p| p >= price),
+                Side::Buy => opposite.first_entry().filter(|e| *e.key() <= price),
+                Side::Sell => opposite.last_entry().filter(|e| *e.key() >= price),
             };
-            let Some(level_price) = best else {
+            let Some(mut entry) = best else {
                 break;
             };
-            let levels = match side {
-                Side::Buy => &mut self.asks,
-                Side::Sell => &mut self.bids,
-            };
-            // audit:allow(hotpath-unwrap): `best` was read from this side's map just above; the level cannot be gone
-            let level = levels.get_mut(&level_price).expect("level exists");
-            while qty > 0 {
-                let Some(front) = level.front_mut() else {
-                    break;
-                };
+            let level_price = *entry.key();
+            let level = entry.get_mut();
+            while qty > 0 && level.head != NIL {
+                let slot = level.head;
+                let front = &mut self.orders[slot as usize];
                 let traded = qty.min(front.qty);
                 front.qty -= traded;
+                level.total -= traded;
                 qty -= traded;
-                executions.push(Execution {
+                self.executions.push(Execution {
                     resting_id: front.id,
                     qty: traded,
                     price: level_price,
@@ -152,44 +175,38 @@ impl OrderBook {
                 });
                 if front.qty == 0 {
                     self.locators.remove(&front.id);
-                    level.pop_front();
+                    unlink(&mut self.orders, level, slot);
+                    release(&mut self.orders, &mut self.free, slot);
                 }
             }
-            if level.is_empty() {
-                levels.remove(&level_price);
+            if level.head == NIL {
+                entry.remove();
             }
         }
         let posted = if qty > 0 && !ioc {
-            let levels = match side {
-                Side::Buy => &mut self.bids,
-                Side::Sell => &mut self.asks,
-            };
-            levels
-                .entry(price)
-                .or_default()
-                .push_back(Resting { id, qty });
-            self.locators.insert(id, Locator { side, price });
+            let slot = acquire(&mut self.orders, &mut self.free, id, qty);
+            let level = own.entry(price).or_insert(Level {
+                head: NIL,
+                tail: NIL,
+                total: 0,
+            });
+            push_back(&mut self.orders, level, slot);
+            self.locators.insert(id, Locator { side, price, slot });
             qty
         } else {
             0
         };
-        SubmitResult { executions, posted }
+        SubmitResult {
+            executions: &self.executions,
+            posted,
+        }
     }
 
     /// Cancel an open order; returns its remaining quantity if it existed.
     pub fn cancel(&mut self, id: OrderId) -> Option<Qty> {
         let loc = self.locators.remove(&id)?;
-        let levels = match loc.side {
-            Side::Buy => &mut self.bids,
-            Side::Sell => &mut self.asks,
-        };
-        let level = levels.get_mut(&loc.price)?;
-        let idx = level.iter().position(|r| r.id == id)?;
-        let qty = level[idx].qty;
-        level.remove(idx);
-        if level.is_empty() {
-            levels.remove(&loc.price);
-        }
+        let qty = self.orders[loc.slot as usize].qty;
+        self.remove_slot(loc);
         Some(qty)
     }
 
@@ -197,40 +214,100 @@ impl OrderBook {
     /// Returns the new remaining quantity, or `None` if unknown.
     pub fn reduce(&mut self, id: OrderId, by: Qty) -> Option<Qty> {
         let loc = *self.locators.get(&id)?;
+        let order = &mut self.orders[loc.slot as usize];
+        if by >= order.qty {
+            self.locators.remove(&id);
+            self.remove_slot(loc);
+            return Some(0);
+        }
+        order.qty -= by;
+        let left = order.qty;
         let levels = match loc.side {
             Side::Buy => &mut self.bids,
             Side::Sell => &mut self.asks,
         };
-        let level = levels.get_mut(&loc.price)?;
-        let idx = level.iter().position(|r| r.id == id)?;
-        let r = &mut level[idx];
-        if by >= r.qty {
-            level.remove(idx);
-            if level.is_empty() {
-                levels.remove(&loc.price);
-            }
-            self.locators.remove(&id);
-            Some(0)
-        } else {
-            r.qty -= by;
-            Some(r.qty)
+        if let Some(level) = levels.get_mut(&loc.price) {
+            level.total -= by;
         }
+        Some(left)
     }
 
     /// Look up an open order's side, price and remaining quantity.
     pub fn lookup(&self, id: OrderId) -> Option<(Side, Price, Qty)> {
         let loc = self.locators.get(&id)?;
-        let level = match loc.side {
-            Side::Buy => self.bids.get(&loc.price)?,
-            Side::Sell => self.asks.get(&loc.price)?,
+        Some((loc.side, loc.price, self.orders[loc.slot as usize].qty))
+    }
+
+    /// Unlink a located order from its level, drop the level if that
+    /// emptied it, and free the slot. The locator is already gone.
+    fn remove_slot(&mut self, loc: Locator) {
+        let qty = self.orders[loc.slot as usize].qty;
+        let levels = match loc.side {
+            Side::Buy => &mut self.bids,
+            Side::Sell => &mut self.asks,
         };
-        let r = level.iter().find(|r| r.id == id)?;
-        Some((loc.side, loc.price, r.qty))
+        if let Some(level) = levels.get_mut(&loc.price) {
+            level.total -= qty;
+            unlink(&mut self.orders, level, loc.slot);
+            if level.head == NIL {
+                levels.remove(&loc.price);
+            }
+        }
+        release(&mut self.orders, &mut self.free, loc.slot);
     }
 }
 
-fn level_size(level: &VecDeque<Resting>) -> Qty {
-    level.iter().map(|r| r.qty).sum()
+/// A slot holding `(id, qty)`, unlinked: the free list's head if there is
+/// one, else a new slot at the end of the slab.
+fn acquire(orders: &mut Vec<Slot>, free: &mut u32, id: OrderId, qty: Qty) -> u32 {
+    let slot = Slot {
+        id,
+        qty,
+        prev: NIL,
+        next: NIL,
+    };
+    if *free == NIL {
+        orders.push(slot);
+        return (orders.len() - 1) as u32;
+    }
+    let at = *free;
+    *free = orders[at as usize].next;
+    orders[at as usize] = slot;
+    at
+}
+
+/// Put an unlinked slot on the free list.
+fn release(orders: &mut [Slot], free: &mut u32, slot: u32) {
+    orders[slot as usize].next = *free;
+    *free = slot;
+}
+
+/// Append `slot` to the back of `level`'s list.
+fn push_back(orders: &mut [Slot], level: &mut Level, slot: u32) {
+    orders[slot as usize].prev = level.tail;
+    orders[slot as usize].next = NIL;
+    if level.tail == NIL {
+        level.head = slot;
+    } else {
+        orders[level.tail as usize].next = slot;
+    }
+    level.tail = slot;
+    level.total += orders[slot as usize].qty;
+}
+
+/// Detach `slot` from `level`'s list (its qty is not touched).
+fn unlink(orders: &mut [Slot], level: &mut Level, slot: u32) {
+    let Slot { prev, next, .. } = orders[slot as usize];
+    if prev == NIL {
+        level.head = next;
+    } else {
+        orders[prev as usize].next = next;
+    }
+    if next == NIL {
+        level.tail = prev;
+    } else {
+        orders[next as usize].prev = prev;
+    }
 }
 
 #[cfg(test)]

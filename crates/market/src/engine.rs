@@ -41,7 +41,40 @@ pub struct Reply {
     pub message: boe::Message,
 }
 
-/// Output of one engine operation.
+/// Open orders by exchange id. The ids are also kept in a sorted `Vec`,
+/// so sampling one by rank is an index. Exchange ids are assigned in
+/// increasing order, so a new id is always pushed at the end.
+#[derive(Default)]
+struct OpenOrders {
+    by_id: HashMap<OrderId, OpenOrder>,
+    ids: Vec<OrderId>,
+}
+
+impl OpenOrders {
+    fn get(&self, id: OrderId) -> Option<OpenOrder> {
+        self.by_id.get(&id).copied()
+    }
+
+    fn insert(&mut self, id: OrderId, order: OpenOrder) {
+        debug_assert!(
+            self.ids.last().is_none_or(|&last| last < id),
+            "exchange ids are assigned in increasing order"
+        );
+        self.ids.push(id);
+        self.by_id.insert(id, order);
+    }
+
+    fn remove(&mut self, id: OrderId) {
+        if self.by_id.remove(&id).is_some() {
+            if let Ok(i) = self.ids.binary_search(&id) {
+                self.ids.remove(i);
+            }
+        }
+    }
+}
+
+/// Output of one engine operation, lent from a buffer the engine owns: it
+/// lives until the engine's next operation.
 #[derive(Debug, Default)]
 pub struct EngineOutput {
     /// Order-entry replies (acks, rejects, fills — possibly to several
@@ -51,13 +84,24 @@ pub struct EngineOutput {
     pub feed: Vec<pitch::Message>,
 }
 
+impl EngineOutput {
+    fn reject(&mut self, session: u32, cl_ord_id: u64, reason: boe::RejectReason) {
+        self.replies.push(Reply {
+            session,
+            message: boe::Message::OrderReject { cl_ord_id, reason },
+        });
+    }
+}
+
 /// The engine.
 pub struct MatchingEngine {
     books: BTreeMap<Symbol, OrderBook>,
-    open: BTreeMap<OrderId, OpenOrder>,
+    open: OpenOrders,
     by_client: HashMap<(u32, u64), OrderId>,
     next_order_id: OrderId,
     next_exec_id: u64,
+    /// What the last operation produced; every operation lends it.
+    out: EngineOutput,
 }
 
 impl MatchingEngine {
@@ -65,10 +109,11 @@ impl MatchingEngine {
     pub fn new(symbols: impl IntoIterator<Item = Symbol>) -> MatchingEngine {
         MatchingEngine {
             books: symbols.into_iter().map(|s| (s, OrderBook::new())).collect(),
-            open: BTreeMap::new(),
+            open: OpenOrders::default(),
             by_client: HashMap::new(),
             next_order_id: 1,
             next_exec_id: 1,
+            out: EngineOutput::default(),
         }
     }
 
@@ -89,19 +134,13 @@ impl MatchingEngine {
 
     /// Open orders across all books.
     pub fn open_orders(&self) -> usize {
-        self.open.len()
+        self.open.ids.len()
     }
 
-    fn alloc_order_id(&mut self) -> OrderId {
-        let id = self.next_order_id;
-        self.next_order_id += 1;
-        id
-    }
-
-    fn alloc_exec_id(&mut self) -> u64 {
-        let id = self.next_exec_id;
-        self.next_exec_id += 1;
-        id
+    /// Start an operation: the previous one's output is spent.
+    fn begin(&mut self) {
+        self.out.replies.clear();
+        self.out.feed.clear();
     }
 
     /// Submit an order on behalf of `owner`. `offset_ns` stamps the feed
@@ -117,33 +156,40 @@ impl MatchingEngine {
         qty: Qty,
         ioc: bool,
         offset_ns: u32,
-    ) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        if !self.books.contains_key(&symbol) {
+    ) -> &EngineOutput {
+        self.begin();
+        self.submit_into(owner, cl_ord_id, symbol, side, price, qty, ioc, offset_ns);
+        &self.out
+    }
+
+    /// [`MatchingEngine::submit`], appending to the current output.
+    #[allow(clippy::too_many_arguments)]
+    fn submit_into(
+        &mut self,
+        owner: Owner,
+        cl_ord_id: u64,
+        symbol: Symbol,
+        side: Side,
+        price: Price,
+        qty: Qty,
+        ioc: bool,
+        offset_ns: u32,
+    ) {
+        let out = &mut self.out;
+        let Some(book) = self.books.get_mut(&symbol) else {
             if let Owner::Session(s) = owner {
-                out.replies.push(Reply {
-                    session: s,
-                    message: boe::Message::OrderReject {
-                        cl_ord_id,
-                        reason: boe::RejectReason::UnknownSymbol,
-                    },
-                });
+                out.reject(s, cl_ord_id, boe::RejectReason::UnknownSymbol);
             }
-            return out;
-        }
+            return;
+        };
         if qty == 0 || price == 0 {
             if let Owner::Session(s) = owner {
-                out.replies.push(Reply {
-                    session: s,
-                    message: boe::Message::OrderReject {
-                        cl_ord_id,
-                        reason: boe::RejectReason::BadPrice,
-                    },
-                });
+                out.reject(s, cl_ord_id, boe::RejectReason::BadPrice);
             }
-            return out;
+            return;
         }
-        let exch_id = self.alloc_order_id();
+        let exch_id = self.next_order_id;
+        self.next_order_id += 1;
         if let Owner::Session(s) = owner {
             out.replies.push(Reply {
                 session: s,
@@ -154,16 +200,12 @@ impl MatchingEngine {
             });
             self.by_client.insert((s, cl_ord_id), exch_id);
         }
-        let result = self
-            .books
-            .get_mut(&symbol)
-            // audit:allow(hotpath-unwrap): entry validation rejected unlisted symbols before this point
-            .expect("listed")
-            .submit(exch_id, side, price, qty, ioc);
+        let result = book.submit(exch_id, side, price, qty, ioc);
         let mut aggressor_filled: Qty = 0;
-        for exec in &result.executions {
+        for exec in result.executions {
             aggressor_filled += exec.qty;
-            let exec_id = self.alloc_exec_id();
+            let exec_id = self.next_exec_id;
+            self.next_exec_id += 1;
             out.feed.push(pitch::Message::OrderExecuted {
                 offset_ns,
                 order_id: exec.resting_id,
@@ -171,7 +213,7 @@ impl MatchingEngine {
                 exec_id,
             });
             // Notify the resting order's owner.
-            if let Some(open) = self.open.get(&exec.resting_id).copied() {
+            if let Some(open) = self.open.get(exec.resting_id) {
                 if let Owner::Session(s) = open.owner {
                     out.replies.push(Reply {
                         session: s,
@@ -185,7 +227,7 @@ impl MatchingEngine {
                     });
                 }
                 if exec.resting_leaves == 0 {
-                    self.open.remove(&exec.resting_id);
+                    self.open.remove(exec.resting_id);
                     if let Owner::Session(s) = open.owner {
                         self.by_client.remove(&(s, open.cl_ord_id));
                     }
@@ -228,34 +270,39 @@ impl MatchingEngine {
         } else if let Owner::Session(s) = owner {
             self.by_client.remove(&(s, cl_ord_id));
         }
-        out
     }
 
     /// Cancel by exchange order id (background flow).
-    pub fn cancel_exchange_order(&mut self, order_id: OrderId, offset_ns: u32) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        let Some(open) = self.open.get(&order_id).copied() else {
-            return out;
+    pub fn cancel_exchange_order(&mut self, order_id: OrderId, offset_ns: u32) -> &EngineOutput {
+        self.begin();
+        self.cancel_into(order_id, offset_ns);
+        &self.out
+    }
+
+    /// [`MatchingEngine::cancel_exchange_order`], appending to the current
+    /// output.
+    fn cancel_into(&mut self, order_id: OrderId, offset_ns: u32) {
+        let Some(open) = self.open.get(order_id) else {
+            return;
         };
         // audit:allow(hotpath-unwrap): every open order was admitted against a listed book
         let book = self.books.get_mut(&open.symbol).expect("listed");
         if book.cancel(order_id).is_some() {
-            self.open.remove(&order_id);
+            self.open.remove(order_id);
             if let Owner::Session(s) = open.owner {
                 self.by_client.remove(&(s, open.cl_ord_id));
-                out.replies.push(Reply {
+                self.out.replies.push(Reply {
                     session: s,
                     message: boe::Message::CancelAck {
                         cl_ord_id: open.cl_ord_id,
                     },
                 });
             }
-            out.feed.push(pitch::Message::DeleteOrder {
+            self.out.feed.push(pitch::Message::DeleteOrder {
                 offset_ns,
                 order_id,
             });
         }
-        out
     }
 
     /// Reduce a resting order (background flow: partial cancel).
@@ -264,23 +311,23 @@ impl MatchingEngine {
         order_id: OrderId,
         by: Qty,
         offset_ns: u32,
-    ) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        let Some(open) = self.open.get(&order_id).copied() else {
-            return out;
+    ) -> &EngineOutput {
+        self.begin();
+        let Some(open) = self.open.get(order_id) else {
+            return &self.out;
         };
         // audit:allow(hotpath-unwrap): every open order was admitted against a listed book
         let book = self.books.get_mut(&open.symbol).expect("listed");
         match book.reduce(order_id, by) {
             Some(0) => {
-                self.open.remove(&order_id);
-                out.feed.push(pitch::Message::DeleteOrder {
+                self.open.remove(order_id);
+                self.out.feed.push(pitch::Message::DeleteOrder {
                     offset_ns,
                     order_id,
                 });
             }
             Some(_) => {
-                out.feed.push(pitch::Message::ReduceSize {
+                self.out.feed.push(pitch::Message::ReduceSize {
                     offset_ns,
                     order_id,
                     qty: by,
@@ -288,21 +335,20 @@ impl MatchingEngine {
             }
             None => {}
         }
-        out
+        &self.out
     }
 
     /// An arbitrary open (background) order id, for workload generators
-    /// that cancel/modify existing liquidity. Deterministic given the map
-    /// iteration seed `k`.
+    /// that cancel/modify existing liquidity: the `k % n`-th smallest of
+    /// the `n` open ids, so deterministic given `k`.
     pub fn sample_open_order(&self, k: usize) -> Option<OrderId> {
-        if self.open.is_empty() {
-            return None;
-        }
-        self.open.keys().nth(k % self.open.len()).copied()
+        let ids = &self.open.ids;
+        (!ids.is_empty()).then(|| ids[k % ids.len()])
     }
 
     /// Process one order-entry message from `session`.
-    pub fn handle_boe(&mut self, session: u32, msg: boe::Message, offset_ns: u32) -> EngineOutput {
+    pub fn handle_boe(&mut self, session: u32, msg: boe::Message, offset_ns: u32) -> &EngineOutput {
+        self.begin();
         match msg {
             boe::Message::NewOrder {
                 cl_ord_id,
@@ -310,7 +356,7 @@ impl MatchingEngine {
                 qty,
                 symbol,
                 price,
-            } => self.submit(
+            } => self.submit_into(
                 Owner::Session(session),
                 cl_ord_id,
                 symbol,
@@ -322,19 +368,11 @@ impl MatchingEngine {
             ),
             boe::Message::CancelOrder { cl_ord_id } => {
                 match self.by_client.get(&(session, cl_ord_id)).copied() {
-                    Some(exch_id) => self.cancel_exchange_order(exch_id, offset_ns),
-                    None => {
-                        // The §2 race: cancel arrived after the fill.
-                        let mut out = EngineOutput::default();
-                        out.replies.push(Reply {
-                            session,
-                            message: boe::Message::OrderReject {
-                                cl_ord_id,
-                                reason: boe::RejectReason::UnknownOrder,
-                            },
-                        });
-                        out
-                    }
+                    Some(exch_id) => self.cancel_into(exch_id, offset_ns),
+                    // The §2 race: cancel arrived after the fill.
+                    None => self
+                        .out
+                        .reject(session, cl_ord_id, boe::RejectReason::UnknownOrder),
                 }
             }
             boe::Message::ModifyOrder {
@@ -345,54 +383,33 @@ impl MatchingEngine {
                 // Cancel/replace semantics: price moves lose time priority.
                 match self.by_client.get(&(session, cl_ord_id)).copied() {
                     Some(exch_id) => {
-                        let open = self.open.get(&exch_id).copied();
-                        let mut out = self.cancel_exchange_order(exch_id, offset_ns);
+                        let open = self.open.get(exch_id);
+                        self.cancel_into(exch_id, offset_ns);
                         if let Some(open) = open {
                             // A modify keeps the original side; price
                             // changes go through cancel/replace.
-                            let side = open.side;
-                            let mut resubmit = self.submit(
+                            self.submit_into(
                                 Owner::Session(session),
                                 cl_ord_id,
                                 open.symbol,
-                                side,
+                                open.side,
                                 price,
                                 qty,
                                 false,
                                 offset_ns,
                             );
-                            out.replies.append(&mut resubmit.replies);
-                            out.feed.append(&mut resubmit.feed);
                         }
-                        out
                     }
-                    None => {
-                        let mut out = EngineOutput::default();
-                        out.replies.push(Reply {
-                            session,
-                            message: boe::Message::OrderReject {
-                                cl_ord_id,
-                                reason: boe::RejectReason::UnknownOrder,
-                            },
-                        });
-                        out
-                    }
+                    None => self
+                        .out
+                        .reject(session, cl_ord_id, boe::RejectReason::UnknownOrder),
                 }
             }
-            boe::Message::Login { .. } | boe::Message::Heartbeat => EngineOutput::default(),
+            boe::Message::Login { .. } | boe::Message::Heartbeat => {}
             // Exchange-to-firm messages arriving here are protocol errors.
-            _ => {
-                let mut out = EngineOutput::default();
-                out.replies.push(Reply {
-                    session,
-                    message: boe::Message::OrderReject {
-                        cl_ord_id: 0,
-                        reason: boe::RejectReason::Session,
-                    },
-                });
-                out
-            }
+            _ => self.out.reject(session, 0, boe::RejectReason::Session),
         }
+        &self.out
     }
 }
 

@@ -133,29 +133,22 @@ struct SessionAddr {
 pub struct Exchange {
     cfg: ExchangeConfig,
     engine: MatchingEngine,
-    publisher: FeedPublisher,
     flow: OrderFlowGenerator,
     rng: SmallRng,
     /// Stream reassembly per transport peer.
     decoders: HashMap<(ipv4::Addr, u16), boe::Decoder>,
-    /// Session id → reply addressing, learned at login.
-    sessions: HashMap<u32, SessionAddr>,
     /// Peer → session (so mid-stream messages resolve their session).
     peer_session: HashMap<(ipv4::Addr, u16), u32>,
     matcher: TxQueue,
-    stats: ExchangeStats,
-    event_counter: u64,
+    /// Everything that turns engine output into frames, kept apart from
+    /// the engine so it can read the output the engine lends.
+    wire: Wire,
     /// Wire-to-wire response latencies: for every inbound order frame
     /// whose metadata carries the market-data event time that triggered
     /// it, the picoseconds from that event leaving the matching engine to
     /// the order arriving back — the firm's end-to-end reaction time as
     /// the exchange observes it.
     response_latency_ps: Vec<u64>,
-    /// Reusable wire-emission buffer: each feed packet is emitted once
-    /// here, then arena-copied per feed port.
-    wire_scratch: Vec<u8>,
-    /// Reusable BOE reply payload buffer.
-    payload_scratch: Vec<u8>,
     /// Reusable per-dispatch output batch (taken/restored around builds).
     outbox: Vec<(PortId, Frame)>,
     /// Reusable background-tick message batch.
@@ -164,29 +157,41 @@ pub struct Exchange {
     boe_scratch: Vec<boe::Message>,
 }
 
+/// The exchange's frame builders and the state only they touch.
+struct Wire {
+    publisher: FeedPublisher,
+    /// Session id → reply addressing, learned at login.
+    sessions: HashMap<u32, SessionAddr>,
+    stats: ExchangeStats,
+    event_counter: u64,
+    /// Reusable BOE reply payload buffer.
+    payload_scratch: Vec<u8>,
+}
+
 impl Exchange {
     /// Build the node.
     pub fn new(cfg: ExchangeConfig) -> Exchange {
         let engine = MatchingEngine::new(cfg.directory.instruments().iter().map(|i| i.symbol));
-        let publisher = FeedPublisher::new(cfg.scheme, cfg.max_payload);
         let flow = OrderFlowGenerator::new(&cfg.directory, FlowMix::default());
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let matcher = TxQueue::new(MATCH_TOKEN);
+        let wire = Wire {
+            publisher: FeedPublisher::new(cfg.scheme, cfg.max_payload),
+            sessions: HashMap::new(),
+            stats: ExchangeStats::default(),
+            event_counter: 0,
+            payload_scratch: Vec::new(),
+        };
         Exchange {
             cfg,
             engine,
-            publisher,
             flow,
             rng,
             decoders: HashMap::new(),
-            sessions: HashMap::new(),
             peer_session: HashMap::new(),
             matcher,
-            stats: ExchangeStats::default(),
-            event_counter: 0,
+            wire,
             response_latency_ps: Vec::new(),
-            wire_scratch: Vec::new(),
-            payload_scratch: Vec::new(),
             outbox: Vec::new(),
             msg_scratch: Vec::new(),
             boe_scratch: Vec::new(),
@@ -200,7 +205,7 @@ impl Exchange {
 
     /// Counters so far.
     pub fn stats(&self) -> ExchangeStats {
-        self.stats
+        self.wire.stats
     }
 
     /// The matching engine (for assertions in tests/experiments).
@@ -212,58 +217,11 @@ impl Exchange {
         (now.as_ps() % 1_000_000_000_000 / 1_000) as u32
     }
 
-    /// Build multicast frames for feed messages produced now, appending to
-    /// `out`; one frame per (packet, feed port). A/B copies share the
-    /// measurement tag but carry distinct [`tn_sim::FrameId`]s, exactly as
-    /// real A/B publications are distinct wire frames.
-    fn build_feed_frames(
-        &mut self,
-        ctx: &mut Context<'_>,
-        msgs: &[tn_wire::pitch::Message],
-        out: &mut Vec<(PortId, Frame)>,
-    ) {
-        if msgs.is_empty() {
-            return;
-        }
-        let now = ctx.now();
-        let time_ns = now.as_ps() / 1_000;
-        self.stats.feed_messages += msgs.len() as u64;
-        let packets = self.publisher.publish(&self.cfg.directory, time_ns, msgs);
-        for pkt in packets {
-            let group = ipv4::Addr::multicast_group(self.cfg.mcast_base + u32::from(pkt.unit));
-            // Emit the wire frame once into the reusable scratch buffer;
-            // each feed port then gets an arena-backed copy.
-            self.wire_scratch.clear();
-            stack::emit_udp_into(
-                self.cfg.src_mac,
-                None,
-                self.cfg.src_ip,
-                group,
-                self.cfg.feed_udp_port,
-                self.cfg.feed_udp_port,
-                &pkt.bytes,
-                &mut self.wire_scratch,
-            );
-            self.event_counter += 1;
-            let tag = self.event_counter;
-            for &port in &self.cfg.feed_ports {
-                let frame = ctx
-                    .frame()
-                    .copy_from(&self.wire_scratch)
-                    .tag(tag)
-                    .event_time(now)
-                    .build();
-                self.stats.feed_packets += 1;
-                out.push((port, frame));
-            }
-        }
-    }
-
     /// Publish immediately (background-flow path: tick granularity is far
     /// coarser than matcher service time).
     fn publish_feed(&mut self, ctx: &mut Context<'_>, msgs: &[tn_wire::pitch::Message]) {
         let mut out = std::mem::take(&mut self.outbox);
-        self.build_feed_frames(ctx, msgs, &mut out);
+        self.wire.feed_frames(&self.cfg, ctx, msgs, &mut out);
         for (port, frame) in out.drain(..) {
             ctx.send(port, frame);
         }
@@ -286,48 +244,6 @@ impl Exchange {
         self.msg_scratch = msgs;
     }
 
-    /// Build reply segments, appending to `out`; the caller decides how to
-    /// charge service.
-    fn build_reply_frames(
-        &mut self,
-        ctx: &mut Context<'_>,
-        replies: &[Reply],
-        out: &mut Vec<(PortId, Frame)>,
-    ) {
-        for r in replies {
-            let Some(addr) = self.sessions.get_mut(&r.session) else {
-                continue;
-            };
-            self.payload_scratch.clear();
-            r.message.emit(addr.tx_seq, &mut self.payload_scratch);
-            let (dst_mac, dst_ip, dst_port, tx_seq, port) =
-                (addr.mac, addr.ip, addr.tcp_port, addr.tx_seq, addr.port);
-            addr.tx_seq = addr.tx_seq.wrapping_add(self.payload_scratch.len() as u32);
-            let (src_mac, src_ip) = (self.cfg.src_mac, self.cfg.src_ip);
-            let payload = &self.payload_scratch;
-            let frame = ctx
-                .frame()
-                .fill(|b| {
-                    stack::emit_tcp_into(
-                        src_mac,
-                        dst_mac,
-                        src_ip,
-                        dst_ip,
-                        ORDER_ENTRY_PORT,
-                        dst_port,
-                        tx_seq,
-                        0,
-                        tcp::Flags::ACK | tcp::Flags::PSH,
-                        payload,
-                        b,
-                    )
-                })
-                .build();
-            self.stats.replies_sent += 1;
-            out.push((port, frame));
-        }
-    }
-
     fn on_order_entry(&mut self, ctx: &mut Context<'_>, port: PortId, view: stack::TcpView<'_>) {
         let peer = (view.src_ip, view.src_port);
         let decoder = self.decoders.entry(peer).or_default();
@@ -338,9 +254,9 @@ impl Exchange {
         }
         let (src_mac, src_ip, src_port) = (view.src_mac, view.src_ip, view.src_port);
         for msg in messages.drain(..) {
-            self.stats.orders_processed += 1;
+            self.wire.stats.orders_processed += 1;
             if let boe::Message::Login { session, .. } = msg {
-                self.sessions.insert(
+                self.wire.sessions.insert(
                     session,
                     SessionAddr {
                         port,
@@ -364,8 +280,10 @@ impl Exchange {
             // matching engine.
             let mut service = self.cfg.order_service;
             let mut outputs = std::mem::take(&mut self.outbox);
-            self.build_reply_frames(ctx, &out.replies, &mut outputs);
-            self.build_feed_frames(ctx, &out.feed, &mut outputs);
+            self.wire
+                .reply_frames(&self.cfg, ctx, &out.replies, &mut outputs);
+            self.wire
+                .feed_frames(&self.cfg, ctx, &out.feed, &mut outputs);
             for (port, frame) in outputs.drain(..) {
                 self.matcher.send_after(ctx, service, port, frame);
                 service = SimTime::ZERO;
@@ -373,6 +291,108 @@ impl Exchange {
             self.outbox = outputs;
         }
         self.boe_scratch = messages;
+    }
+}
+
+impl Wire {
+    /// Build multicast frames for feed messages produced now, appending to
+    /// `out`; one frame per (packet, feed port). Each packet is emitted
+    /// once, into the first port's arena frame; further ports copy that
+    /// frame. A/B copies share the measurement tag but carry distinct
+    /// [`tn_sim::FrameId`]s, exactly as real A/B publications are distinct
+    /// wire frames.
+    fn feed_frames(
+        &mut self,
+        cfg: &ExchangeConfig,
+        ctx: &mut Context<'_>,
+        msgs: &[tn_wire::pitch::Message],
+        out: &mut Vec<(PortId, Frame)>,
+    ) {
+        if msgs.is_empty() {
+            return;
+        }
+        let now = ctx.now();
+        let time_ns = now.as_ps() / 1_000;
+        self.stats.feed_messages += msgs.len() as u64;
+        for pkt in self.publisher.publish(&cfg.directory, time_ns, msgs) {
+            let group = ipv4::Addr::multicast_group(cfg.mcast_base + u32::from(pkt.unit));
+            self.event_counter += 1;
+            let tag = self.event_counter;
+            let Some((&first, rest)) = cfg.feed_ports.split_first() else {
+                continue;
+            };
+            let frame = ctx
+                .frame()
+                .fill(|b| {
+                    stack::emit_udp_into(
+                        cfg.src_mac,
+                        None,
+                        cfg.src_ip,
+                        group,
+                        cfg.feed_udp_port,
+                        cfg.feed_udp_port,
+                        pkt.bytes,
+                        b,
+                    )
+                })
+                .tag(tag)
+                .event_time(now)
+                .build();
+            out.push((first, frame));
+            let emitted = out.len() - 1;
+            for &port in rest {
+                let copy = ctx
+                    .frame()
+                    .copy_from(&out[emitted].1.bytes)
+                    .tag(tag)
+                    .event_time(now)
+                    .build();
+                out.push((port, copy));
+            }
+            self.stats.feed_packets += cfg.feed_ports.len() as u64;
+        }
+    }
+
+    /// Build reply segments, appending to `out`; the caller decides how to
+    /// charge service.
+    fn reply_frames(
+        &mut self,
+        cfg: &ExchangeConfig,
+        ctx: &mut Context<'_>,
+        replies: &[Reply],
+        out: &mut Vec<(PortId, Frame)>,
+    ) {
+        for r in replies {
+            let Some(addr) = self.sessions.get_mut(&r.session) else {
+                continue;
+            };
+            self.payload_scratch.clear();
+            r.message.emit(addr.tx_seq, &mut self.payload_scratch);
+            let (dst_mac, dst_ip, dst_port, tx_seq, port) =
+                (addr.mac, addr.ip, addr.tcp_port, addr.tx_seq, addr.port);
+            addr.tx_seq = addr.tx_seq.wrapping_add(self.payload_scratch.len() as u32);
+            let payload = &self.payload_scratch;
+            let frame = ctx
+                .frame()
+                .fill(|b| {
+                    stack::emit_tcp_into(
+                        cfg.src_mac,
+                        dst_mac,
+                        cfg.src_ip,
+                        dst_ip,
+                        ORDER_ENTRY_PORT,
+                        dst_port,
+                        tx_seq,
+                        0,
+                        tcp::Flags::ACK | tcp::Flags::PSH,
+                        payload,
+                        b,
+                    )
+                })
+                .build();
+            self.stats.replies_sent += 1;
+            out.push((port, frame));
+        }
     }
 }
 

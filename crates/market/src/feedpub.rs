@@ -8,19 +8,28 @@
 //! periods emit small frames and bursts emit MTU-sized ones).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use tn_wire::pitch::{self, PacketBuilder};
 
 use crate::partition::PartitionScheme;
 use crate::symbols::SymbolDirectory;
 
-/// A sealed packet tagged with its unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitPacket {
+/// A sealed packet tagged with its unit, lent from the publisher: it
+/// lives until the next [`FeedPublisher::publish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnitPacket<'a> {
     /// Feed unit (multicast group selector).
     pub unit: u16,
     /// The sequenced-unit packet bytes (UDP payload).
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
+}
+
+/// Where an order lives and how much of it is still displayed.
+#[derive(Debug, Clone, Copy)]
+struct Routed {
+    unit: u16,
+    qty: u32,
 }
 
 /// The publisher.
@@ -28,10 +37,18 @@ pub struct FeedPublisher {
     scheme: PartitionScheme,
     builders: Vec<PacketBuilder>,
     last_time_sec: Vec<Option<u32>>,
-    /// Which unit an exchange order id lives on (learned from AddOrder,
-    /// forgotten on DeleteOrder) — messages like executions don't carry a
-    /// symbol, mirroring the statefulness of real PITCH.
-    order_units: HashMap<u64, u16>,
+    /// Which unit an exchange order id lives on, learned from AddOrder —
+    /// messages like executions don't carry a symbol, mirroring the
+    /// statefulness of real PITCH. The remaining quantity rides along so
+    /// an order is forgotten once a delete, execution or reduction takes
+    /// it to nothing.
+    order_units: HashMap<u64, Routed>,
+    /// The last publish's packets, back to back, and each one's unit and
+    /// byte range in it; both are lent by `publish` and reused by the next.
+    bytes: Vec<u8>,
+    sealed: Vec<(u16, Range<usize>)>,
+    /// Units the current publish pushed to, in first-touch order.
+    touched: Vec<u16>,
 }
 
 impl FeedPublisher {
@@ -49,6 +66,9 @@ impl FeedPublisher {
                 .collect(),
             last_time_sec: vec![None; usize::from(units)],
             order_units: HashMap::new(),
+            bytes: Vec::new(),
+            sealed: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -61,57 +81,74 @@ impl FeedPublisher {
     fn unit_of(&mut self, dir: &SymbolDirectory, msg: &pitch::Message) -> u16 {
         if let Some(symbol) = msg.symbol() {
             let unit = self.scheme.unit_for(dir, symbol);
-            if let (pitch::Message::AddOrder { order_id, .. }, u) = (msg, unit) {
-                self.order_units.insert(*order_id, u);
+            if let pitch::Message::AddOrder { order_id, qty, .. } = *msg {
+                self.order_units.insert(order_id, Routed { unit, qty });
             }
             return unit;
         }
-        if let Some(order_id) = msg.order_id() {
-            let unit = self.order_units.get(&order_id).copied().unwrap_or(0);
-            if matches!(msg, pitch::Message::DeleteOrder { .. }) {
-                self.order_units.remove(&order_id);
+        let Some(order_id) = msg.order_id() else {
+            return 0;
+        };
+        let Some(routed) = self.order_units.get_mut(&order_id) else {
+            return 0;
+        };
+        routed.qty = match *msg {
+            pitch::Message::OrderExecuted { qty, .. } | pitch::Message::ReduceSize { qty, .. } => {
+                routed.qty.saturating_sub(qty)
             }
-            return unit;
+            pitch::Message::ModifyOrder { qty, .. } => qty,
+            // DeleteOrder: the one other message naming an order but no symbol.
+            _ => 0,
+        };
+        let unit = routed.unit;
+        if routed.qty == 0 {
+            self.order_units.remove(&order_id);
         }
-        0
+        unit
     }
 
     /// Publish a batch of messages stamped at `time_ns` (nanoseconds since
-    /// midnight). Returns sealed packets, at most one per touched unit
+    /// midnight). Lends the sealed packets, at most one per touched unit
     /// (plus extras if a unit's batch overflowed the payload cap).
     pub fn publish(
         &mut self,
         dir: &SymbolDirectory,
         time_ns: u64,
         msgs: &[pitch::Message],
-    ) -> Vec<UnitPacket> {
-        // audit:allow(hotpath-alloc): per-publish sealed-packet batch; batch reuse is ROADMAP item 2
-        let mut sealed = Vec::new();
+    ) -> impl ExactSizeIterator<Item = UnitPacket<'_>> {
+        self.bytes.clear();
+        self.sealed.clear();
+        self.touched.clear();
         let second = (time_ns / 1_000_000_000) as u32;
-        // audit:allow(hotpath-alloc): per-publish touched-unit set; batch reuse is ROADMAP item 2
-        let mut touched = Vec::new();
         for msg in msgs {
             let unit = self.unit_of(dir, msg);
             let b = &mut self.builders[unit as usize];
+            let start = self.bytes.len();
             if self.last_time_sec[unit as usize] != Some(second) {
                 self.last_time_sec[unit as usize] = Some(second);
-                if let Some(done) = b.push(&pitch::Message::Time { seconds: second }) {
-                    sealed.push(UnitPacket { unit, bytes: done });
+                if b.push_into(&pitch::Message::Time { seconds: second }, &mut self.bytes) {
+                    self.sealed.push((unit, start..self.bytes.len()));
                 }
             }
-            if let Some(done) = b.push(msg) {
-                sealed.push(UnitPacket { unit, bytes: done });
+            let start = self.bytes.len();
+            if b.push_into(msg, &mut self.bytes) {
+                self.sealed.push((unit, start..self.bytes.len()));
             }
-            if !touched.contains(&unit) {
-                touched.push(unit);
-            }
-        }
-        for unit in touched {
-            if let Some(done) = self.builders[unit as usize].flush() {
-                sealed.push(UnitPacket { unit, bytes: done });
+            if !self.touched.contains(&unit) {
+                self.touched.push(unit);
             }
         }
-        sealed
+        for &unit in &self.touched {
+            let start = self.bytes.len();
+            if self.builders[unit as usize].flush_into(&mut self.bytes) {
+                self.sealed.push((unit, start..self.bytes.len()));
+            }
+        }
+        let bytes = &self.bytes;
+        self.sealed.iter().map(move |(unit, range)| UnitPacket {
+            unit: *unit,
+            bytes: &bytes[range.clone()],
+        })
     }
 
     /// Orders currently tracked for unit routing.
@@ -149,19 +186,27 @@ mod tests {
     fn time_message_prefixes_each_new_second() {
         let d = dir();
         let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 1400);
-        let packets = p.publish(&d, 34_200_000_000_000, &[add(1, sym("A0000"))]);
+        let packets: Vec<_> = p
+            .publish(&d, 34_200_000_000_000, &[add(1, sym("A0000"))])
+            .collect();
         assert_eq!(packets.len(), 1);
-        let pkt = pitch::Packet::new_checked(&packets[0].bytes[..]).unwrap();
+        let pkt = pitch::Packet::new_checked(packets[0].bytes).unwrap();
         let msgs: Vec<_> = pkt.messages().map(|m| m.unwrap()).collect();
         assert_eq!(msgs[0], pitch::Message::Time { seconds: 34_200 });
         assert!(matches!(msgs[1], pitch::Message::AddOrder { .. }));
         // Same second: no new Time message.
-        let packets = p.publish(&d, 34_200_500_000_000, &[add(2, sym("A0000"))]);
-        let pkt = pitch::Packet::new_checked(&packets[0].bytes[..]).unwrap();
+        let packet = p
+            .publish(&d, 34_200_500_000_000, &[add(2, sym("A0000"))])
+            .next()
+            .unwrap();
+        let pkt = pitch::Packet::new_checked(packet.bytes).unwrap();
         assert_eq!(pkt.count(), 1);
         // New second: Time again.
-        let packets = p.publish(&d, 34_201_000_000_000, &[add(3, sym("A0000"))]);
-        let pkt = pitch::Packet::new_checked(&packets[0].bytes[..]).unwrap();
+        let packet = p
+            .publish(&d, 34_201_000_000_000, &[add(3, sym("A0000"))])
+            .next()
+            .unwrap();
+        let pkt = pitch::Packet::new_checked(packet.bytes).unwrap();
         assert_eq!(pkt.count(), 2);
     }
 
@@ -173,7 +218,11 @@ mod tests {
         let s1 = sym("A0000");
         let s2 = sym("B0001");
         let u1 = scheme.unit_for(&d, s1);
-        let packets = p.publish(&d, 1_000_000_000, &[add(1, s1), add(2, s2)]);
+        assert_eq!(
+            p.publish(&d, 1_000_000_000, &[add(1, s1), add(2, s2)])
+                .len(),
+            2
+        );
         // Executions without symbols follow the add's unit.
         let exec = pitch::Message::OrderExecuted {
             offset_ns: 2,
@@ -181,9 +230,9 @@ mod tests {
             qty: 10,
             exec_id: 1,
         };
-        let packets2 = p.publish(&d, 1_000_000_100, &[exec]);
-        assert_eq!(packets2.len(), 1);
-        assert_eq!(packets2[0].unit, u1);
+        let packets: Vec<_> = p.publish(&d, 1_000_000_100, &[exec]).collect();
+        assert_eq!(packets.len(), 1);
+        assert_eq!(packets[0].unit, u1);
         assert_eq!(p.tracked_orders(), 2);
         // Deletes release tracking.
         let del = pitch::Message::DeleteOrder {
@@ -192,7 +241,40 @@ mod tests {
         };
         let _ = p.publish(&d, 1_000_000_200, &[del]);
         assert_eq!(p.tracked_orders(), 1);
-        let _ = packets;
+    }
+
+    #[test]
+    fn fully_executed_orders_are_forgotten() {
+        // The engine publishes only `OrderExecuted` when a resting order
+        // fills completely; no delete follows.
+        let d = dir();
+        let s = sym("A0000");
+        let mut engine = crate::MatchingEngine::new([s]);
+        let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 4 }, 1400);
+        for (side, qty) in [(Side::Sell, 30), (Side::Sell, 30), (Side::Buy, 40)] {
+            let out = engine.submit(
+                crate::Owner::Background,
+                0,
+                s,
+                side,
+                100_0000,
+                qty,
+                false,
+                0,
+            );
+            let _ = p.publish(&d, 1_000_000_000, &out.feed);
+        }
+        // The buy filled the first sell and half the second; it never rested.
+        assert_eq!(engine.open_orders(), 1);
+        assert_eq!(p.tracked_orders(), engine.open_orders());
+        // A reduction that takes an order to nothing forgets it too.
+        let reduce = pitch::Message::ReduceSize {
+            offset_ns: 0,
+            order_id: 2,
+            qty: 20,
+        };
+        let _ = p.publish(&d, 1_000_000_000, &[reduce]);
+        assert_eq!(p.tracked_orders(), 0);
     }
 
     #[test]
@@ -204,9 +286,8 @@ mod tests {
             let msgs: Vec<_> = (0..3)
                 .map(|i| add(batch * 3 + i + 1, sym("A0000")))
                 .collect();
-            let packets = p.publish(&d, 1_000_000_000 * (batch + 1), &msgs);
-            for pkt_bytes in &packets {
-                let pkt = pitch::Packet::new_checked(&pkt_bytes.bytes[..]).unwrap();
+            for packet in p.publish(&d, 1_000_000_000 * (batch + 1), &msgs) {
+                let pkt = pitch::Packet::new_checked(packet.bytes).unwrap();
                 assert_eq!(pkt.sequence(), next_seq);
                 next_seq += u32::from(pkt.count());
             }
@@ -218,11 +299,11 @@ mod tests {
         let d = dir();
         let mut p = FeedPublisher::new(PartitionScheme::ByHash { units: 1 }, 120);
         let msgs: Vec<_> = (0..20).map(|i| add(i + 1, sym("A0000"))).collect();
-        let packets = p.publish(&d, 1_000_000_000, &msgs);
+        let packets: Vec<_> = p.publish(&d, 1_000_000_000, &msgs).collect();
         assert!(packets.len() > 1);
         let total: usize = packets
             .iter()
-            .map(|pk| pitch::Packet::new_checked(&pk.bytes[..]).unwrap().count() as usize)
+            .map(|pk| pitch::Packet::new_checked(pk.bytes).unwrap().count() as usize)
             .sum();
         assert_eq!(total, 21); // 20 adds + 1 Time
         for pk in &packets {

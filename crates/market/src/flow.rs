@@ -77,14 +77,14 @@ impl OrderFlowGenerator {
     }
 
     /// Run one operation against `engine`, returning the feed messages it
-    /// produced. `offset_ns` stamps the messages.
-    pub fn step(
+    /// produced, lent from the engine. `offset_ns` stamps the messages.
+    pub fn step<'e>(
         &mut self,
         dir: &SymbolDirectory,
-        engine: &mut MatchingEngine,
+        engine: &'e mut MatchingEngine,
         rng: &mut SmallRng,
         offset_ns: u32,
-    ) -> Vec<pitch::Message> {
+    ) -> &'e [pitch::Message] {
         let total = self.mix.add + self.mix.cancel + self.mix.reduce + self.mix.aggress;
         let mut pick = rng.gen::<f64>() * total;
         self.sample_k = self.sample_k.wrapping_add(1);
@@ -95,14 +95,14 @@ impl OrderFlowGenerator {
             pick -= self.mix.cancel;
             if pick < 0.0 {
                 if let Some(id) = engine.sample_open_order(self.sample_k) {
-                    return engine.cancel_exchange_order(id, offset_ns).feed;
+                    return &engine.cancel_exchange_order(id, offset_ns).feed;
                 }
             }
             pick -= self.mix.reduce;
             if pick < 0.0 {
                 if let Some(id) = engine.sample_open_order(self.sample_k) {
                     let by = rng.gen_range(1..=50);
-                    return engine.reduce_exchange_order(id, by, offset_ns).feed;
+                    return &engine.reduce_exchange_order(id, by, offset_ns).feed;
                 }
             }
             pick -= self.mix.aggress;
@@ -119,7 +119,7 @@ impl OrderFlowGenerator {
                 };
                 let qty = rng.gen_range(1..=200);
                 self.next_cl_ord += 1;
-                return engine
+                return &engine
                     .submit(
                         Owner::Background,
                         0,
@@ -153,7 +153,7 @@ impl OrderFlowGenerator {
         };
         let qty = rng.gen_range(1..=65_000);
         self.next_cl_ord += 1;
-        engine
+        &engine
             .submit(
                 Owner::Background,
                 0,
@@ -214,7 +214,7 @@ mod tests {
             let mut engine = MatchingEngine::new(dir.instruments().iter().map(|i| i.symbol));
             let mut gen = OrderFlowGenerator::new(&dir, FlowMix::default());
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut out = Vec::new();
+            let mut out: Vec<pitch::Message> = Vec::new();
             for i in 0..500 {
                 out.extend(gen.step(&dir, &mut engine, &mut rng, i));
             }

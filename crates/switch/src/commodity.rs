@@ -402,6 +402,8 @@ pub fn igmp_frame_into(
     group: ipv4::Addr,
     out: &mut Vec<u8>,
 ) {
+    // Sized once: a fresh arena buffer would otherwise grow per layer.
+    out.reserve(eth::HEADER_LEN + ipv4::HEADER_LEN + igmp::MESSAGE_LEN);
     eth::emit_into(
         eth::MacAddr::ipv4_multicast(group),
         host_mac,
@@ -422,7 +424,7 @@ pub fn igmp_frame(
     host_ip: ipv4::Addr,
     group: ipv4::Addr,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(eth::HEADER_LEN + ipv4::HEADER_LEN + igmp::MESSAGE_LEN);
+    let mut out = Vec::new();
     igmp_frame_into(kind, host_mac, host_ip, group, &mut out);
     out
 }

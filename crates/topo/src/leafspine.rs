@@ -135,6 +135,19 @@ impl LeafSpine {
         }
         let _ = total_leaves;
 
+        // Every leaf and the exchange ToR default-route up, ECMP over all
+        // spines. These depend only on `cfg`, so they are installed here
+        // once; `install_host_routes` adds only host-specific entries.
+        let uplinks = |base: usize| (0..cfg.spines).map(|s| PortId((base + s) as u16)).collect();
+        sim.node_mut::<CommoditySwitch>(exchange_tor)
+            .expect("tor")
+            .set_default_route(uplinks(cfg.exchange_ports));
+        for &leaf in &leaves {
+            sim.node_mut::<CommoditySwitch>(leaf)
+                .expect("leaf")
+                .set_default_route(uplinks(cfg.hosts_per_rack));
+        }
+
         let host_ports = leaves
             .iter()
             .flat_map(|&leaf| (0..cfg.hosts_per_rack).map(move |p| (leaf, PortId(p as u16))))
@@ -212,22 +225,8 @@ impl LeafSpine {
                 .expect("spine is a commodity switch")
                 .add_route(addr, vec![PortId(leaf_index)]);
         }
-        // All other leaves (and the exchange ToR) default-route up; make
-        // sure defaults exist (idempotent).
-        let uplinks_tor: Vec<PortId> = (0..self.cfg.spines)
-            .map(|s| PortId((self.cfg.exchange_ports + s) as u16))
-            .collect();
-        sim.node_mut::<CommoditySwitch>(self.exchange_tor)
-            .expect("tor")
-            .set_default_route(uplinks_tor);
-        for &l in &self.leaves {
-            let uplinks: Vec<PortId> = (0..self.cfg.spines)
-                .map(|s| PortId((self.cfg.hosts_per_rack + s) as u16))
-                .collect();
-            sim.node_mut::<CommoditySwitch>(l)
-                .expect("leaf")
-                .set_default_route(uplinks);
-        }
+        // Every other leaf (and the exchange ToR) reaches `addr` by the
+        // default route `build` installed.
     }
 
     /// Switch hops between two attachment points (for latency budgets):

@@ -110,8 +110,9 @@ pub struct NormalizerNodeStats {
 pub struct Normalizer {
     cfg: NormalizerConfig,
     core: NormalizerCore<HashRepartition>,
-    /// Per-partition packet sequence numbers.
-    next_seq: Vec<u32>,
+    /// One packet builder per output partition; each carries its
+    /// partition's sequence across packets.
+    builders: Vec<norm::PacketBuilder>,
     svc: TxQueue,
     stats: NormalizerNodeStats,
     /// Reusable sealed-packet byte buffer (packets are concatenated, with
@@ -133,7 +134,9 @@ impl Normalizer {
         core.emit_depth = cfg.emit_depth;
         core.preload_symbols(cfg.preload.iter().copied());
         Normalizer {
-            next_seq: vec![1; cfg.out_partitions as usize],
+            builders: (0..cfg.out_partitions)
+                .map(|p| norm::PacketBuilder::new(p, 1, 1_400))
+                .collect(),
             core,
             svc: TxQueue::new(SVC_TOKEN),
             cfg,
@@ -163,8 +166,7 @@ impl Normalizer {
         let mut i = 0;
         while i < outputs.len() {
             let partition = outputs[i].partition;
-            let mut pb =
-                norm::PacketBuilder::new(partition, self.next_seq[partition as usize], 1_400);
+            let pb = &mut self.builders[partition as usize];
             // Seal packets into the reusable scratch buffer, recording
             // boundaries, then frame each slice once the run is closed.
             self.wire_scratch.clear();
@@ -180,7 +182,6 @@ impl Normalizer {
             if pb.flush_into(&mut self.wire_scratch) {
                 self.bounds_scratch.push((before, self.wire_scratch.len()));
             }
-            self.next_seq[partition as usize] = pb.next_seq();
             let transport = self.cfg.transport;
             let (src_mac, src_ip, udp_port, mcast_base) = (
                 self.cfg.src_mac,
@@ -188,7 +189,7 @@ impl Normalizer {
                 self.cfg.udp_port,
                 self.cfg.out_mcast_base,
             );
-            let l1t_seq = self.next_seq[partition as usize];
+            let l1t_seq = pb.next_seq();
             for &(s, e) in &self.bounds_scratch {
                 let payload = &self.wire_scratch[s..e];
                 let builder = match transport {

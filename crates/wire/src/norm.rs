@@ -195,7 +195,6 @@ impl PacketBuilder {
             partition,
             next_seq: first_seq,
             max_records,
-            // audit:allow(hotpath-alloc): builder working buffer; arena-backed zero-copy emit is ROADMAP item 2
             buf: vec![0; PACKET_HEADER_LEN],
             count: 0,
         }

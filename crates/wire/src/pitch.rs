@@ -683,7 +683,6 @@ impl PacketBuilder {
     /// emit (typically MTU − 42).
     pub fn new(unit: u8, first_seq: u32, max_payload: usize) -> PacketBuilder {
         assert!(max_payload >= UNIT_HEADER_LEN + 64, "max_payload too small");
-        // audit:allow(hotpath-alloc): builder working buffer; arena-backed zero-copy emit is ROADMAP item 2
         let mut buf = Vec::with_capacity(max_payload);
         buf.resize(UNIT_HEADER_LEN, 0);
         PacketBuilder {

@@ -75,6 +75,9 @@ pub fn emit_udp_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
+    // One growth at most: a fresh arena buffer would otherwise grow for
+    // the headers and again for the payload.
+    out.reserve(UDP_OVERHEAD + payload.len());
     let start = reserve_udp(out);
     out.extend_from_slice(payload);
     finish_udp(
@@ -99,7 +102,7 @@ pub fn build_udp(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(UDP_OVERHEAD + payload.len());
+    let mut buf = Vec::new();
     emit_udp_into(
         src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, payload, &mut buf,
     );
@@ -172,6 +175,7 @@ pub fn emit_tcp_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
+    out.reserve(TCP_OVERHEAD + payload.len());
     let start = reserve_tcp(out);
     out.extend_from_slice(payload);
     finish_tcp(
@@ -202,7 +206,7 @@ pub fn build_tcp(
     flags: tcp::Flags,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(TCP_OVERHEAD + payload.len());
+    let mut buf = Vec::new();
     emit_tcp_into(
         src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, payload, &mut buf,
     );

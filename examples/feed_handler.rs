@@ -33,7 +33,7 @@ fn main() {
         }
         let time_ns = 34_200_000_000_000 + batch * 2_000_000;
         for p in publisher.publish(&dir, time_ns, &msgs) {
-            packets.push(p.bytes);
+            packets.push(p.bytes.to_vec());
         }
     }
     println!("generated {} feed packets", packets.len());
