@@ -7,8 +7,9 @@
 //! events Figure 2(b)/(c) count ("filtered to just those that affect the
 //! best bid and offer prices or sizes").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use tn_sim::FastMap;
 use tn_wire::pitch::{Message, Side};
 use tn_wire::Symbol;
 
@@ -90,8 +91,8 @@ pub struct BuildStats {
 /// The book builder.
 #[derive(Debug, Default)]
 pub struct BookBuilder {
-    orders: HashMap<u64, TrackedOrder>,
-    books: HashMap<Symbol, SymbolBook>,
+    orders: FastMap<u64, TrackedOrder>,
+    books: FastMap<Symbol, SymbolBook>,
     stats: BuildStats,
 }
 

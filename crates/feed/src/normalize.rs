@@ -6,6 +6,7 @@
 //! transformation as a pure state machine; `tn-trading` wraps it in a
 //! simulation node with service-time modeling.
 
+use tn_sim::FastMap;
 use tn_wire::norm;
 use tn_wire::pitch::{Message, Side};
 use tn_wire::{Result, Symbol};
@@ -62,7 +63,7 @@ pub trait SymbolInterner {
 /// A simple growable interner.
 #[derive(Debug, Default)]
 pub struct MapInterner {
-    map: std::collections::HashMap<Symbol, u32>,
+    map: FastMap<Symbol, u32>,
 }
 
 impl SymbolInterner for MapInterner {

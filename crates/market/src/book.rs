@@ -14,8 +14,9 @@
 //! level is a cached sum. Freed slots are threaded into a free list and
 //! reused before the slab grows.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use tn_sim::FastMap;
 use tn_wire::pitch::Side;
 
 /// Integer price in 1e-4 dollars (the PITCH long convention).
@@ -83,7 +84,7 @@ pub struct OrderBook {
     bids: BTreeMap<Price, Level>,
     /// Asks: lowest price first.
     asks: BTreeMap<Price, Level>,
-    locators: HashMap<OrderId, Locator>,
+    locators: FastMap<OrderId, Locator>,
     orders: Vec<Slot>,
     free: u32,
     /// The last submit's fills, lent out by [`SubmitResult`].
@@ -95,7 +96,7 @@ impl Default for OrderBook {
         OrderBook {
             bids: BTreeMap::new(),
             asks: BTreeMap::new(),
-            locators: HashMap::new(),
+            locators: FastMap::default(),
             orders: Vec::new(),
             free: NIL,
             executions: Vec::new(),

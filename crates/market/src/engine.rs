@@ -7,8 +7,9 @@
 //! an order round-trip (gateway → engine → fill → feed) exercises the same
 //! code path as production (§2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use tn_sim::FastMap;
 use tn_wire::boe;
 use tn_wire::pitch::{self, Side};
 use tn_wire::Symbol;
@@ -46,7 +47,7 @@ pub struct Reply {
 /// increasing order, so a new id is always pushed at the end.
 #[derive(Default)]
 struct OpenOrders {
-    by_id: HashMap<OrderId, OpenOrder>,
+    by_id: FastMap<OrderId, OpenOrder>,
     ids: Vec<OrderId>,
 }
 
@@ -97,7 +98,7 @@ impl EngineOutput {
 pub struct MatchingEngine {
     books: BTreeMap<Symbol, OrderBook>,
     open: OpenOrders,
-    by_client: HashMap<(u32, u64), OrderId>,
+    by_client: FastMap<(u32, u64), OrderId>,
     next_order_id: OrderId,
     next_exec_id: u64,
     /// What the last operation produced; every operation lends it.
@@ -110,7 +111,7 @@ impl MatchingEngine {
         MatchingEngine {
             books: symbols.into_iter().map(|s| (s, OrderBook::new())).collect(),
             open: OpenOrders::default(),
-            by_client: HashMap::new(),
+            by_client: FastMap::default(),
             next_order_id: 1,
             next_exec_id: 1,
             out: EngineOutput::default(),

@@ -26,13 +26,11 @@
 //! retransmission — order paths in the simulated fabrics are lossless and
 //! in-order, so the machinery would never fire.
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::{boe, eth, ipv4, stack, tcp};
 
 use crate::engine::{MatchingEngine, Reply};
@@ -136,9 +134,9 @@ pub struct Exchange {
     flow: OrderFlowGenerator,
     rng: SmallRng,
     /// Stream reassembly per transport peer.
-    decoders: HashMap<(ipv4::Addr, u16), boe::Decoder>,
+    decoders: FastMap<(ipv4::Addr, u16), boe::Decoder>,
     /// Peer → session (so mid-stream messages resolve their session).
-    peer_session: HashMap<(ipv4::Addr, u16), u32>,
+    peer_session: FastMap<(ipv4::Addr, u16), u32>,
     matcher: TxQueue,
     /// Everything that turns engine output into frames, kept apart from
     /// the engine so it can read the output the engine lends.
@@ -161,7 +159,7 @@ pub struct Exchange {
 struct Wire {
     publisher: FeedPublisher,
     /// Session id → reply addressing, learned at login.
-    sessions: HashMap<u32, SessionAddr>,
+    sessions: FastMap<u32, SessionAddr>,
     stats: ExchangeStats,
     event_counter: u64,
     /// Reusable BOE reply payload buffer.
@@ -177,7 +175,7 @@ impl Exchange {
         let matcher = TxQueue::new(MATCH_TOKEN);
         let wire = Wire {
             publisher: FeedPublisher::new(cfg.scheme, cfg.max_payload),
-            sessions: HashMap::new(),
+            sessions: FastMap::default(),
             stats: ExchangeStats::default(),
             event_counter: 0,
             payload_scratch: Vec::new(),
@@ -187,8 +185,8 @@ impl Exchange {
             engine,
             flow,
             rng,
-            decoders: HashMap::new(),
-            peer_session: HashMap::new(),
+            decoders: FastMap::default(),
+            peer_session: FastMap::default(),
             matcher,
             wire,
             response_latency_ps: Vec::new(),

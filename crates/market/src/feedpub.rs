@@ -7,9 +7,9 @@
 //! only when messages are produced together, which is what makes quiet
 //! periods emit small frames and bursts emit MTU-sized ones).
 
-use std::collections::HashMap;
 use std::ops::Range;
 
+use tn_sim::FastMap;
 use tn_wire::pitch::{self, PacketBuilder};
 
 use crate::partition::PartitionScheme;
@@ -42,7 +42,7 @@ pub struct FeedPublisher {
     /// statefulness of real PITCH. The remaining quantity rides along so
     /// an order is forgotten once a delete, execution or reduction takes
     /// it to nothing.
-    order_units: HashMap<u64, Routed>,
+    order_units: FastMap<u64, Routed>,
     /// The last publish's packets, back to back, and each one's unit and
     /// byte range in it; both are lent by `publish` and reused by the next.
     bytes: Vec<u8>,
@@ -65,7 +65,7 @@ impl FeedPublisher {
                 .map(|unit| PacketBuilder::new(unit, 1, max_payload))
                 .collect(),
             last_time_sec: vec![None; usize::from(units)],
-            order_units: HashMap::new(),
+            order_units: FastMap::default(),
             bytes: Vec::new(),
             sealed: Vec::new(),
             touched: Vec::new(),

@@ -4,8 +4,7 @@
 //! integer ids (used by the normalized format) and instrument classes
 //! (used by class-based feed partitioning, §2).
 
-use std::collections::HashMap;
-
+use tn_sim::FastMap;
 use tn_wire::Symbol;
 
 /// Broad instrument classes relevant to partitioning.
@@ -33,7 +32,7 @@ pub struct Instrument {
 /// The directory.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolDirectory {
-    by_symbol: HashMap<Symbol, Instrument>,
+    by_symbol: FastMap<Symbol, Instrument>,
     by_id: Vec<Instrument>,
 }
 

@@ -28,7 +28,7 @@ use crate::context::{start_frame, Action, Context, TimerToken};
 use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
-use crate::sched::{EventKind, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
+use crate::sched::{EventKind, EventQueue, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
 use crate::shard::{WEntry, WindowState};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -202,7 +202,7 @@ enum Seen {
 pub struct Simulator {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
-    pub(crate) queue: Box<dyn Scheduler>,
+    pub(crate) queue: EventQueue,
     pub(crate) sched_kind: SchedulerKind,
     /// Node slots indexed by global node id. Serial simulators are dense
     /// (every slot `Some`); a shard of a partitioned run keeps global ids
@@ -586,7 +586,7 @@ impl Simulator {
     /// nobody registered is refused, while the caller is still on the
     /// stack, and where a shard logs the push for the merge leader to
     /// match with a real seq.
-    #[inline]
+    #[inline(always)]
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         let ev = QueuedEvent { at, seq, kind };
@@ -624,8 +624,10 @@ impl Simulator {
 
     /// Single funnel for every scheduler insertion. The profiler and
     /// flight recorder observe the stream here — pure side-state ahead
-    /// of an unchanged `push`, so pop order cannot move.
-    #[inline]
+    /// of an unchanged `push`, so pop order cannot move. Forced inline,
+    /// like `schedule`, so the heap's push lands in the dispatch loop: a
+    /// push that joins a run is one link store, cheaper than the call.
+    #[inline(always)]
     fn push_event(&mut self, ev: QueuedEvent) {
         if self.profiler.is_enabled() {
             // Guarded for the queue-length call, not the record.

@@ -51,6 +51,7 @@
 
 mod context;
 mod frame;
+mod hash;
 mod kernel;
 mod link;
 mod node;
@@ -61,6 +62,7 @@ mod trace;
 
 pub use context::{Context, TimerToken};
 pub use frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId, FrameMeta};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use kernel::{AnyNode, SimStats, Simulator};
 pub use link::{DropReason, HopTiming, IdealLink, Link, LinkOutcome};
 pub use node::{Node, NodeId, PortId};

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use crate::frame::{Frame, FrameId};
 use crate::kernel::{SimStats, Simulator};
 use crate::node::{NodeId, PortId};
-use crate::sched::SchedulerKind;
+use crate::sched::{Scheduler, SchedulerKind};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
 use tn_obs::{FlightRecorder, KernelProfiler};

@@ -18,10 +18,8 @@
 //! leave — a simplified PIM/IGMP-snooping hybrid sufficient for
 //! deterministic tree construction in leaf-spine topologies.
 
-use std::collections::HashMap;
-
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Metrics, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, Frame, Metrics, Node, PortId, SimTime, TimerToken};
 use tn_wire::{eth, igmp, ipv4};
 
 /// What to do with traffic for groups that did not fit in the mroute
@@ -94,13 +92,13 @@ const SW_TOKEN: u64 = 2;
 pub struct CommoditySwitch {
     cfg: SwitchConfig,
     /// Host routes: exact dst address -> ECMP port set.
-    routes: HashMap<ipv4::Addr, Vec<PortId>>,
+    routes: FastMap<ipv4::Addr, Vec<PortId>>,
     /// Default route (ECMP set).
     default_route: Vec<PortId>,
     /// Hardware multicast: group -> member ports. Bounded by config.
-    hw_groups: HashMap<ipv4::Addr, Vec<PortId>>,
+    hw_groups: FastMap<ipv4::Addr, Vec<PortId>>,
     /// Overflow multicast membership, held in CPU memory (unbounded).
-    sw_groups: HashMap<ipv4::Addr, Vec<PortId>>,
+    sw_groups: FastMap<ipv4::Addr, Vec<PortId>>,
     hw_path: TxQueue,
     sw_path: TxQueue,
     stats: SwitchStats,
@@ -114,10 +112,10 @@ impl CommoditySwitch {
         let sw_path = TxQueue::new(SW_TOKEN).with_capacity(cfg.sw_queue);
         CommoditySwitch {
             cfg,
-            routes: HashMap::new(),
+            routes: FastMap::default(),
             default_route: Vec::new(),
-            hw_groups: HashMap::new(),
-            sw_groups: HashMap::new(),
+            hw_groups: FastMap::default(),
+            sw_groups: FastMap::default(),
             hw_path,
             sw_path,
             stats: SwitchStats::default(),
@@ -266,12 +264,7 @@ impl CommoditySwitch {
                 }
             }
             if let Some(up) = upstream_extra {
-                if !self
-                    .hw_groups
-                    .get(&group)
-                    .map(|m| m.contains(&up))
-                    .unwrap_or(false)
-                {
+                if !members.contains(&up) {
                     self.stats.mcast_forwarded += 1;
                     self.metrics.inc("switch", "mcast_fwd", Some(me));
                     let copy = ctx.clone_frame(&frame);
@@ -291,20 +284,16 @@ impl CommoditySwitch {
                 return;
             }
         }
-        if let Some(members) = self.sw_groups.get(&group).cloned() {
+        if let Some(members) = self.sw_groups.get(&group) {
             match self.cfg.overflow {
                 McastOverflowPolicy::Drop => {
                     self.stats.mcast_dropped += 1;
                     self.metrics.inc("switch", "mcast_drop", Some(me));
                 }
                 McastOverflowPolicy::SoftwareForward => {
-                    let mut targets = members.clone();
-                    if let Some(up) = upstream_extra {
-                        if !targets.contains(&up) {
-                            targets.push(up);
-                        }
-                    }
-                    for &p in &targets {
+                    // The members, then the upstream port unless it is one.
+                    let up = upstream_extra.filter(|up| !members.contains(up));
+                    for &p in members.iter().chain(&up) {
                         if p == ingress {
                             continue;
                         }
@@ -691,6 +680,65 @@ mod tests {
         let stats = sim.node::<CommoditySwitch>(sw).unwrap().stats();
         assert_eq!(delivered, 4); // only the CPU queue depth survived
         assert_eq!(stats.mcast_dropped, 96);
+    }
+
+    #[test]
+    fn software_path_serves_members_then_upstream_once() {
+        // Every group overflows to the CPU path, which serves one copy per
+        // 25 µs, so arrival times give the order the copies were queued.
+        let cfg = SwitchConfig {
+            mcast_table_size: 0,
+            mcast_upstream: Some(PortId(3)),
+            ..SwitchConfig::default()
+        };
+        let (mut sim, sw, sinks) = rig(cfg, 3);
+        let group = ipv4::Addr::multicast_group(0);
+        let join = |sim: &mut Simulator, port: u16| {
+            let report = igmp_frame(
+                igmp::MessageType::Report,
+                MacAddr::host(u32::from(port)),
+                ipv4::Addr::host(u32::from(port)),
+                group,
+            );
+            let f = sim.frame().copy_from(&report).build();
+            let t = sim.now();
+            sim.inject_frame(t, sw, PortId(port), f);
+            sim.run();
+        };
+        let feed = |sim: &mut Simulator, port: u16| {
+            let t = sim.now();
+            let f = sim.frame().copy_from(&feed_frame(group, 64)).build();
+            sim.inject_frame(t, sw, PortId(port), f);
+            sim.run();
+            let arrivals = |i: usize| -> Vec<SimTime> {
+                let got = &sim.node::<Sink>(sinks[i]).unwrap().got;
+                got.iter().filter(|g| g.0 > t).map(|g| g.0 - t).collect()
+            };
+            [arrivals(0), arrivals(1), arrivals(2)]
+        };
+        let us = SimTime::from_us;
+        // Members in join order (2, then 1), then the upstream port.
+        join(&mut sim, 2);
+        join(&mut sim, 1);
+        assert_eq!(
+            feed(&mut sim, 0),
+            [vec![us(50)], vec![us(25)], vec![us(75)]]
+        );
+        // Once the upstream port is a member it gets one copy, not two;
+        // traffic from upstream fans out to the other members only.
+        join(&mut sim, 3);
+        assert_eq!(
+            feed(&mut sim, 0),
+            [vec![us(50)], vec![us(25)], vec![us(75)]]
+        );
+        assert_eq!(feed(&mut sim, 3), [vec![us(50)], vec![us(25)], vec![]]);
+        assert_eq!(
+            sim.node::<CommoditySwitch>(sw)
+                .unwrap()
+                .stats()
+                .mcast_sw_forwarded,
+            8
+        );
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //!   on multiple interfaces \[with\] data filtering" idea: a merge that
 //!   discards what the subscriber doesn't want instead of queueing it.
 
-use std::collections::{HashMap, HashSet};
-
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Metrics, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, FastSet, Frame, Metrics, Node, PortId, SimTime, TimerToken};
 use tn_wire::{eth, igmp, ipv4};
 
 /// Configuration of an [`FpgaL1Switch`].
@@ -58,11 +56,11 @@ const PIPE_TOKEN: u64 = 1;
 /// The FPGA-L1S node.
 pub struct FpgaL1Switch {
     cfg: FpgaConfig,
-    groups: HashMap<ipv4::Addr, Vec<PortId>>,
-    routes: HashMap<ipv4::Addr, PortId>,
+    groups: FastMap<ipv4::Addr, Vec<PortId>>,
+    routes: FastMap<ipv4::Addr, PortId>,
     /// Per-ingress-port allow-lists. A port without an entry passes
     /// everything.
-    ingress_filters: HashMap<PortId, HashSet<ipv4::Addr>>,
+    ingress_filters: FastMap<PortId, FastSet<ipv4::Addr>>,
     pipe: TxQueue,
     stats: FpgaStats,
     metrics: Metrics,
@@ -74,9 +72,9 @@ impl FpgaL1Switch {
         let pipe = TxQueue::new(PIPE_TOKEN).with_pipeline(cfg.latency);
         FpgaL1Switch {
             cfg,
-            groups: HashMap::new(),
-            routes: HashMap::new(),
-            ingress_filters: HashMap::new(),
+            groups: FastMap::default(),
+            routes: FastMap::default(),
+            ingress_filters: FastMap::default(),
             pipe,
             stats: FpgaStats::default(),
             metrics: Metrics::disabled(),
@@ -104,8 +102,13 @@ impl FpgaL1Switch {
 
     /// Restrict what `port` may inject: only frames to `groups` pass.
     /// This is the §5 "filtering" feature that makes merges safe.
-    pub fn set_ingress_filter(&mut self, port: PortId, groups: HashSet<ipv4::Addr>) {
-        self.ingress_filters.insert(port, groups);
+    pub fn set_ingress_filter(
+        &mut self,
+        port: PortId,
+        groups: impl IntoIterator<Item = ipv4::Addr>,
+    ) {
+        self.ingress_filters
+            .insert(port, groups.into_iter().collect());
     }
 
     /// Counters so far.
@@ -317,7 +320,7 @@ mod tests {
             let s = sim.node_mut::<FpgaL1Switch>(sw).unwrap();
             s.add_group_member(wanted, PortId(1));
             s.add_group_member(unwanted, PortId(1));
-            s.set_ingress_filter(PortId(0), HashSet::from([wanted]));
+            s.set_ingress_filter(PortId(0), [wanted]);
         }
         for g in [wanted, unwanted] {
             let bytes = feed(g);

@@ -14,8 +14,6 @@
 //! provisioned, and cannot depend on packet contents — which is exactly
 //! the limitation the paper explores.
 
-use std::collections::HashMap;
-
 use tn_netdev::TxQueue;
 use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
 
@@ -59,7 +57,11 @@ pub struct L1Stats {
 
 /// The L1 switch node.
 pub struct L1Switch {
-    roles: HashMap<PortId, PortRole>,
+    /// Each input port's role, indexed by port number. A table, not a
+    /// map: a merge stage has one input per subscriber circuit (about 930
+    /// at paper scale), a fan-out burst reaches them in ascending port
+    /// order, and a hashed lookup sent each of those to its own cache line.
+    roles: Vec<Option<PortRole>>,
     fanout_path: TxQueue,
     merge_path: TxQueue,
     stats: L1Stats,
@@ -72,7 +74,7 @@ impl L1Switch {
     /// An unprovisioned switch with the given timing.
     pub fn new(cfg: L1Config) -> L1Switch {
         L1Switch {
-            roles: HashMap::new(),
+            roles: Vec::new(),
             fanout_path: TxQueue::new(FANOUT_TOKEN).with_pipeline(cfg.fanout_latency),
             merge_path: TxQueue::new(MERGE_TOKEN).with_pipeline(cfg.merge_latency),
             stats: L1Stats::default(),
@@ -82,18 +84,26 @@ impl L1Switch {
     /// Provision `input` to replicate to `outputs`.
     pub fn provision_fanout(&mut self, input: PortId, outputs: Vec<PortId>) {
         assert!(!outputs.contains(&input), "fanout loop");
-        self.roles.insert(input, PortRole::Fanout(outputs));
+        self.set_role(input, PortRole::Fanout(outputs));
     }
 
     /// Provision `input` as a member of the merge feeding `output`.
     pub fn provision_merge(&mut self, input: PortId, output: PortId) {
         assert_ne!(input, output, "merge loop");
-        self.roles.insert(input, PortRole::Merge(output));
+        self.set_role(input, PortRole::Merge(output));
     }
 
     /// The role of a port, if provisioned.
     pub fn role(&self, port: PortId) -> Option<&PortRole> {
-        self.roles.get(&port)
+        self.roles.get(usize::from(port.0))?.as_ref()
+    }
+
+    fn set_role(&mut self, port: PortId, role: PortRole) {
+        let i = usize::from(port.0);
+        if self.roles.len() <= i {
+            self.roles.resize_with(i + 1, || None);
+        }
+        self.roles[i] = Some(role);
     }
 
     /// Counters so far.
@@ -104,7 +114,7 @@ impl L1Switch {
 
 impl Node for L1Switch {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
-        match self.roles.get(&port) {
+        match self.roles.get(usize::from(port.0)).and_then(Option::as_ref) {
             Some(PortRole::Fanout(outputs)) => {
                 // Each replica is an arena-backed copy carrying the original
                 // FrameId; the ingress buffer goes straight back to the pool.
@@ -229,7 +239,8 @@ mod tests {
         s.provision_merge(PortId(2), PortId(3));
         assert_eq!(s.role(PortId(0)), Some(&PortRole::Fanout(vec![PortId(1)])));
         assert_eq!(s.role(PortId(2)), Some(&PortRole::Merge(PortId(3))));
-        assert_eq!(s.role(PortId(9)), None);
+        assert_eq!(s.role(PortId(1)), None, "a hole in the table");
+        assert_eq!(s.role(PortId(9)), None, "past the table");
         let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.provision_fanout(PortId(4), vec![PortId(4)]);
         }));

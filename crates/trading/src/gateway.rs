@@ -9,10 +9,8 @@
 //! * [`INTERNAL`] — strategies' order sessions.
 //! * [`EXCHANGE`] — the firm's cross-connect session to one exchange.
 
-use std::collections::HashMap;
-
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::{boe, eth, ipv4, stack, tcp};
 
 /// Strategy-facing port.
@@ -88,14 +86,14 @@ struct StrategyAddr {
 pub struct Gateway {
     cfg: GatewayConfig,
     /// Reassembly per internal peer.
-    internal_decoders: HashMap<(ipv4::Addr, u16), boe::Decoder>,
+    internal_decoders: FastMap<(ipv4::Addr, u16), boe::Decoder>,
     exchange_decoder: boe::Decoder,
     /// Internal session → addressing (learned at login).
-    strategies: HashMap<u32, StrategyAddr>,
+    strategies: FastMap<u32, StrategyAddr>,
     /// Peer → internal session.
-    peer_session: HashMap<(ipv4::Addr, u16), u32>,
+    peer_session: FastMap<(ipv4::Addr, u16), u32>,
     /// Exchange cl_ord_id → (internal session, internal cl_ord_id).
-    order_map: HashMap<u64, (u32, u64)>,
+    order_map: FastMap<u64, (u32, u64)>,
     next_cl_ord: u64,
     exch_tx_seq: u32,
     internal_tx_seq: u32,
@@ -112,11 +110,11 @@ impl Gateway {
     pub fn new(cfg: GatewayConfig) -> Gateway {
         Gateway {
             cfg,
-            internal_decoders: HashMap::new(),
+            internal_decoders: FastMap::default(),
             exchange_decoder: boe::Decoder::new(),
-            strategies: HashMap::new(),
-            peer_session: HashMap::new(),
-            order_map: HashMap::new(),
+            strategies: FastMap::default(),
+            peer_session: FastMap::default(),
+            order_map: FastMap::default(),
             next_cl_ord: 1,
             exch_tx_seq: 1,
             internal_tx_seq: 1,

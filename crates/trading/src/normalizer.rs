@@ -13,7 +13,7 @@
 
 use tn_feed::normalize::{HashRepartition, NormalizerCore};
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastSet, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::{eth, ipv4, l1t, norm, stack};
 
 /// How the normalized feed is framed on the wire.
@@ -65,7 +65,7 @@ pub struct NormalizerConfig {
     /// (multicast fabrics deliver only the joined units); `Some` models
     /// circuit fabrics where the host sees the whole feed and must
     /// discard other units in software.
-    pub accept_units: Option<std::collections::HashSet<u8>>,
+    pub accept_units: Option<FastSet<u8>>,
     /// Cost of inspecting-and-discarding a packet from a foreign unit.
     pub unit_discard_service: SimTime,
 }

@@ -117,13 +117,12 @@ impl ComplianceMonitor {
         }
     }
 
-    /// Best price across exchanges on one side, with its exchange.
+    /// Best price across exchanges on one side, with its exchange. Ties
+    /// go to the lowest exchange id.
     pub fn nbbo_side(&self, symbol_id: u32, side: MarketSide) -> Option<(u8, i64)> {
         let mut best: Option<(u8, i64)> = None;
-        for (&(s, ex), &(bid, ask)) in &self.quotes {
-            if s != symbol_id {
-                continue;
-            }
+        let quotes = self.quotes.range((symbol_id, 0)..=(symbol_id, u8::MAX));
+        for (&(_, ex), &(bid, ask)) in quotes {
             let px = match side {
                 MarketSide::Bid => bid,
                 MarketSide::Ask => ask,
@@ -252,6 +251,68 @@ mod tests {
         m.on_record(&bbo(1, 2, b'S', 100_5000));
         assert_eq!(m.nbbo_side(1, MarketSide::Bid), Some((2, 100_0000)));
         assert_eq!(m.nbbo_side(1, MarketSide::Ask), Some((2, 100_5000)));
+    }
+
+    /// The scan `nbbo_side` made before it read only the symbol's range:
+    /// every quote of every symbol, kept verbatim as the oracle.
+    fn nbbo_side_by_full_scan(
+        quotes: &BTreeMap<(u32, u8), (i64, i64)>,
+        symbol_id: u32,
+        side: MarketSide,
+    ) -> Option<(u8, i64)> {
+        let mut best: Option<(u8, i64)> = None;
+        for (&(s, ex), &(bid, ask)) in quotes {
+            if s != symbol_id {
+                continue;
+            }
+            let px = match side {
+                MarketSide::Bid => bid,
+                MarketSide::Ask => ask,
+            };
+            if px <= 0 {
+                continue;
+            }
+            best = match (best, side) {
+                (None, _) => Some((ex, px)),
+                (Some((_, b)), MarketSide::Bid) if px > b => Some((ex, px)),
+                (Some((_, b)), MarketSide::Ask) if px < b => Some((ex, px)),
+                (b, _) => b,
+            };
+        }
+        best
+    }
+
+    proptest::proptest! {
+        /// Random BBO records (and a few that are not BBOs) on a handful
+        /// of symbols and exchanges, the extreme exchange ids included,
+        /// with prices that repeat so ties occur; then queries on every
+        /// symbol up to two past the last quoted one, on both sides.
+        #[test]
+        fn nbbo_side_matches_the_full_scan(
+            records in proptest::collection::vec(
+                (0..4u32, 0..5usize, 0..3usize, -1..4i64, 0..8u8),
+                0..64,
+            )
+        ) {
+            let mut m = ComplianceMonitor::new();
+            for (symbol_id, exchange, side, price, kind) in records {
+                let exchange = [0, 1, 2, 254, u8::MAX][exchange];
+                let side = [b'B', b'S', b'X'][side];
+                let mut r = bbo(symbol_id, exchange, side, price);
+                if kind == 0 {
+                    r.kind = norm::Kind::Trade;
+                }
+                m.on_record(&r);
+            }
+            for symbol_id in 0..6 {
+                for side in [MarketSide::Bid, MarketSide::Ask] {
+                    proptest::prop_assert_eq!(
+                        m.nbbo_side(symbol_id, side),
+                        nbbo_side_by_full_scan(&m.quotes, symbol_id, side)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! actually evaluates (the paper's §4 analysis assumes ~2 µs per
 //! function).
 
-use std::collections::HashMap;
-
 use tn_feed::SubscriptionSet;
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, Frame, Node, PortId, SimTime, TimerToken};
 use tn_wire::pitch::Side;
 use tn_wire::{boe, eth, ipv4, l1t, norm, stack, tcp, Symbol};
 
@@ -61,7 +59,7 @@ pub trait StrategyLogic: Send {
 /// deterministic order flow whose *latency* is the object of study.
 #[derive(Debug, Default)]
 pub struct MomentumLogic {
-    last_bid: HashMap<u32, i64>,
+    last_bid: FastMap<u32, i64>,
     /// Minimum favorable move before firing (1e-4 dollars).
     pub threshold: i64,
 }
@@ -70,7 +68,7 @@ impl MomentumLogic {
     /// Momentum logic with a price-move threshold.
     pub fn new(threshold: i64) -> MomentumLogic {
         MomentumLogic {
-            last_bid: HashMap::new(),
+            last_bid: FastMap::default(),
             threshold,
         }
     }
@@ -99,8 +97,8 @@ impl StrategyLogic for MomentumLogic {
 /// remote exchanges that §4.2 argues cloud designs struggle with.
 #[derive(Debug, Default)]
 pub struct CrossMarketArb {
-    best_bid: HashMap<u32, (u8, i64)>,
-    best_ask: HashMap<u32, (u8, i64)>,
+    best_bid: FastMap<u32, (u8, i64)>,
+    best_ask: FastMap<u32, (u8, i64)>,
     /// Arbitrage opportunities detected (crossed books observed).
     pub opportunities: u64,
 }
@@ -155,7 +153,7 @@ impl StrategyLogic for CrossMarketArb {
 pub struct MarketMakerLogic {
     compliance: crate::risk::ComplianceMonitor,
     /// Last side quoted per symbol (alternate bid/ask).
-    last_quoted: HashMap<u32, Side>,
+    last_quoted: FastMap<u32, Side>,
     /// Quotes suppressed by the lock/cross check.
     pub suppressed: u64,
     /// Minimum spread (1e-4 dollars) before quoting inside.

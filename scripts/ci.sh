@@ -45,6 +45,20 @@ for gate in hotpath-alloc:6 hotpath-unwrap:17; do
     [ "$n" -le "$ceiling" ]
 done
 
+# SipHash stays off the per-frame path: outside tests, the per-frame
+# crates key their maps through tn_sim::FastMap / FastSet, never std's
+# default-hasher HashMap / HashSet (by path or in a `use` list). A file's
+# lines from its first `#[cfg(test)]` on are not checked.
+std_maps=$(find crates/netdev/src crates/switch/src crates/market/src crates/feed/src \
+    crates/trading/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /std::collections::(\{[^}]*)?(Hash(Map|Set)|hash_(map|set))/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+echo "==> std-hasher gate: $(printf '%s' "$std_maps" | grep -c .) std maps on the per-frame path"
+[ -z "$std_maps" ] || { printf '%s\n' "$std_maps"; exit 1; }
+
 # Paper fidelity: every registered experiment at full size, every anchor.
 run bin tn-bench check
 
