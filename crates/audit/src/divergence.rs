@@ -7,16 +7,20 @@
 //! iteration order, address-dependent hash, or stray entropy that escapes
 //! into event timing or ordering flips the digest.
 //!
-//! The registry mirrors every example under `examples/` — same topologies,
-//! same seeds — with durations trimmed so `tn-audit check` stays fast. The
-//! feed-handler example has no simulator, so its signature hashes the
-//! published packet bytes instead of a kernel trace.
+//! The registry runs every example under `examples/`: the design examples
+//! through the designs' own `run`, the others through the scenario code
+//! they share with it in `tn_bench` (`feedsim`, `mcastsim`, `metrosim`),
+//! with durations trimmed so `tn-audit check` stays fast. No scenario
+//! here builds a simulator of its own. The feed-handler example has no
+//! simulator, so its signature hashes the published packet bytes instead
+//! of a kernel trace.
 
 use tn_core::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, ScenarioConfig, ShardSpec, TradingNetworkDesign,
     TraditionalSwitches,
 };
-use tn_sim::{SchedulerKind, SimTime, Simulator, EMPTY_DIGEST};
+use tn_sim::{SchedulerKind, SimTime, EMPTY_DIGEST};
+use tn_topo::metro::CircuitKind;
 
 /// What one scenario run distills to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +33,7 @@ pub struct RunSignature {
 
 /// A registered divergence scenario.
 pub struct Scenario {
-    /// Stable name (mirrors the example it covers).
+    /// Stable name (names the example or experiment it runs).
     pub name: &'static str,
     /// Execute one run under the given event scheduler and return its
     /// signature. Scenarios with no kernel (feed-handler) ignore the kind.
@@ -49,6 +53,12 @@ pub struct DivergenceOutcome {
     pub second: RunSignature,
     /// Calendar-queue run; must equal the reference runs bit-for-bit.
     pub calendar: RunSignature,
+}
+
+impl RunSignature {
+    fn new(digest: u64, events: u64) -> RunSignature {
+        RunSignature { digest, events }
+    }
 }
 
 impl DivergenceOutcome {
@@ -92,11 +102,11 @@ pub fn registry() -> Vec<Scenario> {
         },
         Scenario {
             name: "metro-arbitrage-fiber",
-            run: |k| run_metro(tn_topo::metro::CircuitKind::Fiber, k),
+            run: |k| run_metro(CircuitKind::Fiber, k),
         },
         Scenario {
             name: "metro-arbitrage-microwave",
-            run: |k| run_metro(tn_topo::metro::CircuitKind::Microwave, k),
+            run: |k| run_metro(CircuitKind::Microwave, k),
         },
         Scenario {
             name: "fault-loss-recovery",
@@ -178,7 +188,7 @@ fn trimmed(mut sc: ScenarioConfig) -> ScenarioConfig {
 }
 
 fn run_quickstart(kind: SchedulerKind) -> RunSignature {
-    // Mirrors `examples/quickstart.rs`: TraditionalSwitches, seed 42.
+    // `examples/quickstart.rs`'s design and seed: TraditionalSwitches, 42.
     run_design(&TraditionalSwitches::default(), 42, kind)
 }
 
@@ -186,272 +196,36 @@ fn run_design(design: &dyn TradingNetworkDesign, seed: u64, kind: SchedulerKind)
     let mut sc = trimmed(ScenarioConfig::small(seed));
     sc.scheduler = kind;
     let report = design.run(&sc);
-    RunSignature {
-        digest: report.trace_digest,
-        events: report.events_recorded,
-    }
+    RunSignature::new(report.trace_digest, report.events_recorded)
 }
 
-fn sim_signature(sim: &Simulator) -> RunSignature {
-    RunSignature {
-        digest: sim.trace.digest(),
-        events: sim.trace.recorded(),
-    }
+/// Runs `examples/feed_handler.rs`'s scenario at 100 batches instead of
+/// 500. It has no kernel, so the scheduler cannot matter; the signature
+/// hashes the published packets and the normalized records.
+fn run_feed_handler(_: SchedulerKind) -> RunSignature {
+    let run = tn_bench::feedsim::run_feed(100);
+    RunSignature::new(run.digest, run.events)
 }
 
-/// Mirrors `examples/feed_handler.rs`: matching engine → publisher →
-/// A/B-arbitrating normalizer, no network. The signature hashes every
-/// published packet and every normalized record count.
-fn run_feed_handler(kind: SchedulerKind) -> RunSignature {
-    // No kernel here — the scenario hashes publisher bytes directly, so
-    // the scheduler cannot matter; accept the kind for registry symmetry.
-    let _ = kind;
-    use tn_feed::normalize::{HashRepartition, NormalizerCore};
-    use tn_market::{
-        FeedPublisher, FlowMix, MatchingEngine, OrderFlowGenerator, PartitionScheme,
-        SymbolDirectory,
-    };
-    use tn_sim::{Rng, SeedableRng, SmallRng};
-
-    let dir = SymbolDirectory::synthetic(100);
-    let mut engine = MatchingEngine::new(dir.instruments().iter().map(|i| i.symbol));
-    let mut flow = OrderFlowGenerator::new(&dir, FlowMix::default());
-    let mut publisher = FeedPublisher::new(PartitionScheme::ByHash { units: 4 }, 1400);
-    let mut rng = SmallRng::seed_from_u64(99);
-
-    let mut digest = EMPTY_DIGEST;
-    let mut events = 0u64;
-    let fold = |digest: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *digest ^= u64::from(b);
-            *digest = digest.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-
-    let mut packets: Vec<Vec<u8>> = Vec::new();
-    for batch in 0..100u64 {
-        let mut msgs = Vec::new();
-        for _ in 0..40 {
-            msgs.extend(flow.step(&dir, &mut engine, &mut rng, (batch * 2_000_000) as u32));
-        }
-        let time_ns = 34_200_000_000_000 + batch * 2_000_000;
-        for p in publisher.publish(&dir, time_ns, &msgs) {
-            packets.push(p.bytes.to_vec());
-        }
-    }
-
-    let mut normalizer = NormalizerCore::new(1, HashRepartition { partitions: 16 });
-    normalizer.preload_symbols(dir.instruments().iter().map(|i| i.symbol));
-    for (i, pkt) in packets.iter().enumerate() {
-        fold(&mut digest, pkt);
-        events += 1;
-        let drop_a = rng.gen::<f64>() < 0.02;
-        let drop_b = rng.gen::<f64>() < 0.02;
-        let t = 34_200_000_000_000 + i as u64;
-        for (side_dropped, _) in [(drop_a, 'a'), (drop_b, 'b')] {
-            if side_dropped {
-                continue;
-            }
-            if let Ok(outs) = normalizer.on_packet(pkt, t) {
-                for out in outs {
-                    fold(&mut digest, &[out.record.kind as u8]);
-                    fold(&mut digest, &out.partition.to_le_bytes());
-                    events += 1;
-                }
-            }
-        }
-    }
-    RunSignature { digest, events }
-}
-
-/// Mirrors `examples/mcast_cliff.rs`: 96 IGMP joins against a 64-entry
-/// mroute table, then one packet per group; seed 3.
+/// Runs `examples/mcast_cliff.rs`'s rig as it stands: 96 IGMP joins
+/// against a 64-entry mroute table, then one packet per group; seed 3.
 fn run_mcast_cliff(kind: SchedulerKind) -> RunSignature {
-    use tn_netdev::EtherLink;
-    use tn_sim::{Context, Frame, Node, PortId};
-    use tn_switch::{commodity, CommoditySwitch, SwitchConfig};
-    use tn_wire::{eth, igmp, ipv4, stack};
+    use tn_bench::mcastsim::{run_mroute, MrouteConfig};
 
-    struct Receiver;
-    impl Node for Receiver {
-        fn on_frame(&mut self, _ctx: &mut Context<'_>, _p: PortId, _f: Frame) {}
-    }
-
-    let cfg = SwitchConfig {
-        mcast_table_size: 64,
-        sw_service: SimTime::from_us(25),
-        sw_queue: 16,
-        ..SwitchConfig::default()
-    };
-    let mut sim = Simulator::with_scheduler(3, kind);
-    let sw = sim.add_node("switch", CommoditySwitch::new(cfg));
-    let rx = sim.add_node("rx", Receiver);
-    // EtherLink has no LinkSpec equivalent: install the built model
-    // directly, one instance per direction.
-    let link = EtherLink::ten_gig(SimTime::ZERO);
-    sim.install_link(sw, PortId(1), rx, PortId(0), Box::new(link.clone()));
-    sim.install_link(rx, PortId(0), sw, PortId(1), Box::new(link));
-
-    for g in 0..96u32 {
-        let join = commodity::igmp_frame(
-            igmp::MessageType::Report,
-            eth::MacAddr::host(2),
-            ipv4::Addr::host(2),
-            ipv4::Addr::multicast_group(g),
-        );
-        let f = sim.frame().copy_from(&join).build();
-        sim.inject_frame(SimTime::ZERO, sw, PortId(1), f);
-    }
-    sim.run();
-
-    let t0 = sim.now();
-    for g in 0..96u32 {
-        let frame = stack::build_udp(
-            eth::MacAddr::host(1),
-            None,
-            ipv4::Addr::host(1),
-            ipv4::Addr::multicast_group(g),
-            30_001,
-            30_001,
-            &[0u8; 100],
-        );
-        let f = sim.frame().copy_from(&frame).build();
-        sim.inject_frame(t0, sw, PortId(0), f);
-    }
-    sim.run();
-    sim_signature(&sim)
+    let run = run_mroute(&MrouteConfig::cliff(kind));
+    RunSignature::new(run.digest, run.events)
 }
 
-/// Mirrors `examples/metro_arbitrage.rs`: two exchanges in two colos, the
-/// remote feed over a metro circuit, L1-muxed into a cross-market arb
-/// strategy; seed 11, trimmed to 12 ms.
-fn run_metro(kind: tn_topo::metro::CircuitKind, sched: SchedulerKind) -> RunSignature {
-    use tn_market::{Exchange, ExchangeConfig, PartitionScheme, SymbolDirectory};
-    use tn_netdev::EtherLink;
-    use tn_sim::PortId;
-    use tn_switch::l1s::{L1Config, L1Switch};
-    use tn_topo::metro::MetroRegion;
-    use tn_trading::{
-        normalizer, strategy, CrossMarketArb, Normalizer, NormalizerConfig, Strategy,
-        StrategyConfig,
-    };
-    use tn_wire::Symbol;
-
-    let metro = MetroRegion::nj_triangle();
-    let dir = SymbolDirectory::synthetic(30);
-    let symbols: Vec<Symbol> = dir.instruments().iter().map(|i| i.symbol).collect();
-    let partitions = 4u16;
-    let mut sim = Simulator::with_scheduler(11, sched);
-
-    let mk_exchange = |sim: &mut Simulator, id: u8, mcast_base: u32| {
-        let mut cfg = ExchangeConfig::new(id, dir.clone());
-        cfg.scheme = PartitionScheme::ByHash { units: 2 };
-        cfg.mcast_base = mcast_base;
-        cfg.background_rate = 30_000.0;
-        cfg.tick_interval = SimTime::from_us(100);
-        cfg.seed = 100 + u64::from(id);
-        sim.add_node(format!("exch{id}"), Exchange::new(cfg))
-    };
-    let exch_local = mk_exchange(&mut sim, 1, 0);
-    let exch_remote = mk_exchange(&mut sim, 2, 100);
-
-    let mk_norm = |sim: &mut Simulator, i: u32, exchange_id: u8| {
-        let mut cfg = NormalizerConfig::new(exchange_id, i);
-        cfg.out_partitions = partitions;
-        cfg.out_mcast_base = 20_000;
-        cfg.preload = symbols.clone();
-        cfg.per_message_service = SimTime::from_ns(650);
-        sim.add_node(format!("norm{i}"), Normalizer::new(cfg))
-    };
-    let norm_local = mk_norm(&mut sim, 0, 1);
-    let norm_remote = mk_norm(&mut sim, 1, 2);
-
-    // Concrete link models (EtherLink, metro circuits) have no LinkSpec
-    // equivalent: install the built models directly, one per direction.
-    let attach = |sim: &mut Simulator,
-                  a: tn_sim::NodeId,
-                  ap: PortId,
-                  b: tn_sim::NodeId,
-                  bp: PortId,
-                  link: Box<dyn tn_sim::Link>,
-                  back: Box<dyn tn_sim::Link>| {
-        sim.install_link(a, ap, b, bp, link);
-        sim.install_link(b, bp, a, ap, back);
-    };
-    let l = EtherLink::ten_gig(SimTime::from_ns(25));
-    attach(
-        &mut sim,
-        exch_local,
-        PortId(0),
-        norm_local,
-        normalizer::FEED_A,
-        Box::new(l.clone()),
-        Box::new(l),
-    );
-    let circuit = metro.circuit(1, 0, kind);
-    attach(
-        &mut sim,
-        exch_remote,
-        PortId(0),
-        norm_remote,
-        normalizer::FEED_A,
-        Box::new(circuit.clone()),
-        Box::new(circuit),
-    );
-
-    let mut mux = L1Switch::new(L1Config::default());
-    mux.provision_merge(PortId(0), PortId(2));
-    mux.provision_merge(PortId(1), PortId(2));
-    let mux = sim.add_node("mux", mux);
-    let l = EtherLink::ten_gig(SimTime::from_ns(25));
-    attach(
-        &mut sim,
-        norm_local,
-        normalizer::OUT,
-        mux,
-        PortId(0),
-        Box::new(l.clone()),
-        Box::new(l.clone()),
-    );
-    attach(
-        &mut sim,
-        norm_remote,
-        normalizer::OUT,
-        mux,
-        PortId(1),
-        Box::new(l.clone()),
-        Box::new(l),
-    );
-
-    let mut cfg = StrategyConfig::new(0, symbols.clone());
-    cfg.mcast_base = 20_000;
-    let mut subs = tn_feed::SubscriptionSet::unbounded();
-    for p in 0..partitions {
-        subs.subscribe(p);
-    }
-    cfg.subscriptions = subs;
-    cfg.send_igmp_joins = false;
-    let strat = sim.add_node("arb", Strategy::new(cfg, CrossMarketArb::default()));
-    let l = EtherLink::ten_gig(SimTime::from_ns(25));
-    attach(
-        &mut sim,
-        mux,
-        PortId(2),
-        strat,
-        strategy::FEED,
-        Box::new(l.clone()),
-        Box::new(l),
-    );
-
-    sim.schedule_timer(SimTime::ZERO, exch_local, tn_market::TICK);
-    sim.schedule_timer(SimTime::ZERO, exch_remote, tn_market::TICK);
-    sim.run_until(SimTime::from_ms(12));
-    sim_signature(&sim)
+/// Runs `examples/metro_arbitrage.rs`'s two-colo plant over one circuit
+/// kind, trimmed from 80 ms to 12 ms; seed 11.
+fn run_metro(circuit: CircuitKind, kind: SchedulerKind) -> RunSignature {
+    let run = tn_bench::metrosim::run_metro(circuit, SimTime::from_ms(12), kind);
+    RunSignature::new(run.digest, run.events)
 }
 
-/// Mirrors `tn-exp run loss-recovery` (trimmed): lossy feed, gap requests,
-/// retransmission fills. The fault layer owns its own PRNG, so two runs
-/// must agree even though every drop decision is random-looking.
+/// Runs `tn-exp run loss-recovery`'s scenario (trimmed): lossy feed, gap
+/// requests, retransmission fills. The fault layer owns its own PRNG, so
+/// two runs must agree even though every drop decision is random-looking.
 fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
     use tn_bench::faultsim::{run_loss_recovery, LossRecoveryConfig};
     use tn_fault::FaultSpec;
@@ -460,14 +234,11 @@ fn run_fault_loss_recovery(kind: SchedulerKind) -> RunSignature {
     cfg.packets = 800;
     cfg.scheduler = kind;
     let run = run_loss_recovery(&cfg);
-    RunSignature {
-        digest: run.digest,
-        events: run.events,
-    }
+    RunSignature::new(run.digest, run.events)
 }
 
-/// Mirrors `tn-exp run ab-failover` (trimmed): A-side outage, arbitration keeps
-/// the stream whole out of B.
+/// Runs `tn-exp run ab-failover`'s scenario (trimmed): A-side outage,
+/// arbitration keeps the stream whole out of B.
 fn run_fault_ab_failover(kind: SchedulerKind) -> RunSignature {
     use tn_bench::faultsim::{run_ab_failover, AbFailoverConfig};
 
@@ -475,10 +246,7 @@ fn run_fault_ab_failover(kind: SchedulerKind) -> RunSignature {
     cfg.packets = 2_400; // 12 ms: through the outage start
     cfg.scheduler = kind;
     let run = run_ab_failover(&cfg);
-    RunSignature {
-        digest: run.digest,
-        events: run.events,
-    }
+    RunSignature::new(run.digest, run.events)
 }
 
 /// The quickstart scenario with a burst-degraded feed: the full design-1
@@ -491,10 +259,7 @@ fn run_quickstart_degraded(kind: SchedulerKind) -> RunSignature {
     sc.scheduler = kind;
     sc.feed_fault = Some(FaultSpec::new(13).with_burst_loss(0.01, 0.3, 0.0, 0.9));
     let report = TraditionalSwitches::default().run(&sc);
-    RunSignature {
-        digest: report.trace_digest,
-        events: report.events_recorded,
-    }
+    RunSignature::new(report.trace_digest, report.events_recorded)
 }
 
 /// The quickstart scenario executed through the sharded kernel: for every
@@ -510,10 +275,7 @@ fn run_shard_quickstart(kind: SchedulerKind) -> RunSignature {
         sc.scheduler = kind;
         sc.shards = ShardSpec::Auto(k);
         let report = TraditionalSwitches::default().run(&sc);
-        let sharded = RunSignature {
-            digest: report.trace_digest,
-            events: report.events_recorded,
-        };
+        let sharded = RunSignature::new(report.trace_digest, report.events_recorded);
         assert_eq!(
             serial, sharded,
             "sharded quickstart (k={k}) must equal the serial run"
@@ -536,10 +298,7 @@ fn run_shard_faulted(kind: SchedulerKind) -> RunSignature {
         sc.feed_fault = Some(FaultSpec::new(13).with_burst_loss(0.01, 0.3, 0.0, 0.9));
         sc.shards = ShardSpec::Auto(k);
         let report = TraditionalSwitches::default().run(&sc);
-        let sharded = RunSignature {
-            digest: report.trace_digest,
-            events: report.events_recorded,
-        };
+        let sharded = RunSignature::new(report.trace_digest, report.events_recorded);
         assert_eq!(
             serial, sharded,
             "sharded faulted quickstart (k={k}) must equal the serial run"
@@ -559,10 +318,7 @@ fn run_quickstart_obs_on_vs_off(kind: SchedulerKind) -> RunSignature {
     sc.scheduler = kind;
     sc.obs = tn_sim::ObsConfig::full();
     let report = TraditionalSwitches::default().run(&sc);
-    let on = RunSignature {
-        digest: report.trace_digest,
-        events: report.events_recorded,
-    };
+    let on = RunSignature::new(report.trace_digest, report.events_recorded);
     assert_eq!(off, on, "telemetry must not perturb the event stream");
     on
 }
@@ -582,10 +338,7 @@ fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
     sc.obs.flight_capacity = 512;
     sc.obs.profile = true;
     let report = TraditionalSwitches::default().run(&sc);
-    let on = RunSignature {
-        digest: report.trace_digest,
-        events: report.events_recorded,
-    };
+    let on = RunSignature::new(report.trace_digest, report.events_recorded);
     assert_eq!(
         off,
         on,
@@ -599,9 +352,9 @@ fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
     on
 }
 
-/// Mirrors `tn-exp run latency-decomposition` (E21): the shared decomposition
-/// chain with full telemetry — per-frame provenance through a tap and a
-/// store-and-forward relay.
+/// Runs `tn-exp run latency-decomposition`'s (E21) scenario: the shared
+/// decomposition chain with full telemetry — per-frame provenance through
+/// a tap and a store-and-forward relay.
 fn run_latency_decomposition(kind: SchedulerKind) -> RunSignature {
     use tn_bench::obssim::{run_decomposition, DecompositionConfig};
 
@@ -612,10 +365,7 @@ fn run_latency_decomposition(kind: SchedulerKind) -> RunSignature {
         run.max_residual_ps, 0,
         "provenance must reconcile against the kernel clock"
     );
-    RunSignature {
-        digest: run.digest,
-        events: run.events,
-    }
+    RunSignature::new(run.digest, run.events)
 }
 
 /// The tn-lab tentpole invariant: the smoke grid (3 strategies × 3
@@ -669,10 +419,7 @@ fn run_lab_run_vs_standalone(kind: SchedulerKind) -> RunSignature {
         (standalone.digest, standalone.events),
         "lab-executed cell must equal the standalone run"
     );
-    RunSignature {
-        digest: lab.digest,
-        events: lab.events,
-    }
+    RunSignature::new(lab.digest, lab.events)
 }
 
 /// The PR-10 transparency invariant: `CloudFairnessSpec` gates the
@@ -722,10 +469,7 @@ fn run_cloud_fairness_design(kind: SchedulerKind) -> RunSignature {
         report.fairness.is_some(),
         "an enabled fairness spec must report FairnessStats"
     );
-    RunSignature {
-        digest: report.trace_digest,
-        events: report.events_recorded,
-    }
+    RunSignature::new(report.trace_digest, report.events_recorded)
 }
 
 /// One cell of E22's frontier (`tn-exp run cloud-fairness`): jitter
@@ -753,10 +497,7 @@ fn run_cloud_fairness_frontier(kind: SchedulerKind) -> RunSignature {
         run.added_median_ps,
         run.hold_ps
     );
-    RunSignature {
-        digest: run.digest,
-        events: run.events,
-    }
+    RunSignature::new(run.digest, run.events)
 }
 
 #[cfg(test)]
@@ -765,19 +506,26 @@ mod tests {
 
     #[test]
     fn registry_covers_every_example() {
+        // Every `examples/*.rs` is run by a scenario whose name contains
+        // the example's last word (`design_shootout` → `shootout-*`), so
+        // an example added without one fails here.
         let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
-        for example in [
-            "quickstart",
-            "shootout",
-            "feed-handler",
-            "mcast-cliff",
-            "metro-arbitrage",
-        ] {
+        let dir = crate::scan::default_root().join("examples");
+        let mut examples = 0;
+        for entry in std::fs::read_dir(&dir).expect("examples/ is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            let word = stem.rsplit('_').next().unwrap();
             assert!(
-                names.iter().any(|n| n.contains(example)),
-                "no divergence scenario mirrors example {example}"
+                names.iter().any(|n| n.contains(word)),
+                "no divergence scenario runs examples/{stem}.rs"
             );
+            examples += 1;
         }
+        assert!(examples >= 5, "read {examples} examples from {dir:?}");
     }
 
     #[test]
@@ -946,7 +694,7 @@ mod tests {
         let o = run_all(Some("mcast-cliff"));
         assert_eq!(o.len(), 1);
         assert!(o[0].passed(), "{:?}", o[0]);
-        assert!(o[0].first.events > 0, "mirror should generate traffic");
+        assert!(o[0].first.events > 0, "the rig should generate traffic");
     }
 
     #[test]

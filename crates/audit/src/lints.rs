@@ -45,6 +45,10 @@ pub struct LintInfo {
     pub severity: Severity,
     /// One-line description for `tn-audit lints`.
     pub summary: &'static str,
+    /// How many `audit:allow` suppressions of this lint the workspace
+    /// carries. `tn-audit lint` fails when the count differs in either
+    /// direction: more is creep, fewer means a fix must lower this.
+    pub budget: usize,
 }
 
 /// Every lint the pass knows about.
@@ -53,41 +57,54 @@ pub const LINTS: &[LintInfo] = &[
         id: "det-hashmap-iter",
         severity: Severity::Error,
         summary: "iteration over a HashMap/HashSet in determinism-critical code — visit order is nondeterministic",
+        budget: 0,
     },
     LintInfo {
         id: "det-wallclock",
         severity: Severity::Error,
         summary: "wall-clock time source (Instant/SystemTime) in determinism-critical code",
+        budget: 0,
     },
     LintInfo {
         id: "det-unseeded-rng",
         severity: Severity::Error,
         summary: "entropy-seeded RNG (thread_rng/from_entropy/OsRng) — runs are not reproducible",
+        budget: 0,
     },
     LintInfo {
         id: "obs-wallclock",
         severity: Severity::Error,
         summary: "std::time type (Duration/UNIX_EPOCH/...) in telemetry code — timestamps must be simulated picoseconds",
+        budget: 0,
     },
     LintInfo {
         id: "hotpath-unwrap",
         severity: Severity::Warning,
         summary: "unwrap/expect/panic! on a path reachable from a kernel dispatch root",
+        // Port fan-in fixed by wiring (×7); directory, book and config
+        // invariants (×7); scheduler occupancy invariants (×3).
+        budget: 17,
     },
     LintInfo {
         id: "hotpath-alloc",
         severity: Severity::Warning,
         summary: "heap allocation (Vec::new/format!/to_vec/...) on a path reachable from a kernel dispatch root",
+        // Cold or heap-free paths: opt-in provenance (×2), the calendar
+        // rebuild and the wheel rewind, a capacity-0 Vec in the strategy,
+        // a histogram's first observation.
+        budget: 6,
     },
     LintInfo {
         id: "perf-arena-leak",
         severity: Severity::Warning,
         summary: "frame buffer dropped (`drop(frame)`) instead of returned to the arena",
+        budget: 0,
     },
     LintInfo {
         id: "schema-version",
         severity: Severity::Error,
         summary: "wire-format version string absent from the schema registry (crates/audit/src/schema.rs)",
+        budget: 0,
     },
 ];
 

@@ -2,27 +2,25 @@
 //!
 //! ```sh
 //! cargo run -p tn-audit -- check              # static lints + divergence
-//! cargo run -p tn-audit -- lint --json out.json --baseline AUDIT_BASELINE.json
+//! cargo run -p tn-audit -- lint --json out.json   # also write tn-audit/v1
 //! cargo run -p tn-audit -- divergence --filter shootout
-//! cargo run -p tn-audit -- schema --json out.json   # validate a report
 //! cargo run -p tn-audit -- lints              # list known lints + hot roots
 //! ```
 //!
-//! Exit status: 0 when every finding is suppressed, no finding is new
-//! against the baseline (if one is given), and every dual run agrees;
+//! Exit status: 0 when every finding is suppressed, every lint's
+//! suppression count equals its budget, and every dual run agrees;
 //! 1 otherwise; 2 on usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tn_audit::{baseline, divergence, render_json, render_text, scan, HOT_ROOTS, LINTS};
+use tn_audit::{budgets, divergence, render_json, render_text, scan, HOT_ROOTS, LINTS};
 
 struct Args {
     command: String,
     json: Option<PathBuf>,
     root: Option<PathBuf>,
     filter: Option<String>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -33,16 +31,12 @@ fn parse_args() -> Result<Args, String> {
         json: None,
         root: None,
         filter: None,
-        baseline: None,
     };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--json" => args.json = Some(PathBuf::from(argv.next().ok_or("--json needs a path")?)),
             "--root" => args.root = Some(PathBuf::from(argv.next().ok_or("--root needs a path")?)),
             "--filter" => args.filter = Some(argv.next().ok_or("--filter needs a value")?),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(argv.next().ok_or("--baseline needs a path")?))
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -55,8 +49,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("tn-audit: {e}");
             eprintln!(
-                "usage: tn-audit [check|lint|divergence|schema|lints] [--json PATH] \
-                 [--root PATH] [--filter NAME] [--baseline PATH]"
+                "usage: tn-audit [check|lint|divergence|lints] [--json PATH] \
+                 [--root PATH] [--filter NAME]"
             );
             return ExitCode::from(2);
         }
@@ -76,7 +70,6 @@ fn main() -> ExitCode {
         }
         "lint" => run_lint(&args),
         "divergence" => run_divergence(&args),
-        "schema" => run_schema(&args),
         "check" => {
             let lint = run_lint(&args);
             let div = run_divergence(&args);
@@ -112,71 +105,14 @@ fn run_lint(args: &Args) -> ExitCode {
     }
 
     let mut failed = findings.iter().any(|f| !f.suppressed);
-    if let Some(path) = &args.baseline {
-        match check_baseline(&findings, path) {
-            Ok(clean) => failed = failed || !clean,
-            Err(e) => {
-                eprintln!("tn-audit: baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
+    for budget in budgets(&findings, LINTS) {
+        println!("{budget}");
+        failed |= !budget.holds();
     }
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Diff findings against the committed baseline; returns Ok(false) when
-/// new findings appeared (including suppressed ones — suppression creep
-/// must be visible in review, not waved through).
-fn check_baseline(findings: &[tn_audit::Finding], path: &PathBuf) -> Result<bool, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = tn_sim::json::parse(&text)?;
-    baseline::validate_report(&doc)?;
-    let diff = baseline::diff_against_baseline(findings, &doc)?;
-    for k in &diff.new {
-        println!("baseline: NEW finding {k}");
-    }
-    println!(
-        "baseline: {} entr{}, {} new, {} resolved",
-        diff.baseline_total,
-        if diff.baseline_total == 1 { "y" } else { "ies" },
-        diff.new.len(),
-        diff.resolved
-    );
-    if diff.resolved > 0 && diff.new.is_empty() {
-        println!(
-            "baseline: regenerate with `tn-audit lint --json {}`",
-            path.display()
-        );
-    }
-    Ok(diff.new.is_empty())
-}
-
-/// Validate that a written report parses as `tn-audit/v1`.
-fn run_schema(args: &Args) -> ExitCode {
-    let Some(path) = &args.json else {
-        eprintln!("tn-audit: schema needs --json PATH (the report to validate)");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tn-audit: reading {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    match tn_sim::json::parse(&text).and_then(|doc| baseline::validate_report(&doc)) {
-        Ok(()) => {
-            println!("schema: {} is a valid tn-audit/v1 report", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("schema: {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Rendering: rustc-style terminal output and a stable JSON document.
 //!
 //! The JSON document self-identifies via the registered `tn-audit/v1`
-//! schema marker and is covered by tests — downstream tooling (the CI
-//! baseline gate, dashboards) may rely on it:
+//! schema marker and is covered by tests — downstream tooling may rely
+//! on it:
 //!
 //! ```json
 //! {
@@ -17,9 +17,11 @@
 //! }
 //! ```
 
+use std::fmt;
+
 use tn_sim::json::{num_u64, Json};
 
-use crate::lints::Finding;
+use crate::lints::{Finding, LintInfo};
 
 /// Aggregate counts over a finding set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +42,59 @@ pub fn counts(findings: &[Finding]) -> Counts {
         suppressed,
         active: findings.len() - suppressed,
     }
+}
+
+/// One lint's `audit:allow` suppressions against its budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Budget {
+    /// Lint id.
+    pub lint: &'static str,
+    /// Suppressed findings of this lint.
+    pub suppressed: usize,
+    /// The count [`LintInfo::budget`] allows.
+    pub budget: usize,
+}
+
+impl Budget {
+    /// Exactly on budget: neither creep nor an unclaimed fix.
+    pub fn holds(&self) -> bool {
+        self.suppressed == self.budget
+    }
+}
+
+impl fmt::Display for Budget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (lint, n, budget) = (self.lint, self.suppressed, self.budget);
+        write!(f, "budget {lint}: {n} suppressed, budget {budget}")?;
+        if n > budget {
+            write!(
+                f,
+                " — over budget: fix the new finding instead of waiving it"
+            )?;
+        } else if n < budget {
+            write!(
+                f,
+                " — under budget: lower it to {n} in crates/audit/src/lints.rs"
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Compare each lint's suppressed-finding count with its budget, in
+/// table order.
+pub fn budgets(findings: &[Finding], lints: &[LintInfo]) -> Vec<Budget> {
+    lints
+        .iter()
+        .map(|l| Budget {
+            lint: l.id,
+            suppressed: findings
+                .iter()
+                .filter(|f| f.suppressed && f.lint == l.id)
+                .count(),
+            budget: l.budget,
+        })
+        .collect()
 }
 
 /// Sort findings into report order: file, then line, column, lint id.
@@ -203,6 +258,47 @@ mod tests {
             out.contains("\"note\":\"hot root Node::on_frame\",\"suppressed\":false"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn budgets_fail_over_and_under_and_name_the_lint() {
+        let lint = |id, budget| LintInfo {
+            id,
+            severity: Severity::Error,
+            summary: "",
+            budget,
+        };
+        let table = [
+            lint("det-wallclock", 0),
+            lint("hotpath-alloc", 2),
+            lint("hotpath-unwrap", 1),
+        ];
+        let suppressed = |id| Finding {
+            lint: id,
+            suppressed: true,
+            ..finding(true)
+        };
+        let findings = [
+            suppressed("det-wallclock"),
+            suppressed("hotpath-alloc"),
+            suppressed("hotpath-unwrap"),
+            finding(false), // active findings do not count against a budget
+        ];
+        let got = budgets(&findings, &table);
+        assert_eq!(
+            got.iter()
+                .map(|b| (b.suppressed, b.holds()))
+                .collect::<Vec<_>>(),
+            [(1, false), (1, false), (1, true)]
+        );
+        let lines: Vec<String> = got.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            lines[0],
+            "budget det-wallclock: 1 suppressed, budget 0 — over budget: \
+             fix the new finding instead of waiving it"
+        );
+        assert!(lines[1].contains("hotpath-alloc") && lines[1].contains("under budget"));
+        assert_eq!(lines[2], "budget hotpath-unwrap: 1 suppressed, budget 1");
     }
 
     #[test]

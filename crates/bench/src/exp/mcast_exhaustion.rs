@@ -9,142 +9,19 @@
 //!
 //! The demand axis is expressed as a `tn-lab` sweep spec and executed by
 //! the lab's batch runner through a custom [`RunExecutor`] — the
-//! proof-of-reuse example for lab-backed experiments.
+//! proof-of-reuse example for lab-backed experiments. Each cell runs the
+//! shared mroute rig ([`crate::mcastsim`]) that `examples/mcast_cliff.rs`
+//! and the divergence registry run too.
 
 use std::io::{self, Write};
 
-use tn_fault::{FaultConnect, LinkSpec};
 use tn_lab::{run_batch, Axis, AxisValues, RunExecutor, RunOutcome, RunPlan, SweepSpec};
-use tn_sim::{Context, Frame, Node, PortId, SimTime, Simulator};
+use tn_sim::{SchedulerKind, SimTime};
 use tn_stats::Summary;
-use tn_switch::{switch_generations, CommoditySwitch, SwitchConfig};
-use tn_wire::{eth, igmp, ipv4, stack};
+use tn_switch::switch_generations;
 
 use super::{lookup, Check, Outcome};
-
-struct Receiver {
-    arrivals: Vec<(u32, SimTime)>,
-}
-
-impl Node for Receiver {
-    fn on_frame(&mut self, ctx: &mut Context<'_>, _p: PortId, f: Frame) {
-        if let Ok(v) = stack::parse_udp(&f.bytes) {
-            if let Some(idx) = v.dst_ip.multicast_index() {
-                self.arrivals.push((idx, ctx.now()));
-            }
-        }
-    }
-}
-
-/// Everything one sweep cell measures.
-struct SweepResult {
-    hw_rate: f64,
-    sw_rate: f64,
-    hw_med_ns: u64,
-    sw_med_ns: u64,
-    /// All per-packet latencies (ps), for the lab's pooled cell stats.
-    latencies_ps: Vec<u64>,
-    /// Kernel trace digest + event count, for the divergence registry.
-    digest: u64,
-    events: u64,
-}
-
-/// Blast `packets_per_group` packets across `groups` groups on a switch
-/// with `table` hardware entries.
-fn run_sweep(groups: usize, table: usize, packets_per_group: usize) -> SweepResult {
-    let cfg = SwitchConfig {
-        mcast_table_size: table,
-        sw_service: SimTime::from_us(25),
-        sw_queue: 64,
-        ..SwitchConfig::default()
-    };
-    let mut sim = Simulator::new(1);
-    let sw = sim.add_node("sw", CommoditySwitch::new(cfg));
-    let rx = sim.add_node("rx", Receiver { arrivals: vec![] });
-    sim.connect_spec(
-        sw,
-        PortId(1),
-        rx,
-        PortId(0),
-        &LinkSpec::ten_gig(SimTime::ZERO),
-    );
-    for g in 0..groups as u32 {
-        let join = tn_switch::commodity::igmp_frame(
-            igmp::MessageType::Report,
-            eth::MacAddr::host(2),
-            ipv4::Addr::host(2),
-            ipv4::Addr::multicast_group(g),
-        );
-        let f = sim.frame().copy_from(&join).build();
-        sim.inject_frame(SimTime::ZERO, sw, PortId(1), f);
-    }
-    sim.run();
-    // Interleave packets across groups in bursts, 1 us apart, so the
-    // software queue sees sustained load rather than one megaburst.
-    let mut send_times = Vec::new();
-    for round in 0..packets_per_group {
-        let t0 = sim.now() + SimTime::from_us(1 + round as u64 * 100);
-        for g in 0..groups as u32 {
-            let frame = stack::build_udp(
-                eth::MacAddr::host(1),
-                None,
-                ipv4::Addr::host(1),
-                ipv4::Addr::multicast_group(g),
-                30_001,
-                30_001,
-                &[0u8; 100],
-            );
-            let f = sim.frame().copy_from(&frame).build();
-            sim.inject_frame(t0, sw, PortId(0), f);
-            send_times.push((g, t0));
-        }
-    }
-    sim.run();
-    let arrivals = &sim.node::<Receiver>(rx).unwrap().arrivals;
-    let mut hw_lat = Summary::new();
-    let mut sw_lat = Summary::new();
-    let mut latencies_ps = Vec::with_capacity(arrivals.len());
-    // Latency by matching per (group, round) send times in order.
-    let mut seen: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for &(g, t) in arrivals {
-        let k = seen.entry(g).or_insert(0);
-        let send = send_times
-            .iter()
-            .filter(|(sg, _)| *sg == g)
-            .nth(*k)
-            .map(|&(_, st)| st)
-            .unwrap_or(SimTime::ZERO);
-        *k += 1;
-        let lat = t - send;
-        latencies_ps.push(lat.as_ps());
-        if (g as usize) < table {
-            hw_lat.record(lat.as_ns());
-        } else {
-            sw_lat.record(lat.as_ns());
-        }
-    }
-    let hw_expected = table.min(groups) * packets_per_group;
-    let sw_expected = groups.saturating_sub(table) * packets_per_group;
-    let hw_rate = if hw_expected > 0 {
-        hw_lat.count() as f64 / hw_expected as f64
-    } else {
-        1.0
-    };
-    let sw_rate = if sw_expected > 0 {
-        sw_lat.count() as f64 / sw_expected as f64
-    } else {
-        1.0
-    };
-    SweepResult {
-        hw_rate: 100.0 * hw_rate,
-        sw_rate: 100.0 * sw_rate,
-        hw_med_ns: hw_lat.median(),
-        sw_med_ns: sw_lat.median(),
-        latencies_ps,
-        digest: sim.trace.digest(),
-        events: sim.trace.recorded(),
-    }
-}
+use crate::mcastsim::{run_mroute, MrouteConfig};
 
 /// The demand axis as a declarative sweep spec. The `groups` axis is a
 /// free-form parameter interpreted by [`McastExecutor`], not a
@@ -164,7 +41,9 @@ fn e7_spec() -> SweepSpec {
     }
 }
 
-/// Lab executor that resolves a cell of [`e7_spec`] with [`run_sweep`].
+/// Lab executor that resolves a cell of [`e7_spec`] on the shared
+/// mroute rig: a 64-packet software queue and `packets_per_group`
+/// bursts, the first 1 µs after the joins settle; seed 1.
 struct McastExecutor;
 
 impl RunExecutor for McastExecutor {
@@ -173,17 +52,44 @@ impl RunExecutor for McastExecutor {
             |name: &str| lookup(&plan.params, name).ok_or(format!("missing param `{name}`"));
         let groups = param("groups")? as usize;
         let table = param("table")? as usize;
-        let packets = param("packets_per_group")? as usize;
-        let r = run_sweep(groups, table, packets);
+        let rounds = param("packets_per_group")? as usize;
+        let run = run_mroute(&MrouteConfig {
+            seed: 1,
+            table,
+            groups,
+            sw_queue: 64,
+            rounds,
+            lead: SimTime::from_us(1),
+            scheduler: SchedulerKind::BinaryHeap,
+        });
+        let (mut hw_lat, mut sw_lat) = (Summary::new(), Summary::new());
+        for &(g, lat) in &run.deliveries {
+            if (g as usize) < table {
+                hw_lat.record(lat.as_ns());
+            } else {
+                sw_lat.record(lat.as_ns());
+            }
+        }
+        // Delivered share of what each group class was sent, in percent.
+        let rate = |got: usize, class_groups: usize| match class_groups * rounds {
+            0 => 100.0,
+            sent => 100.0 * (got as f64 / sent as f64),
+        };
         Ok(RunOutcome {
-            digest: r.digest,
-            events: r.events,
-            samples_ps: r.latencies_ps,
+            digest: run.digest,
+            events: run.events,
+            samples_ps: run.deliveries.iter().map(|(_, lat)| lat.as_ps()).collect(),
             metrics: vec![
-                ("hw_delivery_pct".into(), r.hw_rate),
-                ("sw_delivery_pct".into(), r.sw_rate),
-                ("hw_median_ns".into(), r.hw_med_ns as f64),
-                ("sw_median_ns".into(), r.sw_med_ns as f64),
+                (
+                    "hw_delivery_pct".into(),
+                    rate(hw_lat.count(), table.min(groups)),
+                ),
+                (
+                    "sw_delivery_pct".into(),
+                    rate(sw_lat.count(), groups.saturating_sub(table)),
+                ),
+                ("hw_median_ns".into(), hw_lat.median() as f64),
+                ("sw_median_ns".into(), sw_lat.median() as f64),
             ],
         })
     }

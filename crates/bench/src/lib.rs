@@ -1,11 +1,15 @@
 //! The experiment registry ([`exp`]) behind the `tn-exp` binary, plus
 //! what its experiments share: table rendering and tiny ASCII charts, so
 //! every figure regenerates as terminal output without plotting
-//! dependencies, and the fault and telemetry scenarios ([`faultsim`],
-//! [`obssim`]) that tn-audit's divergence registry replays too.
+//! dependencies, and the scenarios that tn-audit's divergence registry
+//! replays too: fault and telemetry ([`faultsim`], [`obssim`]) and the
+//! examples' own ([`feedsim`], [`mcastsim`], [`metrosim`]).
 
 pub mod exp;
 pub mod faultsim;
+pub mod feedsim;
+pub mod mcastsim;
+pub mod metrosim;
 pub mod obssim;
 
 /// Render a vertical-bar ASCII chart of a series (max `width` columns,

@@ -11,7 +11,7 @@
 //!   [`tn_core::ScenarioConfig`]: a base preset, design list, fixed
 //!   overrides, parameter axes (list / range / log-range), and seed
 //!   replication, expanded deterministically into an ordered
-//!   [`RunPlan`] manifest.
+//!   [`RunPlan`] manifest of at most [`spec::MAX_RUNS`] runs.
 //! * [`run_batch`] — a `std::thread` worker pool that executes the
 //!   manifest concurrently and merges outcomes in manifest order.
 //!   N-thread and 1-thread executions are byte-identical, and every

@@ -9,26 +9,58 @@
 //! `run` prints the human cell table; `--json` additionally prints the
 //! `tn-lab/v1` document and `--out FILE` writes it to disk. The document
 //! is a pure function of the spec — `--threads` changes wall-clock time
-//! only, never a byte of output.
+//! only, never a byte of output. An unknown argument, a flag without its
+//! value or a stray positional exits 2 with the usage line.
 
 use tn_lab::{LabReport, ScenarioExecutor, SweepSpec};
 
+const USAGE: &str = "usage: tn-lab expand (--preset smoke | --spec FILE)\n\
+                     \x20      tn-lab run (--preset smoke | --spec FILE) [--threads N] [--json] [--out FILE]\n\
+                     \x20      tn-lab summarize FILE";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("expand") => cmd_expand(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("summarize") => cmd_summarize(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: tn-lab expand (--preset smoke | --spec FILE)\n\
-                 \x20      tn-lab run (--preset smoke | --spec FILE) [--threads N] [--json] [--out FILE]\n\
-                 \x20      tn-lab summarize FILE"
-            );
-            2
-        }
+    let rest = args.get(1..).unwrap_or_default();
+    let usage = match args.first().map(String::as_str) {
+        Some("expand") => check_args(rest, &["--preset", "--spec"], &[]),
+        Some("run") => check_args(
+            rest,
+            &["--preset", "--spec", "--threads", "--out"],
+            &["--json"],
+        ),
+        Some("summarize") => match rest {
+            [path] if !path.starts_with("--") => Ok(()),
+            _ => Err("summarize takes one tn-lab/v1 report file".into()),
+        },
+        Some(other) => Err(format!("unknown command `{other}`")),
+        None => Err("need a command".into()),
+    };
+    if let Err(e) = usage {
+        eprintln!("tn-lab: {e}\n{USAGE}");
+        std::process::exit(2);
+    }
+    let code = match args[0].as_str() {
+        "expand" => cmd_expand(rest),
+        "run" => cmd_run(rest),
+        _ => cmd_summarize(rest),
     };
     std::process::exit(code);
+}
+
+/// Usage check: every argument is either a flag in `valued` followed by
+/// a value that is not itself a flag, or a flag in `switches`.
+fn check_args(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if valued.contains(&a.as_str()) {
+            if it.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(format!("{a} needs a value"));
+            }
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown argument `{a}`"));
+        }
+    }
+    Ok(())
 }
 
 /// Resolve `--preset NAME` / `--spec FILE` into a spec.
@@ -125,10 +157,7 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_summarize(args: &[String]) -> i32 {
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!("tn-lab summarize: need a tn-lab/v1 report file");
-        return 1;
-    };
+    let path = &args[0];
     let result = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))
         .and_then(|src| LabReport::parse(&src).map_err(|e| format!("{path}: {e}")));

@@ -14,6 +14,11 @@ use tn_sim::json::{self, num_f64, num_u64, Json};
 /// Schema marker for serialized specs.
 pub const SPEC_SCHEMA: &str = "tn-lab-spec/v1";
 
+/// The most runs one spec may expand to (and so the most values one axis
+/// may have). Specs arrive from outside through `tn-lab run --spec FILE`;
+/// a runaway one is refused with an error instead of exhausting memory.
+pub const MAX_RUNS: usize = 1_000_000;
+
 /// How an axis enumerates its values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
@@ -59,20 +64,31 @@ impl AxisValues {
                 if *step <= 0.0 || stop < start {
                     return Err(format!("bad range {start}..={stop} step {step}"));
                 }
-                let mut out = Vec::new();
-                let mut i = 0u32;
+                // Count before building: the values are start + i·step, so
+                // there are floor(span) + 1 of them.
+                let span = (stop - start) / step;
+                if span >= MAX_RUNS as f64 {
+                    return Err(format!(
+                        "range {start}..={stop} step {step} has more than {MAX_RUNS} values"
+                    ));
+                }
                 // Integer stepping (start + i*step) avoids accumulating
                 // rounding error; the epsilon admits a stop that is an
-                // exact multiple of step.
-                loop {
-                    let v = start + f64::from(i) * step;
+                // exact multiple of step. A step lost in the precision of
+                // `start` may never pass `stop`, so the walk is capped at
+                // two values past the count.
+                let mut out = Vec::new();
+                for i in 0..=span as u64 + 2 {
+                    let v = start + i as f64 * step;
                     if v > stop + step * 1e-9 {
-                        break;
+                        return Ok(out);
                     }
                     out.push(v);
-                    i += 1;
                 }
-                Ok(out)
+                Err(format!(
+                    "range {start}..={stop} step {step} does not advance: \
+                     the step is below the precision of the bounds"
+                ))
             }
             AxisValues::LogRange {
                 start,
@@ -84,6 +100,9 @@ impl AxisValues {
                 }
                 if *points == 0 {
                     return Err("log range needs at least one point".into());
+                }
+                if *points > MAX_RUNS {
+                    return Err(format!("log range has more than {MAX_RUNS} points"));
                 }
                 if *points == 1 {
                     return Ok(vec![*start]);
@@ -191,7 +210,8 @@ impl SweepSpec {
 
     /// Expand into the ordered run manifest. Deterministic, duplicate-free
     /// (given distinct axis values/seeds), and complete:
-    /// `len == designs × Π(axis lengths) × seeds`.
+    /// `len == designs × Π(axis lengths) × seeds`, which may not pass
+    /// [`MAX_RUNS`].
     pub fn expand(&self) -> Result<Vec<RunPlan>, String> {
         if self.designs.is_empty() {
             return Err("spec has no designs".into());
@@ -199,16 +219,25 @@ impl SweepSpec {
         if self.seeds.is_empty() {
             return Err("spec has no seeds".into());
         }
-        let axes: Vec<(String, Vec<f64>)> = self
-            .axes
-            .iter()
-            .map(|a| {
-                a.values
-                    .materialize()
-                    .map(|vs| (a.param.clone(), vs))
-                    .map_err(|e| format!("axis `{}`: {e}", a.param))
-            })
-            .collect::<Result<_, _>>()?;
+        let too_many = || format!("the sweep would pass {MAX_RUNS} runs");
+        let mut runs = self
+            .designs
+            .len()
+            .checked_mul(self.seeds.len())
+            .filter(|&n| n <= MAX_RUNS)
+            .ok_or_else(too_many)?;
+        let mut axes: Vec<(String, Vec<f64>)> = Vec::new();
+        for a in &self.axes {
+            let values = a
+                .values
+                .materialize()
+                .map_err(|e| format!("axis `{}`: {e}", a.param))?;
+            runs = runs
+                .checked_mul(values.len())
+                .filter(|&n| n <= MAX_RUNS)
+                .ok_or_else(|| format!("axis `{}`: {}", a.param, too_many()))?;
+            axes.push((a.param.clone(), values));
+        }
         let mut manifest = Vec::new();
         for design in &self.designs {
             // Odometer over the axes: first axis slowest.
@@ -525,6 +554,83 @@ mod tests {
     fn parse_rejects_wrong_schema() {
         assert!(SweepSpec::parse("{\"schema\":\"tn-report/v1\"}").is_err());
         assert!(SweepSpec::parse("not json").is_err());
+    }
+
+    /// A one-design, one-seed spec over `axes` named `a`, `b`, ….
+    fn spec_over(axes: Vec<AxisValues>) -> SweepSpec {
+        SweepSpec {
+            axes: axes
+                .into_iter()
+                .zip(["a", "b", "c"])
+                .map(|(values, param)| Axis {
+                    param: param.into(),
+                    values,
+                })
+                .collect(),
+            ..SweepSpec::smoke()
+        }
+    }
+
+    #[test]
+    fn a_runaway_range_is_refused_before_it_is_built() {
+        let huge = AxisValues::Range {
+            start: 0.0,
+            stop: 1e12,
+            step: 1.0,
+        };
+        let err = spec_over(vec![huge]).expand().unwrap_err();
+        assert!(
+            err.starts_with("axis `a`:") && err.contains("1000000"),
+            "{err}"
+        );
+        // Past 2^32 points a u32 step counter would wrap back to `start`.
+        let wraps = AxisValues::Range {
+            start: 0.0,
+            stop: 5e9,
+            step: 1.0,
+        };
+        assert!(wraps.materialize().is_err());
+        // A step absorbed by the bounds' precision never reaches `stop`.
+        let stuck = AxisValues::Range {
+            start: 1e300,
+            stop: 1e300,
+            step: 1e-300,
+        };
+        assert!(stuck
+            .materialize()
+            .unwrap_err()
+            .contains("does not advance"));
+        let widest = AxisValues::Range {
+            start: 1.0,
+            stop: MAX_RUNS as f64,
+            step: 1.0,
+        };
+        assert_eq!(widest.materialize().unwrap().len(), MAX_RUNS);
+    }
+
+    #[test]
+    fn log_range_points_are_bounded() {
+        let points = |points| AxisValues::LogRange {
+            start: 1.0,
+            stop: 10.0,
+            points,
+        };
+        let err = spec_over(vec![points(1 << 40)]).expand().unwrap_err();
+        assert!(err.starts_with("axis `a`:"), "{err}");
+        assert!(points(usize::MAX).materialize().is_err());
+        assert_eq!(points(MAX_RUNS).materialize().unwrap().len(), MAX_RUNS);
+    }
+
+    #[test]
+    fn the_manifest_is_bounded_and_names_the_axis_that_passes_it() {
+        let thousand = || AxisValues::List((0..1000).map(f64::from).collect());
+        let err = spec_over(vec![thousand(), thousand(), thousand()])
+            .expand()
+            .unwrap_err();
+        assert_eq!(err, "axis `c`: the sweep would pass 1000000 runs");
+        let mut spec = spec_over(vec![thousand(), thousand()]);
+        spec.seeds = vec![1, 2];
+        assert!(spec.expand().unwrap_err().starts_with("axis `b`:"));
     }
 
     #[test]

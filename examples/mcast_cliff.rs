@@ -9,117 +9,49 @@
 //! and reports delivery latency per group class. Groups that fit run in
 //! hardware at 500 ns; overflow groups fall back to ~25 µs software
 //! forwarding and drop heavily under load — "cripples performance and
-//! induces heavy packet loss."
+//! induces heavy packet loss." The rig is `tn_bench::mcastsim`, which E7
+//! and the divergence registry run too.
 
-use trading_networks::fault::{FaultConnect, LinkSpec};
-use trading_networks::sim::{Context, Frame, Node, PortId, SimTime, Simulator};
-use trading_networks::switch::{CommoditySwitch, SwitchConfig};
-use trading_networks::wire::{eth, igmp, ipv4, stack};
-
-struct Receiver {
-    arrivals: Vec<(u32, SimTime)>, // (group index, time)
-}
-
-impl Node for Receiver {
-    fn on_frame(&mut self, ctx: &mut Context<'_>, _p: PortId, f: Frame) {
-        if let Ok(v) = stack::parse_udp(&f.bytes) {
-            if let Some(idx) = v.dst_ip.multicast_index() {
-                self.arrivals.push((idx, ctx.now()));
-            }
-        }
-    }
-}
+use tn_bench::mcastsim::{run_mroute, MrouteConfig};
+use trading_networks::sim::SchedulerKind;
 
 fn main() {
-    let table_size = 64usize;
-    let total_groups = 96usize;
-
-    let cfg = SwitchConfig {
-        mcast_table_size: table_size,
-        sw_service: SimTime::from_us(25),
-        sw_queue: 16,
-        ..SwitchConfig::default()
-    };
-    let mut sim = Simulator::new(3);
-    let sw = sim.add_node("switch", CommoditySwitch::new(cfg));
-    let rx = sim.add_node("rx", Receiver { arrivals: vec![] });
-    sim.connect_spec(
-        sw,
-        PortId(1),
-        rx,
-        PortId(0),
-        &LinkSpec::ten_gig(SimTime::ZERO),
+    let cfg = MrouteConfig::cliff(SchedulerKind::BinaryHeap);
+    let run = run_mroute(&cfg);
+    println!(
+        "groups joined: {} in hardware, {} overflowed to software",
+        run.hw_groups, run.sw_groups
     );
 
-    // Join all the groups from the receiver port.
-    for g in 0..total_groups as u32 {
-        let join = trading_networks::switch::commodity::igmp_frame(
-            igmp::MessageType::Report,
-            eth::MacAddr::host(2),
-            ipv4::Addr::host(2),
-            ipv4::Addr::multicast_group(g),
-        );
-        let f = sim.frame().copy_from(&join).build();
-        sim.inject_frame(SimTime::ZERO, sw, PortId(1), f);
-    }
-    sim.run();
-    {
-        let s = sim.node::<CommoditySwitch>(sw).unwrap();
-        println!(
-            "groups joined: {} in hardware, {} overflowed to software",
-            s.hw_group_count(),
-            s.sw_group_count()
-        );
-    }
-
-    // One burst: a packet to every group, back to back.
-    let t0 = sim.now();
-    for g in 0..total_groups as u32 {
-        let frame = stack::build_udp(
-            eth::MacAddr::host(1),
-            None,
-            ipv4::Addr::host(1),
-            ipv4::Addr::multicast_group(g),
-            30_001,
-            30_001,
-            &[0u8; 100],
-        );
-        let f = sim.frame().copy_from(&frame).build();
-        sim.inject_frame(t0, sw, PortId(0), f);
-    }
-    sim.run();
-
-    let arrivals = sim.node::<Receiver>(rx).unwrap().arrivals.clone();
-    let hw: Vec<u64> = arrivals
-        .iter()
-        .filter(|(g, _)| (*g as usize) < table_size)
-        .map(|(_, t)| (*t - t0).as_ns())
-        .collect();
-    let sw_lat: Vec<u64> = arrivals
-        .iter()
-        .filter(|(g, _)| (*g as usize) >= table_size)
-        .map(|(_, t)| (*t - t0).as_ns())
-        .collect();
-    let stats = sim.node::<CommoditySwitch>(sw).unwrap().stats();
-
+    let latencies = |in_table: bool| -> Vec<u64> {
+        run.deliveries
+            .iter()
+            .filter(|(g, _)| ((*g as usize) < cfg.table) == in_table)
+            .map(|(_, lat)| lat.as_ns())
+            .collect()
+    };
+    let hw = latencies(true);
+    let sw_lat = latencies(false);
+    let overflow = cfg.groups - cfg.table;
     println!(
         "hardware groups: {}/{} delivered, first at {} ns",
         hw.len(),
-        table_size,
+        cfg.table,
         hw.first().copied().unwrap_or(0)
     );
     println!(
-        "software groups: {}/{} delivered (queue depth 16), first at {} ns, last at {} ns",
+        "software groups: {}/{} delivered (queue depth {}), first at {} ns, last at {} ns",
         sw_lat.len(),
-        total_groups - table_size,
+        overflow,
+        cfg.sw_queue,
         sw_lat.first().copied().unwrap_or(0),
         sw_lat.last().copied().unwrap_or(0)
     );
-    println!("drops at the software path: {}", stats.mcast_dropped);
+    println!("drops at the software path: {}", run.sw_dropped);
     println!();
     println!(
         "the cliff: {}x latency and {:.0}% loss once the mroute table overflows",
         sw_lat.first().copied().unwrap_or(0) / hw.first().copied().unwrap_or(1).max(1),
-        100.0 * stats.mcast_dropped as f64 / (total_groups - table_size) as f64
+        100.0 * run.sw_dropped as f64 / overflow as f64
     );
 }

@@ -11,120 +11,12 @@
 //! local feed into a cross-market arbitrage strategy that fires when one
 //! exchange's bid crosses the other's ask. Running the identical scenario
 //! over fiber and over microwave shows the speed-of-light edge — the
-//! reason firms run rain-faded microwave at all.
+//! reason firms run rain-faded microwave at all. The scenario is
+//! `tn_bench::metrosim`, which the divergence registry runs too.
 
-use trading_networks::fault::{FaultConnect, LinkSpec};
-use trading_networks::feed::SubscriptionSet;
-use trading_networks::market::{Exchange, ExchangeConfig, PartitionScheme, SymbolDirectory};
-use trading_networks::sim::{PortId, SimTime, Simulator};
-use trading_networks::switch::l1s::{L1Config, L1Switch};
+use tn_bench::metrosim::run_metro;
+use trading_networks::sim::{SchedulerKind, SimTime};
 use trading_networks::topo::metro::{CircuitKind, MetroRegion};
-use trading_networks::trading::{
-    normalizer, strategy, CrossMarketArb, Normalizer, NormalizerConfig, Strategy, StrategyConfig,
-};
-use trading_networks::wire::Symbol;
-
-struct Outcome {
-    opportunities: u64,
-    records: u64,
-    median_feed_latency: SimTime,
-}
-
-fn run(kind: CircuitKind) -> Outcome {
-    let metro = MetroRegion::nj_triangle();
-    let dir = SymbolDirectory::synthetic(30);
-    let symbols: Vec<Symbol> = dir.instruments().iter().map(|i| i.symbol).collect();
-    let partitions = 4u16;
-    let mut sim = Simulator::new(11);
-
-    // Exchanges in colo 0 (local) and colo 1 (remote).
-    let mut mk_exchange = |id: u8, mcast_base: u32| {
-        let mut cfg = ExchangeConfig::new(id, dir.clone());
-        cfg.scheme = PartitionScheme::ByHash { units: 2 };
-        cfg.mcast_base = mcast_base;
-        cfg.background_rate = 30_000.0;
-        cfg.tick_interval = SimTime::from_us(100);
-        cfg.seed = 100 + u64::from(id); // independent order flow
-        sim.add_node(format!("exch{id}"), Exchange::new(cfg))
-    };
-    let exch_local = mk_exchange(1, 0);
-    let exch_remote = mk_exchange(2, 100);
-
-    // One normalizer per exchange, both in colo 0.
-    let mut mk_norm = |i: u32, exchange_id: u8| {
-        let mut cfg = NormalizerConfig::new(exchange_id, i);
-        cfg.out_partitions = partitions;
-        cfg.out_mcast_base = 20_000;
-        cfg.preload = symbols.clone();
-        cfg.per_message_service = SimTime::from_ns(650);
-        sim.add_node(format!("norm{i}"), Normalizer::new(cfg))
-    };
-    let norm_local = mk_norm(0, 1);
-    let norm_remote = mk_norm(1, 2);
-
-    // Feed circuits: local cross-connect vs metro circuit.
-    let cross_connect = LinkSpec::ten_gig(SimTime::from_ns(25));
-    sim.connect_spec(
-        exch_local,
-        PortId(0),
-        norm_local,
-        normalizer::FEED_A,
-        &cross_connect,
-    );
-    // The metro circuit stays positional: `MetroRegion::circuit` hands
-    // back a fully profiled link (rate, physics-derived delay, microwave
-    // fade) that a hand-built spec would only restate, so the already-
-    // built model goes in directly, one instance per direction.
-    let circuit = metro.circuit(1, 0, kind);
-    sim.install_link(
-        exch_remote,
-        PortId(0),
-        norm_remote,
-        normalizer::FEED_A,
-        Box::new(circuit.clone()),
-    );
-    sim.install_link(
-        norm_remote,
-        normalizer::FEED_A,
-        exch_remote,
-        PortId(0),
-        Box::new(circuit),
-    );
-
-    // Merge both normalized feeds onto the strategy's NIC with an L1 mux.
-    let mut mux = L1Switch::new(L1Config::default());
-    mux.provision_merge(PortId(0), PortId(2));
-    mux.provision_merge(PortId(1), PortId(2));
-    let mux = sim.add_node("mux", mux);
-    sim.connect_spec(norm_local, normalizer::OUT, mux, PortId(0), &cross_connect);
-    sim.connect_spec(norm_remote, normalizer::OUT, mux, PortId(1), &cross_connect);
-
-    let mut cfg = StrategyConfig::new(0, symbols.clone());
-    cfg.mcast_base = 20_000;
-    let mut subs = SubscriptionSet::unbounded();
-    for p in 0..partitions {
-        subs.subscribe(p);
-    }
-    cfg.subscriptions = subs;
-    cfg.send_igmp_joins = false;
-    let strat = sim.add_node("arb", Strategy::new(cfg, CrossMarketArb::default()));
-    sim.connect_spec(mux, PortId(2), strat, strategy::FEED, &cross_connect);
-
-    sim.schedule_timer(SimTime::ZERO, exch_local, trading_networks::market::TICK);
-    sim.schedule_timer(SimTime::ZERO, exch_remote, trading_networks::market::TICK);
-    sim.run_until(SimTime::from_ms(80));
-
-    let node = sim
-        .node::<Strategy<CrossMarketArb>>(strat)
-        .expect("strategy");
-    let mut lat = trading_networks::stats::Summary::new();
-    lat.extend(node.decision_latency_ps.iter().copied());
-    Outcome {
-        opportunities: node.logic().opportunities,
-        records: node.stats().records_evaluated,
-        median_feed_latency: SimTime::from_ps(lat.median()),
-    }
-}
 
 fn main() {
     let metro = MetroRegion::nj_triangle();
@@ -135,6 +27,7 @@ fn main() {
         metro.propagation(0, 1, CircuitKind::Microwave),
     );
 
+    let run = |kind| run_metro(kind, SimTime::from_ms(80), SchedulerKind::BinaryHeap);
     let fiber = run(CircuitKind::Fiber);
     let microwave = run(CircuitKind::Microwave);
     println!(
