@@ -469,6 +469,7 @@ fn collect_report(
         network_share,
         trace_digest: sim.trace.digest(),
         events_recorded: sim.trace.recorded(),
+        trace: sim.trace.events().to_vec(),
         recovery,
         telemetry,
         profile,

@@ -6,8 +6,6 @@
 //! [`TxQueue`] turns "finish processing at T, then transmit" into kernel
 //! timers so service time shows up as real latency and backlog.
 
-use std::collections::VecDeque;
-
 use tn_sim::{Context, Frame, PortId, SimTime, TimerToken};
 
 /// Tracks the busy-until time of a serial processor.
@@ -54,12 +52,16 @@ impl ServiceClock {
 /// * in `on_timer`: `txq.on_timer(ctx, token)` — returns `true` if the
 ///   token belonged to this queue and a frame was transmitted.
 ///
-/// Completion times are monotonic (single serial processor), so FIFO
-/// order matches timer order.
+/// Each frame waits in the completion timer that releases it
+/// ([`Context::set_timer_carrying`]), so the queue itself holds only a
+/// count. Completion times are monotonic (single serial processor) and
+/// equal times fire in the order they were set, so frames leave in the
+/// order they arrived.
 #[derive(Debug)]
 pub struct TxQueue {
     clock: ServiceClock,
-    pending: VecDeque<(PortId, Frame)>,
+    /// Frames riding this queue's timers, not yet released.
+    pending: usize,
     token: u64,
     /// Bound on queued frames; pushes beyond this are dropped (counted).
     capacity: usize,
@@ -75,7 +77,7 @@ impl TxQueue {
     pub fn new(token: u64) -> TxQueue {
         TxQueue {
             clock: ServiceClock::new(),
-            pending: VecDeque::new(),
+            pending: 0,
             token,
             capacity: usize::MAX,
             pipeline: SimTime::ZERO,
@@ -105,13 +107,13 @@ impl TxQueue {
         port: PortId,
         frame: Frame,
     ) -> bool {
-        if self.pending.len() >= self.capacity {
+        if self.pending >= self.capacity {
             self.dropped += 1;
             return false;
         }
         let done = self.clock.complete(ctx.now(), service) + self.pipeline;
-        self.pending.push_back((port, frame));
-        ctx.set_timer(done - ctx.now(), TimerToken(self.token));
+        self.pending += 1;
+        ctx.set_timer_carrying(done - ctx.now(), TimerToken(self.token), port, frame);
         true
     }
 
@@ -122,13 +124,14 @@ impl TxQueue {
         self.clock.complete(now, service);
     }
 
-    /// Handle a timer; transmits the head-of-line frame if the token is
+    /// Handle a timer; transmits the frame it carried if the token is
     /// ours. Returns `true` if consumed.
     pub fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) -> bool {
         if timer.0 != self.token {
             return false;
         }
-        if let Some((port, frame)) = self.pending.pop_front() {
+        if let Some((port, frame)) = ctx.take_carried() {
+            self.pending -= 1;
             ctx.send(port, frame);
         }
         true
@@ -141,7 +144,7 @@ impl TxQueue {
 
     /// Frames awaiting transmission.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Current service backlog.
@@ -153,7 +156,7 @@ impl TxQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tn_sim::{IdealLink, Node, Simulator};
+    use tn_sim::{IdealLink, Node, NodeId, Simulator};
 
     #[test]
     fn service_clock_serializes_work() {
@@ -190,30 +193,34 @@ mod tests {
         }
     }
 
+    #[derive(Default)]
     struct Sink {
         arrivals: Vec<SimTime>,
+        tags: Vec<u64>,
     }
 
     impl Node for Sink {
-        fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, _frame: Frame) {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, frame: Frame) {
             self.arrivals.push(ctx.now());
+            self.tags.push(frame.meta.tag);
         }
+    }
+
+    /// A worker feeding a sink over an ideal link, as the tests below
+    /// wire it.
+    fn rig(txq: TxQueue, service: SimTime) -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(1);
+        let worker = sim.add_node("worker", Worker { txq, service });
+        let sink = sim.add_node("sink", Sink::default());
+        let link = IdealLink::new(SimTime::ZERO);
+        sim.install_link(worker, PortId(0), sink, PortId(0), Box::new(link.clone()));
+        sim.install_link(sink, PortId(0), worker, PortId(0), Box::new(link));
+        (sim, worker, sink)
     }
 
     #[test]
     fn txqueue_applies_service_time_and_fifo_backlog() {
-        let mut sim = Simulator::new(1);
-        let worker = sim.add_node(
-            "worker",
-            Worker {
-                txq: TxQueue::new(0),
-                service: SimTime::from_us(2),
-            },
-        );
-        let sink = sim.add_node("sink", Sink { arrivals: vec![] });
-        let link = IdealLink::new(SimTime::ZERO);
-        sim.install_link(worker, PortId(0), sink, PortId(0), Box::new(link.clone()));
-        sim.install_link(sink, PortId(0), worker, PortId(0), Box::new(link));
+        let (mut sim, worker, sink) = rig(TxQueue::new(0), SimTime::from_us(2));
         // Three frames arrive simultaneously; the worker is a single core.
         for _ in 0..3 {
             let f = sim.frame().zeroed(64).build();
@@ -233,18 +240,8 @@ mod tests {
 
     #[test]
     fn txqueue_capacity_drops() {
-        let mut sim = Simulator::new(1);
-        let worker = sim.add_node(
-            "worker",
-            Worker {
-                txq: TxQueue::new(0).with_capacity(2),
-                service: SimTime::from_us(1),
-            },
-        );
-        let sink = sim.add_node("sink", Sink { arrivals: vec![] });
-        let link = IdealLink::new(SimTime::ZERO);
-        sim.install_link(worker, PortId(0), sink, PortId(0), Box::new(link.clone()));
-        sim.install_link(sink, PortId(0), worker, PortId(0), Box::new(link));
+        let txq = TxQueue::new(0).with_capacity(2);
+        let (mut sim, worker, sink) = rig(txq, SimTime::from_us(1));
         for _ in 0..5 {
             let f = sim.frame().zeroed(64).build();
             sim.inject_frame(SimTime::ZERO, worker, PortId(0), f);
@@ -255,5 +252,70 @@ mod tests {
         assert_eq!(sink_arrivals, 2);
         assert_eq!(worker.txq.dropped(), 3);
         assert_eq!(worker.txq.pending(), 0);
+    }
+
+    #[test]
+    fn equal_completion_times_leave_in_arrival_order() {
+        // Zero service time: every frame completes the instant it
+        // arrives, so only the timers' seq order keeps them FIFO.
+        let (mut sim, worker, sink) = rig(TxQueue::new(0), SimTime::ZERO);
+        for tag in 0..6 {
+            let f = sim.frame().zeroed(64).tag(tag).build();
+            sim.inject_frame(SimTime::from_us(1), worker, PortId(0), f);
+        }
+        sim.run();
+        let sink = sim.node::<Sink>(sink).unwrap();
+        assert_eq!(sink.tags, (0..6).collect::<Vec<u64>>());
+        assert_eq!(sink.arrivals, vec![SimTime::from_us(1); 6]);
+    }
+
+    #[test]
+    fn bounded_queue_counts_pending_and_drops_mid_run() {
+        let txq = TxQueue::new(0).with_capacity(2);
+        let (mut sim, worker, sink) = rig(txq, SimTime::from_us(1));
+        for tag in 0..5 {
+            let f = sim.frame().zeroed(64).tag(tag).build();
+            sim.inject_frame(SimTime::ZERO, worker, PortId(0), f);
+        }
+        // A sixth frame arrives once the first has left: room for one.
+        let late = sim.frame().zeroed(64).tag(5).build();
+        sim.inject_frame(SimTime::from_ns(1_500), worker, PortId(0), late);
+        let read = |sim: &Simulator| {
+            let q = &sim.node::<Worker>(worker).unwrap().txq;
+            (q.pending(), q.dropped())
+        };
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(read(&sim), (2, 3), "two queued, three refused");
+        sim.run_until(SimTime::from_us(1));
+        assert_eq!(read(&sim), (1, 3), "the first left at 1 µs");
+        sim.run_until(SimTime::from_ns(1_500));
+        assert_eq!(read(&sim), (2, 3), "the late frame took the free place");
+        sim.run();
+        assert_eq!(read(&sim), (0, 3));
+        let sink = sim.node::<Sink>(sink).unwrap();
+        assert_eq!(sink.tags, vec![0, 1, 5]);
+        let us = SimTime::from_us;
+        assert_eq!(sink.arrivals, vec![us(1), us(2), us(3)]);
+    }
+
+    /// Sets carrying timers and never takes what they carry.
+    struct Forgetful;
+
+    impl Node for Forgetful {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
+            ctx.set_timer_carrying(SimTime::from_ns(5), TimerToken(0), port, frame);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: TimerToken) {}
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "left the frame")]
+    fn a_node_that_leaves_its_carried_frame_panics() {
+        let mut sim = Simulator::new(1);
+        let node = sim.add_node("forgetful", Forgetful);
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::ZERO, node, PortId(0), f);
+        sim.run();
     }
 }

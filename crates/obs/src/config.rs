@@ -23,6 +23,10 @@ pub struct ObsConfig {
     /// per-kind dispatch counts, queue-depth series, scheduler and arena
     /// statistics in the resulting `KernelProfile`).
     pub profile: bool,
+    /// Store every record the run digest folds (`Simulator::trace`),
+    /// not just the digest. Memory grows with the run, so no preset turns
+    /// it on; tests that re-fold a run's event stream do.
+    pub trace: bool,
 }
 
 /// Ring capacity used by the presets when the flight recorder is on.
@@ -43,11 +47,12 @@ impl ObsConfig {
             flight: false,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: false,
+            trace: false,
         }
     }
 
-    /// Everything on: provenance, registry, flight recorder, and kernel
-    /// profiler.
+    /// Everything bounded on: provenance, registry, flight recorder, and
+    /// kernel profiler. Trace storage, which is not bounded, stays off.
     pub const fn full() -> ObsConfig {
         ObsConfig {
             provenance: true,
@@ -55,6 +60,7 @@ impl ObsConfig {
             flight: true,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: true,
+            trace: false,
         }
     }
 
@@ -83,6 +89,7 @@ mod tests {
         // `flight` alone yields a usable ring.
         assert_eq!(ObsConfig::off().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
         assert_eq!(ObsConfig::full().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
+        assert!(!ObsConfig::full().trace, "no preset stores the trace");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The API surface a node sees while handling an event.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use tn_obs::{FlightKind, FlightRecord, FlightRecorder};
 
@@ -22,9 +21,13 @@ pub(crate) enum Action {
         port: PortId,
         frame: Frame,
     },
+    /// `frame`, when present, rides the timer event and is handed back
+    /// through [`Context::take_carried`] when it fires, to go out `port`.
     Timer {
         delay: SimTime,
         token: TimerToken,
+        port: PortId,
+        frame: Option<Frame>,
     },
     /// Deliver a frame to another node directly, bypassing links. Used for
     /// intra-host delivery between co-resident components with an explicit
@@ -51,6 +54,8 @@ pub struct Context<'a> {
     pub(crate) next_frame_id: &'a mut u64,
     pub(crate) arena: &'a mut FrameArena,
     pub(crate) flight: &'a mut FlightRecorder,
+    /// The frame the firing timer carried, until the node takes it.
+    pub(crate) carried: Option<(PortId, Frame)>,
 }
 
 impl Context<'_> {
@@ -117,7 +122,43 @@ impl Context<'_> {
     /// after `delay`.
     #[inline]
     pub fn set_timer(&mut self, delay: SimTime, token: TimerToken) {
-        self.actions.push(Action::Timer { delay, token });
+        self.actions.push(Action::Timer {
+            delay,
+            token,
+            port: PortId(0),
+            frame: None,
+        });
+    }
+
+    /// [`Context::set_timer`] with `frame` riding the timer event: when it
+    /// fires, [`Context::take_carried`] returns `(port, frame)` inside this
+    /// node's `on_timer`. A frame that waits out a service time needs no
+    /// buffer of the node's own, and timers fire in `(time, seq)` order,
+    /// so frames set for non-decreasing times come back first in, first
+    /// out. The node must take the frame: one left untaken is a bug,
+    /// caught by a debug assertion (release builds recycle its buffer).
+    #[inline]
+    pub fn set_timer_carrying(
+        &mut self,
+        delay: SimTime,
+        token: TimerToken,
+        port: PortId,
+        frame: Frame,
+    ) {
+        self.actions.push(Action::Timer {
+            delay,
+            token,
+            port,
+            frame: Some(frame),
+        });
+    }
+
+    /// The `(port, frame)` the firing timer carried (see
+    /// [`Context::set_timer_carrying`]); `None` for a bare timer, outside
+    /// `on_timer`, or once taken.
+    #[inline]
+    pub fn take_carried(&mut self) -> Option<(PortId, Frame)> {
+        self.carried.take()
     }
 
     /// Deliver `frame` to another node after `delay`, without traversing a
@@ -131,12 +172,6 @@ impl Context<'_> {
             delay,
             frame,
         });
-    }
-
-    /// Uniform random value in `[0, 1)` from the scenario PRNG.
-    #[inline]
-    pub fn coin(&mut self) -> f64 {
-        self.rng.gen::<f64>()
     }
 
     /// Access the scenario PRNG for richer sampling.
@@ -212,6 +247,7 @@ mod tests {
             next_frame_id: next,
             arena,
             flight,
+            carried: None,
         }
     }
 
@@ -308,19 +344,5 @@ mod tests {
         assert_eq!(recs[2].kind, FlightKind::RecoveryGap);
         assert_eq!(recs[2].node, 3, "note carries the handling node");
         assert_eq!((recs[2].a, recs[2].b), (100, 3));
-    }
-
-    #[test]
-    fn coin_is_unit_interval() {
-        let mut actions = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut next = 0;
-        let mut arena = FrameArena::new();
-        let mut flight = FlightRecorder::disabled();
-        let mut c = ctx(&mut actions, &mut rng, &mut next, &mut arena, &mut flight);
-        for _ in 0..1000 {
-            let v = c.coin();
-            assert!((0.0..1.0).contains(&v));
-        }
     }
 }

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use crate::frame::{Frame, FrameId};
 use crate::kernel::{SimStats, Simulator};
 use crate::node::{NodeId, PortId};
-use crate::sched::{Scheduler, SchedulerKind};
+use crate::sched::{EventKind, Scheduler, SchedulerKind};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
 use tn_obs::{FlightRecorder, KernelProfiler};
@@ -748,7 +748,13 @@ impl ShardedSimulator {
             // queue with their ids translated to serial order.
             while let Some(mut ev) = sh.queue.pop() {
                 ev.seq = Self::translate(&self.seq_map[s], ev.seq);
-                if let crate::sched::EventKind::Frame { frame, .. } = &mut ev.kind {
+                // A frame riding a service-queue timer is as much in
+                // flight as one bound for a port.
+                if let EventKind::Frame { frame, .. }
+                | EventKind::Timer {
+                    frame: Some(frame), ..
+                } = &mut ev.kind
+                {
                     frame.id = FrameId(Self::translate(&self.frame_map[s], frame.id.0));
                 }
                 sim.queue.push(ev);

@@ -187,10 +187,12 @@ pub struct PacketBuilder {
 
 impl PacketBuilder {
     /// Builder for `partition`, starting at `first_seq`, packing at most
-    /// `max_payload` bytes per packet.
+    /// `max_payload` bytes per packet. Panics unless `max_payload` holds
+    /// the header and at least one record.
     pub fn new(partition: u16, first_seq: u32, max_payload: usize) -> PacketBuilder {
-        let max_records = ((max_payload - PACKET_HEADER_LEN) / RECORD_LEN).min(255) as u8;
-        assert!(max_records >= 1, "max_payload must fit at least one record");
+        let room = max_payload.saturating_sub(PACKET_HEADER_LEN);
+        assert!(room >= RECORD_LEN, "max_payload too small");
+        let max_records = (room / RECORD_LEN).min(255) as u8;
         PacketBuilder {
             partition,
             next_seq: first_seq,
@@ -380,5 +382,11 @@ mod tests {
         assert_eq!(pkt.count(), 1);
         assert_eq!(pb.pending(), 1);
         assert_eq!(pb.next_seq(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_payload")]
+    fn builder_refuses_a_budget_smaller_than_its_header() {
+        PacketBuilder::new(0, 0, PACKET_HEADER_LEN - 4);
     }
 }

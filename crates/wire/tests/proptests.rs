@@ -467,4 +467,32 @@ proptest! {
         prop_assert_eq!(got, expect);
         prop_assert_eq!(writer.next_seq(), alloc.next_seq());
     }
+
+    /// Whatever the budget, no sealed packet exceeds it, and every
+    /// record pushed comes out in exactly one packet.
+    #[test]
+    fn norm_packets_fit_their_budget(
+        max_payload in norm::PACKET_HEADER_LEN + norm::RECORD_LEN..10_000usize,
+        n in 1usize..600,
+    ) {
+        let rec = norm::Record {
+            kind: norm::Kind::Trade,
+            exchange: 1,
+            side: 0,
+            flags: 0,
+            symbol_id: 7,
+            price: 100,
+            size: 5,
+            aux: 0,
+            src_time_ns: 0,
+        };
+        let mut pb = norm::PacketBuilder::new(3, 0, max_payload);
+        let mut packets: Vec<Vec<u8>> = (0..n).filter_map(|_| pb.push(&rec)).collect();
+        packets.extend(pb.flush());
+        for p in &packets {
+            prop_assert!(p.len() <= max_payload, "{} > {}", p.len(), max_payload);
+        }
+        let bytes: usize = packets.iter().map(Vec::len).sum();
+        prop_assert_eq!(bytes, packets.len() * norm::PACKET_HEADER_LEN + n * norm::RECORD_LEN);
+    }
 }

@@ -17,7 +17,7 @@ use trading_networks::core::{
     ScenarioConfig, ShardSpec, TradingNetworkDesign, TraditionalSwitches,
 };
 use trading_networks::fault::{FaultLink, FaultSpec};
-use trading_networks::netdev::EtherLink;
+use trading_networks::netdev::{EtherLink, TxQueue};
 use trading_networks::sim::{
     Context, Frame, IdealLink, Link, Node, PortId, SchedulerKind, ShardError, ShardPlan,
     ShardedSimulator, SimTime, Simulator, TimerToken,
@@ -75,18 +75,39 @@ impl Node for Hop {
     }
 }
 
-/// Counts deliveries and recycles every payload into the frame arena.
+/// Counts deliveries, notes their frame ids, and recycles every payload
+/// into the frame arena.
 #[derive(Default)]
 struct Sink {
     delivered: u64,
     bytes: u64,
+    ids: Vec<u64>,
 }
 
 impl Node for Sink {
     fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, frame: Frame) {
         self.delivered += 1;
         self.bytes += frame.bytes.len() as u64;
+        self.ids.push(frame.id.0);
         ctx.recycle(frame);
+    }
+}
+
+/// Serves every frame through a [`TxQueue`] before sending it out of
+/// port 1, so a backlog waits in the queue's completion timers.
+struct Station {
+    txq: TxQueue,
+    service: SimTime,
+}
+
+impl Node for Station {
+    fn on_frame(&mut self, ctx: &mut Context<'_>, _port: PortId, frame: Frame) {
+        self.txq.send_after(ctx, self.service, PortId(1), frame);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+        let consumed = self.txq.on_timer(ctx, timer);
+        debug_assert!(consumed, "unexpected timer {timer:?}");
     }
 }
 
@@ -448,6 +469,72 @@ fn intra_shard_kernel_coin_link_diverges_from_serial_by_contract() {
          serial-faithful coin and the shard-module docs (and this pin) \
          should both change"
     );
+}
+
+/// A deadline that falls while a service queue is backed up leaves its
+/// frames riding completion timers in the shard's queue. `finish` must
+/// hand them back under the ids the serial run gave them: the source
+/// built them inside the same shard, so until then they carry
+/// provisional ids. Run on after the merge, every release must match
+/// the serial run's digest, event count and frame ids.
+#[test]
+fn carried_frames_pending_at_finish_keep_their_serial_ids() {
+    let build = || {
+        let mut sim = Simulator::new(5);
+        let src = sim.add_node(
+            "src",
+            FanSource {
+                interval: SimTime::from_ns(100),
+                count: 60,
+                payload: 64,
+                branches: 1,
+                sent: 0,
+            },
+        );
+        let station = sim.add_node(
+            "station",
+            Station {
+                txq: TxQueue::new(7),
+                service: SimTime::from_us(1),
+            },
+        );
+        let sink = sim.add_node("sink", Sink::default());
+        let hop = |ns| Box::new(IdealLink::new(SimTime::from_ns(ns)));
+        sim.install_link(src, PortId(0), station, PortId(0), hop(10));
+        sim.install_link(station, PortId(1), sink, PortId(0), hop(50));
+        sim.schedule_timer(SimTime::from_ns(10), src, TICK);
+        (sim, station, sink)
+    };
+    // By 20 µs all 60 frames have reached the station, which has
+    // released about 20 of them.
+    let cut = SimTime::from_us(20);
+    let drain = |mut sim: Simulator, sink| {
+        sim.run_until(DRAIN);
+        let ids = sim.node::<Sink>(sink).expect("sink").ids.clone();
+        (sim.trace.digest(), sim.trace.recorded(), ids)
+    };
+
+    let (mut serial, station, sink) = build();
+    serial.run_until(cut);
+    let backlog = serial
+        .node::<Station>(station)
+        .expect("station")
+        .txq
+        .pending();
+    assert!(
+        backlog > 30,
+        "only {backlog} frames were waiting at the cut"
+    );
+    let want = drain(serial, sink);
+    assert_eq!(want.2.len(), 60);
+
+    let (sim, _, _) = build();
+    // The source and the station share shard 0; the sink is across a
+    // 50 ns cut.
+    let plan = ShardPlan::manual(vec![0, 0, 1]);
+    let mut sharded = ShardedSimulator::split(sim, &plan).expect("the cut link has delay");
+    sharded.run_until(cut);
+    assert_eq!(drain(sharded.finish(), sink), want);
 }
 
 /// Design-level equivalence: the full `DesignReport` JSON document — not
