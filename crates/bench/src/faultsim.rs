@@ -628,31 +628,31 @@ mod tests {
             run(iid(77), 10_000),
             "published=16000 delivered=16000 gaps=43 requests=43 recovered=344 abandoned=0 \
              fills=43/0x4024c0f3020e3a9d refused=0 duration_ps=25000000000 profile=false \
-             digest=0x8998b2a3c85ba745 events=12167"
+             digest=0xc30729ca5d12fd76 events=12167"
         );
         assert_eq!(
             run(gilbert_elliott(3), 10_000),
             "published=16000 delivered=16000 gaps=79 requests=79 recovered=1192 abandoned=0 \
              fills=79/0xac56bd21c388dcda refused=0 duration_ps=25000000000 profile=false \
-             digest=0x2c4a51eda9478320 events=12576"
+             digest=0xa4a252a23168bb07 events=12576"
         );
         assert_eq!(
             run(outage(), 10_000),
             "published=16000 delivered=16000 gaps=1 requests=1 recovered=820 abandoned=0 \
              fills=1/0x9ddda28c6481e60f refused=0 duration_ps=25000000000 profile=false \
-             digest=0x6bc9c67ef3fe8414 events=12402"
+             digest=0x6d9571abc7dc400a events=12402"
         );
         assert_eq!(
             run(jittered, 10_000),
             "published=16000 delivered=16000 gaps=1032 requests=1033 recovered=10040 abandoned=0 \
              fills=1032/0xf74807052bf3bfa3 refused=0 duration_ps=25000000000 profile=false \
-             digest=0x376a10327e3f58b4 events=16078"
+             digest=0xc1ef3af104bbdbfb events=16078"
         );
         assert_eq!(
             run(gilbert_elliott(3), 3),
             "published=16000 delivered=15124 gaps=79 requests=79 recovered=0 abandoned=876 \
              fills=0/0xcbf29ce484222325 refused=0 duration_ps=25000000000 profile=false \
-             digest=0xc12b6b67e0948d1d events=12517"
+             digest=0x3c73c5ed33f899f5 events=12517"
         );
     }
 
@@ -673,19 +673,19 @@ mod tests {
             run(Some((iid(77), iid(78)))),
             "published=24000 delivered=24000 gap_events=0 gap_messages=0 duplicates=5862 \
              a=(5938, 5938) b=(5924, 62) window_delivered=8000 window_tput=800000 \
-             clean_tput=761904.761904762 profile=false digest=0x093d3fd1547d1e77 events=18000"
+             clean_tput=761904.761904762 profile=false digest=0x1a550644b613ba58 events=18000"
         );
         assert_eq!(
             run(Some((gilbert_elliott(3), gilbert_elliott(4)))),
             "published=24000 delivered=23968 gap_events=8 gap_messages=32 duplicates=5280 \
              a=(5674, 5674) b=(5598, 318) window_delivered=7996 window_tput=799600 \
-             clean_tput=760571.4285714286 profile=false digest=0x613fc1bf53c9c3f4 events=18000"
+             clean_tput=760571.4285714286 profile=false digest=0x3f453dd207c49266 events=18000"
         );
         assert_eq!(
             run(None),
             "published=24000 delivered=24000 gap_events=0 gap_messages=0 duplicates=4000 \
              a=(4000, 4000) b=(6000, 2000) window_delivered=8000 window_tput=800000 \
-             clean_tput=761904.761904762 profile=false digest=0x2eed4fad30f08a3b events=18000"
+             clean_tput=761904.761904762 profile=false digest=0x6c754a134077bfbf events=18000"
         );
     }
 

@@ -144,10 +144,10 @@ mod tests {
         let run = |kind| run_metro(kind, SimTime::from_ms(80), SchedulerKind::BinaryHeap);
         let fiber = run(CircuitKind::Fiber);
         let microwave = run(CircuitKind::Microwave);
-        assert_eq!((fiber.digest, fiber.events), (0x6a21d904897a81a9, 10_710));
+        assert_eq!((fiber.digest, fiber.events), (0x037eef63ec37eb1d, 10_710));
         assert_eq!(
             (microwave.digest, microwave.events),
-            (0x8ff1d9b4cb4ca7d6, 10_716)
+            (0xc9d6e30abedbcbd8, 10_716)
         );
         assert!(microwave.median_feed_latency < fiber.median_feed_latency);
         assert!(fiber.opportunities > 0 && microwave.opportunities > 0);

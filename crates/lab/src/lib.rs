@@ -58,10 +58,10 @@ mod tests {
         let manifest = spec.expand().unwrap();
         assert_eq!(manifest.len(), 1);
         let outcomes = run_batch(&manifest, 1, &ScenarioExecutor::new()).unwrap();
-        assert_eq!(outcomes[0].digest, 0xff1dbcd7cf7e729e);
+        assert_eq!(outcomes[0].digest, 0xc9ef3e6d16dadef0);
         assert_eq!(outcomes[0].events, 19_924);
         let report = LabReport::build(&spec.name, &spec.base, &manifest, &outcomes);
-        assert_eq!(report.runs[0].digest, 0xff1dbcd7cf7e729e);
+        assert_eq!(report.runs[0].digest, 0xc9ef3e6d16dadef0);
         assert_eq!(report.cells.len(), 1);
         assert!(report.cells[0].count > 0, "reaction samples pooled");
         let back = LabReport::parse(&report.to_json()).unwrap();

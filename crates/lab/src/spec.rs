@@ -172,7 +172,7 @@ impl SweepSpec {
     /// 3 strategy counts × 3 momentum thresholds × 2 tick intervals on
     /// design 1, one seed — 18 runs. The first cell (6, 100, 200 µs) *is*
     /// the trimmed quickstart, so its digest is pinned against the golden
-    /// 0xff1dbcd7cf7e729e in the divergence registry.
+    /// 0xc9ef3e6d16dadef0 in the divergence registry.
     pub fn smoke() -> SweepSpec {
         SweepSpec {
             name: "smoke".into(),

@@ -22,8 +22,9 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// A `HashSet` keyed through [`FastHasher`].
 pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
-/// The odd multiplier rustc-hash 2 folds each word in with.
-const K: u64 = 0xf135_7aea_2e62_a9c5;
+/// The odd multiplier rustc-hash 2 folds each word in with; the run
+/// digest (`crate::trace::fold_event`) folds with it too.
+pub(crate) const K: u64 = 0xf135_7aea_2e62_a9c5;
 
 /// Unseeded word-at-a-time hasher for keys the program makes itself.
 #[derive(Debug, Clone, Copy, Default)]

@@ -69,7 +69,7 @@ pub use node::{Node, NodeId, PortId};
 pub use sched::{BinaryHeapScheduler, CalendarQueue, SchedStats, Scheduler, SchedulerKind};
 pub use shard::{ShardError, ShardPlan, ShardRunStats, ShardedSimulator};
 pub use time::SimTime;
-pub use trace::{fnv1a_fold, TraceEvent, TraceKind, TraceLog, EMPTY_DIGEST};
+pub use trace::{fnv1a_fold, fold_event, TraceEvent, TraceKind, TraceLog, EMPTY_DIGEST};
 
 /// Re-export of the telemetry types the kernel integrates with (see
 /// [`Simulator::set_provenance`] / [`Simulator::set_metrics`] /

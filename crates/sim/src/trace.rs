@@ -4,8 +4,14 @@
 //! This is deliberately coarse: fine-grained, timestamped measurement is
 //! the job of capture taps in `tn-netdev`, mirroring how real trading
 //! plants instrument with optical taps rather than switch counters.
+//!
+//! Every record, stored or not, is folded into the run digest by
+//! [`fold_event`]: three words, one multiply each, since the kernel pays
+//! it on every event. [`fnv1a_fold`] is the content hash for bytes —
+//! packets, JSON documents, lab plans — and is not the run digest.
 
 use crate::frame::FrameId;
+use crate::hash::K;
 use crate::node::{NodeId, PortId};
 use crate::time::SimTime;
 
@@ -35,14 +41,15 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// FNV-1a 64-bit offset basis: the digest of an empty event stream.
+/// FNV-1a 64-bit offset basis: where [`fnv1a_fold`] content hashes and
+/// the run digest start, so the digest of an empty event stream.
 pub const EMPTY_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// Fold `bytes` into an FNV-1a 64-bit digest. This is the same function
-/// the kernel trace digest uses; exposed so non-kernel artifacts (packet
-/// byte streams, merged sweep documents) can be content-hashed with the
-/// identical algorithm and compared in the divergence registry.
+/// Fold `bytes` into an FNV-1a 64-bit digest, one byte at a time: the
+/// content hash for artifacts that are bytes (packet streams, merged
+/// sweep documents), so the divergence registry can compare them. The
+/// run digest folds words instead ([`fold_event`]).
 #[inline]
 pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -52,11 +59,24 @@ pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fold one record into a run digest: its time, its frame id, and its
+/// node, port and kind packed as `node | port << 32 | kind << 48`, each
+/// word by one add–multiply–rotate step with [`crate::FastHasher`]'s
+/// multiplier. Each step is a bijection of the running hash for a fixed
+/// word and of the word for a fixed hash, so two streams that differ in
+/// one field of one record never share a digest.
+#[inline]
+pub fn fold_event(h: u64, ev: &TraceEvent) -> u64 {
+    let step = |h: u64, word: u64| h.wrapping_add(word).wrapping_mul(K).rotate_left(26);
+    let ids = u64::from(ev.node.0) | u64::from(ev.port.0) << 32 | (ev.kind as u64) << 48;
+    step(step(step(h, ev.at.as_ps()), ev.frame.0), ids)
+}
+
 /// An append-only in-memory trace log with an always-on run digest.
 ///
 /// Event *storage* is gated on `enabled` (it costs memory proportional to
-/// the run), but the [`digest`](TraceLog::digest) — an FNV-1a hash folded
-/// over every `(time, node, port, frame, kind)` the kernel records — is
+/// the run), but the [`digest`](TraceLog::digest) — [`fold_event`] over
+/// every `(time, node, port, frame, kind)` the kernel records — is
 /// maintained unconditionally. Two runs of the same scenario with the same
 /// seed must produce identical digests; `tn-audit divergence` checks
 /// exactly that, which turns the kernel's "deterministic" promise into an
@@ -106,20 +126,14 @@ impl TraceLog {
 
     #[inline]
     pub(crate) fn record(&mut self, ev: TraceEvent) {
-        let mut h = self.digest;
-        h = fnv1a_fold(h, &ev.at.as_ps().to_le_bytes());
-        h = fnv1a_fold(h, &ev.node.0.to_le_bytes());
-        h = fnv1a_fold(h, &ev.port.0.to_le_bytes());
-        h = fnv1a_fold(h, &ev.frame.0.to_le_bytes());
-        h = fnv1a_fold(h, &[ev.kind as u8]);
-        self.digest = h;
+        self.digest = fold_event(self.digest, &ev);
         self.recorded += 1;
         if self.enabled {
             self.events.push(ev);
         }
     }
 
-    /// The run digest: FNV-1a folded over every event recorded so far,
+    /// The run digest: [`fold_event`] over every event recorded so far,
     /// including those recorded while storage was disabled. Equal inputs
     /// (scenario + seed) must yield equal digests.
     pub fn digest(&self) -> u64 {
@@ -210,6 +224,22 @@ mod tests {
             c.digest(),
             "changed timestamp must change the digest"
         );
+    }
+
+    #[test]
+    fn digest_is_the_fold_of_the_stored_records() {
+        let mut log = TraceLog::enabled();
+        for (i, kind) in [TraceKind::Deliver, TraceKind::Timer, TraceKind::Drop]
+            .into_iter()
+            .enumerate()
+        {
+            log.record(TraceEvent {
+                at: SimTime::from_ns(i as u64),
+                ..ev(kind)
+            });
+        }
+        let refold = log.events().iter().fold(EMPTY_DIGEST, fold_event);
+        assert_eq!(log.digest(), refold);
     }
 
     #[test]

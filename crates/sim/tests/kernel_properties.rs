@@ -1,9 +1,13 @@
 //! Property tests on the simulation kernel: determinism, causality, and
-//! conservation under arbitrary random topologies and traffic.
+//! conservation under arbitrary random topologies and traffic, and the
+//! run digest's sensitivity to the stream it folds.
 
 use proptest::prelude::*;
 
-use tn_sim::{Context, Frame, IdealLink, Node, NodeId, PortId, SimTime, Simulator, TimerToken};
+use tn_sim::{
+    fold_event, Context, Frame, FrameId, IdealLink, Node, NodeId, PortId, SimTime, Simulator,
+    TimerToken, TraceEvent, TraceKind, EMPTY_DIGEST,
+};
 
 /// Forwards every frame out a fixed port after a per-node delay, up to a
 /// TTL carried in the first payload byte (prevents infinite ping-pong).
@@ -104,7 +108,69 @@ fn run_plan_on(mut sim: Simulator, plan: &Plan) -> History {
     (arrivals, sim.stats(), sim.now(), sim.trace.digest())
 }
 
+const KINDS: [TraceKind; 3] = [TraceKind::Deliver, TraceKind::Drop, TraceKind::Timer];
+
+fn arb_event() -> impl Strategy<Value = TraceEvent> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        any::<u16>(),
+        any::<u64>(),
+        0..3usize,
+    )
+        .prop_map(|(at, node, port, frame, kind)| TraceEvent {
+            at: SimTime::from_ps(at),
+            node: NodeId(node),
+            port: PortId(port),
+            frame: FrameId(frame),
+            kind: KINDS[kind],
+        })
+}
+
+fn digest(events: &[TraceEvent]) -> u64 {
+    events.iter().fold(EMPTY_DIGEST, fold_event)
+}
+
 proptest! {
+    /// Changing any one field of any one record changes the digest.
+    #[test]
+    fn one_changed_field_moves_the_digest(
+        events in proptest::collection::vec(arb_event(), 1..40),
+        pick in any::<usize>(),
+        field in 0..5usize,
+        delta in 1..=u16::MAX,
+    ) {
+        let mut changed = events.clone();
+        let ev = &mut changed[pick % events.len()];
+        let d = u64::from(delta);
+        match field {
+            0 => ev.at = SimTime::from_ps(ev.at.as_ps().wrapping_add(d)),
+            1 => ev.node = NodeId(ev.node.0.wrapping_add(u32::from(delta))),
+            2 => ev.port = PortId(ev.port.0.wrapping_add(delta)),
+            3 => ev.frame = FrameId(ev.frame.0.wrapping_add(d)),
+            _ => {
+                let i = KINDS.iter().position(|&k| k == ev.kind).unwrap();
+                ev.kind = KINDS[(i + 1 + usize::from(delta % 2)) % 3];
+            }
+        }
+        prop_assert_ne!(digest(&events), digest(&changed));
+    }
+
+    /// Swapping two adjacent, different records changes the digest.
+    #[test]
+    fn swapping_adjacent_records_moves_the_digest(
+        events in proptest::collection::vec(arb_event(), 2..40),
+        pick in any::<usize>(),
+    ) {
+        let i = pick % (events.len() - 1);
+        if events[i] == events[i + 1] {
+            return Ok(());
+        }
+        let mut swapped = events.clone();
+        swapped.swap(i, i + 1);
+        prop_assert_ne!(digest(&events), digest(&swapped));
+    }
+
     /// Identical plans and seeds produce bit-identical histories.
     #[test]
     fn kernel_is_deterministic(plan in arb_plan()) {

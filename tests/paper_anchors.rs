@@ -8,16 +8,17 @@ use trading_networks::sim::{fnv1a_fold, json, EMPTY_DIGEST};
 
 /// FNV-1a of every machine-readable form `tn-exp run <id> --json` prints
 /// (`tn-report/v1`, `tn-exp/v1`, `tn-trace/v1`), recorded before the JSON
-/// writers were folded into one module. Each document (each line of the
-/// JSONL trace) must also survive the one parser and re-render byte for
-/// byte.
+/// writers were folded into one module; the six that embed a run digest
+/// were re-recorded when it began folding words. Each document (each line
+/// of the JSONL trace) must also survive the one parser and re-render
+/// byte for byte.
 const DOCUMENT_PINS: [(&str, u64); 8] = [
-    ("design1-roundtrip", 0x0267_fd50_a343_0790),
-    ("design-comparison", 0xa84a_dd0c_31e6_9a64),
-    ("custom-transport", 0x2349_a21e_533a_cb23),
-    ("paper-scale", 0xe375_4041_39cc_019d),
-    ("loss-recovery", 0xa876_720d_0a6e_a8e4),
-    ("ab-failover", 0x2be3_792c_e124_1599),
+    ("design1-roundtrip", 0x74b4_bf33_23f6_b192),
+    ("design-comparison", 0xf3c4_52a1_50d4_6f33),
+    ("custom-transport", 0x58b1_44ae_bea1_29a8),
+    ("paper-scale", 0x2aed_923b_52dd_16ea),
+    ("loss-recovery", 0xb3c3_060d_4baf_1bc2),
+    ("ab-failover", 0x59ad_77ba_50ec_c100),
     ("latency-decomposition", 0xf87f_239f_b871_5b55),
     ("cloud-fairness", 0x4219_751a_61f8_aab2),
 ];
