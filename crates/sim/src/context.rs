@@ -2,10 +2,12 @@
 
 use rand::rngs::SmallRng;
 
-use tn_obs::{FlightKind, FlightRecord, FlightRecorder};
+use tn_obs::{FlightKind, FlightRecord};
 
-use crate::frame::{Frame, FrameArena, FrameBuilder};
+use crate::frame::{Frame, FrameBuilder};
+use crate::kernel::Simulator;
 use crate::node::{NodeId, PortId};
+use crate::sched::EventKind;
 use crate::time::SimTime;
 
 /// Opaque user-defined timer identifier; the node that set the timer
@@ -13,47 +15,17 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(pub u64);
 
-/// Deferred actions a node requests while handling an event; the kernel
-/// applies them after the handler returns.
-#[derive(Debug)]
-pub(crate) enum Action {
-    Send {
-        port: PortId,
-        frame: Frame,
-    },
-    /// `frame`, when present, rides the timer event and is handed back
-    /// through [`Context::take_carried`] when it fires, to go out `port`.
-    Timer {
-        delay: SimTime,
-        token: TimerToken,
-        port: PortId,
-        frame: Option<Frame>,
-    },
-    /// Deliver a frame to another node directly, bypassing links. Used for
-    /// intra-host delivery between co-resident components with an explicit
-    /// modeled delay (e.g. strategy process to kernel-bypass NIC queue).
-    DeliverLocal {
-        dst: NodeId,
-        port: PortId,
-        delay: SimTime,
-        frame: Frame,
-    },
-}
-
 /// Handle through which a node interacts with the simulation while
 /// processing an event.
 ///
-/// Borrow-wise, the context owns scratch state disjoint from the node
-/// itself, so handlers can freely mutate their own fields while calling
-/// context methods.
+/// Every request takes effect at the call: a send crosses the link and
+/// a timer or local delivery joins the event queue before the method
+/// returns, so seqs and kernel coins are drawn in call order. The
+/// kernel lends the node out of its slot for the callback, so handlers
+/// can freely mutate their own fields while calling context methods.
 pub struct Context<'a> {
-    pub(crate) now: SimTime,
+    pub(crate) sim: &'a mut Simulator,
     pub(crate) me: NodeId,
-    pub(crate) actions: &'a mut Vec<Action>,
-    pub(crate) rng: &'a mut SmallRng,
-    pub(crate) next_frame_id: &'a mut u64,
-    pub(crate) arena: &'a mut FrameArena,
-    pub(crate) flight: &'a mut FlightRecorder,
     /// The frame the firing timer carried, until the node takes it.
     pub(crate) carried: Option<(PortId, Frame)>,
 }
@@ -62,7 +34,7 @@ impl Context<'_> {
     /// Current simulation time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sim.now
     }
 
     /// The id of the node handling this event.
@@ -75,7 +47,7 @@ impl Context<'_> {
     /// is counted as dropped by the kernel.
     #[inline]
     pub fn send(&mut self, port: PortId, frame: Frame) {
-        self.actions.push(Action::Send { port, frame });
+        self.sim.transmit(self.me, port, frame);
     }
 
     /// Start building a new frame born now: the unified arena-first
@@ -85,13 +57,7 @@ impl Context<'_> {
     /// [`FrameBuilder::copy_from`] / [`FrameBuilder::zeroed`] and finish
     /// with [`FrameBuilder::build`].
     pub fn frame(&mut self) -> FrameBuilder<'_> {
-        start_frame(
-            self.flight,
-            self.arena,
-            self.next_frame_id,
-            self.now,
-            self.me.0,
-        )
+        self.sim.start_frame(self.me.0)
     }
 
     /// Duplicate a frame for replication (switch fan-out, A/B feed
@@ -99,7 +65,7 @@ impl Context<'_> {
     /// identity, birth time, and metadata are preserved — replicas keep
     /// the original [`FrameId`] so capture taps can correlate them.
     pub fn clone_frame(&mut self, frame: &Frame) -> Frame {
-        let mut bytes = self.arena.take();
+        let mut bytes = self.sim.arena.take();
         bytes.extend_from_slice(&frame.bytes);
         Frame {
             bytes,
@@ -115,19 +81,14 @@ impl Context<'_> {
     /// loop that keeps the hot path allocation-free.
     #[inline]
     pub fn recycle(&mut self, frame: Frame) {
-        self.arena.give(frame.bytes);
+        self.sim.arena.give(frame.bytes);
     }
 
     /// Arrange for [`crate::Node::on_timer`] to be called on this node
     /// after `delay`.
     #[inline]
     pub fn set_timer(&mut self, delay: SimTime, token: TimerToken) {
-        self.actions.push(Action::Timer {
-            delay,
-            token,
-            port: PortId(0),
-            frame: None,
-        });
+        self.timer(delay, token, PortId(0), None);
     }
 
     /// [`Context::set_timer`] with `frame` riding the timer event: when it
@@ -145,12 +106,20 @@ impl Context<'_> {
         port: PortId,
         frame: Frame,
     ) {
-        self.actions.push(Action::Timer {
-            delay,
+        self.timer(delay, token, port, Some(frame));
+    }
+
+    /// Queue this node's timer `delay` from now, `frame` riding it.
+    #[inline(always)]
+    fn timer(&mut self, delay: SimTime, token: TimerToken, port: PortId, frame: Option<Frame>) {
+        let node = self.me;
+        let kind = EventKind::Timer {
+            node,
             token,
             port,
-            frame: Some(frame),
-        });
+            frame,
+        };
+        self.sim.schedule(self.sim.now + delay, kind);
     }
 
     /// The `(port, frame)` the firing timer carried (see
@@ -166,18 +135,14 @@ impl Context<'_> {
     /// the caller accounts for explicitly in `delay`.
     #[inline]
     pub fn deliver_local(&mut self, dst: NodeId, port: PortId, delay: SimTime, frame: Frame) {
-        self.actions.push(Action::DeliverLocal {
-            dst,
-            port,
-            delay,
-            frame,
-        });
+        self.sim
+            .schedule_frame(self.sim.now + delay, dst, port, frame);
     }
 
     /// Access the scenario PRNG for richer sampling.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        &mut self.sim.rng
     }
 
     /// Drop an application-level note into the kernel's flight recorder
@@ -188,8 +153,8 @@ impl Context<'_> {
     /// side-state; cannot affect scheduling or the digest.
     #[inline]
     pub fn flight_note(&mut self, kind: FlightKind, a: u64, b: u64) {
-        self.flight.record(FlightRecord {
-            at_ps: self.now.as_ps(),
+        self.sim.flight.record(FlightRecord {
+            at_ps: self.sim.now.as_ps(),
             kind,
             node: self.me.0,
             shard: 0,
@@ -199,115 +164,127 @@ impl Context<'_> {
     }
 }
 
-/// Start a frame born at `now`, on behalf of `node` (`u32::MAX` for the
-/// scenario driver): the one frame constructor behind [`Context::frame`]
-/// and `Simulator::frame`, so the flight ring's note of whether the
-/// payload buffer is fresh or recycled is made in one place.
-pub(crate) fn start_frame<'a>(
-    flight: &mut FlightRecorder,
-    arena: &mut FrameArena,
-    next_frame_id: &'a mut u64,
-    now: SimTime,
-    node: u32,
-) -> FrameBuilder<'a> {
-    let kind = if arena.will_reuse() {
-        FlightKind::FrameReuse
-    } else {
-        FlightKind::FrameAlloc
-    };
-    flight.record(FlightRecord {
-        at_ps: now.as_ps(),
-        kind,
-        node,
-        shard: 0,
-        a: *next_frame_id,
-        b: 0,
-    });
-    FrameBuilder::start(arena, next_frame_id, now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FrameId;
-    use rand::SeedableRng;
+    use crate::link::IdealLink;
+    use crate::node::Node;
+    use crate::trace::TraceKind;
 
-    fn ctx<'a>(
-        actions: &'a mut Vec<Action>,
-        rng: &'a mut SmallRng,
-        next: &'a mut u64,
-        arena: &'a mut FrameArena,
-        flight: &'a mut FlightRecorder,
-    ) -> Context<'a> {
+    /// Recycles whatever reaches it.
+    struct Sink;
+
+    impl Node for Sink {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+            ctx.recycle(frame);
+        }
+    }
+
+    /// Node 1 wired to node 0 by a 1 ns wire out of port 0, the clock at
+    /// 5 ns.
+    fn two_nodes() -> Simulator {
+        let mut sim = Simulator::new(1);
+        let (a, b) = (sim.add_node("a", Sink), sim.add_node("b", Sink));
+        let wire = IdealLink::new(SimTime::from_ns(1));
+        sim.install_link(b, PortId(0), a, PortId(0), Box::new(wire));
+        sim.run_until(SimTime::from_ns(5));
+        sim
+    }
+
+    /// The context node 1 would get in a dispatch at the current time.
+    fn ctx(sim: &mut Simulator) -> Context<'_> {
         Context {
-            now: SimTime::from_ns(5),
-            me: NodeId(3),
-            actions,
-            rng,
-            next_frame_id: next,
-            arena,
-            flight,
+            sim,
+            me: NodeId(1),
             carried: None,
         }
     }
 
     #[test]
     fn new_frames_get_distinct_ids_and_birth_time() {
-        let mut actions = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut next = 10;
-        let mut arena = FrameArena::new();
-        let mut flight = FlightRecorder::disabled();
-        let mut c = ctx(&mut actions, &mut rng, &mut next, &mut arena, &mut flight);
+        let mut sim = two_nodes();
+        sim.next_frame_id = 10;
+        let mut c = ctx(&mut sim);
         let a = c.frame().copy_from(&[0]).build();
         let b = c.frame().copy_from(&[1]).build();
         assert_eq!(a.id, FrameId(10));
         assert_eq!(b.id, FrameId(11));
         assert_eq!(a.born, SimTime::from_ns(5));
-        assert_eq!(next, 12);
+        assert_eq!(sim.next_frame_id, 12);
     }
 
     #[test]
-    fn actions_are_recorded_in_order() {
-        let mut actions = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut next = 0;
-        let mut arena = FrameArena::new();
-        let mut flight = FlightRecorder::disabled();
-        let mut c = ctx(&mut actions, &mut rng, &mut next, &mut arena, &mut flight);
+    fn requests_reach_the_queue_at_the_call() {
+        let mut sim = two_nodes();
+        let mut c = ctx(&mut sim);
         let f = c.frame().copy_from(&[0]).build();
-        c.send(PortId(2), f.clone());
+        let g = c.clone_frame(&f);
+        c.send(PortId(0), f);
+        assert_eq!(c.sim.pending_events(), 1, "the link delivery is queued");
         c.set_timer(SimTime::from_us(1), TimerToken(9));
-        c.deliver_local(NodeId(1), PortId(0), SimTime::from_ns(1), f);
-        assert_eq!(actions.len(), 3);
-        assert!(matches!(
-            actions[0],
-            Action::Send {
-                port: PortId(2),
-                ..
+        assert_eq!(c.sim.pending_events(), 2);
+        c.deliver_local(NodeId(0), PortId(2), SimTime::from_ns(1), g);
+        assert_eq!(c.sim.pending_events(), 3);
+        let h = c.frame().zeroed(8).build();
+        c.send(PortId(7), h);
+        assert_eq!(c.sim.stats().frames_unrouted, 1, "counted at the call");
+        assert_eq!(sim.seq, 3, "one seq per push, none for the unrouted send");
+        sim.run();
+        assert_eq!(sim.stats().frames_delivered, 2);
+        assert_eq!(sim.stats().timers_fired, 1);
+    }
+
+    #[test]
+    fn same_instant_requests_pop_in_call_order() {
+        /// On token 1: a local delivery, a timer and a send, all due 1 ns
+        /// later, in that order.
+        struct Mixed;
+        impl Node for Mixed {
+            fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+                ctx.recycle(frame);
             }
-        ));
-        assert!(matches!(
-            actions[1],
-            Action::Timer {
-                token: TimerToken(9),
-                ..
+            fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+                if token != TimerToken(1) {
+                    return;
+                }
+                let d = SimTime::from_ns(1);
+                let f = ctx.frame().zeroed(8).build();
+                ctx.deliver_local(NodeId(0), PortId(3), d, f);
+                ctx.set_timer(d, TimerToken(2));
+                let g = ctx.frame().zeroed(8).build();
+                ctx.send(PortId(0), g);
             }
-        ));
-        assert!(matches!(
-            actions[2],
-            Action::DeliverLocal { dst: NodeId(1), .. }
-        ));
+        }
+        let mut sim = Simulator::new(1);
+        sim.trace.set_enabled(true);
+        let a = sim.add_node("a", Sink);
+        let b = sim.add_node("b", Mixed);
+        let wire = IdealLink::new(SimTime::from_ns(1));
+        sim.install_link(b, PortId(0), a, PortId(0), Box::new(wire));
+        sim.schedule_timer(SimTime::ZERO, b, TimerToken(1));
+        sim.run();
+        let popped: Vec<(u64, TraceKind, u32, u16)> = sim
+            .trace
+            .events()
+            .iter()
+            .map(|e| (e.at.as_ps(), e.kind, e.node.0, e.port.0))
+            .collect();
+        assert_eq!(
+            popped,
+            [
+                (0, TraceKind::Timer, 1, u16::MAX),
+                (1_000, TraceKind::Deliver, 0, 3),
+                (1_000, TraceKind::Timer, 1, u16::MAX),
+                (1_000, TraceKind::Deliver, 0, 0),
+            ]
+        );
     }
 
     #[test]
     fn pooled_frames_recycle_without_aliasing_or_id_reuse() {
-        let mut actions = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut next = 0;
-        let mut arena = FrameArena::new();
-        let mut flight = FlightRecorder::disabled();
-        let mut c = ctx(&mut actions, &mut rng, &mut next, &mut arena, &mut flight);
+        let mut sim = two_nodes();
+        let mut c = ctx(&mut sim);
         let a = c.frame().zeroed(64).build();
         let b = c.frame().copy_from(&[7, 7, 7]).build();
         assert_eq!(a.bytes, vec![0u8; 64]);
@@ -322,27 +299,24 @@ mod tests {
         assert_eq!(reused.bytes, vec![0u8; 16]);
         // …under a fresh id: frame-id monotonicity survives recycling.
         assert!(reused.id > a_id && reused.id > b.id);
-        assert_eq!(c.arena.stats().reused, 1);
+        assert_eq!(sim.arena_stats().reused, 1);
     }
 
     #[test]
     fn flight_notes_and_frame_builds_reach_the_ring() {
-        let mut actions = Vec::new();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut next = 0;
-        let mut arena = FrameArena::new();
-        let mut flight = FlightRecorder::with_capacity(8);
-        let mut c = ctx(&mut actions, &mut rng, &mut next, &mut arena, &mut flight);
+        let mut sim = two_nodes();
+        sim.set_flight_capacity(8);
+        let mut c = ctx(&mut sim);
         let f = c.frame().zeroed(16).build();
         c.recycle(f);
         let _reused = c.frame().zeroed(8).build();
         c.flight_note(FlightKind::RecoveryGap, 100, 3);
-        let recs: Vec<FlightRecord> = flight.records().copied().collect();
+        let recs: Vec<FlightRecord> = sim.flight().records().copied().collect();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].kind, FlightKind::FrameAlloc);
         assert_eq!(recs[1].kind, FlightKind::FrameReuse);
         assert_eq!(recs[2].kind, FlightKind::RecoveryGap);
-        assert_eq!(recs[2].node, 3, "note carries the handling node");
+        assert_eq!(recs[2].node, 1, "note carries the handling node");
         assert_eq!((recs[2].a, recs[2].b), (100, 3));
     }
 }

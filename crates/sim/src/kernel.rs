@@ -14,6 +14,13 @@
 //! `Simulator::schedule` is the only place an event gets its seq, and
 //! with `schedule_frame` the only place a shard tells the merge leader
 //! about a push or hands it a frame bound for another shard.
+//!
+//! A node's requests take effect at the call. For the length of a
+//! callback, dispatch lends the node out of its slot and hands it a
+//! [`Context`] over the whole simulator, so `Context::send` crosses the
+//! link and a timer or local delivery is queued before the method
+//! returns: seqs, frame ids and kernel coins are drawn in call order,
+//! and a send's drop record follows the dispatch record it belongs to.
 
 use std::any::Any;
 
@@ -24,7 +31,7 @@ use tn_obs::{
     FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, Metrics, ObsConfig,
 };
 
-use crate::context::{start_frame, Action, Context, TimerToken};
+use crate::context::{Context, TimerToken};
 use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
@@ -57,7 +64,8 @@ impl<T: Node + 'static> AnyNode for T {
 /// global-size vector of these, so every byte here is paid `K × nodes`
 /// times. The diagnostic name lives in [`Simulator::names`] instead.
 pub(crate) struct NodeSlot {
-    pub(crate) node: Box<dyn AnyNode>,
+    /// `None` only while the node is lent out to its own callback.
+    pub(crate) node: Option<Box<dyn AnyNode>>,
     pub(crate) ports: Ports,
 }
 
@@ -216,7 +224,6 @@ pub struct Simulator {
     pub(crate) links: Vec<Option<LinkSlot>>,
     pub(crate) rng: SmallRng,
     pub(crate) next_frame_id: u64,
-    pub(crate) scratch: Vec<Action>,
     pub(crate) arena: FrameArena,
     pub(crate) stats: SimStats,
     pub(crate) provenance: bool,
@@ -258,7 +265,6 @@ impl Simulator {
             links: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             next_frame_id: 0,
-            scratch: Vec::new(),
             arena: FrameArena::new(),
             stats: SimStats::default(),
             provenance: false,
@@ -300,8 +306,8 @@ impl Simulator {
     /// their own scopes. Like provenance, recording is pure side-state.
     pub fn set_metrics(&mut self, metrics: tn_obs::Metrics) {
         self.metrics = metrics;
-        for slot in self.nodes.iter_mut().flatten() {
-            slot.node.on_attach_metrics(&self.metrics);
+        for node in self.nodes.iter_mut().flatten().flat_map(|s| &mut s.node) {
+            node.on_attach_metrics(&self.metrics);
         }
         for slot in self.links.iter_mut().flatten() {
             slot.link.on_attach_metrics(&self.metrics);
@@ -420,16 +426,15 @@ impl Simulator {
     /// injections. `name` appears in diagnostics only.
     pub fn add_node(&mut self, name: impl Into<String>, node: impl Node + 'static) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let mut node: Box<dyn AnyNode> = Box::new(node);
+        if self.metrics.is_enabled() {
+            node.on_attach_metrics(&self.metrics);
+        }
         self.nodes.push(Some(NodeSlot {
-            node: Box::new(node),
+            node: Some(node),
             ports: Ports::EMPTY,
         }));
         self.names.push(name.into());
-        if self.metrics.is_enabled() {
-            if let Some(slot) = self.nodes[id.0 as usize].as_mut() {
-                slot.node.on_attach_metrics(&self.metrics);
-            }
-        }
         // Registration is the cold path that sizes the profiler's dense
         // per-node rows, so dispatch-time recording is pure indexing.
         self.profiler.ensure_node(id.0);
@@ -453,6 +458,7 @@ impl Simulator {
         self.nodes[id.0 as usize]
             .as_ref()?
             .node
+            .as_ref()?
             .as_any()
             .downcast_ref::<T>()
     }
@@ -462,6 +468,7 @@ impl Simulator {
         self.nodes[id.0 as usize]
             .as_mut()?
             .node
+            .as_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
     }
@@ -535,13 +542,28 @@ impl Simulator {
     /// [`FrameArena`] (in steady state a recycled buffer — no
     /// allocation).
     pub fn frame(&mut self) -> FrameBuilder<'_> {
-        start_frame(
-            &mut self.flight,
-            &mut self.arena,
-            &mut self.next_frame_id,
-            self.now,
-            u32::MAX,
-        )
+        self.start_frame(u32::MAX)
+    }
+
+    /// Start a frame born now on behalf of `node` (`u32::MAX` for the
+    /// scenario driver): the one constructor behind [`Context::frame`]
+    /// and [`Simulator::frame`], so the flight ring's note of whether
+    /// the payload buffer is fresh or recycled is made in one place.
+    pub(crate) fn start_frame(&mut self, node: u32) -> FrameBuilder<'_> {
+        let kind = if self.arena.will_reuse() {
+            FlightKind::FrameReuse
+        } else {
+            FlightKind::FrameAlloc
+        };
+        self.flight.record(FlightRecord {
+            at_ps: self.now.as_ps(),
+            kind,
+            node,
+            shard: 0,
+            a: self.next_frame_id,
+            b: 0,
+        });
+        FrameBuilder::start(&mut self.arena, &mut self.next_frame_id, self.now)
     }
 
     /// Return a finished frame's payload buffer to the [`FrameArena`] for
@@ -596,7 +618,7 @@ impl Simulator {
     /// stack, and where a shard logs the push for the merge leader to
     /// match with a real seq.
     #[inline(always)]
-    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+    pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         let ev = QueuedEvent { at, seq, kind };
         let node = ev.target_node();
@@ -616,9 +638,10 @@ impl Simulator {
     /// leader, which assigns the real seq in serial order and routes it
     /// (or panics, coldly, if it lands inside the safe window).
     #[inline]
-    fn schedule_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
+    pub(crate) fn schedule_frame(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
         if let Some(w) = self.wlog.as_mut() {
             if matches!(self.nodes.get(node.0 as usize), Some(None)) {
+                w.log_builds(self.next_frame_id);
                 w.entries.push(WEntry::Remote {
                     arrival: at,
                     dst: node,
@@ -716,44 +739,44 @@ impl Simulator {
                 self.observe(Seen::Timer { seq, token: *token }, node, port, frame);
             }
         }
-        let frames_before = self.next_frame_id;
-        let Some(slot) = self.nodes[node.0 as usize].as_mut() else {
-            unreachable!("event dispatched to a node outside this shard")
+        // Lend the node to its callback, so the context can reach the
+        // rest of the kernel; it goes back into its slot afterwards.
+        let Some(mut lent) = self.slot(node).node.take() else {
+            unreachable!("{node:?} dispatched while lent out")
         };
         let mut ctx = Context {
-            now: self.now,
+            sim: self,
             me: node,
-            actions: &mut self.scratch,
-            rng: &mut self.rng,
-            next_frame_id: &mut self.next_frame_id,
-            arena: &mut self.arena,
-            flight: &mut self.flight,
             carried: None,
         };
         match ev.kind {
-            EventKind::Frame { port, frame, .. } => slot.node.on_frame(&mut ctx, port, frame),
+            EventKind::Frame { port, frame, .. } => lent.on_frame(&mut ctx, port, frame),
             EventKind::Timer {
                 token, port, frame, ..
             } => {
                 ctx.carried = frame.map(|frame| (port, frame));
-                slot.node.on_timer(&mut ctx, token);
+                lent.on_timer(&mut ctx, token);
                 if let Some((_, frame)) = ctx.carried.take() {
                     debug_assert!(false, "{node:?} left the frame timer {token:?} carried");
                     ctx.recycle(frame);
                 }
             }
         }
+        self.slot(node).node = Some(lent);
         if let Some(w) = self.wlog.as_mut() {
-            // The callback drew this many provisional frame ids; the
-            // merge leader hands out the matching real ones in serial
-            // order.
-            let built = self.next_frame_id - frames_before;
-            if built > 0 {
-                w.entries.push(WEntry::Builds(built as u32));
-            }
+            // Frames the callback drew and kept are named by later blocks.
+            w.log_builds(self.next_frame_id);
         }
-        self.apply_actions(node);
         true
+    }
+
+    /// The slot of a node this kernel owns.
+    #[inline(always)]
+    fn slot(&mut self, node: NodeId) -> &mut NodeSlot {
+        let Some(slot) = self.nodes[node.0 as usize].as_mut() else {
+            unreachable!("event dispatched to a node outside this shard")
+        };
+        slot
     }
 
     /// The observation spine: tell every sink that `seen` happened now,
@@ -817,7 +840,10 @@ impl Simulator {
         };
         match self.wlog.as_mut() {
             None => self.trace.record(ev),
-            Some(w) => w.entries.push(WEntry::Record { ev, tag }),
+            Some(w) => {
+                w.log_builds(self.next_frame_id);
+                w.entries.push(WEntry::Record { ev, tag });
+            }
         }
     }
 
@@ -891,38 +917,6 @@ impl Simulator {
         self.queue.len()
     }
 
-    fn apply_actions(&mut self, src: NodeId) {
-        // Drain into a local vec to keep borrowck happy while links and the
-        // queue are touched; scratch is reused to avoid steady-state allocs.
-        let mut actions = std::mem::take(&mut self.scratch);
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { port, frame } => self.transmit(src, port, frame),
-                Action::Timer {
-                    delay,
-                    token,
-                    port,
-                    frame,
-                } => {
-                    let kind = EventKind::Timer {
-                        node: src,
-                        token,
-                        port,
-                        frame,
-                    };
-                    self.schedule(self.now + delay, kind);
-                }
-                Action::DeliverLocal {
-                    dst,
-                    port,
-                    delay,
-                    frame,
-                } => self.schedule_frame(self.now + delay, dst, port, frame),
-            }
-        }
-        self.scratch = actions;
-    }
-
     /// Accumulate provenance for a hop that will complete at `deliver_at`
     /// and record the new segments into the metrics registry. Pure
     /// side-state over `frame.meta`; the event schedule is untouched.
@@ -964,7 +958,9 @@ impl Simulator {
         }
     }
 
-    fn transmit(&mut self, src: NodeId, port: PortId, mut frame: Frame) {
+    /// Send `frame` out of `src`'s `port`: draw the kernel coin, cross
+    /// the link and queue the delivery, or record the drop.
+    pub(crate) fn transmit(&mut self, src: NodeId, port: PortId, mut frame: Frame) {
         let lost = match self.link_index(src, port) {
             None => Seen::Unrouted,
             Some(idx) => {

@@ -27,11 +27,13 @@
 //!    event: the dispatch's own [`WEntry::Record`] — the trace record
 //!    the serial kernel would have made, logged by the kernel's
 //!    observation spine in place of recording it — then the pushes,
-//!    drop records and cross-shard sends it caused, in exact apply
-//!    order. The leader K-way merges the blocks by `(time, translated
-//!    tag)` — exactly the serial kernel's pop order — assigning real
-//!    seqs and frame ids from global counters at the positions the
-//!    serial kernel would have, recording each logged record with its
+//!    drop records and cross-shard sends its callback made, in call
+//!    order, each entry that names a frame id preceded by a
+//!    [`WEntry::Builds`] for the frames drawn since the last. The
+//!    leader K-way merges the blocks by `(time, translated tag)` —
+//!    exactly the serial kernel's pop order — assigning real seqs and
+//!    frame ids from global counters at the positions the serial
+//!    kernel would have, recording each logged record with its
 //!    frame id translated, and routing cross-shard frames (with their
 //!    ids rewritten to real ids) into the owning shard's queue. By
 //!    induction over windows the merged record stream is bit-for-bit
@@ -77,7 +79,9 @@ pub(crate) enum WEntry {
     /// block it sits in and its `tag` is unused.
     Record { ev: TraceEvent, tag: u64 },
     /// The dispatch callback built `n` frames (ids from the shard's
-    /// provisional counter); the leader assigns the matching real ids.
+    /// provisional counter) since the last `Builds`; the leader assigns
+    /// the matching real ids. Logged before the next entry that names a
+    /// frame id, and at the end of the dispatch.
     Builds(u32),
     /// A shard-local event was pushed (timer, local delivery, or local
     /// link delivery); the shard consumed one provisional seq and the
@@ -108,6 +112,24 @@ impl WEntry {
 pub(crate) struct WindowState {
     pub(crate) entries: Vec<WEntry>,
     pub(crate) remote: Vec<Frame>,
+    /// The shard's frame-id counter as of the last [`WEntry::Builds`]:
+    /// ids below it have been logged. Starts at the shard's provisional
+    /// base, not zero.
+    built: u64,
+}
+
+impl WindowState {
+    /// Log a [`WEntry::Builds`] for the frame ids drawn since the last
+    /// one (`next_frame_id` is the shard's counter), so the leader has
+    /// their real ids before any later entry names one of them.
+    #[inline]
+    pub(crate) fn log_builds(&mut self, next_frame_id: u64) {
+        let drawn = next_frame_id - self.built;
+        if drawn > 0 {
+            self.entries.push(WEntry::Builds(drawn as u32));
+            self.built = next_frame_id;
+        }
+    }
 }
 
 /// Why a topology cannot be sharded with a given assignment.
@@ -421,6 +443,7 @@ impl ShardedSimulator {
                 sh.wlog = Some(Box::new(WindowState {
                     entries: Vec::with_capacity(1024),
                     remote: Vec::with_capacity(64),
+                    built: sh.next_frame_id,
                 }));
                 sh
             })
@@ -500,14 +523,26 @@ impl ShardedSimulator {
         }
     }
 
-    /// Translate a possibly-provisional id through a shard's map. The
-    /// timer sentinel passes through untouched.
+    /// Translate a possibly-provisional id through shard `shard`'s
+    /// `which` map (`"seq"` or `"frame"`). The timer sentinel passes
+    /// through untouched. An id the map does not cover yet means the
+    /// window log named it before the entry that maps it, so that is
+    /// where a misordered log surfaces.
     #[inline]
-    fn translate(map: &[u64], raw: u64) -> u64 {
+    fn translate(map: &[u64], raw: u64, shard: usize, which: &str) -> u64 {
         if raw == u64::MAX || raw & PROV_BIT == 0 {
             return raw;
         }
-        map[(raw & PROV_IDX_MASK) as usize]
+        let idx = raw & PROV_IDX_MASK;
+        match map.get(idx as usize) {
+            Some(&real) => real,
+            None => panic!(
+                "shard {shard}: provisional {which} id {raw:#x} (index {idx}) is not in \
+                 the {which} map, which holds {} ids: the window log named it before \
+                 the entry that maps it",
+                map.len()
+            ),
+        }
     }
 
     /// Run every shard up to `deadline` (inclusive, matching
@@ -589,22 +624,15 @@ impl ShardedSimulator {
         let k = self.shards.len();
         // Take the logs out so the shards stay mutably borrowable for
         // routing; buffers are handed back (cleared) at the end.
-        let mut logs: Vec<WindowState> = Vec::with_capacity(k);
-        for sh in self.shards.iter_mut() {
-            match sh.wlog.as_mut() {
-                Some(w) => logs.push(WindowState {
-                    entries: std::mem::take(&mut w.entries),
-                    remote: std::mem::take(&mut w.remote),
-                }),
-                None => unreachable!("shard lost its window log"),
-            }
-        }
         let mut cursor = vec![0usize; k];
         let mut remote: Vec<std::vec::IntoIter<Frame>> = Vec::with_capacity(k);
         let mut entries: Vec<Vec<WEntry>> = Vec::with_capacity(k);
-        for w in logs {
-            entries.push(w.entries);
-            remote.push(w.remote.into_iter());
+        for sh in self.shards.iter_mut() {
+            let Some(w) = sh.wlog.as_mut() else {
+                unreachable!("shard lost its window log")
+            };
+            entries.push(std::mem::take(&mut w.entries));
+            remote.push(std::mem::take(&mut w.remote).into_iter());
         }
         loop {
             // Head of each shard's log is always a dispatch record (the
@@ -616,7 +644,7 @@ impl ShardedSimulator {
             let mut best: Option<(SimTime, u64, usize)> = None;
             for s in 0..k {
                 if let Some((at, tag)) = entries[s].get(cursor[s]).and_then(WEntry::opens_block) {
-                    let real = Self::translate(&self.seq_map[s], tag);
+                    let real = Self::translate(&self.seq_map[s], tag, s, "seq");
                     if best.is_none_or(|(ba, bt, _)| (at, real) < (ba, bt)) {
                         best = Some((at, real, s));
                     }
@@ -630,7 +658,8 @@ impl ShardedSimulator {
             loop {
                 match &entries[s][cursor[s]] {
                     WEntry::Record { ev, .. } => {
-                        let frame = FrameId(Self::translate(&self.frame_map[s], ev.frame.0));
+                        let frame =
+                            FrameId(Self::translate(&self.frame_map[s], ev.frame.0, s, "frame"));
                         self.trace.record(TraceEvent { frame, ..*ev });
                     }
                     WEntry::Builds(n) => {
@@ -655,7 +684,7 @@ impl ShardedSimulator {
                         let Some(mut f) = remote[s].next() else {
                             unreachable!("Remote entry without a buffered frame");
                         };
-                        f.id = FrameId(Self::translate(&self.frame_map[s], f.id.0));
+                        f.id = FrameId(Self::translate(&self.frame_map[s], f.id.0, s, "frame"));
                         if *arrival < h_excl {
                             // Cold path: a link advertised a min_delay
                             // larger than a delivery it produced. The
@@ -703,7 +732,7 @@ impl ShardedSimulator {
         if k > 1 {
             for (s, sh) in self.shards.iter_mut().enumerate() {
                 while let Some(mut ev) = sh.queue.pop() {
-                    ev.seq = Self::translate(&self.seq_map[s], ev.seq);
+                    ev.seq = Self::translate(&self.seq_map[s], ev.seq, s, "seq");
                     self.rekey_buf.push(ev);
                 }
                 for ev in self.rekey_buf.drain(..) {
@@ -747,7 +776,7 @@ impl ShardedSimulator {
             // Residual events (beyond the deadline) rejoin the unified
             // queue with their ids translated to serial order.
             while let Some(mut ev) = sh.queue.pop() {
-                ev.seq = Self::translate(&self.seq_map[s], ev.seq);
+                ev.seq = Self::translate(&self.seq_map[s], ev.seq, s, "seq");
                 // A frame riding a service-queue timer is as much in
                 // flight as one bound for a port.
                 if let EventKind::Frame { frame, .. }
@@ -755,7 +784,7 @@ impl ShardedSimulator {
                     frame: Some(frame), ..
                 } = &mut ev.kind
                 {
-                    frame.id = FrameId(Self::translate(&self.frame_map[s], frame.id.0));
+                    frame.id = FrameId(Self::translate(&self.frame_map[s], frame.id.0, s, "frame"));
                 }
                 sim.queue.push(ev);
             }
@@ -1161,6 +1190,102 @@ mod tests {
             "profiler must account for every dispatch"
         );
         assert_eq!((merged.trace.digest(), merged.trace.recorded()), want);
+    }
+
+    /// Each tick builds two frames, loses the second to a dropping link
+    /// and sends the first across the cut, then builds a third and
+    /// carries it on a timer that sends it across after the other shard
+    /// has drawn ids of its own: the first two are named mid-callback,
+    /// the third only in a later block.
+    struct ThreeFrames {
+        ticks_left: u32,
+    }
+
+    impl Node for ThreeFrames {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+            ctx.recycle(frame);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            if let Some((port, frame)) = ctx.take_carried() {
+                return ctx.send(port, frame);
+            }
+            let [first, second] = [1, 2].map(|tag| ctx.frame().zeroed(64).tag(tag).build());
+            ctx.send(PortId(1), second);
+            ctx.send(PortId(0), first);
+            let third = ctx.frame().zeroed(64).tag(3).build();
+            ctx.set_timer_carrying(SimTime::from_ns(70), TimerToken(2), PortId(0), third);
+            if self.ticks_left > 0 {
+                self.ticks_left -= 1;
+                ctx.set_timer(SimTime::from_ns(100), timer);
+            }
+        }
+    }
+
+    /// Answers every frame with a frame of its own, so the other shard
+    /// draws frame ids between the blocks of [`ThreeFrames`].
+    struct Replier;
+
+    impl Node for Replier {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
+            ctx.recycle(frame);
+            let reply = ctx.frame().zeroed(32).build();
+            ctx.send(port, reply);
+        }
+    }
+
+    /// Drops every frame, without the kernel coin.
+    struct BlackHole;
+
+    impl Link for BlackHole {
+        fn transmit(&mut self, _: SimTime, _: usize, _: f64) -> LinkOutcome {
+            LinkOutcome::Drop(crate::link::DropReason::QueueOverflow)
+        }
+        fn propagation(&self) -> SimTime {
+            SimTime::from_ns(1)
+        }
+    }
+
+    #[test]
+    fn frames_named_mid_callback_merge_like_serial() {
+        let build = || {
+            let mut sim = Simulator::new(4);
+            let a = sim.add_node("a", ThreeFrames { ticks_left: 20 });
+            let b = sim.add_node("b", Replier);
+            let c = sim.add_node("c", Bouncer { hops_left: 0 });
+            let cut = IdealLink::new(SimTime::from_ns(30));
+            sim.install_link(a, PortId(0), b, PortId(0), Box::new(cut.clone()));
+            sim.install_link(b, PortId(0), a, PortId(0), Box::new(cut));
+            sim.install_link(a, PortId(1), c, PortId(0), Box::new(BlackHole));
+            sim.schedule_timer(SimTime::ZERO, a, TimerToken(1));
+            sim
+        };
+        let deadline = SimTime::from_us(3);
+        let mut serial = build();
+        serial.run_until(deadline);
+        let want = (
+            serial.trace.digest(),
+            serial.trace.recorded(),
+            serial.stats(),
+        );
+        assert_eq!(want.2.frames_dropped, 21, "one loss per tick");
+
+        let plan = ShardPlan::manual(vec![0, 1, 0]);
+        let mut sharded = ShardedSimulator::split(build(), &plan).expect("valid");
+        sharded.run_until(deadline);
+        assert_eq!(sharded.run_stats().cross_shard_frames, 4 * 21);
+        let merged = sharded.finish();
+        let got = (
+            merged.trace.digest(),
+            merged.trace.recorded(),
+            merged.stats(),
+        );
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2: provisional frame id 0x8002000000000001 (index 1)")]
+    fn an_unmapped_provisional_id_names_its_shard_and_map() {
+        ShardedSimulator::translate(&[7], prov_base(2) | 1, 2, "frame");
     }
 
     #[test]

@@ -23,6 +23,10 @@ leads_with() {
 }
 
 run cargo build --release --offline --workspace
+# The benchmark package names public items of these crates (a link's
+# `transmit`, the scheduler kinds); build it before the long test suite so
+# a change that breaks it fails in the first minute.
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
