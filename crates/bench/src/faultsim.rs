@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(content, 0x91d0_d4f8_6ac0_6f2d, "{p:?}");
         // `full()` means the registry and provenance too: the kernel
         // counted every delivery and timed every hop.
-        let snapshot = sim.metrics().snapshot(0).expect("registry was on");
+        let snapshot = sim.metrics_snapshot(0).expect("registry was on");
         let seen = Telemetry::from_snapshot(&snapshot);
         let total = |name: &str| seen.counter_total("kernel", name);
         assert_eq!(total("deliver"), sim.stats().frames_delivered);

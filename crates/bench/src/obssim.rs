@@ -243,7 +243,7 @@ pub fn run_decomposition(cfg: &DecompositionConfig, obs: ObsConfig) -> Decomposi
         .map(Delivery::residual_ps)
         .max()
         .unwrap_or(0);
-    let snapshot = sim.metrics().snapshot(deadline.as_ps());
+    let snapshot = sim.metrics_snapshot(deadline.as_ps());
     DecompositionRun {
         sent_frames,
         deliveries,

@@ -413,8 +413,7 @@ fn collect_report(
     // Snapshot the registry (if the scenario enabled one) at the deadline
     // the run was driven to — reading it is pure observation.
     let telemetry = sim
-        .metrics()
-        .snapshot(deadline.as_ps())
+        .metrics_snapshot(deadline.as_ps())
         .map(|snap| crate::report::Telemetry::from_snapshot(&snap));
     // Same discipline for the kernel self-profile and the flight ring:
     // both are pure observation, read after the run has been driven.

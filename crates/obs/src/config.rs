@@ -19,9 +19,10 @@ pub struct ObsConfig {
     /// memory use is `capacity * size_of::<FlightRecord>()`, fixed at
     /// enable time.
     pub flight_capacity: u32,
-    /// Maintain the deterministic [`crate::KernelProfiler`] (per-node /
-    /// per-kind dispatch counts, queue-depth series, scheduler and arena
-    /// statistics in the resulting `KernelProfile`).
+    /// Produce a deterministic `KernelProfile`: per-node / per-kind
+    /// dispatch counts read from the kernel's count rows, the
+    /// [`crate::KernelProfiler`]'s queue-depth series, and scheduler and
+    /// arena statistics.
     pub profile: bool,
     /// Store every record the run digest folds (`Simulator::trace`),
     /// not just the digest. Memory grows with the run, so no preset turns

@@ -11,16 +11,19 @@
 //!   into processing vs. queueing vs. serialization vs. propagation time.
 //! - [`MetricsRegistry`] / [`Metrics`] — counters, gauges, and histograms
 //!   keyed by `(scope, name, node)` in `BTreeMap`s (deterministic
-//!   iteration), snapshotted on simulated-time windows.
+//!   iteration), snapshotted at simulated times. The kernel's own
+//!   dispatch counters are not written here: the simulator adds them
+//!   to the snapshot from its per-node count rows.
 //! - [`TraceWriter`] / [`parse`](trace::parse) / [`TraceSummary`] — the
 //!   versioned `tn-trace/v1` JSONL span/event export and its summarizer.
 //! - [`FlightRecorder`] — tn-flight: a bounded ring of the last N kernel
 //!   events (fixed-size [`FlightRecord`]s), dumped on panic, divergence
 //!   failure, or demand.
 //! - [`KernelProfiler`] / [`KernelProfile`] — deterministic self-profiler:
-//!   per-node and per-kind dispatch counts, a bounded queue-depth time
-//!   series, and scheduler/arena statistics, reported through
-//!   `DesignReport`.
+//!   the profiler records the schedule stream (a bounded queue-depth time
+//!   series); the profile adds per-node and per-kind dispatch counts,
+//!   read from the kernel's count rows, and scheduler/arena statistics,
+//!   reported through `DesignReport`.
 //! - [`timeline`] — `tn-flight/v1` Chrome trace-event (Perfetto) export
 //!   and folded-stacks rendering of provenance documents.
 //! - [`json`] — the one JSON tree, renderer and parser every versioned

@@ -1,18 +1,19 @@
 //! Deterministic kernel self-profiler.
 //!
-//! [`KernelProfiler`] is the hot-path half: a set of plain integer
-//! counters the simulator bumps while dispatching (per-node and
-//! per-event-kind counts, a bounded queue-depth time series). It is
-//! deterministic by construction — it reads only simulated time and
-//! counts, never wall-clock — so an enabled profiler cannot move a
-//! run's trace digest.
+//! [`KernelProfiler`] is the hot-path half: the schedule stream the
+//! simulator feeds on every push (a push count, the deepest queue seen,
+//! a bounded queue-depth time series). No dispatch count can derive
+//! those, so they are recorded here; the dispatch counts are not, since
+//! the kernel already keeps one count row per node while a profile will
+//! read it. The profiler reads only simulated time and counts, never
+//! wall-clock, so an enabled profiler cannot move a run's trace digest.
 //!
 //! [`KernelProfile`] is the cold half: a plain-data snapshot combining
-//! the profiler counters with scheduler statistics (calendar rebuilds,
-//! wheel cascades, per-level occupancy) and arena reuse counters that
-//! the simulator fills in at snapshot time. It lives here, in `tn-obs`,
-//! as pure integers so report and CLI layers can consume it without a
-//! dependency on the simulator crate.
+//! the schedule stream with the per-node dispatch counts, scheduler
+//! statistics (calendar rebuilds, wheel cascades, per-level occupancy)
+//! and arena reuse counters, all filled in by the simulator at snapshot
+//! time. It lives here, in `tn-obs`, as pure integers so report and CLI
+//! layers can consume it without a dependency on the simulator crate.
 
 /// Wheel levels mirrored from the simulator's timing wheel, so the
 /// occupancy snapshot can be a fixed-size array.
@@ -45,49 +46,18 @@ pub struct NodeProfile {
 }
 
 impl NodeProfile {
-    fn new(node: u32, shard: u16) -> NodeProfile {
-        NodeProfile {
-            node,
-            shard,
-            frames: 0,
-            timers: 0,
-            drops: 0,
-            first_at_ps: u64::MAX,
-            last_at_ps: 0,
-        }
-    }
-
-    fn has_activity(&self) -> bool {
-        self.dispatches() > 0 || self.drops > 0
-    }
-
     /// Total dispatches (frames + timers).
     pub fn dispatches(&self) -> u64 {
         self.frames + self.timers
     }
-
-    #[inline]
-    fn touch(&mut self, at_ps: u64) {
-        if self.first_at_ps == u64::MAX {
-            self.first_at_ps = at_ps;
-        }
-        self.last_at_ps = at_ps;
-    }
 }
 
-/// Hot-path counter set. All recording methods are branch-then-index:
-/// a disabled profiler costs one predictable branch per call and an
-/// enabled one a handful of integer stores — no allocation, no
-/// wall-clock, no randomness.
+/// Hot-path schedule-stream recorder: a disabled profiler costs one
+/// predictable branch per push and an enabled one a handful of integer
+/// stores — no allocation, no wall-clock, no randomness.
 #[derive(Debug, Clone, Default)]
 pub struct KernelProfiler {
     enabled: bool,
-    /// Dense per-node rows indexed by node id; grown only from the cold
-    /// `ensure_node` path (node registration), never while dispatching.
-    nodes: Vec<NodeProfile>,
-    frames: u64,
-    timers: u64,
-    drops: u64,
     schedules: u64,
     /// `(at_ps, queue_depth)` samples, decimated in place when full.
     series: Vec<(u64, u64)>,
@@ -96,8 +66,6 @@ pub struct KernelProfiler {
     /// Pushes to skip before the next sample.
     until_sample: u64,
     max_queue_depth: u64,
-    /// Shard id stamped onto per-node rows (0 = serial / unsharded).
-    shard: u16,
 }
 
 impl KernelProfiler {
@@ -111,87 +79,18 @@ impl KernelProfiler {
     pub fn enabled() -> KernelProfiler {
         KernelProfiler {
             enabled: true,
-            nodes: Vec::new(),
-            frames: 0,
-            timers: 0,
-            drops: 0,
             schedules: 0,
             series: Vec::with_capacity(QUEUE_SERIES_CAP),
             stride: 1,
             until_sample: 0,
             max_queue_depth: 0,
-            shard: 0,
         }
-    }
-
-    /// Attribute per-node rows created from now on to `shard`. Sharded
-    /// kernels set this before registering their nodes; serial runs
-    /// leave the default 0.
-    pub fn set_shard(&mut self, shard: u16) {
-        self.shard = shard;
     }
 
     /// True when the profiler is collecting.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Make room for per-node counters up to `node`. Cold path: called
-    /// when a node is registered, so the dispatch-time methods below can
-    /// index without bounds growth.
-    pub fn ensure_node(&mut self, node: u32) {
-        if !self.enabled {
-            return;
-        }
-        let want = node as usize + 1;
-        if self.nodes.len() < want {
-            let mut id = self.nodes.len() as u32;
-            let shard = self.shard;
-            self.nodes.resize_with(want, || {
-                let row = NodeProfile::new(id, shard);
-                id += 1;
-                row
-            });
-        }
-    }
-
-    /// A frame was dispatched to `node` at `at_ps`.
-    #[inline]
-    pub fn record_frame(&mut self, at_ps: u64, node: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.frames += 1;
-        if let Some(row) = self.nodes.get_mut(node as usize) {
-            row.frames += 1;
-            row.touch(at_ps);
-        }
-    }
-
-    /// A timer was dispatched to `node` at `at_ps`.
-    #[inline]
-    pub fn record_timer(&mut self, at_ps: u64, node: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.timers += 1;
-        if let Some(row) = self.nodes.get_mut(node as usize) {
-            row.timers += 1;
-            row.touch(at_ps);
-        }
-    }
-
-    /// A frame addressed to (or emitted toward) `node` was dropped.
-    #[inline]
-    pub fn record_drop(&mut self, node: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.drops += 1;
-        if let Some(row) = self.nodes.get_mut(node as usize) {
-            row.drops += 1;
-        }
     }
 
     /// An event was pushed into the scheduler; `depth` is the queue
@@ -223,9 +122,10 @@ impl KernelProfiler {
         self.until_sample = self.stride - 1;
     }
 
-    /// Freeze the counters into a plain-data [`KernelProfile`]. The
-    /// scheduler and arena sections are left zeroed for the simulator
-    /// to fill in; returns `None` when the profiler is disabled.
+    /// Freeze the schedule stream into a plain-data [`KernelProfile`].
+    /// The dispatch counts, per-node rows, scheduler and arena sections
+    /// are left empty for the simulator to fill in; returns `None` when
+    /// the profiler is disabled.
     pub fn snapshot(&self, at_ps: u64) -> Option<KernelProfile> {
         if !self.enabled {
             return None;
@@ -233,19 +133,14 @@ impl KernelProfiler {
         Some(KernelProfile {
             at_ps,
             scheduler: String::new(),
-            frames: self.frames,
-            timers: self.timers,
-            drops: self.drops,
+            frames: 0,
+            timers: 0,
+            drops: 0,
             schedules: self.schedules,
             max_queue_depth: self.max_queue_depth,
             queue_depth: self.series.clone(),
             queue_stride: self.stride,
-            per_node: self
-                .nodes
-                .iter()
-                .filter(|n| n.dispatches() > 0 || n.drops > 0)
-                .copied()
-                .collect(),
+            per_node: Vec::new(),
             sched_rebuilds: 0,
             sched_cascades: 0,
             sched_bucket_count: 0,
@@ -257,41 +152,17 @@ impl KernelProfiler {
         })
     }
 
-    /// Fold another profiler's counters into this one. Used when a
-    /// sharded run reassembles per-shard profilers into one unified
-    /// profile: totals are summed, per-node rows merged elementwise
-    /// (first/last dispatch times widened, shard attribution taken from
-    /// the profiler that actually dispatched to the node), queue-depth
-    /// series merged in time order and re-decimated to the bounded cap.
-    /// Deterministic: absorb shards in ascending shard order.
+    /// Fold another profiler's schedule stream into this one. Used when
+    /// a sharded run reassembles per-shard profilers into one unified
+    /// profile: push counts are summed, the deepest queue kept, and the
+    /// queue-depth series merged in time order and re-decimated to the
+    /// bounded cap. Deterministic: absorb shards in ascending shard order.
     pub fn merge_from(&mut self, other: &KernelProfiler) {
         if !self.enabled || !other.enabled {
             return;
         }
-        self.frames += other.frames;
-        self.timers += other.timers;
-        self.drops += other.drops;
         self.schedules += other.schedules;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        if self.nodes.len() < other.nodes.len() {
-            let mut id = self.nodes.len() as u32;
-            let shard = self.shard;
-            self.nodes.resize_with(other.nodes.len(), || {
-                let row = NodeProfile::new(id, shard);
-                id += 1;
-                row
-            });
-        }
-        for (mine, theirs) in self.nodes.iter_mut().zip(other.nodes.iter()) {
-            mine.frames += theirs.frames;
-            mine.timers += theirs.timers;
-            mine.drops += theirs.drops;
-            mine.first_at_ps = mine.first_at_ps.min(theirs.first_at_ps);
-            mine.last_at_ps = mine.last_at_ps.max(theirs.last_at_ps);
-            if theirs.has_activity() {
-                mine.shard = theirs.shard;
-            }
-        }
         // Merge the two time-ordered series, then decimate back under the
         // cap; the merged stride is the coarser of the two, doubled per
         // decimation pass.
@@ -325,11 +196,11 @@ impl KernelProfiler {
     }
 }
 
-/// Plain-data snapshot of kernel behavior over a run: dispatch counters
-/// from [`KernelProfiler`] plus scheduler and arena statistics filled in
-/// by the simulator at snapshot time. Everything is integers (+ one
-/// scheduler-name string), so it serializes and renders without touching
-/// simulator types.
+/// Plain-data snapshot of kernel behavior over a run: the schedule
+/// stream from [`KernelProfiler`] plus dispatch counts, scheduler and
+/// arena statistics filled in by the simulator at snapshot time.
+/// Everything is integers (+ one scheduler-name string), so it
+/// serializes and renders without touching simulator types.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Simulated time the snapshot was taken, ps.
@@ -469,51 +340,8 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = KernelProfiler::disabled();
-        p.ensure_node(3);
-        p.record_frame(10, 3);
-        p.record_timer(10, 3);
-        p.record_drop(3);
         p.record_schedule(10, 5);
         assert!(p.snapshot(10).is_none());
-    }
-
-    #[test]
-    fn counters_attribute_per_node_and_kind() {
-        let mut p = KernelProfiler::enabled();
-        for n in 0..4 {
-            p.ensure_node(n);
-        }
-        p.record_frame(100, 1);
-        p.record_frame(200, 1);
-        p.record_timer(300, 2);
-        p.record_drop(1);
-        let prof = p.snapshot(1_000).expect("enabled");
-        assert_eq!(prof.frames, 2);
-        assert_eq!(prof.timers, 1);
-        assert_eq!(prof.drops, 1);
-        assert_eq!(prof.dispatches(), 3);
-        // Only active nodes appear.
-        assert_eq!(prof.per_node.len(), 2);
-        let n1 = prof.per_node.iter().find(|r| r.node == 1).expect("node 1");
-        assert_eq!(n1.frames, 2);
-        assert_eq!(n1.drops, 1);
-        assert_eq!(n1.first_at_ps, 100);
-        assert_eq!(n1.last_at_ps, 200);
-        let busiest = prof.busiest_nodes(1);
-        assert_eq!(busiest[0].node, 1);
-    }
-
-    #[test]
-    fn late_registered_nodes_keep_existing_counts() {
-        let mut p = KernelProfiler::enabled();
-        p.ensure_node(0);
-        p.record_frame(10, 0);
-        p.ensure_node(5);
-        p.record_frame(20, 5);
-        let prof = p.snapshot(100).expect("enabled");
-        assert_eq!(prof.per_node.len(), 2);
-        assert_eq!(prof.per_node[0].node, 0);
-        assert_eq!(prof.per_node[1].node, 5);
     }
 
     #[test]
@@ -548,33 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_merges_counters_rows_and_series() {
+    fn merge_from_merges_counters_and_series() {
         let mut a = KernelProfiler::enabled();
-        a.set_shard(1);
-        a.ensure_node(2);
-        a.record_frame(100, 1);
         a.record_schedule(100, 4);
         let mut b = KernelProfiler::enabled();
-        b.set_shard(2);
-        b.ensure_node(2);
-        b.record_timer(50, 2);
-        b.record_drop(2);
         b.record_schedule(50, 9);
         let mut merged = KernelProfiler::enabled();
         merged.merge_from(&a);
         merged.merge_from(&b);
         let prof = merged.snapshot(1_000).expect("enabled");
-        assert_eq!(prof.frames, 1);
-        assert_eq!(prof.timers, 1);
-        assert_eq!(prof.drops, 1);
         assert_eq!(prof.schedules, 2);
         assert_eq!(prof.max_queue_depth, 9);
         // Series arrives in time order regardless of absorb order.
         assert_eq!(prof.queue_depth, vec![(50, 9), (100, 4)]);
-        let n1 = prof.per_node.iter().find(|r| r.node == 1).expect("node 1");
-        assert_eq!((n1.shard, n1.frames, n1.first_at_ps), (1, 1, 100));
-        let n2 = prof.per_node.iter().find(|r| r.node == 2).expect("node 2");
-        assert_eq!((n2.shard, n2.timers, n2.drops), (2, 1, 1));
     }
 
     #[test]

@@ -110,8 +110,6 @@ enum Metric {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<MetricKey, Metric>,
-    window_start_ps: u64,
-    window_base: BTreeMap<MetricKey, u64>,
 }
 
 impl MetricsRegistry {
@@ -243,27 +241,6 @@ impl MetricsRegistry {
 
     /// Cumulative snapshot at simulated time `at_ps`.
     pub fn snapshot(&self, at_ps: u64) -> Snapshot {
-        self.snapshot_inner(at_ps, self.window_start_ps, false)
-    }
-
-    /// Windowed snapshot: counters report the delta since the previous
-    /// `window_snapshot` (or since the start of the run), then the window
-    /// resets. Gauges and distributions report their current state.
-    pub fn window_snapshot(&mut self, at_ps: u64) -> Snapshot {
-        let snap = self.snapshot_inner(at_ps, self.window_start_ps, true);
-        self.window_start_ps = at_ps;
-        self.window_base = self
-            .metrics
-            .iter()
-            .filter_map(|(&k, m)| match m {
-                Metric::Counter(c) => Some((k, *c)),
-                _ => None,
-            })
-            .collect();
-        snap
-    }
-
-    fn snapshot_inner(&self, at_ps: u64, window_start_ps: u64, windowed: bool) -> Snapshot {
         let entries = self
             .metrics
             .iter()
@@ -272,17 +249,7 @@ impl MetricsRegistry {
                 name: name.to_string(),
                 node,
                 value: match m {
-                    Metric::Counter(c) => {
-                        let base = if windowed {
-                            self.window_base
-                                .get(&(scope, name, node))
-                                .copied()
-                                .unwrap_or(0)
-                        } else {
-                            0
-                        };
-                        SnapshotValue::Counter(c - base)
-                    }
+                    Metric::Counter(c) => SnapshotValue::Counter(*c),
                     Metric::Gauge(g) => SnapshotValue::Gauge(*g),
                     Metric::Distribution(d) => SnapshotValue::Distribution {
                         count: d.count(),
@@ -295,11 +262,7 @@ impl MetricsRegistry {
                 },
             })
             .collect();
-        Snapshot {
-            at_ps,
-            window_start_ps,
-            entries,
-        }
+        Snapshot { at_ps, entries }
     }
 }
 
@@ -309,9 +272,6 @@ impl MetricsRegistry {
 pub struct Snapshot {
     /// Simulated time the snapshot was taken.
     pub at_ps: u64,
-    /// Start of the window the counters cover (0 for cumulative
-    /// snapshots taken before any window rotation).
-    pub window_start_ps: u64,
     /// All metrics, in key order.
     pub entries: Vec<SnapshotEntry>,
 }
@@ -332,7 +292,7 @@ pub struct SnapshotEntry {
 /// Snapshot value of one metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotValue {
-    /// Monotonic count (windowed snapshots report deltas).
+    /// Monotonic count.
     Counter(u64),
     /// Last-set level.
     Gauge(i64),
@@ -446,14 +406,6 @@ impl Metrics {
             .and_then(|r| r.lock().ok().map(|g| g.snapshot(at_ps)))
     }
 
-    /// Windowed snapshot (counter deltas since the last window), if
-    /// enabled.
-    pub fn window_snapshot(&self, at_ps: u64) -> Option<Snapshot> {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|mut g| g.window_snapshot(at_ps)))
-    }
-
     /// Run `f` against the registry, if enabled.
     pub fn with_registry<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
         self.inner
@@ -506,22 +458,6 @@ mod tests {
             ]
         );
         assert_eq!(r.snapshot(10), r.snapshot(10));
-    }
-
-    #[test]
-    fn window_snapshots_report_deltas() {
-        let mut r = MetricsRegistry::new();
-        r.add("kernel", "deliver", None, 10);
-        let w1 = r.window_snapshot(1_000);
-        assert_eq!(w1.window_start_ps, 0);
-        assert_eq!(w1.entries[0].value, SnapshotValue::Counter(10));
-        r.add("kernel", "deliver", None, 3);
-        let w2 = r.window_snapshot(2_000);
-        assert_eq!(w2.window_start_ps, 1_000);
-        assert_eq!(w2.at_ps, 2_000);
-        assert_eq!(w2.entries[0].value, SnapshotValue::Counter(3));
-        // Cumulative view is unaffected by windowing.
-        assert_eq!(r.counter("kernel", "deliver", None), 13);
     }
 
     #[test]

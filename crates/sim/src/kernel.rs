@@ -7,10 +7,12 @@
 //!
 //! Two functions are the only way in and out of the loop's bookkeeping.
 //! `Simulator::observe` is the observation spine: a delivery, a fired
-//! timer, an unrouted frame and a link drop each reach every sink —
-//! [`SimStats`], the metrics registry, the trace (or, on a shard, the
-//! window log), the profiler and the flight ring — from there and from
-//! nowhere else, so a new sink is added in that one function.
+//! timer, an unrouted frame and a link drop are each counted once there —
+//! in [`SimStats`] and, while a profile or a registry will read them, in
+//! the node's count row — and recorded in the trace (or, on a shard, the
+//! window log) and the flight ring, from there and from nowhere else.
+//! The profile's dispatch counts and the registry's `kernel/*` counters
+//! are views of the rows, computed when read.
 //! `Simulator::schedule` is the only place an event gets its seq, and
 //! with `schedule_frame` the only place a shard tells the merge leader
 //! about a push or hands it a frame bound for another shard.
@@ -28,7 +30,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tn_obs::{
-    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, Metrics, ObsConfig,
+    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, Metrics, NodeProfile,
+    ObsConfig, Snapshot, SnapshotEntry, SnapshotValue,
 };
 
 use crate::context::{Context, TimerToken};
@@ -189,6 +192,56 @@ pub struct SimStats {
     pub timers_fired: u64,
 }
 
+/// Registry names of the four [`Seen`] kinds, in the order of
+/// [`NodeCounts::seen`].
+const SEEN_NAMES: [&str; 4] = ["deliver", "timer", "unrouted", "drop"];
+
+/// One node's share of what `Simulator::observe` saw: the row the
+/// profile's dispatch counts and the registry's `kernel/*` counters are
+/// read from. Kept beside the slots rather than in them, so
+/// [`NodeSlot`] stays 40 bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct NodeCounts {
+    /// Deliveries, timers, unrouted sends and link drops, named by
+    /// [`SEEN_NAMES`].
+    seen: [u64; 4],
+    /// Simulated time of the first dispatch, ps (`u64::MAX` if none).
+    first_ps: u64,
+    /// Simulated time of the last dispatch, ps (0 if none).
+    last_ps: u64,
+    /// Shard whose kernel counted here: 0 serially or before a split.
+    shard: u16,
+}
+
+impl NodeCounts {
+    /// A row with nothing counted yet, stamped with `shard`.
+    pub(crate) fn idle(shard: u16) -> NodeCounts {
+        NodeCounts {
+            seen: [0; 4],
+            first_ps: u64::MAX,
+            last_ps: 0,
+            shard,
+        }
+    }
+
+    fn is_active(&self) -> bool {
+        self.seen.iter().any(|&n| n > 0)
+    }
+
+    /// Fold a shard's row for the same node into this one; the shard
+    /// that counted anything there takes the attribution.
+    pub(crate) fn absorb(&mut self, other: &NodeCounts) {
+        for (mine, theirs) in self.seen.iter_mut().zip(other.seen) {
+            *mine += theirs;
+        }
+        self.first_ps = self.first_ps.min(other.first_ps);
+        self.last_ps = self.last_ps.max(other.last_ps);
+        if other.is_active() {
+            self.shard = other.shard;
+        }
+    }
+}
+
 /// The four things the kernel reports to its sinks, each at the current
 /// time and about one node, through `Simulator::observe`.
 enum Seen {
@@ -230,6 +283,9 @@ pub struct Simulator {
     pub(crate) metrics: tn_obs::Metrics,
     pub(crate) flight: FlightRecorder,
     pub(crate) profiler: KernelProfiler,
+    /// One count row per node while a profile or a registry will read
+    /// them, empty otherwise (see `Simulator::sync_counts`).
+    pub(crate) counts: Vec<NodeCounts>,
     /// Scheduler counters at the last flight observation, so rebuild /
     /// cascade deltas can be turned into flight records.
     pub(crate) last_sched: SchedStats,
@@ -271,6 +327,7 @@ impl Simulator {
             metrics: tn_obs::Metrics::disabled(),
             flight: FlightRecorder::disabled(),
             profiler: KernelProfiler::disabled(),
+            counts: Vec::new(),
             last_sched: SchedStats::default(),
             wlog: None,
             trace: TraceLog::disabled(),
@@ -299,13 +356,16 @@ impl Simulator {
         self.provenance
     }
 
-    /// Install a metrics handle. The kernel records delivery / drop /
-    /// timer counters and per-hop latency distributions into it, and the
-    /// handle is offered to every node (current and future) via
+    /// Install a metrics handle. The kernel records link-drop reasons
+    /// and per-hop latency distributions into it, and the handle is
+    /// offered to every node (current and future) via
     /// [`Node::on_attach_metrics`] so instrumented devices can record
-    /// their own scopes. Like provenance, recording is pure side-state.
+    /// their own scopes. The kernel's own `kernel/*` counters are not
+    /// written to it: [`Simulator::metrics_snapshot`] adds them from the
+    /// count rows. Like provenance, recording is pure side-state.
     pub fn set_metrics(&mut self, metrics: tn_obs::Metrics) {
         self.metrics = metrics;
+        self.sync_counts();
         for node in self.nodes.iter_mut().flatten().flat_map(|s| &mut s.node) {
             node.on_attach_metrics(&self.metrics);
         }
@@ -314,10 +374,39 @@ impl Simulator {
         }
     }
 
-    /// The current metrics handle (disabled unless [`Simulator::set_metrics`]
-    /// installed a live one).
-    pub fn metrics(&self) -> &tn_obs::Metrics {
-        &self.metrics
+    /// Snapshot the metrics registry at simulated time `at_ps`, with the
+    /// kernel's `kernel/{deliver,timer,unrouted,drop}` counters added per
+    /// node from the count rows (non-zero counts only), all in the
+    /// registry's `(scope, name, node)` order. `None` unless
+    /// [`Simulator::set_metrics`] installed a live registry.
+    pub fn metrics_snapshot(&self, at_ps: u64) -> Option<Snapshot> {
+        let mut snap = self.metrics.snapshot(at_ps)?;
+        for (node, row) in self.counts.iter().enumerate() {
+            for (name, &n) in SEEN_NAMES.iter().zip(&row.seen) {
+                if n > 0 {
+                    snap.entries.push(SnapshotEntry {
+                        scope: "kernel".to_string(),
+                        name: name.to_string(),
+                        node: Some(node as u32),
+                        value: SnapshotValue::Counter(n),
+                    });
+                }
+            }
+        }
+        snap.entries
+            .sort_by(|x, y| (&x.scope, &x.name, x.node).cmp(&(&y.scope, &y.name, y.node)));
+        Some(snap)
+    }
+
+    /// Keep one count row per node while a profile or a registry will
+    /// read them, and none otherwise, so an unobserved run carries no
+    /// rows. Rows already counted survive while either reader stays on.
+    fn sync_counts(&mut self) {
+        if self.profiler.is_enabled() || self.metrics.is_enabled() {
+            self.counts.resize(self.nodes.len(), NodeCounts::idle(0));
+        } else {
+            self.counts = Vec::new();
+        }
     }
 
     /// Size (and enable) the tn-flight recorder: keep the last
@@ -355,19 +444,19 @@ impl Simulator {
     }
 
     /// Enable or disable the deterministic kernel self-profiler.
-    /// Enabling resets any previous collection and registers every
-    /// already-added node. Like the flight recorder, profiling is pure
-    /// side-state and cannot move a run's digest.
+    /// Enabling restarts the schedule stream (push count, queue depths).
+    /// The dispatch counts are the kernel's count rows: enabling starts
+    /// them from zero unless a live registry already keeps them, and
+    /// disabling drops them unless the registry still reads them. Like
+    /// the flight recorder, profiling is pure side-state and cannot move
+    /// a run's digest.
     pub fn set_profile(&mut self, on: bool) {
-        if on {
-            let mut p = KernelProfiler::enabled();
-            if let Some(last) = self.nodes.len().checked_sub(1) {
-                p.ensure_node(last as u32);
-            }
-            self.profiler = p;
+        self.profiler = if on {
+            KernelProfiler::enabled()
         } else {
-            self.profiler = KernelProfiler::disabled();
-        }
+            KernelProfiler::disabled()
+        };
+        self.sync_counts();
     }
 
     /// Switch on everything `obs` asks of the kernel: per-hop provenance,
@@ -394,10 +483,29 @@ impl Simulator {
     }
 
     /// Snapshot the profiler into a [`KernelProfile`], folding in the
+    /// dispatch counts of every active node (ascending id), the
     /// scheduler's structural counters and the arena's reuse statistics.
     /// `None` unless [`Simulator::set_profile`] enabled collection.
     pub fn profile(&self) -> Option<KernelProfile> {
         let mut p = self.profiler.snapshot(self.now.as_ps())?;
+        for (node, row) in self.counts.iter().enumerate() {
+            if !row.is_active() {
+                continue;
+            }
+            let [deliver, timer, unrouted, drop] = row.seen;
+            p.frames += deliver;
+            p.timers += timer;
+            p.drops += unrouted + drop;
+            p.per_node.push(NodeProfile {
+                node: node as u32,
+                shard: row.shard,
+                frames: deliver,
+                timers: timer,
+                drops: unrouted + drop,
+                first_at_ps: row.first_ps,
+                last_at_ps: row.last_ps,
+            });
+        }
         p.scheduler = self.sched_kind.name().to_string();
         let s = self.queue.stats();
         p.sched_rebuilds = s.rebuilds;
@@ -435,9 +543,9 @@ impl Simulator {
             ports: Ports::EMPTY,
         }));
         self.names.push(name.into());
-        // Registration is the cold path that sizes the profiler's dense
-        // per-node rows, so dispatch-time recording is pure indexing.
-        self.profiler.ensure_node(id.0);
+        // Registration is the cold path that sizes the count rows, so
+        // dispatch-time counting is pure indexing.
+        self.sync_counts();
         id
     }
 
@@ -779,50 +887,59 @@ impl Simulator {
         slot
     }
 
-    /// The observation spine: tell every sink that `seen` happened now,
-    /// to `node`, involving `port` and `frame` (the trace's timer
-    /// sentinels for a timer). No other kernel code counts a delivery,
-    /// timer or drop, so the sinks cannot drift apart, and a new sink is
-    /// one more line here. Serial and window mode differ only in the
-    /// last step: a shard logs the trace record it would have made — a
-    /// delivery or timer record opens that dispatch's block, keyed by the
-    /// popped seq — for the merge leader to record in serial order.
+    /// The observation spine: count that `seen` happened now, to `node`,
+    /// involving `port` and `frame` (the trace's timer sentinels for a
+    /// timer), and tell the record sinks. No other kernel code counts a
+    /// delivery, timer or drop, and each is counted once — in
+    /// [`SimStats`] and, while kept, the node's row — so the profile and
+    /// registry views read back the same count. Serial and window mode
+    /// differ only in the last step: a shard logs the trace record it
+    /// would have made — a delivery or timer record opens that
+    /// dispatch's block, keyed by the popped seq — for the merge leader
+    /// to record in serial order.
     #[inline]
     fn observe(&mut self, seen: Seen, node: NodeId, port: PortId, frame: FrameId) {
         let at_ps = self.now.as_ps();
         // `tag` keys a shard's dispatch block; `a` and `b` are the flight
         // ring's two words: which frame on which port, or which timer.
         let (mut tag, mut a, mut b) = (0, frame.0, u64::from(port.0));
-        let (name, kind) = match seen {
+        // `seen_at` indexes the node's row, in `SEEN_NAMES` order.
+        let (seen_at, kind) = match seen {
             Seen::Deliver { seq } => {
                 tag = seq;
                 self.stats.frames_delivered += 1;
-                self.profiler.record_frame(at_ps, node.0);
-                ("deliver", TraceKind::Deliver)
+                (0, TraceKind::Deliver)
             }
             Seen::Timer { seq, token } => {
                 (tag, a, b) = (seq, token.0, u64::MAX);
                 self.stats.timers_fired += 1;
-                self.profiler.record_timer(at_ps, node.0);
-                ("timer", TraceKind::Timer)
+                (1, TraceKind::Timer)
             }
             Seen::Unrouted => {
                 self.stats.frames_unrouted += 1;
-                ("unrouted", TraceKind::Drop)
+                (2, TraceKind::Drop)
             }
             Seen::LinkDrop(reason) => {
                 self.stats.frames_dropped += 1;
+                // The row keeps no reason; the registry does.
                 self.metrics.inc("link_drop", reason.name(), None);
-                ("drop", TraceKind::Drop)
+                (3, TraceKind::Drop)
             }
         };
         let flight = if kind == TraceKind::Drop {
-            self.profiler.record_drop(node.0);
             FlightKind::Drop
         } else {
             FlightKind::Dispatch
         };
-        self.metrics.inc("kernel", name, Some(node.0));
+        // Rows exist only while a profile or a registry reads them, so an
+        // unobserved run pays one failed bounds check here.
+        if let Some(row) = self.counts.get_mut(node.0 as usize) {
+            row.seen[seen_at] += 1;
+            if flight == FlightKind::Dispatch {
+                row.first_ps = row.first_ps.min(at_ps);
+                row.last_ps = at_ps;
+            }
+        }
         self.flight.record(FlightRecord {
             at_ps,
             kind: flight,
@@ -1002,6 +1119,7 @@ impl Drop for Simulator {
 mod tests {
     use super::*;
     use crate::link::IdealLink;
+    use tn_obs::MetricsRegistry;
 
     /// Forwards every frame out the same port after a modeled delay, and
     /// counts what it saw.
@@ -1481,8 +1599,189 @@ mod tests {
         // The arena section is folded in from the simulator.
         assert_eq!(p.arena_allocated, sim.arena_stats().allocated);
         assert!(sim.profile().is_some(), "snapshot is repeatable");
+        assert!(sim.metrics_snapshot(0).is_none(), "no registry to read");
         sim.set_profile(false);
         assert!(sim.profile().is_none());
+        assert!(sim.counts.is_empty(), "no reader, no rows");
+    }
+
+    #[test]
+    fn count_rows_attribute_per_node_and_kind() {
+        let mut sim = Simulator::new(7);
+        sim.set_profile(true);
+        let repeater = |bounce| Repeater {
+            seen: vec![],
+            bounce,
+        };
+        sim.add_node("idle", repeater(false));
+        // Bounces out of a port with no link: each frame is also a drop.
+        let one = sim.add_node("one", repeater(true));
+        let two = sim.add_node(
+            "two",
+            TimerNode {
+                fired_at: vec![],
+                rearm: None,
+            },
+        );
+        sim.add_node("idle too", repeater(false));
+        for at in [100, 200] {
+            let f = sim.frame().zeroed(64).build();
+            sim.inject_frame(SimTime::from_ps(at), one, PortId(0), f);
+        }
+        sim.schedule_timer(SimTime::from_ps(300), two, TimerToken(9));
+        sim.run();
+        let p = sim.profile().expect("profiler is on");
+        assert_eq!((p.frames, p.timers, p.drops), (2, 1, 2));
+        assert_eq!(p.dispatches(), 3);
+        let row = |node: u32, frames, timers, drops, first_at_ps, last_at_ps| NodeProfile {
+            node,
+            shard: 0,
+            frames,
+            timers,
+            drops,
+            first_at_ps,
+            last_at_ps,
+        };
+        // Only active nodes, ascending by id.
+        assert_eq!(
+            p.per_node,
+            vec![row(1, 2, 0, 2, 100, 200), row(2, 0, 1, 0, 300, 300)]
+        );
+        assert_eq!(p.busiest_nodes(1)[0].node, 1);
+    }
+
+    #[test]
+    fn a_node_added_after_profiling_came_on_gets_its_own_row() {
+        let mut sim = Simulator::new(7);
+        sim.set_profile(true);
+        let sink = || Repeater {
+            seen: vec![],
+            bounce: false,
+        };
+        let first = sim.add_node("first", sink());
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::from_ps(10), first, PortId(0), f);
+        sim.run();
+        let late = (1..=5).map(|i| sim.add_node(format!("late{i}"), sink()));
+        let last = late.last().expect("five added");
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::from_ps(20), last, PortId(0), f);
+        sim.run();
+        let p = sim.profile().expect("profiler is on");
+        let rows: Vec<(u32, u64, u64)> = p
+            .per_node
+            .iter()
+            .map(|n| (n.node, n.frames, n.first_at_ps))
+            .collect();
+        assert_eq!(rows, vec![(0, 1, 10), (5, 1, 20)]);
+    }
+
+    /// Sum of the registry view's `kernel/<name>` counters over nodes.
+    fn kernel_total(sim: &Simulator, name: &str) -> u64 {
+        let snap = sim.metrics_snapshot(sim.now().as_ps()).expect("registry");
+        snap.entries
+            .iter()
+            .filter(|e| e.scope == "kernel" && e.name == name)
+            .map(|e| match e.value {
+                SnapshotValue::Counter(n) => n,
+                _ => panic!("kernel/{name} is a counter"),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn kernel_counters_survive_the_profile_coming_and_going() {
+        let mut sim = Simulator::new(7);
+        sim.set_metrics(Metrics::enabled());
+        let a = bouncing_pair(&mut sim);
+        let f = sim.frame().zeroed(64).build();
+        sim.inject_frame(SimTime::ZERO, a, PortId(0), f);
+        sim.run_until(SimTime::from_ns(500));
+        let delivered = sim.stats().frames_delivered;
+        assert!(delivered > 0);
+        assert_eq!(kernel_total(&sim, "deliver"), delivered);
+        sim.set_profile(true);
+        assert_eq!(kernel_total(&sim, "deliver"), delivered);
+        sim.run_until(SimTime::from_us(1));
+        sim.set_profile(false);
+        assert_eq!(kernel_total(&sim, "deliver"), sim.stats().frames_delivered);
+        sim.set_metrics(Metrics::disabled());
+        assert!(sim.counts.is_empty(), "no reader, no rows");
+    }
+
+    /// Refuses every frame, without the kernel coin.
+    struct Refuse;
+
+    impl Link for Refuse {
+        fn transmit(&mut self, _: SimTime, _: usize, _: f64) -> LinkOutcome {
+            LinkOutcome::Drop(DropReason::RandomLoss)
+        }
+        fn propagation(&self) -> SimTime {
+            SimTime::from_ns(1)
+        }
+    }
+
+    /// Each tick sends one frame to the sink, one into a refusing link
+    /// and one out of a port with no link.
+    struct Spray {
+        ticks: u64,
+    }
+
+    impl Node for Spray {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+            ctx.recycle(frame);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            for port in [PortId(0), PortId(1), PortId(2)] {
+                let f = ctx.frame().zeroed(64).build();
+                ctx.send(port, f);
+            }
+            self.ticks += 1;
+            if self.ticks < 4 {
+                ctx.set_timer(SimTime::from_ns(10), timer);
+            }
+        }
+    }
+
+    #[test]
+    fn metrics_snapshot_equals_a_registry_fed_through_inc() {
+        let mut sim = Simulator::new(7);
+        let metrics = Metrics::enabled();
+        sim.set_metrics(metrics.clone());
+        let spray = sim.add_node("spray", Spray { ticks: 0 });
+        let sink = sim.add_node(
+            "sink",
+            Repeater {
+                seen: vec![],
+                bounce: false,
+            },
+        );
+        let wire = IdealLink::new(SimTime::from_ns(5));
+        sim.install_link(spray, PortId(0), sink, PortId(0), Box::new(wire));
+        sim.install_link(spray, PortId(1), sink, PortId(1), Box::new(Refuse));
+        sim.schedule_timer(SimTime::ZERO, spray, TimerToken(1));
+        sim.run();
+        // Scopes sorting before and after "kernel", per node and not.
+        let mut want = MetricsRegistry::new();
+        for (scope, name, node) in [
+            ("feed", "gap", None),
+            ("feed", "gap", Some(1)),
+            ("hop", "queue", Some(0)),
+            ("zone", "last", None),
+        ] {
+            metrics.inc(scope, name, node);
+            want.inc(scope, name, node);
+        }
+        // The registry path: one `inc` per observation.
+        for _ in 0..4 {
+            want.inc("kernel", "timer", Some(spray.0));
+            want.inc("kernel", "drop", Some(spray.0));
+            want.inc("kernel", "unrouted", Some(spray.0));
+            want.inc("link_drop", "random_loss", None);
+            want.inc("kernel", "deliver", Some(sink.0));
+        }
+        let at = sim.now().as_ps();
+        assert_eq!(sim.metrics_snapshot(at), Some(want.snapshot(at)));
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use std::collections::BTreeMap;
 
 use crate::frame::{Frame, FrameId};
-use crate::kernel::{SimStats, Simulator};
+use crate::kernel::{NodeCounts, SimStats, Simulator};
 use crate::node::{NodeId, PortId};
 use crate::sched::{EventKind, Scheduler, SchedulerKind};
 use crate::time::SimTime;
@@ -368,6 +368,9 @@ pub struct ShardedSimulator {
     /// The parent's pre-split profiler; per-shard profilers fold in at
     /// reassembly.
     profiler_base: KernelProfiler,
+    /// The parent's pre-split count rows; each shard counts from zero
+    /// and folds in at reassembly.
+    counts_base: Vec<NodeCounts>,
     metrics: tn_obs::Metrics,
     sched_kind: SchedulerKind,
     provenance: bool,
@@ -433,12 +436,10 @@ impl ShardedSimulator {
                     sh.flight = ring;
                 }
                 if sim.profiler.is_enabled() {
-                    let mut p = KernelProfiler::enabled();
-                    p.set_shard(s as u16 + 1);
-                    if let Some(last) = n_nodes.checked_sub(1) {
-                        p.ensure_node(last as u32);
-                    }
-                    sh.profiler = p;
+                    sh.profiler = KernelProfiler::enabled();
+                }
+                if !sim.counts.is_empty() {
+                    sh.counts = vec![NodeCounts::idle(s as u16 + 1); n_nodes];
                 }
                 sh.wlog = Some(Box::new(WindowState {
                     entries: Vec::with_capacity(1024),
@@ -477,6 +478,7 @@ impl ShardedSimulator {
             trace: std::mem::take(&mut sim.trace),
             flight_base: std::mem::replace(&mut sim.flight, FlightRecorder::disabled()),
             profiler_base: std::mem::replace(&mut sim.profiler, KernelProfiler::disabled()),
+            counts_base: std::mem::take(&mut sim.counts),
             metrics: sim.metrics.clone(),
             sched_kind: sim.sched_kind,
             provenance: sim.provenance,
@@ -801,9 +803,13 @@ impl ShardedSimulator {
                 sim.arena.absorb(arena);
             }
             self.profiler_base.merge_from(&sh.profiler);
+            for (mine, theirs) in self.counts_base.iter_mut().zip(&sh.counts) {
+                mine.absorb(theirs);
+            }
         }
         sim.trace = self.trace;
         sim.profiler = self.profiler_base;
+        sim.counts = self.counts_base;
         if self.flight_base.is_enabled() {
             rings.push(&self.flight_base);
             for sh in &self.shards {
@@ -822,6 +828,7 @@ mod tests {
     use crate::link::{IdealLink, Link, LinkOutcome};
     use crate::node::Node;
     use crate::sched::SchedulerKind;
+    use tn_obs::NodeProfile;
 
     /// Bounces frames back out the arrival port for a while.
     struct Bouncer {
@@ -920,6 +927,35 @@ mod tests {
                 assert_eq!(got, want, "k={k} kind={}", kind.name());
             }
         }
+    }
+
+    #[test]
+    fn merged_rows_name_their_shard_and_count_pre_split_work_once() {
+        let deadline = SimTime::from_us(20);
+        let profiled = || {
+            let mut sim = build_line(SchedulerKind::BinaryHeap);
+            sim.set_profile(true);
+            sim
+        };
+        let mut serial = profiled();
+        serial.run_until(deadline);
+        let want = serial.profile().expect("profiler is on").per_node;
+
+        // Half a microsecond on the parent, the rest on two shards.
+        let mut parent = profiled();
+        parent.run_until(SimTime::from_ns(500));
+        let plan = ShardPlan::manual(vec![0, 0, 1, 1]);
+        let mut sharded = ShardedSimulator::split(parent, &plan).expect("valid");
+        sharded.run_until(deadline);
+        let got = sharded.finish().profile().expect("profiler is on").per_node;
+        let shards: Vec<(u32, u16)> = got.iter().map(|n| (n.node, n.shard)).collect();
+        assert_eq!(shards, vec![(0, 1), (1, 1), (2, 2), (3, 2)]);
+        let counts = |rows: &[NodeProfile]| {
+            rows.iter()
+                .map(|n| (n.frames, n.timers, n.drops, n.first_at_ps, n.last_at_ps))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&got), counts(&want));
     }
 
     #[test]

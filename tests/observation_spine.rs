@@ -171,7 +171,7 @@ struct Observed {
 }
 
 fn observe(sim: &Simulator) -> Observed {
-    let snapshot = sim.metrics().snapshot(sim.now().as_ps()).expect("registry");
+    let snapshot = sim.metrics_snapshot(sim.now().as_ps()).expect("registry");
     let registry = Telemetry::from_snapshot(&snapshot);
     let counter = |scope: &str, name: &str| registry.counter_total(scope, name);
     let profile = sim.profile().expect("profiler");
@@ -264,10 +264,19 @@ fn every_sink_agrees_with_the_others_serial_and_sharded() {
     );
 
     // k = 2 keeps the relay's local delivery on one shard; k = 3 sends it
-    // across a cut (80 ns, past the relay shard's 50 ns lookahead).
-    for assignment in [vec![0, 1, 1, 0], vec![0, 1, 2, 0]] {
+    // across a cut (80 ns, past the relay shard's 50 ns lookahead). The
+    // plant is too small to leave the leader's thread unless forced, so
+    // k = 2 runs once more with every window on real threads.
+    for (assignment, threads) in [
+        (vec![0, 1, 1, 0], false),
+        (vec![0, 1, 2, 0], false),
+        (vec![0, 1, 1, 0], true),
+    ] {
         let plan = ShardPlan::manual(assignment);
         let mut sharded = ShardedSimulator::split(plant(), &plan).expect("every cut has delay");
+        if threads {
+            sharded.set_parallel_threshold(0);
+        }
         sharded.run_until(deadline);
         assert!(sharded.run_stats().cross_shard_frames > 0);
         let merged = sharded.finish();
