@@ -689,6 +689,44 @@ mod tests {
         );
     }
 
+    /// FNV-1a of a finished run's full registry snapshot, rendered with
+    /// `Debug`: every counter and distribution the kernel and the
+    /// devices report, in key order.
+    fn snapshot_pin(sim: &Simulator) -> u64 {
+        let snap = sim
+            .metrics_snapshot(sim.now().as_ps())
+            .expect("registry was on");
+        fnv1a_fold(EMPTY_DIGEST, format!("{snap:?}").as_bytes())
+    }
+
+    fn full_loss_run(fault: FaultSpec) -> (LossRecoveryRun, Simulator) {
+        let mut cfg = LossRecoveryConfig::new(42, fault);
+        cfg.obs = ObsConfig::full();
+        loss_recovery_sim(&cfg)
+    }
+
+    fn full_ab_run() -> (AbFailoverRun, Simulator) {
+        let mut cfg = AbFailoverConfig::new(42);
+        cfg.obs = ObsConfig::full();
+        ab_failover_sim(&cfg)
+    }
+
+    /// The full-observability registry of each faultsim run, as recorded
+    /// before device counters became views of the devices' own stats.
+    #[test]
+    fn full_obs_snapshots_are_pinned() {
+        let pins = [
+            snapshot_pin(&full_loss_run(iid(77)).1),
+            snapshot_pin(&full_loss_run(gilbert_elliott(3)).1),
+            snapshot_pin(&full_ab_run().1),
+        ];
+        assert_eq!(
+            pins,
+            [0x8101_db17_afde_757b, 0xcdd5_dd15_39a4_5cbb, 0xd122_535f_8843_1576],
+            "{pins:#018x?}"
+        );
+    }
+
     #[test]
     fn ab_failover_reuses_frame_buffers_after_warm_up() {
         let mut cfg = AbFailoverConfig::new(4);

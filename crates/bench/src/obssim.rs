@@ -315,6 +315,17 @@ mod tests {
         assert!(on.profile.as_ref().unwrap().frames > 0);
     }
 
+    /// FNV-1a of E21's full-observability registry snapshot, rendered
+    /// with `Debug`, as recorded before device counters became views of
+    /// the devices' own stats.
+    #[test]
+    fn full_obs_snapshot_is_pinned() {
+        let run = run_decomposition(&DecompositionConfig::new(42), ObsConfig::full());
+        let snap = run.snapshot.expect("registry was on");
+        let pin = tn_sim::fnv1a_fold(tn_sim::EMPTY_DIGEST, format!("{snap:?}").as_bytes());
+        assert_eq!(pin, 0xcca7_77e9_de0c_3da2, "{pin:#018x}");
+    }
+
     #[test]
     fn trace_round_trips_through_the_parser() {
         let cfg = DecompositionConfig::new(11);
