@@ -19,8 +19,8 @@ use tn_feed::nodes::{
 use tn_feed::retrans::RecoveryConfig;
 use tn_feed::Arbiter;
 use tn_sim::{
-    Context, Frame, KernelProfile, Node, ObsConfig, PortId, SchedulerKind, SimTime, Simulator,
-    TimerToken,
+    Context, Frame, KernelProfile, MetricsRegistry, Node, NodeId, ObsConfig, PortId, SchedulerKind,
+    SimTime, Simulator, TimerToken,
 };
 use tn_wire::{eth, ipv4, pitch, stack};
 
@@ -180,6 +180,10 @@ impl Node for AbReceiver {
         // Terminal consumer: decoded or rejected, the buffer goes back to
         // the arena either way.
         ctx.recycle(frame);
+    }
+
+    fn metrics(&self, _me: NodeId, into: &mut MetricsRegistry) {
+        self.arb.metrics(into);
     }
 }
 
@@ -474,7 +478,7 @@ fn ab_failover_sim(cfg: &AbFailoverConfig) -> (AbFailoverRun, Simulator) {
 mod tests {
     use super::*;
     use tn_core::Telemetry;
-    use tn_sim::{fnv1a_fold, EMPTY_DIGEST};
+    use tn_sim::{fnv1a_fold, Snapshot, SnapshotValue, EMPTY_DIGEST};
 
     fn small_loss(seed: u64, fault: FaultSpec) -> LossRecoveryConfig {
         let mut c = LossRecoveryConfig::new(seed, fault);
@@ -689,14 +693,16 @@ mod tests {
         );
     }
 
-    /// FNV-1a of a finished run's full registry snapshot, rendered with
-    /// `Debug`: every counter and distribution the kernel and the
-    /// devices report, in key order.
+    /// A finished run's registry snapshot: every counter and
+    /// distribution the kernel and the devices report, in key order.
+    fn snapshot(sim: &Simulator) -> Snapshot {
+        sim.metrics_snapshot(sim.now().as_ps())
+            .expect("registry was on")
+    }
+
+    /// FNV-1a of [`snapshot`], rendered with `Debug`.
     fn snapshot_pin(sim: &Simulator) -> u64 {
-        let snap = sim
-            .metrics_snapshot(sim.now().as_ps())
-            .expect("registry was on");
-        fnv1a_fold(EMPTY_DIGEST, format!("{snap:?}").as_bytes())
+        fnv1a_fold(EMPTY_DIGEST, format!("{:?}", snapshot(sim)).as_bytes())
     }
 
     fn full_loss_run(fault: FaultSpec) -> (LossRecoveryRun, Simulator) {
@@ -713,6 +719,10 @@ mod tests {
 
     /// The full-observability registry of each faultsim run, as recorded
     /// before device counters became views of the devices' own stats.
+    /// The A/B run's pin was `0xd122_535f_8843_1576` then: its arbiter
+    /// never reached the registry. The re-pin adds exactly its six
+    /// non-zero counters (`feed/{a,b}_{offered,won}`, `arb_accepted`,
+    /// `arb_duplicate`) and moves nothing else.
     #[test]
     fn full_obs_snapshots_are_pinned() {
         let pins = [
@@ -722,9 +732,138 @@ mod tests {
         ];
         assert_eq!(
             pins,
-            [0x8101_db17_afde_757b, 0xcdd5_dd15_39a4_5cbb, 0xd122_535f_8843_1576],
+            [
+                0x8101_db17_afde_757b,
+                0xcdd5_dd15_39a4_5cbb,
+                0x80fd_77c4_eb8b_af48
+            ],
             "{pins:#018x?}"
         );
+    }
+
+    /// One snapshot counter, 0 when absent.
+    fn counter(snap: &Snapshot, scope: &str, name: &str, node: Option<u32>) -> u64 {
+        let entry = snap
+            .entries
+            .iter()
+            .find(|e| e.scope == scope && e.name == name && e.node == node);
+        match entry.map(|e| &e.value) {
+            None => 0,
+            Some(SnapshotValue::Counter(n)) => *n,
+            Some(other) => panic!("{scope}/{name} is not a counter: {other:?}"),
+        }
+    }
+
+    /// The one node of type `T` in a finished run, and its id.
+    fn find<T: Node + 'static>(sim: &Simulator) -> (NodeId, &T) {
+        (0..sim.node_count() as u32)
+            .map(NodeId)
+            .find_map(|id| sim.node::<T>(id).map(|n| (id, n)))
+            .expect("the run has one")
+    }
+
+    /// Every device counter in a full-observability snapshot equals the
+    /// count the device keeps in its own stats. The fault links' stats
+    /// are not reachable from the kernel, so their counters are held to
+    /// the kernel's own drop reasons and dispatch counts instead: every
+    /// link here is built from a `LinkSpec`, so every frame the kernel
+    /// delivered or dropped was offered to one.
+    #[test]
+    fn device_counters_reconcile_with_device_stats() {
+        fn check_fault_links(snap: &Snapshot) {
+            let c = |scope, name| counter(snap, scope, name, None);
+            let kernel = |name| -> u64 {
+                snap.entries
+                    .iter()
+                    .filter(|e| e.scope == "kernel" && e.name == name)
+                    .map(|e| counter(snap, "kernel", name, e.node))
+                    .sum()
+            };
+            assert!(c("fault", "offered") > 0);
+            assert_eq!(c("fault", "offered"), kernel("deliver") + kernel("drop"));
+            assert_eq!(c("fault", "lost"), c("link_drop", "random_loss"));
+            assert_eq!(c("fault", "down_drops"), c("link_drop", "link_down"));
+            assert_eq!(c("fault", "corrupted"), c("link_drop", "corrupted"));
+        }
+        for fault in [iid(77), gilbert_elliott(3)] {
+            let (_, sim) = full_loss_run(fault);
+            let snap = snapshot(&sim);
+            let c = |name, node| counter(&snap, "feed", name, node);
+            let client = find::<RecoveryReceiver>(&sim).1.client();
+            assert!(client.reorderer().stats().requests > 0);
+            assert_eq!(
+                [
+                    c("gap_detected", None),
+                    c("gap_abandoned", None),
+                    c("re_request", None)
+                ],
+                [
+                    client.reorderer().stats().requests,
+                    client.abandoned_gaps(),
+                    client.re_requests()
+                ]
+            );
+            let fills = client.fill_latencies_ps();
+            let fill_ps = snap.entries.iter().find(|e| e.name == "fill_ps");
+            let Some(SnapshotValue::Distribution {
+                count,
+                sum,
+                min,
+                max,
+                ..
+            }) = fill_ps.map(|e| &e.value)
+            else {
+                panic!("feed/fill_ps is a distribution: {fill_ps:?}");
+            };
+            assert_eq!(
+                (*count, *sum, Some(min), Some(max)),
+                (
+                    fills.len() as u64,
+                    fills.iter().map(|&f| u128::from(f)).sum(),
+                    fills.iter().min(),
+                    fills.iter().max()
+                )
+            );
+            let (id, unit) = find::<RetransUnit>(&sim);
+            let s = unit.stats();
+            assert_eq!(
+                [
+                    c("retrans_req", Some(id.0)),
+                    c("retrans_replay", Some(id.0)),
+                    c("retrans_refused", Some(id.0))
+                ],
+                [s.requests_in, s.replays_out, s.refused]
+            );
+            check_fault_links(&snap);
+        }
+        let (_, sim) = full_ab_run();
+        let snap = snapshot(&sim);
+        let c = |name| counter(&snap, "feed", name, None);
+        let s = find::<AbReceiver>(&sim).1.arbiter().stats();
+        assert!(s.accepted > 0 && s.full_duplicates > 0);
+        assert_eq!(
+            [
+                c("arb_accepted"),
+                c("arb_duplicate"),
+                c("arb_gap"),
+                c("arb_gap_msgs"),
+                c("a_offered"),
+                c("a_won"),
+                c("b_offered"),
+                c("b_won")
+            ],
+            [
+                s.accepted,
+                s.full_duplicates,
+                s.gap_events,
+                s.gap_messages,
+                s.side_a.offered,
+                s.side_a.won,
+                s.side_b.offered,
+                s.side_b.won
+            ]
+        );
+        check_fault_links(&snap);
     }
 
     #[test]

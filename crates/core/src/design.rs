@@ -3,10 +3,10 @@
 //! Every design hosts the *same* market + firm (from a
 //! [`ScenarioConfig`]): normalizers owning disjoint feed units,
 //! strategies subscribing to internal partitions and running momentum
-//! logic, and gateways holding the exchange sessions. [`run_on`] alone
+//! logic, and gateways holding the exchange sessions. `run_on` alone
 //! builds the kernel, firm and exchange, cables every NIC, starts the run
 //! and collects the report; a design contributes only its fabric, through
-//! the private [`Fabric`] seam.
+//! the private `Fabric` seam.
 //!
 //! `run_on` also fixes the order of kernel mutations (nodes, links,
 //! injected joins), which a design's `NodeId`s, link indices, event
@@ -318,9 +318,8 @@ fn exchange_config(sc: &ScenarioConfig, dir: &SymbolDirectory) -> ExchangeConfig
 }
 
 /// Build the kernel a design runs on: the scenario's event scheduler,
-/// then the telemetry it asked for. Called before any node or link
-/// exists: `add_node` / `install_link` hand the metrics handle to
-/// everything added later, fault wrappers included. Neither knob moves
+/// then the telemetry it asked for, on the empty kernel as
+/// [`Simulator::set_obs`] asks. Neither knob moves
 /// the run — schedulers pop in identical `(time, seq)` order and
 /// telemetry is purely side-state — so the trace digest is identical for
 /// any [`tn_sim::SchedulerKind`] / [`tn_sim::ObsConfig`] setting (pinned

@@ -813,12 +813,12 @@ mod tests {
 
     #[test]
     fn telemetry_from_snapshot_aggregates_hops_and_ranks_nodes() {
-        let m = tn_sim::Metrics::enabled();
+        let mut m = tn_sim::MetricsRegistry::new();
         m.observe("hop", "serialize", Some(1), 10_000);
         m.observe("hop", "serialize", Some(2), 30_000);
         m.observe("hop", "propagate", Some(2), 60_000);
         m.inc("kernel", "deliver", None);
-        let t = Telemetry::from_snapshot(&m.snapshot(5_000).unwrap());
+        let t = Telemetry::from_snapshot(&m.snapshot(5_000));
         assert_eq!(t.at_ps, 5_000);
         assert_eq!(t.hops.len(), 2);
         let ser = t.hops.iter().find(|h| h.kind == "serialize").unwrap();

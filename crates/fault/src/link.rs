@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tn_sim::{DropReason, Link, LinkOutcome, Metrics, SimTime};
+use tn_sim::{DropReason, Link, LinkOutcome, MetricsRegistry, SimTime};
 
 use crate::spec::{FaultSpec, LossModel};
 
@@ -92,7 +92,6 @@ pub struct FaultLink<L> {
     /// Gilbert–Elliott state: currently in the Bad (bursty) state?
     bad: bool,
     stats: FaultStats,
-    metrics: Metrics,
 }
 
 impl<L: Link> FaultLink<L> {
@@ -104,7 +103,6 @@ impl<L: Link> FaultLink<L> {
             spec,
             bad: false,
             stats: FaultStats::default(),
-            metrics: Metrics::disabled(),
         }
     }
 
@@ -151,27 +149,22 @@ impl<L: Link> FaultLink<L> {
 impl<L: Link> Link for FaultLink<L> {
     fn transmit(&mut self, now: SimTime, len: usize, coin: f64) -> LinkOutcome {
         self.stats.offered += 1;
-        self.metrics.inc("fault", "offered", None);
         if self.spec.down_at(now) {
             self.stats.down_drops += 1;
-            self.metrics.inc("fault", "down_drops", None);
             return LinkOutcome::Drop(DropReason::LinkDown);
         }
         if self.loss_step() {
             self.stats.lost += 1;
-            self.metrics.inc("fault", "lost", None);
             return LinkOutcome::Drop(DropReason::RandomLoss);
         }
         if self.spec.corrupt > 0.0 && self.rng.gen::<f64>() < self.spec.corrupt {
             self.stats.corrupted += 1;
-            self.metrics.inc("fault", "corrupted", None);
             return LinkOutcome::Drop(DropReason::Corrupted);
         }
         match self.inner.transmit(now, len, coin) {
             LinkOutcome::Deliver(at) => {
                 if self.spec.jitter > SimTime::ZERO {
                     self.stats.jittered += 1;
-                    self.metrics.inc("fault", "jittered", None);
                     let extra = self.rng.gen_range(0..=self.spec.jitter.as_ps());
                     LinkOutcome::Deliver(at + SimTime::from_ps(extra))
                 } else {
@@ -203,8 +196,17 @@ impl<L: Link> Link for FaultLink<L> {
         self.inner.rate_bps()
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    fn metrics(&self, into: &mut MetricsRegistry) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("offered", s.offered),
+            ("down_drops", s.down_drops),
+            ("lost", s.lost),
+            ("corrupted", s.corrupted),
+            ("jittered", s.jittered),
+        ] {
+            into.add("fault", name, None, n);
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! each sequence range to arrive, drops the duplicate, and reports gaps —
 //! which in production trigger retransmission requests or a re-snapshot.
 
-use tn_sim::Metrics;
+use tn_sim::MetricsRegistry;
 use tn_wire::pitch;
 use tn_wire::Result;
 
@@ -37,6 +37,9 @@ pub struct ArbStats {
     pub accepted: u64,
     /// Packets dropped as duplicates (other side arrived first).
     pub duplicates: u64,
+    /// Of `duplicates`, the copies with nothing new in them (the rest
+    /// overlapped the cursor and delivered their tail).
+    pub full_duplicates: u64,
     /// Packets dropped as stale (empty: no message to deliver).
     pub stale: u64,
     /// Sequence numbers skipped (lost on both sides).
@@ -60,7 +63,6 @@ pub struct ArbStats {
 pub struct Arbiter {
     merge: Reorderer,
     stats: ArbStats,
-    metrics: Metrics,
 }
 
 impl Arbiter {
@@ -74,10 +76,22 @@ impl Arbiter {
         self.stats
     }
 
-    /// Mirror arbitration counters into a metrics registry (scope
-    /// `"feed"`). Pure side-state; arbitration decisions are unaffected.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    /// Report the arbitration counters under scope `"feed"`: the view
+    /// a node that owns an arbiter hands to the registry.
+    pub fn metrics(&self, into: &mut MetricsRegistry) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("arb_accepted", s.accepted),
+            ("arb_duplicate", s.full_duplicates),
+            ("arb_gap", s.gap_events),
+            ("arb_gap_msgs", s.gap_messages),
+            ("a_offered", s.side_a.offered),
+            ("a_won", s.side_a.won),
+            ("b_offered", s.side_b.offered),
+            ("b_won", s.side_b.won),
+        ] {
+            into.add("feed", name, None, n);
+        }
     }
 
     /// Offer a sequenced-unit packet (the UDP payload). Lends the decoded
@@ -92,7 +106,7 @@ impl Arbiter {
             }
             Arrival::Old => {
                 self.stats.duplicates += 1;
-                self.metrics.inc("feed", "arb_duplicate", None);
+                self.stats.full_duplicates += 1;
                 return Ok(None);
             }
             // Partial duplicate: only the new tail is delivered, and the
@@ -105,13 +119,9 @@ impl Arbiter {
             Arrival::Ahead(missing) => {
                 self.stats.gap_events += 1;
                 self.stats.gap_messages += u64::from(missing);
-                self.metrics.inc("feed", "arb_gap", None);
-                self.metrics
-                    .add("feed", "arb_gap_msgs", None, u64::from(missing));
             }
         }
         self.stats.accepted += 1;
-        self.metrics.inc("feed", "arb_accepted", None);
         Ok(Some(&self.merge.released().messages))
     }
 
@@ -125,15 +135,13 @@ impl Arbiter {
         payload: &[u8],
     ) -> Result<Option<&[pitch::Message]>> {
         let won = self.offer(payload)?.is_some();
-        let (s, offered_name, won_name) = match side {
-            FeedSide::A => (&mut self.stats.side_a, "a_offered", "a_won"),
-            FeedSide::B => (&mut self.stats.side_b, "b_offered", "b_won"),
+        let s = match side {
+            FeedSide::A => &mut self.stats.side_a,
+            FeedSide::B => &mut self.stats.side_b,
         };
         s.offered += 1;
-        self.metrics.inc("feed", offered_name, None);
         if won {
             s.won += 1;
-            self.metrics.inc("feed", won_name, None);
         }
         Ok(won.then_some(&self.merge.released().messages))
     }

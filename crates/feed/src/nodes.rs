@@ -15,7 +15,7 @@
 //! loss, reordering, and outages the spec describes.
 
 use tn_netdev::TxQueue;
-use tn_sim::{Context, Frame, Metrics, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, Frame, MetricsRegistry, Node, NodeId, PortId, SimTime, TimerToken};
 use tn_wire::pitch::GapRequest;
 use tn_wire::{eth, ipv4, stack};
 
@@ -214,8 +214,8 @@ impl Node for RecoveryReceiver {
         self.rearm(ctx);
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.client.set_metrics(metrics);
+    fn metrics(&self, _me: NodeId, into: &mut MetricsRegistry) {
+        self.client.metrics(into);
     }
 }
 
@@ -274,7 +274,6 @@ pub struct RetransUnit {
     server: RetransmissionServer,
     svc: TxQueue,
     stats: RetransUnitStats,
-    metrics: Metrics,
 }
 
 impl RetransUnit {
@@ -289,7 +288,6 @@ impl RetransUnit {
             svc: TxQueue::new(SVC_TOKEN),
             cfg,
             stats: RetransUnitStats::default(),
-            metrics: Metrics::disabled(),
         }
     }
 
@@ -315,7 +313,6 @@ impl RetransUnit {
             },
             UNIT_REQ => {
                 self.stats.requests_in += 1;
-                self.metrics.inc("feed", "retrans_req", Some(ctx.me().0));
                 let Ok(req) = GapRequest::parse(view.payload) else {
                     self.stats.parse_errors += 1;
                     return;
@@ -344,14 +341,11 @@ impl RetransUnit {
                                 })
                                 .build();
                             self.stats.replays_out += 1;
-                            self.metrics.inc("feed", "retrans_replay", Some(ctx.me().0));
                             self.svc.send_after(ctx, SimTime::ZERO, UNIT_REQ, out);
                         }
                     }
                     Err(_) => {
                         self.stats.refused += 1;
-                        self.metrics
-                            .inc("feed", "retrans_refused", Some(ctx.me().0));
                     }
                 }
             }
@@ -374,8 +368,15 @@ impl Node for RetransUnit {
         debug_assert!(consumed, "unexpected timer {timer:?}");
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    fn metrics(&self, me: NodeId, into: &mut MetricsRegistry) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("retrans_req", s.requests_in),
+            ("retrans_replay", s.replays_out),
+            ("retrans_refused", s.refused),
+        ] {
+            into.add("feed", name, Some(me.0), n);
+        }
     }
 }
 

@@ -142,11 +142,6 @@ impl<R: Repartition> NormalizerCore<R> {
         &self.arbiter
     }
 
-    /// Mirror the inner arbiter's counters into a metrics registry.
-    pub fn set_metrics(&mut self, metrics: &tn_sim::Metrics) {
-        self.arbiter.set_metrics(metrics);
-    }
-
     /// Pre-assign symbol ids in iteration order (to match a firm-wide
     /// dictionary shared with strategies).
     pub fn preload_symbols(&mut self, symbols: impl IntoIterator<Item = Symbol>) {

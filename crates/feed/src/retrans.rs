@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use tn_netdev::queues::TokenBucket;
-use tn_sim::{Metrics, SimTime};
+use tn_sim::{MetricsRegistry, SimTime};
 use tn_wire::pitch::{self, GapRequest};
 use tn_wire::{Result, WireError};
 
@@ -396,7 +396,6 @@ pub struct RecoveryClient {
     fill_latency_ps: Vec<u64>,
     re_requests: u64,
     abandoned_gaps: u64,
-    metrics: Metrics,
 }
 
 impl RecoveryClient {
@@ -409,15 +408,24 @@ impl RecoveryClient {
             fill_latency_ps: Vec::new(),
             re_requests: 0,
             abandoned_gaps: 0,
-            metrics: Metrics::disabled(),
         }
     }
 
-    /// Mirror recovery counters — gap detections, retransmit round-trip
-    /// latencies, re-requests, abandons — into a metrics registry (scope
-    /// `"feed"`). Pure side-state; recovery decisions are unaffected.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    /// Report the recovery counters — gap detections, re-requests,
+    /// abandons and the gap-fill latencies — under scope `"feed"`: the
+    /// view a node that owns a client hands to the registry.
+    pub fn metrics(&self, into: &mut MetricsRegistry) {
+        into.add(
+            "feed",
+            "gap_detected",
+            None,
+            self.reorderer.stats().requests,
+        );
+        into.add("feed", "gap_abandoned", None, self.abandoned_gaps);
+        into.add("feed", "re_request", None, self.re_requests);
+        for &fill_ps in &self.fill_latency_ps {
+            into.observe("feed", "fill_ps", None, fill_ps);
+        }
     }
 
     /// The inner reorderer (for its counters).
@@ -463,7 +471,6 @@ impl RecoveryClient {
         let (unit, _) = self.reorderer.accept(payload)?;
         let out = self.reorderer.released();
         if !out.requests.is_empty() {
-            self.metrics.inc("feed", "gap_detected", None);
             self.open.insert(
                 unit,
                 OpenGap {
@@ -478,11 +485,9 @@ impl RecoveryClient {
                 self.open.remove(&unit);
                 if out.abandoned > 0 {
                     self.abandoned_gaps += 1;
-                    self.metrics.inc("feed", "gap_abandoned", None);
                 } else {
                     let fill_ps = now.saturating_sub(gap.opened_at).as_ps();
                     self.fill_latency_ps.push(fill_ps);
-                    self.metrics.observe("feed", "fill_ps", None, fill_ps);
                 }
             }
         }
@@ -504,7 +509,6 @@ impl RecoveryClient {
             };
             if gap.retries >= self.cfg.max_retries {
                 self.abandoned_gaps += 1;
-                self.metrics.inc("feed", "gap_abandoned", None);
                 self.reorderer.abandon(unit);
                 return false;
             }
@@ -516,7 +520,6 @@ impl RecoveryClient {
                 .saturating_mul(u64::from(self.cfg.backoff).saturating_pow(gap.retries));
             gap.deadline = now + SimTime::from_ps(wait_ps);
             self.re_requests += 1;
-            self.metrics.inc("feed", "re_request", None);
             self.reorderer.out.requests.push(req);
             true
         });

@@ -11,7 +11,9 @@
 //! latency — exactly how firms measure strategy latency (order-out time
 //! minus last-input time).
 
-use tn_sim::{Context, Frame, FrameId, Metrics, Node, PortId, SimTime};
+use tn_sim::{
+    Context, Distribution, Frame, FrameId, MetricsRegistry, Node, NodeId, PortId, SimTime,
+};
 
 /// Which way the frame was heading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +44,10 @@ pub struct CaptureRecord {
 pub struct Tap {
     records: Vec<CaptureRecord>,
     enabled: bool,
-    metrics: Metrics,
+    /// Frames passed, recording or not.
+    frames: u64,
+    /// Frame age (time since birth) at this point in the fabric.
+    ages: Distribution,
 }
 
 impl Tap {
@@ -51,7 +56,8 @@ impl Tap {
         Tap {
             records: Vec::new(),
             enabled: true,
-            metrics: Metrics::disabled(),
+            frames: 0,
+            ages: Distribution::default(),
         }
     }
 
@@ -105,22 +111,17 @@ impl Node for Tap {
                 tag: frame.meta.tag,
             });
         }
-        // Taps feed the registry like any capture appliance feeds the
-        // monitoring plane: frame counts plus frame age (time since the
-        // frame was born) observed at this point in the fabric.
-        let me = ctx.me().0;
-        self.metrics.inc("tap", "frames", Some(me));
-        self.metrics.observe(
-            "tap",
-            "age_ps",
-            Some(me),
-            ctx.now().saturating_sub(frame.born).as_ps(),
-        );
+        self.frames += 1;
+        self.ages
+            .observe(ctx.now().saturating_sub(frame.born).as_ps());
         ctx.send(out, frame);
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    /// Taps feed the registry like any capture appliance feeds the
+    /// monitoring plane: frame counts plus frame ages.
+    fn metrics(&self, me: NodeId, into: &mut MetricsRegistry) {
+        into.add("tap", "frames", Some(me.0), self.frames);
+        into.merge("tap", "age_ps", Some(me.0), &self.ages);
     }
 }
 

@@ -61,11 +61,6 @@ impl EtherLink {
         EtherLink::new(25_000_000_000, propagation)
     }
 
-    /// 100 GbE spine links.
-    pub fn hundred_gig(propagation: SimTime) -> EtherLink {
-        EtherLink::new(100_000_000_000, propagation)
-    }
-
     /// A metro microwave link: lower bandwidth, lower latency, lossy.
     /// Typical deployed systems run hundreds of Mbps with ~0.01–1% frame
     /// loss in clear air, worse in rain.

@@ -9,8 +9,9 @@
 pub struct ObsConfig {
     /// Accumulate per-hop [`crate::Provenance`] segments on every frame.
     pub provenance: bool,
-    /// Maintain a [`crate::MetricsRegistry`] fed by kernel, link, switch,
-    /// and feed-path hooks.
+    /// Keep a [`crate::MetricsRegistry`]: the kernel records link-drop
+    /// reasons and hop distributions into it, and a snapshot adds the
+    /// kernel's dispatch counts and every device's own counters.
     pub registry: bool,
     /// Keep a bounded ring of the last kernel events in a
     /// [`crate::FlightRecorder`], dumped on panic or on demand.

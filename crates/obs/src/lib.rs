@@ -9,12 +9,13 @@
 //!   `(node, port, kind, start, end)` segments accumulated by the kernel at
 //!   every dispatch and link traversal, so a delivered frame decomposes
 //!   into processing vs. queueing vs. serialization vs. propagation time.
-//! - [`MetricsRegistry`] / [`Metrics`] — counters, gauges, and histograms
-//!   keyed by `(scope, name, node)` in `BTreeMap`s (deterministic
-//!   iteration), snapshotted at simulated times. The kernel's own
-//!   dispatch counters are not written here: the simulator adds them
-//!   to the snapshot from its per-node count rows.
-//! - [`TraceWriter`] / [`parse`](trace::parse) / [`TraceSummary`] — the
+//! - [`MetricsRegistry`] — counters, gauges, and histograms keyed by
+//!   `(scope, name, node)` in `BTreeMap`s (deterministic iteration),
+//!   snapshotted at simulated times. The simulator's registry holds only
+//!   what the kernel alone sees; a snapshot adds the kernel's dispatch
+//!   counts from its per-node count rows and each device's counters from
+//!   the stats the device keeps.
+//! - [`TraceWriter`] / [`parse`] / [`TraceSummary`] — the
 //!   versioned `tn-trace/v1` JSONL span/event export and its summarizer.
 //! - [`FlightRecorder`] — tn-flight: a bounded ring of the last N kernel
 //!   events (fixed-size [`FlightRecord`]s), dumped on panic, divergence
@@ -51,9 +52,7 @@ pub use profile::{
     KernelProfile, KernelProfiler, NodeProfile, PROFILE_WHEEL_LEVELS, QUEUE_SERIES_CAP,
 };
 pub use provenance::{HopSegment, Provenance, SegmentKind};
-pub use registry::{
-    Distribution, Metrics, MetricsRegistry, Snapshot, SnapshotEntry, SnapshotValue,
-};
+pub use registry::{Distribution, MetricsRegistry, Snapshot, SnapshotEntry, SnapshotValue};
 pub use summarize::{summarize, SegStat, TraceSummary};
 pub use timeline::{chrome_trace, folded_stacks, FLIGHT_SCHEMA};
 pub use trace::{parse, EventRecord, MetricRecord, SpanRecord, TraceDoc, TraceWriter, SCHEMA};

@@ -1,7 +1,6 @@
-//! The deterministic metrics registry and its shareable handle.
+//! The deterministic metrics registry.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use tn_stats::Histogram;
 
@@ -9,7 +8,7 @@ use tn_stats::Histogram;
 /// are `&'static str` so hot-path recording never allocates.
 pub type MetricKey = (&'static str, &'static str, Option<u32>);
 
-/// Default histogram shape for [`MetricsRegistry::observe`]: 100 ns bins
+/// Histogram shape of every [`Distribution`]: 100 ns bins
 /// over `[0, 100 µs)` — wide enough for per-hop latencies at every rate the
 /// workspace models; the tails are tracked exactly via min/max/sum.
 const DEFAULT_HIST_LO: u64 = 0;
@@ -27,23 +26,35 @@ pub struct Distribution {
     max: u64,
 }
 
-impl Distribution {
-    fn new(lo: u64, bin_width: u64, bins: usize) -> Distribution {
+impl Default for Distribution {
+    fn default() -> Distribution {
         Distribution {
-            hist: Histogram::new(lo, bin_width, bins),
+            hist: Histogram::new(DEFAULT_HIST_LO, DEFAULT_HIST_BIN_PS, DEFAULT_HIST_BINS),
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
     }
+}
 
-    fn observe(&mut self, v: u64) {
+impl Distribution {
+    /// Record one sample.
+    pub fn observe(&mut self, v: u64) {
         self.hist.record(v);
         self.count += 1;
         self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Fold `other`'s samples in, as if each had been observed here.
+    pub fn merge(&mut self, other: &Distribution) {
+        self.hist.merge(&other.hist);
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Samples recorded.
@@ -107,6 +118,10 @@ enum Metric {
 
 /// Deterministic metrics store: `BTreeMap`-keyed (stable iteration order),
 /// fed only with simulated-time values, snapshotted on demand.
+///
+/// A simulator keeps one while its registry is on, holding what only the
+/// kernel sees (link-drop reasons, hop distributions); a snapshot copies
+/// it and has every node and link add the counters it keeps itself.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<MetricKey, Metric>,
@@ -123,8 +138,12 @@ impl MetricsRegistry {
         self.add(scope, name, node, 1);
     }
 
-    /// Increment a counter by `delta`.
+    /// Increment a counter by `delta`. A zero `delta` records nothing, so
+    /// a device reporting a count it never bumped leaves no key behind.
     pub fn add(&mut self, scope: &'static str, name: &'static str, node: Option<u32>, delta: u64) {
+        if delta == 0 {
+            return;
+        }
         match self
             .metrics
             .entry((scope, name, node))
@@ -153,41 +172,47 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record a sample into a distribution with the default histogram
-    /// shape (100 ns bins over `[0, 100 µs)`).
+    /// Record a sample into a distribution (100 ns bins over
+    /// `[0, 100 µs)`).
     pub fn observe(&mut self, scope: &'static str, name: &'static str, node: Option<u32>, v: u64) {
-        self.observe_with(
-            scope,
-            name,
-            node,
-            v,
-            DEFAULT_HIST_LO,
-            DEFAULT_HIST_BIN_PS,
-            DEFAULT_HIST_BINS,
-        );
+        self.with_distribution((scope, name, node), |d| d.observe(v));
     }
 
-    /// Record a sample, creating the distribution with an explicit
-    /// histogram shape if absent (the shape of an existing distribution is
-    /// kept).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_with(
+    /// Fold a device's own distribution into one. An empty one records
+    /// nothing, like a zero [`add`](MetricsRegistry::add).
+    pub fn merge(
         &mut self,
         scope: &'static str,
         name: &'static str,
         node: Option<u32>,
-        v: u64,
-        lo: u64,
-        bin_width: u64,
-        bins: usize,
+        d: &Distribution,
     ) {
+        if d.count() > 0 {
+            self.with_distribution((scope, name, node), |mine| mine.merge(d));
+        }
+    }
+
+    fn with_distribution(&mut self, key: MetricKey, f: impl FnOnce(&mut Distribution)) {
         match self
             .metrics
-            .entry((scope, name, node))
-            .or_insert_with(|| Metric::Distribution(Distribution::new(lo, bin_width, bins)))
+            .entry(key)
+            .or_insert_with(|| Metric::Distribution(Distribution::default()))
         {
-            Metric::Distribution(d) => d.observe(v),
+            Metric::Distribution(d) => f(d),
             other => debug_assert!(false, "metric kind mismatch for distribution: {other:?}"),
+        }
+    }
+
+    /// Fold another registry in: counters add, distributions merge and
+    /// gauges take `other`'s level. A sharded run absorbs each shard's
+    /// registry this way at reassembly.
+    pub fn absorb(&mut self, other: &MetricsRegistry) {
+        for (&(scope, name, node), m) in &other.metrics {
+            match m {
+                Metric::Counter(c) => self.add(scope, name, node, *c),
+                Metric::Gauge(g) => self.set_gauge(scope, name, node, *g),
+                Metric::Distribution(d) => self.merge(scope, name, node, d),
+            }
         }
     }
 
@@ -313,107 +338,6 @@ pub enum SnapshotValue {
     },
 }
 
-/// Cheap, cloneable recording handle. Disabled by default: every
-/// recording call on a disabled handle is a no-op, so instrumented code
-/// records unconditionally and pays nothing when telemetry is off.
-///
-/// The registry sits behind an `Arc<Mutex<..>>` so sharded runs can share
-/// one registry across per-shard kernel threads; every recorded operation
-/// is commutative (counter adds, gauge sets, histogram folds), which is
-/// what keeps a shared registry deterministic regardless of shard
-/// interleaving. The mutex is uncontended in serial runs.
-#[derive(Clone, Default)]
-pub struct Metrics {
-    inner: Option<Arc<Mutex<MetricsRegistry>>>,
-}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "Metrics(disabled)"),
-            Some(r) => match r.lock() {
-                Ok(g) => write!(f, "Metrics({} metrics)", g.len()),
-                Err(_) => write!(f, "Metrics(poisoned)"),
-            },
-        }
-    }
-}
-
-impl Metrics {
-    /// A no-op handle.
-    pub fn disabled() -> Metrics {
-        Metrics { inner: None }
-    }
-
-    /// A live handle backed by a fresh registry; clones share it.
-    pub fn enabled() -> Metrics {
-        Metrics {
-            inner: Some(Arc::new(Mutex::new(MetricsRegistry::new()))),
-        }
-    }
-
-    /// True when recording goes somewhere.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Increment a counter by 1.
-    #[inline]
-    pub fn inc(&self, scope: &'static str, name: &'static str, node: Option<u32>) {
-        self.add(scope, name, node, 1);
-    }
-
-    /// Increment a counter by `delta`. The disabled test is inlined into
-    /// the caller — the kernel asks on every dispatch — and only a live
-    /// handle pays the call.
-    #[inline]
-    pub fn add(&self, scope: &'static str, name: &'static str, node: Option<u32>, delta: u64) {
-        if let Some(r) = &self.inner {
-            Self::record(r, |g| g.add(scope, name, node, delta));
-        }
-    }
-
-    /// Set a gauge.
-    pub fn set_gauge(&self, scope: &'static str, name: &'static str, node: Option<u32>, v: i64) {
-        if let Some(r) = &self.inner {
-            if let Ok(mut g) = r.lock() {
-                g.set_gauge(scope, name, node, v);
-            }
-        }
-    }
-
-    /// Record a distribution sample (default histogram shape).
-    #[inline]
-    pub fn observe(&self, scope: &'static str, name: &'static str, node: Option<u32>, v: u64) {
-        if let Some(r) = &self.inner {
-            Self::record(r, |g| g.observe(scope, name, node, v));
-        }
-    }
-
-    /// The recording half of [`Metrics::add`] and [`Metrics::observe`],
-    /// kept out of line so their inlined halves are one test.
-    #[inline(never)]
-    fn record(r: &Mutex<MetricsRegistry>, f: impl FnOnce(&mut MetricsRegistry)) {
-        if let Ok(mut g) = r.lock() {
-            f(&mut g);
-        }
-    }
-
-    /// Cumulative snapshot, if enabled.
-    pub fn snapshot(&self, at_ps: u64) -> Option<Snapshot> {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|g| g.snapshot(at_ps)))
-    }
-
-    /// Run `f` against the registry, if enabled.
-    pub fn with_registry<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|g| f(&g)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,26 +385,29 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_is_a_cheap_noop() {
-        let m = Metrics::disabled();
-        assert!(!m.is_enabled());
-        m.inc("kernel", "deliver", None);
-        m.observe("hop", "queue", None, 1);
-        assert!(m.snapshot(0).is_none());
-        assert_eq!(format!("{m:?}"), "Metrics(disabled)");
-    }
-
-    #[test]
-    fn clones_share_one_registry() {
-        let m = Metrics::enabled();
-        let m2 = m.clone();
-        m.inc("kernel", "deliver", None);
-        m2.inc("kernel", "deliver", None);
-        let count = m
-            .with_registry(|r| r.counter("kernel", "deliver", None))
-            .unwrap();
-        assert_eq!(count, 2);
-        assert!(format!("{m:?}").contains("1 metrics"));
+    fn absorbing_equals_recording_into_one() {
+        let feed = |r: &mut MetricsRegistry, part: u64| {
+            r.add("link_drop", "random_loss", None, part);
+            r.observe("hop", "queue", Some(1), 1_000 * part);
+        };
+        let (mut a, mut b, mut both) = (
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+        );
+        feed(&mut a, 1);
+        feed(&mut b, 2);
+        b.inc("feed", "gap", None);
+        for part in [1, 2] {
+            feed(&mut both, part);
+        }
+        both.inc("feed", "gap", None);
+        a.absorb(&b);
+        assert_eq!(a.snapshot(5), both.snapshot(5));
+        // A zero count or an empty distribution leaves no key.
+        a.add("feed", "gap", Some(9), 0);
+        a.merge("tap", "age_ps", None, &Distribution::default());
+        assert_eq!(a.snapshot(5), both.snapshot(5));
     }
 
     #[test]

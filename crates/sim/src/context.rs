@@ -52,8 +52,8 @@ impl Context<'_> {
 
     /// Start building a new frame born now: the unified arena-first
     /// constructor. The payload buffer is drawn from the kernel's
-    /// [`FrameArena`] (in steady state a recycled buffer — no
-    /// allocation); fill it with [`FrameBuilder::fill`] /
+    /// [`FrameArena`](crate::FrameArena) (in steady state a recycled
+    /// buffer — no allocation); fill it with [`FrameBuilder::fill`] /
     /// [`FrameBuilder::copy_from`] / [`FrameBuilder::zeroed`] and finish
     /// with [`FrameBuilder::build`].
     pub fn frame(&mut self) -> FrameBuilder<'_> {
@@ -61,9 +61,10 @@ impl Context<'_> {
     }
 
     /// Duplicate a frame for replication (switch fan-out, A/B feed
-    /// copies): the payload buffer comes from the [`FrameArena`], while
-    /// identity, birth time, and metadata are preserved — replicas keep
-    /// the original [`FrameId`] so capture taps can correlate them.
+    /// copies): the payload buffer comes from the
+    /// [`FrameArena`](crate::FrameArena), while identity, birth time, and
+    /// metadata are preserved — replicas keep the original
+    /// [`FrameId`](crate::FrameId) so capture taps can correlate them.
     pub fn clone_frame(&mut self, frame: &Frame) -> Frame {
         let mut bytes = self.sim.arena.take();
         bytes.extend_from_slice(&frame.bytes);
@@ -75,10 +76,11 @@ impl Context<'_> {
         }
     }
 
-    /// Return a finished frame's payload buffer to the [`FrameArena`].
-    /// Terminal consumers (sinks, handlers that fully decode and discard)
-    /// should prefer this over dropping the frame, closing the recycling
-    /// loop that keeps the hot path allocation-free.
+    /// Return a finished frame's payload buffer to the
+    /// [`FrameArena`](crate::FrameArena). Terminal consumers (sinks,
+    /// handlers that fully decode and discard) should prefer this over
+    /// dropping the frame, closing the recycling loop that keeps the hot
+    /// path allocation-free.
     #[inline]
     pub fn recycle(&mut self, frame: Frame) {
         self.sim.arena.give(frame.bytes);

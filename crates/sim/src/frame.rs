@@ -214,7 +214,7 @@ impl Default for FrameArena {
 }
 
 impl FrameArena {
-    /// An empty arena parking at most [`DEFAULT_MAX_FREE`] buffers.
+    /// An empty arena parking at most `DEFAULT_MAX_FREE` buffers.
     pub fn new() -> Self {
         FrameArena::with_max_free(DEFAULT_MAX_FREE)
     }

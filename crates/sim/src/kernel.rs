@@ -30,8 +30,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tn_obs::{
-    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, Metrics, NodeProfile,
-    ObsConfig, Snapshot, SnapshotEntry, SnapshotValue,
+    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, MetricsRegistry,
+    NodeProfile, ObsConfig, Snapshot,
 };
 
 use crate::context::{Context, TimerToken};
@@ -280,7 +280,9 @@ pub struct Simulator {
     pub(crate) arena: FrameArena,
     pub(crate) stats: SimStats,
     pub(crate) provenance: bool,
-    pub(crate) metrics: tn_obs::Metrics,
+    /// The registry's kernel-only part (link-drop reasons, hop
+    /// distributions) while the registry is on.
+    pub(crate) metrics: Option<MetricsRegistry>,
     pub(crate) flight: FlightRecorder,
     pub(crate) profiler: KernelProfiler,
     /// One count row per node while a profile or a registry will read
@@ -324,7 +326,7 @@ impl Simulator {
             arena: FrameArena::new(),
             stats: SimStats::default(),
             provenance: false,
-            metrics: tn_obs::Metrics::disabled(),
+            metrics: None,
             flight: FlightRecorder::disabled(),
             profiler: KernelProfiler::disabled(),
             counts: Vec::new(),
@@ -341,7 +343,7 @@ impl Simulator {
 
     /// Enable or disable per-hop latency provenance. When on, every frame
     /// accumulates contiguous [`tn_obs::Provenance`] segments in its
-    /// [`FrameMeta`] at each transmit: processing time inside the source
+    /// [`FrameMeta`](crate::FrameMeta) at each transmit: processing time inside the source
     /// node, then the link traversal decomposed via [`Link::decompose`].
     ///
     /// Provenance is pure side-state — it never draws randomness,
@@ -351,58 +353,45 @@ impl Simulator {
         self.provenance = on;
     }
 
-    /// True when per-hop provenance accumulation is on.
-    pub fn provenance_enabled(&self) -> bool {
-        self.provenance
-    }
-
-    /// Install a metrics handle. The kernel records link-drop reasons
-    /// and per-hop latency distributions into it, and the handle is
-    /// offered to every node (current and future) via
-    /// [`Node::on_attach_metrics`] so instrumented devices can record
-    /// their own scopes. The kernel's own `kernel/*` counters are not
-    /// written to it: [`Simulator::metrics_snapshot`] adds them from the
-    /// count rows. Like provenance, recording is pure side-state.
-    pub fn set_metrics(&mut self, metrics: tn_obs::Metrics) {
-        self.metrics = metrics;
+    /// Turn the metrics registry on (a fresh one) or off. The kernel
+    /// records link-drop reasons and, with provenance on, per-hop latency
+    /// distributions into it; everything else in a snapshot is read at
+    /// snapshot time (see [`Simulator::metrics_snapshot`]). Like
+    /// provenance, recording is pure side-state.
+    pub fn set_metrics(&mut self, on: bool) {
+        self.metrics = on.then(MetricsRegistry::new);
         self.sync_counts();
-        for node in self.nodes.iter_mut().flatten().flat_map(|s| &mut s.node) {
-            node.on_attach_metrics(&self.metrics);
-        }
-        for slot in self.links.iter_mut().flatten() {
-            slot.link.on_attach_metrics(&self.metrics);
-        }
     }
 
-    /// Snapshot the metrics registry at simulated time `at_ps`, with the
-    /// kernel's `kernel/{deliver,timer,unrouted,drop}` counters added per
-    /// node from the count rows (non-zero counts only), all in the
-    /// registry's `(scope, name, node)` order. `None` unless
-    /// [`Simulator::set_metrics`] installed a live registry.
+    /// Snapshot the metrics registry at simulated time `at_ps`: the
+    /// kernel's own records, every node's and link's counters from
+    /// [`Node::metrics`] and [`Link::metrics`], and the
+    /// `kernel/{deliver,timer,unrouted,drop}` counters per node from the
+    /// count rows, in `(scope, name, node)` order. Zero counts leave no
+    /// entry. `None` unless the registry is on.
     pub fn metrics_snapshot(&self, at_ps: u64) -> Option<Snapshot> {
-        let mut snap = self.metrics.snapshot(at_ps)?;
-        for (node, row) in self.counts.iter().enumerate() {
-            for (name, &n) in SEEN_NAMES.iter().zip(&row.seen) {
-                if n > 0 {
-                    snap.entries.push(SnapshotEntry {
-                        scope: "kernel".to_string(),
-                        name: name.to_string(),
-                        node: Some(node as u32),
-                        value: SnapshotValue::Counter(n),
-                    });
-                }
+        let mut reg = self.metrics.clone()?;
+        for (id, slot) in self.nodes.iter().enumerate() {
+            if let Some(node) = slot.as_ref().and_then(|s| s.node.as_ref()) {
+                node.metrics(NodeId(id as u32), &mut reg);
             }
         }
-        snap.entries
-            .sort_by(|x, y| (&x.scope, &x.name, x.node).cmp(&(&y.scope, &y.name, y.node)));
-        Some(snap)
+        for slot in self.links.iter().flatten() {
+            slot.link.metrics(&mut reg);
+        }
+        for (node, row) in self.counts.iter().enumerate() {
+            for (&name, &n) in SEEN_NAMES.iter().zip(&row.seen) {
+                reg.add("kernel", name, Some(node as u32), n);
+            }
+        }
+        Some(reg.snapshot(at_ps))
     }
 
     /// Keep one count row per node while a profile or a registry will
     /// read them, and none otherwise, so an unobserved run carries no
     /// rows. Rows already counted survive while either reader stays on.
     fn sync_counts(&mut self) {
-        if self.profiler.is_enabled() || self.metrics.is_enabled() {
+        if self.profiler.is_enabled() || self.metrics.is_some() {
             self.counts.resize(self.nodes.len(), NodeCounts::idle(0));
         } else {
             self.counts = Vec::new();
@@ -462,14 +451,13 @@ impl Simulator {
     /// Switch on everything `obs` asks of the kernel: per-hop provenance,
     /// a fresh metrics registry, the flight ring at its configured
     /// capacity, the profiler and trace storage. What `obs` leaves off
-    /// stays as it was. Call it on an empty simulator: nodes and links
-    /// added afterwards are handed the registry.
+    /// stays as it was. Call it on an empty simulator.
     pub fn set_obs(&mut self, obs: &ObsConfig) {
         if obs.provenance {
             self.set_provenance(true);
         }
         if obs.registry {
-            self.set_metrics(Metrics::enabled());
+            self.set_metrics(true);
         }
         if obs.flight {
             self.set_flight_capacity(obs.flight_capacity as usize);
@@ -534,12 +522,8 @@ impl Simulator {
     /// injections. `name` appears in diagnostics only.
     pub fn add_node(&mut self, name: impl Into<String>, node: impl Node + 'static) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let mut node: Box<dyn AnyNode> = Box::new(node);
-        if self.metrics.is_enabled() {
-            node.on_attach_metrics(&self.metrics);
-        }
         self.nodes.push(Some(NodeSlot {
-            node: Some(node),
+            node: Some(Box::new(node)),
             ports: Ports::EMPTY,
         }));
         self.names.push(name.into());
@@ -611,15 +595,11 @@ impl Simulator {
             panic!("link source {src:?} is not a registered node");
         };
         src_slot.ports.set(src_port, idx as u32);
-        let mut slot = LinkSlot {
+        self.links.push(Some(LinkSlot {
             link,
             dst,
             dst_port,
-        };
-        if self.metrics.is_enabled() {
-            slot.link.on_attach_metrics(&self.metrics);
-        }
-        self.links.push(Some(slot));
+        }));
     }
 
     /// True if the port has an outgoing link. An unknown node or a port
@@ -922,7 +902,9 @@ impl Simulator {
             Seen::LinkDrop(reason) => {
                 self.stats.frames_dropped += 1;
                 // The row keeps no reason; the registry does.
-                self.metrics.inc("link_drop", reason.name(), None);
+                if let Some(m) = &mut self.metrics {
+                    m.inc("link_drop", reason.name(), None);
+                }
                 (3, TraceKind::Drop)
             }
         };
@@ -1067,10 +1049,9 @@ impl Simulator {
             timing.serialize.as_ps(),
             timing.propagate.as_ps(),
         );
-        if self.metrics.is_enabled() {
+        if let Some(m) = &mut self.metrics {
             for seg in &prov.segments()[before..] {
-                self.metrics
-                    .observe("hop", seg.kind.name(), Some(seg.node), seg.duration_ps());
+                m.observe("hop", seg.kind.name(), Some(seg.node), seg.duration_ps());
             }
         }
     }
@@ -1119,7 +1100,7 @@ impl Drop for Simulator {
 mod tests {
     use super::*;
     use crate::link::IdealLink;
-    use tn_obs::MetricsRegistry;
+    use tn_obs::SnapshotValue;
 
     /// Forwards every frame out the same port after a modeled delay, and
     /// counts what it saw.
@@ -1692,7 +1673,7 @@ mod tests {
     #[test]
     fn kernel_counters_survive_the_profile_coming_and_going() {
         let mut sim = Simulator::new(7);
-        sim.set_metrics(Metrics::enabled());
+        sim.set_metrics(true);
         let a = bouncing_pair(&mut sim);
         let f = sim.frame().zeroed(64).build();
         sim.inject_frame(SimTime::ZERO, a, PortId(0), f);
@@ -1705,19 +1686,26 @@ mod tests {
         sim.run_until(SimTime::from_us(1));
         sim.set_profile(false);
         assert_eq!(kernel_total(&sim, "deliver"), sim.stats().frames_delivered);
-        sim.set_metrics(Metrics::disabled());
+        sim.set_metrics(false);
         assert!(sim.counts.is_empty(), "no reader, no rows");
     }
 
-    /// Refuses every frame, without the kernel coin.
-    struct Refuse;
+    /// Refuses every frame, without the kernel coin, and counts them.
+    #[derive(Default)]
+    struct Refuse {
+        refused: u64,
+    }
 
     impl Link for Refuse {
         fn transmit(&mut self, _: SimTime, _: usize, _: f64) -> LinkOutcome {
+            self.refused += 1;
             LinkOutcome::Drop(DropReason::RandomLoss)
         }
         fn propagation(&self) -> SimTime {
             SimTime::from_ns(1)
+        }
+        fn metrics(&self, into: &mut MetricsRegistry) {
+            into.add("feed", "gap", None, self.refused);
         }
     }
 
@@ -1741,13 +1729,17 @@ mod tests {
                 ctx.set_timer(SimTime::from_ns(10), timer);
             }
         }
+        fn metrics(&self, me: NodeId, into: &mut MetricsRegistry) {
+            into.add("feed", "gap", Some(me.0), self.ticks);
+            into.add("zone", "last", None, self.ticks);
+            into.add("zone", "never", None, 0);
+        }
     }
 
     #[test]
     fn metrics_snapshot_equals_a_registry_fed_through_inc() {
         let mut sim = Simulator::new(7);
-        let metrics = Metrics::enabled();
-        sim.set_metrics(metrics.clone());
+        sim.set_metrics(true);
         let spray = sim.add_node("spray", Spray { ticks: 0 });
         let sink = sim.add_node(
             "sink",
@@ -1758,22 +1750,17 @@ mod tests {
         );
         let wire = IdealLink::new(SimTime::from_ns(5));
         sim.install_link(spray, PortId(0), sink, PortId(0), Box::new(wire));
-        sim.install_link(spray, PortId(1), sink, PortId(1), Box::new(Refuse));
+        sim.install_link(spray, PortId(1), sink, PortId(1), Box::<Refuse>::default());
         sim.schedule_timer(SimTime::ZERO, spray, TimerToken(1));
         sim.run();
-        // Scopes sorting before and after "kernel", per node and not.
+        // The registry path: one `inc` per observation. The node's and
+        // the link's views add scopes sorting before and after "kernel",
+        // per node and not; their zero count leaves no key.
         let mut want = MetricsRegistry::new();
-        for (scope, name, node) in [
-            ("feed", "gap", None),
-            ("feed", "gap", Some(1)),
-            ("hop", "queue", Some(0)),
-            ("zone", "last", None),
-        ] {
-            metrics.inc(scope, name, node);
-            want.inc(scope, name, node);
-        }
-        // The registry path: one `inc` per observation.
         for _ in 0..4 {
+            want.inc("feed", "gap", None);
+            want.inc("feed", "gap", Some(spray.0));
+            want.inc("zone", "last", None);
             want.inc("kernel", "timer", Some(spray.0));
             want.inc("kernel", "drop", Some(spray.0));
             want.inc("kernel", "unrouted", Some(spray.0));

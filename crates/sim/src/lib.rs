@@ -77,8 +77,8 @@ pub use trace::{fnv1a_fold, fold_event, TraceEvent, TraceKind, TraceLog, EMPTY_D
 /// models can name them without depending on `tn-obs` directly.
 pub use tn_obs::{
     Distribution, FlightKind, FlightRecord, FlightRecorder, HopSegment, KernelProfile,
-    KernelProfiler, Metrics, MetricsRegistry, NodeProfile, ObsConfig, Provenance, SegmentKind,
-    Snapshot, SnapshotEntry, SnapshotValue,
+    KernelProfiler, MetricsRegistry, NodeProfile, ObsConfig, Provenance, SegmentKind, Snapshot,
+    SnapshotEntry, SnapshotValue,
 };
 
 /// The workspace's one JSON module, so every crate that writes or reads a

@@ -103,13 +103,12 @@ pub trait Link: Send {
         None
     }
 
-    /// The simulator's metrics registry became available (see
-    /// [`crate::Simulator::set_metrics`]). Instrumented links — fault
-    /// wrappers counting drops by cause, for instance — keep a clone of
-    /// the handle; the default does nothing. Recording is pure side-state:
-    /// implementations must not change transmit outcomes here.
-    fn on_attach_metrics(&mut self, metrics: &tn_obs::Metrics) {
-        let _ = metrics;
+    /// Report the counters this link keeps — a fault wrapper's drops by
+    /// cause, for instance — into a registry snapshot (see
+    /// [`crate::Simulator::metrics_snapshot`]). The default reports
+    /// nothing; like [`crate::Node::metrics`] it is a read-only view.
+    fn metrics(&self, into: &mut tn_obs::MetricsRegistry) {
+        let _ = into;
     }
 
     /// Split a traversal's `total` latency (delivery time minus offer

@@ -21,7 +21,8 @@ impl PortId {
 ///
 /// Implementations are switches, NICs/hosts, exchange front-ends, capture
 /// taps, and the trading-firm application tier. All state lives inside the
-/// implementor; all interaction with the world goes through [`Context`].
+/// implementor; all interaction with the world goes through [`Context`],
+/// and the registry reads a node's counters through [`Node::metrics`].
 ///
 /// `Send` is a supertrait so a sharded run can move each shard's nodes
 /// onto its own OS thread; node state is plain data in practice, so this
@@ -35,15 +36,14 @@ pub trait Node: Send {
         let _ = (ctx, timer);
     }
 
-    /// The simulator's metrics registry became available (see
-    /// [`crate::Simulator::set_metrics`]). Instrumented nodes keep a clone
-    /// of the handle and record into it; the default does nothing.
-    ///
-    /// Recording is pure side-state: implementations must not schedule,
-    /// send, or draw randomness here — determinism audits pin run digests
-    /// with telemetry both on and off.
-    fn on_attach_metrics(&mut self, metrics: &tn_obs::Metrics) {
-        let _ = metrics;
+    /// Report the counters this node keeps into a registry snapshot
+    /// (see [`crate::Simulator::metrics_snapshot`]); `me` is this node's
+    /// id. A device counts each fact once, in its own stats, and this
+    /// view adds them under its registry keys; the default reports
+    /// nothing. Snapshots read it, so it sees only `&self` and can change
+    /// nothing about the run.
+    fn metrics(&self, me: NodeId, into: &mut tn_obs::MetricsRegistry) {
+        let _ = (me, into);
     }
 }
 

@@ -316,7 +316,7 @@ const NIL: u32 = u32::MAX;
 ///
 /// A run is a maximal sequence of consecutive pushes for one instant
 /// under consecutive seqs — what a switch's fan-out, or a node setting N
-/// timers for one deadline, produces. It owns one [`HeapKey`] (its
+/// timers for one deadline, produces. It owns one `HeapKey` (its
 /// head's) and its members are chained through their slots' `link`s. A
 /// push that continues the last push's run costs one link store and no
 /// heap operation; a pop that leaves a successor advances the root key
@@ -575,7 +575,7 @@ impl Default for CalendarQueue {
 }
 
 impl CalendarQueue {
-    /// An empty calendar with [`MIN_BUCKETS`] days of [`INITIAL_WIDTH_PS`].
+    /// An empty calendar with `MIN_BUCKETS` days of `INITIAL_WIDTH_PS`.
     pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),

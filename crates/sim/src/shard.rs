@@ -371,7 +371,9 @@ pub struct ShardedSimulator {
     /// The parent's pre-split count rows; each shard counts from zero
     /// and folds in at reassembly.
     counts_base: Vec<NodeCounts>,
-    metrics: tn_obs::Metrics,
+    /// The parent's pre-split registry; each shard records into its own
+    /// and folds in at reassembly.
+    metrics_base: Option<tn_obs::MetricsRegistry>,
     sched_kind: SchedulerKind,
     provenance: bool,
     stats_base: SimStats,
@@ -429,7 +431,7 @@ impl ShardedSimulator {
                 sh.nodes = (0..n_nodes).map(|_| None).collect();
                 sh.links = (0..n_links).map(|_| None).collect();
                 sh.provenance = sim.provenance;
-                sh.metrics = sim.metrics.clone();
+                sh.metrics = sim.metrics.as_ref().map(|_| tn_obs::MetricsRegistry::new());
                 if sim.flight.is_enabled() {
                     let mut ring = FlightRecorder::with_capacity(sim.flight.capacity());
                     ring.set_shard(s as u16 + 1);
@@ -479,7 +481,7 @@ impl ShardedSimulator {
             flight_base: std::mem::replace(&mut sim.flight, FlightRecorder::disabled()),
             profiler_base: std::mem::replace(&mut sim.profiler, KernelProfiler::disabled()),
             counts_base: std::mem::take(&mut sim.counts),
-            metrics: sim.metrics.clone(),
+            metrics_base: sim.metrics.take(),
             sched_kind: sim.sched_kind,
             provenance: sim.provenance,
             stats_base: sim.stats,
@@ -492,11 +494,6 @@ impl ShardedSimulator {
             rekey_buf: Vec::new(),
             shards,
         })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u16 {
-        self.shards.len() as u16
     }
 
     /// Set the pending-event count at or above which a window fans out
@@ -755,7 +752,6 @@ impl ShardedSimulator {
         sim.seq = self.seq;
         sim.next_frame_id = self.next_frame_id;
         sim.provenance = self.provenance;
-        sim.metrics = self.metrics.clone();
         sim.stats = self.stats_base;
         let n_nodes = self.shards.first().map_or(0, |s| s.nodes.len());
         let n_links = self.shards.first().map_or(0, |s| s.links.len());
@@ -806,10 +802,14 @@ impl ShardedSimulator {
             for (mine, theirs) in self.counts_base.iter_mut().zip(&sh.counts) {
                 mine.absorb(theirs);
             }
+            if let (Some(mine), Some(theirs)) = (&mut self.metrics_base, &sh.metrics) {
+                mine.absorb(theirs);
+            }
         }
         sim.trace = self.trace;
         sim.profiler = self.profiler_base;
         sim.counts = self.counts_base;
+        sim.metrics = self.metrics_base;
         if self.flight_base.is_enabled() {
             rings.push(&self.flight_base);
             for sh in &self.shards {

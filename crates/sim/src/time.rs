@@ -87,28 +87,10 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_ms(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
-    }
-
-    /// Fractional nanoseconds.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// Fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction: `self - other`, or zero if `other` is later.

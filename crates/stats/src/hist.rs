@@ -43,6 +43,22 @@ impl Histogram {
         }
     }
 
+    /// Add `other`'s counts to this histogram's. Both must have the same
+    /// shape (`lo`, bin width and bin count).
+    pub fn merge(&mut self, other: &Histogram) {
+        assert!(
+            (self.lo, self.bin_width, self.bins.len())
+                == (other.lo, other.bin_width, other.bins.len()),
+            "histogram shapes differ"
+        );
+        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+            *mine += theirs;
+        }
+        self.overflow += other.overflow;
+        self.underflow += other.underflow;
+        self.count += other.count;
+    }
+
     /// Per-bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
@@ -144,6 +160,28 @@ mod tests {
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.underflow(), 0);
         assert_eq!(h.count(), 5);
+    }
+
+    #[test]
+    fn merge_equals_recording_into_one() {
+        let (mut a, mut b, mut both) = (
+            Histogram::new(10, 10, 3),
+            Histogram::new(10, 10, 3),
+            Histogram::new(10, 10, 3),
+        );
+        for (i, v) in [5, 10, 25, 39, 40, 12].into_iter().enumerate() {
+            if i % 2 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
+            both.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(
+            (a.bins(), a.underflow(), a.overflow(), a.count()),
+            (both.bins(), both.underflow(), both.overflow(), both.count())
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! deterministic tree construction in leaf-spine topologies.
 
 use tn_netdev::TxQueue;
-use tn_sim::{Context, FastMap, Frame, Metrics, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastMap, Frame, MetricsRegistry, Node, NodeId, PortId, SimTime, TimerToken};
 use tn_wire::{eth, igmp, ipv4};
 
 /// What to do with traffic for groups that did not fit in the mroute
@@ -69,6 +69,8 @@ impl Default for SwitchConfig {
 /// Observable counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchStats {
+    /// Ethernet frames received.
+    pub frames_in: u64,
     /// Unicast frames forwarded in hardware.
     pub unicast_forwarded: u64,
     /// Multicast frame *replications* out of the hardware path.
@@ -102,7 +104,6 @@ pub struct CommoditySwitch {
     hw_path: TxQueue,
     sw_path: TxQueue,
     stats: SwitchStats,
-    metrics: Metrics,
 }
 
 impl CommoditySwitch {
@@ -119,7 +120,6 @@ impl CommoditySwitch {
             hw_path,
             sw_path,
             stats: SwitchStats::default(),
-            metrics: Metrics::disabled(),
         }
     }
 
@@ -150,15 +150,6 @@ impl CommoditySwitch {
     /// Number of groups stuck on the software path.
     pub fn sw_group_count(&self) -> usize {
         self.sw_groups.len()
-    }
-
-    /// Ports a frame to `group` would be replicated to (hardware first).
-    pub fn group_members(&self, group: ipv4::Addr) -> &[PortId] {
-        self.hw_groups
-            .get(&group)
-            .or_else(|| self.sw_groups.get(&group))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 
     fn ecmp_pick(ports: &[PortId], src: ipv4::Addr, dst: ipv4::Addr) -> PortId {
@@ -250,7 +241,6 @@ impl CommoditySwitch {
             Some(up) if up != ingress => Some(up),
             _ => None,
         };
-        let me = ctx.me().0;
         if let Some(members) = self.hw_groups.get(&group) {
             // Replicate per egress through the arena: each copy reuses a
             // recycled buffer and keeps the original FrameId so capture
@@ -258,7 +248,6 @@ impl CommoditySwitch {
             for &p in members {
                 if p != ingress {
                     self.stats.mcast_forwarded += 1;
-                    self.metrics.inc("switch", "mcast_fwd", Some(me));
                     let copy = ctx.clone_frame(&frame);
                     self.hw_path.send_after(ctx, SimTime::ZERO, p, copy);
                 }
@@ -266,7 +255,6 @@ impl CommoditySwitch {
             if let Some(up) = upstream_extra {
                 if !members.contains(&up) {
                     self.stats.mcast_forwarded += 1;
-                    self.metrics.inc("switch", "mcast_fwd", Some(me));
                     let copy = ctx.clone_frame(&frame);
                     self.hw_path.send_after(ctx, SimTime::ZERO, up, copy);
                 }
@@ -279,7 +267,6 @@ impl CommoditySwitch {
             // fabric-wide membership lives.
             if let Some(up) = upstream_extra {
                 self.stats.mcast_forwarded += 1;
-                self.metrics.inc("switch", "mcast_fwd", Some(me));
                 self.hw_path.send_after(ctx, SimTime::ZERO, up, frame);
                 return;
             }
@@ -288,7 +275,6 @@ impl CommoditySwitch {
             match self.cfg.overflow {
                 McastOverflowPolicy::Drop => {
                     self.stats.mcast_dropped += 1;
-                    self.metrics.inc("switch", "mcast_drop", Some(me));
                 }
                 McastOverflowPolicy::SoftwareForward => {
                     // The members, then the upstream port unless it is one.
@@ -300,7 +286,6 @@ impl CommoditySwitch {
                         let copy = ctx.clone_frame(&frame);
                         if self.sw_path.send_after(ctx, self.cfg.sw_service, p, copy) {
                             self.stats.mcast_sw_forwarded += 1;
-                            self.metrics.inc("switch", "mcast_sw_fwd", Some(me));
                         }
                     }
                 }
@@ -310,7 +295,6 @@ impl CommoditySwitch {
         }
         // No receivers anywhere: drop silently (normal for multicast).
         self.stats.mcast_dropped += 1;
-        self.metrics.inc("switch", "mcast_drop", Some(me));
         ctx.recycle(frame);
     }
 }
@@ -321,11 +305,10 @@ impl Node for CommoditySwitch {
             ctx.recycle(frame);
             return;
         };
-        self.metrics.inc("switch", "frames", Some(ctx.me().0));
+        self.stats.frames_in += 1;
         if eth_view.ethertype() != eth::EtherType::Ipv4 {
             // L1-transport or unknown ethertypes are not routable here.
             self.stats.no_route += 1;
-            self.metrics.inc("switch", "no_route", Some(ctx.me().0));
             ctx.recycle(frame);
             return;
         }
@@ -358,12 +341,10 @@ impl Node for CommoditySwitch {
         match egress {
             Some(p) if p != port => {
                 self.stats.unicast_forwarded += 1;
-                self.metrics.inc("switch", "unicast_fwd", Some(ctx.me().0));
                 self.hw_path.send_after(ctx, SimTime::ZERO, p, frame);
             }
             _ => {
                 self.stats.no_route += 1;
-                self.metrics.inc("switch", "no_route", Some(ctx.me().0));
                 ctx.recycle(frame);
             }
         }
@@ -377,8 +358,20 @@ impl Node for CommoditySwitch {
         debug_assert!(consumed, "unexpected timer {timer:?}");
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    fn metrics(&self, me: NodeId, into: &mut MetricsRegistry) {
+        // `self.stats`, not `stats()`: the registry has never counted
+        // CPU-queue drops as `mcast_drop`.
+        let s = &self.stats;
+        for (name, n) in [
+            ("frames", s.frames_in),
+            ("unicast_fwd", s.unicast_forwarded),
+            ("mcast_fwd", s.mcast_forwarded),
+            ("mcast_sw_fwd", s.mcast_sw_forwarded),
+            ("mcast_drop", s.mcast_dropped),
+            ("no_route", s.no_route),
+        ] {
+            into.add("switch", name, Some(me.0), n);
+        }
     }
 }
 

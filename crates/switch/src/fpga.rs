@@ -14,7 +14,9 @@
 //!   discards what the subscriber doesn't want instead of queueing it.
 
 use tn_netdev::TxQueue;
-use tn_sim::{Context, FastMap, FastSet, Frame, Metrics, Node, PortId, SimTime, TimerToken};
+use tn_sim::{
+    Context, FastMap, FastSet, Frame, MetricsRegistry, Node, NodeId, PortId, SimTime, TimerToken,
+};
 use tn_wire::{eth, igmp, ipv4};
 
 /// Configuration of an [`FpgaL1Switch`].
@@ -38,6 +40,8 @@ impl Default for FpgaConfig {
 /// Counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FpgaStats {
+    /// Ethernet frames received.
+    pub frames_in: u64,
     /// Multicast replications forwarded.
     pub mcast_forwarded: u64,
     /// Unicast frames forwarded.
@@ -47,6 +51,8 @@ pub struct FpgaStats {
     pub filtered: u64,
     /// Frames to unknown groups / without routes.
     pub dropped: u64,
+    /// Of `dropped`, the frames to unknown groups.
+    pub mcast_dropped: u64,
     /// Joins rejected because the table was full.
     pub joins_rejected: u64,
 }
@@ -63,7 +69,6 @@ pub struct FpgaL1Switch {
     ingress_filters: FastMap<PortId, FastSet<ipv4::Addr>>,
     pipe: TxQueue,
     stats: FpgaStats,
-    metrics: Metrics,
 }
 
 impl FpgaL1Switch {
@@ -77,7 +82,6 @@ impl FpgaL1Switch {
             ingress_filters: FastMap::default(),
             pipe,
             stats: FpgaStats::default(),
-            metrics: Metrics::disabled(),
         }
     }
 
@@ -128,10 +132,9 @@ impl Node for FpgaL1Switch {
             ctx.recycle(frame);
             return;
         };
-        self.metrics.inc("switch", "frames", Some(ctx.me().0));
+        self.stats.frames_in += 1;
         if eth_view.ethertype() != eth::EtherType::Ipv4 {
             self.stats.dropped += 1;
-            self.metrics.inc("switch", "no_route", Some(ctx.me().0));
             ctx.recycle(frame);
             return;
         }
@@ -162,11 +165,9 @@ impl Node for FpgaL1Switch {
             return;
         }
 
-        let me = ctx.me().0;
         if let Some(allow) = self.ingress_filters.get(&port) {
             if !allow.contains(&dst) {
                 self.stats.filtered += 1;
-                self.metrics.inc("switch", "filtered", Some(me));
                 ctx.recycle(frame);
                 return;
             }
@@ -180,7 +181,6 @@ impl Node for FpgaL1Switch {
                     for &p in members {
                         if p != port {
                             self.stats.mcast_forwarded += 1;
-                            self.metrics.inc("switch", "mcast_fwd", Some(me));
                             let copy = ctx.clone_frame(&frame);
                             self.pipe.send_after(ctx, SimTime::ZERO, p, copy);
                         }
@@ -188,7 +188,7 @@ impl Node for FpgaL1Switch {
                 }
                 None => {
                     self.stats.dropped += 1;
-                    self.metrics.inc("switch", "mcast_drop", Some(me));
+                    self.stats.mcast_dropped += 1;
                 }
             }
             ctx.recycle(frame);
@@ -198,12 +198,10 @@ impl Node for FpgaL1Switch {
         match self.routes.get(&dst) {
             Some(&p) if p != port => {
                 self.stats.unicast_forwarded += 1;
-                self.metrics.inc("switch", "unicast_fwd", Some(me));
                 self.pipe.send_after(ctx, SimTime::ZERO, p, frame);
             }
             _ => {
                 self.stats.dropped += 1;
-                self.metrics.inc("switch", "no_route", Some(me));
                 ctx.recycle(frame);
             }
         }
@@ -214,8 +212,18 @@ impl Node for FpgaL1Switch {
         debug_assert!(consumed, "unexpected timer {timer:?}");
     }
 
-    fn on_attach_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
+    fn metrics(&self, me: NodeId, into: &mut MetricsRegistry) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("frames", s.frames_in),
+            ("filtered", s.filtered),
+            ("unicast_fwd", s.unicast_forwarded),
+            ("mcast_fwd", s.mcast_forwarded),
+            ("mcast_drop", s.mcast_dropped),
+            ("no_route", s.dropped - s.mcast_dropped),
+        ] {
+            into.add("switch", name, Some(me.0), n);
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 
 use tn_feed::normalize::{HashRepartition, NormalizerCore};
 use tn_netdev::TxQueue;
-use tn_sim::{Context, FastSet, Frame, Node, PortId, SimTime, TimerToken};
+use tn_sim::{Context, FastSet, Frame, MetricsRegistry, Node, NodeId, PortId, SimTime, TimerToken};
 use tn_wire::{eth, ipv4, l1t, norm, stack};
 
 /// How the normalized feed is framed on the wire.
@@ -268,8 +268,8 @@ impl Node for Normalizer {
         debug_assert!(consumed, "unexpected timer {timer:?}");
     }
 
-    fn on_attach_metrics(&mut self, metrics: &tn_sim::Metrics) {
-        self.core.set_metrics(metrics);
+    fn metrics(&self, _me: NodeId, into: &mut MetricsRegistry) {
+        self.core.arbiter().metrics(into);
     }
 }
 

@@ -162,11 +162,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     pub fn set_ethertype(&mut self, v: EtherType) {
         set_u16_be(self.buffer.as_mut(), 12, v.into());
     }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
 }
 
 /// Append a complete frame around `payload` to `out`, reusing whatever

@@ -160,11 +160,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         set_u16_be(self.buffer.as_mut(), 2, v);
     }
 
-    /// Set TTL.
-    pub fn set_ttl(&mut self, v: u8) {
-        self.buffer.as_mut()[8] = v;
-    }
-
     /// Set protocol.
     pub fn set_protocol(&mut self, v: u8) {
         self.buffer.as_mut()[9] = v;
@@ -186,11 +181,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         set_u16_be(b, 10, 0);
         let ck = internet_checksum(0, &b[..HEADER_LEN]);
         set_u16_be(b, 10, ck);
-    }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
     }
 }
 

@@ -151,12 +151,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Segment<T> {
         set_u16_be(self.buffer.as_mut(), 14, v);
     }
 
-    /// Mutable payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let off = self.header_len();
-        &mut self.buffer.as_mut()[off..]
-    }
-
     /// Compute and store the checksum.
     pub fn fill_checksum(&mut self, src: ipv4::Addr, dst: ipv4::Addr) {
         let len = self.buffer.as_ref().len() as u16;

@@ -86,11 +86,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
         set_u16_be(self.buffer.as_mut(), 4, v);
     }
 
-    /// Mutable payload access (whole remaining buffer).
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
-
     /// Compute and store the checksum over the pseudo-header and datagram.
     pub fn fill_checksum(&mut self, src: ipv4::Addr, dst: ipv4::Addr) {
         let l = get_u16_be(self.buffer.as_ref(), 4);

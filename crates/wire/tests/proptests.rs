@@ -175,6 +175,61 @@ fn arb_boe_message() -> impl Strategy<Value = boe::Message> {
     ]
 }
 
+/// Run every decoder the totality properties cover over `bytes`, and
+/// every accessor of what each accepts. Results are dropped: only a
+/// panic fails.
+fn decode_all(bytes: &[u8]) {
+    let _ = norm::Record::parse(bytes);
+    if let Ok(p) = norm::Packet::new_checked(bytes) {
+        let _ = (p.count(), p.partition(), p.sequence());
+        p.records().for_each(drop);
+    }
+    if let Ok(f) = l1t::Frame::new_checked(bytes) {
+        let _ = (f.len_field(), f.stream(), f.seq(), f.payload());
+    }
+    let _ = igmp::Message::parse(bytes);
+    let _ = stack::parse_tcp(bytes);
+}
+
+/// [`decode_all`] over every truncation of a valid `frame` and every
+/// copy of it with one bit flipped.
+fn decode_damaged(frame: &[u8]) {
+    for len in 0..frame.len() {
+        decode_all(&frame[..len]);
+    }
+    let mut flipped = frame.to_vec();
+    for bit in 0..frame.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decode_all(&flipped);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+fn arb_norm_record() -> impl Strategy<Value = norm::Record> {
+    (
+        (1u8..=4, any::<u8>(), any::<u8>(), any::<u32>()),
+        (any::<i64>(), any::<u32>(), any::<u32>(), any::<u64>()),
+    )
+        .prop_map(
+            |((kind, exchange, side, symbol_id), (price, size, aux, src_time_ns))| norm::Record {
+                kind: match kind {
+                    1 => norm::Kind::Bbo,
+                    2 => norm::Kind::Trade,
+                    3 => norm::Kind::Status,
+                    _ => norm::Kind::BookDelta,
+                },
+                exchange,
+                side,
+                flags: 0,
+                symbol_id,
+                price,
+                size,
+                aux,
+                src_time_ns,
+            },
+        )
+}
+
 proptest! {
     #[test]
     fn pitch_message_roundtrip(msg in arb_pitch_message()) {
@@ -494,5 +549,48 @@ proptest! {
         }
         let bytes: usize = packets.iter().map(Vec::len).sum();
         prop_assert_eq!(bytes, packets.len() * norm::PACKET_HEADER_LEN + n * norm::RECORD_LEN);
+    }
+
+    /// The decoders without a never-panics property of their own take
+    /// arbitrary bytes without panicking.
+    #[test]
+    fn decoders_are_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        decode_all(&bytes);
+    }
+
+    /// ... and every truncation and single-bit flip of a valid frame of
+    /// each kind: a normalized packet, an L1-transport frame, an IGMP
+    /// message and a TCP frame.
+    #[test]
+    fn decoders_are_total_on_damaged_frames(
+        recs in proptest::collection::vec(arb_norm_record(), 1..6),
+        partition in any::<u16>(), seq in any::<u32>(), stream in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        group in 0u32..1_000_000, ack in any::<u32>(),
+    ) {
+        let mut pb = norm::PacketBuilder::new(partition, seq, 1_400);
+        let mut norm_packet = Vec::new();
+        for r in &recs {
+            prop_assert!(!pb.push_into(r, &mut norm_packet), "a small packet never seals");
+        }
+        prop_assert!(pb.flush_into(&mut norm_packet));
+        let join = igmp::Message {
+            kind: igmp::MessageType::Report,
+            group: ipv4::Addr::multicast_group(group),
+        };
+        let tcp_frame = stack::build_tcp(
+            eth::MacAddr::host(1), eth::MacAddr::host(2), ipv4::Addr::host(1),
+            ipv4::Addr::host(2), 100, 200, seq, ack, tcp::Flags::ACK, &payload,
+        );
+        for frame in [
+            norm_packet,
+            l1t::build(stream, seq, &payload),
+            join.emit().to_vec(),
+            tcp_frame,
+        ] {
+            decode_damaged(&frame);
+        }
     }
 }

@@ -30,6 +30,10 @@ run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Every intra-doc link in the workspace's own crates resolves, and no public
+# doc links a private item. The vendored rand/proptest stand-ins are not ours.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
+    --exclude rand --exclude proptest
 
 # Static analysis + the whole divergence registry. Besides failing on any
 # active finding, `lint` fails when a lint's `audit:allow` count differs

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use trading_networks::netdev::EtherLink;
 use trading_networks::sim::{
-    Context, Frame, IdealLink, Link, Metrics, Node, PortId, Provenance, SegmentKind, SimTime,
-    Simulator, TimerToken,
+    Context, Frame, IdealLink, Link, Node, PortId, Provenance, SegmentKind, SimTime, Simulator,
+    TimerToken,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -151,7 +151,7 @@ fn run_plan(plan: &Plan, telemetry: bool) -> (u64, u64, Deliveries) {
     let mut sim = Simulator::new(plan.seed);
     if telemetry {
         sim.set_provenance(true);
-        sim.set_metrics(Metrics::enabled());
+        sim.set_metrics(true);
     }
     let src = sim.add_node(
         "src",

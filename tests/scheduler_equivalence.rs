@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use trading_networks::fault::{FaultLink, FaultSpec};
 use trading_networks::netdev::{EtherLink, TxQueue};
 use trading_networks::sim::{
-    Context, Frame, IdealLink, Link, Metrics, Node, PortId, SchedulerKind, ShardPlan,
-    ShardedSimulator, SimTime, Simulator, TimerToken, TraceEvent,
+    Context, Frame, IdealLink, Link, Node, PortId, SchedulerKind, ShardPlan, ShardedSimulator,
+    SimTime, Simulator, TimerToken, TraceEvent,
 };
 
 const TICK: TimerToken = TimerToken(1);
@@ -184,7 +184,7 @@ fn run_plan(plan: &Plan, kind: SchedulerKind, faults: bool, telemetry: bool) -> 
     let mut sim = Simulator::with_scheduler(plan.seed, kind);
     if telemetry {
         sim.set_provenance(true);
-        sim.set_metrics(Metrics::enabled());
+        sim.set_metrics(true);
     }
     let src = sim.add_node(
         "src",
