@@ -89,10 +89,9 @@ pub const LINTS: &[LintInfo] = &[
         id: "hotpath-alloc",
         severity: Severity::Warning,
         summary: "heap allocation (Vec::new/format!/to_vec/...) on a path reachable from a kernel dispatch root",
-        // Cold or heap-free paths: opt-in provenance (×2), the calendar
-        // rebuild and the wheel rewind, a capacity-0 Vec in the strategy,
-        // a histogram's first observation.
-        budget: 6,
+        // Cold paths: opt-in provenance (×2), the calendar rebuild and
+        // the wheel rewind, a histogram's first observation.
+        budget: 5,
     },
     LintInfo {
         id: "perf-arena-leak",

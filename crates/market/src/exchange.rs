@@ -245,11 +245,9 @@ impl Exchange {
     fn on_order_entry(&mut self, ctx: &mut Context<'_>, port: PortId, view: stack::TcpView<'_>) {
         let peer = (view.src_ip, view.src_port);
         let decoder = self.decoders.entry(peer).or_default();
-        decoder.push(view.payload);
         let mut messages = std::mem::take(&mut self.boe_scratch);
-        while let Ok(Some((msg, _seq))) = decoder.next_message() {
-            messages.push(msg);
-        }
+        // A malformed stream poisons its decoder: nothing more decodes.
+        let _ = decoder.decode(view.payload, &mut messages);
         let (src_mac, src_ip, src_port) = (view.src_mac, view.src_ip, view.src_port);
         for msg in messages.drain(..) {
             self.wire.stats.orders_processed += 1;

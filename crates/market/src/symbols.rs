@@ -86,8 +86,16 @@ impl SymbolDirectory {
         for i in 0..n {
             // Tickers spread across the alphabet so alphabetical
             // partitioning has work to do.
-            let letter = (b'A' + (i % 26) as u8) as char;
-            let sym = Symbol::new(&format!("{letter}{:04}", i % 10_000)).expect("valid ticker");
+            // `{letter}{i % 10_000:04}`, space-padded, written in place.
+            let digits = i % 10_000;
+            let sym = Symbol([
+                b'A' + (i % 26) as u8,
+                b'0' + (digits / 1000) as u8,
+                b'0' + (digits / 100 % 10) as u8,
+                b'0' + (digits / 10 % 10) as u8,
+                b'0' + (digits % 10) as u8,
+                b' ',
+            ]);
             let class = match i % 20 {
                 0..=11 => InstrumentClass::Equity,
                 12..=14 => InstrumentClass::Etf,
@@ -120,6 +128,16 @@ mod tests {
         assert_eq!(d.by_id(1).unwrap().symbol, sym("IBM"));
         assert!(d.by_id(5).is_none());
         assert!(d.get(sym("ZZZ")).is_none());
+    }
+
+    #[test]
+    fn synthetic_tickers_are_a_letter_and_four_digits() {
+        let d = SymbolDirectory::synthetic(10_030);
+        for i in [0usize, 27, 1_234, 9_999, 10_029] {
+            let letter = (b'A' + (i % 26) as u8) as char;
+            let want = sym(&format!("{letter}{:04}", i % 10_000));
+            assert_eq!(d.instruments()[i].symbol, want, "ticker {i}");
+        }
     }
 
     #[test]

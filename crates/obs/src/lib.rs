@@ -9,7 +9,7 @@
 //!   `(node, port, kind, start, end)` segments accumulated by the kernel at
 //!   every dispatch and link traversal, so a delivered frame decomposes
 //!   into processing vs. queueing vs. serialization vs. propagation time.
-//! - [`MetricsRegistry`] — counters, gauges, and histograms keyed by
+//! - [`MetricsRegistry`] — counters and histograms keyed by
 //!   `(scope, name, node)` in `BTreeMap`s (deterministic iteration),
 //!   snapshotted at simulated times. The simulator's registry holds only
 //!   what the kernel alone sees; a snapshot adds the kernel's dispatch

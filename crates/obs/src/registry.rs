@@ -112,7 +112,6 @@ impl Distribution {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(u64),
-    Gauge(i64),
     Distribution(Distribution),
 }
 
@@ -154,24 +153,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set a gauge to `v`.
-    pub fn set_gauge(
-        &mut self,
-        scope: &'static str,
-        name: &'static str,
-        node: Option<u32>,
-        v: i64,
-    ) {
-        match self
-            .metrics
-            .entry((scope, name, node))
-            .or_insert(Metric::Gauge(0))
-        {
-            Metric::Gauge(g) => *g = v,
-            other => debug_assert!(false, "metric kind mismatch for gauge: {other:?}"),
-        }
-    }
-
     /// Record a sample into a distribution (100 ns bins over
     /// `[0, 100 µs)`).
     pub fn observe(&mut self, scope: &'static str, name: &'static str, node: Option<u32>, v: u64) {
@@ -203,55 +184,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Fold another registry in: counters add, distributions merge and
-    /// gauges take `other`'s level. A sharded run absorbs each shard's
-    /// registry this way at reassembly.
+    /// Fold another registry in: counters add and distributions merge. A
+    /// sharded run absorbs each shard's registry this way at reassembly.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (&(scope, name, node), m) in &other.metrics {
             match m {
                 Metric::Counter(c) => self.add(scope, name, node, *c),
-                Metric::Gauge(g) => self.set_gauge(scope, name, node, *g),
                 Metric::Distribution(d) => self.merge(scope, name, node, d),
             }
         }
-    }
-
-    /// Current counter value (0 if absent or a different kind).
-    pub fn counter(&self, scope: &str, name: &str, node: Option<u32>) -> u64 {
-        match self.lookup(scope, name, node) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
-    /// Current gauge value (0 if absent or a different kind).
-    pub fn gauge(&self, scope: &str, name: &str, node: Option<u32>) -> i64 {
-        match self.lookup(scope, name, node) {
-            Some(Metric::Gauge(g)) => *g,
-            _ => 0,
-        }
-    }
-
-    /// Borrow a distribution, if present.
-    pub fn distribution(
-        &self,
-        scope: &str,
-        name: &str,
-        node: Option<u32>,
-    ) -> Option<&Distribution> {
-        match self.lookup(scope, name, node) {
-            Some(Metric::Distribution(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    fn lookup(&self, scope: &str, name: &str, node: Option<u32>) -> Option<&Metric> {
-        // Keys store &'static str; compare by value so callers can query
-        // with any string.
-        self.metrics
-            .iter()
-            .find(|((s, n, nd), _)| *s == scope && *n == name && *nd == node)
-            .map(|(_, m)| m)
     }
 
     /// Number of registered metrics.
@@ -275,7 +216,6 @@ impl MetricsRegistry {
                 node,
                 value: match m {
                     Metric::Counter(c) => SnapshotValue::Counter(*c),
-                    Metric::Gauge(g) => SnapshotValue::Gauge(*g),
                     Metric::Distribution(d) => SnapshotValue::Distribution {
                         count: d.count(),
                         sum: d.sum(),
@@ -319,8 +259,6 @@ pub struct SnapshotEntry {
 pub enum SnapshotValue {
     /// Monotonic count.
     Counter(u64),
-    /// Last-set level.
-    Gauge(i64),
     /// Distribution moments and quantiles.
     Distribution {
         /// Samples recorded.
@@ -341,25 +279,6 @@ pub enum SnapshotValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_gauges_distributions() {
-        let mut r = MetricsRegistry::new();
-        r.inc("kernel", "deliver", Some(3));
-        r.add("kernel", "deliver", Some(3), 4);
-        r.set_gauge("link", "backlog", None, -2);
-        r.observe("hop", "queue", Some(3), 150_000);
-        r.observe("hop", "queue", Some(3), 50_000);
-        assert_eq!(r.counter("kernel", "deliver", Some(3)), 5);
-        assert_eq!(r.gauge("link", "backlog", None), -2);
-        let d = r.distribution("hop", "queue", Some(3)).unwrap();
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 200_000);
-        assert_eq!(d.min(), 50_000);
-        assert_eq!(d.max(), 150_000);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.counter("kernel", "missing", None), 0);
-    }
 
     #[test]
     fn snapshots_are_key_ordered_and_deterministic() {
@@ -412,11 +331,10 @@ mod tests {
 
     #[test]
     fn distribution_quantiles_resolve_overflow_to_exact_max() {
-        let mut r = MetricsRegistry::new();
+        let mut d = Distribution::default();
         // Default shape tops out at 100 µs; record a 1 ms outlier.
-        r.observe("hop", "queue", None, 1_000_000_000);
-        r.observe("hop", "queue", None, 1_000);
-        let d = r.distribution("hop", "queue", None).unwrap();
+        d.observe(1_000_000_000);
+        d.observe(1_000);
         assert_eq!(d.quantile(99.0), 1_000_000_000);
         assert!(d.quantile(50.0) <= 100_000);
         assert!(d.mean() > 0.0);

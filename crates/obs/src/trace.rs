@@ -100,10 +100,6 @@ impl TraceWriter {
                     ("kind", Json::Str("counter".into())),
                     ("value", num_u64(*c)),
                 ]),
-                SnapshotValue::Gauge(g) => members.extend([
-                    ("kind", Json::Str("gauge".into())),
-                    ("value", Json::Num(g.to_string())),
-                ]),
                 SnapshotValue::Distribution {
                     count,
                     sum,
@@ -163,7 +159,7 @@ pub struct EventRecord {
     pub value: u64,
 }
 
-/// One `metric` record (counter / gauge / distribution).
+/// One `metric` record (counter / distribution).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricRecord {
     /// Metric scope.
@@ -325,7 +321,6 @@ pub fn parse(input: &str) -> Result<TraceDoc, ParseError> {
                 };
                 let value = match text(&obj, "kind").map_err(bad)? {
                     "counter" => SnapshotValue::Counter(int(&obj, "value").map_err(bad)?),
-                    "gauge" => SnapshotValue::Gauge(int(&obj, "value").map_err(bad)?),
                     "distribution" => SnapshotValue::Distribution {
                         count: int(&obj, "count").map_err(bad)?,
                         sum: int(&obj, "sum").map_err(bad)?,
@@ -367,7 +362,6 @@ mod tests {
         w.event(500, 1, "gap", 3);
         let mut r = MetricsRegistry::new();
         r.inc("kernel", "deliver", Some(1));
-        r.set_gauge("link", "backlog", None, -4);
         r.observe("hop", "queue", Some(0), 10);
         w.snapshot(&r.snapshot(600));
         w
@@ -393,7 +387,7 @@ mod tests {
         assert_eq!(doc.spans[0].seg.kind, SegmentKind::Process);
         assert_eq!(doc.spans[0].seg.start_ps, 100);
         assert_eq!(doc.events.len(), 1);
-        assert_eq!(doc.metrics.len(), 3);
+        assert_eq!(doc.metrics.len(), 2);
         // Re-serializing the parsed document yields an identical parse.
         let mut w2 = TraceWriter::new(&doc.scenario, doc.seed);
         for (id, name) in &doc.nodes {

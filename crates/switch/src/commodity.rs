@@ -5,7 +5,8 @@
 //!
 //! * a cut-through pipeline with fixed port-to-port latency (~500 ns on
 //!   current silicon, ~420 ns a decade ago);
-//! * L3 unicast forwarding with host routes, a default route, and ECMP;
+//! * L3 unicast forwarding with host routes (one port each) and an ECMP
+//!   default route;
 //! * IGMP-snooped multicast with a **bounded mroute table**. Joins beyond
 //!   the table capacity leave the group on the *software* path: every
 //!   packet to such a group is punted to a slow, shallow CPU queue —
@@ -93,8 +94,8 @@ const SW_TOKEN: u64 = 2;
 /// The switch node. Any number of ports; connect them with links.
 pub struct CommoditySwitch {
     cfg: SwitchConfig,
-    /// Host routes: exact dst address -> ECMP port set.
-    routes: FastMap<ipv4::Addr, Vec<PortId>>,
+    /// Host routes: exact dst address -> egress port.
+    routes: FastMap<ipv4::Addr, PortId>,
     /// Default route (ECMP set).
     default_route: Vec<PortId>,
     /// Hardware multicast: group -> member ports. Bounded by config.
@@ -123,10 +124,9 @@ impl CommoditySwitch {
         }
     }
 
-    /// Install a host route (replaces any previous set).
-    pub fn add_route(&mut self, dst: ipv4::Addr, ports: Vec<PortId>) {
-        assert!(!ports.is_empty());
-        self.routes.insert(dst, ports);
+    /// Install a host route (replaces any previous one).
+    pub fn add_route(&mut self, dst: ipv4::Addr, port: PortId) {
+        self.routes.insert(dst, port);
     }
 
     /// Set the default route (ECMP set).
@@ -331,12 +331,12 @@ impl Node for CommoditySwitch {
             return;
         }
 
-        let egress = if let Some(ports) = self.routes.get(&dst) {
-            Some(Self::ecmp_pick(ports, src, dst))
-        } else if !self.default_route.is_empty() {
-            Some(Self::ecmp_pick(&self.default_route, src, dst))
-        } else {
-            None
+        let egress = match self.routes.get(&dst) {
+            Some(&p) => Some(p),
+            None if !self.default_route.is_empty() => {
+                Some(Self::ecmp_pick(&self.default_route, src, dst))
+            }
+            None => None,
         };
         match egress {
             Some(p) if p != port => {
@@ -476,8 +476,8 @@ mod tests {
         let (mut sim, sw, sinks) = rig(SwitchConfig::default(), 2);
         {
             let s = sim.node_mut::<CommoditySwitch>(sw).unwrap();
-            s.add_route(ipv4::Addr::host(10), vec![PortId(1)]);
-            s.add_route(ipv4::Addr::host(11), vec![PortId(2)]);
+            s.add_route(ipv4::Addr::host(10), PortId(1));
+            s.add_route(ipv4::Addr::host(11), PortId(2));
         }
         let f = sim.frame().copy_from(&unicast_frame(1, 10)).build();
         sim.inject_frame(SimTime::ZERO, sw, PortId(0), f);

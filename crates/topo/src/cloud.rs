@@ -191,7 +191,7 @@ impl CloudFabric {
     pub fn install_route(&self, sim: &mut Simulator, addr: ipv4::Addr, port: PortId) {
         sim.node_mut::<CommoditySwitch>(self.fabric)
             .expect("fabric is a switch")
-            .add_route(addr, vec![port]);
+            .add_route(addr, port);
     }
 
     /// The equalized latency constant.

@@ -209,7 +209,7 @@ impl LeafSpine {
         // The owning leaf delivers locally.
         sim.node_mut::<CommoditySwitch>(leaf)
             .expect("leaf is a commodity switch")
-            .add_route(addr, vec![port]);
+            .add_route(addr, port);
         // Every spine routes toward the owning leaf.
         let leaf_index = if leaf == self.exchange_tor {
             0u16
@@ -223,7 +223,7 @@ impl LeafSpine {
         for &spine in &self.spines {
             sim.node_mut::<CommoditySwitch>(spine)
                 .expect("spine is a commodity switch")
-                .add_route(addr, vec![PortId(leaf_index)]);
+                .add_route(addr, PortId(leaf_index));
         }
         // Every other leaf (and the exchange ToR) reaches `addr` by the
         // default route `build` installed.

@@ -215,11 +215,9 @@ impl Gateway {
         };
         let peer = (view.src_ip, view.src_port);
         let decoder = self.internal_decoders.entry(peer).or_default();
-        decoder.push(view.payload);
         let mut msgs = std::mem::take(&mut self.msg_scratch);
-        while let Ok(Some((msg, _))) = decoder.next_message() {
-            msgs.push(msg);
-        }
+        // A malformed stream poisons its decoder: nothing more decodes.
+        let _ = decoder.decode(view.payload, &mut msgs);
         let (mac, ip, port) = (view.src_mac, view.src_ip, view.src_port);
         for msg in msgs.drain(..) {
             match msg {
@@ -305,11 +303,9 @@ impl Gateway {
         if view.dst_ip != self.cfg.src_ip && view.dst_ip != self.cfg.internal_ip {
             return;
         }
-        self.exchange_decoder.push(view.payload);
         let mut msgs = std::mem::take(&mut self.msg_scratch);
-        while let Ok(Some((msg, _))) = self.exchange_decoder.next_message() {
-            msgs.push(msg);
-        }
+        // A malformed stream poisons the decoder: nothing more decodes.
+        let _ = self.exchange_decoder.decode(view.payload, &mut msgs);
         for msg in msgs.drain(..) {
             let service = self.cfg.service;
             let (gw_cl_ord, rewrite): (u64, fn(u64, &boe::Message) -> boe::Message) = match msg {

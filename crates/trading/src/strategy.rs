@@ -295,7 +295,13 @@ pub struct Strategy<L: StrategyLogic> {
     payload_scratch: Vec<u8>,
     /// Reusable per-packet intent batch.
     intent_scratch: Vec<OrderIntent>,
+    /// Reusable batch of decoded replies.
+    reply_scratch: Vec<boe::Message>,
 }
+
+/// Room for the longest BOE message a strategy sends (a new order is 34
+/// bytes), so its payload buffer never grows.
+const PAYLOAD_CAPACITY: usize = 64;
 
 impl<L: StrategyLogic> Strategy<L> {
     /// Build a strategy host.
@@ -309,8 +315,9 @@ impl<L: StrategyLogic> Strategy<L> {
             tx_seq: 1,
             stats: StrategyStats::default(),
             decision_latency_ps: Vec::new(),
-            payload_scratch: Vec::new(),
+            payload_scratch: Vec::with_capacity(PAYLOAD_CAPACITY),
             intent_scratch: Vec::new(),
+            reply_scratch: Vec::new(),
         }
     }
 
@@ -351,6 +358,27 @@ impl<L: StrategyLogic> Strategy<L> {
             .meta(meta)
             .build();
         self.svc.send_after(ctx, SimTime::ZERO, ORDERS, frame);
+    }
+
+    /// Send one IGMP report per subscribed partition's group.
+    fn join_groups(&self, ctx: &mut Context<'_>) {
+        let cfg = &self.cfg;
+        for p in cfg.subscriptions.partitions() {
+            let group = ipv4::Addr::multicast_group(cfg.mcast_base + u32::from(p));
+            let frame = ctx
+                .frame()
+                .fill(|b| {
+                    tn_switch::commodity::igmp_frame_into(
+                        tn_wire::igmp::MessageType::Report,
+                        cfg.src_mac,
+                        cfg.src_ip,
+                        group,
+                        b,
+                    )
+                })
+                .build();
+            ctx.send(FEED, frame);
+        }
     }
 
     fn on_feed(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
@@ -418,8 +446,10 @@ impl<L: StrategyLogic> Strategy<L> {
         if view.dst_ip != self.cfg.src_ip {
             return;
         }
-        self.decoder.push(view.payload);
-        while let Ok(Some((msg, _))) = self.decoder.next_message() {
+        let mut replies = std::mem::take(&mut self.reply_scratch);
+        // A malformed stream poisons the decoder: nothing more decodes.
+        let _ = self.decoder.decode(view.payload, &mut replies);
+        for msg in replies.drain(..) {
             match msg {
                 boe::Message::OrderAck { .. } => self.stats.acks += 1,
                 boe::Message::Fill { .. } => self.stats.fills += 1,
@@ -427,6 +457,7 @@ impl<L: StrategyLogic> Strategy<L> {
                 _ => {}
             }
         }
+        self.reply_scratch = replies;
     }
 }
 
@@ -451,33 +482,8 @@ impl<L: StrategyLogic + 'static> Node for Strategy<L> {
         }
         if timer == START {
             // Join subscribed groups and log in to the gateway.
-            let groups: Vec<u32> = if self.cfg.send_igmp_joins {
-                self.cfg
-                    .subscriptions
-                    .partitions()
-                    .map(|p| self.cfg.mcast_base + u32::from(p))
-                    .collect()
-            } else {
-                // One-time START handling, not steady state.
-                // audit:allow(hotpath-alloc): capacity-0 Vec never touches the heap
-                Vec::new()
-            };
-            let (src_mac, src_ip) = (self.cfg.src_mac, self.cfg.src_ip);
-            for g in groups {
-                let group = ipv4::Addr::multicast_group(g);
-                let frame = ctx
-                    .frame()
-                    .fill(|b| {
-                        tn_switch::commodity::igmp_frame_into(
-                            tn_wire::igmp::MessageType::Report,
-                            src_mac,
-                            src_ip,
-                            group,
-                            b,
-                        )
-                    })
-                    .build();
-                ctx.send(FEED, frame);
+            if self.cfg.send_igmp_joins {
+                self.join_groups(ctx);
             }
             let session = self.cfg.session;
             let login = boe::Message::Login {

@@ -351,10 +351,32 @@ impl Message {
 /// Reassembles BOE messages from a TCP byte stream.
 ///
 /// Order-entry messages can split across segments; gateways and exchange
-/// front-ends feed received bytes in and pull complete messages out.
+/// front-ends feed received bytes in and pull complete messages out,
+/// either with [`Decoder::push`] and [`Decoder::next_message`] or with
+/// [`Decoder::decode`], which buffers only what a segment leaves
+/// incomplete.
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: Vec<u8>,
+}
+
+/// The message at the front of `buf`: `Ok(None)` while it is incomplete,
+/// an error once its framing is malformed.
+fn front(buf: &[u8]) -> Result<Option<(Message, u32, usize)>> {
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    if buf[0] != MAGIC {
+        return Err(WireError::BadField);
+    }
+    let len = buf[1] as usize;
+    if len < HEADER_LEN {
+        return Err(WireError::BadLength);
+    }
+    if buf.len() < len {
+        return Ok(None);
+    }
+    Message::parse(buf).map(Some)
 }
 
 impl Decoder {
@@ -372,22 +394,42 @@ impl Decoder {
     /// framing surfaces as an error and poisons the stream (real sessions
     /// would disconnect).
     pub fn next_message(&mut self) -> Result<Option<(Message, u32)>> {
-        if self.buf.len() < HEADER_LEN {
+        let Some((msg, seq, used)) = front(&self.buf)? else {
             return Ok(None);
-        }
-        if self.buf[0] != MAGIC {
-            return Err(WireError::BadField);
-        }
-        let len = self.buf[1] as usize;
-        if len < HEADER_LEN {
-            return Err(WireError::BadLength);
-        }
-        if self.buf.len() < len {
-            return Ok(None);
-        }
-        let (msg, seq, used) = Message::parse(&self.buf)?;
+        };
         self.buf.drain(..used);
         Ok(Some((msg, seq)))
+    }
+
+    /// Feed one segment and append every message it completes to `out`:
+    /// the same messages, the same error and the same leftover
+    /// [`Decoder::pending_bytes`] as [`Decoder::push`] followed by
+    /// [`Decoder::next_message`] until it stops. With nothing buffered
+    /// the messages are parsed straight from `bytes` and only an
+    /// incomplete (or malformed, which poisons the stream) tail is
+    /// copied in, so a session whose segments carry whole messages never
+    /// touches the reassembly buffer.
+    pub fn decode(&mut self, bytes: &[u8], out: &mut Vec<Message>) -> Result<()> {
+        if !self.buf.is_empty() {
+            self.push(bytes);
+            while let Some((msg, _)) = self.next_message()? {
+                out.push(msg);
+            }
+            return Ok(());
+        }
+        let mut at = 0;
+        let result = loop {
+            match front(&bytes[at..]) {
+                Ok(Some((msg, _, used))) => {
+                    out.push(msg);
+                    at += used;
+                }
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        self.buf.extend_from_slice(&bytes[at..]);
+        result
     }
 
     /// Bytes currently buffered awaiting completion.

@@ -307,6 +307,59 @@ proptest! {
         prop_assert_eq!(out, msgs);
     }
 
+    /// `Decoder::decode` against the `push` + `next_message` loop it
+    /// replaces: over any chunking of a stream of valid messages, clean,
+    /// with trailing garbage, or with one message's magic or length byte
+    /// broken, every chunk yields the same messages, the same error and
+    /// the same leftover `pending_bytes`.
+    #[test]
+    fn boe_decode_matches_the_push_next_message_loop(
+        msgs in proptest::collection::vec(arb_boe_message(), 0..20),
+        garbage in proptest::collection::vec(any::<u8>(), 0..24),
+        damage in 0u8..4,
+        broken in any::<u16>(),
+        sizes in proptest::collection::vec(1usize..48, 1..16),
+    ) {
+        let mut stream = Vec::new();
+        let mut starts = Vec::new();
+        for (i, m) in msgs.iter().enumerate() {
+            starts.push(stream.len());
+            m.emit(i as u32, &mut stream);
+        }
+        let victim = (!starts.is_empty()).then(|| starts[broken as usize % starts.len()]);
+        match (damage, victim) {
+            (1, _) => stream.extend_from_slice(&garbage),
+            (2, Some(at)) => stream[at] ^= 0xFF,
+            (3, Some(at)) => stream[at + 1] = (broken % boe::HEADER_LEN as u16) as u8,
+            _ => {}
+        }
+        let (mut oracle, mut dec) = (boe::Decoder::new(), boe::Decoder::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut rest = stream.as_slice();
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            oracle.push(chunk);
+            let want_result = loop {
+                match oracle.next_message() {
+                    Ok(Some((m, _))) => want.push(m),
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            };
+            prop_assert_eq!(dec.decode(chunk, &mut got), want_result);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(dec.pending_bytes(), oracle.pending_bytes());
+        }
+        if damage == 0 {
+            prop_assert_eq!(&got, &msgs);
+            prop_assert_eq!(dec.pending_bytes(), 0);
+        }
+    }
+
     #[test]
     fn boe_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = boe::Message::parse(&bytes);
