@@ -16,7 +16,7 @@
 //! of a kernel trace.
 
 use tn_core::{
-    CloudDesign, FpgaHybrid, LayerOneSwitches, ScenarioConfig, ShardSpec, TradingNetworkDesign,
+    CloudDesign, FpgaHybrid, LayerOneSwitches, ScenarioConfig, TradingNetworkDesign,
     TraditionalSwitches,
 };
 use tn_sim::{SchedulerKind, SimTime, EMPTY_DIGEST};
@@ -131,14 +131,6 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "latency-decomposition",
             run: run_latency_decomposition,
-        },
-        Scenario {
-            name: "shard-vs-serial-quickstart",
-            run: run_shard_quickstart,
-        },
-        Scenario {
-            name: "shard-vs-serial-faulted",
-            run: run_shard_faulted,
         },
         Scenario {
             name: "lab-parallel-vs-serial",
@@ -262,51 +254,6 @@ fn run_quickstart_degraded(kind: SchedulerKind) -> RunSignature {
     RunSignature::new(report.trace_digest, report.events_recorded)
 }
 
-/// The quickstart scenario executed through the sharded kernel: for every
-/// shard count 1..=8 the auto-partitioned run must reproduce the serial
-/// event stream bit-for-bit — the conservative-lookahead windows, the
-/// K-way dispatch merge, and the provisional-id translation are pure
-/// plumbing around the same event order. Returns the serial signature
-/// (pinned against the golden quickstart digest in tests).
-fn run_shard_quickstart(kind: SchedulerKind) -> RunSignature {
-    let serial = run_quickstart(kind);
-    for k in 1..=8u16 {
-        let mut sc = trimmed(ScenarioConfig::small(42));
-        sc.scheduler = kind;
-        sc.shards = ShardSpec::Auto(k);
-        let report = TraditionalSwitches::default().run(&sc);
-        let sharded = RunSignature::new(report.trace_digest, report.events_recorded);
-        assert_eq!(
-            serial, sharded,
-            "sharded quickstart (k={k}) must equal the serial run"
-        );
-    }
-    serial
-}
-
-/// The degraded quickstart (burst-lossy feed) through the sharded kernel:
-/// FaultLink owns its PRNG, so fault decisions are identical no matter
-/// which shard replays the link — the sharded run must reproduce the
-/// serial faulted stream for every shard count.
-fn run_shard_faulted(kind: SchedulerKind) -> RunSignature {
-    use tn_fault::FaultSpec;
-
-    let serial = run_quickstart_degraded(kind);
-    for k in [2u16, 4, 8] {
-        let mut sc = trimmed(ScenarioConfig::small(42));
-        sc.scheduler = kind;
-        sc.feed_fault = Some(FaultSpec::new(13).with_burst_loss(0.01, 0.3, 0.0, 0.9));
-        sc.shards = ShardSpec::Auto(k);
-        let report = TraditionalSwitches::default().run(&sc);
-        let sharded = RunSignature::new(report.trace_digest, report.events_recorded);
-        assert_eq!(
-            serial, sharded,
-            "sharded faulted quickstart (k={k}) must equal the serial run"
-        );
-    }
-    serial
-}
-
 /// The quickstart scenario with every telemetry switch on, compared
 /// against the same run with telemetry off: provenance accumulation, the
 /// metrics registry, and trace export are pure side-state, so the two
@@ -334,7 +281,6 @@ fn run_quickstart_flight_on_vs_off(kind: SchedulerKind) -> RunSignature {
     let off = run_quickstart(kind);
     let mut sc = trimmed(ScenarioConfig::small(42));
     sc.scheduler = kind;
-    sc.obs.flight = true;
     sc.obs.flight_capacity = 512;
     sc.obs.profile = true;
     let report = TraditionalSwitches::default().run(&sc);
@@ -604,30 +550,6 @@ mod tests {
         let sig = run_quickstart_flight_on_vs_off(SchedulerKind::BinaryHeap);
         assert_eq!(sig.digest, 0xc9ef3e6d16dadef0, "{sig:?}");
         assert_eq!(sig.events, 19_924);
-    }
-
-    #[test]
-    fn sharded_quickstart_reproduces_the_golden_digest() {
-        // The PR-9 tentpole invariant: the sharded kernel reproduces the
-        // pinned golden digest for every shard count 1..=8 (asserted
-        // inside the runner) under all three schedulers.
-        for kind in [
-            SchedulerKind::BinaryHeap,
-            SchedulerKind::CalendarQueue,
-            SchedulerKind::TimingWheel,
-        ] {
-            let sig = run_shard_quickstart(kind);
-            assert_eq!(sig.digest, 0xc9ef3e6d16dadef0, "{kind:?} {sig:?}");
-            assert_eq!(sig.events, 19_924);
-        }
-    }
-
-    #[test]
-    fn sharded_faulted_quickstart_matches_serial() {
-        // Fault decisions live in FaultLink's own PRNG, so the sharded
-        // replay must agree with serial even on a lossy feed.
-        let sig = run_shard_faulted(SchedulerKind::BinaryHeap);
-        assert!(sig.events > 0, "{sig:?}");
     }
 
     #[test]

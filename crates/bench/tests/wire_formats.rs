@@ -8,7 +8,7 @@ use tn_bench::obssim::{run_decomposition, trace_jsonl, DecompositionConfig};
 use tn_core::design::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
 };
-use tn_core::{ScenarioConfig, ShardSpec};
+use tn_core::ScenarioConfig;
 use tn_lab::{LabReport, RunOutcome, SweepSpec};
 use tn_sim::json::{self, Json};
 use tn_sim::{fnv1a_fold, ObsConfig, EMPTY_DIGEST};
@@ -42,17 +42,11 @@ fn designs() -> Vec<Box<dyn TradingNetworkDesign>> {
     ]
 }
 
-/// Every design's `tn-report/v1` on `small(7)` with every sink on, serial
-/// then sharded.
+/// Every design's `tn-report/v1` on `small(7)` with every sink on.
 fn reports() -> Vec<String> {
-    let mut out = Vec::new();
-    for shards in [ShardSpec::Serial, ShardSpec::Auto(4)] {
-        let mut sc = ScenarioConfig::small(7);
-        sc.obs = ObsConfig::full();
-        sc.shards = shards;
-        out.extend(designs().iter().map(|d| d.run(&sc).to_json()));
-    }
-    out
+    let mut sc = ScenarioConfig::small(7);
+    sc.obs = ObsConfig::full();
+    designs().iter().map(|d| d.run(&sc).to_json()).collect()
 }
 
 /// E21's run as `tn-trace/v1` JSONL.
@@ -81,18 +75,12 @@ fn design_reports_are_pinned_and_round_trip() {
     assert_eq!(
         pins,
         [
-            // Serial: Designs 1, 2, 3, 3b, fair cloud.
+            // Designs 1, 2, 3, 3b, fair cloud.
             0x885b_265f_11a0_262f,
             0x3f25_ee48_679e_faea,
             0xc07e_b4dd_ba05_4c07,
             0x4d52_91d9_b124_4a09,
             0xf052_5eeb_7c66_27e3,
-            // `ShardSpec::Auto(4)`: the same five with a `shard` section.
-            0x3f41_347c_6081_6672,
-            0x5d36_0a0c_fbaa_db1e,
-            0xe1f6_faee_abb6_8dc0,
-            0x5490_976f_ec99_7e92,
-            0xf392_27cc_3116_7ae5,
         ]
     );
 }

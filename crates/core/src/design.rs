@@ -17,7 +17,7 @@ use tn_cloud::{equalizer, sequencer, DelayEqualizer};
 use tn_fault::{FaultLink, FaultSpec};
 use tn_market::{Exchange, ExchangeConfig, PartitionScheme, SymbolDirectory};
 use tn_netdev::EtherLink;
-use tn_sim::{IdealLink, Link, NodeId, PortId, ShardedSimulator, SimTime, Simulator};
+use tn_sim::{IdealLink, Link, NodeId, PortId, SimTime, Simulator};
 use tn_stats::FairnessWindow;
 use tn_switch::{commodity::igmp_frame, FpgaConfig, FpgaL1Switch};
 use tn_topo::{
@@ -30,7 +30,7 @@ use tn_trading::{
 };
 use tn_wire::{igmp, ipv4, Symbol};
 
-use crate::report::{DesignReport, FairnessStats, LatencyStats, RecoveryStats, ShardReport};
+use crate::report::{DesignReport, FairnessStats, LatencyStats, RecoveryStats};
 use crate::scenario::ScenarioConfig;
 
 /// Multicast group index base of the exchange's native feed.
@@ -352,33 +352,7 @@ fn collect_report(
     gates: &[NodeId],
 ) -> DesignReport {
     let deadline = sc.warmup + sc.duration;
-    // Serial or sharded execution per the scenario's `shards` spec. The
-    // sharded path reassembles into the same dense kernel afterwards, so
-    // everything below — downcasts, registry snapshot, profile, digest —
-    // reads identically. Plans are resolved against the topology here
-    // because only now does the graph exist; a rejected manual spec is a
-    // configuration bug, surfaced with the validator's explanation.
-    let shard = match sc.resolve_shard_plan(&sim) {
-        Err(e) => panic!("{e}"),
-        Ok(None) => {
-            sim.run_until(deadline);
-            None
-        }
-        Ok(Some(plan)) => {
-            let mut sharded =
-                ShardedSimulator::split(sim, &plan).expect("plan validated against this topology");
-            sharded.run_until(deadline);
-            let stats = sharded.run_stats();
-            sim = sharded.finish();
-            Some(ShardReport {
-                shards: stats.shards,
-                windows: stats.windows,
-                cross_shard_frames: stats.cross_shard_frames,
-                events_per_shard: stats.events_per_shard,
-                nodes_per_shard: stats.nodes_per_shard,
-            })
-        }
-    };
+    sim.run_until(deadline);
     let mut feed_samples = Vec::new();
     let mut orders = 0;
     let mut acks = 0;
@@ -473,7 +447,6 @@ fn collect_report(
         profile,
         flight_dump,
         reaction_samples,
-        shard,
         fairness,
     }
 }
@@ -841,7 +814,6 @@ mod tests {
     fn flight_and_profile_leave_digest_untouched_and_report() {
         let off = ScenarioConfig::small(7);
         let mut on = ScenarioConfig::small(7);
-        on.obs.flight = true;
         on.obs.flight_capacity = 512;
         on.obs.profile = true;
         let r_off = TraditionalSwitches::default().run(&off);
@@ -867,7 +839,6 @@ mod tests {
     fn profile_reports_on_faulted_runs_too() {
         let mut sc = ScenarioConfig::small(11);
         sc.feed_fault = Some(tn_fault::FaultSpec::new(9).with_iid_loss(0.05));
-        sc.obs.flight = true;
         sc.obs.flight_capacity = 256;
         sc.obs.profile = true;
         let r = TraditionalSwitches::default().run(&sc);

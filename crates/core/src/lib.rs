@@ -25,7 +25,6 @@ pub use design::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
 };
 pub use report::{
-    DesignReport, HopKindStat, LatencyStats, NodeHopStat, RecoveryStats, ShardReport, Telemetry,
-    SCHEMA_V1,
+    DesignReport, HopKindStat, LatencyStats, NodeHopStat, RecoveryStats, Telemetry, SCHEMA_V1,
 };
-pub use scenario::{ConfigError, ScenarioBuilder, ScenarioConfig, ShardSpec};
+pub use scenario::{ConfigError, ScenarioBuilder, ScenarioConfig};

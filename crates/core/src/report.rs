@@ -231,25 +231,6 @@ impl Telemetry {
     }
 }
 
-/// Sharded-execution section of a report: how the run was partitioned
-/// and how the safe-window protocol went. Present only when the scenario
-/// asked for sharded execution (`ScenarioConfig::shards`); every other
-/// field of the report — the trace digest above all — is identical
-/// either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Number of shards the topology was split into.
-    pub shards: u16,
-    /// Conservative-lookahead windows executed.
-    pub windows: u64,
-    /// Frames that crossed a shard boundary (merged by the leader).
-    pub cross_shard_frames: u64,
-    /// Events dispatched per shard.
-    pub events_per_shard: Vec<u64>,
-    /// Nodes owned per shard.
-    pub nodes_per_shard: Vec<u64>,
-}
-
 /// Cloud-fairness section of a report: how evenly one published event
 /// reached every subscriber, and what the fairness machinery charged for
 /// it. Present only when the cloud design ran with
@@ -350,7 +331,7 @@ pub struct DesignReport {
     /// an output — collection never moves the trace digest.
     pub profile: Option<KernelProfile>,
     /// Rendered tn-flight ring at end of run, when the scenario enabled
-    /// the flight recorder (`ScenarioConfig::obs.flight`). Carried so
+    /// the flight recorder (`ScenarioConfig::obs.flight_capacity`). Carried so
     /// divergence harnesses can attach the last N kernel events to a
     /// failure message. Not serialized in `tn-report/v1`.
     pub flight_dump: Option<String>,
@@ -359,10 +340,6 @@ pub struct DesignReport {
     /// exact percentiles across seeds instead of averaging summaries.
     /// Not serialized in `tn-report/v1`.
     pub reaction_samples: Vec<u64>,
-    /// Sharded-execution statistics, when the scenario asked for sharded
-    /// execution (`ScenarioConfig::shards`). Like telemetry, purely an
-    /// output — the partitioning never moves the trace digest.
-    pub shard: Option<ShardReport>,
     /// Cloud-fairness statistics, when the cloud design ran with its
     /// fairness mechanisms enabled (`CloudConfig::fairness`). Purely an
     /// output, like telemetry.
@@ -418,13 +395,6 @@ impl DesignReport {
             None => String::new(),
             Some(p) => format!("\n{}", p.render("  ").trim_end_matches('\n')),
         };
-        let shard = match &self.shard {
-            None => String::new(),
-            Some(sh) => format!(
-                "\n  shard    : k={} windows={} cross_shard_frames={} events={:?}",
-                sh.shards, sh.windows, sh.cross_shard_frames, sh.events_per_shard,
-            ),
-        };
         let fairness = match &self.fairness {
             None => String::new(),
             Some(fa) => format!(
@@ -442,7 +412,7 @@ impl DesignReport {
         };
         format!(
             "[{}]\n  feed     : {}\n  reaction : {}\n  feed_msgs={} evaluated={} discarded={} \
-             orders={} acks={} fills={} drops={}{recovery}{telemetry}{profile}{shard}{fairness}\n  \
+             orders={} acks={} fills={} drops={}{recovery}{telemetry}{profile}{fairness}\n  \
              software_path={} network_share={:.1}% digest={:016x}",
             self.design,
             self.feed_latency,
@@ -593,19 +563,6 @@ impl DesignReport {
                 ]),
             ));
         }
-        if let Some(sh) = &self.shard {
-            let list = |vals: &[u64]| Json::Arr(vals.iter().map(|&v| n(v)).collect());
-            doc.push((
-                "shard",
-                Json::obj([
-                    ("shards", n(sh.shards.into())),
-                    ("windows", n(sh.windows)),
-                    ("cross_shard_frames", n(sh.cross_shard_frames)),
-                    ("events_per_shard", list(&sh.events_per_shard)),
-                    ("nodes_per_shard", list(&sh.nodes_per_shard)),
-                ]),
-            ));
-        }
         if let Some(fa) = &self.fairness {
             doc.push((
                 "fairness",
@@ -712,7 +669,6 @@ mod tests {
             profile: None,
             flight_dump: None,
             reaction_samples: vec![5_000],
-            shard: None,
             fairness: None,
         }
     }
@@ -866,33 +822,6 @@ mod tests {
         assert!(
             s.contains("network_share=50.0%"),
             "summary tail survives the profile block: {s}"
-        );
-    }
-
-    #[test]
-    fn json_and_summary_shard_section_is_absent_when_serial_and_additive_when_on() {
-        let mut r = sample_report();
-        assert!(!r.to_json().contains("\"shard\""));
-        assert!(!r.summary().contains("shard    :"));
-        r.shard = Some(ShardReport {
-            shards: 3,
-            windows: 17,
-            cross_shard_frames: 42,
-            events_per_shard: vec![100, 90, 80],
-            nodes_per_shard: vec![2, 2, 1],
-        });
-        let j = r.to_json();
-        assert!(
-            j.contains("\"shard\":{\"shards\":3,\"windows\":17,\"cross_shard_frames\":42"),
-            "{j}"
-        );
-        assert!(j.contains("\"events_per_shard\":[100,90,80]"), "{j}");
-        assert!(j.contains("\"nodes_per_shard\":[2,2,1]"), "{j}");
-        assert_round_trips(&j);
-        let s = r.summary();
-        assert!(
-            s.contains("shard    : k=3 windows=17 cross_shard_frames=42"),
-            "{s}"
         );
     }
 

@@ -1,7 +1,7 @@
 //! The common firm + market scenario all designs run.
 
 use tn_fault::FaultSpec;
-use tn_sim::{ObsConfig, SchedulerKind, ShardPlan, SimTime, Simulator};
+use tn_sim::{ObsConfig, SchedulerKind, SimTime};
 
 /// Why a [`ScenarioBuilder`] refused to produce a config.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +29,6 @@ pub enum ConfigError {
         /// Available internal partitions.
         partitions: u16,
     },
-    /// The shard spec is structurally broken, or the topology cannot
-    /// honor it (a cut link with zero lookahead, a coin-consuming cut
-    /// link, an assignment that does not cover the nodes).
-    ShardRejected(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -59,33 +55,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "subs_per_strategy {subs} exceeds internal_partitions {partitions}"
             ),
-            ConfigError::ShardRejected(msg) => write!(f, "shard spec rejected: {msg}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-/// How a design's kernel executes the scenario.
-///
-/// Every variant produces the *same* trace digest — sharded execution is
-/// pinned bit-for-bit against the serial run by `tn-audit divergence`
-/// and the shard-equivalence proptest — so this knob trades wall-clock
-/// only, like [`ScenarioConfig::scheduler`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ShardSpec {
-    /// One kernel, one thread: the reference execution.
-    #[default]
-    Serial,
-    /// Partition into at most this many shards with the cut-minimizing
-    /// automatic planner ([`tn_sim::ShardPlan::auto`]), which never cuts
-    /// a zero-delay or coin-consuming link.
-    Auto(u16),
-    /// Explicit node-to-shard assignment (`assignment[node] = shard`).
-    /// Rejected — as [`ConfigError::ShardRejected`] — when it does not
-    /// cover the topology or cuts a link the protocol cannot cut.
-    Manual(Vec<u32>),
-}
 
 /// Everything about the workload and the firm that is *not* the network:
 /// the same `ScenarioConfig` runs over every design, so differences in
@@ -146,11 +120,6 @@ pub struct ScenarioConfig {
     /// digests are bit-for-bit unchanged (pinned by `tn-audit
     /// divergence` and the scheduler-equivalence proptest).
     pub scheduler: SchedulerKind,
-    /// Sharded (parallel) execution of the built topology. The default
-    /// [`ShardSpec::Serial`] is the reference single-kernel run; sharded
-    /// runs reproduce its trace digest bit-for-bit (pinned by `tn-audit
-    /// divergence` and the shard-equivalence proptest).
-    pub shards: ShardSpec,
 }
 
 impl ScenarioConfig {
@@ -196,7 +165,6 @@ impl ScenarioConfig {
             feed_fault: None,
             obs: ObsConfig::off(),
             scheduler: SchedulerKind::BinaryHeap,
-            shards: ShardSpec::Serial,
         }
     }
 
@@ -224,7 +192,6 @@ impl ScenarioConfig {
             feed_fault: None,
             obs: ObsConfig::off(),
             scheduler: SchedulerKind::BinaryHeap,
-            shards: ShardSpec::Serial,
         }
     }
 
@@ -233,24 +200,6 @@ impl ScenarioConfig {
     /// hops"), plus the exchange's own matching time.
     pub fn software_path(&self) -> SimTime {
         self.normalizer_service + self.decision_service + self.gateway_service
-    }
-
-    /// Resolve the configured [`ShardSpec`] against a built topology:
-    /// `None` for serial execution, a validated [`ShardPlan`] for
-    /// sharded. Manual assignments that do not cover the topology, or
-    /// cut a link the conservative-lookahead protocol cannot cut
-    /// (zero `min_delay`, kernel-coin consumption), come back as
-    /// [`ConfigError::ShardRejected`]; automatic plans never cut such
-    /// links and therefore always validate.
-    pub fn resolve_shard_plan(&self, sim: &Simulator) -> Result<Option<ShardPlan>, ConfigError> {
-        let plan = match &self.shards {
-            ShardSpec::Serial => return Ok(None),
-            ShardSpec::Auto(k) => ShardPlan::auto(sim, *k),
-            ShardSpec::Manual(assignment) => ShardPlan::manual(assignment.clone()),
-        };
-        plan.validate(sim)
-            .map_err(|e| ConfigError::ShardRejected(e.to_string()))?;
-        Ok(Some(plan))
     }
 
     /// The partitions strategy `s` subscribes to (deterministic
@@ -359,12 +308,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sharded execution (digest-neutral; see [`ScenarioConfig::shards`]).
-    pub fn shards(mut self, shards: ShardSpec) -> ScenarioBuilder {
-        self.cfg.shards = shards;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<ScenarioConfig, ConfigError> {
         let c = self.cfg;
@@ -405,22 +348,6 @@ impl ScenarioBuilder {
                 subs: c.subs_per_strategy,
                 partitions: c.internal_partitions,
             });
-        }
-        // Topology-dependent shard checks (cut lookahead, coin links)
-        // run in `resolve_shard_plan` once a design has built the graph;
-        // the structurally-broken specs are caught here.
-        match &c.shards {
-            ShardSpec::Auto(0) => {
-                return Err(ConfigError::ShardRejected(
-                    "Auto(0): need at least one shard".into(),
-                ));
-            }
-            ShardSpec::Manual(v) if v.is_empty() => {
-                return Err(ConfigError::ShardRejected(
-                    "manual assignment is empty".into(),
-                ));
-            }
-            _ => {}
         }
         Ok(c)
     }
@@ -513,65 +440,6 @@ mod tests {
         let c = ScenarioConfig::small(1);
         let expected = c.normalizer_service + c.decision_service + c.gateway_service;
         assert_eq!(c.software_path(), expected);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_shard_specs() {
-        assert!(matches!(
-            ScenarioConfig::builder(1)
-                .shards(ShardSpec::Auto(0))
-                .build(),
-            Err(ConfigError::ShardRejected(_))
-        ));
-        assert!(matches!(
-            ScenarioConfig::builder(1)
-                .shards(ShardSpec::Manual(Vec::new()))
-                .build(),
-            Err(ConfigError::ShardRejected(_))
-        ));
-        let sc = ScenarioConfig::builder(1)
-            .shards(ShardSpec::Auto(4))
-            .build()
-            .unwrap();
-        assert_eq!(sc.shards, ShardSpec::Auto(4));
-    }
-
-    #[test]
-    fn zero_delay_cut_is_rejected_at_plan_resolution() {
-        use tn_sim::{Context, Frame, IdealLink, Node, PortId};
-
-        struct Quiet;
-        impl Node for Quiet {
-            fn on_frame(&mut self, _ctx: &mut Context<'_>, _p: PortId, _f: Frame) {}
-        }
-
-        let mut sim = Simulator::new(1);
-        let a = sim.add_node("a", Quiet);
-        let b = sim.add_node("b", Quiet);
-        sim.install_link(
-            a,
-            PortId(0),
-            b,
-            PortId(0),
-            Box::new(IdealLink::new(SimTime::ZERO)),
-        );
-        // Manually cutting the zero-delay link collapses the lookahead;
-        // the topology-aware validator rejects it with the sim layer's
-        // explanation wrapped in a ConfigError.
-        let mut sc = ScenarioConfig::small(1);
-        sc.shards = ShardSpec::Manual(vec![0, 1]);
-        let err = sc.resolve_shard_plan(&sim).unwrap_err();
-        match &err {
-            ConfigError::ShardRejected(msg) => {
-                assert!(msg.contains("zero min_delay"), "{msg}");
-            }
-            other => panic!("expected ShardRejected, got {other:?}"),
-        }
-        // Keeping the pair together (or any serial spec) resolves fine.
-        sc.shards = ShardSpec::Manual(vec![0, 0]);
-        assert!(sc.resolve_shard_plan(&sim).unwrap().is_some());
-        sc.shards = ShardSpec::Serial;
-        assert!(sc.resolve_shard_plan(&sim).unwrap().is_none());
     }
 
     #[test]

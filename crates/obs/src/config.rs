@@ -13,12 +13,10 @@ pub struct ObsConfig {
     /// reasons and hop distributions into it, and a snapshot adds the
     /// kernel's dispatch counts and every device's own counters.
     pub registry: bool,
-    /// Keep a bounded ring of the last kernel events in a
-    /// [`crate::FlightRecorder`], dumped on panic or on demand.
-    pub flight: bool,
-    /// Ring capacity (records) when `flight` is on. Ignored when off;
-    /// memory use is `capacity * size_of::<FlightRecord>()`, fixed at
-    /// enable time.
+    /// Keep a ring of the last `flight_capacity` kernel events in a
+    /// [`crate::FlightRecorder`], dumped on panic or on demand; 0 keeps
+    /// none. Memory use is `capacity * size_of::<FlightRecord>()`, fixed
+    /// at enable time.
     pub flight_capacity: u32,
     /// Produce a deterministic `KernelProfile`: per-node / per-kind
     /// dispatch counts read from the kernel's count rows, the
@@ -46,8 +44,7 @@ impl ObsConfig {
         ObsConfig {
             provenance: false,
             registry: false,
-            flight: false,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
+            flight_capacity: 0,
             profile: false,
             trace: false,
         }
@@ -59,7 +56,6 @@ impl ObsConfig {
         ObsConfig {
             provenance: true,
             registry: true,
-            flight: true,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: true,
             trace: false,
@@ -84,12 +80,10 @@ mod tests {
     #[test]
     fn defaults_are_off() {
         assert_eq!(ObsConfig::default(), ObsConfig::off());
-        let flags = |c: ObsConfig| [c.provenance, c.registry, c.flight, c.profile];
-        assert_eq!(flags(ObsConfig::off()), [false; 4]);
-        assert_eq!(flags(ObsConfig::full()), [true; 4]);
-        // Capacity is preset even while the recorder is off, so flipping
-        // `flight` alone yields a usable ring.
-        assert_eq!(ObsConfig::off().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
+        let flags = |c: ObsConfig| [c.provenance, c.registry, c.profile];
+        assert_eq!(flags(ObsConfig::off()), [false; 3]);
+        assert_eq!(flags(ObsConfig::full()), [true; 3]);
+        assert_eq!(ObsConfig::off().flight_capacity, 0);
         assert_eq!(ObsConfig::full().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
         assert!(!ObsConfig::full().trace, "no preset stores the trace");
     }

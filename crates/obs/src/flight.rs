@@ -35,12 +35,6 @@ pub enum FlightKind {
     /// A frame build reused a pooled arena buffer (`a` = frame id about
     /// to be assigned).
     FrameReuse,
-    /// The timing wheel cascaded an upper-level slot down
-    /// (`a` = cumulative cascade count, `b` = pending events).
-    WheelCascade,
-    /// The calendar queue rebuilt its bucket array
-    /// (`a` = bucket count, `b` = bucket width, ps).
-    CalendarRebuild,
     /// A feed receiver detected a sequence gap and asked for
     /// retransmission (`a`/`b` = application detail, e.g. first missing
     /// sequence and gap length).
@@ -49,14 +43,12 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// Every kind, in declaration order.
-    pub const ALL: [FlightKind; 8] = [
+    pub const ALL: [FlightKind; 6] = [
         FlightKind::Schedule,
         FlightKind::Dispatch,
         FlightKind::Drop,
         FlightKind::FrameAlloc,
         FlightKind::FrameReuse,
-        FlightKind::WheelCascade,
-        FlightKind::CalendarRebuild,
         FlightKind::RecoveryGap,
     ];
 
@@ -68,8 +60,6 @@ impl FlightKind {
             FlightKind::Drop => "drop",
             FlightKind::FrameAlloc => "frame-alloc",
             FlightKind::FrameReuse => "frame-reuse",
-            FlightKind::WheelCascade => "wheel-cascade",
-            FlightKind::CalendarRebuild => "calendar-rebuild",
             FlightKind::RecoveryGap => "recovery-gap",
         }
     }
@@ -85,9 +75,8 @@ pub struct FlightRecord {
     pub kind: FlightKind,
     /// Node the record is attributed to (`u32::MAX` when none).
     pub node: u32,
-    /// Shard the recording kernel belonged to (0 for serial runs).
-    /// `tn-flight/v1` additive field: merged multi-shard timelines stay
-    /// unambiguous because every record names its recording shard.
+    /// Unused: the kernel writes 0 (a sharded kernel keeps no ring) and
+    /// nothing reads it.
     pub shard: u16,
     /// First kind-specific payload word.
     pub a: u64,
@@ -108,8 +97,6 @@ pub struct FlightRecorder {
     head: usize,
     /// Records ever offered (including overwritten ones).
     total: u64,
-    /// Shard id stamped onto every record (0 = serial / unsharded).
-    shard: u16,
 }
 
 impl FlightRecorder {
@@ -126,20 +113,7 @@ impl FlightRecorder {
             cap: capacity,
             head: 0,
             total: 0,
-            shard: 0,
         }
-    }
-
-    /// Attribute every subsequent record to `shard`. Sharded kernels set
-    /// this on their per-shard rings so a merged timeline can tell the
-    /// recording kernels apart; serial runs leave the default 0.
-    pub fn set_shard(&mut self, shard: u16) {
-        self.shard = shard;
-    }
-
-    /// Shard id currently stamped onto records.
-    pub fn shard(&self) -> u16 {
-        self.shard
     }
 
     /// True when the recorder stores records.
@@ -169,14 +143,11 @@ impl FlightRecorder {
     }
 
     /// Append one record, overwriting the oldest when the ring is full.
-    /// The recorder's shard id overrides whatever the caller set, so
-    /// construction sites stay shard-agnostic.
     #[inline]
-    pub fn record(&mut self, mut rec: FlightRecord) {
+    pub fn record(&mut self, rec: FlightRecord) {
         if self.cap == 0 {
             return;
         }
-        rec.shard = self.shard;
         if self.buf.len() < self.cap {
             // Still filling: push stays within the reserved capacity.
             self.buf.push(rec);
@@ -195,33 +166,6 @@ impl FlightRecorder {
         self.buf.clear();
         self.head = 0;
         self.total = 0;
-    }
-
-    /// Deterministically merge several rings into one of capacity
-    /// `capacity`, keeping the overall newest records. Records are
-    /// ordered by time; ties keep the order of `rings` (pass shards in
-    /// ascending shard order), and each record keeps the shard id it was
-    /// originally stamped with, so the merged timeline is unambiguous.
-    pub fn merged(rings: &[&FlightRecorder], capacity: usize) -> FlightRecorder {
-        let mut all: Vec<FlightRecord> = Vec::new();
-        let mut total = 0u64;
-        for ring in rings {
-            total += ring.total();
-            all.extend(ring.records().copied());
-        }
-        // Stable sort: same-time records keep per-ring order and the
-        // caller-provided ring order, so the merge is deterministic.
-        all.sort_by_key(|r| r.at_ps);
-        let keep = all.len().saturating_sub(capacity);
-        let buf: Vec<FlightRecord> = all.split_off(keep);
-        let head = if buf.len() < capacity { buf.len() } else { 0 };
-        FlightRecorder {
-            buf,
-            cap: capacity,
-            head,
-            total,
-            shard: 0,
-        }
     }
 
     /// The held records, oldest first.
@@ -250,19 +194,13 @@ impl FlightRecorder {
             } else {
                 r.node.to_string()
             };
-            let shard = if r.shard == 0 {
-                String::new()
-            } else {
-                format!(" shard={}", r.shard)
-            };
             out.push_str(&format!(
-                "  {:>16}ps {:<16} node={:<5} a={} b={}{}\n",
+                "  {:>16}ps {:<16} node={:<5} a={} b={}\n",
                 r.at_ps,
                 r.kind.name(),
                 node,
                 r.a,
-                r.b,
-                shard
+                r.b
             ));
         }
         out
@@ -347,7 +285,7 @@ mod tests {
         for i in 0..3u64 {
             r.record(FlightRecord {
                 at_ps: i,
-                kind: FlightKind::CalendarRebuild,
+                kind: FlightKind::RecoveryGap,
                 node: u32::MAX,
                 shard: 0,
                 a: 64,
@@ -356,44 +294,8 @@ mod tests {
         }
         let dump = r.render();
         assert!(dump.contains("last 2 of 3 records"), "{dump}");
-        assert!(dump.contains("calendar-rebuild"), "{dump}");
+        assert!(dump.contains("recovery-gap"), "{dump}");
         assert!(dump.contains("node=-"), "{dump}");
-    }
-
-    #[test]
-    fn recorder_stamps_its_shard_onto_records() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.set_shard(3);
-        r.record(rec(1, FlightKind::Dispatch));
-        assert_eq!(r.records().next().map(|x| x.shard), Some(3));
-        let dump = r.render();
-        assert!(dump.contains("shard=3"), "{dump}");
-        // Serial rings (shard 0) render exactly as before.
-        let mut serial = FlightRecorder::with_capacity(4);
-        serial.record(rec(1, FlightKind::Dispatch));
-        assert!(!serial.render().contains("shard="), "{}", serial.render());
-    }
-
-    #[test]
-    fn merged_rings_interleave_by_time_and_keep_shard_ids() {
-        let mut a = FlightRecorder::with_capacity(4);
-        a.set_shard(1);
-        let mut b = FlightRecorder::with_capacity(4);
-        b.set_shard(2);
-        a.record(rec(10, FlightKind::Dispatch));
-        a.record(rec(30, FlightKind::Dispatch));
-        b.record(rec(20, FlightKind::Schedule));
-        b.record(rec(30, FlightKind::Schedule));
-        let m = FlightRecorder::merged(&[&a, &b], 8);
-        let seen: Vec<(u64, u16)> = m.records().map(|x| (x.at_ps, x.shard)).collect();
-        // Ties keep the caller-provided ring order (shard 1 before 2).
-        assert_eq!(seen, vec![(10, 1), (20, 2), (30, 1), (30, 2)]);
-        assert_eq!(m.total(), 4);
-        // A smaller merged capacity keeps the newest records.
-        let tail = FlightRecorder::merged(&[&a, &b], 2);
-        let seen: Vec<u64> = tail.records().map(|x| x.at_ps).collect();
-        assert_eq!(seen, vec![30, 30]);
-        assert_eq!(tail.total(), 4);
     }
 
     #[test]

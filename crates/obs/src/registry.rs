@@ -184,17 +184,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Fold another registry in: counters add and distributions merge. A
-    /// sharded run absorbs each shard's registry this way at reassembly.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (&(scope, name, node), m) in &other.metrics {
-            match m {
-                Metric::Counter(c) => self.add(scope, name, node, *c),
-                Metric::Distribution(d) => self.merge(scope, name, node, d),
-            }
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.metrics.len()
@@ -304,29 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn absorbing_equals_recording_into_one() {
-        let feed = |r: &mut MetricsRegistry, part: u64| {
-            r.add("link_drop", "random_loss", None, part);
-            r.observe("hop", "queue", Some(1), 1_000 * part);
-        };
-        let (mut a, mut b, mut both) = (
-            MetricsRegistry::new(),
-            MetricsRegistry::new(),
-            MetricsRegistry::new(),
-        );
-        feed(&mut a, 1);
-        feed(&mut b, 2);
-        b.inc("feed", "gap", None);
-        for part in [1, 2] {
-            feed(&mut both, part);
-        }
-        both.inc("feed", "gap", None);
-        a.absorb(&b);
-        assert_eq!(a.snapshot(5), both.snapshot(5));
-        // A zero count or an empty distribution leaves no key.
-        a.add("feed", "gap", Some(9), 0);
-        a.merge("tap", "age_ps", None, &Distribution::default());
-        assert_eq!(a.snapshot(5), both.snapshot(5));
+    fn zero_counts_and_empty_distributions_leave_no_key() {
+        let mut r = MetricsRegistry::new();
+        r.add("feed", "gap", Some(9), 0);
+        r.merge("tap", "age_ps", None, &Distribution::default());
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::context::{Context, TimerToken};
 use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
-use crate::sched::{EventKind, EventQueue, QueuedEvent, SchedStats, Scheduler, SchedulerKind};
+use crate::sched::{EventKind, EventQueue, QueuedEvent, Scheduler, SchedulerKind};
 use crate::shard::{WEntry, WindowState};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -288,9 +288,6 @@ pub struct Simulator {
     /// One count row per node while a profile or a registry will read
     /// them, empty otherwise (see `Simulator::sync_counts`).
     pub(crate) counts: Vec<NodeCounts>,
-    /// Scheduler counters at the last flight observation, so rebuild /
-    /// cascade deltas can be turned into flight records.
-    pub(crate) last_sched: SchedStats,
     /// `Some` while this simulator runs as one shard of a partitioned
     /// run: dispatches append reconciliation entries here instead of
     /// recording into `trace`, and cross-shard deliveries are buffered
@@ -330,7 +327,6 @@ impl Simulator {
             flight: FlightRecorder::disabled(),
             profiler: KernelProfiler::disabled(),
             counts: Vec::new(),
-            last_sched: SchedStats::default(),
             wlog: None,
             trace: TraceLog::disabled(),
         }
@@ -400,9 +396,8 @@ impl Simulator {
 
     /// Size (and enable) the tn-flight recorder: keep the last
     /// `capacity` kernel events (schedules, dispatches, drops, frame
-    /// alloc/reuse, scheduler rebuilds/cascades, application notes) in a
-    /// fixed ring, dumped on panic or via [`Simulator::dump_flight`].
-    /// `0` disables. Replaces the ring, so call between runs.
+    /// alloc/reuse, application notes) in a fixed ring, dumped on panic
+    /// or via [`Simulator::dump_flight`]. `0` disables. Replaces the ring, so call between runs.
     ///
     /// Recording is pure side-state — no randomness, no scheduling, no
     /// wall-clock — so any capacity leaves trace digests bit-identical
@@ -459,7 +454,7 @@ impl Simulator {
         if obs.registry {
             self.set_metrics(true);
         }
-        if obs.flight {
+        if obs.flight_capacity > 0 {
             self.set_flight_capacity(obs.flight_capacity as usize);
         }
         if obs.profile {
@@ -763,45 +758,6 @@ impl Simulator {
             b: self.now.as_ps(),
         });
         self.queue.push(ev);
-        self.note_sched_activity();
-    }
-
-    /// With the flight recorder on, turn scheduler-counter deltas since
-    /// the last observation into records: calendar rebuilds and wheel
-    /// cascades happen inside the scheduler, which has no recorder
-    /// access, so the kernel watches the counters at its boundaries.
-    #[inline]
-    fn note_sched_activity(&mut self) {
-        if self.flight.is_enabled() {
-            self.record_sched_activity();
-        }
-    }
-
-    /// The recording half of [`Simulator::note_sched_activity`].
-    #[inline(never)]
-    fn record_sched_activity(&mut self) {
-        let s = self.queue.stats();
-        if s.rebuilds > self.last_sched.rebuilds {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::CalendarRebuild,
-                node: u32::MAX,
-                shard: 0,
-                a: s.bucket_count,
-                b: s.bucket_width_ps,
-            });
-        }
-        if s.cascades > self.last_sched.cascades {
-            self.flight.record(FlightRecord {
-                at_ps: self.now.as_ps(),
-                kind: FlightKind::WheelCascade,
-                node: u32::MAX,
-                shard: 0,
-                a: s.cascades,
-                b: self.queue.len() as u64,
-            });
-        }
-        self.last_sched = s;
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
@@ -812,10 +768,6 @@ impl Simulator {
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.stats.events_processed += 1;
-        // Pops (and the next_at probes between steps) are where the
-        // wheel cascades and the calendar may rebuild; catch up on the
-        // counter deltas before dispatching.
-        self.note_sched_activity();
         let node = ev.target_node();
         let seq = ev.seq;
         match &ev.kind {

@@ -42,7 +42,9 @@
 //! The protocol refuses topologies it cannot reproduce exactly: a cut
 //! link with zero `min_delay` (no lookahead) or one whose outcome
 //! consumes the kernel coin (per-shard PRNG streams differ from the
-//! serial stream).
+//! serial stream). A shard carries the kernel profile and the trace and
+//! no other telemetry, so [`ShardedSimulator::split`] also refuses a
+//! simulator with provenance, the metrics registry or the flight ring on.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +54,7 @@ use crate::node::{NodeId, PortId};
 use crate::sched::{EventKind, Scheduler, SchedulerKind};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
-use tn_obs::{FlightRecorder, KernelProfiler};
+use tn_obs::KernelProfiler;
 
 /// High bit marking a shard-provisional id (event seq or frame id).
 /// Real ids assigned by the serial kernel or the merge leader stay
@@ -144,6 +146,9 @@ pub enum ShardError {
     CoinLink { src: NodeId, dst: NodeId },
     /// The manual assignment does not cover the topology.
     BadAssignment(String),
+    /// The simulator has a sink on that a shard does not carry
+    /// (`"provenance"`, `"registry"` or `"flight"`).
+    Telemetry(&'static str),
 }
 
 impl std::fmt::Display for ShardError {
@@ -162,6 +167,10 @@ impl std::fmt::Display for ShardError {
                 src.0, dst.0
             ),
             ShardError::BadAssignment(msg) => write!(f, "bad shard assignment: {msg}"),
+            ShardError::Telemetry(sink) => write!(
+                f,
+                "{sink} is on; a shard carries only the kernel profile and the trace"
+            ),
         }
     }
 }
@@ -363,19 +372,13 @@ pub struct ShardedSimulator {
     /// The unified trace: the parent's log, fed reconstructed records in
     /// merged (serial) order.
     trace: TraceLog,
-    /// The parent's pre-split flight ring (shard stamp 0).
-    flight_base: FlightRecorder,
     /// The parent's pre-split profiler; per-shard profilers fold in at
     /// reassembly.
     profiler_base: KernelProfiler,
     /// The parent's pre-split count rows; each shard counts from zero
     /// and folds in at reassembly.
     counts_base: Vec<NodeCounts>,
-    /// The parent's pre-split registry; each shard records into its own
-    /// and folds in at reassembly.
-    metrics_base: Option<tn_obs::MetricsRegistry>,
     sched_kind: SchedulerKind,
-    provenance: bool,
     stats_base: SimStats,
     now: SimTime,
     /// Per-shard translation: provisional seq index -> real seq.
@@ -393,10 +396,20 @@ pub struct ShardedSimulator {
 
 impl ShardedSimulator {
     /// Split a built simulator into shards under `plan`. Fails (dropping
-    /// the simulator) when the plan violates a protocol precondition;
+    /// the simulator) when the plan violates a protocol precondition or
+    /// the simulator has provenance, the registry or the flight ring on;
     /// call [`ShardPlan::validate`] first to keep the simulator on error.
     pub fn split(mut sim: Simulator, plan: &ShardPlan) -> Result<ShardedSimulator, ShardError> {
         plan.validate(&sim)?;
+        for (on, sink) in [
+            (sim.provenance, "provenance"),
+            (sim.metrics.is_some(), "registry"),
+            (sim.flight.is_enabled(), "flight"),
+        ] {
+            if on {
+                return Err(ShardError::Telemetry(sink));
+            }
+        }
         let k = usize::from(plan.shards);
         let n_nodes = sim.nodes.len();
         let n_links = sim.links.len();
@@ -430,13 +443,6 @@ impl ShardedSimulator {
                 sh.next_frame_id = prov_base(s);
                 sh.nodes = (0..n_nodes).map(|_| None).collect();
                 sh.links = (0..n_links).map(|_| None).collect();
-                sh.provenance = sim.provenance;
-                sh.metrics = sim.metrics.as_ref().map(|_| tn_obs::MetricsRegistry::new());
-                if sim.flight.is_enabled() {
-                    let mut ring = FlightRecorder::with_capacity(sim.flight.capacity());
-                    ring.set_shard(s as u16 + 1);
-                    sh.flight = ring;
-                }
                 if sim.profiler.is_enabled() {
                     sh.profiler = KernelProfiler::enabled();
                 }
@@ -478,12 +484,9 @@ impl ShardedSimulator {
             seq: sim.seq,
             next_frame_id: sim.next_frame_id,
             trace: std::mem::take(&mut sim.trace),
-            flight_base: std::mem::replace(&mut sim.flight, FlightRecorder::disabled()),
             profiler_base: std::mem::replace(&mut sim.profiler, KernelProfiler::disabled()),
             counts_base: std::mem::take(&mut sim.counts),
-            metrics_base: sim.metrics.take(),
             sched_kind: sim.sched_kind,
-            provenance: sim.provenance,
             stats_base: sim.stats,
             now: sim.now,
             seq_map: (0..k).map(|_| Vec::new()).collect(),
@@ -686,9 +689,7 @@ impl ShardedSimulator {
                         f.id = FrameId(Self::translate(&self.frame_map[s], f.id.0, s, "frame"));
                         if *arrival < h_excl {
                             // Cold path: a link advertised a min_delay
-                            // larger than a delivery it produced. The
-                            // shard kernels' Drop impls dump their
-                            // flight rings during this unwind.
+                            // larger than a delivery it produced.
                             panic!(
                                 "cross-shard delivery into the past: frame {} arrives at {} ps \
                                  inside the already-executed window (horizon {} ps); \
@@ -742,23 +743,20 @@ impl ShardedSimulator {
     }
 
     /// Reassemble the shards into one serial [`Simulator`] carrying the
-    /// unified trace, summed statistics, merged telemetry, and every
+    /// unified trace, summed statistics, the merged profile, and every
     /// node — so post-run harvesting (reports, downcasts) is identical
     /// to the serial path.
     pub fn finish(mut self) -> Simulator {
-        let k = self.shards.len();
         let mut sim = Simulator::with_scheduler(0, self.sched_kind);
         sim.now = self.now;
         sim.seq = self.seq;
         sim.next_frame_id = self.next_frame_id;
-        sim.provenance = self.provenance;
         sim.stats = self.stats_base;
         let n_nodes = self.shards.first().map_or(0, |s| s.nodes.len());
         let n_links = self.shards.first().map_or(0, |s| s.links.len());
         sim.nodes = (0..n_nodes).map(|_| None).collect();
         sim.names = std::mem::take(&mut self.names);
         sim.links = (0..n_links).map(|_| None).collect();
-        let mut rings: Vec<&FlightRecorder> = Vec::with_capacity(k + 1);
         for (s, sh) in self.shards.iter_mut().enumerate() {
             sh.wlog = None; // leave window mode before the final drain
             for (i, slot) in sh.nodes.iter_mut().enumerate() {
@@ -802,21 +800,10 @@ impl ShardedSimulator {
             for (mine, theirs) in self.counts_base.iter_mut().zip(&sh.counts) {
                 mine.absorb(theirs);
             }
-            if let (Some(mine), Some(theirs)) = (&mut self.metrics_base, &sh.metrics) {
-                mine.absorb(theirs);
-            }
         }
         sim.trace = self.trace;
         sim.profiler = self.profiler_base;
         sim.counts = self.counts_base;
-        sim.metrics = self.metrics_base;
-        if self.flight_base.is_enabled() {
-            rings.push(&self.flight_base);
-            for sh in &self.shards {
-                rings.push(&sh.flight);
-            }
-            sim.flight = FlightRecorder::merged(&rings, self.flight_base.capacity());
-        }
         sim
     }
 }
@@ -1056,6 +1043,26 @@ mod tests {
             Err(ShardError::ZeroDelayCut { src: a, dst: b })
         );
         assert!(ShardedSimulator::split(sim, &plan).is_err());
+    }
+
+    #[test]
+    fn split_refuses_every_sink_a_shard_does_not_carry() {
+        let plan = ShardPlan::manual(vec![0, 0, 1, 1]);
+        for sink in ["provenance", "registry", "flight"] {
+            let mut sim = build_line(SchedulerKind::BinaryHeap);
+            sim.set_profile(true);
+            match sink {
+                "provenance" => sim.set_provenance(true),
+                "registry" => sim.set_metrics(true),
+                _ => sim.set_flight_capacity(8),
+            }
+            let err = ShardedSimulator::split(sim, &plan).err();
+            assert_eq!(err, Some(ShardError::Telemetry(sink)));
+        }
+        let mut sim = build_line(SchedulerKind::BinaryHeap);
+        sim.set_profile(true);
+        sim.trace.set_enabled(true);
+        assert!(ShardedSimulator::split(sim, &plan).is_ok());
     }
 
     /// Deterministic link that *lies* about its lookahead: it advertises

@@ -3,7 +3,6 @@
 //!
 //! ```sh
 //! cargo run --example quickstart
-//! cargo run --example quickstart -- --shards 4
 //! ```
 //!
 //! This assembles the paper's reference architecture — an exchange
@@ -11,22 +10,12 @@
 //! strategies and gateways on a leaf-spine fabric (Design 1) — runs a few
 //! simulated milliseconds of market activity, and prints the latency
 //! report.
-//!
-//! `--shards N` runs the same scenario through the sharded kernel
-//! (auto-partitioned, conservative lookahead; see DESIGN.md §12). The
-//! report — digest included — is bit-identical to the serial run; the
-//! summary just gains a `shard` line describing the partition.
 
 use trading_networks::core::design::{TradingNetworkDesign, TraditionalSwitches};
-use trading_networks::core::{ScenarioConfig, ShardSpec};
+use trading_networks::core::ScenarioConfig;
 use trading_networks::sim::ObsConfig;
 
 fn main() {
-    let shards: u16 = std::env::args()
-        .skip_while(|a| a != "--shards")
-        .nth(1)
-        .map(|v| v.parse().expect("--shards takes a shard count"))
-        .unwrap_or(0);
     // The common scenario: one exchange, 2 normalizers, 6 strategies,
     // 2 gateways, 50k market events/second. The builder starts from the
     // `small` preset and validates whatever you override.
@@ -34,16 +23,13 @@ fn main() {
     // The flight recorder and kernel self-profiler ride along: both are
     // digest-neutral, so the report below is bit-identical to a bare run
     // — it just also says what the kernel did to produce it.
-    let mut obs = ObsConfig::off();
-    obs.flight = true;
-    obs.profile = true;
+    let obs = ObsConfig {
+        provenance: false,
+        registry: false,
+        ..ObsConfig::full()
+    };
     let scenario = ScenarioConfig::builder(42)
         .obs(obs)
-        .shards(if shards > 0 {
-            ShardSpec::Auto(shards)
-        } else {
-            ShardSpec::Serial
-        })
         .build()
         .expect("valid scenario");
 

@@ -90,6 +90,10 @@ done
 run cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 run benchmark/run.sh --smoke
 run benchmark/run.sh --smoke --trace
+# One full-size pass: every workload with its warm-ups, reps and the
+# cross-rep digest check, which `--smoke` (one rep) skips; it is also
+# where `swarm-100k-shard8` is held to the serial swarm's digest.
+run benchmark/run.sh --seconds 0
 
 dirty=$(git status --porcelain)
 [ -z "$dirty" ] || { printf 'ci: the tree is dirty:\n%s\n' "$dirty"; exit 1; }

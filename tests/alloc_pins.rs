@@ -1,6 +1,7 @@
 //! Allocation pins: the exact number of allocation calls one `run()` of
 //! each design makes on `ScenarioConfig::small(7)`, next to the number of
-//! events it dispatched.
+//! events it dispatched: Designs 1, 2, 3 and 3b, then Design 2 with its
+//! fairness machinery on (overlay + sequencer splice).
 //!
 //! Allocation counts repeat exactly per seed, so they are a cost that can
 //! be pinned like a digest. A counting global allocator (per thread, as in
@@ -21,6 +22,7 @@ use trading_networks::core::design::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
 };
 use trading_networks::core::ScenarioConfig;
+use trading_networks::topo::{CloudConfig, CloudFairnessSpec};
 
 struct CountingAlloc;
 
@@ -70,7 +72,17 @@ fn alloc_calls() -> u64 {
 /// `(allocation calls, events dispatched)` of one `run()`.
 type Pin = (u64, u64);
 
-/// The four designs with their pins on `ScenarioConfig::small(7)`.
+/// Design 2 with the demo fairness spec.
+fn fair_cloud() -> CloudDesign {
+    CloudDesign {
+        cloud: CloudConfig {
+            fairness: CloudFairnessSpec::demo(),
+            ..CloudConfig::default()
+        },
+    }
+}
+
+/// The five fabrics with their pins on `ScenarioConfig::small(7)`.
 fn designs() -> Vec<(&'static str, Box<dyn TradingNetworkDesign>, Pin)> {
     vec![
         (
@@ -85,6 +97,7 @@ fn designs() -> Vec<(&'static str, Box<dyn TradingNetworkDesign>, Pin)> {
             (1250, 73551),
         ),
         ("design3b", Box::new(FpgaHybrid::default()), (1194, 35093)),
+        ("design2-fair", Box::new(fair_cloud()), (3895, 49178)),
     ]
 }
 

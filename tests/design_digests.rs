@@ -17,7 +17,7 @@
 use trading_networks::core::design::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
 };
-use trading_networks::core::{ScenarioConfig, ShardSpec};
+use trading_networks::core::ScenarioConfig;
 use trading_networks::fault::FaultSpec;
 use trading_networks::sim::{fnv1a_fold, SimTime, TraceEvent, EMPTY_DIGEST};
 use trading_networks::topo::{CloudConfig, CloudFairnessSpec};
@@ -113,15 +113,6 @@ fn every_fabric_reproduces_its_lossy_feed_pin() {
     sc.feed_fault = FaultSpec::iid(7, 0.01);
     for ((label, design), want) in fabrics().iter().zip(SMALL_FEED_LOSS) {
         assert_eq!(pin_of(design.as_ref(), &sc), want, "{label}");
-    }
-}
-
-#[test]
-fn sharded_runs_reproduce_the_serial_pins() {
-    let mut sc = ScenarioConfig::small(7);
-    sc.shards = ShardSpec::Auto(4);
-    for ((label, design), want) in fabrics().iter().zip(SMALL) {
-        assert_eq!(pin_of(design.as_ref(), &sc), want, "{label} sharded");
     }
 }
 

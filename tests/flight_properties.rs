@@ -72,7 +72,6 @@ fn scenario(draw: &Draw, flight: bool) -> ScenarioConfig {
         .loss
         .map(|p| FaultSpec::new(draw.seed ^ 0x9e37).with_iid_loss(p));
     if flight {
-        sc.obs.flight = true;
         sc.obs.flight_capacity = draw.flight_capacity;
         sc.obs.profile = true;
     }

@@ -4,10 +4,11 @@
 //! These tests pin that: the content of the telemetry a fully-observed
 //! quickstart produces, and — on a small plant that exercises every kind
 //! of kernel observation — that all the sinks agree with one another and
-//! that a sharded run feeds each of them exactly what the serial run does.
+//! that a sharded run feeds the statistics, the profile and the trace
+//! exactly what the serial run does.
 
 use trading_networks::core::{
-    ScenarioConfig, ShardSpec, Telemetry, TradingNetworkDesign, TraditionalSwitches,
+    ScenarioConfig, Telemetry, TradingNetworkDesign, TraditionalSwitches,
 };
 use trading_networks::sim::{
     fnv1a_fold, Context, DropReason, FlightKind, Frame, IdealLink, Link, LinkOutcome, Node, NodeId,
@@ -21,13 +22,12 @@ fn fnv(text: &str) -> u64 {
 
 /// The trimmed quickstart (`tn-audit divergence`'s golden scenario) with
 /// every sink on and a 512-record flight ring.
-fn observed_quickstart(shards: ShardSpec) -> (u64, u64, u64) {
+fn observed_quickstart() -> (u64, u64, u64) {
     let mut sc = ScenarioConfig::small(42);
     sc.duration = SimTime::from_ms(8);
     sc.warmup = SimTime::from_ms(1);
     sc.obs = ObsConfig::full();
     sc.obs.flight_capacity = 512;
-    sc.shards = shards;
     let report = TraditionalSwitches::default().run(&sc);
     let dump = report.flight_dump.as_deref().expect("flight recorder on");
     (report.trace_digest, fnv(&report.to_json()), fnv(dump))
@@ -42,19 +42,11 @@ fn quickstart_telemetry_content_is_pinned() {
     // words; the report differs from its earlier self only in
     // `trace_digest`, and the flight dumps did not move.
     assert_eq!(
-        observed_quickstart(ShardSpec::Serial),
+        observed_quickstart(),
         (
             0xc9ef_3e6d_16da_def0,
             0x7afc_37c0_4406_5b64,
             0x9e00_af87_a021_8269
-        )
-    );
-    assert_eq!(
-        observed_quickstart(ShardSpec::Auto(4)),
-        (
-            0xc9ef_3e6d_16da_def0,
-            0xf706_196f_236c_5029,
-            0x2991_98da_1d43_eb4f
         )
     );
 }
@@ -128,14 +120,11 @@ impl Link for EveryThirdLost {
 }
 
 /// source → relay → sink over clean links, source → sink over the lossy
-/// one, relay → sidecar by local delivery; every sink on, ring large
-/// enough that nothing scrolls off.
-fn plant() -> Simulator {
+/// one, relay → sidecar by local delivery, with `obs` and trace storage
+/// on.
+fn plant(obs: ObsConfig) -> Simulator {
     let mut sim = Simulator::new(5);
-    sim.set_obs(&ObsConfig {
-        flight_capacity: 1 << 16,
-        ..ObsConfig::full()
-    });
+    sim.set_obs(&obs);
     sim.trace.set_enabled(true);
     let source = sim.add_node("source", Source { ticks_left: 40 });
     let sidecar = NodeId(2);
@@ -151,43 +140,25 @@ fn plant() -> Simulator {
     sim
 }
 
-/// Everything the sinks saw, reduced to what a serial and a sharded run
-/// must agree on (ring order, queue depths and the alloc/reuse split
-/// legitimately differ between one arena and several).
+/// What the statistics, the profile and the trace saw: the sinks a
+/// sharded run carries, reduced to what it and a serial run must agree
+/// on (queue depths and the alloc/reuse split legitimately differ
+/// between one arena and several).
 #[derive(Debug, PartialEq, Eq)]
-struct Observed {
+struct Counted {
     stats: SimStats,
-    /// Registry `kernel/{deliver,timer,unrouted,drop}` and
-    /// `link_drop/random_loss`, summed over nodes.
-    registry: [u64; 5],
     /// Profile totals: frames, timers, drops, schedules.
     profile: [u64; 4],
     /// Per node: frames, timers, drops.
     per_node: Vec<(u32, u64, u64, u64)>,
     /// Trace records: total, then deliver / timer / drop.
     trace: [u64; 4],
-    /// Flight records: schedule, dispatch, drop, frame builds.
-    flight: [u64; 4],
 }
 
-fn observe(sim: &Simulator) -> Observed {
-    let snapshot = sim.metrics_snapshot(sim.now().as_ps()).expect("registry");
-    let registry = Telemetry::from_snapshot(&snapshot);
-    let counter = |scope: &str, name: &str| registry.counter_total(scope, name);
+fn counted(sim: &Simulator) -> Counted {
     let profile = sim.profile().expect("profiler");
-    let flight = sim.flight();
-    assert_eq!(flight.total(), flight.len() as u64, "ring must not wrap");
-    let flight_kind =
-        |kinds: &[FlightKind]| flight.records().filter(|r| kinds.contains(&r.kind)).count() as u64;
-    Observed {
+    Counted {
         stats: sim.stats(),
-        registry: [
-            counter("kernel", "deliver"),
-            counter("kernel", "timer"),
-            counter("kernel", "unrouted"),
-            counter("kernel", "drop"),
-            counter("link_drop", "random_loss"),
-        ],
         profile: [
             profile.frames,
             profile.timers,
@@ -205,21 +176,48 @@ fn observe(sim: &Simulator) -> Observed {
             sim.trace.count(TraceKind::Timer) as u64,
             sim.trace.count(TraceKind::Drop) as u64,
         ],
-        flight: [
-            flight_kind(&[FlightKind::Schedule]),
-            flight_kind(&[FlightKind::Dispatch]),
-            flight_kind(&[FlightKind::Drop]),
-            flight_kind(&[FlightKind::FrameAlloc, FlightKind::FrameReuse]),
-        ],
     }
+}
+
+/// Registry `kernel/{deliver,timer,unrouted,drop}` and
+/// `link_drop/random_loss`, summed over nodes.
+fn registry_totals(sim: &Simulator) -> [u64; 5] {
+    let snapshot = sim.metrics_snapshot(sim.now().as_ps()).expect("registry");
+    let registry = Telemetry::from_snapshot(&snapshot);
+    let counter = |scope: &str, name: &str| registry.counter_total(scope, name);
+    [
+        counter("kernel", "deliver"),
+        counter("kernel", "timer"),
+        counter("kernel", "unrouted"),
+        counter("kernel", "drop"),
+        counter("link_drop", "random_loss"),
+    ]
+}
+
+/// Flight records: schedule, dispatch, drop, frame builds.
+fn flight_totals(sim: &Simulator) -> [u64; 4] {
+    let flight = sim.flight();
+    assert_eq!(flight.total(), flight.len() as u64, "ring must not wrap");
+    let flight_kind =
+        |kinds: &[FlightKind]| flight.records().filter(|r| kinds.contains(&r.kind)).count() as u64;
+    [
+        flight_kind(&[FlightKind::Schedule]),
+        flight_kind(&[FlightKind::Dispatch]),
+        flight_kind(&[FlightKind::Drop]),
+        flight_kind(&[FlightKind::FrameAlloc, FlightKind::FrameReuse]),
+    ]
 }
 
 #[test]
 fn every_sink_agrees_with_the_others_serial_and_sharded() {
     let deadline = SimTime::from_us(3);
-    let mut serial = plant();
+    // Every sink on, the ring large enough that nothing scrolls off.
+    let mut serial = plant(ObsConfig {
+        flight_capacity: 1 << 16,
+        ..ObsConfig::full()
+    });
     serial.run_until(deadline);
-    let want = observe(&serial);
+    let want = counted(&serial);
 
     // The plant exercised every kind of observation…
     let s = want.stats;
@@ -229,7 +227,7 @@ fn every_sink_agrees_with_the_others_serial_and_sharded() {
     assert_eq!(s.frames_delivered, 85, "{s:?}");
     // …and each sink counted the same things.
     assert_eq!(
-        want.registry,
+        registry_totals(&serial),
         [
             s.frames_delivered,
             s.timers_fired,
@@ -259,21 +257,27 @@ fn every_sink_agrees_with_the_others_serial_and_sharded() {
         ]
     );
     assert_eq!(
-        want.flight,
+        flight_totals(&serial),
         [scheduled, s.events_processed, lost, 3 * s.timers_fired]
     );
 
-    // k = 2 keeps the relay's local delivery on one shard; k = 3 sends it
+    // A shard carries the profile and the trace, nothing else. k = 2
+    // keeps the relay's local delivery on one shard; k = 3 sends it
     // across a cut (80 ns, past the relay shard's 50 ns lookahead). The
     // plant is too small to leave the leader's thread unless forced, so
     // k = 2 runs once more with every window on real threads.
+    let profiled = ObsConfig {
+        profile: true,
+        ..ObsConfig::off()
+    };
     for (assignment, threads) in [
         (vec![0, 1, 1, 0], false),
         (vec![0, 1, 2, 0], false),
         (vec![0, 1, 1, 0], true),
     ] {
         let plan = ShardPlan::manual(assignment);
-        let mut sharded = ShardedSimulator::split(plant(), &plan).expect("every cut has delay");
+        let mut sharded =
+            ShardedSimulator::split(plant(profiled), &plan).expect("every cut has delay");
         if threads {
             sharded.set_parallel_threshold(0);
         }
@@ -282,6 +286,6 @@ fn every_sink_agrees_with_the_others_serial_and_sharded() {
         let merged = sharded.finish();
         assert_eq!(merged.trace.digest(), serial.trace.digest(), "{plan:?}");
         assert_eq!(merged.trace.events(), serial.trace.events(), "{plan:?}");
-        assert_eq!(observe(&merged), want, "{plan:?}");
+        assert_eq!(counted(&merged), want, "{plan:?}");
     }
 }

@@ -6,16 +6,10 @@
 //! per-sink delivery tallies. Random manual assignments must either be
 //! rejected up front (zero-delay cut) or reproduce the serial run too.
 //!
-//! This is the contract that makes `ScenarioConfig::shards` a pure
-//! performance knob: no partition may ever change a result. A fixed
-//! design-level test extends the same claim to the full `DesignReport`
-//! JSON document.
+//! No partition may ever change a result.
 
 use proptest::prelude::*;
 
-use trading_networks::core::{
-    ScenarioConfig, ShardSpec, TradingNetworkDesign, TraditionalSwitches,
-};
 use trading_networks::fault::{FaultLink, FaultSpec};
 use trading_networks::netdev::{EtherLink, TxQueue};
 use trading_networks::sim::{
@@ -535,33 +529,4 @@ fn carried_frames_pending_at_finish_keep_their_serial_ids() {
     let mut sharded = ShardedSimulator::split(sim, &plan).expect("the cut link has delay");
     sharded.run_until(cut);
     assert_eq!(drain(sharded.finish(), sink), want);
-}
-
-/// Design-level equivalence: the full `DesignReport` JSON document — not
-/// just the digest — is identical between serial and sharded runs, for
-/// several shard counts, once the additive `shard` section is cleared.
-#[test]
-fn sharded_design_reports_match_serial_exactly() {
-    let trim = |mut sc: ScenarioConfig| {
-        sc.duration = SimTime::from_ms(4);
-        sc.warmup = SimTime::from_ms(1);
-        sc
-    };
-    let serial = TraditionalSwitches::default().run(&trim(ScenarioConfig::small(42)));
-    let serial_json = serial.to_json();
-    for k in [2u16, 5, 8] {
-        let mut sc = trim(ScenarioConfig::small(42));
-        sc.shards = ShardSpec::Auto(k);
-        let mut report = TraditionalSwitches::default().run(&sc);
-        let stats = report
-            .shard
-            .take()
-            .expect("sharded run reports its partition");
-        assert_eq!(stats.shards, k);
-        assert_eq!(
-            report.to_json(),
-            serial_json,
-            "sharded DesignReport (k={k}) must match serial field-for-field"
-        );
-    }
 }
