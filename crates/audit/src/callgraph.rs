@@ -22,7 +22,7 @@
 //! edge can under-taint (a lint stays quiet), never crash; the golden
 //! divergence check remains the dynamic backstop.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::items::{Call, FnDef, ParsedFile};
 
@@ -121,7 +121,6 @@ pub const DET_SINKS: &[(&str, &str)] = &[
     ("Simulator", "inject_frame"),
     ("Simulator", "schedule_timer"),
     ("Simulator", "install_link"),
-    ("Simulator", "recycle_frame"),
     ("Simulator", "frame"),
     ("Context", "send"),
     ("Context", "set_timer"),
@@ -130,6 +129,39 @@ pub const DET_SINKS: &[(&str, &str)] = &[
     ("Context", "frame"),
     ("Context", "clone_frame"),
     ("FrameBuilder", "build"),
+];
+
+/// How the dead-code walk treats one file's functions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// `crates/*/src` outside the auditor: a non-test `pub fn` that no
+    /// root reaches is reported.
+    Audited,
+    /// Integration tests, examples and `benchmark/src`: every function
+    /// in the file is a root, `#[test]`s included.
+    Root,
+    /// Read for its edges only: the root crate's `src/` and the
+    /// auditor's own sources. Their `fn main` and trait-impl methods are
+    /// still roots.
+    Edges,
+}
+
+/// The dead-code walk's roots, as `tn-audit lints` prints them.
+pub const DEAD_ROOTS: &[(&str, &str)] = &[
+    ("fn main", "every binary's entry point"),
+    (
+        "tests/, crates/*/tests/, benchmark/tests/",
+        "integration tests, every function in them",
+    ),
+    ("examples/", "the runnable examples"),
+    (
+        "benchmark/src",
+        "the benchmark, which the lint reads and never writes",
+    ),
+    (
+        "impl Trait for T",
+        "trait-impl methods: dispatch reaches them through the trait",
+    ),
 ];
 
 /// Method names so dominated by std receivers (`Vec`, `Option`, slices,
@@ -325,109 +357,179 @@ pub struct FnTaint {
     pub det: Option<String>,
 }
 
+/// A resolved call graph: the functions in it and each one's callees.
+struct Graph<'a> {
+    /// `(file index, index in that file's fns, definition)`.
+    defs: Vec<(usize, usize, &'a FnDef)>,
+    /// Callees of each def, as indices into `defs`.
+    edges: Vec<BTreeSet<usize>>,
+}
+
+impl<'a> Graph<'a> {
+    /// Resolve every call made by the functions `keep(file, def)` admits.
+    /// With `common` false an unqualified call to a [`COMMON`] name makes
+    /// no edge, which keeps the taint walks quiet; with it true such a
+    /// call edges to every same-named method, so the dead walk errs
+    /// toward keeping code.
+    fn build(
+        files: &[&'a ParsedFile],
+        keep: impl Fn(usize, &FnDef) -> bool,
+        common: bool,
+    ) -> Graph<'a> {
+        let mut defs: Vec<(usize, usize, &FnDef)> = Vec::new();
+        for (fi, pf) in files.iter().enumerate() {
+            for (li, d) in pf.fns.iter().enumerate() {
+                if keep(fi, d) {
+                    defs.push((fi, li, d));
+                }
+            }
+        }
+
+        let mut known_types: BTreeSet<&str> = BTreeSet::new();
+        let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (g, (_, _, d)) in defs.iter().enumerate() {
+            match &d.self_ty {
+                Some(t) => {
+                    known_types.insert(t.as_str());
+                    methods.entry(d.name.as_str()).or_default().push(g);
+                }
+                None => free.entry(d.name.as_str()).or_default().push(g),
+            }
+            if let Some(t) = &d.trait_name {
+                known_types.insert(t.as_str());
+            }
+        }
+        let free_named = |name: &str| free.get(name).cloned().unwrap_or_default();
+        let method_named = |name: &str| methods.get(name).cloned().unwrap_or_default();
+        let type_method = |ty: &str, name: &str| -> Vec<usize> {
+            let all = methods.get(name).map(Vec::as_slice).unwrap_or_default();
+            all.iter()
+                .copied()
+                .filter(|&g| defs[g].2.self_ty.as_deref() == Some(ty))
+                .collect()
+        };
+
+        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); defs.len()];
+        for (g, (fi, _, d)) in defs.iter().enumerate() {
+            let std_imports = &files[*fi].std_imports;
+            for call in &d.calls {
+                let targets: Vec<usize> = match call {
+                    Call::Free(name) => {
+                        if std_imports.iter().any(|s| s == name) {
+                            Vec::new()
+                        } else {
+                            free_named(name)
+                        }
+                    }
+                    Call::Method { name, on_self } => {
+                        let own: Vec<usize> = match (&d.self_ty, on_self) {
+                            (Some(ty), true) => type_method(ty, name),
+                            _ => Vec::new(),
+                        };
+                        if !own.is_empty() {
+                            own
+                        } else if !common && COMMON.contains(&name.as_str()) {
+                            Vec::new()
+                        } else {
+                            method_named(name)
+                        }
+                    }
+                    Call::Qual { qualifier, name } => {
+                        let q: Option<&str> = if qualifier == "Self" {
+                            d.self_ty.as_deref()
+                        } else {
+                            Some(qualifier.as_str())
+                        };
+                        match q {
+                            Some(q) if q.starts_with(char::is_lowercase) => {
+                                if STD_MODULES.contains(&q) {
+                                    Vec::new()
+                                } else {
+                                    free_named(name)
+                                }
+                            }
+                            Some(q) if known_types.contains(q) => type_method(q, name),
+                            // Unknown (std) type: Vec::new, Instant::now, ...
+                            _ => Vec::new(),
+                        }
+                    }
+                };
+                for t in targets {
+                    if t != g {
+                        edges[g].insert(t);
+                    }
+                }
+            }
+        }
+        Graph { defs, edges }
+    }
+
+    /// Breadth-first closure from `roots`: which defs it reaches, and
+    /// each reached non-root's predecessor on a shortest path.
+    fn forward(&self, roots: &[usize]) -> (Vec<bool>, Vec<Option<usize>>) {
+        let mut seen = vec![false; self.defs.len()];
+        let mut parent = vec![None; self.defs.len()];
+        for &g in roots {
+            seen[g] = true;
+        }
+        let mut queue = roots.to_vec();
+        let mut qi = 0;
+        while qi < queue.len() {
+            let g = queue[qi];
+            qi += 1;
+            for &t in &self.edges[g] {
+                if !seen[t] {
+                    seen[t] = true;
+                    parent[t] = Some(g);
+                    queue.push(t);
+                }
+            }
+        }
+        (seen, parent)
+    }
+}
+
+/// The non-test `pub fn`s of [`Reach::Audited`] files that no root
+/// reaches, as `(file, fn)` indices into `files[file].0.fns`. A call from
+/// an item's own `#[cfg(test)]` module is no root: test functions enter
+/// the graph only from [`Reach::Root`] files.
+pub fn unreached(files: &[(&ParsedFile, Reach)]) -> Vec<(usize, usize)> {
+    let parsed: Vec<&ParsedFile> = files.iter().map(|(pf, _)| *pf).collect();
+    let graph = Graph::build(
+        &parsed,
+        |fi, d| !d.is_test || files[fi].1 == Reach::Root,
+        true,
+    );
+    let roots: Vec<usize> = (0..graph.defs.len())
+        .filter(|&g| {
+            let (fi, _, d) = graph.defs[g];
+            files[fi].1 == Reach::Root
+                || d.trait_name.is_some()
+                || (d.name == "main" && d.self_ty.is_none())
+        })
+        .collect();
+    let (seen, _) = graph.forward(&roots);
+    graph
+        .defs
+        .iter()
+        .zip(seen)
+        .filter(|((fi, _, d), seen)| !seen && d.is_pub && files[*fi].1 == Reach::Audited)
+        .map(|((fi, li, _), _)| (*fi, *li))
+        .collect()
+}
+
 /// Compute per-function taints for the whole workspace. `files` pairs
 /// each parsed file with whether its functions are allowed to *be* hot
 /// roots (crate sources yes; examples/tests scaffolding no). The result
 /// is indexed `[file][fn]`, parallel to `files[i].0.fns`.
 pub fn analyze(files: &[(&ParsedFile, bool)]) -> Vec<Vec<FnTaint>> {
-    // Flatten non-test fns into one indexable table.
-    let mut defs: Vec<(usize, usize, &FnDef)> = Vec::new();
-    for (fi, (pf, _)) in files.iter().enumerate() {
-        for (li, d) in pf.fns.iter().enumerate() {
-            if !d.is_test {
-                defs.push((fi, li, d));
-            }
-        }
-    }
+    let parsed: Vec<&ParsedFile> = files.iter().map(|(pf, _)| *pf).collect();
+    let graph = Graph::build(&parsed, |_, d| !d.is_test, false);
+    let defs = &graph.defs;
     let n = defs.len();
-
-    let mut known_types: BTreeSet<&str> = BTreeSet::new();
-    for (_, _, d) in &defs {
-        if let Some(t) = &d.self_ty {
-            known_types.insert(t.as_str());
-        }
-        if let Some(t) = &d.trait_name {
-            known_types.insert(t.as_str());
-        }
-    }
-
-    let free_named = |name: &str| -> Vec<usize> {
-        defs.iter()
-            .enumerate()
-            .filter(|(_, (_, _, d))| d.self_ty.is_none() && d.name == name)
-            .map(|(g, _)| g)
-            .collect()
-    };
-    let method_named = |name: &str| -> Vec<usize> {
-        defs.iter()
-            .enumerate()
-            .filter(|(_, (_, _, d))| d.self_ty.is_some() && d.name == name)
-            .map(|(g, _)| g)
-            .collect()
-    };
-    let type_method = |ty: &str, name: &str| -> Vec<usize> {
-        defs.iter()
-            .enumerate()
-            .filter(|(_, (_, _, d))| d.self_ty.as_deref() == Some(ty) && d.name == name)
-            .map(|(g, _)| g)
-            .collect()
-    };
-
-    // Resolve call sites to edges.
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (g, (fi, _, d)) in defs.iter().enumerate() {
-        let std_imports = &files[*fi].0.std_imports;
-        for call in &d.calls {
-            let targets: Vec<usize> = match call {
-                Call::Free(name) => {
-                    if std_imports.iter().any(|s| s == name) {
-                        Vec::new()
-                    } else {
-                        free_named(name)
-                    }
-                }
-                Call::Method { name, on_self } => {
-                    let own: Vec<usize> = match (&d.self_ty, on_self) {
-                        (Some(ty), true) => type_method(ty, name),
-                        _ => Vec::new(),
-                    };
-                    if !own.is_empty() {
-                        own
-                    } else if COMMON.contains(&name.as_str()) {
-                        Vec::new()
-                    } else {
-                        method_named(name)
-                    }
-                }
-                Call::Qual { qualifier, name } => {
-                    let q: Option<&str> = if qualifier == "Self" {
-                        d.self_ty.as_deref()
-                    } else {
-                        Some(qualifier.as_str())
-                    };
-                    match q {
-                        Some(q) if q.starts_with(char::is_lowercase) => {
-                            if STD_MODULES.contains(&q) {
-                                Vec::new()
-                            } else {
-                                free_named(name)
-                            }
-                        }
-                        Some(q) if known_types.contains(q) => type_method(q, name),
-                        // Unknown (std) type: Vec::new, Instant::now, ...
-                        _ => Vec::new(),
-                    }
-                }
-            };
-            for t in targets {
-                if t != g {
-                    edges[g].insert(t);
-                }
-            }
-        }
-    }
     let mut redges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (g, outs) in edges.iter().enumerate() {
+    for (g, outs) in graph.edges.iter().enumerate() {
         for &t in outs {
             redges[t].insert(g);
         }
@@ -442,9 +544,8 @@ pub fn analyze(files: &[(&ParsedFile, bool)]) -> Vec<Vec<FnTaint>> {
     };
 
     // ---- hot: forward closure from the roots ------------------------
-    let mut hot_parent: Vec<Option<usize>> = vec![None; n];
     let mut hot_root: Vec<Option<&RootSpec>> = vec![None; n];
-    let mut queue: Vec<usize> = Vec::new();
+    let mut roots: Vec<usize> = Vec::new();
     for (g, (fi, _, d)) in defs.iter().enumerate() {
         let hot_ok = files[*fi].1;
         if !hot_ok {
@@ -452,25 +553,10 @@ pub fn analyze(files: &[(&ParsedFile, bool)]) -> Vec<Vec<FnTaint>> {
         }
         if let Some(r) = HOT_ROOTS.iter().find(|r| matches_root(d, r)) {
             hot_root[g] = Some(r);
-            queue.push(g);
+            roots.push(g);
         }
     }
-    let mut hot_seen: Vec<bool> = vec![false; n];
-    for &g in &queue {
-        hot_seen[g] = true;
-    }
-    let mut qi = 0;
-    while qi < queue.len() {
-        let g = queue[qi];
-        qi += 1;
-        for &t in &edges[g] {
-            if !hot_seen[t] {
-                hot_seen[t] = true;
-                hot_parent[t] = Some(g);
-                queue.push(t);
-            }
-        }
-    }
+    let (hot_seen, hot_parent) = graph.forward(&roots);
     let hot_chain = |mut g: usize| -> Vec<usize> {
         let mut chain = vec![g];
         while let Some(p) = hot_parent[g] {
@@ -519,21 +605,7 @@ pub fn analyze(files: &[(&ParsedFile, bool)]) -> Vec<Vec<FnTaint>> {
         chain
     };
     // Forward extension: everything reachable from the backward set.
-    let mut det_parent: Vec<Option<usize>> = vec![None; n];
-    let mut det_seen = back_seen.clone();
-    let mut fq: Vec<usize> = bq.clone();
-    let mut fi2 = 0;
-    while fi2 < fq.len() {
-        let g = fq[fi2];
-        fi2 += 1;
-        for &t in &edges[g] {
-            if !det_seen[t] {
-                det_seen[t] = true;
-                det_parent[t] = Some(g);
-                fq.push(t);
-            }
-        }
-    }
+    let (det_seen, det_parent) = graph.forward(&bq);
 
     // ---- render ------------------------------------------------------
     let mut out: Vec<Vec<FnTaint>> = files

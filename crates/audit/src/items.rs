@@ -79,6 +79,9 @@ pub struct FnDef {
     pub lines: Option<(usize, usize)>,
     /// Whether the definition sits inside a `#[cfg(test)]` region.
     pub is_test: bool,
+    /// Whether it is declared plain `pub` (`pub(crate)` and the like
+    /// are not: rustc's own dead-code lint already covers them).
+    pub is_pub: bool,
     /// Call sites inside the body (nested fn bodies excluded).
     pub calls: Vec<Call>,
 }
@@ -201,6 +204,21 @@ fn read_path(toks: &[DTok], mut i: usize) -> (Option<String>, usize) {
     (last, i)
 }
 
+/// Whether the `fn` keyword at `i` is declared plain `pub`, looking back
+/// past `const`, `unsafe`, `async` and `extern "abi"`.
+fn is_pub_fn(toks: &[DTok], mut i: usize) -> bool {
+    while i > 0 {
+        i -= 1;
+        match &toks[i].tok {
+            Tok::Ident(s) if matches!(s.as_str(), "const" | "unsafe" | "async" | "extern") => {}
+            Tok::Punct('"') => {}
+            Tok::Ident(s) => return s == "pub",
+            Tok::Punct(_) => return false,
+        }
+    }
+    false
+}
+
 /// Find the matching `}` for the `{` at `open`; returns its index.
 fn match_brace(toks: &[DTok], open: usize) -> usize {
     let mut depth = 0i32;
@@ -275,6 +293,7 @@ fn parse_items(
                     body,
                     lines: body.map(|(_, close)| (sig_line, toks[close].line)),
                     is_test,
+                    is_pub: is_pub_fn(toks, i),
                     calls: Vec::new(),
                 });
                 if let Some((open, close)) = body {
@@ -390,12 +409,24 @@ pub fn collect_calls(toks: &[DTok], b0: usize, b1: usize, nested: &[(usize, usiz
             i += 1;
             continue;
         };
-        // A call is `ident (` — with `ident !` (macros) excluded.
-        if !is_punct(toks, i + 1, '(') || CALL_KEYWORDS.contains(&name) {
+        // A call is `ident (` or `ident::<..>(` — with `ident !` (macros)
+        // excluded. A path `Q::ident` that is not called is a reference
+        // (`.and_then(Json::as_arr)`), and a reference counts as a call.
+        let prev_is = |c: char| i > b0 && is_punct(toks, i - 1, c);
+        let path = prev_is(':') && i >= 2 && is_punct(toks, i - 2, ':');
+        let turbofish =
+            is_punct(toks, i + 1, ':') && is_punct(toks, i + 2, ':') && is_punct(toks, i + 3, '<');
+        let after = if turbofish {
+            skip_angles(toks, i + 3)
+        } else {
+            i + 1
+        };
+        let called = is_punct(toks, after, '(');
+        let referenced = path && !is_punct(toks, after, ':') && !is_punct(toks, after, '!');
+        if !(called || referenced) || CALL_KEYWORDS.contains(&name) {
             i += 1;
             continue;
         }
-        let prev_is = |c: char| i > b0 && is_punct(toks, i - 1, c);
         if prev_is('.') {
             // `recv.name(` — receiver is `self` iff the token before the
             // dot is literally `self` not itself preceded by a dot.
@@ -406,7 +437,7 @@ pub fn collect_calls(toks: &[DTok], b0: usize, b1: usize, nested: &[(usize, usiz
                 name: name.to_string(),
                 on_self,
             });
-        } else if prev_is(':') && i >= 2 && is_punct(toks, i - 2, ':') {
+        } else if path {
             if let Some(q) = ident_at(toks, i - 3) {
                 out.push(Call::Qual {
                     qualifier: q.to_string(),
@@ -519,11 +550,43 @@ mod tests {
     }
 
     #[test]
+    fn turbofish_calls_and_path_references_count_as_calls() {
+        let p = parse("fn f(sim: &mut Simulator) {\n    sim.node_mut::<Tap>(1);\n    v.and_then(Json::as_arr);\n    tn_sim::Simulator::new(1);\n}\n");
+        let calls = &p.fns[0].calls;
+        assert!(calls.contains(&Call::Method {
+            name: "node_mut".into(),
+            on_self: false
+        }));
+        assert!(calls.contains(&Call::Qual {
+            qualifier: "Json".into(),
+            name: "as_arr".into()
+        }));
+        // A path prefix is neither a call nor a reference.
+        assert!(!calls
+            .iter()
+            .any(|c| matches!(c, Call::Qual { name, .. } if name == "Simulator")));
+    }
+
+    #[test]
     fn std_use_leaves_are_collected() {
         let p = parse("use std::mem::take;\nuse std::collections::{HashMap, HashSet};\nuse tn_sim::Simulator;\nfn f() {}\n");
         assert!(p.std_imports.iter().any(|s| s == "take"));
         assert!(p.std_imports.iter().any(|s| s == "HashMap"));
         assert!(!p.std_imports.iter().any(|s| s == "Simulator"));
+    }
+
+    #[test]
+    fn only_plain_pub_fns_are_pub() {
+        let p = parse(
+            "pub fn a() {}\npub(crate) fn b() {}\nfn c() {}\npub const unsafe extern \"C\" fn d() {}\n",
+        );
+        let public: Vec<&str> = p
+            .fns
+            .iter()
+            .filter(|f| f.is_pub)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(public, ["a", "d"]);
     }
 
     #[test]

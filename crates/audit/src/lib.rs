@@ -13,8 +13,10 @@
 //!   lints flag the classic ways determinism dies in Rust — iterating a
 //!   `HashMap`/`HashSet` (address-seeded order), wall-clock reads,
 //!   entropy-seeded RNGs — plus hot-path hygiene (panics and allocation
-//!   reachable from a dispatch root) and wire-format schema drift
-//!   ([`schema`]). Every taint-gated finding cites its call chain.
+//!   reachable from a dispatch root), wire-format schema drift
+//!   ([`schema`]) and public functions nothing reaches (`dead`, walked
+//!   from every `main`, integration test, example, `benchmark/src` and
+//!   trait-impl method). Every taint-gated finding cites its call chain.
 //!   Findings can be waived in place with
 //!   `// audit:allow(<lint>): <justification>`.
 //! * **Dynamic** ([`divergence`]): every example scenario is run twice
@@ -36,9 +38,9 @@ pub mod scan;
 pub mod schema;
 pub mod source;
 
-pub use callgraph::{DET_SINKS, HOT_ROOTS};
+pub use callgraph::{DEAD_ROOTS, DET_SINKS, HOT_ROOTS};
 pub use lints::{scan_file, FileTaint, Finding, LintInfo, Scope, Severity, LINTS};
 pub use report::{budgets, counts, render_json, render_text, Budget, Counts};
-pub use scan::{scan_sources, scan_workspace, scope_for};
+pub use scan::{scan_dead, scan_sources, scan_workspace, scope_for};
 pub use schema::SCHEMA_REGISTRY;
 pub use source::SourceFile;

@@ -4,7 +4,7 @@
 //! cargo run -p tn-audit -- check              # static lints + divergence
 //! cargo run -p tn-audit -- lint --json out.json   # also write tn-audit/v1
 //! cargo run -p tn-audit -- divergence --filter shootout
-//! cargo run -p tn-audit -- lints              # list known lints + hot roots
+//! cargo run -p tn-audit -- lints              # list known lints and their roots
 //! ```
 //!
 //! Exit status: 0 when every finding is suppressed, every lint's
@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tn_audit::{budgets, divergence, render_json, render_text, scan, HOT_ROOTS, LINTS};
+use tn_audit::{budgets, divergence, render_json, render_text, scan, DEAD_ROOTS, HOT_ROOTS, LINTS};
 
 struct Args {
     command: String,
@@ -65,6 +65,11 @@ fn main() -> ExitCode {
             println!("hot roots (the `hotpath-*` lints flag code reachable from these):");
             for r in HOT_ROOTS {
                 println!("  {:<22} {}", format!("{}::{}", r.owner, r.method), r.why);
+            }
+            println!();
+            println!("dead roots (the `dead` lint flags a `pub fn` none of these reaches):");
+            for (root, why) in DEAD_ROOTS {
+                println!("  {root:<42} {why}");
             }
             ExitCode::SUCCESS
         }

@@ -6,11 +6,13 @@
 //! special cases left: a crate's code is hot iff the call graph proves
 //! it reachable from a registered hot root, and determinism-critical iff
 //! it can reach (or is reached from code that reaches) a schedule-feeding
-//! kernel API.
+//! kernel API. The `dead` lint walks a second graph over every file the
+//! workspace builds, integration tests and the benchmark included
+//! ([`reach_for`]).
 
-use crate::callgraph;
+use crate::callgraph::{self, Reach};
 use crate::items::{parse_file, ParsedFile};
-use crate::lints::{scan_file, FileTaint, Finding, Scope};
+use crate::lints::{lint_info, scan_file, FileTaint, Finding, Scope};
 use crate::source::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -52,8 +54,28 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
     }
 }
 
-/// Every `.rs` file under `crates/*/src` plus the root `src/`,
-/// `examples/`, and `tests/` trees, sorted for stable output.
+/// How the `dead` lint treats a file at `rel`, or `None` if it never
+/// reads it. Only `crates/*/src` outside the auditor is audited; the
+/// auditor itself is out of scope for every lint, so its sources only
+/// carry edges (from its `fn main`).
+pub fn reach_for(rel: &str) -> Option<Reach> {
+    let parts: Vec<&str> = rel.split('/').collect();
+    match parts.as_slice() {
+        ["crates", "audit", "src", ..] | ["src", ..] => Some(Reach::Edges),
+        ["crates", _, "src", ..] => Some(Reach::Audited),
+        ["crates", _, "tests", ..]
+        | ["tests" | "examples", ..]
+        | ["benchmark", "src" | "tests", ..] => Some(Reach::Root),
+        _ => None,
+    }
+}
+
+/// Every `.rs` file the workspace and the benchmark build: `crates/*/src`,
+/// the root `src/`, `examples/` and `tests/` trees, each crate's
+/// integration tests, and `benchmark/{src,tests}`, sorted
+/// for stable output. An integration-test directory contributes only its
+/// top-level files, the ones Cargo builds as tests (the auditor's
+/// `tests/fixtures/` are lint inputs, not code).
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut out = Vec::new();
     let crates = root.join("crates");
@@ -63,23 +85,30 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
+    let mut trees: Vec<(PathBuf, bool)> = Vec::new();
     for dir in crate_dirs {
-        let src = dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, root, &mut out)?;
-        }
+        trees.push((dir.join("src"), true));
+        trees.push((dir.join("tests"), false));
     }
-    for top in ["src", "examples", "tests"] {
-        let dir = root.join(top);
+    for top in ["src", "examples", "tests", "benchmark/src"] {
+        trees.push((root.join(top), true));
+    }
+    trees.push((root.join("benchmark/tests"), false));
+    for (dir, recurse) in trees {
         if dir.is_dir() {
-            collect_rs(&dir, root, &mut out)?;
+            collect_rs(&dir, root, recurse, &mut out)?;
         }
     }
     out.sort_by(|a, b| a.1.cmp(&b.1));
     Ok(out)
 }
 
-fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) -> std::io::Result<()> {
+fn collect_rs(
+    dir: &Path,
+    root: &Path,
+    recurse: bool,
+    out: &mut Vec<(PathBuf, String)>,
+) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -87,7 +116,9 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) -> std:
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_rs(&path, root, out)?;
+            if recurse {
+                collect_rs(&path, root, recurse, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -131,31 +162,97 @@ fn file_taint(sf: &SourceFile, parsed: &ParsedFile, taints: &[callgraph::FnTaint
 /// [`scan_workspace`].
 pub fn scan_sources(inputs: &[(SourceFile, Scope)]) -> Vec<Finding> {
     let parsed: Vec<ParsedFile> = inputs.iter().map(|(sf, _)| parse_file(sf)).collect();
-    let refs: Vec<(&ParsedFile, bool)> = parsed
+    let refs: Vec<_> = inputs
         .iter()
-        .zip(inputs.iter())
-        .map(|(pf, (_, scope))| (pf, scope.hotpath))
+        .zip(&parsed)
+        .map(|((sf, scope), pf)| (sf, pf, *scope))
+        .collect();
+    token_lints(&refs)
+}
+
+fn token_lints(inputs: &[(&SourceFile, &ParsedFile, Scope)]) -> Vec<Finding> {
+    let refs: Vec<(&ParsedFile, bool)> = inputs
+        .iter()
+        .map(|(_, pf, scope)| (*pf, scope.hotpath))
         .collect();
     let taints = callgraph::analyze(&refs);
 
     let mut findings = Vec::new();
-    for (i, (sf, scope)) in inputs.iter().enumerate() {
-        let taint = file_taint(sf, &parsed[i], &taints[i]);
+    for ((sf, pf, scope), taints) in inputs.iter().zip(&taints) {
+        let taint = file_taint(sf, pf, taints);
         findings.extend(scan_file(sf, *scope, &taint));
     }
     findings
 }
 
+/// The `dead` lint over already-loaded sources, each treated as
+/// [`reach_for`] its path says: one finding per non-test `pub fn` in
+/// `crates/*/src` that no root reaches, unsorted.
+pub fn scan_dead(files: &[SourceFile]) -> Vec<Finding> {
+    let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
+    let refs: Vec<_> = files.iter().zip(&parsed).collect();
+    dead_lint(&refs)
+}
+
+fn dead_lint(files: &[(&SourceFile, &ParsedFile)]) -> Vec<Finding> {
+    let known: Vec<(&SourceFile, &ParsedFile, Reach)> = files
+        .iter()
+        .filter_map(|&(sf, pf)| Some((sf, pf, reach_for(&sf.rel)?)))
+        .collect();
+    let graph: Vec<(&ParsedFile, Reach)> = known.iter().map(|&(_, pf, r)| (pf, r)).collect();
+    let info = lint_info("dead");
+    callgraph::unreached(&graph)
+        .into_iter()
+        .map(|(fi, li)| {
+            let (sf, pf, _) = known[fi];
+            let d = &pf.fns[li];
+            let raw = &sf.lines[d.line - 1].raw;
+            let column = raw
+                .find(&format!("fn {}", d.name))
+                .map_or(1, |at| raw[..at].chars().count() + 4);
+            Finding {
+                lint: info.id,
+                severity: info.severity,
+                file: sf.rel.clone(),
+                line: d.line,
+                column,
+                message: format!(
+                    "`{}` is public, but nothing reaches it from a root (`tn-audit lints` lists them)",
+                    d.qualified()
+                ),
+                snippet: raw.clone(),
+                note: None,
+                suppressed: sf.allowed(d.line, info.id),
+            }
+        })
+        .collect()
+}
+
 /// Scan the whole workspace under `root`, sorted into report order.
+///
+/// Fails when `root` has no `benchmark/src`: the `dead` lint counts the
+/// benchmark as a root, so a checkout without it would report every
+/// item only the benchmark uses.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut inputs = Vec::new();
-    for (path, rel) in workspace_files(root)? {
-        let Some(scope) = scope_for(&rel) else {
-            continue;
-        };
-        inputs.push((SourceFile::load(&path, &rel)?, scope));
+    if !root.join("benchmark/src").is_dir() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "no benchmark/src: the `dead` lint counts the benchmark as a root",
+        ));
     }
-    let mut findings = scan_sources(&inputs);
+    let mut files = Vec::new();
+    for (path, rel) in workspace_files(root)? {
+        files.push(SourceFile::load(&path, &rel)?);
+    }
+    let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
+    let linted: Vec<_> = files
+        .iter()
+        .zip(&parsed)
+        .filter_map(|(sf, pf)| Some((sf, pf, scope_for(&sf.rel)?)))
+        .collect();
+    let mut findings = token_lints(&linted);
+    let all: Vec<_> = files.iter().zip(&parsed).collect();
+    findings.extend(dead_lint(&all));
     crate::report::sort(&mut findings);
     Ok(findings)
 }
@@ -196,6 +293,23 @@ mod tests {
     }
 
     #[test]
+    fn reach_rules() {
+        assert_eq!(reach_for("crates/sim/src/kernel.rs"), Some(Reach::Audited));
+        assert_eq!(reach_for("crates/audit/src/main.rs"), Some(Reach::Edges));
+        assert_eq!(reach_for("src/lib.rs"), Some(Reach::Edges));
+        for root in [
+            "crates/sim/tests/kernel_properties.rs",
+            "tests/alloc_pins.rs",
+            "examples/quickstart.rs",
+            "benchmark/src/rigs.rs",
+            "benchmark/tests/seeds.rs",
+        ] {
+            assert_eq!(reach_for(root), Some(Reach::Root), "{root}");
+        }
+        assert_eq!(reach_for("vendor/rand/src/lib.rs"), None);
+    }
+
+    #[test]
     fn workspace_walk_finds_kernel_and_root_trees() {
         let files = workspace_files(&default_root()).unwrap();
         assert!(files
@@ -208,6 +322,16 @@ mod tests {
         assert!(
             files.iter().any(|(_, rel)| rel.starts_with("tests/")),
             "root tests are walked"
+        );
+        assert!(
+            files
+                .iter()
+                .any(|(_, rel)| rel.starts_with("benchmark/src/")),
+            "the benchmark is walked"
+        );
+        assert!(
+            !files.iter().any(|(_, rel)| rel.contains("/fixtures/")),
+            "lint fixtures are not code"
         );
         assert!(
             files.windows(2).all(|w| w[0].1 < w[1].1),

@@ -1,7 +1,8 @@
 //! Integration tests: each lint fires on its fixture exactly once *via
 //! the call-graph pipeline*, suppression is honoured, the JSON schema is
-//! stable, and the real workspace passes its own audit with every lint's
-//! suppressions exactly on budget.
+//! stable, the `dead` lint walks from every kind of root, and the real
+//! workspace passes its own audit with every lint's suppressions exactly
+//! on budget.
 
 use tn_audit::{counts, render_json, scan_sources, scope_for, SourceFile};
 
@@ -78,6 +79,109 @@ fn suppression_is_honoured_and_counted() {
     assert!(findings.iter().all(|f| f.suppressed), "{findings:#?}");
     let c = counts(&findings);
     assert_eq!((c.total, c.suppressed, c.active), (2, 2, 0));
+}
+
+/// The `dead` fixtures at the paths that give them their roles: one
+/// audited crate, and one root of each kind that lives in its own file.
+fn dead_fixtures() -> Vec<(&'static str, &'static str)> {
+    vec![
+        ("crates/fixture/src/lib.rs", fixture!("dead_lib").1),
+        ("tests/replay.rs", fixture!("dead_root_test").1),
+        ("examples/book.rs", fixture!("dead_root_example").1),
+        ("benchmark/src/rig.rs", fixture!("dead_root_bench").1),
+    ]
+}
+
+/// `(item, suppressed)` for each `dead` finding over `files`.
+fn dead_items(files: &[(&str, &str)]) -> Vec<(String, bool)> {
+    let sources: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    let mut out: Vec<(String, bool)> = tn_audit::scan_dead(&sources)
+        .into_iter()
+        .map(|f| {
+            assert_eq!(f.lint, "dead");
+            let item = f.message.split('`').nth(1).expect("message names the item");
+            (item.to_string(), f.suppressed)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn dead_reports_only_what_no_root_reaches() {
+    // `Book::spread` is called only from its own `#[cfg(test)]` module;
+    // `reference_depth` is waived as a test oracle.
+    assert_eq!(
+        dead_items(&dead_fixtures()),
+        [
+            ("Book::spread".to_string(), false),
+            ("reference_depth".to_string(), true)
+        ]
+    );
+}
+
+#[test]
+fn each_kind_of_root_keeps_its_item() {
+    for (root, item) in [
+        ("tests/replay.rs", "replay"),
+        ("examples/book.rs", "Book::new"),
+        ("benchmark/src/rig.rs", "Book::mid"),
+    ] {
+        let without: Vec<_> = dead_fixtures()
+            .into_iter()
+            .filter(|(rel, _)| *rel != root)
+            .collect();
+        let dead = dead_items(&without);
+        assert!(
+            dead.iter().any(|(d, _)| d == item),
+            "without {root}, {item} is dead: {dead:?}"
+        );
+    }
+    // The trait-impl method `Summary::summary` keeps `Book::depth`.
+    assert!(!dead_items(&dead_fixtures())
+        .iter()
+        .any(|(d, _)| d == "Book::depth"));
+}
+
+#[test]
+fn dead_waivers_count_toward_the_budget() {
+    let sources: Vec<SourceFile> = dead_fixtures()
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    let findings = tn_audit::scan_dead(&sources);
+    let dead = tn_audit::budgets(&findings, tn_audit::LINTS)
+        .into_iter()
+        .find(|b| b.lint == "dead")
+        .expect("`dead` is in the lint table");
+    assert_eq!(dead.suppressed, 1);
+}
+
+#[test]
+fn lint_fails_closed_without_the_benchmark() {
+    // A checkout without `benchmark/src` cannot see the benchmark's
+    // calls, so it must not report the items only they reach.
+    let root = std::env::temp_dir().join(format!("tn-audit-no-bench-{}", std::process::id()));
+    let src = root.join("crates/x/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn only_the_benchmark_calls_me() {}\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tn-audit"))
+        .args(["lint", "--root"])
+        .arg(&root)
+        .output()
+        .expect("run tn-audit");
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("benchmark/src"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing reported: {out:?}");
 }
 
 #[test]

@@ -1,0 +1,4 @@
+//! Fixture: benchmark code, a root of the `dead` lint.
+pub fn mids(books: &[fixture::Book]) -> Vec<u64> {
+    books.iter().map(fixture::Book::mid).collect()
+}

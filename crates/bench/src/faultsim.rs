@@ -870,13 +870,17 @@ mod tests {
     fn ab_failover_reuses_frame_buffers_after_warm_up() {
         let mut cfg = AbFailoverConfig::new(4);
         cfg.packets = 1_000;
+        cfg.obs = ObsConfig {
+            profile: true,
+            ..ObsConfig::off()
+        };
         let (run, sim) = ab_failover_sim(&cfg);
         assert_eq!(run.delivered_messages, run.published_messages);
         // 2,000 frames built; only the few in flight at once are ever
         // allocated, because the receiver hands every one back.
-        let arena = sim.arena_stats();
-        assert!(arena.allocated <= 8, "{arena:?}");
-        assert!(arena.reused >= 1_900, "{arena:?}");
+        let p = sim.profile().expect("profile on");
+        assert!(p.arena_allocated <= 8, "{}", p.arena_allocated);
+        assert!(p.arena_reused >= 1_900, "{}", p.arena_reused);
     }
 
     #[test]

@@ -47,16 +47,7 @@ pub struct EqualizerConfig {
     pub seed: u64,
 }
 
-impl EqualizerConfig {
-    /// Zero-knob config: release at arrival, no randomness consumed.
-    pub fn transparent(seed: u64) -> EqualizerConfig {
-        EqualizerConfig {
-            ceiling: SimTime::ZERO,
-            residual: SimTime::ZERO,
-            seed,
-        }
-    }
-}
+impl EqualizerConfig {}
 
 /// Counters the equalizer keeps.
 #[derive(Debug, Clone, Copy, Default)]
@@ -111,19 +102,9 @@ impl DelayEqualizer {
         self.stats
     }
 
-    /// Frames currently held.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// `(frame id, release ps)` per delivery, in release order.
     pub fn releases(&self) -> &[(u64, u64)] {
         &self.releases
-    }
-
-    /// Observed upstream path latencies, in ps, one per delivery.
-    pub fn observed_path_ps(&self) -> &[u64] {
-        &self.observed_path_ps
     }
 
     /// Padding added per delivery, in ps.
@@ -242,7 +223,7 @@ mod tests {
         assert_eq!(e.stats().held, 1);
         assert_eq!(e.stats().late, 0);
         assert_eq!(e.pad_ps(), &[SimTime::from_us(8).as_ps()]);
-        assert_eq!(e.observed_path_ps(), &[SimTime::from_us(2).as_ps()]);
+        assert_eq!(e.observed_path_ps, [SimTime::from_us(2).as_ps()]);
     }
 
     #[test]
@@ -268,7 +249,11 @@ mod tests {
 
     #[test]
     fn zero_knobs_are_transparent() {
-        let (mut sim, eq, sink) = rig(EqualizerConfig::transparent(1));
+        let (mut sim, eq, sink) = rig(EqualizerConfig {
+            ceiling: SimTime::ZERO,
+            residual: SimTime::ZERO,
+            seed: 1,
+        });
         for i in 0..5u64 {
             let f = sim.frame().zeroed(64).tag(i).build();
             sim.inject_frame(SimTime::from_ns(100 * (i + 1)), eq, IN, f);
@@ -280,7 +265,7 @@ mod tests {
         assert_eq!(snk.at, want);
         let e = sim.node::<DelayEqualizer>(eq).unwrap();
         assert_eq!(e.stats().held, 0);
-        assert_eq!(e.pending_len(), 0);
+        assert!(e.pending.is_empty());
     }
 
     #[test]

@@ -43,17 +43,7 @@ pub struct SequencerConfig {
     pub seed: u64,
 }
 
-impl SequencerConfig {
-    /// Zero-knob config: no hold, perfect clocks — release order equals
-    /// arrival order at arrival time.
-    pub fn transparent(seed: u64) -> SequencerConfig {
-        SequencerConfig {
-            hold: SimTime::ZERO,
-            clock_error: SimTime::ZERO,
-            seed,
-        }
-    }
-}
+impl SequencerConfig {}
 
 /// Counters the sequencer keeps.
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,16 +91,6 @@ impl HoldReleaseSequencer {
     /// Counters so far.
     pub fn stats(&self) -> SequencerStats {
         self.stats
-    }
-
-    /// Orders stamped but not yet released.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Arrival sequence numbers in the order they were released.
-    pub fn released_seqs(&self) -> &[u64] {
-        &self.released_seqs
     }
 
     /// Stamp an arrival: its local clock reads `now ± ε`. With ε = 0 the
@@ -209,7 +189,11 @@ mod tests {
 
     #[test]
     fn zero_knobs_release_at_arrival_in_arrival_order() {
-        let (mut sim, s, sink) = rig(SequencerConfig::transparent(1));
+        let (mut sim, s, sink) = rig(SequencerConfig {
+            hold: SimTime::ZERO,
+            clock_error: SimTime::ZERO,
+            seed: 1,
+        });
         for (i, t) in [10u64, 25, 25, 40].iter().enumerate() {
             inject(&mut sim, s, *t, i as u64);
         }
@@ -224,7 +208,7 @@ mod tests {
         let sq = sim.node::<HoldReleaseSequencer>(s).unwrap();
         assert_eq!(sq.stats().reordered, 0);
         assert_eq!(sq.stats().released, 4);
-        assert_eq!(sq.pending_len(), 0);
+        assert!(sq.pending.is_empty());
     }
 
     #[test]

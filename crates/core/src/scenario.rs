@@ -289,22 +289,9 @@ impl ScenarioBuilder {
         tick_interval: SimTime,
     }
 
-    /// Inject `spec`'s faults on the exchange's feed-publish links.
-    pub fn feed_fault(mut self, spec: FaultSpec) -> ScenarioBuilder {
-        self.cfg.feed_fault = Some(spec);
-        self
-    }
-
     /// Telemetry switches (provenance, metrics registry, trace export).
     pub fn obs(mut self, obs: ObsConfig) -> ScenarioBuilder {
         self.cfg.obs = obs;
-        self
-    }
-
-    /// Event scheduler the kernel runs on (digest-neutral; see
-    /// [`ScenarioConfig::scheduler`]).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> ScenarioBuilder {
-        self.cfg.scheduler = scheduler;
         self
     }
 
@@ -398,22 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_carries_fault_spec() {
-        let sc = ScenarioConfig::builder(1)
-            .feed_fault(FaultSpec::new(9).with_iid_loss(0.02))
-            .build()
-            .unwrap();
-        assert!(sc.feed_fault.is_some());
+    fn presets_run_on_the_reference_heap_without_faults() {
         assert!(ScenarioConfig::small(1).feed_fault.is_none());
-    }
-
-    #[test]
-    fn builder_carries_scheduler_kind() {
-        let sc = ScenarioConfig::builder(1)
-            .scheduler(SchedulerKind::CalendarQueue)
-            .build()
-            .unwrap();
-        assert_eq!(sc.scheduler, SchedulerKind::CalendarQueue);
         // Presets stay on the reference heap so existing runs never move.
         assert_eq!(
             ScenarioConfig::small(1).scheduler,

@@ -106,16 +106,6 @@ impl<L: Link> FaultLink<L> {
         }
     }
 
-    /// The wrapped link.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-
-    /// The fault model.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Drop accounting by cause.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -290,7 +280,11 @@ mod tests {
 
     #[test]
     fn corruption_is_a_distinct_drop() {
-        let mut l = FaultLink::wrap(ideal(), FaultSpec::new(11).with_corruption(1.0));
+        let spec = FaultSpec {
+            corrupt: 1.0,
+            ..FaultSpec::new(11)
+        };
+        let mut l = FaultLink::wrap(ideal(), spec);
         assert_eq!(
             l.transmit(SimTime::ZERO, 100, 0.5),
             LinkOutcome::Drop(DropReason::Corrupted)
@@ -340,10 +334,12 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let spec = FaultSpec::new(21)
-            .with_burst_loss(0.05, 0.3, 0.001, 0.9)
-            .with_corruption(0.01)
-            .with_jitter(SimTime::from_ns(500));
+        let spec = FaultSpec {
+            corrupt: 0.01,
+            ..FaultSpec::new(21)
+                .with_burst_loss(0.05, 0.3, 0.001, 0.9)
+                .with_jitter(SimTime::from_ns(500))
+        };
         let run = |spec: &FaultSpec| {
             let mut l = FaultLink::wrap(ideal(), spec.clone());
             (0..5_000u64)

@@ -19,8 +19,7 @@
 //! * [`normalize`] — the normalizer core: native feed in (through an
 //!   [`Arbiter`]), fixed-size normalized records out, re-partitioned onto
 //!   the firm's internal scheme.
-//! * [`subscribe`] — partition subscription sets, including the
-//!   subscription caps that the L1S design forces (§4.3).
+//! * [`subscribe`] — partition subscription sets.
 //! * [`nodes`] — the recovery machinery packaged as simulation nodes
 //!   ([`nodes::RecoveryReceiver`], [`nodes::RetransUnit`]) for the
 //!   fault-injection experiments.

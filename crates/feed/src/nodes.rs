@@ -296,11 +296,6 @@ impl RetransUnit {
         self.stats
     }
 
-    /// The underlying server (history/limit counters).
-    pub fn server(&self) -> &RetransmissionServer {
-        &self.server
-    }
-
     fn handle_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: &Frame) {
         let Ok(view) = stack::parse_udp(&frame.bytes) else {
             self.stats.parse_errors += 1;

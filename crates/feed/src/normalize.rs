@@ -55,25 +55,18 @@ pub struct NormalizerOutput {
 }
 
 /// Interns symbols to dense ids on first sight.
-pub trait SymbolInterner {
-    /// Stable id for `symbol`.
-    fn intern(&mut self, symbol: Symbol) -> u32;
-}
-
-/// A simple growable interner.
 #[derive(Debug, Default)]
 pub struct MapInterner {
     map: FastMap<Symbol, u32>,
 }
 
-impl SymbolInterner for MapInterner {
-    fn intern(&mut self, symbol: Symbol) -> u32 {
+impl MapInterner {
+    /// Stable id for `symbol`.
+    pub fn intern(&mut self, symbol: Symbol) -> u32 {
         let next = self.map.len() as u32;
         *self.map.entry(symbol).or_insert(next)
     }
-}
 
-impl MapInterner {
     /// Pre-assign ids in iteration order so they match a firm-wide
     /// dictionary (strategies must agree with normalizers on ids).
     pub fn preload(&mut self, symbols: impl IntoIterator<Item = Symbol>) {

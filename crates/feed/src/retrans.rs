@@ -433,11 +433,6 @@ impl RecoveryClient {
         &self.reorderer
     }
 
-    /// The retry policy.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.cfg
-    }
-
     /// Request-to-release latency of every gap a retransmission filled,
     /// in picoseconds.
     pub fn fill_latencies_ps(&self) -> &[u64] {
@@ -445,6 +440,7 @@ impl RecoveryClient {
     }
 
     /// Timed-out re-requests issued.
+    // audit:allow(dead): oracle: faultsim's reconcile test holds the registry's `re_request` counter to it
     pub fn re_requests(&self) -> u64 {
         self.re_requests
     }

@@ -1,58 +1,29 @@
 //! Partition subscriptions.
 //!
 //! Strategies subscribe to the internal partitions carrying the symbols
-//! they trade (§2). The set also enforces the *subscription cap* that
-//! Layer-1 designs impose: with per-feed circuits instead of per-group
-//! multicast, each strategy server can take only so many feeds (§4.3 "a
-//! practical workaround for NIC proliferation is to restrict the total
-//! number of normalizers each trading strategy can subscribe to").
+//! they trade (§2). Layer-1 designs cap how many feeds a strategy server
+//! takes (§4.3); that cap is applied where the fabric is wired
+//! (`tn_topo::l1fabric`), so the set itself is unbounded.
 
 use std::collections::BTreeSet;
 
-/// A bounded set of subscribed partitions.
+/// A set of subscribed partitions.
 #[derive(Debug, Clone)]
 pub struct SubscriptionSet {
     subscribed: BTreeSet<u16>,
-    cap: usize,
-    rejected: u64,
 }
 
 impl SubscriptionSet {
-    /// An empty set with no cap.
+    /// An empty set.
     pub fn unbounded() -> SubscriptionSet {
         SubscriptionSet {
             subscribed: BTreeSet::new(),
-            cap: usize::MAX,
-            rejected: 0,
         }
     }
 
-    /// An empty set admitting at most `cap` partitions.
-    pub fn with_cap(cap: usize) -> SubscriptionSet {
-        SubscriptionSet {
-            subscribed: BTreeSet::new(),
-            cap,
-            rejected: 0,
-        }
-    }
-
-    /// Subscribe to a partition. Returns `false` (and counts a rejection)
-    /// if the cap is reached.
-    pub fn subscribe(&mut self, partition: u16) -> bool {
-        if self.subscribed.contains(&partition) {
-            return true;
-        }
-        if self.subscribed.len() >= self.cap {
-            self.rejected += 1;
-            return false;
-        }
+    /// Subscribe to a partition (idempotent).
+    pub fn subscribe(&mut self, partition: u16) {
         self.subscribed.insert(partition);
-        true
-    }
-
-    /// Unsubscribe. Returns whether the partition was subscribed.
-    pub fn unsubscribe(&mut self, partition: u16) -> bool {
-        self.subscribed.remove(&partition)
     }
 
     /// Membership test — the per-event filter a strategy host runs.
@@ -75,16 +46,6 @@ impl SubscriptionSet {
     pub fn is_empty(&self) -> bool {
         self.subscribed.is_empty()
     }
-
-    /// Cap on subscriptions.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Subscriptions rejected at the cap.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
 }
 
 #[cfg(test)]
@@ -95,30 +56,12 @@ mod tests {
     fn subscribe_and_filter() {
         let mut s = SubscriptionSet::unbounded();
         assert!(s.is_empty());
-        assert!(s.subscribe(3));
-        assert!(s.subscribe(7));
-        assert!(s.subscribe(3)); // idempotent
+        s.subscribe(3);
+        s.subscribe(7);
+        s.subscribe(3); // idempotent
         assert_eq!(s.len(), 2);
         assert!(s.wants(3));
         assert!(!s.wants(4));
         assert_eq!(s.partitions().collect::<Vec<_>>(), vec![3, 7]);
-        assert!(s.unsubscribe(3));
-        assert!(!s.unsubscribe(3));
-        assert!(!s.wants(3));
-    }
-
-    #[test]
-    fn cap_rejects_and_counts() {
-        let mut s = SubscriptionSet::with_cap(2);
-        assert!(s.subscribe(1));
-        assert!(s.subscribe(2));
-        assert!(!s.subscribe(3));
-        assert!(s.subscribe(1)); // already-subscribed is fine at cap
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.rejected(), 1);
-        assert_eq!(s.cap(), 2);
-        // Freeing a slot admits a new one.
-        s.unsubscribe(1);
-        assert!(s.subscribe(3));
     }
 }

@@ -118,16 +118,6 @@ impl MatchingEngine {
         }
     }
 
-    /// Whether `symbol` is listed here.
-    pub fn lists(&self, symbol: Symbol) -> bool {
-        self.books.contains_key(&symbol)
-    }
-
-    /// Listed symbols, in sorted order.
-    pub fn symbols(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.books.keys().copied()
-    }
-
     /// The book for `symbol`, if listed.
     pub fn book(&self, symbol: Symbol) -> Option<&OrderBook> {
         self.books.get(&symbol)

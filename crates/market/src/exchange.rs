@@ -206,11 +206,6 @@ impl Exchange {
         self.wire.stats
     }
 
-    /// The matching engine (for assertions in tests/experiments).
-    pub fn engine(&self) -> &MatchingEngine {
-        &self.engine
-    }
-
     fn offset_ns(now: SimTime) -> u32 {
         (now.as_ps() % 1_000_000_000_000 / 1_000) as u32
     }

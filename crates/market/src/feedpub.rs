@@ -72,11 +72,6 @@ impl FeedPublisher {
         }
     }
 
-    /// The partitioning scheme in force.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.scheme
-    }
-
     /// Route one message to its unit.
     fn unit_of(&mut self, dir: &SymbolDirectory, msg: &pitch::Message) -> u16 {
         if let Some(symbol) = msg.symbol() {

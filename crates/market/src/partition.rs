@@ -63,17 +63,6 @@ impl PartitionScheme {
             PartitionScheme::ByHash { units } => (fnv(symbol) % u64::from(units.max(1))) as u16,
         }
     }
-
-    /// Histogram of symbols per unit for a directory — used to check
-    /// balance (skewed partitions waste capacity, §3's partitioning
-    /// discussion).
-    pub fn load(&self, dir: &SymbolDirectory) -> Vec<usize> {
-        let mut counts = vec![0usize; self.units() as usize];
-        for inst in dir.instruments() {
-            counts[self.unit_for(dir, inst.symbol) as usize] += 1;
-        }
-        counts
-    }
 }
 
 fn fnv(symbol: Symbol) -> u64 {
@@ -91,6 +80,15 @@ mod tests {
 
     fn sym(s: &str) -> Symbol {
         Symbol::new(s).unwrap()
+    }
+
+    /// Symbols per unit for a directory: how balanced a scheme is.
+    fn load(s: PartitionScheme, dir: &SymbolDirectory) -> Vec<usize> {
+        let mut counts = vec![0usize; s.units() as usize];
+        for inst in dir.instruments() {
+            counts[s.unit_for(dir, inst.symbol) as usize] += 1;
+        }
+        counts
     }
 
     #[test]
@@ -127,7 +125,7 @@ mod tests {
         let s = PartitionScheme::ByHash { units: 13 };
         let u = s.unit_for(&dir, sym("A0000"));
         assert_eq!(s.unit_for(&dir, sym("A0000")), u); // deterministic
-        let load = s.load(&dir);
+        let load = load(s, &dir);
         assert_eq!(load.len(), 13);
         let (min, max) = (load.iter().min().unwrap(), load.iter().max().unwrap());
         // Hash partitioning should be roughly balanced.
@@ -142,7 +140,7 @@ mod tests {
         // scheme trivially cannot use more than 26 units.
         let dir = SymbolDirectory::synthetic(260);
         let s = PartitionScheme::ByFirstLetter { units: 52 };
-        let load = s.load(&dir);
+        let load = load(s, &dir);
         let used = load.iter().filter(|&&c| c > 0).count();
         assert!(used <= 26);
     }

@@ -23,8 +23,6 @@ use rand::{Rng, SeedableRng};
 pub const SESSION_OPEN_SEC: u64 = 34_200;
 /// Session close.
 pub const SESSION_CLOSE_SEC: u64 = 57_600;
-/// Session length in seconds.
-pub const SESSION_SECS: u64 = SESSION_CLOSE_SEC - SESSION_OPEN_SEC;
 
 /// Sample a standard normal via Box–Muller (avoids a distribution crate).
 fn std_normal(rng: &mut SmallRng) -> f64 {

@@ -71,15 +71,6 @@ impl Tap {
         &self.records
     }
 
-    /// Timestamps at which `frame` was observed, in order.
-    pub fn times_for(&self, frame: FrameId) -> Vec<SimTime> {
-        self.records
-            .iter()
-            .filter(|r| r.frame == frame)
-            .map(|r| r.at)
-            .collect()
-    }
-
     /// Total observed frames.
     pub fn count(&self) -> usize {
         self.records.len()
@@ -168,7 +159,6 @@ mod tests {
         let r1 = tap.records()[1];
         assert_eq!(r1.frame, gid);
         assert_eq!(r1.direction, Direction::BtoA);
-        assert_eq!(tap.times_for(fid), vec![SimTime::from_ns(10)]);
     }
 
     #[test]

@@ -31,21 +31,11 @@ impl DriftClock {
         }
     }
 
-    /// A perfect clock.
-    pub fn perfect() -> DriftClock {
-        DriftClock::new(0, 0)
-    }
-
     /// Read the clock at true time `now`, in picoseconds.
     pub fn read(&self, now: SimTime) -> i64 {
         let elapsed = now.saturating_sub(self.last_sync).as_ps() as i128;
         let drift = elapsed * self.drift_ppb as i128 / 1_000_000_000;
         now.as_ps() as i128 as i64 + self.offset_ps + drift as i64
-    }
-
-    /// Error versus true time at `now`, picoseconds.
-    pub fn error_ps(&self, now: SimTime) -> i64 {
-        self.read(now) - now.as_ps() as i64
     }
 
     /// Discipline the clock at `now`: the residual offset after sync is
@@ -56,52 +46,52 @@ impl DriftClock {
         self.offset_ps = residual_ps;
         self.last_sync = now;
     }
-
-    /// The configured frequency error.
-    pub fn drift_ppb(&self) -> i64 {
-        self.drift_ppb
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Error versus true time at `now`, picoseconds.
+    fn error_ps(c: &DriftClock, now: SimTime) -> i64 {
+        c.read(now) - now.as_ps() as i64
+    }
+
     #[test]
     fn perfect_clock_reads_true_time() {
-        let c = DriftClock::perfect();
+        let c = DriftClock::new(0, 0);
         let t = SimTime::from_secs(3);
         assert_eq!(c.read(t), t.as_ps() as i64);
-        assert_eq!(c.error_ps(t), 0);
+        assert_eq!(error_ps(&c, t), 0);
     }
 
     #[test]
     fn drift_accumulates_linearly() {
         // 10 ppb fast: after 1 s the clock reads 10 ns ahead.
         let c = DriftClock::new(10, 0);
-        assert_eq!(c.error_ps(SimTime::from_secs(1)), 10_000);
-        assert_eq!(c.error_ps(SimTime::from_ms(100)), 1_000);
+        assert_eq!(error_ps(&c, SimTime::from_secs(1)), 10_000);
+        assert_eq!(error_ps(&c, SimTime::from_ms(100)), 1_000);
         // Negative drift runs slow.
         let c = DriftClock::new(-10, 0);
-        assert_eq!(c.error_ps(SimTime::from_secs(1)), -10_000);
+        assert_eq!(error_ps(&c, SimTime::from_secs(1)), -10_000);
     }
 
     #[test]
     fn sync_bounds_error() {
         let mut c = DriftClock::new(50, 123_456);
         let t1 = SimTime::from_secs(10);
-        assert!(c.error_ps(t1).abs() > 100_000);
+        assert!(error_ps(&c, t1).abs() > 100_000);
         c.sync(t1, 80); // sub-100 ps discipline
-        assert_eq!(c.error_ps(t1), 80);
+        assert_eq!(error_ps(&c, t1), 80);
         // Error regrows from the sync point.
         let t2 = t1 + SimTime::from_secs(1);
-        assert_eq!(c.error_ps(t2), 80 + 50_000);
-        assert_eq!(c.drift_ppb(), 50);
+        assert_eq!(error_ps(&c, t2), 80 + 50_000);
+        assert_eq!(c.drift_ppb, 50);
     }
 
     #[test]
     fn initial_offset_applies() {
         let c = DriftClock::new(0, -500);
-        assert_eq!(c.error_ps(SimTime::from_secs(5)), -500);
+        assert_eq!(error_ps(&c, SimTime::from_secs(5)), -500);
     }
 }

@@ -6,27 +6,20 @@
 //!   delay, bounded egress queues, and MTU; metro fiber and microwave
 //!   profiles (§2: firms run private WANs and use lossier-but-faster
 //!   microwave links between colos).
-//! * [`nic`] — a NIC/host-interface model with kernel and kernel-bypass
-//!   receive paths and a bounded receive ring: the component that turns
-//!   merged-feed bursts into either latency or loss (§4.3).
 //! * [`service`] — software-hop service-time modeling: a serialized
 //!   processor with FIFO queueing, used by every application node.
 //! * [`capture`] — optical-tap capture points with picosecond timestamps
 //!   (§2: firms record traffic with sub-100 ps precision).
 //! * [`clock`] — drifting host clocks with PTP-style resynchronization,
 //!   for experiments that need imperfect timestamps.
-//! * [`queues`] — token bucket and byte-bounded FIFO building blocks.
-//! * [`pcap`] — export captured traffic as standard pcap files.
+//! * [`queues`] — a token bucket, the retransmission server's rate limit.
 
 pub mod capture;
 pub mod clock;
 pub mod links;
-pub mod nic;
-pub mod pcap;
 pub mod queues;
 pub mod service;
 
 pub use capture::{CaptureRecord, Tap};
 pub use links::{fiber_propagation, microwave_propagation, EtherLink};
-pub use nic::{Nic, NicProfile, NicStats};
 pub use service::{ServiceClock, TxQueue};

@@ -61,13 +61,6 @@ impl EtherLink {
         EtherLink::new(25_000_000_000, propagation)
     }
 
-    /// A metro microwave link: lower bandwidth, lower latency, lossy.
-    /// Typical deployed systems run hundreds of Mbps with ~0.01–1% frame
-    /// loss in clear air, worse in rain.
-    pub fn microwave(rate_bps: u64, km: f64, loss: f64) -> EtherLink {
-        EtherLink::new(rate_bps, microwave_propagation(km)).with_loss(loss)
-    }
-
     /// Bound the egress queue (in bytes of backlog beyond the frame in
     /// flight). Overflow drops the offered frame.
     pub fn with_queue_bytes(mut self, bytes: usize) -> EtherLink {
@@ -86,16 +79,6 @@ impl EtherLink {
         assert!((0.0..=1.0).contains(&loss));
         self.loss = loss;
         self
-    }
-
-    /// Nominal line rate.
-    pub fn rate(&self) -> u64 {
-        self.rate_bps
-    }
-
-    /// Current queue backlog (in time) if a frame were offered at `now`.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.busy_until.saturating_sub(now)
     }
 }
 
@@ -161,7 +144,7 @@ mod tests {
         assert_eq!(first, LinkOutcome::Deliver(SimTime::from_us(1)));
         // Second frame waits for the first to serialize.
         assert_eq!(second, LinkOutcome::Deliver(SimTime::from_us(2)));
-        assert_eq!(l.backlog(SimTime::ZERO), SimTime::from_us(2));
+        assert_eq!(l.busy_until, SimTime::from_us(2));
         // After the wire drains, no queueing remains.
         let third = l.transmit(SimTime::from_us(10), 1250, 0.9);
         assert_eq!(third, LinkOutcome::Deliver(SimTime::from_us(11)));
@@ -236,15 +219,5 @@ mod tests {
         assert!(ratio > 1.4 && ratio < 1.5, "ratio={ratio}");
         // ~60 km of fiber is ~294 us.
         assert!(f > SimTime::from_us(290) && f < SimTime::from_us(300));
-    }
-
-    #[test]
-    fn microwave_constructor() {
-        let mut l = EtherLink::microwave(1_000_000_000, 50.0, 0.001);
-        assert_eq!(l.rate(), 1_000_000_000);
-        assert!(matches!(
-            l.transmit(SimTime::ZERO, 100, 0.5),
-            LinkOutcome::Deliver(_)
-        ));
     }
 }

@@ -1,6 +1,4 @@
-//! Queueing building blocks: token bucket and byte-bounded FIFO.
-
-use std::collections::VecDeque;
+//! Queueing building block: a token bucket.
 
 use tn_sim::SimTime;
 
@@ -47,80 +45,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Tokens currently available.
-    pub fn available(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        self.tokens as u64
-    }
-}
-
-/// A byte-bounded FIFO of `(len, item)` entries. Tracks high-water marks
-/// and drop counts for queueing analysis.
-#[derive(Debug)]
-pub struct ByteFifo<T> {
-    items: VecDeque<(usize, T)>,
-    bytes: usize,
-    capacity_bytes: usize,
-    dropped: u64,
-    high_water: usize,
-}
-
-impl<T> ByteFifo<T> {
-    /// FIFO holding at most `capacity_bytes` of queued payload.
-    pub fn new(capacity_bytes: usize) -> ByteFifo<T> {
-        ByteFifo {
-            items: VecDeque::new(),
-            bytes: 0,
-            capacity_bytes,
-            dropped: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Enqueue; `false` (and a drop count) if the item did not fit.
-    pub fn push(&mut self, len: usize, item: T) -> bool {
-        if self.bytes + len > self.capacity_bytes {
-            self.dropped += 1;
-            return false;
-        }
-        self.bytes += len;
-        self.high_water = self.high_water.max(self.bytes);
-        self.items.push_back((len, item));
-        true
-    }
-
-    /// Dequeue the oldest item.
-    pub fn pop(&mut self) -> Option<(usize, T)> {
-        let (len, item) = self.items.pop_front()?;
-        self.bytes -= len;
-        Some((len, item))
-    }
-
-    /// Queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Queued bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Items rejected for lack of space.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Maximum bytes ever queued.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +62,8 @@ mod tests {
         assert!(!tb.try_consume(t, 1));
         // Never exceeds capacity.
         let much_later = SimTime::from_secs(100);
-        assert_eq!(tb.available(much_later), 500);
+        assert!(tb.try_consume(much_later, 500));
+        assert!(!tb.try_consume(much_later, 1));
     }
 
     #[test]
@@ -147,24 +72,5 @@ mod tests {
         assert!(tb.try_consume(SimTime::from_secs(1), 100));
         // An earlier timestamp must not mint tokens.
         assert!(!tb.try_consume(SimTime::ZERO, 50));
-    }
-
-    #[test]
-    fn byte_fifo_bounds_and_accounting() {
-        let mut q: ByteFifo<u32> = ByteFifo::new(250);
-        assert!(q.push(100, 1));
-        assert!(q.push(100, 2));
-        assert!(!q.push(100, 3)); // would exceed 250
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.bytes(), 200);
-        assert_eq!(q.high_water(), 200);
-        assert_eq!(q.pop(), Some((100, 1)));
-        assert!(q.push(150, 4)); // space freed
-        assert_eq!(q.high_water(), 250);
-        assert_eq!(q.pop(), Some((100, 2)));
-        assert_eq!(q.pop(), Some((150, 4)));
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

@@ -33,16 +33,6 @@ impl ServiceClock {
         self.busy_until = done;
         done
     }
-
-    /// Backlog (completion horizon minus now), zero when idle.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.busy_until.saturating_sub(now)
-    }
-
-    /// True if no queued work extends past `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
 }
 
 /// A FIFO of frames awaiting service completion, bridged to kernel timers.
@@ -146,11 +136,6 @@ impl TxQueue {
     pub fn pending(&self) -> usize {
         self.pending
     }
-
-    /// Current service backlog.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.clock.backlog(now)
-    }
 }
 
 #[cfg(test)]
@@ -162,20 +147,20 @@ mod tests {
     fn service_clock_serializes_work() {
         let mut c = ServiceClock::new();
         let t0 = SimTime::ZERO;
-        assert!(c.is_idle(t0));
+        assert!(c.busy_until <= t0);
         assert_eq!(c.complete(t0, SimTime::from_us(2)), SimTime::from_us(2));
         // Second event arrives while the first is processing.
         assert_eq!(
             c.complete(SimTime::from_us(1), SimTime::from_us(2)),
             SimTime::from_us(4)
         );
-        assert_eq!(c.backlog(SimTime::from_us(1)), SimTime::from_us(3));
+        assert_eq!(c.busy_until, SimTime::from_us(4));
         // After the backlog drains, service starts immediately.
         assert_eq!(
             c.complete(SimTime::from_us(10), SimTime::from_us(2)),
             SimTime::from_us(12)
         );
-        assert!(c.is_idle(SimTime::from_us(12)));
+        assert_eq!(c.busy_until, SimTime::from_us(12));
     }
 
     /// A node that forwards frames after a fixed service time via TxQueue.

@@ -79,14 +79,6 @@ impl Json {
         }
     }
 
-    /// Bool payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Compact JSON: no whitespace anywhere.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -390,7 +382,7 @@ mod tests {
         assert_eq!(b.get("c").unwrap().as_str(), Some("x\n\"yA"));
         assert_eq!(b.get("d"), Some(&Json::Null));
         assert_eq!(b.get("f"), Some(&Json::Obj(vec![])));
-        assert_eq!(v.get("e").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("e"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Provenance {
         }
     }
 
-    /// Journey start, absolute picoseconds.
-    pub fn origin_ps(&self) -> u64 {
-        self.origin_ps
-    }
-
     /// Recorded segments, in journey order.
     pub fn segments(&self) -> &[HopSegment] {
         &self.segments

@@ -90,11 +90,6 @@ impl Distribution {
         }
     }
 
-    /// Underlying histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
     /// Approximate quantile (`q` in percent), resolving histogram
     /// under/overflow to the exact min/max.
     pub fn quantile(&self, q: f64) -> u64 {

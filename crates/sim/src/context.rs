@@ -1,7 +1,5 @@
 //! The API surface a node sees while handling an event.
 
-use rand::rngs::SmallRng;
-
 use tn_obs::{FlightKind, FlightRecord};
 
 use crate::frame::{Frame, FrameBuilder};
@@ -35,12 +33,6 @@ impl Context<'_> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.sim.now
-    }
-
-    /// The id of the node handling this event.
-    #[inline]
-    pub fn me(&self) -> NodeId {
-        self.me
     }
 
     /// Transmit `frame` out of `port`. If the port is unconnected the frame
@@ -139,12 +131,6 @@ impl Context<'_> {
     pub fn deliver_local(&mut self, dst: NodeId, port: PortId, delay: SimTime, frame: Frame) {
         self.sim
             .schedule_frame(self.sim.now + delay, dst, port, frame);
-    }
-
-    /// Access the scenario PRNG for richer sampling.
-    #[inline]
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.sim.rng
     }
 
     /// Drop an application-level note into the kernel's flight recorder
@@ -301,7 +287,7 @@ mod tests {
         assert_eq!(reused.bytes, vec![0u8; 16]);
         // …under a fresh id: frame-id monotonicity survives recycling.
         assert!(reused.id > a_id && reused.id > b.id);
-        assert_eq!(sim.arena_stats().reused, 1);
+        assert_eq!(sim.arena.stats().reused, 1);
     }
 
     #[test]

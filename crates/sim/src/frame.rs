@@ -62,14 +62,6 @@ impl Frame {
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
-
-    /// Replace the payload bytes, keeping identity and metadata. Used by
-    /// middleboxes that rewrite frames (normalizers, FPGA filters) when the
-    /// rewritten frame should still be correlated with its input.
-    pub fn with_bytes(mut self, bytes: Vec<u8>) -> Frame {
-        self.bytes = bytes;
-        self
-    }
 }
 
 /// In-flight construction of a new [`Frame`], started by
@@ -280,11 +272,6 @@ impl FrameArena {
         }
     }
 
-    /// Buffers currently parked in the slab.
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
-    }
-
     /// Recycling counters so far.
     pub fn stats(&self) -> ArenaStats {
         self.stats
@@ -320,10 +307,6 @@ mod tests {
         };
         assert_eq!(f.len(), 3);
         assert!(!f.is_empty());
-        let g = f.clone().with_bytes(vec![9; 10]);
-        assert_eq!(g.len(), 10);
-        assert_eq!(g.id, FrameId(7));
-        assert_eq!(g.born, SimTime::from_ns(5));
     }
 
     #[test]
@@ -339,7 +322,7 @@ mod tests {
         buf.extend_from_slice(&[1, 2, 3, 4]);
         let cap = buf.capacity();
         arena.give(buf);
-        assert_eq!(arena.free_buffers(), 1);
+        assert_eq!(arena.free.len(), 1);
         let again = arena.take();
         // Recycled: zero-length reset, capacity (and thus the allocation)
         // retained.
@@ -353,11 +336,11 @@ mod tests {
     fn arena_drops_capacityless_and_overflow_buffers() {
         let mut arena = FrameArena::with_max_free(2);
         arena.give(Vec::new()); // no capacity: nothing worth parking
-        assert_eq!(arena.free_buffers(), 0);
+        assert_eq!(arena.free.len(), 0);
         for _ in 0..5 {
             arena.give(vec![0u8; 8]);
         }
-        assert_eq!(arena.free_buffers(), 2, "slab cap respected");
+        assert_eq!(arena.free.len(), 2, "slab cap respected");
         assert_eq!(arena.stats().recycled, 2);
     }
 }

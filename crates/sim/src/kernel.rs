@@ -35,7 +35,7 @@ use tn_obs::{
 };
 
 use crate::context::{Context, TimerToken};
-use crate::frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId};
+use crate::frame::{Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
 use crate::sched::{EventKind, EventQueue, QueuedEvent, Scheduler, SchedulerKind};
@@ -332,11 +332,6 @@ impl Simulator {
         }
     }
 
-    /// Which event scheduler this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sched_kind
-    }
-
     /// Enable or disable per-hop latency provenance. When on, every frame
     /// accumulates contiguous [`tn_obs::Provenance`] segments in its
     /// [`FrameMeta`](crate::FrameMeta) at each transmit: processing time inside the source
@@ -533,11 +528,6 @@ impl Simulator {
         self.nodes.len()
     }
 
-    /// Diagnostic name of a node. Panics if the id is out of range.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.0 as usize]
-    }
-
     /// Borrow a node by concrete type. Panics if the id is out of range;
     /// returns `None` if the type does not match (or the node lives on a
     /// different shard).
@@ -649,23 +639,10 @@ impl Simulator {
         FrameBuilder::start(&mut self.arena, &mut self.next_frame_id, self.now)
     }
 
-    /// Return a finished frame's payload buffer to the [`FrameArena`] for
-    /// reuse. Sinks that would otherwise drop frames should prefer this;
-    /// the kernel recycles internally when it discards frames itself
-    /// (unrouted ports, link drops).
-    pub fn recycle_frame(&mut self, frame: Frame) {
-        self.arena.give(frame.bytes);
-    }
-
-    /// Buffer-recycling counters for this simulator's arena.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
     /// Replace the frame arena with one parking at most `max_free`
     /// buffers (`0` disables pooling entirely: every frame build becomes
     /// a fresh allocation). Call before the first frame is built — the
-    /// swap resets [`ArenaStats`]. Pooling is pure side-state, so runs
+    /// swap resets [`ArenaStats`](crate::ArenaStats). Pooling is pure side-state, so runs
     /// with any cap produce bit-identical trace digests (pinned by
     /// `tests/kernel_properties.rs`).
     pub fn set_arena_max_free(&mut self, max_free: usize) {
@@ -1270,7 +1247,7 @@ mod tests {
     fn schedulers_produce_identical_digests() {
         fn digest(kind: SchedulerKind) -> (u64, u64) {
             let mut sim = Simulator::with_scheduler(3, kind);
-            assert_eq!(sim.scheduler_kind(), kind);
+            assert_eq!(sim.sched_kind, kind);
             let a = sim.add_node(
                 "a",
                 Repeater {
@@ -1314,13 +1291,13 @@ mod tests {
         sim.inject_frame(SimTime::ZERO, a, PortId(0), f);
         sim.run();
         assert_eq!(sim.stats().frames_unrouted, 1);
-        assert_eq!(sim.arena_stats().recycled, 1);
+        assert_eq!(sim.arena.stats().recycled, 1);
         // The next pooled frame reuses that buffer: no fresh allocation.
         let g = sim.frame().zeroed(64).build();
         assert_eq!(g.bytes, vec![0u8; 64]);
-        assert_eq!(sim.arena_stats().reused, 1);
+        assert_eq!(sim.arena.stats().reused, 1);
         assert_eq!(
-            sim.arena_stats().allocated,
+            sim.arena.stats().allocated,
             1,
             "only the first frame's buffer was a real allocation"
         );
@@ -1356,9 +1333,9 @@ mod tests {
         sim.install_link(c, PortId(0), p, PortId(0), Box::new(link));
         sim.schedule_timer(SimTime::ZERO, p, TimerToken(0));
         sim.run_until(SimTime::from_us(1)); // warmup: ~10 frames
-        let warm = sim.arena_stats();
+        let warm = sim.arena.stats();
         sim.run_until(SimTime::from_us(100));
-        let done = sim.arena_stats();
+        let done = sim.arena.stats();
         assert_eq!(
             done.allocated, warm.allocated,
             "steady state must not allocate: {warm:?} -> {done:?}"
@@ -1422,10 +1399,10 @@ mod tests {
         }
         sim.schedule_timer(SimTime::ZERO, source, TimerToken(0));
         sim.run_until(SimTime::from_us(15)); // warmup: two bursts
-        let warm = sim.arena_stats();
+        let warm = sim.arena.stats();
         assert!(warm.allocated >= BURST * 930, "{warm:?}");
         sim.run_until(SimTime::from_us(55)); // four more
-        let done = sim.arena_stats();
+        let done = sim.arena.stats();
         assert_eq!(
             done.allocated, warm.allocated,
             "a warmed-up fan-out must not allocate: {warm:?} -> {done:?}"
@@ -1443,9 +1420,9 @@ mod tests {
                 assert!(f.id > prev, "frame ids must grow despite buffer reuse");
             }
             last = Some(f.id);
-            sim.recycle_frame(f);
+            sim.arena.give(f.bytes);
         }
-        let s = sim.arena_stats();
+        let s = sim.arena.stats();
         assert_eq!(s.recycled, 10);
         assert_eq!(s.allocated, 1, "one real allocation feeds all ten frames");
     }
@@ -1462,7 +1439,7 @@ mod tests {
         );
         assert!(sim.node::<Repeater>(a).is_some());
         assert!(sim.node::<TimerNode>(a).is_none());
-        assert_eq!(sim.node_name(a), "a");
+        assert_eq!(sim.names[a.0 as usize], "a");
         assert_eq!(sim.node_count(), 1);
     }
 
@@ -1530,7 +1507,7 @@ mod tests {
         let by_node: u64 = p.per_node.iter().map(|n| n.dispatches()).sum();
         assert_eq!(by_node, p.dispatches());
         // The arena section is folded in from the simulator.
-        assert_eq!(p.arena_allocated, sim.arena_stats().allocated);
+        assert_eq!(p.arena_allocated, sim.arena.stats().allocated);
         assert!(sim.profile().is_some(), "snapshot is repeatable");
         assert!(sim.metrics_snapshot(0).is_none(), "no registry to read");
         sim.set_profile(false);
@@ -1827,7 +1804,7 @@ mod tests {
         assert_eq!(sim.node::<Repeater>(sink).unwrap().seen.len(), 2);
         assert_eq!(sim.stats().frames_unrouted, 2);
         assert_eq!(
-            sim.arena_stats().recycled,
+            sim.arena.stats().recycled,
             2,
             "unrouted payloads go back to the arena"
         );

@@ -591,11 +591,6 @@ impl CalendarQueue {
         }
     }
 
-    /// Current bucket count (test / diagnostic visibility).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Current bucket width in picoseconds (test / diagnostic visibility).
     pub fn bucket_width_ps(&self) -> u64 {
         1u64 << self.shift
@@ -1359,14 +1354,14 @@ mod tests {
     #[test]
     fn calendar_resizes_and_reports_geometry() {
         let mut cal = CalendarQueue::new();
-        assert_eq!(cal.bucket_count(), MIN_BUCKETS);
+        assert_eq!(cal.buckets.len(), MIN_BUCKETS);
         for seq in 0..200 {
             cal.push(timer(SimTime::from_ns(seq * 13), seq));
         }
-        assert!(cal.bucket_count() > MIN_BUCKETS, "queue never grew");
+        assert!(cal.buckets.len() > MIN_BUCKETS, "queue never grew");
         assert!(cal.bucket_width_ps() >= 1);
         while cal.pop().is_some() {}
-        assert_eq!(cal.bucket_count(), MIN_BUCKETS, "queue never shrank back");
+        assert_eq!(cal.buckets.len(), MIN_BUCKETS, "queue never shrank back");
         assert_eq!(cal.len(), 0);
     }
 
@@ -1477,7 +1472,7 @@ mod tests {
         }
         let cs = cal.stats();
         assert!(cs.rebuilds > 0, "grow never rebuilt");
-        assert_eq!(cs.bucket_count, cal.bucket_count() as u64);
+        assert_eq!(cs.bucket_count, cal.buckets.len() as u64);
         assert_eq!(cs.bucket_width_ps, cal.bucket_width_ps());
         assert_eq!(cs.cascades, 0);
 

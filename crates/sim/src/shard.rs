@@ -991,7 +991,7 @@ mod tests {
                 assert!(merged.is_connected(NodeId(node), PortId(port)));
             }
             assert_eq!(merged.links_by_source().count(), 6);
-            assert_eq!(merged.node_name(NodeId(2)), "c");
+            assert_eq!(merged.names[2], "c");
             merged.run_until(full);
             let got = (
                 merged.trace.digest(),

@@ -20,14 +20,6 @@ impl SimTime {
     /// Largest representable time (~213 days).
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// One picosecond.
-    pub const PICOSECOND: SimTime = SimTime(1);
-    /// One nanosecond.
-    pub const NANOSECOND: SimTime = SimTime(1_000);
-    /// One microsecond.
-    pub const MICROSECOND: SimTime = SimTime(1_000_000);
-    /// One millisecond.
-    pub const MILLISECOND: SimTime = SimTime(1_000_000_000);
     /// One second.
     pub const SECOND: SimTime = SimTime(1_000_000_000_000);
 
@@ -79,12 +71,6 @@ impl SimTime {
     #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Whole microseconds (truncating).
-    #[inline]
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds.
@@ -229,9 +215,9 @@ mod tests {
 
     #[test]
     fn unit_constructors_agree() {
-        assert_eq!(SimTime::from_ns(1), SimTime::NANOSECOND);
-        assert_eq!(SimTime::from_us(1), SimTime::MICROSECOND);
-        assert_eq!(SimTime::from_ms(1), SimTime::MILLISECOND);
+        assert_eq!(SimTime::from_ns(1).as_ps(), 1_000);
+        assert_eq!(SimTime::from_us(1).as_ps(), 1_000_000);
+        assert_eq!(SimTime::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(SimTime::from_secs(1), SimTime::SECOND);
         assert_eq!(SimTime::from_secs(1).as_ps(), 1_000_000_000_000);
     }
@@ -240,7 +226,6 @@ mod tests {
     fn conversions_truncate() {
         let t = SimTime::from_ps(1_999);
         assert_eq!(t.as_ns(), 1);
-        assert_eq!(SimTime::from_ns(2_500).as_us(), 2);
         assert_eq!(SimTime::from_ns(2_500).as_ns(), 2_500);
     }
 
@@ -318,7 +303,7 @@ mod tests {
     #[test]
     fn from_secs_f64_rounds() {
         assert_eq!(SimTime::from_secs_f64(0.5), SimTime::from_ms(500));
-        assert_eq!(SimTime::from_secs_f64(1e-9), SimTime::NANOSECOND);
+        assert_eq!(SimTime::from_secs_f64(1e-9), SimTime::from_ns(1));
     }
 
     #[test]

@@ -59,21 +59,6 @@ impl Histogram {
         self.count += other.count;
     }
 
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of values below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of values at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Total values recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -108,16 +93,6 @@ impl Histogram {
         }
         Percentile::Overflow
     }
-
-    /// Fraction of in-range samples at or below the top of bin `idx`.
-    pub fn cdf_at(&self, idx: usize) -> f64 {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.bins[..=idx].iter().sum();
-        cum as f64 / in_range as f64
-    }
 }
 
 /// Result of [`Histogram::percentile`]: a histogram only knows values
@@ -134,16 +109,6 @@ pub enum Percentile {
     Overflow,
 }
 
-impl Percentile {
-    /// The in-range value, if any.
-    pub fn value(self) -> Option<u64> {
-        match self {
-            Percentile::Value(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,9 +121,9 @@ mod tests {
         h.record(10);
         h.record(49);
         h.record(50); // overflow
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 0);
+        assert_eq!(h.bins, [2, 1, 0, 0, 1]);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.underflow, 0);
         assert_eq!(h.count(), 5);
     }
 
@@ -179,8 +144,8 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(
-            (a.bins(), a.underflow(), a.overflow(), a.count()),
-            (both.bins(), both.underflow(), both.overflow(), both.count())
+            (&a.bins, a.underflow, a.overflow, a.count()),
+            (&both.bins, both.underflow, both.overflow, both.count())
         );
     }
 
@@ -189,22 +154,9 @@ mod tests {
         let mut h = Histogram::new(100, 10, 2);
         h.record(99);
         h.record(100);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.bins(), &[1, 0]);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.bins, [1, 0]);
         assert_eq!(h.bin_lo(1), 110);
-    }
-
-    #[test]
-    fn cdf() {
-        let mut h = Histogram::new(0, 1, 4);
-        for v in [0, 1, 1, 2] {
-            h.record(v);
-        }
-        assert!((h.cdf_at(0) - 0.25).abs() < 1e-9);
-        assert!((h.cdf_at(1) - 0.75).abs() < 1e-9);
-        assert!((h.cdf_at(3) - 1.0).abs() < 1e-9);
-        let empty = Histogram::new(0, 1, 1);
-        assert_eq!(empty.cdf_at(0), 0.0);
     }
 
     #[test]
@@ -217,7 +169,6 @@ mod tests {
         assert_eq!(h.percentile(99.0), Percentile::Value(98));
         assert_eq!(h.percentile(100.0), Percentile::Value(99));
         assert_eq!(h.percentile(0.0), Percentile::Value(0));
-        assert_eq!(h.percentile(50.0).value(), Some(49));
     }
 
     #[test]
@@ -231,7 +182,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), Percentile::Value(109));
         assert_eq!(h.percentile(75.0), Percentile::Value(119));
         assert_eq!(h.percentile(99.0), Percentile::Overflow);
-        assert_eq!(h.percentile(99.0).value(), None);
         assert_eq!(Histogram::new(0, 1, 1).percentile(50.0), Percentile::Empty);
     }
 }

@@ -2,21 +2,16 @@
 //!
 //! Statistics primitives shared by the simulator and the experiment
 //! harness: exact sample summaries (min/avg/median/percentiles, the
-//! columns of Table 1), fixed-width window counters (the 1-second and
-//! 100-microsecond windows of Figures 2b/2c), streaming histograms, and
-//! latency decomposition (the network-vs-host split of §4.1).
+//! columns of Table 1), streaming histograms, and delivery-fairness
+//! accounting (how far apart one event reaches its subscribers).
 //!
 //! Everything here operates on plain `u64`/`f64` values so the crate has
 //! no dependencies; callers pick the unit (picoseconds, events, bytes).
 
-mod decompose;
 mod fairness;
 mod hist;
 mod summary;
-mod windows;
 
-pub use decompose::{Decomposition, Segment};
 pub use fairness::FairnessWindow;
 pub use hist::{Histogram, Percentile};
 pub use summary::Summary;
-pub use windows::WindowCounter;

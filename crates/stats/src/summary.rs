@@ -115,12 +115,6 @@ impl Summary {
     pub fn spread(&mut self) -> u64 {
         self.max() - self.min()
     }
-
-    /// Borrow the raw samples (unsorted order not guaranteed after
-    /// percentile queries).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]

@@ -119,11 +119,6 @@ impl FpgaL1Switch {
     pub fn stats(&self) -> FpgaStats {
         self.stats
     }
-
-    /// Installed group count.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 impl Node for FpgaL1Switch {
@@ -315,7 +310,7 @@ mod tests {
         assert!(!s.add_group_member(ipv4::Addr::multicast_group(2), PortId(1)));
         // Existing group still accepts new members.
         assert!(s.add_group_member(ipv4::Addr::multicast_group(0), PortId(2)));
-        assert_eq!(s.group_count(), 2);
+        assert_eq!(s.groups.len(), 2);
         assert_eq!(s.stats().joins_rejected, 1);
     }
 
@@ -355,7 +350,7 @@ mod tests {
         let f = sim.frame().copy_from(&join).build();
         sim.inject_frame(SimTime::ZERO, sw, PortId(1), f);
         sim.run();
-        assert_eq!(sim.node::<FpgaL1Switch>(sw).unwrap().group_count(), 1);
+        assert_eq!(sim.node::<FpgaL1Switch>(sw).unwrap().groups.len(), 1);
 
         sim.node_mut::<FpgaL1Switch>(sw)
             .unwrap()

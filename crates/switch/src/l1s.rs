@@ -93,11 +93,6 @@ impl L1Switch {
         self.set_role(input, PortRole::Merge(output));
     }
 
-    /// The role of a port, if provisioned.
-    pub fn role(&self, port: PortId) -> Option<&PortRole> {
-        self.roles.get(usize::from(port.0))?.as_ref()
-    }
-
     fn set_role(&mut self, port: PortId, role: PortRole) {
         let i = usize::from(port.0);
         if self.roles.len() <= i {
@@ -232,15 +227,23 @@ mod tests {
         assert_eq!(sim.node::<L1Switch>(sw).unwrap().stats().unprovisioned, 1);
     }
 
+    /// The role of a port, if provisioned.
+    fn role(s: &L1Switch, port: PortId) -> Option<&PortRole> {
+        s.roles.get(usize::from(port.0))?.as_ref()
+    }
+
     #[test]
     fn role_introspection_and_loop_guards() {
         let mut s = L1Switch::new(L1Config::default());
         s.provision_fanout(PortId(0), vec![PortId(1)]);
         s.provision_merge(PortId(2), PortId(3));
-        assert_eq!(s.role(PortId(0)), Some(&PortRole::Fanout(vec![PortId(1)])));
-        assert_eq!(s.role(PortId(2)), Some(&PortRole::Merge(PortId(3))));
-        assert_eq!(s.role(PortId(1)), None, "a hole in the table");
-        assert_eq!(s.role(PortId(9)), None, "past the table");
+        assert_eq!(
+            role(&s, PortId(0)),
+            Some(&PortRole::Fanout(vec![PortId(1)]))
+        );
+        assert_eq!(role(&s, PortId(2)), Some(&PortRole::Merge(PortId(3))));
+        assert_eq!(role(&s, PortId(1)), None, "a hole in the table");
+        assert_eq!(role(&s, PortId(9)), None, "past the table");
         let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.provision_fanout(PortId(4), vec![PortId(4)]);
         }));

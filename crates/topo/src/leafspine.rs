@@ -178,16 +178,6 @@ impl LeafSpine {
         EtherLink::new(self.cfg.host_link_bps, self.cfg.link_propagation)
     }
 
-    /// Claim the next free host port anywhere (rack-major order).
-    pub fn take_host_port(&mut self) -> (NodeId, PortId) {
-        for rack in 0..self.cfg.racks {
-            if self.next_in_rack[rack] < self.cfg.hosts_per_rack {
-                return self.take_host_port_in_rack(rack);
-            }
-        }
-        panic!("fabric is full");
-    }
-
     /// Claim the next free host port in a specific rack (panics when the
     /// rack is full) — functions are grouped by rack, per §4.1.
     pub fn take_host_port_in_rack(&mut self, rack: usize) -> (NodeId, PortId) {
@@ -227,16 +217,6 @@ impl LeafSpine {
         }
         // Every other leaf (and the exchange ToR) reaches `addr` by the
         // default route `build` installed.
-    }
-
-    /// Switch hops between two attachment points (for latency budgets):
-    /// same leaf = 1, different leaves = 3 (leaf, spine, leaf).
-    pub fn switch_hops(&self, a_leaf: NodeId, b_leaf: NodeId) -> usize {
-        if a_leaf == b_leaf {
-            1
-        } else {
-            3
-        }
     }
 }
 
@@ -294,12 +274,8 @@ mod tests {
         let mut sim = Simulator::new(1);
         let mut fabric = LeafSpine::build(&mut sim, small_cfg());
         // Host A in rack 0, host B in rack 1.
-        let (leaf_a, port_a) = fabric.take_host_port();
-        let (leaf_b, port_b) = {
-            // skip to rack 1's first port
-            fabric.take_host_port();
-            fabric.take_host_port()
-        };
+        let (leaf_a, port_a) = fabric.take_host_port_in_rack(0);
+        let (leaf_b, port_b) = fabric.take_host_port_in_rack(1);
         assert_ne!(leaf_a, leaf_b);
         let a = sim.add_node("a", Sink { got: vec![] });
         let b = sim.add_node("b", Sink { got: vec![] });
@@ -338,12 +314,7 @@ mod tests {
         let mut fabric = LeafSpine::build(&mut sim, small_cfg());
         let group = ipv4::Addr::multicast_group(7);
         // Receiver in rack 2, source at the exchange ToR.
-        let (leaf_r, port_r) = {
-            for _ in 0..4 {
-                fabric.take_host_port();
-            }
-            fabric.take_host_port()
-        };
+        let (leaf_r, port_r) = fabric.take_host_port_in_rack(2);
         let r = sim.add_node("r", Sink { got: vec![] });
         attach_host(&mut sim, &fabric, leaf_r, port_r, r);
         let (tor, xport) = fabric.exchange_attach[0];
@@ -382,14 +353,5 @@ mod tests {
         assert!(dt >= SimTime::from_ns(1500), "{dt}");
         // Non-joined host (the source sink) sees nothing back.
         assert!(sim.node::<Sink>(src).unwrap().got.is_empty());
-    }
-
-    #[test]
-    fn hop_count_model() {
-        let mut sim = Simulator::new(1);
-        let fabric = LeafSpine::build(&mut sim, small_cfg());
-        assert_eq!(fabric.switch_hops(fabric.leaves[0], fabric.leaves[0]), 1);
-        assert_eq!(fabric.switch_hops(fabric.leaves[0], fabric.leaves[1]), 3);
-        assert_eq!(fabric.switch_hops(fabric.exchange_tor, fabric.leaves[2]), 3);
     }
 }

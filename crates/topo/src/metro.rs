@@ -92,12 +92,6 @@ impl MetroRegion {
             }
         }
     }
-
-    /// The latency edge microwave holds over fiber on a route, one way.
-    pub fn microwave_advantage(&self, a: usize, b: usize) -> SimTime {
-        self.propagation(a, b, CircuitKind::Fiber)
-            .saturating_sub(self.propagation(a, b, CircuitKind::Microwave))
-    }
 }
 
 #[cfg(test)]
@@ -124,8 +118,8 @@ mod tests {
         // §2: microwave links are worth their unreliability because light
         // in air beats light in (longer, slower) glass by ~30-50%.
         let m = MetroRegion::nj_triangle();
-        let adv = m.microwave_advantage(0, 2);
         let fiber = m.propagation(0, 2, CircuitKind::Fiber);
+        let adv = fiber - m.propagation(0, 2, CircuitKind::Microwave);
         let ratio = adv.as_ps() as f64 / fiber.as_ps() as f64;
         assert!(ratio > 0.3, "advantage ratio {ratio}");
         // Absolute advantage on the long leg is tens of microseconds.
@@ -138,8 +132,8 @@ mod tests {
         use tn_sim::Link;
         let fiber = m.circuit(0, 1, CircuitKind::Fiber);
         let mw = m.circuit(0, 1, CircuitKind::Microwave);
-        assert_eq!(fiber.rate(), 10_000_000_000);
-        assert_eq!(mw.rate(), 1_000_000_000);
+        assert_eq!(Link::rate_bps(&fiber), Some(10_000_000_000));
+        assert_eq!(Link::rate_bps(&mw), Some(1_000_000_000));
         assert!(Link::propagation(&mw) < Link::propagation(&fiber));
     }
 

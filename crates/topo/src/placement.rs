@@ -15,8 +15,6 @@
 //!   strategy with the normalizer feed it consumes most), and
 //! * the theoretical lower bound (everything in one rack).
 
-use std::collections::HashMap;
-
 /// A unit of work to place: which normalizer partition feeds it and
 /// which gateway it sends to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,23 +183,24 @@ pub fn skewed_demands(
         .collect()
 }
 
-/// Per-rack host counts implied by a placement (for capacity checks).
-pub fn rack_loads(p: &Placement) -> HashMap<usize, usize> {
-    let mut loads = HashMap::new();
-    for &r in p
-        .normalizer_rack
-        .iter()
-        .chain(p.strategy_rack.iter())
-        .chain(p.gateway_rack.iter())
-    {
-        *loads.entry(r).or_insert(0) += 1;
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// Per-rack host counts implied by a placement.
+    fn rack_loads(p: &Placement) -> BTreeMap<usize, usize> {
+        let mut loads = BTreeMap::new();
+        for &r in p
+            .normalizer_rack
+            .iter()
+            .chain(p.strategy_rack.iter())
+            .chain(p.gateway_rack.iter())
+        {
+            *loads.entry(r).or_insert(0) += 1;
+        }
+        loads
+    }
 
     #[test]
     fn grouped_respects_rack_capacity() {

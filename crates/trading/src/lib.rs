@@ -11,8 +11,8 @@
 //!   order-entry protocol over the firm's sessions, and relays replies.
 //! * [`filter`] — the §3 filtering-placement analysis: in-process versus
 //!   dedicated-core versus middlebox, as a core-count model.
-//! * [`risk`] — firm-wide position tracking and the §4.2 regulatory
-//!   checks (locked/crossed market detection across exchanges).
+//! * [`risk`] — the §4.2 regulatory checks (locked/crossed market
+//!   detection across exchanges).
 
 pub mod filter;
 pub mod gateway;
@@ -23,8 +23,8 @@ pub mod strategy;
 pub use filter::{FilterPlacement, PlacementCost};
 pub use gateway::{Gateway, GatewayConfig, GatewayStats};
 pub use normalizer::{Normalizer, NormalizerConfig, NormalizerNodeStats, OutputTransport};
-pub use risk::{ComplianceMonitor, MarketSide, PositionTracker};
+pub use risk::{ComplianceMonitor, MarketSide};
 pub use strategy::{
-    CrossMarketArb, MarketMakerLogic, MomentumLogic, OrderIntent, Strategy, StrategyConfig,
-    StrategyLogic, StrategyStats,
+    CrossMarketArb, MomentumLogic, OrderIntent, Strategy, StrategyConfig, StrategyLogic,
+    StrategyStats,
 };

@@ -1,4 +1,4 @@
-//! Firm-wide position tracking and regulatory market checks.
+//! Regulatory market checks.
 //!
 //! §4.2: firms "track metrics akin to a firm-wide net position, for
 //! regulatory reasons and to assess risk", and the SEC prohibits
@@ -10,61 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use tn_wire::{boe, norm};
-
-/// Net-position tracker keyed by interned symbol id.
-#[derive(Debug, Default)]
-pub struct PositionTracker {
-    positions: BTreeMap<u32, i64>,
-    /// Signed notional traded (1e-4 dollars), for gross-exposure checks.
-    notional: i128,
-    fills: u64,
-}
-
-impl PositionTracker {
-    /// Fresh tracker.
-    pub fn new() -> PositionTracker {
-        PositionTracker::default()
-    }
-
-    /// Apply a fill: positive `qty` for buys, negative for sells.
-    pub fn on_fill(&mut self, symbol_id: u32, signed_qty: i64, price: u64) {
-        *self.positions.entry(symbol_id).or_insert(0) += signed_qty;
-        self.notional += i128::from(signed_qty) * i128::from(price);
-        self.fills += 1;
-    }
-
-    /// Convenience: apply a BOE fill report for a known side.
-    pub fn on_boe_fill(&mut self, symbol_id: u32, side: tn_wire::pitch::Side, fill: &boe::Message) {
-        if let boe::Message::Fill { qty, price, .. } = *fill {
-            let signed = match side {
-                tn_wire::pitch::Side::Buy => i64::from(qty),
-                tn_wire::pitch::Side::Sell => -i64::from(qty),
-            };
-            self.on_fill(symbol_id, signed, price);
-        }
-    }
-
-    /// Net position in a symbol.
-    pub fn position(&self, symbol_id: u32) -> i64 {
-        self.positions.get(&symbol_id).copied().unwrap_or(0)
-    }
-
-    /// Firm-wide absolute position across symbols.
-    pub fn gross_position(&self) -> u64 {
-        self.positions.values().map(|p| p.unsigned_abs()).sum()
-    }
-
-    /// Signed notional (1e-4 dollars).
-    pub fn notional(&self) -> i128 {
-        self.notional
-    }
-
-    /// Fills applied.
-    pub fn fills(&self) -> u64 {
-        self.fills
-    }
-}
+use tn_wire::norm;
 
 /// Side of the aggregated market used in compliance queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,27 +106,11 @@ impl ComplianceMonitor {
             MarketCondition::Normal
         }
     }
-
-    /// Would posting `price` on `side` lock or cross the market?
-    /// (The pre-trade check firms run before advertising a quote.)
-    pub fn would_lock_or_cross(&self, symbol_id: u32, side: MarketSide, price: i64) -> bool {
-        match side {
-            MarketSide::Bid => match self.nbbo_side(symbol_id, MarketSide::Ask) {
-                Some((_, ask)) => price >= ask,
-                None => false,
-            },
-            MarketSide::Ask => match self.nbbo_side(symbol_id, MarketSide::Bid) {
-                Some((_, bid)) => price <= bid,
-                None => false,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tn_wire::pitch::Side;
 
     fn bbo(symbol_id: u32, exchange: u8, side: u8, price: i64) -> norm::Record {
         norm::Record {
@@ -194,37 +124,6 @@ mod tests {
             aux: 0,
             src_time_ns: 0,
         }
-    }
-
-    #[test]
-    fn position_tracking() {
-        let mut p = PositionTracker::new();
-        p.on_fill(1, 100, 450_0000);
-        p.on_fill(1, -30, 451_0000);
-        p.on_fill(2, -50, 100_0000);
-        assert_eq!(p.position(1), 70);
-        assert_eq!(p.position(2), -50);
-        assert_eq!(p.position(3), 0);
-        assert_eq!(p.gross_position(), 120);
-        assert_eq!(p.fills(), 3);
-        let expected = 100i128 * 450_0000 - 30 * 451_0000 - 50 * 100_0000;
-        assert_eq!(p.notional(), expected);
-    }
-
-    #[test]
-    fn boe_fill_signs_by_side() {
-        let mut p = PositionTracker::new();
-        let fill = boe::Message::Fill {
-            cl_ord_id: 1,
-            exec_id: 1,
-            qty: 10,
-            price: 5_0000,
-            leaves: 0,
-        };
-        p.on_boe_fill(7, Side::Buy, &fill);
-        p.on_boe_fill(7, Side::Sell, &fill);
-        assert_eq!(p.position(7), 0);
-        assert_eq!(p.fills(), 2);
     }
 
     #[test]
@@ -313,19 +212,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pre_trade_check_prevents_locking() {
-        let mut m = ComplianceMonitor::new();
-        m.on_record(&bbo(1, 1, b'S', 100_0000));
-        assert!(m.would_lock_or_cross(1, MarketSide::Bid, 100_0000)); // lock
-        assert!(m.would_lock_or_cross(1, MarketSide::Bid, 100_5000)); // cross
-        assert!(!m.would_lock_or_cross(1, MarketSide::Bid, 99_9000)); // fine
-        m.on_record(&bbo(1, 2, b'B', 99_0000));
-        assert!(m.would_lock_or_cross(1, MarketSide::Ask, 99_0000));
-        assert!(!m.would_lock_or_cross(1, MarketSide::Ask, 99_1000));
-        // No quotes on the far side: nothing to lock against.
-        assert!(!m.would_lock_or_cross(2, MarketSide::Bid, 10_000_000));
     }
 }

@@ -145,78 +145,6 @@ impl StrategyLogic for CrossMarketArb {
     }
 }
 
-/// Market making: quote both sides around each symbol's BBO, one tick
-/// inside the spread when it is wide enough, running the §4.2 pre-trade
-/// compliance check so a quote never locks or crosses another exchange's
-/// advertised price.
-#[derive(Debug, Default)]
-pub struct MarketMakerLogic {
-    compliance: crate::risk::ComplianceMonitor,
-    /// Last side quoted per symbol (alternate bid/ask).
-    last_quoted: FastMap<u32, Side>,
-    /// Quotes suppressed by the lock/cross check.
-    pub suppressed: u64,
-    /// Minimum spread (1e-4 dollars) before quoting inside.
-    pub min_spread: i64,
-}
-
-impl MarketMakerLogic {
-    /// Market maker quoting inside spreads wider than `min_spread`.
-    pub fn new(min_spread: i64) -> MarketMakerLogic {
-        MarketMakerLogic {
-            min_spread,
-            ..MarketMakerLogic::default()
-        }
-    }
-}
-
-impl StrategyLogic for MarketMakerLogic {
-    fn on_record(&mut self, record: &norm::Record) -> Option<OrderIntent> {
-        self.compliance.on_record(record);
-        if record.kind != norm::Kind::Bbo {
-            return None;
-        }
-        use crate::risk::MarketSide;
-        let bid = self
-            .compliance
-            .nbbo_side(record.symbol_id, MarketSide::Bid)?
-            .1;
-        let ask = self
-            .compliance
-            .nbbo_side(record.symbol_id, MarketSide::Ask)?
-            .1;
-        if ask - bid < self.min_spread {
-            return None;
-        }
-        // Alternate sides so inventory stays near flat.
-        let side = match self.last_quoted.get(&record.symbol_id) {
-            Some(Side::Buy) => Side::Sell,
-            _ => Side::Buy,
-        };
-        // Improve aggressively (two ticks) to win queue position; the
-        // compliance check below is what keeps aggression legal.
-        let (market_side, price) = match side {
-            Side::Buy => (MarketSide::Bid, bid + 200),
-            Side::Sell => (MarketSide::Ask, ask - 200),
-        };
-        // §4.2: never advertise a locking/crossing price.
-        if self
-            .compliance
-            .would_lock_or_cross(record.symbol_id, market_side, price)
-        {
-            self.suppressed += 1;
-            return None;
-        }
-        self.last_quoted.insert(record.symbol_id, side);
-        Some(OrderIntent {
-            symbol_id: record.symbol_id,
-            side,
-            qty: 50,
-            price: price as u64,
-        })
-    }
-}
-
 /// Strategy host configuration.
 pub struct StrategyConfig {
     /// Internal session id (unique per strategy).
@@ -548,45 +476,6 @@ mod tests {
         bid.exchange = 1;
         a2.on_record(&ask);
         assert!(a2.on_record(&bid).is_none());
-    }
-
-    #[test]
-    fn market_maker_quotes_inside_wide_spreads() {
-        let mut mm = MarketMakerLogic::new(500);
-        // Establish a wide market: 100.00 / 100.20.
-        assert!(mm.on_record(&rec(1, b'B', 100_0000)).is_none()); // no ask yet
-        let intent = mm.on_record(&rec(1, b'S', 100_2000)).unwrap();
-        // First quote bids two ticks above the best bid.
-        assert_eq!(intent.side, Side::Buy);
-        assert_eq!(intent.price, 100_0200);
-        // Next quote takes the other side, two ticks under the ask.
-        let intent = mm.on_record(&rec(1, b'S', 100_2000)).unwrap();
-        assert_eq!(intent.side, Side::Sell);
-        assert_eq!(intent.price, 100_1800);
-        assert_eq!(mm.suppressed, 0);
-    }
-
-    #[test]
-    fn market_maker_respects_min_spread() {
-        let mut mm = MarketMakerLogic::new(500);
-        mm.on_record(&rec(1, b'B', 100_0000));
-        // Tight market (4 ticks): stay out.
-        assert!(mm.on_record(&rec(1, b'S', 100_0400)).is_none());
-    }
-
-    #[test]
-    fn market_maker_never_locks_another_exchange() {
-        let mut mm = MarketMakerLogic::new(200);
-        // Market exactly at the minimum spread: 100.00 / 100.02. An
-        // aggressive two-tick improvement would land exactly on the ask —
-        // a locked market. The §4.2 pre-trade check must suppress it.
-        mm.on_record(&rec(1, b'B', 100_0000));
-        let out = mm.on_record(&rec(1, b'S', 100_0200));
-        assert!(out.is_none());
-        assert_eq!(mm.suppressed, 1);
-        // A slightly wider market is quotable again.
-        let out = mm.on_record(&rec(1, b'S', 100_0300));
-        assert!(out.is_some());
     }
 
     #[test]

@@ -11,12 +11,6 @@ use crate::error::{Result, WireError};
 
 /// Length of the Ethernet II header (dst + src + ethertype).
 pub const HEADER_LEN: usize = 14;
-/// Minimum payload to reach the 64-byte minimum frame (with 4-byte FCS
-/// counted by the standard; our lengths exclude FCS so the minimum frame
-/// we emit is 60 bytes on the wire + FCS).
-pub const MIN_FRAME_LEN: usize = 60;
-/// Conventional 1500-byte MTU ceiling -> 1514-byte max frame.
-pub const MAX_FRAME_LEN: usize = HEADER_LEN + 1500;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -99,19 +99,9 @@ impl<T: AsRef<[u8]>> Packet<T> {
         get_u16_be(self.buffer.as_ref(), 2)
     }
 
-    /// Time-to-live.
-    pub fn ttl(&self) -> u8 {
-        self.buffer.as_ref()[8]
-    }
-
     /// Protocol number.
     pub fn protocol(&self) -> u8 {
         self.buffer.as_ref()[9]
-    }
-
-    /// Header checksum field.
-    pub fn checksum(&self) -> u16 {
-        get_u16_be(self.buffer.as_ref(), 10)
     }
 
     /// Source address.
@@ -244,7 +234,7 @@ mod tests {
         assert_eq!(p.dst(), Addr::multicast_group(17));
         assert_eq!(p.protocol(), PROTO_UDP);
         assert_eq!(p.payload(), payload);
-        assert_eq!(p.ttl(), 64);
+        assert_eq!(buf[8], 64, "TTL");
         assert!(p.verify_checksum());
     }
 

@@ -89,37 +89,6 @@ pub fn build(stream: u16, seq: u32, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Per-stream sequence tracker for loss detection on merged circuits.
-#[derive(Debug, Default)]
-pub struct SeqTracker {
-    next: std::collections::HashMap<u16, u32>,
-    gaps: u64,
-}
-
-impl SeqTracker {
-    /// Fresh tracker.
-    pub fn new() -> SeqTracker {
-        SeqTracker::default()
-    }
-
-    /// Observe a frame; returns the number of sequence numbers skipped
-    /// (0 for in-order delivery).
-    pub fn observe(&mut self, stream: u16, seq: u32) -> u32 {
-        let next = self.next.entry(stream).or_insert(seq);
-        let skipped = seq.wrapping_sub(*next);
-        *next = seq.wrapping_add(1);
-        if skipped > 0 {
-            self.gaps += u64::from(skipped);
-        }
-        skipped
-    }
-
-    /// Total sequence numbers lost across all streams.
-    pub fn total_gaps(&self) -> u64 {
-        self.gaps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,16 +137,5 @@ mod tests {
         buf.extend_from_slice(&[0; 30]);
         let f = Frame::new_checked(&buf[..]).unwrap();
         assert_eq!(f.payload(), b"abc");
-    }
-
-    #[test]
-    fn seq_tracker_counts_gaps_per_stream() {
-        let mut t = SeqTracker::new();
-        assert_eq!(t.observe(1, 100), 0); // first frame establishes base
-        assert_eq!(t.observe(1, 101), 0);
-        assert_eq!(t.observe(1, 104), 2); // 102, 103 lost
-        assert_eq!(t.observe(2, 0), 0); // independent stream
-        assert_eq!(t.observe(2, 1), 0);
-        assert_eq!(t.total_gaps(), 2);
     }
 }

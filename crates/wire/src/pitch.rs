@@ -71,14 +71,6 @@ impl Side {
             _ => Err(WireError::BadField),
         }
     }
-
-    /// The opposite side.
-    pub fn flip(self) -> Side {
-        match self {
-            Side::Buy => Side::Sell,
-            Side::Sell => Side::Buy,
-        }
-    }
 }
 
 /// Prices are integer 1/10000ths of a dollar (four implied decimals), the
@@ -1034,7 +1026,5 @@ mod tests {
         assert_eq!(msgs[3].symbol(), None);
         assert_eq!(msgs[3].order_id(), Some(1));
         assert_eq!(msgs[0].order_id(), None);
-        assert_eq!(Side::Buy.flip(), Side::Sell);
-        assert_eq!(Side::Sell.flip(), Side::Buy);
     }
 }

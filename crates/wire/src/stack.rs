@@ -408,7 +408,7 @@ mod tests {
         // Ethernet minimum-size padding must not corrupt payload bounds.
         let group = ipv4::Addr::multicast_group(1);
         let mut frame = build_udp(MacAddr::host(1), None, SRC_IP, group, 1, 2, b"ab");
-        frame.resize(eth::MIN_FRAME_LEN, 0);
+        frame.resize(60, 0); // the 64-byte minimum frame, FCS excluded
         let v = parse_udp(&frame).unwrap();
         assert_eq!(v.payload, b"ab");
     }

@@ -14,9 +14,6 @@ use crate::error::{Result, WireError};
 pub struct Symbol(pub [u8; 6]);
 
 impl Symbol {
-    /// Width of the wire representation in bytes.
-    pub const WIRE_LEN: usize = 6;
-
     /// Build from a string; fails on symbols longer than 6 chars or
     /// containing non-printable ASCII.
     pub fn new(s: &str) -> Result<Symbol> {

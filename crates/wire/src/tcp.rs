@@ -19,9 +19,7 @@ pub const HEADER_LEN: usize = 20;
 pub struct Flags(pub u8);
 
 impl Flags {
-    pub const FIN: Flags = Flags(0x01);
     pub const SYN: Flags = Flags(0x02);
-    pub const RST: Flags = Flags(0x04);
     pub const PSH: Flags = Flags(0x08);
     pub const ACK: Flags = Flags(0x10);
     /// No flags set.
@@ -94,11 +92,6 @@ impl<T: AsRef<[u8]>> Segment<T> {
     /// Flag bits.
     pub fn flags(&self) -> Flags {
         Flags(self.buffer.as_ref()[13] & 0x1f)
-    }
-
-    /// Receive window.
-    pub fn window(&self) -> u16 {
-        get_u16_be(self.buffer.as_ref(), 14)
     }
 
     /// Payload bytes after the header.
@@ -299,7 +292,7 @@ mod tests {
         let f = Flags::SYN | Flags::ACK;
         assert!(f.contains(Flags::SYN));
         assert!(f.contains(Flags::ACK));
-        assert!(!f.contains(Flags::FIN));
+        assert!(!f.contains(Flags::PSH));
         assert_eq!(Flags::EMPTY.0, 0);
     }
 }
