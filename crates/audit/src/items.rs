@@ -1,15 +1,18 @@
-//! A lightweight Rust item parser: `fn` / `impl` / `trait` / `use`
-//! structure recovered from the blanked per-line token view.
+//! A lightweight Rust item parser: `fn` / `impl` / `trait` / `struct` /
+//! `use` structure recovered from the blanked per-line token view.
 //!
 //! This is not a grammar-complete parser — it is the minimum structural
 //! pass the call-graph needs: every function definition with its
 //! enclosing impl/trait context and body span, the call sites inside
 //! each body, and the file's `use` imports (so calls to `std`-imported
-//! free functions are not mis-resolved onto workspace items). It is
-//! token-level and total: code it cannot make sense of is skipped, never
-//! an error.
+//! free functions are not mis-resolved onto workspace items). For the
+//! `dead` lint's field pass it also records every named struct field and
+//! which field names the file reads, writes or mentions
+//! ([`FieldUses`]). It is token-level and total: code it cannot make
+//! sense of is skipped, never an error.
 
 use crate::source::{tokenize, SourceFile, Tok};
+use std::collections::BTreeSet;
 
 /// One token of the dense (whitespace-free) stream, with its location.
 #[derive(Debug, Clone)]
@@ -96,11 +99,45 @@ impl FnDef {
     }
 }
 
+/// One named field of a `struct` definition.
+#[derive(Debug, Clone)]
+pub struct FieldDef {
+    /// The struct that declares it.
+    pub owner: String,
+    /// Field name.
+    pub name: String,
+    /// 1-based line of the field name.
+    pub line: usize,
+    /// 1-based column of the field name.
+    pub col: usize,
+    /// Whether the struct sits inside a `#[cfg(test)]` region.
+    pub is_test: bool,
+}
+
+/// The field names one file uses, by name only (the parser has no types).
+#[derive(Debug, Default)]
+pub struct FieldUses {
+    /// Read outside the file's `#[cfg(test)]` regions: `.name` that is
+    /// not a write (an assignment `=`, `+=`, `-=`, or the receiver of
+    /// `push`, `insert`, `extend`, `push_back` or `clear`), or a field
+    /// named in a `{ name, .. }` pattern.
+    pub reads: BTreeSet<String>,
+    /// Read inside the file's `#[cfg(test)]` regions.
+    pub test_reads: BTreeSet<String>,
+    /// Every field-shaped mention, reads and writes alike: `.name`,
+    /// `name: ..` and the shorthand `{ name }`, struct literals included.
+    pub mentions: BTreeSet<String>,
+}
+
 /// Everything the parser recovered from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Every function definition, outermost first.
     pub fns: Vec<FnDef>,
+    /// Every named struct field, in source order.
+    pub fields: Vec<FieldDef>,
+    /// The field names this file reads, writes and mentions.
+    pub field_uses: FieldUses,
     /// Names imported from `std`/`core`/`alloc` via `use` (leaf segments):
     /// free calls to these must not resolve onto workspace items.
     pub std_imports: Vec<String>,
@@ -124,6 +161,7 @@ pub fn parse_file(sf: &SourceFile) -> ParsedFile {
             f.calls = collect_calls(&toks, b0, b1, &nested);
         }
     }
+    out.field_uses = field_uses(sf, &toks);
     out
 }
 
@@ -358,6 +396,43 @@ fn parse_items(
                     i = k + 1;
                 }
             }
+            Some("struct") => {
+                // Named fields: an identifier before a lone `:` outside
+                // any bracket (`->` closes no angle). A tuple or unit
+                // struct reaches its `;` first.
+                let Some(owner) = ident_at(toks, i + 1).map(str::to_string) else {
+                    i += 1;
+                    continue;
+                };
+                let mut k = i + 2;
+                while k < end && !is_punct(toks, k, '{') && !is_punct(toks, k, ';') {
+                    k += 1;
+                }
+                if !is_punct(toks, k, '{') {
+                    i = k + 1;
+                    continue;
+                }
+                let close = match_brace(toks, k).min(end - 1);
+                let mut depth = 0i32;
+                for (j, t) in toks.iter().enumerate().take(close).skip(k + 1) {
+                    match &t.tok {
+                        Tok::Punct('(' | '[' | '{' | '<') => depth += 1,
+                        Tok::Punct('>') if !is_punct(toks, j - 1, '-') => depth -= 1,
+                        Tok::Punct(')' | ']' | '}') => depth -= 1,
+                        Tok::Ident(name) if depth == 0 && is_lone_colon(toks, j + 1) => {
+                            out.fields.push(FieldDef {
+                                owner: owner.clone(),
+                                name: name.clone(),
+                                line: t.line,
+                                col: t.col,
+                                is_test: sf.lines.get(t.line - 1).is_some_and(|l| l.in_test),
+                            });
+                        }
+                        _ => {}
+                    }
+                }
+                i = close + 1;
+            }
             Some("use") => {
                 // Collect leaf names of std/core/alloc imports; groups
                 // (`use std::mem::{take, swap}`) contribute every leaf.
@@ -387,6 +462,98 @@ fn parse_items(
             _ => i += 1,
         }
     }
+}
+
+/// A `:` at `i` that is not half of a `::`.
+fn is_lone_colon(toks: &[DTok], i: usize) -> bool {
+    is_punct(toks, i, ':') && !is_punct(toks, i + 1, ':') && !is_punct(toks, i.wrapping_sub(1), ':')
+}
+
+/// Methods whose receiver field they only fill or empty: `.f.push(x)`
+/// writes `f`, it does not read it.
+const WRITE_METHODS: &[&str] = &["push", "insert", "extend", "push_back", "clear"];
+
+/// Which field names a file reads and mentions, by name.
+///
+/// `.name` (not a method call `.name(` nor a range `..name`) is a write
+/// when it is assigned (`=`, `+=`, `-=`) or is the receiver of one of
+/// [`WRITE_METHODS`], and a read otherwise: a method call on it, a
+/// comparison, an operand, a guard before `=>`. A name directly inside
+/// braces, between `{` or `,` and `,`, `}` or `:`, is a field of a struct
+/// literal or, when [`is_pattern`] says so, a read of a destructuring
+/// pattern. Every such shape is a mention.
+fn field_uses(sf: &SourceFile, toks: &[DTok]) -> FieldUses {
+    let mut uses = FieldUses::default();
+    let p = |k: usize, c: char| is_punct(toks, k, c);
+    // Open brackets, innermost last: `Some(pattern)` for a brace group,
+    // `None` for parentheses and brackets, so `f(a, b)` names no field.
+    let mut open: Vec<Option<bool>> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let name = match &t.tok {
+            Tok::Ident(name) => name,
+            Tok::Punct('{') => {
+                open.push(Some(is_pattern(toks, i)));
+                continue;
+            }
+            Tok::Punct('(' | '[') => {
+                open.push(None);
+                continue;
+            }
+            Tok::Punct(')' | ']' | '}') => {
+                open.pop();
+                continue;
+            }
+            Tok::Punct(_) => continue,
+        };
+        let read = if p(i.wrapping_sub(1), '.') && !p(i.wrapping_sub(2), '.') {
+            if p(i + 1, '(') || (p(i + 1, ':') && p(i + 2, ':')) {
+                continue;
+            }
+            let assigned = (p(i + 1, '=') && !p(i + 2, '=') && !p(i + 2, '>'))
+                || ((p(i + 1, '+') || p(i + 1, '-')) && p(i + 2, '='));
+            let filled = p(i + 1, '.')
+                && ident_at(toks, i + 2).is_some_and(|m| WRITE_METHODS.contains(&m))
+                && p(i + 3, '(');
+            !(assigned || filled)
+        } else {
+            let Some(&Some(pattern)) = open.last() else {
+                continue;
+            };
+            let mut b = i.wrapping_sub(1);
+            while matches!(ident_at(toks, b), Some("ref" | "mut")) {
+                b = b.wrapping_sub(1);
+            }
+            let ends = p(i + 1, ',') || p(i + 1, '}') || is_lone_colon(toks, i + 1);
+            if !((p(b, '{') || p(b, ',')) && ends) {
+                continue;
+            }
+            pattern
+        };
+        uses.mentions.insert(name.clone());
+        if read && sf.lines.get(t.line - 1).is_some_and(|l| l.in_test) {
+            uses.test_reads.insert(name.clone());
+        } else if read {
+            uses.reads.insert(name.clone());
+        }
+    }
+    uses
+}
+
+/// Whether the `{` at `open` starts a destructuring pattern: it follows
+/// a path, and its group ends in `.. }` or is followed by `=`, `=>`,
+/// `in`, `|` or a lone `:`.
+fn is_pattern(toks: &[DTok], open: usize) -> bool {
+    let p = |k: usize, c: char| is_punct(toks, k, c);
+    let before = open.wrapping_sub(1);
+    if ident_at(toks, before).is_none() && !p(before, '>') {
+        return false;
+    }
+    let close = match_brace(toks, open);
+    (p(close - 1, '.') && p(close.wrapping_sub(2), '.'))
+        || (p(close + 1, '=') && !p(close + 2, '='))
+        || ident_at(toks, close + 1) == Some("in")
+        || p(close + 1, '|')
+        || is_lone_colon(toks, close + 1)
 }
 
 /// Rust keywords that look like call syntax (`if (..)`, `while (..)`).
@@ -587,6 +754,38 @@ mod tests {
             .map(|f| f.name.as_str())
             .collect();
         assert_eq!(public, ["a", "d"]);
+    }
+
+    #[test]
+    fn named_struct_fields_are_recorded() {
+        let p = parse(
+            "pub struct S<T> {\n    #[doc(hidden)]\n    pub(crate) a: Vec<T>,\n    f: Box<dyn Fn(u8) -> u8>,\n    m: FastMap<u32, (u8, i64)>,\n}\nstruct Tuple(u8, u16);\nstruct Unit;\n",
+        );
+        let fields: Vec<(&str, &str, usize)> = p
+            .fields
+            .iter()
+            .map(|f| (f.owner.as_str(), f.name.as_str(), f.line))
+            .collect();
+        assert_eq!(fields, [("S", "a", 3), ("S", "f", 4), ("S", "m", 5)]);
+    }
+
+    #[test]
+    fn field_uses_split_reads_from_writes() {
+        let p = parse(
+            "fn f(&mut self, w: W) {\n    self.a += 1;\n    self.b.push(2);\n    self.c = 3;\n    \
+             let n = self.d.len();\n    if self.e == 0 {}\n    let W { g, h: _, .. } = w;\n    \
+             let s = S { i: 1, j };\n    for k in 0..self.l {}\n    self.m.go();\n}\n\
+             #[cfg(test)]\nmod t {\n    fn t(x: X) { x.n; }\n}\n",
+        );
+        let u = &p.field_uses;
+        let reads: Vec<&str> = u.reads.iter().map(String::as_str).collect();
+        assert_eq!(reads, ["d", "e", "g", "h", "l", "m"]);
+        let test_reads: Vec<&str> = u.test_reads.iter().map(String::as_str).collect();
+        assert_eq!(test_reads, ["n"]);
+        for name in ["a", "b", "c", "i", "j", "l", "n"] {
+            assert!(u.mentions.contains(name), "{name}");
+        }
+        assert!(!u.mentions.contains("go"), "a method call names no field");
     }
 
     #[test]

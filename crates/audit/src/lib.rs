@@ -14,9 +14,10 @@
 //!   `HashMap`/`HashSet` (address-seeded order), wall-clock reads,
 //!   entropy-seeded RNGs — plus hot-path hygiene (panics and allocation
 //!   reachable from a dispatch root), wire-format schema drift
-//!   ([`schema`]) and public functions nothing reaches (`dead`, walked
-//!   from every `main`, integration test, example, `benchmark/src` and
-//!   trait-impl method). Every taint-gated finding cites its call chain.
+//!   ([`schema`]) and dead code (`dead`: public functions nothing
+//!   reaches from every `main`, integration test, example,
+//!   `benchmark/src` and trait-impl method, and struct fields nothing
+//!   reads). Every taint-gated finding cites its call chain.
 //!   Findings can be waived in place with
 //!   `// audit:allow(<lint>): <justification>`.
 //! * **Dynamic** ([`divergence`]): every example scenario is run twice

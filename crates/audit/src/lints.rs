@@ -102,7 +102,7 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "dead",
         severity: Severity::Warning,
-        summary: "`pub fn` in crates/*/src that no root reaches — delete it, or justify it as a test oracle or another lint's requirement",
+        summary: "`pub fn` in crates/*/src that no root reaches, or a field there that nothing reads — delete it, or justify it as a test oracle or another lint's requirement",
         // Test oracles: `LossModel::mean_loss`, `RecoveryClient::re_requests`.
         budget: 2,
     },

@@ -67,7 +67,7 @@ fn main() -> ExitCode {
                 println!("  {:<22} {}", format!("{}::{}", r.owner, r.method), r.why);
             }
             println!();
-            println!("dead roots (the `dead` lint flags a `pub fn` none of these reaches):");
+            println!("dead roots (the `dead` lint flags a `pub fn` none of these reaches, and a field nothing reads):");
             for (root, why) in DEAD_ROOTS {
                 println!("  {root:<42} {why}");
             }

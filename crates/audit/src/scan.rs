@@ -8,7 +8,8 @@
 //! it can reach (or is reached from code that reaches) a schedule-feeding
 //! kernel API. The `dead` lint walks a second graph over every file the
 //! workspace builds, integration tests and the benchmark included
-//! ([`reach_for`]).
+//! ([`reach_for`]), and matches the struct fields of those files against
+//! the field names they read ([`unread_fields`]).
 
 use crate::callgraph::{self, Reach};
 use crate::items::{parse_file, ParsedFile};
@@ -187,7 +188,8 @@ fn token_lints(inputs: &[(&SourceFile, &ParsedFile, Scope)]) -> Vec<Finding> {
 
 /// The `dead` lint over already-loaded sources, each treated as
 /// [`reach_for`] its path says: one finding per non-test `pub fn` in
-/// `crates/*/src` that no root reaches, unsorted.
+/// `crates/*/src` that no root reaches, and one per field there that
+/// nothing reads ([`unread_fields`]), unsorted.
 pub fn scan_dead(files: &[SourceFile]) -> Vec<Finding> {
     let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
     let refs: Vec<_> = files.iter().zip(&parsed).collect();
@@ -201,31 +203,68 @@ fn dead_lint(files: &[(&SourceFile, &ParsedFile)]) -> Vec<Finding> {
         .collect();
     let graph: Vec<(&ParsedFile, Reach)> = known.iter().map(|&(_, pf, r)| (pf, r)).collect();
     let info = lint_info("dead");
-    callgraph::unreached(&graph)
-        .into_iter()
-        .map(|(fi, li)| {
-            let (sf, pf, _) = known[fi];
-            let d = &pf.fns[li];
-            let raw = &sf.lines[d.line - 1].raw;
-            let column = raw
-                .find(&format!("fn {}", d.name))
-                .map_or(1, |at| raw[..at].chars().count() + 4);
-            Finding {
-                lint: info.id,
-                severity: info.severity,
-                file: sf.rel.clone(),
-                line: d.line,
-                column,
-                message: format!(
-                    "`{}` is public, but nothing reaches it from a root (`tn-audit lints` lists them)",
-                    d.qualified()
-                ),
-                snippet: raw.clone(),
-                note: None,
-                suppressed: sf.allowed(d.line, info.id),
-            }
+    let finding = |sf: &SourceFile, line: usize, column: usize, message: String| Finding {
+        lint: info.id,
+        severity: info.severity,
+        file: sf.rel.clone(),
+        line,
+        column,
+        message,
+        snippet: sf.lines[line - 1].raw.clone(),
+        note: None,
+        suppressed: sf.allowed(line, info.id),
+    };
+    let fns = callgraph::unreached(&graph).into_iter().map(|(fi, li)| {
+        let (sf, pf, _) = known[fi];
+        let d = &pf.fns[li];
+        let raw = &sf.lines[d.line - 1].raw;
+        let column = raw
+            .find(&format!("fn {}", d.name))
+            .map_or(1, |at| raw[..at].chars().count() + 4);
+        let message = format!(
+            "`{}` is public, but nothing reaches it from a root (`tn-audit lints` lists them)",
+            d.qualified()
+        );
+        finding(sf, d.line, column, message)
+    });
+    let fields = unread_fields(&graph).into_iter().map(|(fi, k)| {
+        let (sf, pf, _) = known[fi];
+        let f = &pf.fields[k];
+        let message = format!("field `{}::{}` is never read", f.owner, f.name);
+        finding(sf, f.line, f.col, message)
+    });
+    fns.chain(fields).collect()
+}
+
+/// The non-test struct fields of [`Reach::Audited`] files that nothing
+/// reads, as `(file, field)` indices into `files[file].0.fields`.
+/// Matching is by name only, so a read of any same-named field keeps a
+/// field. A read counts from any file the walk reads, except from the
+/// field's own file's `#[cfg(test)]` regions; any mention in a
+/// [`Reach::Root`] file, a struct-literal initialiser included, keeps
+/// it, because roots such as the benchmark are not edited to suit the
+/// library.
+pub fn unread_fields(files: &[(&ParsedFile, Reach)]) -> Vec<(usize, usize)> {
+    let read = |name: &str, own: usize| {
+        files.iter().enumerate().any(|(fi, (pf, reach))| {
+            let u = &pf.field_uses;
+            u.reads.contains(name)
+                || (fi != own && u.test_reads.contains(name))
+                || (*reach == Reach::Root && u.mentions.contains(name))
         })
-        .collect()
+    };
+    let mut out = Vec::new();
+    for (fi, (pf, reach)) in files.iter().enumerate() {
+        if *reach != Reach::Audited {
+            continue;
+        }
+        for (k, f) in pf.fields.iter().enumerate() {
+            if !f.is_test && !read(&f.name, fi) {
+                out.push((fi, k));
+            }
+        }
+    }
+    out
 }
 
 /// Scan the whole workspace under `root`, sorted into report order.

@@ -82,10 +82,12 @@ fn suppression_is_honoured_and_counted() {
 }
 
 /// The `dead` fixtures at the paths that give them their roles: one
-/// audited crate, and one root of each kind that lives in its own file.
+/// audited crate of two files, and one root of each kind that lives in
+/// its own file.
 fn dead_fixtures() -> Vec<(&'static str, &'static str)> {
     vec![
         ("crates/fixture/src/lib.rs", fixture!("dead_lib").1),
+        ("crates/fixture/src/fields.rs", fixture!("dead_fields").1),
         ("tests/replay.rs", fixture!("dead_root_test").1),
         ("examples/book.rs", fixture!("dead_root_example").1),
         ("benchmark/src/rig.rs", fixture!("dead_root_bench").1),
@@ -113,14 +115,44 @@ fn dead_items(files: &[(&str, &str)]) -> Vec<(String, bool)> {
 #[test]
 fn dead_reports_only_what_no_root_reaches() {
     // `Book::spread` is called only from its own `#[cfg(test)]` module;
-    // `reference_depth` is waived as a test oracle.
-    assert_eq!(
-        dead_items(&dead_fixtures()),
-        [
-            ("Book::spread".to_string(), false),
-            ("reference_depth".to_string(), true)
-        ]
-    );
+    // `reference_depth` is waived as a test oracle. Of `Meter`'s fields,
+    // `hits` and `log` are only written, `seen` is read only by its own
+    // file's unit tests and `born` is only initialised.
+    let dead: Vec<(String, bool)> = [
+        ("Book::spread", false),
+        ("Meter::born", false),
+        ("Meter::hits", false),
+        ("Meter::log", false),
+        ("Meter::seen", false),
+        ("reference_depth", true),
+    ]
+    .into_iter()
+    .map(|(item, waived)| (item.to_string(), waived))
+    .collect();
+    assert_eq!(dead_items(&dead_fixtures()), dead);
+}
+
+#[test]
+fn field_reads_keep_their_fields() {
+    let dead = dead_items(&dead_fixtures());
+    // A method call on the field, a destructuring pattern, a match
+    // guard before `=>`, and a benchmark struct literal.
+    for kept in [
+        "Meter::items",
+        "Window::lo",
+        "Window::hi",
+        "Meter::threshold",
+        "Knobs::rig_depth",
+    ] {
+        assert!(!dead.iter().any(|(d, _)| d == kept), "{kept}: {dead:?}");
+    }
+    let message = tn_audit::scan_dead(&[SourceFile::parse(
+        "crates/fixture/src/lib.rs",
+        "pub struct S {\n    pub f: u64,\n}\n",
+    )]);
+    assert_eq!(message.len(), 1, "{message:?}");
+    assert_eq!(message[0].message, "field `S::f` is never read");
+    assert_eq!((message[0].line, message[0].column), (2, 9));
 }
 
 #[test]
@@ -129,6 +161,7 @@ fn each_kind_of_root_keeps_its_item() {
         ("tests/replay.rs", "replay"),
         ("examples/book.rs", "Book::new"),
         ("benchmark/src/rig.rs", "Book::mid"),
+        ("benchmark/src/rig.rs", "Knobs::rig_depth"),
     ] {
         let without: Vec<_> = dead_fixtures()
             .into_iter()

@@ -13,12 +13,6 @@
 //! arriving after the ceiling ("late", the jitter tail the ceiling
 //! didn't cover) pass through immediately and are counted.
 //!
-//! Path latency is measured from tn-obs provenance when the kernel
-//! carries it (`Provenance::total_ps` — the exact per-segment sum) and
-//! falls back to `arrival − born` otherwise; both are recorded so
-//! reports can chart observed path distributions next to the padding
-//! they were topped up with.
-//!
 //! Determinism: like the sequencer, the residual draw comes from a
 //! node-owned [`SmallRng`]; `residual == 0` consumes no randomness, and
 //! `ceiling == 0` makes the node fully transparent (release at arrival).
@@ -47,8 +41,6 @@ pub struct EqualizerConfig {
     pub seed: u64,
 }
 
-impl EqualizerConfig {}
-
 /// Counters the equalizer keeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EqualizerStats {
@@ -74,9 +66,6 @@ pub struct DelayEqualizer {
     /// one published event keep their `FrameId` across relay clones, so
     /// the id groups deliveries event-by-event for fairness windows.
     releases: Vec<(u64, u64)>,
-    /// Observed upstream path latency per delivery (provenance sum when
-    /// available, else birth-to-arrival), in ps.
-    observed_path_ps: Vec<u64>,
     /// Padding added per delivery (release − arrival), in ps.
     pad_ps: Vec<u64>,
 }
@@ -92,7 +81,6 @@ impl DelayEqualizer {
             seq: 0,
             stats: EqualizerStats::default(),
             releases: Vec::new(),
-            observed_path_ps: Vec::new(),
             pad_ps: Vec::new(),
         }
     }
@@ -112,13 +100,6 @@ impl DelayEqualizer {
         &self.pad_ps
     }
 
-    fn measured_path(now: SimTime, frame: &Frame) -> u64 {
-        match &frame.meta.provenance {
-            Some(p) => p.total_ps(),
-            None => now.as_ps().saturating_sub(frame.born.as_ps()),
-        }
-    }
-
     fn release(&mut self, ctx: &mut Context<'_>, now_ps: u64, frame: Frame) {
         self.stats.delivered += 1;
         self.releases.push((frame.id.0, now_ps));
@@ -129,9 +110,7 @@ impl DelayEqualizer {
 impl Node for DelayEqualizer {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
         debug_assert_eq!(port, IN);
-        let now = ctx.now();
-        let now_ps = now.as_ps();
-        self.observed_path_ps.push(Self::measured_path(now, &frame));
+        let now_ps = ctx.now().as_ps();
         let target = frame.born.as_ps() + self.ceiling.as_ps();
         if now_ps > target {
             self.stats.late += 1;
@@ -223,7 +202,6 @@ mod tests {
         assert_eq!(e.stats().held, 1);
         assert_eq!(e.stats().late, 0);
         assert_eq!(e.pad_ps(), &[SimTime::from_us(8).as_ps()]);
-        assert_eq!(e.observed_path_ps, [SimTime::from_us(2).as_ps()]);
     }
 
     #[test]

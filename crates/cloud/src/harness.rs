@@ -141,10 +141,9 @@ pub struct FairnessRun {
     pub spread_max_ps: u64,
     /// Median born→delivery latency (ps).
     pub median_delivery_ps: u64,
-    /// Median of the jitter-free, equalizer-transparent baseline (ps).
-    /// For L1/leaf-spine the run is its own baseline.
-    pub baseline_median_ps: u64,
-    /// `median_delivery − baseline_median`: what fairness cost (ps).
+    /// `median_delivery` minus the median of the jitter-free,
+    /// equalizer-transparent baseline: what fairness cost (ps). For
+    /// L1/leaf-spine the run is its own baseline.
     pub added_median_ps: u64,
     /// The hold window this point paid for (ps; 0 outside cloud).
     pub hold_ps: u64,
@@ -437,7 +436,6 @@ fn finish(
         spread_p99_ps: spread.p99(),
         spread_max_ps: spread.max(),
         median_delivery_ps: median,
-        baseline_median_ps: baseline,
         added_median_ps: median.saturating_sub(baseline),
         hold_ps: hold.as_ps(),
     }

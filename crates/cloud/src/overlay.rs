@@ -34,8 +34,6 @@ pub const FORWARD: TimerToken = TimerToken(0xF0D);
 pub struct RelayStats {
     /// Frames that arrived on [`RELAY_IN`].
     pub frames_in: u64,
-    /// Copies sent to children.
-    pub copies_out: u64,
 }
 
 /// A fan-out-`k` software relay. See the module docs.
@@ -70,7 +68,6 @@ impl OverlayRelay {
 
     fn dispatch(&mut self, ctx: &mut Context<'_>, child: u16, frame: Frame, now_ps: u64) {
         let delay = self.copy_gap.as_ps() * u64::from(child);
-        self.stats.copies_out += 1;
         if delay == 0 {
             ctx.send(PortId(child), frame);
             return;

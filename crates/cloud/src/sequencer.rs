@@ -43,13 +43,9 @@ pub struct SequencerConfig {
     pub seed: u64,
 }
 
-impl SequencerConfig {}
-
 /// Counters the sequencer keeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequencerStats {
-    /// Orders that arrived on [`IN`].
-    pub received: u64,
     /// Orders released on [`OUT`].
     pub released: u64,
     /// Releases whose stamp was smaller than one already released — a
@@ -69,7 +65,6 @@ pub struct HoldReleaseSequencer {
     pending: BTreeMap<(u64, u64), (u64, Frame)>,
     arrivals: u64,
     max_released: Option<(u64, u64)>,
-    released_seqs: Vec<u64>,
     stats: SequencerStats,
 }
 
@@ -83,7 +78,6 @@ impl HoldReleaseSequencer {
             pending: BTreeMap::new(),
             arrivals: 0,
             max_released: None,
-            released_seqs: Vec::new(),
             stats: SequencerStats::default(),
         }
     }
@@ -107,7 +101,6 @@ impl HoldReleaseSequencer {
 impl Node for HoldReleaseSequencer {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
         debug_assert_eq!(port, IN);
-        self.stats.received += 1;
         let seq = self.arrivals;
         self.arrivals += 1;
         let now = ctx.now();
@@ -139,7 +132,6 @@ impl Node for HoldReleaseSequencer {
                 self.max_released = Some(key);
             }
             self.stats.released += 1;
-            self.released_seqs.push(key.1);
             ctx.send(OUT, frame);
         }
     }

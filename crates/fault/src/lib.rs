@@ -11,9 +11,8 @@
 //! Three layers:
 //!
 //! * [`FaultSpec`] — a declarative fault model for one link direction:
-//!   i.i.d. or burst (Gilbert–Elliott) frame loss, corruption (dropped at
-//!   the receiving NIC's FCS check), reordering jitter, periodic link
-//!   flaps, and scheduled outage windows. All randomness comes from a
+//!   i.i.d. or burst (Gilbert–Elliott) frame loss, reordering jitter, and
+//!   scheduled outage windows. All randomness comes from a
 //!   [`tn_sim::SmallRng`] seeded from the spec, advanced only by
 //!   `transmit` calls — never from wall clocks or global state.
 //! * [`FaultLink`] — wraps any [`tn_sim::Link`] and applies a
@@ -46,7 +45,7 @@ pub mod link;
 pub mod spec;
 
 pub use link::{BaseLink, FaultLink, SpecLink};
-pub use spec::{FaultSpec, Flap, LossModel, Outage};
+pub use spec::{FaultSpec, LossModel, Outage};
 
 use tn_sim::{Link, NodeId, PortId, Simulator};
 

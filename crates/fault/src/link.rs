@@ -20,9 +20,7 @@ pub struct FaultStats {
     pub offered: u64,
     /// Dropped by the loss process.
     pub lost: u64,
-    /// Dropped as corrupted.
-    pub corrupted: u64,
-    /// Dropped because the link was down (outage/flap).
+    /// Dropped because the link was down (an outage window).
     pub down_drops: u64,
     /// Frames whose delivery was jittered.
     pub jittered: u64,
@@ -79,9 +77,9 @@ pub type SpecLink = FaultLink<BaseLink>;
 
 /// Applies a [`FaultSpec`] in front of an inner link.
 ///
-/// Order of checks per offered frame: down (outage/flap) → loss process →
-/// corruption → inner link (queueing/MTU/serialization) → jitter on the
-/// delivery time. The loss-state machine and RNG only advance when the
+/// Order of checks per offered frame: down (outage) → loss process →
+/// inner link (queueing/MTU/serialization) → jitter on the delivery
+/// time. The loss-state machine and RNG only advance when the
 /// corresponding fault is configured, so enabling one fault never shifts
 /// another's random stream.
 #[derive(Debug, Clone)]
@@ -147,10 +145,6 @@ impl<L: Link> Link for FaultLink<L> {
             self.stats.lost += 1;
             return LinkOutcome::Drop(DropReason::RandomLoss);
         }
-        if self.spec.corrupt > 0.0 && self.rng.gen::<f64>() < self.spec.corrupt {
-            self.stats.corrupted += 1;
-            return LinkOutcome::Drop(DropReason::Corrupted);
-        }
         match self.inner.transmit(now, len, coin) {
             LinkOutcome::Deliver(at) => {
                 if self.spec.jitter > SimTime::ZERO {
@@ -192,7 +186,6 @@ impl<L: Link> Link for FaultLink<L> {
             ("offered", s.offered),
             ("down_drops", s.down_drops),
             ("lost", s.lost),
-            ("corrupted", s.corrupted),
             ("jittered", s.jittered),
         ] {
             into.add("fault", name, None, n);
@@ -279,20 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_a_distinct_drop() {
-        let spec = FaultSpec {
-            corrupt: 1.0,
-            ..FaultSpec::new(11)
-        };
-        let mut l = FaultLink::wrap(ideal(), spec);
-        assert_eq!(
-            l.transmit(SimTime::ZERO, 100, 0.5),
-            LinkOutcome::Drop(DropReason::Corrupted)
-        );
-        assert_eq!(l.stats().corrupted, 1);
-    }
-
-    #[test]
     fn outage_drops_as_link_down() {
         let spec = FaultSpec::new(1).with_outage(SimTime::from_us(10), SimTime::from_us(20));
         let mut l = FaultLink::wrap(ideal(), spec);
@@ -334,12 +313,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let spec = FaultSpec {
-            corrupt: 0.01,
-            ..FaultSpec::new(21)
-                .with_burst_loss(0.05, 0.3, 0.001, 0.9)
-                .with_jitter(SimTime::from_ns(500))
-        };
+        let spec = FaultSpec::new(21)
+            .with_burst_loss(0.05, 0.3, 0.001, 0.9)
+            .with_jitter(SimTime::from_ns(500));
         let run = |spec: &FaultSpec| {
             let mut l = FaultLink::wrap(ideal(), spec.clone());
             (0..5_000u64)

@@ -84,29 +84,6 @@ impl Outage {
     }
 }
 
-/// Periodic link flapping: down for `down_for` at the start of every
-/// `period`, beginning at `offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flap {
-    /// Cycle length.
-    pub period: SimTime,
-    /// Down time at the head of each cycle.
-    pub down_for: SimTime,
-    /// Phase: the first down window opens at `offset`.
-    pub offset: SimTime,
-}
-
-impl Flap {
-    /// Is the link flapped down at `now`?
-    pub fn down_at(&self, now: SimTime) -> bool {
-        if now < self.offset || self.period == SimTime::ZERO {
-            return false;
-        }
-        let phase = (now.as_ps() - self.offset.as_ps()) % self.period.as_ps();
-        phase < self.down_for.as_ps()
-    }
-}
-
 /// Everything injectable on one link direction. Construct with
 /// [`FaultSpec::new`] and chain `with_*` calls; the default spec is a
 /// no-op (and [`crate::FaultLink`] guarantees a no-op spec is
@@ -119,17 +96,12 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Loss process.
     pub loss: LossModel,
-    /// Per-frame corruption probability (corrupted frames are dropped at
-    /// the receiver's FCS check).
-    pub corrupt: f64,
     /// Maximum extra delivery delay, drawn uniformly per frame. Non-zero
     /// jitter lets frames pass each other in flight — the reordering
     /// that sequenced feeds must tolerate.
     pub jitter: SimTime,
     /// Scheduled hard-down windows.
     pub outages: Vec<Outage>,
-    /// Periodic flapping.
-    pub flap: Option<Flap>,
 }
 
 impl Default for FaultSpec {
@@ -145,10 +117,8 @@ impl FaultSpec {
         FaultSpec {
             seed,
             loss: LossModel::None,
-            corrupt: 0.0,
             jitter: SimTime::ZERO,
             outages: Vec::new(),
-            flap: None,
         }
     }
 
@@ -204,10 +174,9 @@ impl FaultSpec {
         self
     }
 
-    /// Is the link down (outage or flap) at `now`?
+    /// Is the link down (inside an outage window) at `now`?
     pub fn down_at(&self, now: SimTime) -> bool {
         self.outages.iter().any(|o| o.covers(now))
-            || self.flap.as_ref().is_some_and(|f| f.down_at(now))
     }
 }
 
@@ -238,24 +207,6 @@ mod tests {
         assert!(s.down_at(SimTime::from_ms(10)));
         assert!(s.down_at(SimTime::from_ms(20) - SimTime::from_ps(1)));
         assert!(!s.down_at(SimTime::from_ms(20)));
-    }
-
-    #[test]
-    fn flap_cycles() {
-        let s = FaultSpec {
-            flap: Some(Flap {
-                period: SimTime::from_ms(10),
-                down_for: SimTime::from_ms(2),
-                offset: SimTime::from_ms(5),
-            }),
-            ..FaultSpec::new(1)
-        };
-        assert!(!s.down_at(SimTime::from_ms(4))); // before offset
-        assert!(s.down_at(SimTime::from_ms(5)));
-        assert!(s.down_at(SimTime::from_ms(6)));
-        assert!(!s.down_at(SimTime::from_ms(7)));
-        assert!(s.down_at(SimTime::from_ms(15))); // next cycle
-        assert!(!s.down_at(SimTime::from_ms(18)));
     }
 
     #[test]

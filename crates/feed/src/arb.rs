@@ -40,8 +40,6 @@ pub struct ArbStats {
     /// Of `duplicates`, the copies with nothing new in them (the rest
     /// overlapped the cursor and delivered their tail).
     pub full_duplicates: u64,
-    /// Packets dropped as stale (empty: no message to deliver).
-    pub stale: u64,
     /// Sequence numbers skipped (lost on both sides).
     pub gap_messages: u64,
     /// Distinct gap events.
@@ -100,10 +98,7 @@ impl Arbiter {
     pub fn offer(&mut self, payload: &[u8]) -> Result<Option<&[pitch::Message]>> {
         let (_, arrival) = self.merge.accept(payload)?;
         match arrival {
-            Arrival::Empty => {
-                self.stats.stale += 1;
-                return Ok(None);
-            }
+            Arrival::Empty => return Ok(None),
             Arrival::Old => {
                 self.stats.duplicates += 1;
                 self.stats.full_duplicates += 1;

@@ -80,12 +80,8 @@ impl SymbolBook {
 /// Builder statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Messages applied.
-    pub applied: u64,
     /// Messages referencing unknown order ids (evidence of upstream gaps).
     pub unknown_orders: u64,
-    /// BBO updates emitted.
-    pub bbo_updates: u64,
 }
 
 /// The book builder.
@@ -132,7 +128,6 @@ impl BookBuilder {
 
     /// Apply one message; returns the BBO update it caused, if any.
     pub fn apply(&mut self, msg: &Message) -> Option<BboUpdate> {
-        self.stats.applied += 1;
         let (symbol, side) = match *msg {
             Message::AddOrder {
                 order_id,
@@ -223,13 +218,7 @@ impl BookBuilder {
             size,
         };
         // Track last-published BBO per (symbol, side) to suppress no-ops.
-        let changed = self.note_bbo(update);
-        if changed {
-            self.stats.bbo_updates += 1;
-            Some(update)
-        } else {
-            None
-        }
+        self.note_bbo(update).then_some(update)
     }
 
     fn note_bbo(&mut self, update: BboUpdate) -> bool {
@@ -379,15 +368,13 @@ mod tests {
                 status: b'H'
             })
             .is_none());
-        assert_eq!(b.stats().applied, 2);
-        assert_eq!(b.stats().bbo_updates, 0);
     }
 
     #[test]
     fn depth_changes_below_top_do_not_emit() {
         let mut b = BookBuilder::new();
-        b.apply(&add(1, Side::Buy, 100, 450_0000));
-        b.apply(&add(2, Side::Buy, 100, 449_0000));
+        assert!(b.apply(&add(1, Side::Buy, 100, 450_0000)).is_some());
+        assert!(b.apply(&add(2, Side::Buy, 100, 449_0000)).is_none());
         // Reduce the second-level order: BBO unchanged.
         assert!(b
             .apply(&Message::ReduceSize {
@@ -396,6 +383,5 @@ mod tests {
                 qty: 50
             })
             .is_none());
-        assert_eq!(b.stats().bbo_updates, 1);
     }
 }

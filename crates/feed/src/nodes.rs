@@ -72,8 +72,6 @@ pub struct RecoveryReceiverStats {
     pub delivered_messages: u64,
     /// Gap requests sent (first requests and re-requests).
     pub requests_sent: u64,
-    /// Frames that failed to parse.
-    pub parse_errors: u64,
 }
 
 /// Feed subscriber with gap detection, retransmission requests, and
@@ -181,19 +179,16 @@ impl Node for RecoveryReceiver {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
         self.stats.frames_in += 1;
         match stack::parse_udp(&frame.bytes) {
-            Err(_) => self.stats.parse_errors += 1,
+            Err(_) => {}
             // Live multicast and unicast replays converge on the same
             // reorderer; the ports differ only in what faults their
             // links carry.
             Ok(view) if port == RECV_FEED || port == RECV_RETRANS => {
-                match self.client.offer(ctx.now(), view.payload) {
-                    Ok(out) => {
-                        let released = out.messages.len();
-                        Self::send_requests(&self.cfg, &mut self.stats, ctx, &out.requests);
-                        self.record_release(ctx.now(), released);
-                        self.rearm(ctx);
-                    }
-                    Err(_) => self.stats.parse_errors += 1,
+                if let Ok(out) = self.client.offer(ctx.now(), view.payload) {
+                    let released = out.messages.len();
+                    Self::send_requests(&self.cfg, &mut self.stats, ctx, &out.requests);
+                    self.record_release(ctx.now(), released);
+                    self.rearm(ctx);
                 }
             }
             // audit:allow(hotpath-unwrap): port fan-in is fixed by connect() wiring at build time; a mismatch is a topology bug where stopping loudly beats simulating garbage
@@ -255,16 +250,12 @@ impl Default for RetransUnitConfig {
 /// Server node counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetransUnitStats {
-    /// Live packets tapped into history.
-    pub tapped: u64,
     /// Gap requests received.
     pub requests_in: u64,
     /// Replay packets sent.
     pub replays_out: u64,
     /// Requests refused (aged out or throttled).
     pub refused: u64,
-    /// Frames that failed to parse.
-    pub parse_errors: u64,
 }
 
 /// Exchange-side retransmission server node: live-feed tap in, replays
@@ -298,18 +289,16 @@ impl RetransUnit {
 
     fn handle_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: &Frame) {
         let Ok(view) = stack::parse_udp(&frame.bytes) else {
-            self.stats.parse_errors += 1;
             return;
         };
         match port {
-            UNIT_TAP => match self.server.store(view.payload) {
-                Ok(()) => self.stats.tapped += 1,
-                Err(_) => self.stats.parse_errors += 1,
-            },
+            // A malformed packet is not kept.
+            UNIT_TAP => {
+                let _ = self.server.store(view.payload);
+            }
             UNIT_REQ => {
                 self.stats.requests_in += 1;
                 let Ok(req) = GapRequest::parse(view.payload) else {
-                    self.stats.parse_errors += 1;
                     return;
                 };
                 let requester_ip = view.src_ip;

@@ -79,12 +79,8 @@ impl MapInterner {
 /// Normalizer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NormStats {
-    /// Feed packets consumed (post-arbitration).
-    pub packets_in: u64,
     /// Native messages consumed.
     pub messages_in: u64,
-    /// Normalized records produced.
-    pub records_out: u64,
 }
 
 /// The normalizer core for one exchange's feed: the merge stage
@@ -148,13 +144,11 @@ impl<R: Repartition> NormalizerCore<R> {
     pub fn on_packet(&mut self, payload: &[u8], src_time_ns: u64) -> Result<&[NormalizerOutput]> {
         self.out.clear();
         if let Some(msgs) = self.arbiter.offer(payload)? {
-            self.stats.packets_in += 1;
             self.stats.messages_in += msgs.len() as u64;
             for msg in msgs {
                 self.decode
                     .normalize(msg, src_time_ns, self.emit_depth, &mut self.out);
             }
-            self.stats.records_out += self.out.len() as u64;
         }
         Ok(&self.out)
     }
@@ -333,7 +327,7 @@ mod tests {
         let p = packet(1, &[add(1, Side::Buy, 100, 450_0000, "SPY")]);
         assert_eq!(n.on_packet(&p, 0).unwrap().len(), 1);
         assert_eq!(n.on_packet(&p, 0).unwrap().len(), 0);
-        assert_eq!(n.stats().packets_in, 1);
+        assert_eq!(n.stats().messages_in, 1);
         assert_eq!(n.arbiter().stats().duplicates, 1);
     }
 

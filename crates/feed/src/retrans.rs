@@ -195,8 +195,6 @@ pub struct ReorderStats {
     pub released: u64,
     /// Gap requests issued.
     pub requests: u64,
-    /// Messages recovered via retransmission (arrived while held).
-    pub recovered_gaps: u64,
     /// Messages released by a gap closing (the retransmitted fill plus
     /// the held packets it unblocked) — the "records recovered" number.
     pub recovered_messages: u64,
@@ -310,7 +308,6 @@ impl Reorderer {
             unit.drain(&mut self.out.messages, &mut self.spare);
             if gap_was_open && unit.held.is_empty() {
                 unit.requested = false;
-                self.stats.recovered_gaps += 1;
             }
             let released = self.out.messages.len() as u64;
             if gap_was_open {
@@ -532,20 +529,6 @@ pub struct RetransmissionServer {
     /// The buffer the last eviction freed, reused by the next store.
     spare: Vec<u8>,
     bucket: TokenBucket,
-    stats: RetransStats,
-}
-
-/// Server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetransStats {
-    /// Packets stored.
-    pub stored: u64,
-    /// Requests served (fully or partially).
-    pub served: u64,
-    /// Requests refused: sequence aged out of history.
-    pub too_old: u64,
-    /// Requests refused: rate limit.
-    pub throttled: u64,
 }
 
 impl RetransmissionServer {
@@ -561,13 +544,7 @@ impl RetransmissionServer {
             max_packets_per_unit,
             spare: Vec::new(),
             bucket: TokenBucket::new(rate_bytes_per_sec, burst_bytes),
-            stats: RetransStats::default(),
         }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> RetransStats {
-        self.stats
     }
 
     /// Record a published packet (call for every live packet).
@@ -584,7 +561,6 @@ impl RetransmissionServer {
         if ring.len() > self.max_packets_per_unit {
             self.spare = ring.pop_front().map(|s| s.bytes).unwrap_or_default();
         }
-        self.stats.stored += 1;
         Ok(())
     }
 
@@ -599,10 +575,7 @@ impl RetransmissionServer {
     ) -> Result<impl ExactSizeIterator<Item = &[u8]> + '_> {
         let ring = match self.history.get(usize::from(req.unit)) {
             Some(ring) if !ring.is_empty() => ring,
-            _ => {
-                self.stats.too_old += 1;
-                return Err(WireError::BadField);
-            }
+            _ => return Err(WireError::BadField),
         };
         let (start, end) = (req.seq, req.seq.wrapping_add(u32::from(req.count)));
         // Gaps are recent: find the run from the ring's young end.
@@ -615,15 +588,12 @@ impl RetransmissionServer {
                 first..last + 1
             });
         let Some(run) = run.filter(|run| !wrapping_lt(start, ring[run.start].seq)) else {
-            self.stats.too_old += 1;
             return Err(WireError::BadLength);
         };
         let bytes: usize = ring.range(run.clone()).map(|s| s.bytes.len()).sum();
         if !self.bucket.try_consume(now, bytes) {
-            self.stats.throttled += 1;
             return Err(WireError::BadLength);
         }
-        self.stats.served += 1;
         Ok(ring.range(run).map(|s| &s.bytes[..]))
     }
 }
@@ -684,7 +654,7 @@ mod tests {
         assert_eq!(r.held(), 0);
         let s = r.stats();
         assert_eq!(s.requests, 1);
-        assert_eq!(s.recovered_gaps, 1);
+        assert_eq!(s.recovered_messages, 5);
         assert_eq!(s.abandoned, 0);
     }
 
@@ -780,7 +750,6 @@ mod tests {
         // The ring's own bytes, as stored.
         assert_eq!(replay.next(), Some(&packet(2, 4, 3)[..]));
         drop(replay);
-        assert_eq!(s.stats().served, 1);
         // A range spanning two packets returns both.
         let replay = s
             .serve(
@@ -822,7 +791,6 @@ mod tests {
                 }
             )
             .is_err());
-        assert_eq!(s.stats().too_old, 2);
         assert!(s
             .serve(
                 SimTime::ZERO,
@@ -861,7 +829,6 @@ mod tests {
                 }
             )
             .is_err());
-        assert_eq!(s.stats().throttled, 1);
         // Tokens refill with time.
         assert!(s
             .serve(
@@ -974,6 +941,5 @@ mod tests {
         }
         assert_eq!(delivered, (1..=20u64).collect::<Vec<_>>());
         assert_eq!(rx.stats().abandoned, 0);
-        assert_eq!(server.stats().served, 1);
     }
 }

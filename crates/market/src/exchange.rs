@@ -111,10 +111,6 @@ pub struct ExchangeStats {
     pub feed_packets: u64,
     /// Feed messages emitted.
     pub feed_messages: u64,
-    /// Order-entry messages processed.
-    pub orders_processed: u64,
-    /// Replies sent (acks, fills, rejects).
-    pub replies_sent: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -245,7 +241,6 @@ impl Exchange {
         let _ = decoder.decode(view.payload, &mut messages);
         let (src_mac, src_ip, src_port) = (view.src_mac, view.src_ip, view.src_port);
         for msg in messages.drain(..) {
-            self.wire.stats.orders_processed += 1;
             if let boe::Message::Login { session, .. } = msg {
                 self.wire.sessions.insert(
                     session,
@@ -381,7 +376,6 @@ impl Wire {
                     )
                 })
                 .build();
-            self.stats.replies_sent += 1;
             out.push((port, frame));
         }
     }

@@ -3,8 +3,8 @@
 //! Trading firms splice passive optical taps into links and timestamp
 //! every frame with dedicated capture appliances; §2 notes precision
 //! targets below 100 ps. A [`Tap`] is a two-port pass-through node that
-//! records `(FrameId, time, direction, length)` with zero added latency
-//! (an optical splitter) or a configurable insertion delay.
+//! records `(FrameId, time, length, tag)` with zero added latency (an
+//! optical splitter) and forwards each frame out of its other port.
 //!
 //! After a run, the scenario downcasts taps back out of the simulator and
 //! correlates records across taps by `FrameId` to compute per-segment
@@ -15,15 +15,6 @@ use tn_sim::{
     Context, Distribution, Frame, FrameId, MetricsRegistry, Node, NodeId, PortId, SimTime,
 };
 
-/// Which way the frame was heading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Entered on port 0, left on port 1.
-    AtoB,
-    /// Entered on port 1, left on port 0.
-    BtoA,
-}
-
 /// One observed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaptureRecord {
@@ -31,8 +22,6 @@ pub struct CaptureRecord {
     pub frame: FrameId,
     /// Capture timestamp (exact simulation time; picosecond resolution).
     pub at: SimTime,
-    /// Travel direction through the tap.
-    pub direction: Direction,
     /// Frame length in bytes.
     pub len: usize,
     /// Application tag copied from the frame metadata.
@@ -85,9 +74,9 @@ impl Default for Tap {
 
 impl Node for Tap {
     fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
-        let (direction, out) = match port {
-            PortId(0) => (Direction::AtoB, PortId(1)),
-            PortId(1) => (Direction::BtoA, PortId(0)),
+        let out = match port {
+            PortId(0) => PortId(1),
+            PortId(1) => PortId(0),
             // Wiring invariant: ports are fixed at topology build time, so
             // failing fast beats silently eating frames.
             // audit:allow(hotpath-unwrap): port fan-in is fixed by connect() wiring at build time; a mismatch is a topology bug where stopping loudly beats simulating garbage
@@ -97,7 +86,6 @@ impl Node for Tap {
             self.records.push(CaptureRecord {
                 frame: frame.id,
                 at: ctx.now(),
-                direction,
                 len: frame.len(),
                 tag: frame.meta.tag,
             });
@@ -121,17 +109,20 @@ mod tests {
     use super::*;
     use tn_sim::{IdealLink, Simulator};
 
-    struct Sink;
+    #[derive(Default)]
+    struct Sink(Vec<FrameId>);
     impl Node for Sink {
-        fn on_frame(&mut self, _: &mut Context<'_>, _: PortId, _: Frame) {}
+        fn on_frame(&mut self, _: &mut Context<'_>, _: PortId, f: Frame) {
+            self.0.push(f.id);
+        }
     }
 
     #[test]
     fn tap_records_both_directions_without_latency() {
         let mut sim = Simulator::new(3);
-        let a = sim.add_node("a", Sink);
+        let a = sim.add_node("a", Sink::default());
         let tap = sim.add_node("tap", Tap::new());
-        let b = sim.add_node("b", Sink);
+        let b = sim.add_node("b", Sink::default());
         let link = IdealLink::new(SimTime::from_ns(5));
         sim.install_link(a, PortId(0), tap, PortId(0), Box::new(link.clone()));
         sim.install_link(tap, PortId(0), a, PortId(0), Box::new(link.clone()));
@@ -148,24 +139,24 @@ mod tests {
         sim.inject_frame(SimTime::from_ns(20), tap, PortId(1), g);
         sim.run();
 
-        let tap = sim.node::<Tap>(tap).unwrap();
-        assert_eq!(tap.count(), 2);
-        let r0 = tap.records()[0];
+        let t = sim.node::<Tap>(tap).unwrap();
+        assert_eq!(t.count(), 2);
+        let r0 = t.records()[0];
         assert_eq!(r0.frame, fid);
         assert_eq!(r0.at, SimTime::from_ns(10));
-        assert_eq!(r0.direction, Direction::AtoB);
         assert_eq!(r0.len, 100);
         assert_eq!(r0.tag, 77);
-        let r1 = tap.records()[1];
-        assert_eq!(r1.frame, gid);
-        assert_eq!(r1.direction, Direction::BtoA);
+        assert_eq!(t.records()[1].frame, gid);
+        // Each frame leaves by the port opposite the one it entered on.
+        assert_eq!(sim.node::<Sink>(b).unwrap().0, [fid]);
+        assert_eq!(sim.node::<Sink>(a).unwrap().0, [gid]);
     }
 
     #[test]
     fn disabled_tap_still_forwards() {
         let mut sim = Simulator::new(3);
         let tap_id = sim.add_node("tap", Tap::new());
-        let b = sim.add_node("b", Sink);
+        let b = sim.add_node("b", Sink::default());
         let link = IdealLink::new(SimTime::ZERO);
         sim.install_link(tap_id, PortId(1), b, PortId(0), Box::new(link.clone()));
         sim.install_link(b, PortId(0), tap_id, PortId(1), Box::new(link));

@@ -40,11 +40,7 @@ pub enum DropReason {
     RandomLoss,
     /// Frame exceeded the link MTU.
     Mtu,
-    /// Frame corrupted in flight; the receiving NIC's FCS check discards
-    /// it, so at the simulation level corruption is a delivery failure.
-    Corrupted,
-    /// The link was administratively or physically down (flap, scheduled
-    /// outage) when the frame was offered.
+    /// The link was down (a scheduled outage) when the frame was offered.
     LinkDown,
 }
 
@@ -55,7 +51,6 @@ impl DropReason {
             DropReason::QueueOverflow => "queue_overflow",
             DropReason::RandomLoss => "random_loss",
             DropReason::Mtu => "mtu",
-            DropReason::Corrupted => "corrupted",
             DropReason::LinkDown => "link_down",
         }
     }

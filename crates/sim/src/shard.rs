@@ -339,10 +339,6 @@ pub struct ShardRunStats {
     pub shards: u16,
     /// Safe windows executed.
     pub windows: u64,
-    /// Events dispatched per shard.
-    pub events_per_shard: Vec<u64>,
-    /// Nodes owned per shard.
-    pub nodes_per_shard: Vec<u64>,
     /// Frames that crossed a shard boundary.
     pub cross_shard_frames: u64,
 }
@@ -508,19 +504,9 @@ impl ShardedSimulator {
 
     /// Statistics of the run so far.
     pub fn run_stats(&self) -> ShardRunStats {
-        let mut nodes_per_shard = vec![0u64; self.shards.len()];
-        for &s in &self.assignment {
-            nodes_per_shard[s as usize] += 1;
-        }
         ShardRunStats {
             shards: self.shards.len() as u16,
             windows: self.windows,
-            events_per_shard: self
-                .shards
-                .iter()
-                .map(|sh| sh.stats().events_processed)
-                .collect(),
-            nodes_per_shard,
             cross_shard_frames: self.cross_shard_frames,
         }
     }
@@ -962,7 +948,6 @@ mod tests {
             stats.cross_shard_frames > 0,
             "a<->b traffic crosses the cut"
         );
-        assert_eq!(stats.nodes_per_shard, vec![2, 2]);
         let merged = sharded.finish();
         assert_eq!(
             (
@@ -1218,15 +1203,16 @@ mod tests {
         let stats = sharded.run_stats();
         assert!(stats.windows > 1, "hot shard must be window-bounded");
         let expected = u64::from(ticks) + 1; // timer dispatches (ticks_left hits 0 on the last)
-        assert_eq!(stats.events_per_shard[0], expected, "{stats:?}");
-        assert_eq!(stats.events_per_shard[1], expected, "every frame crossed");
-        assert_eq!(
-            &stats.events_per_shard[2..],
-            [0, 0, 0, 0],
-            "idle stays idle"
-        );
         let merged = sharded.finish();
         let profile = merged.profile().expect("profiler was on");
+        // `(node, shard, dispatches)`: every frame crossed, idle stays idle.
+        let busy: Vec<(u32, u16, u64)> = profile
+            .per_node
+            .iter()
+            .filter(|n| n.dispatches() > 0)
+            .map(|n| (n.node, n.shard, n.dispatches()))
+            .collect();
+        assert_eq!(busy, [(0, 1, expected), (1, 2, expected)]);
         assert_eq!(
             profile.dispatches(),
             2 * expected,

@@ -82,10 +82,6 @@ pub struct SwitchStats {
     pub no_route: u64,
     /// Frames to overflowed groups dropped (policy or CPU queue full).
     pub mcast_dropped: u64,
-    /// IGMP joins accepted into hardware.
-    pub hw_groups_installed: u64,
-    /// IGMP joins that could not be installed (table full).
-    pub hw_groups_rejected: u64,
 }
 
 const HW_TOKEN: u64 = 1;
@@ -172,15 +168,9 @@ impl CommoditySwitch {
                 let fits_hw =
                     hw_has || (!sw_has && self.hw_groups.len() < self.cfg.mcast_table_size);
                 let members = if fits_hw {
-                    if !hw_has {
-                        self.stats.hw_groups_installed += 1;
-                    }
                     self.hw_groups.entry(msg.group).or_default()
                 } else {
-                    if newly_seen {
-                        // Table full: membership tracked in CPU memory.
-                        self.stats.hw_groups_rejected += 1;
-                    }
+                    // Table full: membership tracked in CPU memory.
                     self.sw_groups.entry(msg.group).or_default()
                 };
                 if !members.contains(&port) {
@@ -562,7 +552,6 @@ mod tests {
         assert!(sim.node::<Sink>(sinks[2]).unwrap().got.is_empty());
         let stats = sim.node::<CommoditySwitch>(sw).unwrap().stats();
         assert_eq!(stats.mcast_forwarded, 2);
-        assert_eq!(stats.hw_groups_installed, 1);
     }
 
     #[test]
@@ -620,7 +609,6 @@ mod tests {
             let s = sim.node::<CommoditySwitch>(sw).unwrap();
             assert_eq!(s.hw_group_count(), 2);
             assert_eq!(s.sw_group_count(), 1);
-            assert_eq!(s.stats().hw_groups_rejected, 1);
         }
         // Traffic to group 0 (hardware) vs group 2 (software).
         let t = sim.now();

@@ -53,8 +53,6 @@ pub struct FpgaStats {
     pub dropped: u64,
     /// Of `dropped`, the frames to unknown groups.
     pub mcast_dropped: u64,
-    /// Joins rejected because the table was full.
-    pub joins_rejected: u64,
 }
 
 const PIPE_TOKEN: u64 = 1;
@@ -94,7 +92,6 @@ impl FpgaL1Switch {
     /// Returns `false` if the table is full.
     pub fn add_group_member(&mut self, group: ipv4::Addr, port: PortId) -> bool {
         if !self.groups.contains_key(&group) && self.groups.len() >= self.cfg.mcast_table_size {
-            self.stats.joins_rejected += 1;
             return false;
         }
         let members = self.groups.entry(group).or_default();
@@ -311,7 +308,6 @@ mod tests {
         // Existing group still accepts new members.
         assert!(s.add_group_member(ipv4::Addr::multicast_group(0), PortId(2)));
         assert_eq!(s.groups.len(), 2);
-        assert_eq!(s.stats().joins_rejected, 1);
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl Default for L1Config {
     }
 }
 
-/// Counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct L1Stats {
-    /// Frame replications out of fan-out circuits.
-    pub fanned_out: u64,
-    /// Frames muxed through merge units.
-    pub merged: u64,
-    /// Frames arriving on unprovisioned ports (misconfiguration).
-    pub unprovisioned: u64,
-}
-
 /// The L1 switch node.
 pub struct L1Switch {
     /// Each input port's role, indexed by port number. A table, not a
@@ -64,7 +53,6 @@ pub struct L1Switch {
     roles: Vec<Option<PortRole>>,
     fanout_path: TxQueue,
     merge_path: TxQueue,
-    stats: L1Stats,
 }
 
 const FANOUT_TOKEN: u64 = 1;
@@ -77,7 +65,6 @@ impl L1Switch {
             roles: Vec::new(),
             fanout_path: TxQueue::new(FANOUT_TOKEN).with_pipeline(cfg.fanout_latency),
             merge_path: TxQueue::new(MERGE_TOKEN).with_pipeline(cfg.merge_latency),
-            stats: L1Stats::default(),
         }
     }
 
@@ -100,11 +87,6 @@ impl L1Switch {
         }
         self.roles[i] = Some(role);
     }
-
-    /// Counters so far.
-    pub fn stats(&self) -> L1Stats {
-        self.stats
-    }
 }
 
 impl Node for L1Switch {
@@ -114,7 +96,6 @@ impl Node for L1Switch {
                 // Each replica is an arena-backed copy carrying the original
                 // FrameId; the ingress buffer goes straight back to the pool.
                 for &out in outputs {
-                    self.stats.fanned_out += 1;
                     let copy = ctx.clone_frame(&frame);
                     self.fanout_path.send_after(ctx, SimTime::ZERO, out, copy);
                 }
@@ -122,13 +103,10 @@ impl Node for L1Switch {
             }
             Some(PortRole::Merge(output)) => {
                 let out = *output;
-                self.stats.merged += 1;
                 self.merge_path.send_after(ctx, SimTime::ZERO, out, frame);
             }
-            None => {
-                self.stats.unprovisioned += 1;
-                ctx.recycle(frame);
-            }
+            // An unprovisioned port (misconfiguration) drops the frame.
+            None => ctx.recycle(frame),
         }
     }
 
@@ -183,7 +161,6 @@ mod tests {
             let got = &sim.node::<Sink>(*s).unwrap().got;
             assert_eq!(got, &vec![SimTime::from_ns(106)]); // +6 ns, two orders below 500 ns
         }
-        assert_eq!(sim.node::<L1Switch>(sw).unwrap().stats().fanned_out, 3);
     }
 
     #[test]
@@ -214,17 +191,28 @@ mod tests {
         assert_eq!(got[0], SimTime::from_ns(56) + SimTime::from_us(1));
         // Second: queued behind the first on the shared egress.
         assert_eq!(got[1], SimTime::from_ns(56) + SimTime::from_us(2));
-        assert_eq!(sim.node::<L1Switch>(sw).unwrap().stats().merged, 2);
     }
 
     #[test]
-    fn unprovisioned_port_drops_and_counts() {
+    fn unprovisioned_port_drops() {
         let mut sim = Simulator::new(2);
         let sw = sim.add_node("l1s", L1Switch::new(L1Config::default()));
+        let sink = sim.add_node("sink", Sink { got: vec![] });
+        sim.connect_spec(
+            sw,
+            PortId(1),
+            sink,
+            PortId(0),
+            &LinkSpec::ideal(SimTime::ZERO),
+        );
+        sim.node_mut::<L1Switch>(sw)
+            .unwrap()
+            .provision_fanout(PortId(0), vec![PortId(1)]);
         let f = sim.frame().zeroed(64).build();
         sim.inject_frame(SimTime::ZERO, sw, PortId(5), f);
         sim.run();
-        assert_eq!(sim.node::<L1Switch>(sw).unwrap().stats().unprovisioned, 1);
+        assert!(sim.node::<Sink>(sink).unwrap().got.is_empty());
+        assert_eq!(sim.stats().frames_delivered, 1, "the switch only");
     }
 
     /// The role of a port, if provisioned.

@@ -67,10 +67,6 @@ impl GatewayConfig {
 /// Gateway counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayStats {
-    /// Orders translated firm → exchange.
-    pub orders_out: u64,
-    /// Replies relayed exchange → firm.
-    pub replies_back: u64,
     /// Messages dropped (unknown mappings, protocol errors).
     pub dropped: u64,
 }
@@ -204,7 +200,6 @@ impl Gateway {
                 )
             })
             .build();
-        self.stats.replies_back += 1;
         self.svc.send_after(ctx, service, INTERNAL, frame);
     }
 
@@ -246,7 +241,6 @@ impl Gateway {
                     let gw_cl_ord = self.next_cl_ord;
                     self.next_cl_ord += 1;
                     self.order_map.insert(gw_cl_ord, (session, cl_ord_id));
-                    self.stats.orders_out += 1;
                     let service = self.cfg.service;
                     self.send_to_exchange(
                         ctx,
@@ -497,7 +491,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(sim.node::<Gateway>(gw).unwrap().stats().orders_out, 1);
     }
 
     #[test]
@@ -560,7 +553,6 @@ mod tests {
                 exch_ord_id: 42
             }
         ));
-        assert_eq!(sim.node::<Gateway>(gw).unwrap().stats().replies_back, 1);
     }
 
     #[test]

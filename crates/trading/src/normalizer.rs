@@ -95,15 +95,6 @@ impl NormalizerConfig {
 pub struct NormalizerNodeStats {
     /// Feed frames received (both sides).
     pub frames_in: u64,
-    /// Normalized packets emitted.
-    pub packets_out: u64,
-    /// Records emitted.
-    pub records_out: u64,
-    /// Frames that failed to parse.
-    pub parse_errors: u64,
-    /// Packets discarded because they belong to another normalizer's
-    /// units (circuit fabrics only).
-    pub packets_discarded: u64,
 }
 
 /// The normalizer node.
@@ -208,7 +199,6 @@ impl Normalizer {
                 // Propagate the market event's identity/time so downstream
                 // latency is measured against the original event.
                 let frame = builder.meta(src.meta.clone()).build();
-                self.stats.packets_out += 1;
                 self.svc.send_after(ctx, SimTime::ZERO, OUT, frame);
             }
         }
@@ -217,14 +207,12 @@ impl Normalizer {
     fn on_feed(&mut self, ctx: &mut Context<'_>, frame: &Frame) {
         self.stats.frames_in += 1;
         let Ok(view) = stack::parse_udp(&frame.bytes) else {
-            self.stats.parse_errors += 1;
             return;
         };
         if let Some(accept) = &self.cfg.accept_units {
             // Peek the unit byte; foreign units cost a discard.
             if let Ok(pkt) = tn_wire::pitch::Packet::new_checked(view.payload) {
                 if !accept.contains(&pkt.unit()) {
-                    self.stats.packets_discarded += 1;
                     self.svc.charge(ctx.now(), self.cfg.unit_discard_service);
                     return;
                 }
@@ -232,11 +220,9 @@ impl Normalizer {
         }
         let time_ns = ctx.now().as_ps() / 1_000;
         let msgs_before = self.core.stats().messages_in;
-        let Ok(outputs) = self.core.on_packet(view.payload, time_ns) else {
-            self.stats.parse_errors += 1;
+        if self.core.on_packet(view.payload, time_ns).is_err() {
             return;
-        };
-        self.stats.records_out += outputs.len() as u64;
+        }
         // Every native message costs core time whether or not it survives
         // normalization — the basis of the §3 filtering analysis.
         let consumed = self.core.stats().messages_in - msgs_before;
@@ -345,8 +331,6 @@ mod tests {
         assert_eq!(frames[0].0, SimTime::from_us(1) + SimTime::from_ns(3 * 650));
         let stats = sim.node::<Normalizer>(n).unwrap().stats();
         assert_eq!(stats.frames_in, 1);
-        assert_eq!(stats.packets_out, 1);
-        assert_eq!(stats.records_out, 3);
     }
 
     #[test]
@@ -382,11 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn garbage_counts_parse_errors() {
-        let (mut sim, n, _sink) = rig(NormalizerConfig::new(1, 0));
+    fn garbage_is_dropped() {
+        let (mut sim, n, sink) = rig(NormalizerConfig::new(1, 0));
         let f = sim.frame().fill(|b| b.resize(40, 0xFF)).build();
         sim.inject_frame(SimTime::ZERO, n, FEED_A, f);
         sim.run();
-        assert_eq!(sim.node::<Normalizer>(n).unwrap().stats().parse_errors, 1);
+        assert_eq!(sim.node::<Normalizer>(n).unwrap().stats().frames_in, 1);
+        assert!(sim.node::<Sink>(sink).unwrap().frames.is_empty());
     }
 }

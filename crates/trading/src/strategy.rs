@@ -204,8 +204,6 @@ pub struct StrategyStats {
     pub acks: u64,
     /// Fills received.
     pub fills: u64,
-    /// Rejects received.
-    pub rejects: u64,
 }
 
 /// The strategy node.
@@ -381,7 +379,6 @@ impl<L: StrategyLogic> Strategy<L> {
             match msg {
                 boe::Message::OrderAck { .. } => self.stats.acks += 1,
                 boe::Message::Fill { .. } => self.stats.fills += 1,
-                boe::Message::OrderReject { .. } => self.stats.rejects += 1,
                 _ => {}
             }
         }

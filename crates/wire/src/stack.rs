@@ -216,8 +216,6 @@ pub fn build_tcp(
 /// A parsed view of a UDP frame: addressing plus payload bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpView<'a> {
-    /// L2 destination.
-    pub dst_mac: MacAddr,
     /// L2 source.
     pub src_mac: MacAddr,
     /// L3 source.
@@ -238,7 +236,7 @@ pub fn parse_udp(frame: &[u8]) -> Result<UdpView<'_>> {
     if eth.ethertype() != EtherType::Ipv4 {
         return Err(WireError::BadField);
     }
-    let (dst_mac, src_mac) = (eth.dst(), eth.src());
+    let src_mac = eth.src();
     let ip = ipv4::Packet::new_checked(&frame[eth::HEADER_LEN..])?;
     if ip.protocol() != ipv4::PROTO_UDP {
         return Err(WireError::BadField);
@@ -250,7 +248,6 @@ pub fn parse_udp(frame: &[u8]) -> Result<UdpView<'_>> {
     let payload_start = ip_payload_start + udp::HEADER_LEN;
     let payload_end = ip_payload_start + dgram.len_field() as usize;
     Ok(UdpView {
-        dst_mac,
         src_mac,
         src_ip,
         dst_ip,
@@ -263,8 +260,6 @@ pub fn parse_udp(frame: &[u8]) -> Result<UdpView<'_>> {
 /// A parsed view of a TCP frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpView<'a> {
-    /// L2 destination.
-    pub dst_mac: MacAddr,
     /// L2 source.
     pub src_mac: MacAddr,
     /// L3 source.
@@ -291,7 +286,7 @@ pub fn parse_tcp(frame: &[u8]) -> Result<TcpView<'_>> {
     if eth.ethertype() != EtherType::Ipv4 {
         return Err(WireError::BadField);
     }
-    let (dst_mac, src_mac) = (eth.dst(), eth.src());
+    let src_mac = eth.src();
     let ip = ipv4::Packet::new_checked(&frame[eth::HEADER_LEN..])?;
     if ip.protocol() != ipv4::PROTO_TCP {
         return Err(WireError::BadField);
@@ -302,7 +297,6 @@ pub fn parse_tcp(frame: &[u8]) -> Result<TcpView<'_>> {
     let seg = tcp::Segment::new_checked(&frame[seg_start..seg_end])?;
     let payload_start = seg_start + seg.header_len();
     Ok(TcpView {
-        dst_mac,
         src_mac,
         src_ip,
         dst_ip,
@@ -335,7 +329,8 @@ mod tests {
         );
         assert_eq!(frame.len(), UDP_OVERHEAD + 12);
         let v = parse_udp(&frame).unwrap();
-        assert_eq!(v.dst_mac, MacAddr::ipv4_multicast(group));
+        let dst = eth::Frame::new_checked(&frame[..]).unwrap().dst();
+        assert_eq!(dst, MacAddr::ipv4_multicast(group));
         assert_eq!(v.src_mac, MacAddr::host(1));
         assert_eq!(v.dst_ip, group);
         assert_eq!(v.src_ip, SRC_IP);

@@ -97,7 +97,7 @@ fn designs() -> Vec<(&'static str, Box<dyn TradingNetworkDesign>, Pin)> {
             (1250, 73551),
         ),
         ("design3b", Box::new(FpgaHybrid::default()), (1194, 35093)),
-        ("design2-fair", Box::new(fair_cloud()), (3895, 49178)),
+        ("design2-fair", Box::new(fair_cloud()), (3826, 49178)),
     ]
 }
 
