@@ -122,8 +122,6 @@ pub struct FieldUses {
     /// `push`, `insert`, `extend`, `push_back` or `clear`), or a field
     /// named in a `{ name, .. }` pattern.
     pub reads: BTreeSet<String>,
-    /// Read inside the file's `#[cfg(test)]` regions.
-    pub test_reads: BTreeSet<String>,
     /// Every field-shaped mention, reads and writes alike: `.name`,
     /// `name: ..` and the shorthand `{ name }`, struct literals included.
     pub mentions: BTreeSet<String>,
@@ -530,9 +528,7 @@ fn field_uses(sf: &SourceFile, toks: &[DTok]) -> FieldUses {
             pattern
         };
         uses.mentions.insert(name.clone());
-        if read && sf.lines.get(t.line - 1).is_some_and(|l| l.in_test) {
-            uses.test_reads.insert(name.clone());
-        } else if read {
+        if read && !sf.lines.get(t.line - 1).is_some_and(|l| l.in_test) {
             uses.reads.insert(name.clone());
         }
     }
@@ -780,8 +776,7 @@ mod tests {
         let u = &p.field_uses;
         let reads: Vec<&str> = u.reads.iter().map(String::as_str).collect();
         assert_eq!(reads, ["d", "e", "g", "h", "l", "m"]);
-        let test_reads: Vec<&str> = u.test_reads.iter().map(String::as_str).collect();
-        assert_eq!(test_reads, ["n"]);
+        // `x.n` is read only by a unit test: a mention, not a read.
         for name in ["a", "b", "c", "i", "j", "l", "n"] {
             assert!(u.mentions.contains(name), "{name}");
         }

@@ -239,18 +239,16 @@ fn dead_lint(files: &[(&SourceFile, &ParsedFile)]) -> Vec<Finding> {
 /// The non-test struct fields of [`Reach::Audited`] files that nothing
 /// reads, as `(file, field)` indices into `files[file].0.fields`.
 /// Matching is by name only, so a read of any same-named field keeps a
-/// field. A read counts from any file the walk reads, except from the
-/// field's own file's `#[cfg(test)]` regions; any mention in a
-/// [`Reach::Root`] file, a struct-literal initialiser included, keeps
-/// it, because roots such as the benchmark are not edited to suit the
-/// library.
+/// field. A read counts from any file the walk reads, except from a
+/// `#[cfg(test)]` region: a unit test keeps no field, in its own file or
+/// another. Any mention in a [`Reach::Root`] file, a struct-literal
+/// initialiser included, keeps it, because roots such as the benchmark
+/// are not edited to suit the library.
 pub fn unread_fields(files: &[(&ParsedFile, Reach)]) -> Vec<(usize, usize)> {
-    let read = |name: &str, own: usize| {
-        files.iter().enumerate().any(|(fi, (pf, reach))| {
+    let read = |name: &str| {
+        files.iter().any(|(pf, reach)| {
             let u = &pf.field_uses;
-            u.reads.contains(name)
-                || (fi != own && u.test_reads.contains(name))
-                || (*reach == Reach::Root && u.mentions.contains(name))
+            u.reads.contains(name) || (*reach == Reach::Root && u.mentions.contains(name))
         })
     };
     let mut out = Vec::new();
@@ -259,7 +257,7 @@ pub fn unread_fields(files: &[(&ParsedFile, Reach)]) -> Vec<(usize, usize)> {
             continue;
         }
         for (k, f) in pf.fields.iter().enumerate() {
-            if !f.is_test && !read(&f.name, fi) {
+            if !f.is_test && !read(&f.name) {
                 out.push((fi, k));
             }
         }

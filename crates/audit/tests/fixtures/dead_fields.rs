@@ -7,6 +7,8 @@ pub struct Meter {
     log: Vec<u64>,
     /// Read only by this file's own unit tests: dead.
     pub seen: u64,
+    /// Read only by another file's unit tests: dead.
+    pub tally: u64,
     /// Only initialised: dead.
     born: u64,
     /// Read through a method call on it.
@@ -33,6 +35,7 @@ impl Meter {
             hits: 0,
             log: Vec::new(),
             seen: 0,
+            tally: 0,
             born: 7,
             items: Vec::new(),
             threshold: 3,

@@ -46,4 +46,9 @@ mod tests {
     fn spread_matches_the_reference() {
         assert_eq!(Book.spread(), reference_depth() as u64);
     }
+
+    #[test]
+    fn meters_start_untallied() {
+        assert_eq!(fields::Meter::new().tally, 0);
+    }
 }

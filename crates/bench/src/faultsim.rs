@@ -514,9 +514,9 @@ mod tests {
         // observation sites were folded into one function.
         let content = fnv1a_fold(EMPTY_DIGEST, format!("{p:?}").as_bytes());
         assert_eq!(content, 0x91d0_d4f8_6ac0_6f2d, "{p:?}");
-        // `full()` means the registry and provenance too: the kernel
-        // counted every delivery and timed every hop.
-        let snapshot = sim.metrics_snapshot(0).expect("registry was on");
+        // `full()` means provenance too: the kernel counted every
+        // delivery and timed every hop.
+        let snapshot = sim.metrics_snapshot(0).expect("provenance was on");
         let seen = Telemetry::from_snapshot(&snapshot);
         let total = |name: &str| seen.counter_total("kernel", name);
         assert_eq!(total("deliver"), sim.stats().frames_delivered);
@@ -685,11 +685,11 @@ mod tests {
         );
     }
 
-    /// A finished run's registry snapshot: every counter and
+    /// A finished run's metrics snapshot: every counter and
     /// distribution the kernel and the devices report, in key order.
     fn snapshot(sim: &Simulator) -> Snapshot {
         sim.metrics_snapshot(sim.now().as_ps())
-            .expect("registry was on")
+            .expect("provenance was on")
     }
 
     /// FNV-1a of [`snapshot`], rendered with `Debug`.

@@ -173,7 +173,7 @@ pub struct DecompositionRun {
     /// Largest `|provenance total − measured latency|` over all
     /// deliveries — the reconciliation error, which must be 0.
     pub max_residual_ps: u64,
-    /// Registry snapshot at the deadline (when the registry was on).
+    /// Metrics snapshot at the deadline (when provenance was on).
     pub snapshot: Option<Snapshot>,
     /// Kernel self-profile (when the profiler was on).
     pub profile: Option<KernelProfile>,

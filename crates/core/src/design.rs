@@ -383,7 +383,7 @@ fn collect_report(
         recovery.records_lost += arb.gap_messages;
         recovery.duplicates_absorbed += arb.duplicates;
     }
-    // Snapshot the registry (if the scenario enabled one) at the deadline
+    // Snapshot the metrics (if the scenario turned provenance on) at the deadline
     // the run was driven to — reading it is pure observation.
     let telemetry = sim
         .metrics_snapshot(deadline.as_ps())
@@ -798,7 +798,7 @@ mod tests {
         assert_eq!(r_off.trace_digest, r_on.trace_digest);
         assert_eq!(r_off.events_recorded, r_on.events_recorded);
         assert!(r_off.telemetry.is_none());
-        let t = r_on.telemetry.clone().expect("registry enabled");
+        let t = r_on.telemetry.clone().expect("provenance enabled");
         // Every delivered frame passed the kernel's deliver counter, and
         // the hop decomposition saw real link time.
         assert!(t.counter_total("kernel", "deliver") > 0, "{t:?}");

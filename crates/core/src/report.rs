@@ -135,9 +135,9 @@ pub struct NodeHopStat {
 /// How many hottest nodes [`Telemetry::from_snapshot`] keeps.
 const HOTTEST_NODES: usize = 5;
 
-/// Telemetry section of a report, distilled from a metrics-registry
-/// snapshot when the scenario enables recording
-/// (`ScenarioConfig::obs.registry`); absent otherwise. Purely an *output*
+/// Telemetry section of a report, distilled from the kernel's metrics
+/// snapshot when the scenario turns provenance on
+/// (`ScenarioConfig::obs.provenance`); absent otherwise. Purely an *output*
 /// of the run — whether it is collected never changes the trace digest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
@@ -147,13 +147,13 @@ pub struct Telemetry {
     pub hops: Vec<HopKindStat>,
     /// Top nodes by accumulated hop time, descending (ties by node id).
     pub hottest_nodes: Vec<NodeHopStat>,
-    /// Every counter in the registry: `(scope, name, node, value)`, in
+    /// Every counter in the snapshot: `(scope, name, node, value)`, in
     /// key order.
     pub counters: Vec<(String, String, Option<u32>, u64)>,
 }
 
 impl Telemetry {
-    /// Distill a registry snapshot: aggregate the per-`(kind, node)` hop
+    /// Distill a metrics snapshot: aggregate the per-`(kind, node)` hop
     /// distributions into per-kind and per-node totals, and carry the
     /// counters through verbatim.
     pub fn from_snapshot(snap: &Snapshot) -> Telemetry {
@@ -322,8 +322,8 @@ pub struct DesignReport {
     pub trace: Vec<TraceEvent>,
     /// Degraded-mode accounting (all-zero for clean runs).
     pub recovery: RecoveryStats,
-    /// Latency decomposition and counters, when the scenario enabled the
-    /// metrics registry (`ScenarioConfig::obs.registry`).
+    /// Latency decomposition and counters, when the scenario turned
+    /// provenance on (`ScenarioConfig::obs.provenance`).
     pub telemetry: Option<Telemetry>,
     /// Kernel self-profile (dispatch counters, queue-depth series,
     /// scheduler and arena statistics), when the scenario enabled the

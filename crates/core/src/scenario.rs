@@ -108,8 +108,8 @@ pub struct ScenarioConfig {
     /// spec degrades the A feed (and, where a design has only one feed
     /// path, the feed) while order entry stays clean.
     pub feed_fault: Option<FaultSpec>,
-    /// Telemetry switches (provenance, metrics registry, trace export).
-    /// Off by default; turning any of them on never changes a run's
+    /// Telemetry switches (provenance with its metrics snapshot, flight
+    /// ring, profile, trace storage). Off by default; turning any of them on never changes a run's
     /// event schedule or trace digest (pinned by `tn-audit divergence`).
     pub obs: ObsConfig,
     /// Event scheduler the kernel runs on. The default stays the
@@ -289,7 +289,8 @@ impl ScenarioBuilder {
         tick_interval: SimTime,
     }
 
-    /// Telemetry switches (provenance, metrics registry, trace export).
+    /// Telemetry switches (provenance with its metrics snapshot, flight
+    /// ring, profile, trace storage).
     pub fn obs(mut self, obs: ObsConfig) -> ScenarioBuilder {
         self.cfg.obs = obs;
         self

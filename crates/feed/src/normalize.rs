@@ -14,23 +14,17 @@ use tn_wire::{Result, Symbol};
 use crate::arb::Arbiter;
 use crate::bookbuild::BookBuilder;
 
-/// Maps a symbol to the firm's internal partition.
-pub trait Repartition {
-    /// Partition for `symbol` (dense, `< partitions()`).
-    fn partition_for(&self, symbol: Symbol) -> u16;
-    /// Total partitions.
-    fn partitions(&self) -> u16;
-}
-
-/// FNV-hash repartitioning over a fixed count (the firm-internal default;
-/// the paper notes one strategy's partition count growing 600 → 1300).
+/// Maps a symbol to the firm's internal partition by FNV hash over a
+/// fixed count (the paper notes one strategy's partition count growing
+/// 600 → 1300).
 #[derive(Debug, Clone, Copy)]
 pub struct HashRepartition {
     /// Partition count.
     pub partitions: u16,
 }
 
-impl Repartition for HashRepartition {
+impl HashRepartition {
+    /// Partition for `symbol` (dense, `< partitions`).
     fn partition_for(&self, symbol: Symbol) -> u16 {
         let mut h = 0xcbf29ce484222325u64;
         for b in symbol.0 {
@@ -38,10 +32,6 @@ impl Repartition for HashRepartition {
             h = h.wrapping_mul(0x100000001b3);
         }
         (h % u64::from(self.partitions.max(1))) as u16
-    }
-
-    fn partitions(&self) -> u16 {
-        self.partitions
     }
 }
 
@@ -85,9 +75,9 @@ pub struct NormStats {
 
 /// The normalizer core for one exchange's feed: the merge stage
 /// (A/B arbitration), then decode into normalized records.
-pub struct NormalizerCore<R: Repartition> {
+pub struct NormalizerCore {
     arbiter: Arbiter,
-    decode: Decode<R>,
+    decode: Decode,
     stats: NormStats,
     /// Records of the last packet, lent until the next.
     out: Vec<NormalizerOutput>,
@@ -97,16 +87,16 @@ pub struct NormalizerCore<R: Repartition> {
 
 /// The decode stage: book state, symbol ids and the partition map. Apart
 /// from the arbiter, so it can run over the messages the arbiter lends.
-struct Decode<R: Repartition> {
+struct Decode {
     exchange_id: u8,
     builder: BookBuilder,
     interner: MapInterner,
-    repartition: R,
+    repartition: HashRepartition,
 }
 
-impl<R: Repartition> NormalizerCore<R> {
-    /// A normalizer for `exchange_id`'s feed, repartitioning with `r`.
-    pub fn new(exchange_id: u8, repartition: R) -> NormalizerCore<R> {
+impl NormalizerCore {
+    /// A normalizer for `exchange_id`'s feed, repartitioning with `repartition`.
+    pub fn new(exchange_id: u8, repartition: HashRepartition) -> NormalizerCore {
         NormalizerCore {
             arbiter: Arbiter::new(),
             decode: Decode {
@@ -160,7 +150,7 @@ impl<R: Repartition> NormalizerCore<R> {
     }
 }
 
-impl<R: Repartition> Decode<R> {
+impl Decode {
     fn normalize(
         &mut self,
         msg: &Message,
@@ -428,6 +418,5 @@ mod tests {
         let max = counts.iter().max().unwrap();
         let min = counts.iter().min().unwrap();
         assert!(max < &(2 * min), "{counts:?}");
-        assert_eq!(r.partitions(), 16);
     }
 }

@@ -27,7 +27,7 @@
 //! in-order, so the machinery would never fire.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use tn_netdev::TxQueue;
 use tn_sim::{Context, FastMap, Frame, Node, PortId, SimTime, TimerToken};
@@ -38,6 +38,7 @@ use crate::feedpub::FeedPublisher;
 use crate::flow::{FlowMix, OrderFlowGenerator};
 use crate::partition::PartitionScheme;
 use crate::symbols::SymbolDirectory;
+use crate::workload::poisson;
 
 /// Timer token for the background-flow tick.
 pub const TICK: TimerToken = TimerToken(100);
@@ -404,7 +405,7 @@ impl Node for Exchange {
         if timer == TICK {
             let secs = self.cfg.tick_interval.as_secs_f64();
             let lambda = self.cfg.background_rate * secs;
-            let events = sample_poisson(&mut self.rng, lambda);
+            let events = poisson(&mut self.rng, lambda);
             self.run_background(ctx, events as u32);
             let interval = self.cfg.tick_interval;
             ctx.set_timer(interval, TICK);
@@ -417,28 +418,6 @@ impl Node for Exchange {
             }
         }
     }
-}
-
-fn sample_poisson(rng: &mut SmallRng, lambda: f64) -> u64 {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda < 64.0 {
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    (lambda + lambda.sqrt() * z).max(0.0).round() as u64
 }
 
 #[cfg(test)]

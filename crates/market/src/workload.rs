@@ -34,7 +34,7 @@ fn std_normal(rng: &mut SmallRng) -> f64 {
 /// Sample Poisson(λ). Exact (Knuth) for small λ, normal approximation for
 /// large λ — event counts here reach 10⁶ per window, where the
 /// approximation error is far below calibration tolerances.
-fn poisson(rng: &mut SmallRng, lambda: f64) -> u64 {
+pub(crate) fn poisson(rng: &mut SmallRng, lambda: f64) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }

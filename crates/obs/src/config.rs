@@ -7,12 +7,11 @@
 /// must not change a run's trace digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Accumulate per-hop [`crate::Provenance`] segments on every frame.
+    /// Accumulate per-hop [`crate::Provenance`] segments on every frame,
+    /// and keep what a metrics snapshot reads: each node's hop
+    /// distributions and dispatch counts. A snapshot is built from those,
+    /// the per-reason link-drop counts and every device's own counters.
     pub provenance: bool,
-    /// Keep a [`crate::MetricsRegistry`]: the kernel records link-drop
-    /// reasons and hop distributions into it, and a snapshot adds the
-    /// kernel's dispatch counts and every device's own counters.
-    pub registry: bool,
     /// Keep a ring of the last `flight_capacity` kernel events in a
     /// [`crate::FlightRecorder`], dumped on panic or on demand; 0 keeps
     /// none. Memory use is `capacity * size_of::<FlightRecord>()`, fixed
@@ -43,19 +42,17 @@ impl ObsConfig {
     pub const fn off() -> ObsConfig {
         ObsConfig {
             provenance: false,
-            registry: false,
             flight_capacity: 0,
             profile: false,
             trace: false,
         }
     }
 
-    /// Everything bounded on: provenance, registry, flight recorder, and
-    /// kernel profiler. Trace storage, which is not bounded, stays off.
+    /// Everything bounded on: provenance (and with it metrics snapshots),
+    /// flight recorder, and kernel profiler. Trace storage, which is not bounded, stays off.
     pub const fn full() -> ObsConfig {
         ObsConfig {
             provenance: true,
-            registry: true,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             profile: true,
             trace: false,
@@ -80,9 +77,9 @@ mod tests {
     #[test]
     fn defaults_are_off() {
         assert_eq!(ObsConfig::default(), ObsConfig::off());
-        let flags = |c: ObsConfig| [c.provenance, c.registry, c.profile];
-        assert_eq!(flags(ObsConfig::off()), [false; 3]);
-        assert_eq!(flags(ObsConfig::full()), [true; 3]);
+        let flags = |c: ObsConfig| [c.provenance, c.profile];
+        assert_eq!(flags(ObsConfig::off()), [false; 2]);
+        assert_eq!(flags(ObsConfig::full()), [true; 2]);
         assert_eq!(ObsConfig::off().flight_capacity, 0);
         assert_eq!(ObsConfig::full().flight_capacity, DEFAULT_FLIGHT_CAPACITY);
         assert!(!ObsConfig::full().trace, "no preset stores the trace");

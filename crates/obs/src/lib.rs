@@ -11,10 +11,10 @@
 //!   into processing vs. queueing vs. serialization vs. propagation time.
 //! - [`MetricsRegistry`] — counters and histograms keyed by
 //!   `(scope, name, node)` in `BTreeMap`s (deterministic iteration),
-//!   snapshotted at simulated times. The simulator's registry holds only
-//!   what the kernel alone sees; a snapshot adds the kernel's dispatch
-//!   counts from its per-node count rows and each device's counters from
-//!   the stats the device keeps.
+//!   built at snapshot time. The simulator keeps no registry during a run:
+//!   a snapshot is built fresh from plain counts — its per-reason link
+//!   drops, per-node hop distributions and dispatch count rows, and the
+//!   stats each device keeps.
 //! - [`TraceWriter`] / [`parse`] / [`TraceSummary`] — the
 //!   versioned `tn-trace/v1` JSONL span/event export and its summarizer.
 //! - [`FlightRecorder`] — tn-flight: a bounded ring of the last N kernel

@@ -113,9 +113,9 @@ enum Metric {
 /// Deterministic metrics store: `BTreeMap`-keyed (stable iteration order),
 /// fed only with simulated-time values, snapshotted on demand.
 ///
-/// A simulator keeps one while its registry is on, holding what only the
-/// kernel sees (link-drop reasons, hop distributions); a snapshot copies
-/// it and has every node and link add the counters it keeps itself.
+/// No simulator writes one during a run: a snapshot builds a fresh one
+/// from the kernel's plain counts and has every node and link add the
+/// counters it keeps itself.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<MetricKey, Metric>,

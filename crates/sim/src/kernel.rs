@@ -8,10 +8,10 @@
 //! Two functions are the only way in and out of the loop's bookkeeping.
 //! `Simulator::observe` is the observation spine: a delivery, a fired
 //! timer, an unrouted frame and a link drop are each counted once there —
-//! in [`SimStats`] and, while a profile or a registry will read them, in
+//! in [`SimStats`] and, while a profile or provenance will read them, in
 //! the node's count row — and recorded in the trace (or, on a shard, the
 //! window log) and the flight ring, from there and from nowhere else.
-//! The profile's dispatch counts and the registry's `kernel/*` counters
+//! The profile's dispatch counts and a snapshot's `kernel/*` counters
 //! are views of the rows, computed when read.
 //! `Simulator::schedule` is the only place an event gets its seq, and
 //! with `schedule_frame` the only place a shard tells the merge leader
@@ -30,8 +30,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use tn_obs::{
-    FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler, MetricsRegistry,
-    NodeProfile, ObsConfig, Snapshot,
+    Distribution, FlightKind, FlightRecord, FlightRecorder, KernelProfile, KernelProfiler,
+    MetricsRegistry, NodeProfile, ObsConfig, SegmentKind, Snapshot,
 };
 
 use crate::context::{Context, TimerToken};
@@ -186,18 +186,20 @@ pub struct SimStats {
     pub frames_delivered: u64,
     /// Frames dropped by links (loss, queue overflow, MTU).
     pub frames_dropped: u64,
+    /// `frames_dropped` split by [`DropReason`], indexed by `reason as usize`.
+    pub link_drops: [u64; DropReason::ALL.len()],
     /// Frames sent out of ports with no link attached.
     pub frames_unrouted: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
 }
 
-/// Registry names of the four [`Seen`] kinds, in the order of
+/// Snapshot names of the four [`Seen`] kinds, in the order of
 /// [`NodeCounts::seen`].
 const SEEN_NAMES: [&str; 4] = ["deliver", "timer", "unrouted", "drop"];
 
 /// One node's share of what `Simulator::observe` saw: the row the
-/// profile's dispatch counts and the registry's `kernel/*` counters are
+/// profile's dispatch counts and a snapshot's `kernel/*` counters are
 /// read from. Kept beside the slots rather than in them, so
 /// [`NodeSlot`] stays 40 bytes.
 #[derive(Clone, Copy)]
@@ -280,13 +282,13 @@ pub struct Simulator {
     pub(crate) arena: FrameArena,
     pub(crate) stats: SimStats,
     pub(crate) provenance: bool,
-    /// The registry's kernel-only part (link-drop reasons, hop
-    /// distributions) while the registry is on.
-    pub(crate) metrics: Option<MetricsRegistry>,
+    /// Each node's hop durations by [`SegmentKind`] while provenance is
+    /// on, empty otherwise (see `Simulator::sync_rows`).
+    hops: Vec<[Option<Distribution>; SegmentKind::ALL.len()]>,
     pub(crate) flight: FlightRecorder,
     pub(crate) profiler: KernelProfiler,
-    /// One count row per node while a profile or a registry will read
-    /// them, empty otherwise (see `Simulator::sync_counts`).
+    /// One count row per node while a profile or provenance will read
+    /// them, empty otherwise (see `Simulator::sync_rows`).
     pub(crate) counts: Vec<NodeCounts>,
     /// `Some` while this simulator runs as one shard of a partitioned
     /// run: dispatches append reconciliation entries here instead of
@@ -323,7 +325,7 @@ impl Simulator {
             arena: FrameArena::new(),
             stats: SimStats::default(),
             provenance: false,
-            metrics: None,
+            hops: Vec::new(),
             flight: FlightRecorder::disabled(),
             profiler: KernelProfiler::disabled(),
             counts: Vec::new(),
@@ -337,31 +339,41 @@ impl Simulator {
     /// [`FrameMeta`](crate::FrameMeta) at each transmit: processing time inside the source
     /// node, then the link traversal decomposed via [`Link::decompose`].
     ///
+    /// While on, the kernel also keeps each node's hop durations by
+    /// segment kind and count rows, which [`Simulator::metrics_snapshot`]
+    /// reads; turning it off drops the hop rows.
+    ///
     /// Provenance is pure side-state — it never draws randomness,
     /// schedules events, or feeds the trace digest, so toggling it cannot
     /// change a run's digest (pinned by `tn-audit divergence`).
     pub fn set_provenance(&mut self, on: bool) {
         self.provenance = on;
+        self.sync_rows();
     }
 
-    /// Turn the metrics registry on (a fresh one) or off. The kernel
-    /// records link-drop reasons and, with provenance on, per-hop latency
-    /// distributions into it; everything else in a snapshot is read at
-    /// snapshot time (see [`Simulator::metrics_snapshot`]). Like
-    /// provenance, recording is pure side-state.
-    pub fn set_metrics(&mut self, on: bool) {
-        self.metrics = on.then(MetricsRegistry::new);
-        self.sync_counts();
-    }
-
-    /// Snapshot the metrics registry at simulated time `at_ps`: the
-    /// kernel's own records, every node's and link's counters from
-    /// [`Node::metrics`] and [`Link::metrics`], and the
-    /// `kernel/{deliver,timer,unrouted,drop}` counters per node from the
-    /// count rows, in `(scope, name, node)` order. Zero counts leave no
-    /// entry. `None` unless the registry is on.
+    /// Snapshot the run's counters at simulated time `at_ps`, built fresh
+    /// from plain counts: `link_drop/<reason>` from
+    /// [`SimStats::link_drops`], `hop/<kind>` per node from the hop rows,
+    /// every node's and link's counters from [`Node::metrics`] and
+    /// [`Link::metrics`], and `kernel/{deliver,timer,unrouted,drop}` per
+    /// node from the count rows, in `(scope, name, node)` order. Zero
+    /// counts and empty distributions leave no entry. `None` unless
+    /// provenance is on.
     pub fn metrics_snapshot(&self, at_ps: u64) -> Option<Snapshot> {
-        let mut reg = self.metrics.clone()?;
+        if !self.provenance {
+            return None;
+        }
+        let mut reg = MetricsRegistry::new();
+        for (reason, &n) in DropReason::ALL.iter().zip(&self.stats.link_drops) {
+            reg.add("link_drop", reason.name(), None, n);
+        }
+        for (node, row) in self.hops.iter().enumerate() {
+            for (kind, d) in SegmentKind::ALL.iter().zip(row) {
+                if let Some(d) = d {
+                    reg.merge("hop", kind.name(), Some(node as u32), d);
+                }
+            }
+        }
         for (id, slot) in self.nodes.iter().enumerate() {
             if let Some(node) = slot.as_ref().and_then(|s| s.node.as_ref()) {
                 node.metrics(NodeId(id as u32), &mut reg);
@@ -378,14 +390,21 @@ impl Simulator {
         Some(reg.snapshot(at_ps))
     }
 
-    /// Keep one count row per node while a profile or a registry will
-    /// read them, and none otherwise, so an unobserved run carries no
-    /// rows. Rows already counted survive while either reader stays on.
-    fn sync_counts(&mut self) {
-        if self.profiler.is_enabled() || self.metrics.is_some() {
-            self.counts.resize(self.nodes.len(), NodeCounts::idle(0));
+    /// Keep one count row per node while a profile or provenance will
+    /// read them, and one hop row per node while provenance is on; none
+    /// otherwise, so an unobserved run carries no rows. Rows already
+    /// counted survive while a reader stays on.
+    fn sync_rows(&mut self) {
+        let n = self.nodes.len();
+        if self.profiler.is_enabled() || self.provenance {
+            self.counts.resize(n, NodeCounts::idle(0));
         } else {
             self.counts = Vec::new();
+        }
+        if self.provenance {
+            self.hops.resize_with(n, Default::default);
+        } else {
+            self.hops = Vec::new();
         }
     }
 
@@ -425,8 +444,8 @@ impl Simulator {
     /// Enable or disable the deterministic kernel self-profiler.
     /// Enabling restarts the schedule stream (push count, queue depths).
     /// The dispatch counts are the kernel's count rows: enabling starts
-    /// them from zero unless a live registry already keeps them, and
-    /// disabling drops them unless the registry still reads them. Like
+    /// them from zero unless provenance already keeps them, and
+    /// disabling drops them unless provenance still reads them. Like
     /// the flight recorder, profiling is pure side-state and cannot move
     /// a run's digest.
     pub fn set_profile(&mut self, on: bool) {
@@ -435,19 +454,16 @@ impl Simulator {
         } else {
             KernelProfiler::disabled()
         };
-        self.sync_counts();
+        self.sync_rows();
     }
 
-    /// Switch on everything `obs` asks of the kernel: per-hop provenance,
-    /// a fresh metrics registry, the flight ring at its configured
+    /// Switch on everything `obs` asks of the kernel: per-hop provenance
+    /// (and with it the snapshot's rows), the flight ring at its configured
     /// capacity, the profiler and trace storage. What `obs` leaves off
     /// stays as it was. Call it on an empty simulator.
     pub fn set_obs(&mut self, obs: &ObsConfig) {
         if obs.provenance {
             self.set_provenance(true);
-        }
-        if obs.registry {
-            self.set_metrics(true);
         }
         if obs.flight_capacity > 0 {
             self.set_flight_capacity(obs.flight_capacity as usize);
@@ -519,7 +535,7 @@ impl Simulator {
         self.names.push(name.into());
         // Registration is the cold path that sizes the count rows, so
         // dispatch-time counting is pure indexing.
-        self.sync_counts();
+        self.sync_rows();
         id
     }
 
@@ -801,7 +817,7 @@ impl Simulator {
     /// timer), and tell the record sinks. No other kernel code counts a
     /// delivery, timer or drop, and each is counted once — in
     /// [`SimStats`] and, while kept, the node's row — so the profile and
-    /// registry views read back the same count. Serial and window mode
+    /// snapshot views read back the same count. Serial and window mode
     /// differ only in the last step: a shard logs the trace record it
     /// would have made — a delivery or timer record opens that
     /// dispatch's block, keyed by the popped seq — for the merge leader
@@ -830,10 +846,8 @@ impl Simulator {
             }
             Seen::LinkDrop(reason) => {
                 self.stats.frames_dropped += 1;
-                // The row keeps no reason; the registry does.
-                if let Some(m) = &mut self.metrics {
-                    m.inc("link_drop", reason.name(), None);
-                }
+                // The row keeps no reason; the stats do.
+                self.stats.link_drops[reason as usize] += 1;
                 (3, TraceKind::Drop)
             }
         };
@@ -842,7 +856,7 @@ impl Simulator {
         } else {
             FlightKind::Dispatch
         };
-        // Rows exist only while a profile or a registry reads them, so an
+        // Rows exist only while a profile or provenance reads them, so an
         // unobserved run pays one failed bounds check here.
         if let Some(row) = self.counts.get_mut(node.0 as usize) {
             row.seen[seen_at] += 1;
@@ -946,7 +960,7 @@ impl Simulator {
     }
 
     /// Accumulate provenance for a hop that will complete at `deliver_at`
-    /// and record the new segments into the metrics registry. Pure
+    /// and count the new segments into the hop rows. Pure
     /// side-state over `frame.meta`; the event schedule is untouched.
     fn record_hop_provenance(
         &mut self,
@@ -978,10 +992,10 @@ impl Simulator {
             timing.serialize.as_ps(),
             timing.propagate.as_ps(),
         );
-        if let Some(m) = &mut self.metrics {
-            for seg in &prov.segments()[before..] {
-                m.observe("hop", seg.kind.name(), Some(seg.node), seg.duration_ps());
-            }
+        for seg in &prov.segments()[before..] {
+            self.hops[seg.node as usize][seg.kind as usize]
+                .get_or_insert_with(Distribution::default)
+                .observe(seg.duration_ps());
         }
     }
 
@@ -1509,7 +1523,10 @@ mod tests {
         // The arena section is folded in from the simulator.
         assert_eq!(p.arena_allocated, sim.arena.stats().allocated);
         assert!(sim.profile().is_some(), "snapshot is repeatable");
-        assert!(sim.metrics_snapshot(0).is_none(), "no registry to read");
+        assert!(
+            sim.metrics_snapshot(0).is_none(),
+            "no snapshot without provenance"
+        );
         sim.set_profile(false);
         assert!(sim.profile().is_none());
         assert!(sim.counts.is_empty(), "no reader, no rows");
@@ -1586,9 +1603,11 @@ mod tests {
         assert_eq!(rows, vec![(0, 1, 10), (5, 1, 20)]);
     }
 
-    /// Sum of the registry view's `kernel/<name>` counters over nodes.
+    /// Sum of the snapshot's `kernel/<name>` counters over nodes.
     fn kernel_total(sim: &Simulator, name: &str) -> u64 {
-        let snap = sim.metrics_snapshot(sim.now().as_ps()).expect("registry");
+        let snap = sim
+            .metrics_snapshot(sim.now().as_ps())
+            .expect("provenance is on");
         snap.entries
             .iter()
             .filter(|e| e.scope == "kernel" && e.name == name)
@@ -1602,7 +1621,7 @@ mod tests {
     #[test]
     fn kernel_counters_survive_the_profile_coming_and_going() {
         let mut sim = Simulator::new(7);
-        sim.set_metrics(true);
+        sim.set_provenance(true);
         let a = bouncing_pair(&mut sim);
         let f = sim.frame().zeroed(64).build();
         sim.inject_frame(SimTime::ZERO, a, PortId(0), f);
@@ -1615,8 +1634,9 @@ mod tests {
         sim.run_until(SimTime::from_us(1));
         sim.set_profile(false);
         assert_eq!(kernel_total(&sim, "deliver"), sim.stats().frames_delivered);
-        sim.set_metrics(false);
+        sim.set_provenance(false);
         assert!(sim.counts.is_empty(), "no reader, no rows");
+        assert!(sim.hops.is_empty(), "no provenance, no hop rows");
     }
 
     /// Refuses every frame, without the kernel coin, and counts them.
@@ -1635,6 +1655,19 @@ mod tests {
         }
         fn metrics(&self, into: &mut MetricsRegistry) {
             into.add("feed", "gap", None, self.refused);
+        }
+    }
+
+    /// Delivers 100 ns after the offer but advertises 5 ns of
+    /// propagation, so each hop splits into queueing and propagation.
+    struct Late;
+
+    impl Link for Late {
+        fn transmit(&mut self, now: SimTime, _: usize, _: f64) -> LinkOutcome {
+            LinkOutcome::Deliver(now + SimTime::from_ns(100))
+        }
+        fn propagation(&self) -> SimTime {
+            SimTime::from_ns(5)
         }
     }
 
@@ -1668,25 +1701,31 @@ mod tests {
     #[test]
     fn metrics_snapshot_equals_a_registry_fed_through_inc() {
         let mut sim = Simulator::new(7);
-        sim.set_metrics(true);
+        sim.set_provenance(true);
         let spray = sim.add_node("spray", Spray { ticks: 0 });
         let sink = sim.add_node(
             "sink",
             Repeater {
                 seen: vec![],
-                bounce: false,
+                bounce: true,
             },
         );
-        let wire = IdealLink::new(SimTime::from_ns(5));
-        sim.install_link(spray, PortId(0), sink, PortId(0), Box::new(wire));
+        sim.install_link(spray, PortId(0), sink, PortId(0), Box::new(Late));
         sim.install_link(spray, PortId(1), sink, PortId(1), Box::<Refuse>::default());
+        let back = IdealLink::new(SimTime::from_ns(3));
+        sim.install_link(sink, PortId(0), spray, PortId(0), Box::new(back));
         sim.schedule_timer(SimTime::ZERO, spray, TimerToken(1));
         sim.run();
-        // The registry path: one `inc` per observation. The node's and
-        // the link's views add scopes sorting before and after "kernel",
-        // per node and not; their zero count leaves no key.
+        // The registry path: one `inc` or `observe` per observation. The
+        // node's and the link's views add scopes sorting before and after
+        // "kernel", per node and not; their zero count leaves no key.
+        // Each frame the sink bounces back adds a hop of its own.
         let mut want = MetricsRegistry::new();
         for _ in 0..4 {
+            want.observe("hop", "queue", Some(spray.0), 95_000);
+            want.observe("hop", "propagate", Some(spray.0), 5_000);
+            want.observe("hop", "propagate", Some(sink.0), 3_000);
+            want.inc("kernel", "deliver", Some(spray.0));
             want.inc("feed", "gap", None);
             want.inc("feed", "gap", Some(spray.0));
             want.inc("zone", "last", None);

@@ -72,7 +72,7 @@ pub use time::SimTime;
 pub use trace::{fnv1a_fold, fold_event, TraceEvent, TraceKind, TraceLog, EMPTY_DIGEST};
 
 /// Re-export of the telemetry types the kernel integrates with (see
-/// [`Simulator::set_provenance`] / [`Simulator::set_metrics`] /
+/// [`Simulator::set_provenance`] / [`Simulator::metrics_snapshot`] /
 /// [`Simulator::set_flight_capacity`] / [`Simulator::set_profile`]), so
 /// models can name them without depending on `tn-obs` directly.
 pub use tn_obs::{

@@ -45,6 +45,14 @@ pub enum DropReason {
 }
 
 impl DropReason {
+    /// Every reason, in declaration order (`reason as usize` indexes it).
+    pub const ALL: [DropReason; 4] = [
+        DropReason::QueueOverflow,
+        DropReason::RandomLoss,
+        DropReason::Mtu,
+        DropReason::LinkDown,
+    ];
+
     /// Stable lowercase name, used in metrics keys and diagnostics.
     pub fn name(self) -> &'static str {
         match self {

@@ -22,7 +22,7 @@ impl PortId {
 /// Implementations are switches, NICs/hosts, exchange front-ends, capture
 /// taps, and the trading-firm application tier. All state lives inside the
 /// implementor; all interaction with the world goes through [`Context`],
-/// and the registry reads a node's counters through [`Node::metrics`].
+/// and a metrics snapshot reads a node's counters through [`Node::metrics`].
 ///
 /// `Send` is a supertrait so a sharded run can move each shard's nodes
 /// onto its own OS thread; node state is plain data in practice, so this

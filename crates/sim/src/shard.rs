@@ -44,7 +44,7 @@
 //! consumes the kernel coin (per-shard PRNG streams differ from the
 //! serial stream). A shard carries the kernel profile and the trace and
 //! no other telemetry, so [`ShardedSimulator::split`] also refuses a
-//! simulator with provenance, the metrics registry or the flight ring on.
+//! simulator with provenance or the flight ring on.
 
 use std::collections::BTreeMap;
 
@@ -147,7 +147,7 @@ pub enum ShardError {
     /// The manual assignment does not cover the topology.
     BadAssignment(String),
     /// The simulator has a sink on that a shard does not carry
-    /// (`"provenance"`, `"registry"` or `"flight"`).
+    /// (`"provenance"` or `"flight"`).
     Telemetry(&'static str),
 }
 
@@ -393,13 +393,12 @@ pub struct ShardedSimulator {
 impl ShardedSimulator {
     /// Split a built simulator into shards under `plan`. Fails (dropping
     /// the simulator) when the plan violates a protocol precondition or
-    /// the simulator has provenance, the registry or the flight ring on;
+    /// the simulator has provenance or the flight ring on;
     /// call [`ShardPlan::validate`] first to keep the simulator on error.
     pub fn split(mut sim: Simulator, plan: &ShardPlan) -> Result<ShardedSimulator, ShardError> {
         plan.validate(&sim)?;
         for (on, sink) in [
             (sim.provenance, "provenance"),
-            (sim.metrics.is_some(), "registry"),
             (sim.flight.is_enabled(), "flight"),
         ] {
             if on {
@@ -774,6 +773,9 @@ impl ShardedSimulator {
             sim.stats.events_processed += st.events_processed;
             sim.stats.frames_delivered += st.frames_delivered;
             sim.stats.frames_dropped += st.frames_dropped;
+            for (mine, theirs) in sim.stats.link_drops.iter_mut().zip(st.link_drops) {
+                *mine += theirs;
+            }
             sim.stats.frames_unrouted += st.frames_unrouted;
             sim.stats.timers_fired += st.timers_fired;
             let arena = std::mem::take(&mut sh.arena);
@@ -1033,12 +1035,11 @@ mod tests {
     #[test]
     fn split_refuses_every_sink_a_shard_does_not_carry() {
         let plan = ShardPlan::manual(vec![0, 0, 1, 1]);
-        for sink in ["provenance", "registry", "flight"] {
+        for sink in ["provenance", "flight"] {
             let mut sim = build_line(SchedulerKind::BinaryHeap);
             sim.set_profile(true);
             match sink {
                 "provenance" => sim.set_provenance(true),
-                "registry" => sim.set_metrics(true),
                 _ => sim.set_flight_capacity(8),
             }
             let err = ShardedSimulator::split(sim, &plan).err();

@@ -100,7 +100,7 @@ pub struct NormalizerNodeStats {
 /// The normalizer node.
 pub struct Normalizer {
     cfg: NormalizerConfig,
-    core: NormalizerCore<HashRepartition>,
+    core: NormalizerCore,
     /// One packet builder per output partition; each carries its
     /// partition's sequence across packets.
     builders: Vec<norm::PacketBuilder>,
@@ -143,7 +143,7 @@ impl Normalizer {
     }
 
     /// Core (arbitration/gap) statistics.
-    pub fn core(&self) -> &NormalizerCore<HashRepartition> {
+    pub fn core(&self) -> &NormalizerCore {
         &self.core
     }
 

@@ -25,7 +25,6 @@ fn main() {
     // — it just also says what the kernel did to produce it.
     let obs = ObsConfig {
         provenance: false,
-        registry: false,
         ..ObsConfig::full()
     };
     let scenario = ScenarioConfig::builder(42)

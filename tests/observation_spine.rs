@@ -1,6 +1,6 @@
 //! What the trace digest cannot see. The digest pins *which* events ran;
 //! it says nothing about whether each one also reached the statistics,
-//! the metrics registry, the kernel profiler and the flight recorder.
+//! the metrics snapshot, the kernel profiler and the flight recorder.
 //! These tests pin that: the content of the telemetry a fully-observed
 //! quickstart produces, and — on a small plant that exercises every kind
 //! of kernel observation — that all the sinks agree with one another and
@@ -192,6 +192,26 @@ fn registry_totals(sim: &Simulator) -> [u64; 5] {
         counter("kernel", "drop"),
         counter("link_drop", "random_loss"),
     ]
+}
+
+#[test]
+fn provenance_alone_snapshots_what_full_observation_does() {
+    let deadline = SimTime::from_us(3);
+    let snapshot = |obs| {
+        let mut sim = plant(obs);
+        sim.run_until(deadline);
+        sim.metrics_snapshot(deadline.as_ps())
+            .expect("provenance is on")
+    };
+    let full = snapshot(ObsConfig::full());
+    let mut scopes: Vec<&str> = full.entries.iter().map(|e| e.scope.as_str()).collect();
+    scopes.dedup();
+    assert_eq!(scopes, ["hop", "kernel", "link_drop"]);
+    let provenance = ObsConfig {
+        provenance: true,
+        ..ObsConfig::off()
+    };
+    assert_eq!(snapshot(provenance), full);
 }
 
 /// Flight records: schedule, dispatch, drop, frame builds.

@@ -151,7 +151,6 @@ fn run_plan(plan: &Plan, telemetry: bool) -> (u64, u64, Deliveries) {
     let mut sim = Simulator::new(plan.seed);
     if telemetry {
         sim.set_provenance(true);
-        sim.set_metrics(true);
     }
     let src = sim.add_node(
         "src",

@@ -184,7 +184,6 @@ fn run_plan(plan: &Plan, kind: SchedulerKind, faults: bool, telemetry: bool) -> 
     let mut sim = Simulator::with_scheduler(plan.seed, kind);
     if telemetry {
         sim.set_provenance(true);
-        sim.set_metrics(true);
     }
     let src = sim.add_node(
         "src",
