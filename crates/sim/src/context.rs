@@ -57,6 +57,10 @@ impl Context<'_> {
     /// [`FrameArena`](crate::FrameArena), while identity, birth time, and
     /// metadata are preserved — replicas keep the original
     /// [`FrameId`](crate::FrameId) so capture taps can correlate them.
+    ///
+    /// Inline, so that a clone handed straight to a send or a timer
+    /// reaches the event queue in registers, not through a stack copy.
+    #[inline]
     pub fn clone_frame(&mut self, frame: &Frame) -> Frame {
         let mut bytes = self.sim.arena.take();
         bytes.extend_from_slice(&frame.bytes);

@@ -38,7 +38,7 @@ use crate::context::{Context, TimerToken};
 use crate::frame::{Frame, FrameArena, FrameBuilder, FrameId};
 use crate::link::{DropReason, Link, LinkOutcome};
 use crate::node::{Node, NodeId, PortId};
-use crate::sched::{EventKind, EventQueue, QueuedEvent, Scheduler, SchedulerKind};
+use crate::sched::{EventKind, EventQueue, Scheduler, SchedulerKind};
 use crate::shard::{WEntry, WindowState};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -693,17 +693,22 @@ impl Simulator {
     /// nobody registered is refused, while the caller is still on the
     /// stack, and where a shard logs the push for the merge leader to
     /// match with a real seq.
+    ///
+    /// The payload goes into the queue before anything that can panic:
+    /// one that unwinding might have to drop lives in a stack copy, and
+    /// the queue would copy it from there. The refusal and the push's
+    /// observers come after, and see the same values.
     #[inline(always)]
     pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let node = kind.target_node();
         let seq = self.seq;
-        let ev = QueuedEvent { at, seq, kind };
-        let node = ev.target_node();
+        self.seq += 1;
+        self.queue.push_event(at, seq, kind);
         assert!(
             (node.0 as usize) < self.nodes.len(),
             "{node:?} is not a registered node"
         );
-        self.seq += 1;
-        self.push_event(ev);
+        self.observe_push(at, seq, node);
         if let Some(w) = self.wlog.as_mut() {
             w.entries.push(WEntry::LocalPush);
         }
@@ -730,77 +735,81 @@ impl Simulator {
         self.schedule(at, EventKind::Frame { node, port, frame });
     }
 
-    /// Single funnel for every scheduler insertion. The profiler and
-    /// flight recorder observe the stream here — pure side-state ahead
-    /// of an unchanged `push`, so pop order cannot move. Forced inline,
-    /// like `schedule`, so the heap's push lands in the dispatch loop: a
-    /// push that joins a run is one link store, cheaper than the call.
+    /// What the profiler and the flight recorder see of a push: pure
+    /// side-state after an unchanged `push`, so pop order cannot move.
     #[inline(always)]
-    fn push_event(&mut self, ev: QueuedEvent) {
+    fn observe_push(&mut self, at: SimTime, seq: u64, node: NodeId) {
         if self.profiler.is_enabled() {
             // Guarded for the queue-length call, not the record.
-            self.profiler
-                .record_schedule(ev.at.as_ps(), self.queue.len() + 1);
+            self.profiler.record_schedule(at.as_ps(), self.queue.len());
         }
         self.flight.record(FlightRecord {
-            at_ps: ev.at.as_ps(),
+            at_ps: at.as_ps(),
             kind: FlightKind::Schedule,
-            node: ev.target_node().0,
+            node: node.0,
             shard: 0,
-            a: ev.seq,
+            a: seq,
             b: self.now.as_ps(),
         });
-        self.queue.push(ev);
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some((at, seq, kind)) = self.queue.pop_event() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.stats.events_processed += 1;
-        let node = ev.target_node();
-        let seq = ev.seq;
-        match &ev.kind {
-            EventKind::Frame { port, frame, .. } => {
-                self.observe(Seen::Deliver { seq }, node, *port, frame.id);
+        match kind {
+            EventKind::Frame { node, port, frame } => {
+                self.observe(Seen::Deliver { seq }, node, port, frame.id);
+                let mut lent = self.lend(node);
+                let mut ctx = Context {
+                    sim: self,
+                    me: node,
+                    carried: None,
+                };
+                lent.on_frame(&mut ctx, port, frame);
+                self.slot(node).node = Some(lent);
             }
-            EventKind::Timer { token, .. } => {
-                let (port, frame) = (PortId(u16::MAX), FrameId(u64::MAX));
-                self.observe(Seen::Timer { seq, token: *token }, node, port, frame);
-            }
-        }
-        // Lend the node to its callback, so the context can reach the
-        // rest of the kernel; it goes back into its slot afterwards.
-        let Some(mut lent) = self.slot(node).node.take() else {
-            unreachable!("{node:?} dispatched while lent out")
-        };
-        let mut ctx = Context {
-            sim: self,
-            me: node,
-            carried: None,
-        };
-        match ev.kind {
-            EventKind::Frame { port, frame, .. } => lent.on_frame(&mut ctx, port, frame),
             EventKind::Timer {
-                token, port, frame, ..
+                node,
+                token,
+                port,
+                frame,
             } => {
-                ctx.carried = frame.map(|frame| (port, frame));
+                let (no_port, no_frame) = (PortId(u16::MAX), FrameId(u64::MAX));
+                self.observe(Seen::Timer { seq, token }, node, no_port, no_frame);
+                let mut lent = self.lend(node);
+                let mut ctx = Context {
+                    sim: self,
+                    me: node,
+                    carried: frame.map(|frame| (port, frame)),
+                };
                 lent.on_timer(&mut ctx, token);
                 if let Some((_, frame)) = ctx.carried.take() {
                     debug_assert!(false, "{node:?} left the frame timer {token:?} carried");
                     ctx.recycle(frame);
                 }
+                self.slot(node).node = Some(lent);
             }
         }
-        self.slot(node).node = Some(lent);
         if let Some(w) = self.wlog.as_mut() {
             // Frames the callback drew and kept are named by later blocks.
             w.log_builds(self.next_frame_id);
         }
         true
+    }
+
+    /// Take `node` out of its slot for its callback, which reaches the
+    /// rest of the kernel through a context; the caller puts it back.
+    #[inline(always)]
+    fn lend(&mut self, node: NodeId) -> Box<dyn AnyNode> {
+        let Some(lent) = self.slot(node).node.take() else {
+            unreachable!("{node:?} dispatched while lent out")
+        };
+        lent
     }
 
     /// The slot of a node this kernel owns.
@@ -922,11 +931,9 @@ impl Simulator {
         frame: Frame,
     ) {
         debug_assert!(at >= self.now, "cross-shard delivery into the past");
-        self.push_event(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Frame { node, port, frame },
-        });
+        self.queue
+            .push_event(at, seq, EventKind::Frame { node, port, frame });
+        self.observe_push(at, seq, node);
     }
 
     /// Run until the event queue is empty.
@@ -1150,6 +1157,73 @@ mod tests {
         assert_eq!(node.fired_at[0], (SimTime::from_us(1), 7));
         assert_eq!(node.fired_at[4], (SimTime::from_us(5), 7));
         assert_eq!(sim.stats().timers_fired, 5);
+    }
+
+    /// Holds every frame it is sent for 5 ns in a carrying timer, then
+    /// sends it on out of the port it came in on.
+    struct Holder;
+
+    impl Node for Holder {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, port: PortId, frame: Frame) {
+            ctx.set_timer_carrying(SimTime::from_ns(5), TimerToken(3), port, frame);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
+            assert_eq!(timer, TimerToken(3));
+            let (port, frame) = ctx.take_carried().expect("the timer carries a frame");
+            ctx.send(port, frame);
+        }
+    }
+
+    /// Keeps what it is sent.
+    #[derive(Default)]
+    struct Keeper {
+        got: Vec<(SimTime, Frame)>,
+    }
+
+    impl Node for Keeper {
+        fn on_frame(&mut self, ctx: &mut Context<'_>, _: PortId, frame: Frame) {
+            self.got.push((ctx.now(), frame));
+        }
+    }
+
+    #[test]
+    fn a_popped_event_leaves_its_slot_before_it_is_dispatched() {
+        // A periodic timer: each re-arm is pushed inside the dispatch of
+        // the timer it replaces, and lands on the slot that one vacated.
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node(
+            "t",
+            TimerNode {
+                fired_at: vec![],
+                rearm: Some(SimTime::from_us(1)),
+            },
+        );
+        sim.schedule_timer(SimTime::from_us(1), n, TimerToken(7));
+        sim.run();
+        assert_eq!(sim.stats().timers_fired, 5);
+        assert_eq!(sim.queue.slab_len(), 1, "every re-arm reused the slot");
+
+        // A frame rides a timer and is taken and sent from its dispatch:
+        // injection, timer and delivery all pass through one slot, and
+        // the frame arrives as it was built.
+        let mut sim = Simulator::new(1);
+        let holder = sim.add_node("holder", Holder);
+        let keeper = sim.add_node("keeper", Keeper::default());
+        let link = IdealLink::new(SimTime::from_ns(10));
+        sim.install_link(holder, PortId(0), keeper, PortId(0), Box::new(link.clone()));
+        sim.install_link(keeper, PortId(0), holder, PortId(0), Box::new(link));
+        let f = sim.frame().copy_from(b"carried").tag(42).build();
+        let id = f.id;
+        sim.inject_frame(SimTime::from_ns(1), holder, PortId(0), f);
+        sim.run();
+        assert_eq!(sim.stats().timers_fired, 1);
+        assert_eq!(sim.queue.slab_len(), 1, "each push reused the slot");
+        let got = &sim.node::<Keeper>(keeper).unwrap().got;
+        assert_eq!(got.len(), 1);
+        let (at, frame) = &got[0];
+        assert_eq!(*at, SimTime::from_ns(16));
+        assert_eq!((frame.id, frame.meta.tag), (id, 42));
+        assert_eq!(frame.bytes, b"carried");
     }
 
     #[test]

@@ -10,12 +10,24 @@
 //! The kernel holds its queue as an `EventQueue`, an enum over the three
 //! implementations rather than a `Box<dyn Scheduler>`: almost every push
 //! on a fan-out workload is a single link store, cheaper than the call
-//! that used to wrap it. The reference heap's
-//! `push` and `pop` are forced inline into the kernel's event loop
-//! (through `Simulator::schedule` and `push_event`, which are too); the
-//! other two arms sit behind one out-of-line function per operation, so
-//! the `match` does not grow the loop. A plain three-arm `match` leaves
-//! the heap's `push` and `pop` as out-of-line calls.
+//! that used to wrap it. The kernel pushes and pops through
+//! `EventQueue::push_event` and `pop_event`, which carry time, seq and
+//! payload apart rather than as one [`QueuedEvent`]. Their heap arm is
+//! forced inline into the kernel's event loop (through
+//! `Simulator::schedule`, which is too); the other two arms sit behind
+//! one out-of-line function per operation, so the `match` does not grow
+//! the loop. A plain three-arm `match` leaves the heap's push and pop as
+//! out-of-line calls.
+//!
+//! On the heap's arm a payload is written to its slab slot once and read
+//! from it once. A push picks the slot first and writes the whole slot
+//! there, and nothing before that write can panic: a payload that
+//! unwinding might have to drop is kept in a stack copy, and the write
+//! would copy it from there. A pop orders the key out first (the run
+//! advances or the heap sifts) and puts the slot on the free list; only
+//! then is the payload moved straight out of the slot, into the kernel's
+//! one by-value match. A push made during the dispatch that follows can
+//! reuse the slot at once.
 //!
 //! Three implementations ship:
 //!
@@ -75,19 +87,21 @@ pub struct QueuedEvent {
     pub(crate) kind: EventKind,
 }
 
+impl EventKind {
+    /// Node the event will dispatch to.
+    #[inline]
+    pub(crate) fn target_node(&self) -> NodeId {
+        match self {
+            EventKind::Frame { node, .. } | EventKind::Timer { node, .. } => *node,
+        }
+    }
+}
+
 impl QueuedEvent {
     /// `(time, seq)` sort key.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
-    }
-
-    /// Node the event will dispatch to (flight-recorder attribution).
-    #[inline]
-    pub(crate) fn target_node(&self) -> NodeId {
-        match &self.kind {
-            EventKind::Frame { node, .. } | EventKind::Timer { node, .. } => *node,
-        }
     }
 }
 
@@ -234,23 +248,44 @@ impl EventQueue {
             EventQueue::Wheel(wheel) => wheel.next_at(),
         }
     }
+
+    /// The kernel's push: `kind` for `at` under `seq`. Time, seq and
+    /// payload travel apart, so the heap's arm writes the payload into
+    /// its slab slot without first building a [`QueuedEvent`] around it.
+    #[inline(always)]
+    pub(crate) fn push_event(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+        match self {
+            EventQueue::Heap(heap) => heap.insert_event(at, seq, kind),
+            _ => self.push_other(QueuedEvent { at, seq, kind }),
+        }
+    }
+
+    /// The kernel's pop: the minimal event's time, seq and payload. On
+    /// the heap's arm the key is ordered out first and the payload then
+    /// moved straight out of its slab slot, which is vacant again before
+    /// the event is dispatched; the other two arms pop as usual.
+    #[inline(always)]
+    pub(crate) fn pop_event(&mut self) -> Option<(SimTime, u64, EventKind)> {
+        match self {
+            EventQueue::Heap(heap) => {
+                let key = heap.pop_key()?;
+                Some((key.at, key.seq, heap.take_payload(key.slot)))
+            }
+            _ => self.pop_other().map(|ev| (ev.at, ev.seq, ev.kind)),
+        }
+    }
 }
 
 impl Scheduler for EventQueue {
     #[inline(always)]
     fn push(&mut self, ev: QueuedEvent) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(ev),
-            _ => self.push_other(ev),
-        }
+        self.push_event(ev.at, ev.seq, ev.kind);
     }
 
     #[inline(always)]
     fn pop(&mut self) -> Option<QueuedEvent> {
-        match self {
-            EventQueue::Heap(heap) => heap.pop(),
-            _ => self.pop_other(),
-        }
+        let (at, seq, kind) = self.pop_event()?;
+        Some(QueuedEvent { at, seq, kind })
     }
 
     #[inline(always)]
@@ -385,41 +420,38 @@ impl BinaryHeapScheduler {
             },
         }
     }
-}
 
-impl Scheduler for BinaryHeapScheduler {
+    /// Queue `kind` for `at` under `seq`.
     #[inline(always)]
-    fn push(&mut self, ev: QueuedEvent) {
-        let slot = match self.free {
-            NIL => {
-                // Growth only: the steady state reuses vacated slots.
-                assert!(self.slab.len() < NIL as usize, "event slab full");
-                self.slab.push(Slot {
-                    kind: Some(ev.kind),
-                    link: NIL,
-                });
-                (self.slab.len() - 1) as u32
-            }
-            slot => {
-                let vacant = &mut self.slab[slot as usize];
+    fn insert_event(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+        // The destination first, then one write of the whole slot, and
+        // nothing that can panic before it: a payload that unwinding
+        // might have to drop is kept in a stack copy, and that copy is
+        // what would be written here.
+        let slot = match self.slab.get_mut(self.free as usize) {
+            Some(entry) => {
                 debug_assert!(
-                    vacant.kind.is_none(),
+                    entry.kind.is_none(),
                     "free list runs through a pending event"
                 );
-                self.free = vacant.link;
-                *vacant = Slot {
-                    kind: Some(ev.kind),
-                    link: NIL,
-                };
+                let slot = self.free;
+                self.free = entry.link;
+                // Forgotten, not dropped: the vacant payload has nothing
+                // to drop, and a drop that might unwind is a panic
+                // before the write, as above.
+                std::mem::forget(std::mem::replace(
+                    entry,
+                    Slot {
+                        kind: Some(kind),
+                        link: NIL,
+                    },
+                ));
                 slot
             }
+            None => self.grow(kind),
         };
         self.len += 1;
-        let key = HeapKey {
-            at: ev.at,
-            seq: ev.seq,
-            slot,
-        };
+        let key = HeapKey { at, seq, slot };
         let last = std::mem::replace(&mut self.open, key);
         if last.slot != NIL && last.at == key.at && last.seq.checked_add(1) == Some(key.seq) {
             // Joins the open run: no ordering decision to make.
@@ -441,8 +473,27 @@ impl Scheduler for BinaryHeapScheduler {
         self.keys[hole] = key;
     }
 
+    /// Append a slot holding `kind` and return its index: the free list
+    /// is empty. Growth only; the steady state reuses vacated slots.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, kind: EventKind) -> u32 {
+        debug_assert_eq!(self.free, NIL, "grew with a vacant slot to reuse");
+        assert!(self.slab.len() < NIL as usize, "event slab full");
+        self.slab.push(Slot {
+            kind: Some(kind),
+            link: NIL,
+        });
+        (self.slab.len() - 1) as u32
+    }
+
+    /// Order the minimal event out: its run advances, or its key leaves
+    /// the heap, and its slot joins the free list. The payload stays in
+    /// the slot for [`BinaryHeapScheduler::take_payload`], so it is read once,
+    /// straight into whoever dispatches it, and not carried across the
+    /// key work in between. Until it is taken nothing may push.
     #[inline(always)]
-    fn pop(&mut self) -> Option<QueuedEvent> {
+    fn pop_key(&mut self) -> Option<HeapKey> {
         let top = *self.keys.first()?;
         let next = self.slab[top.slot as usize].link;
         if next != NIL {
@@ -480,18 +531,35 @@ impl Scheduler for BinaryHeapScheduler {
             }
         }
         self.len -= 1;
-        let vacated = &mut self.slab[top.slot as usize];
-        vacated.link = self.free;
+        self.slab[top.slot as usize].link = self.free;
         self.free = top.slot;
-        // Taken last: moved out any earlier, the payload is spilled across
-        // the heap indexing above.
-        let Some(kind) = vacated.kind.take() else {
+        Some(top)
+    }
+
+    /// Move the payload out of the slot [`BinaryHeapScheduler::pop_key`]
+    /// just vacated, leaving it empty for the next push.
+    #[inline(always)]
+    fn take_payload(&mut self, slot: u32) -> EventKind {
+        let Some(kind) = self.slab[slot as usize].kind.take() else {
             unreachable!("heap key points at a vacant slab slot")
         };
+        kind
+    }
+}
+
+impl Scheduler for BinaryHeapScheduler {
+    #[inline(always)]
+    fn push(&mut self, ev: QueuedEvent) {
+        self.insert_event(ev.at, ev.seq, ev.kind);
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> Option<QueuedEvent> {
+        let key = self.pop_key()?;
         Some(QueuedEvent {
-            at: top.at,
-            seq: top.seq,
-            kind,
+            at: key.at,
+            seq: key.seq,
+            kind: self.take_payload(key.slot),
         })
     }
 
@@ -1074,6 +1142,17 @@ impl Scheduler for TimingWheel {
 }
 
 #[cfg(test)]
+impl EventQueue {
+    /// Slots in the heap's slab, pending and vacant (0 on other arms).
+    pub(crate) fn slab_len(&self) -> usize {
+        match self {
+            EventQueue::Heap(heap) => heap.slab.len(),
+            _ => 0,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -1177,14 +1256,16 @@ mod tests {
         assert_eq!(order, [935, 936, 0, u64::MAX]);
     }
 
-    /// Pop the heap and the oracle once and hold them against each other.
+    /// Pop the heap the way the kernel's `step` does — the key, then the
+    /// payload out of the slot it vacated — and the oracle once, and
+    /// hold them against each other.
     fn pop_both(
         heap: &mut BinaryHeapScheduler,
         oracle: &mut Vec<(SimTime, u64)>,
     ) -> Result<Option<(SimTime, u64)>, proptest::TestCaseError> {
         let want = (!oracle.is_empty()).then(|| oracle.remove(0));
-        let got = heap.pop().map(|ev| match ev.kind {
-            EventKind::Timer { token, .. } => (ev.at, ev.seq, token.0),
+        let got = heap.pop_key().map(|key| match heap.take_payload(key.slot) {
+            EventKind::Timer { token, .. } => (key.at, key.seq, token.0),
             EventKind::Frame { .. } => unreachable!("only timers were pushed"),
         });
         prop_assert_eq!(got, want.map(|(at, seq)| (at, seq, seq)));
@@ -1202,10 +1283,12 @@ mod tests {
         /// that stop mid-run, appends to a run partly popped, the next
         /// seq for the same instant after the open run's tail has popped,
         /// a real seq at the instant of an open provisional (bit-63) run,
-        /// seqs that skip, and the shard rekey's drain-and-repush.
+        /// seqs that skip, the shard rekey's drain-and-repush, and a
+        /// dispatch that re-arms: one pop, then a push, which must land on
+        /// the slot the pop vacated.
         #[test]
         fn heap_matches_a_sorted_vec_oracle(
-            ops in proptest::collection::vec((0..9u8, 0..4096u64), 1..400)
+            ops in proptest::collection::vec((0..10u8, 0..4096u64), 1..400)
         ) {
             let mut heap = BinaryHeapScheduler::new();
             let mut oracle: Vec<(SimTime, u64)> = Vec::new();
@@ -1226,7 +1309,9 @@ mod tests {
                     // Drain, then the seq after the last push's.
                     7 => (u64::MAX, 1, last_prov, 0),
                     // Rekey: drain, push everything back in sorted order.
-                    _ => (0, 0, false, 0),
+                    8 => (0, 0, false, 0),
+                    // Dispatch: the popped event re-arms.
+                    _ => (1, 1, false, 0),
                 };
                 for _ in 0..pops {
                     if pop_both(&mut heap, &mut oracle)?.is_none() {

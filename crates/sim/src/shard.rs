@@ -466,7 +466,7 @@ impl ShardedSimulator {
         // target node's shard. Direct queue pushes: their Schedule
         // telemetry was already recorded by the parent at injection.
         while let Some(ev) = sim.queue.pop() {
-            let s = plan.assignment[ev.target_node().0 as usize] as usize;
+            let s = plan.assignment[ev.kind.target_node().0 as usize] as usize;
             shards[s].queue.push(ev);
         }
         // The parent's arena seeds shard 0; reassembly absorbs them all.
