@@ -13,14 +13,20 @@
 //!   wall clock or iterates a `HashMap`, two runs of the same scenario
 //!   can diverge. The `det-*` lints apply to it.
 //!
-//! Name resolution is deliberately over-approximate (no type inference):
-//! an unqualified method call edges to every workspace method of that
-//! name, *except* names on the [`COMMON`] blocklist — std-dominated
-//! names (`push`, `get`, `iter`, ...) whose matches would be noise.
-//! Qualified calls (`Type::m`) resolve only against known workspace
-//! types, so `Vec::new` or `Instant::now` never create edges. A missed
-//! edge can under-taint (a lint stays quiet), never crash; the golden
-//! divergence check remains the dynamic backstop.
+//! Name resolution infers no types. A method call whose receiver type
+//! the function writes down (`self`, a parameter `x: T`, a `let x: T`,
+//! see [`crate::items::Call::Method`]) resolves by that type; any other
+//! edges to every workspace method of that name, *except* names on the
+//! [`COMMON`] blocklist — std-dominated names (`push`, `get`, `iter`,
+//! ...) whose matches would be noise. Qualified calls (`Type::m`)
+//! resolve only against known workspace types, so `Vec::new` or
+//! `Instant::now` never create edges. A missed edge can under-taint (a
+//! lint stays quiet), never crash; the golden divergence check remains
+//! the dynamic backstop.
+//!
+//! The dead-code walk ([`unreached`]) also tracks which types reached
+//! code builds ([`CONSTRUCTION_RULE`]): a trait-impl method is a root
+//! only once its self type is built.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -160,15 +166,24 @@ pub const DEAD_ROOTS: &[(&str, &str)] = &[
     ),
     (
         "impl Trait for T",
-        "trait-impl methods: dispatch reaches them through the trait",
+        "trait-impl methods, once reached code builds T (construction, below)",
     ),
 ];
 
+/// What counts as building a type, as `tn-audit lints` prints it beside
+/// [`DEAD_ROOTS`].
+pub const CONSTRUCTION_RULE: &str = "a type is built when a reached function names it outside its \
+parameter list: a struct literal, tuple constructor, unit value, `let` annotation, turbofish, pattern or \
+return type, or a `T::x` path where `x` is no function of T (a variant, a constant, a derived `default`); \
+`T::f(..)` for a workspace `f` builds T only if `f` does; a built type builds what its fields and variants \
+name, and a `const`, `static` or `type` item builds what it names";
+
 /// Method names so dominated by std receivers (`Vec`, `Option`, slices,
 /// iterators, maps) that an unqualified `.name(` call must not resolve
-/// onto same-named workspace methods. A call spelled `self.name(...)`
-/// still resolves against the caller's own type first, so a workspace
-/// type using one of these names keeps its own intra-type edges.
+/// onto same-named workspace methods. A call on a typed receiver
+/// (`self.name(...)`, `q.push(..)` with `q: &mut Queue`) still resolves
+/// by its type, so a workspace type using one of these names keeps the
+/// edges its callers spell out.
 pub const COMMON: &[&str] = &[
     "abs",
     "all",
@@ -357,20 +372,32 @@ pub struct FnTaint {
     pub det: Option<String>,
 }
 
-/// A resolved call graph: the functions in it and each one's callees.
+/// A resolved call graph: the functions in it, each one's callees, and
+/// the types each one builds.
 struct Graph<'a> {
     /// `(file index, index in that file's fns, definition)`.
     defs: Vec<(usize, usize, &'a FnDef)>,
     /// Callees of each def, as indices into `defs`.
     edges: Vec<BTreeSet<usize>>,
+    /// Type names each def builds: its [`FnDef::builds`], aliases
+    /// resolved, plus the type of each `T::x` path it names where `x` is
+    /// no function of `T` (a variant, a constant, a derived `default`).
+    builds: Vec<BTreeSet<String>>,
 }
 
 impl<'a> Graph<'a> {
     /// Resolve every call made by the functions `keep(file, def)` admits.
-    /// With `common` false an unqualified call to a [`COMMON`] name makes
-    /// no edge, which keeps the taint walks quiet; with it true such a
-    /// call edges to every same-named method, so the dead walk errs
-    /// toward keeping code.
+    ///
+    /// A method call whose receiver type the parser recorded resolves
+    /// by that type: a trait's to the trait's method in every impl, a
+    /// workspace type's to its inherent method, else its trait-impl
+    /// method, and a type the workspace neither defines nor implements
+    /// (`Vec`, `Option`, `u64`) to nothing. Every other method call, and
+    /// one on a workspace type with no method of that name (a trait's
+    /// default body, a `Deref` target), resolves by name alone: with
+    /// `common` false a [`COMMON`] name makes no edge, which keeps the
+    /// taint walks quiet; with it true such a call edges to every
+    /// same-named method, so the dead walk errs toward keeping code.
     fn build(
         files: &[&'a ParsedFile],
         keep: impl Fn(usize, &FnDef) -> bool,
@@ -385,7 +412,21 @@ impl<'a> Graph<'a> {
             }
         }
 
-        let mut known_types: BTreeSet<&str> = BTreeSet::new();
+        let aliases: BTreeMap<&str, &str> = files
+            .iter()
+            .flat_map(|pf| &pf.aliases)
+            .map(|(a, t)| (a.as_str(), t.as_str()))
+            .collect();
+        fn alias_of<'s>(aliases: &BTreeMap<&str, &'s str>, t: &'s str) -> &'s str {
+            aliases.get(t).copied().unwrap_or(t)
+        }
+        let defined: BTreeSet<&str> = files
+            .iter()
+            .flat_map(|pf| &pf.types)
+            .map(|t| t.name.as_str())
+            .collect();
+        let mut known_types: BTreeSet<&str> = defined.clone();
+        let mut traits: BTreeSet<&str> = BTreeSet::new();
         let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (g, (_, _, d)) in defs.iter().enumerate() {
@@ -398,21 +439,48 @@ impl<'a> Graph<'a> {
             }
             if let Some(t) = &d.trait_name {
                 known_types.insert(t.as_str());
+                if !defined.contains(t.as_str()) {
+                    traits.insert(t.as_str());
+                }
             }
         }
         let free_named = |name: &str| free.get(name).cloned().unwrap_or_default();
         let method_named = |name: &str| methods.get(name).cloned().unwrap_or_default();
-        let type_method = |ty: &str, name: &str| -> Vec<usize> {
+        let named_where = |name: &str, f: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
             let all = methods.get(name).map(Vec::as_slice).unwrap_or_default();
-            all.iter()
-                .copied()
-                .filter(|&g| defs[g].2.self_ty.as_deref() == Some(ty))
-                .collect()
+            all.iter().copied().filter(|&g| f(defs[g].2)).collect()
+        };
+        let type_method =
+            |ty: &str, name: &str| named_where(name, &|d| d.self_ty.as_deref() == Some(ty));
+        // `Some(callees)` when the receiver's type decides the call.
+        let typed = |ty: &str, name: &str| -> Option<Vec<usize>> {
+            let ty = alias_of(&aliases, ty);
+            let hits = if traits.contains(ty) {
+                named_where(name, &|d| d.trait_name.as_deref() == Some(ty))
+            } else if known_types.contains(ty) {
+                let inherent = named_where(name, &|d| {
+                    d.self_ty.as_deref() == Some(ty) && d.trait_name.is_none()
+                });
+                if inherent.is_empty() {
+                    type_method(ty, name)
+                } else {
+                    inherent
+                }
+            } else {
+                return Some(Vec::new());
+            };
+            (!hits.is_empty()).then_some(hits)
         };
 
         let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); defs.len()];
+        let mut builds: Vec<BTreeSet<String>> = Vec::with_capacity(defs.len());
         for (g, (fi, _, d)) in defs.iter().enumerate() {
             let std_imports = &files[*fi].std_imports;
+            let mut built: BTreeSet<String> = d
+                .builds
+                .iter()
+                .map(|t| alias_of(&aliases, t).to_string())
+                .collect();
             for call in &d.calls {
                 let targets: Vec<usize> = match call {
                     Call::Free(name) => {
@@ -422,24 +490,18 @@ impl<'a> Graph<'a> {
                             free_named(name)
                         }
                     }
-                    Call::Method { name, on_self } => {
-                        let own: Vec<usize> = match (&d.self_ty, on_self) {
-                            (Some(ty), true) => type_method(ty, name),
-                            _ => Vec::new(),
-                        };
-                        if !own.is_empty() {
-                            own
-                        } else if !common && COMMON.contains(&name.as_str()) {
-                            Vec::new()
-                        } else {
-                            method_named(name)
+                    Call::Method { name, recv } => {
+                        match recv.as_deref().and_then(|t| typed(t, name)) {
+                            Some(hits) => hits,
+                            None if !common && COMMON.contains(&name.as_str()) => Vec::new(),
+                            None => method_named(name),
                         }
                     }
                     Call::Qual { qualifier, name } => {
                         let q: Option<&str> = if qualifier == "Self" {
                             d.self_ty.as_deref()
                         } else {
-                            Some(qualifier.as_str())
+                            Some(alias_of(&aliases, qualifier))
                         };
                         match q {
                             Some(q) if q.starts_with(char::is_lowercase) => {
@@ -449,7 +511,13 @@ impl<'a> Graph<'a> {
                                     free_named(name)
                                 }
                             }
-                            Some(q) if known_types.contains(q) => type_method(q, name),
+                            Some(q) if known_types.contains(q) => {
+                                let hits = type_method(q, name);
+                                if hits.is_empty() {
+                                    built.insert(q.to_string());
+                                }
+                                hits
+                            }
                             // Unknown (std) type: Vec::new, Instant::now, ...
                             _ => Vec::new(),
                         }
@@ -461,8 +529,13 @@ impl<'a> Graph<'a> {
                     }
                 }
             }
+            builds.push(built);
         }
-        Graph { defs, edges }
+        Graph {
+            defs,
+            edges,
+            builds,
+        }
     }
 
     /// Breadth-first closure from `roots`: which defs it reaches, and
@@ -490,33 +563,114 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// The non-test `pub fn`s of [`Reach::Audited`] files that no root
-/// reaches, as `(file, fn)` indices into `files[file].0.fns`. A call from
+/// What the dead-code walk found unreached, as indices into its input.
+#[derive(Debug, Default)]
+pub struct Unreached {
+    /// `(file, fn)`: non-test `pub fn`s of [`Reach::Audited`] files that
+    /// no root reaches.
+    pub fns: Vec<(usize, usize)>,
+    /// `(file, type)`: non-test `pub` types of [`Reach::Audited`] files
+    /// that no reached function builds.
+    pub types: Vec<(usize, usize)>,
+}
+
+/// Walk the dead-code graph from its roots ([`DEAD_ROOTS`]). A call from
 /// an item's own `#[cfg(test)]` module is no root: test functions enter
-/// the graph only from [`Reach::Root`] files.
-pub fn unreached(files: &[(&ParsedFile, Reach)]) -> Vec<(usize, usize)> {
+/// the graph only from [`Reach::Root`] files. A trait-impl method for a
+/// workspace type is a root only once a reached function builds that
+/// type ([`FnDef::builds`]); one for any other self type (a generic, a
+/// std type) and a trait's own default body always are.
+pub fn unreached(files: &[(&ParsedFile, Reach)]) -> Unreached {
     let parsed: Vec<&ParsedFile> = files.iter().map(|(pf, _)| *pf).collect();
     let graph = Graph::build(
         &parsed,
         |fi, d| !d.is_test || files[fi].1 == Reach::Root,
         true,
     );
-    let roots: Vec<usize> = (0..graph.defs.len())
-        .filter(|&g| {
-            let (fi, _, d) = graph.defs[g];
-            files[fi].1 == Reach::Root
+    let mut holds: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for t in parsed.iter().flat_map(|pf| &pf.types) {
+        holds
+            .entry(t.name.as_str())
+            .or_default()
+            .extend(t.names.iter().map(String::as_str));
+    }
+    // Trait-impl methods waiting for their self type to be built.
+    let mut waiting: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut queue: Vec<usize> = Vec::new();
+    for (g, &(fi, _, d)) in graph.defs.iter().enumerate() {
+        let impl_of = d
+            .self_ty
+            .as_deref()
+            .filter(|t| d.trait_name.as_deref() != Some(*t) && holds.contains_key(t));
+        match impl_of {
+            Some(t) if d.trait_name.is_some() && files[fi].1 != Reach::Root => {
+                waiting.entry(t).or_default().push(g)
+            }
+            _ if files[fi].1 == Reach::Root
                 || d.trait_name.is_some()
-                || (d.name == "main" && d.self_ty.is_none())
-        })
-        .collect();
-    let (seen, _) = graph.forward(&roots);
-    graph
+                || (d.name == "main" && d.self_ty.is_none()) =>
+            {
+                queue.push(g)
+            }
+            _ => {}
+        }
+    }
+    let mut seen = vec![false; graph.defs.len()];
+    for &g in &queue {
+        seen[g] = true;
+    }
+    // A type once built builds what it holds, and roots its impls.
+    let mut built: BTreeSet<String> = BTreeSet::new();
+    let mut build = |t: &str, seen: &mut Vec<bool>, queue: &mut Vec<usize>| {
+        let mut todo = vec![t.to_string()];
+        while let Some(t) = todo.pop() {
+            let t = t.as_str();
+            if !built.contains(t) {
+                built.insert(t.to_string());
+                todo.extend(holds.get(t).into_iter().flatten().map(|h| h.to_string()));
+                for &w in waiting.get(t).into_iter().flatten() {
+                    if !seen[w] {
+                        seen[w] = true;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+    };
+    for t in parsed.iter().flat_map(|pf| &pf.item_builds) {
+        build(t, &mut seen, &mut queue);
+    }
+    let mut qi = 0;
+    while qi < queue.len() {
+        let g = queue[qi];
+        qi += 1;
+        for t in &graph.builds[g] {
+            build(t, &mut seen, &mut queue);
+        }
+        for &t in &graph.edges[g] {
+            if !seen[t] {
+                seen[t] = true;
+                queue.push(t);
+            }
+        }
+    }
+    let audited = |fi: usize| files[fi].1 == Reach::Audited;
+    let fns = graph
         .defs
         .iter()
         .zip(seen)
-        .filter(|((fi, _, d), seen)| !seen && d.is_pub && files[*fi].1 == Reach::Audited)
+        .filter(|((fi, _, d), seen)| !seen && d.is_pub && audited(*fi))
         .map(|((fi, li, _), _)| (*fi, *li))
-        .collect()
+        .collect();
+    let mut types = Vec::new();
+    for (fi, pf) in parsed.iter().enumerate() {
+        for (ti, t) in pf.types.iter().enumerate() {
+            if audited(fi) && t.is_pub && !t.is_test && !built.contains(&t.name) {
+                types.push((fi, ti));
+            }
+        }
+    }
+    Unreached { fns, types }
 }
 
 /// Compute per-function taints for the whole workspace. `files` pairs
@@ -756,6 +910,54 @@ mod tests {
         // Forward extension: called from det code.
         assert!(named(&t, srcs, "shared").det.is_some());
         assert!(named(&t, srcs, "unrelated").det.is_none());
+    }
+
+    #[test]
+    fn typed_receivers_resolve_by_their_type() {
+        let src = "impl Node for S {\n  fn on_frame(&mut self, k: Kind, v: Vec<u8>, l: &dyn Link) \
+                   { k.go(); v.stats(); l.spin(); u.tick(); }\n}\n\
+                   impl Kind {\n  fn go(&self) {}\n}\nimpl Other {\n  fn go(&self) {}\n  fn stats(&self) {}\n}\n\
+                   impl Link for A {\n  fn spin(&mut self) {}\n}\nimpl B {\n  fn spin(&mut self) {}\n}\n\
+                   impl C {\n  fn tick(&self) {}\n}\n";
+        let parsed = parse_file(&SourceFile::parse("f.rs", src));
+        let t = analyze(&[(&parsed, true)]);
+        let hot: Vec<String> = parsed
+            .fns
+            .iter()
+            .zip(&t[0])
+            .filter(|(_, t)| t.hot.is_some())
+            .map(|(d, _)| d.qualified())
+            .collect();
+        // `Vec` is no workspace type: `v.stats()` reaches nothing; the
+        // untyped `u.tick()` keeps the name-wise rule.
+        assert_eq!(hot, ["S::on_frame", "Kind::go", "A::spin", "C::tick"]);
+    }
+
+    #[test]
+    fn a_trait_impl_is_a_dead_root_once_its_type_is_built() {
+        let lib = parse_file(&SourceFile::parse(
+            "crates/x/src/lib.rs",
+            "pub struct Built;\npub struct Never;\n\
+             impl Go for Built {\n  fn go(&self) { built_only(); }\n}\n\
+             impl Go for Never {\n  fn go(&self) { never_only(); }\n}\n\
+             pub fn built_only() {}\npub fn never_only() {}\n",
+        ));
+        let main = parse_file(&SourceFile::parse(
+            "examples/e.rs",
+            "fn main() {\n    let _ = x::Built;\n}\n",
+        ));
+        let u = unreached(&[(&lib, Reach::Audited), (&main, Reach::Root)]);
+        let fns: Vec<&str> = u
+            .fns
+            .iter()
+            .map(|&(_, li)| lib.fns[li].name.as_str())
+            .collect();
+        let types: Vec<&str> = u
+            .types
+            .iter()
+            .map(|&(_, ti)| lib.types[ti].name.as_str())
+            .collect();
+        assert_eq!((fns, types), (vec!["never_only"], vec!["Never"]));
     }
 
     #[test]

@@ -16,13 +16,15 @@
 //!   reachable from a dispatch root), wire-format schema drift
 //!   ([`schema`]) and dead code (`dead`: public functions nothing
 //!   reaches from every `main`, integration test, example,
-//!   `benchmark/src` and trait-impl method, and struct fields nothing
-//!   reads). Every taint-gated finding cites its call chain.
+//!   `benchmark/src` and trait-impl method of a built type, public types
+//!   nothing reached builds, struct fields nothing reads, and crate-root
+//!   re-exports nothing imports). Every taint-gated finding cites its
+//!   call chain.
 //!   Findings can be waived in place with
 //!   `// audit:allow(<lint>): <justification>`.
 //! * **Dynamic** ([`divergence`]): every example scenario is run twice
 //!   with the same seed and the kernel trace digests
-//!   ([`tn_sim::TraceLog::digest`]) must match exactly.
+//!   (`TraceLog::digest` in `tn-sim`) must match exactly.
 //!
 //! The binary (`cargo run -p tn-audit -- check`) runs both and exits
 //! non-zero on any active finding, on any lint whose suppression count
@@ -39,7 +41,7 @@ pub mod scan;
 pub mod schema;
 pub mod source;
 
-pub use callgraph::{DEAD_ROOTS, DET_SINKS, HOT_ROOTS};
+pub use callgraph::{CONSTRUCTION_RULE, DEAD_ROOTS, DET_SINKS, HOT_ROOTS};
 pub use lints::{scan_file, FileTaint, Finding, LintInfo, Scope, Severity, LINTS};
 pub use report::{budgets, counts, render_json, render_text, Budget, Counts};
 pub use scan::{scan_dead, scan_sources, scan_workspace, scope_for};

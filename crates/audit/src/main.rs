@@ -14,7 +14,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tn_audit::{budgets, divergence, render_json, render_text, scan, DEAD_ROOTS, HOT_ROOTS, LINTS};
+use tn_audit::{
+    budgets, divergence, render_json, render_text, scan, CONSTRUCTION_RULE, DEAD_ROOTS, HOT_ROOTS,
+    LINTS,
+};
 
 struct Args {
     command: String,
@@ -67,10 +70,12 @@ fn main() -> ExitCode {
                 println!("  {:<22} {}", format!("{}::{}", r.owner, r.method), r.why);
             }
             println!();
-            println!("dead roots (the `dead` lint flags a `pub fn` none of these reaches, and a field nothing reads):");
+            println!("dead roots (the `dead` lint flags a `pub fn` none of these reaches, a `pub` type nothing reached builds, a field nothing reads, and a crate-root `pub use` nothing imports):");
             for (root, why) in DEAD_ROOTS {
                 println!("  {root:<42} {why}");
             }
+            println!();
+            println!("construction: {CONSTRUCTION_RULE}");
             ExitCode::SUCCESS
         }
         "lint" => run_lint(&args),

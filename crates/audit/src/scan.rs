@@ -8,8 +8,10 @@
 //! it can reach (or is reached from code that reaches) a schedule-feeding
 //! kernel API. The `dead` lint walks a second graph over every file the
 //! workspace builds, integration tests and the benchmark included
-//! ([`reach_for`]), and matches the struct fields of those files against
-//! the field names they read ([`unread_fields`]).
+//! ([`reach_for`]), matches the struct fields of those files against
+//! the field names they read ([`unread_fields`]), and each crate's
+//! root re-exports against the paths that import them
+//! ([`unimported_reexports`]).
 
 use crate::callgraph::{self, Reach};
 use crate::items::{parse_file, ParsedFile};
@@ -188,8 +190,11 @@ fn token_lints(inputs: &[(&SourceFile, &ParsedFile, Scope)]) -> Vec<Finding> {
 
 /// The `dead` lint over already-loaded sources, each treated as
 /// [`reach_for`] its path says: one finding per non-test `pub fn` in
-/// `crates/*/src` that no root reaches, and one per field there that
-/// nothing reads ([`unread_fields`]), unsorted.
+/// `crates/*/src` that no root reaches, per `pub` type there that nothing
+/// reached builds ([`callgraph::unreached`]), per field there that
+/// nothing reads ([`unread_fields`]), and per crate-root `pub use` that
+/// nothing outside its crate imports ([`unimported_reexports`]),
+/// unsorted.
 pub fn scan_dead(files: &[SourceFile]) -> Vec<Finding> {
     let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
     let refs: Vec<_> = files.iter().zip(&parsed).collect();
@@ -214,7 +219,8 @@ fn dead_lint(files: &[(&SourceFile, &ParsedFile)]) -> Vec<Finding> {
         note: None,
         suppressed: sf.allowed(line, info.id),
     };
-    let fns = callgraph::unreached(&graph).into_iter().map(|(fi, li)| {
+    let unreached = callgraph::unreached(&graph);
+    let fns = unreached.fns.into_iter().map(|(fi, li)| {
         let (sf, pf, _) = known[fi];
         let d = &pf.fns[li];
         let raw = &sf.lines[d.line - 1].raw;
@@ -227,13 +233,68 @@ fn dead_lint(files: &[(&SourceFile, &ParsedFile)]) -> Vec<Finding> {
         );
         finding(sf, d.line, column, message)
     });
+    let types = unreached.types.into_iter().map(|(fi, ti)| {
+        let (sf, pf, _) = known[fi];
+        let t = &pf.types[ti];
+        let message = format!(
+            "`{}` is public, but nothing reached from a root builds it (`tn-audit lints` gives the rule)",
+            t.name
+        );
+        finding(sf, t.line, t.col, message)
+    });
     let fields = unread_fields(&graph).into_iter().map(|(fi, k)| {
         let (sf, pf, _) = known[fi];
         let f = &pf.fields[k];
         let message = format!("field `{}::{}` is never read", f.owner, f.name);
         finding(sf, f.line, f.col, message)
     });
-    fns.chain(fields).collect()
+    let rels: Vec<(&str, &ParsedFile)> = known
+        .iter()
+        .map(|&(sf, pf, _)| (sf.rel.as_str(), pf))
+        .collect();
+    let reexports = unimported_reexports(&rels).into_iter().map(|(fi, k)| {
+        let (sf, pf, _) = known[fi];
+        let r = &pf.reexports[k];
+        let message = format!(
+            "`{}` is re-exported, but nothing outside its crate imports it through the crate root",
+            r.name
+        );
+        finding(sf, r.line, r.col, message)
+    });
+    fns.chain(types).chain(fields).chain(reexports).collect()
+}
+
+/// The `pub use` names of each `crates/<k>/src/lib.rs` outside the
+/// auditor that no file names through the crate root as `tn_<k>::Name`
+/// ([`ParsedFile::crate_paths`]), as `(file, re-export)` indices into
+/// `files[file].1.reexports`. The library cannot name itself that way,
+/// so every such path, a unit test's or a binary's of the same package
+/// included, is an import from outside it.
+pub fn unimported_reexports(files: &[(&str, &ParsedFile)]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (fi, (rel, pf)) in files.iter().enumerate() {
+        let Some(k) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.strip_suffix("/src/lib.rs"))
+            .filter(|k| *k != "audit" && !k.contains('/'))
+        else {
+            continue;
+        };
+        let krate = format!("tn_{k}");
+        let imported = |name: &str| {
+            files.iter().any(|(_, pf)| {
+                [name, "*"]
+                    .iter()
+                    .any(|n| pf.crate_paths.contains(&(krate.clone(), n.to_string())))
+            })
+        };
+        for (k, r) in pf.reexports.iter().enumerate() {
+            if !imported(&r.name) {
+                out.push((fi, k));
+            }
+        }
+    }
+    out
 }
 
 /// The non-test struct fields of [`Reach::Audited`] files that nothing

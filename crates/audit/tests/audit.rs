@@ -62,6 +62,16 @@ fn taint_gated_findings_cite_their_call_chain() {
 }
 
 #[test]
+fn typed_receivers_resolve_by_their_type() {
+    // `kind: EventKind` makes `kind.target_node()` a call to
+    // `EventKind::target_node` only; by bare name it also reached the
+    // allocating `TraceWriter::target_node`.
+    let (name, text) = fixture!("hotpath_typed_receiver");
+    let findings = scan_fixture(name, text);
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
 fn clean_fixture_has_no_findings() {
     // `parse_header` has an unwrap but no path from any dispatch root:
     // under the old name heuristic it was flagged, under reachability
@@ -118,14 +128,17 @@ fn dead_reports_only_what_no_root_reaches() {
     // `reference_depth` is waived as a test oracle. Of `Meter`'s fields,
     // `hits` and `log` are only written, `seen` is read only by its own
     // file's unit tests, `tally` only by another file's, and `born` is
-    // only initialised.
+    // only initialised. Nothing a root reaches builds `Meter` (its `new`
+    // is private and unreached) or `Window`.
     let dead: Vec<(String, bool)> = [
         ("Book::spread", false),
+        ("Meter", false),
         ("Meter::born", false),
         ("Meter::hits", false),
         ("Meter::log", false),
         ("Meter::seen", false),
         ("Meter::tally", false),
+        ("Window", false),
         ("reference_depth", true),
     ]
     .into_iter()
@@ -148,10 +161,13 @@ fn field_reads_keep_their_fields() {
     ] {
         assert!(!dead.iter().any(|(d, _)| d == kept), "{kept}: {dead:?}");
     }
-    let message = tn_audit::scan_dead(&[SourceFile::parse(
+    let message: Vec<_> = tn_audit::scan_dead(&[SourceFile::parse(
         "crates/fixture/src/lib.rs",
         "pub struct S {\n    pub f: u64,\n}\n",
-    )]);
+    )])
+    .into_iter()
+    .filter(|f| f.message.starts_with("field"))
+    .collect();
     assert_eq!(message.len(), 1, "{message:?}");
     assert_eq!(message[0].message, "field `S::f` is never read");
     assert_eq!((message[0].line, message[0].column), (2, 9));
@@ -179,6 +195,40 @@ fn each_kind_of_root_keeps_its_item() {
     assert!(!dead_items(&dead_fixtures())
         .iter()
         .any(|(d, _)| d == "Book::depth"));
+}
+
+#[test]
+fn a_type_nothing_builds_roots_no_trait_impl() {
+    let files = [
+        ("crates/fixture/src/lib.rs", fixture!("dead_trait_only").1),
+        (
+            "examples/taker.rs",
+            "fn main() {\n    let _ = fixture::Taker::default();\n}\n",
+        ),
+    ];
+    let dead: Vec<(String, bool)> = [("Quoter", false), ("Quoter::widen", false)]
+        .into_iter()
+        .map(|(item, waived)| (item.to_string(), waived))
+        .collect();
+    assert_eq!(dead_items(&files), dead);
+}
+
+#[test]
+fn a_reexport_nothing_imports_is_dead() {
+    let files = [
+        ("crates/quotes/src/lib.rs", fixture!("dead_reexport").1),
+        (
+            "examples/quotes.rs",
+            "use tn_quotes::{Quote};\nfn main() {\n    let _ = tn_quotes::Depth::new();\n}\n",
+        ),
+    ];
+    assert_eq!(dead_items(&files), [("Level".to_string(), false)]);
+    let sources: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    let f = tn_audit::scan_dead(&sources);
+    assert_eq!((f[0].line, f[0].column), (6, 16), "{f:?}");
 }
 
 #[test]

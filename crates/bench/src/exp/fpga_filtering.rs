@@ -17,27 +17,16 @@ use tn_fault::{FaultConnect, LinkSpec};
 use tn_sim::{PortId, SimTime, Simulator};
 use tn_stats::Summary;
 use tn_switch::{FpgaConfig, FpgaL1Switch};
-use tn_wire::{eth, ipv4, stack};
+use tn_wire::{ipv4, stack};
 
 use super::merge_bottleneck::{merge_burst, Rx};
 use super::{Check, Outcome};
+use crate::mcastsim::feed_frame;
 
 const SOURCES: usize = 4;
 const GROUPS_PER_SOURCE: u32 = 4;
 const FRAMES_PER_BURST: usize = 400;
 const FRAME_LEN: usize = 600;
-
-fn feed_frame(group: u32) -> Vec<u8> {
-    stack::build_udp(
-        eth::MacAddr::host(1),
-        None,
-        ipv4::Addr::host(1),
-        ipv4::Addr::multicast_group(group),
-        30_001,
-        30_001,
-        &vec![0u8; FRAME_LEN - stack::UDP_OVERHEAD],
-    )
-}
 
 /// Inject the correlated burst: each source emits its groups round-robin
 /// at its own line rate.
@@ -46,8 +35,8 @@ fn burst(sim: &mut Simulator, switch: tn_sim::NodeId) {
     for s in 0..SOURCES {
         for i in 0..FRAMES_PER_BURST {
             let group = (s as u32) * GROUPS_PER_SOURCE + (i as u32 % GROUPS_PER_SOURCE);
-            let bytes = feed_frame(group);
-            let mut f = sim.frame().copy_from(&bytes).build();
+            let payload = FRAME_LEN - stack::UDP_OVERHEAD;
+            let mut f = sim.frame().fill(|b| feed_frame(group, payload, b)).build();
             f.born = spacing * i as u64;
             let at = f.born;
             sim.inject_frame(at, switch, PortId(s as u16), f);

@@ -86,6 +86,21 @@ impl Node for Receiver {
     }
 }
 
+/// Append one multicast feed frame from host 1 to `group`, carrying
+/// `payload` zero bytes past its Eth/IPv4/UDP headers, to `out`.
+pub(crate) fn feed_frame(group: u32, payload: usize, out: &mut Vec<u8>) {
+    stack::emit_udp_into(
+        eth::MacAddr::host(1),
+        None,
+        ipv4::Addr::host(1),
+        ipv4::Addr::multicast_group(group),
+        30_001,
+        30_001,
+        &[0u8; 1500][..payload],
+        out,
+    );
+}
+
 /// Build the rig, join every group, send the bursts and time them.
 pub fn run_mroute(cfg: &MrouteConfig) -> MrouteRun {
     let switch = SwitchConfig {
@@ -124,16 +139,7 @@ pub fn run_mroute(cfg: &MrouteConfig) -> MrouteRun {
     let send = |round: usize| first + ROUND_GAP * round as u64;
     for round in 0..cfg.rounds {
         for g in 0..cfg.groups as u32 {
-            let frame = stack::build_udp(
-                eth::MacAddr::host(1),
-                None,
-                ipv4::Addr::host(1),
-                ipv4::Addr::multicast_group(g),
-                30_001,
-                30_001,
-                &[0u8; 100],
-            );
-            let f = sim.frame().copy_from(&frame).build();
+            let f = sim.frame().fill(|b| feed_frame(g, 100, b)).build();
             sim.inject_frame(send(round), sw, PortId(0), f);
         }
     }

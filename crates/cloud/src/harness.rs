@@ -252,7 +252,15 @@ fn add_sinks(sim: &mut Simulator, n: usize) -> Vec<NodeId> {
         .collect()
 }
 
-fn drive_and_collect(mut sim: Simulator, src: NodeId, sinks: &[NodeId], late: u64) -> RawRun {
+/// Run `sim` from the source's first emit until it drains, and collect
+/// what the `sinks` received and how many frames the equalizer `gates`
+/// (none outside the cloud design) released late.
+fn drive_and_collect(
+    mut sim: Simulator,
+    src: NodeId,
+    sinks: &[NodeId],
+    gates: &[NodeId],
+) -> RawRun {
     sim.schedule_timer(SimTime::ZERO, src, EMIT);
     sim.run();
     let mut window = FairnessWindow::new(sinks.len());
@@ -266,6 +274,10 @@ fn drive_and_collect(mut sim: Simulator, src: NodeId, sinks: &[NodeId], late: u6
             delivered += 1;
         }
     }
+    let late = gates
+        .iter()
+        .map(|&g| sim.node::<DelayEqualizer>(g).expect("gate").stats().late)
+        .sum();
     RawRun {
         digest: sim.trace.digest(),
         events: sim.trace.recorded(),
@@ -306,7 +318,7 @@ fn run_l1(sc: &FairnessScenario) -> RawRun {
             Box::new(IdealLink::new(prop)),
         );
     }
-    drive_and_collect(sim, src, &sinks, 0)
+    drive_and_collect(sim, src, &sinks, &[])
 }
 
 fn run_leafspine(sc: &FairnessScenario) -> RawRun {
@@ -324,7 +336,7 @@ fn run_leafspine(sc: &FairnessScenario) -> RawRun {
     for (s, &(relay, port)) in tree.leaf_ports.iter().enumerate() {
         sim.install_link(relay, port, sinks[s], PortId(0), Box::new(link()));
     }
-    drive_and_collect(sim, src, &sinks, 0)
+    drive_and_collect(sim, src, &sinks, &[])
 }
 
 /// Derive a per-edge fault seed that never collides across edge roles.
@@ -389,31 +401,7 @@ fn run_cloud(
         );
         gates.push(gate);
     }
-    sim.schedule_timer(SimTime::ZERO, src, EMIT);
-    sim.run();
-    let mut window = FairnessWindow::new(sc.subscribers);
-    let mut delivery = Summary::new();
-    let mut delivered = 0u64;
-    let mut late = 0u64;
-    for &s in &sinks {
-        let sink = sim.node::<SubSink>(s).expect("subscriber sink");
-        for &(id, at, lat) in &sink.got {
-            window.observe(id, at);
-            delivery.record(lat);
-            delivered += 1;
-        }
-    }
-    for &g in &gates {
-        late += sim.node::<DelayEqualizer>(g).expect("gate").stats().late;
-    }
-    RawRun {
-        digest: sim.trace.digest(),
-        events: sim.trace.recorded(),
-        delivered,
-        late,
-        window,
-        delivery,
-    }
+    drive_and_collect(sim, src, &sinks, &gates)
 }
 
 fn finish(

@@ -18,7 +18,7 @@
 //!   ceiling measured from the frame's birth, so every subscriber sees
 //!   the event at the same simulated instant (up to a residual error).
 //!   Fair delivery costs `ceiling − nominal_path` of added latency.
-//! - [`OverlayRelay`] / [`OverlayTree`] — fan-out-`k` software relays
+//! - `OverlayRelay` / [`OverlayTree`] — fan-out-`k` software relays
 //!   over unicast VM links, replacing provider "free multicast". Scale
 //!   costs tree depth × VM hop latency plus per-copy serialization.
 //!
@@ -34,7 +34,7 @@ pub mod harness;
 pub mod overlay;
 pub mod sequencer;
 
-pub use equalizer::{DelayEqualizer, EqualizerConfig, EqualizerStats};
-pub use harness::{run_fairness, DesignKind, FairnessRun, FairnessScenario};
-pub use overlay::{OverlayRelay, OverlayTree, OverlayTreeConfig, RelayStats};
-pub use sequencer::{HoldReleaseSequencer, SequencerConfig, SequencerStats};
+pub use equalizer::{DelayEqualizer, EqualizerConfig};
+pub use harness::{run_fairness, DesignKind, FairnessScenario};
+pub use overlay::{OverlayTree, OverlayTreeConfig};
+pub use sequencer::{HoldReleaseSequencer, SequencerConfig};

@@ -24,7 +24,5 @@ pub mod scenario;
 pub use design::{
     CloudDesign, FpgaHybrid, LayerOneSwitches, TradingNetworkDesign, TraditionalSwitches,
 };
-pub use report::{
-    DesignReport, HopKindStat, LatencyStats, NodeHopStat, RecoveryStats, Telemetry, SCHEMA_V1,
-};
-pub use scenario::{ConfigError, ScenarioBuilder, ScenarioConfig};
+pub use report::{DesignReport, LatencyStats, Telemetry};
+pub use scenario::ScenarioConfig;

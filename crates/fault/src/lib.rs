@@ -44,9 +44,10 @@
 pub mod link;
 pub mod spec;
 
-pub use link::{BaseLink, FaultLink, SpecLink};
-pub use spec::{FaultSpec, LossModel, Outage};
+pub use link::FaultLink;
+pub use spec::FaultSpec;
 
+use link::{BaseLink, SpecLink};
 use tn_sim::{Link, NodeId, PortId, Simulator};
 
 /// A declarative link between two ports: propagation, optional
@@ -62,8 +63,6 @@ pub struct LinkSpec {
     pub rate_bps: Option<u64>,
     /// Egress queue bound in bytes; `None` is unbounded.
     pub queue_bytes: Option<usize>,
-    /// MTU in whole-frame bytes; `None` keeps the link default.
-    pub mtu: Option<usize>,
     /// Injected fault model, if any. `None` is a clean link and is
     /// guaranteed bit-transparent: digests match a bare-link build.
     pub fault: Option<FaultSpec>,
@@ -76,7 +75,6 @@ impl LinkSpec {
             propagation,
             rate_bps: None,
             queue_bytes: None,
-            mtu: None,
             fault: None,
         }
     }
@@ -101,12 +99,6 @@ impl LinkSpec {
         self
     }
 
-    /// Set the MTU.
-    pub fn with_mtu(mut self, mtu: usize) -> LinkSpec {
-        self.mtu = Some(mtu);
-        self
-    }
-
     /// Attach a fault model.
     pub fn with_fault(mut self, fault: FaultSpec) -> LinkSpec {
         self.fault = Some(fault);
@@ -124,9 +116,6 @@ impl LinkSpec {
                 let mut l = tn_netdev::EtherLink::new(rate, self.propagation);
                 if let Some(q) = self.queue_bytes {
                     l = l.with_queue_bytes(q);
-                }
-                if let Some(m) = self.mtu {
-                    l = l.with_mtu(m);
                 }
                 BaseLink::Ether(l)
             }
@@ -213,14 +202,10 @@ mod tests {
 
     #[test]
     fn ether_spec_matches_ether_link() {
-        let spec = LinkSpec::ten_gig(SimTime::from_ns(25))
-            .with_queue_bytes(5_000)
-            .with_mtu(1514);
+        let spec = LinkSpec::ten_gig(SimTime::from_ns(25)).with_queue_bytes(5_000);
         let mut built = spec.build();
-        let mut bare = tn_netdev::EtherLink::ten_gig(SimTime::from_ns(25))
-            .with_queue_bytes(5_000)
-            .with_mtu(1514);
-        for len in [64usize, 1514, 1515, 1250, 1250, 1250, 1250] {
+        let mut bare = tn_netdev::EtherLink::ten_gig(SimTime::from_ns(25)).with_queue_bytes(5_000);
+        for len in [64usize, 9216, 9217, 1250, 1250, 1250, 1250] {
             assert_eq!(
                 built.transmit(SimTime::ZERO, len, 0.9),
                 bare.transmit(SimTime::ZERO, len, 0.9)

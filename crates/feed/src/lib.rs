@@ -36,9 +36,8 @@ pub mod normalize;
 pub mod retrans;
 pub mod subscribe;
 
-pub use arb::{ArbStats, Arbiter, FeedSide, SideStats};
-pub use bookbuild::{BboUpdate, BookBuilder};
-pub use nodes::{RecoveryReceiver, RetransUnit};
-pub use normalize::{NormalizerCore, NormalizerOutput};
+pub use arb::{ArbStats, Arbiter};
+pub use bookbuild::BookBuilder;
+pub use normalize::NormalizerCore;
 pub use retrans::{RecoveryClient, RecoveryConfig, Reorderer, RetransmissionServer};
 pub use subscribe::SubscriptionSet;

@@ -380,7 +380,8 @@ mod tests {
             });
         }
         let payload = pb.flush().unwrap();
-        stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             eth::MacAddr::host(1),
             None,
             ipv4::Addr::new(10, 200, 1, 1),
@@ -388,7 +389,9 @@ mod tests {
             32_000,
             32_000,
             &payload,
-        )
+            &mut frame,
+        );
+        frame
     }
 
     fn rig(recovery: RecoveryConfig) -> (Simulator, tn_sim::NodeId, tn_sim::NodeId) {
@@ -460,14 +463,18 @@ mod tests {
         sim.inject_frame(SimTime::ZERO, unit, UNIT_TAP, tap);
         let requester_ip = ipv4::Addr::new(10, 0, 0, 9);
         let ask = |sim: &mut Simulator, req: GapRequest| {
-            let bytes = stack::build_udp(
+            let mut ask = Vec::new();
+            req.emit_into(&mut ask);
+            let mut bytes = Vec::new();
+            stack::emit_udp_into(
                 eth::MacAddr::host(9),
                 None,
                 requester_ip,
                 ipv4::Addr::new(10, 60, 255, 1),
                 32_000,
                 32_000,
-                &req.emit(),
+                &ask,
+                &mut bytes,
             );
             let f = sim.frame().copy_from(&bytes).build();
             let at = sim.now() + SimTime::from_us(1);

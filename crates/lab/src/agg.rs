@@ -12,7 +12,7 @@
 use tn_stats::Summary;
 
 use crate::runner::RunOutcome;
-use crate::spec::RunPlan;
+use crate::spec::{req_arr, req_str, RunPlan};
 use tn_sim::json::{self, num_f64, num_u64, Json};
 
 /// Schema marker for lab reports.
@@ -239,13 +239,13 @@ impl LabReport {
         if doc.get("schema").and_then(Json::as_str) != Some(REPORT_SCHEMA) {
             return Err(format!("not a {REPORT_SCHEMA} document"));
         }
-        let spec = str_field(&doc, "spec")?;
-        let base = str_field(&doc, "base")?;
-        let runs = arr_field(&doc, "runs")?
+        let spec = req_str(&doc, "spec")?;
+        let base = req_str(&doc, "base")?;
+        let runs = req_arr(&doc, "runs")?
             .iter()
             .map(parse_run)
             .collect::<Result<Vec<_>, _>>()?;
-        let cells = arr_field(&doc, "cells")?
+        let cells = req_arr(&doc, "cells")?
             .iter()
             .map(parse_cell)
             .collect::<Result<Vec<_>, _>>()?;
@@ -308,19 +308,6 @@ fn params_json(params: &[(String, f64)]) -> Json {
     )
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(String::from)
-        .ok_or(format!("missing string field `{key}`"))
-}
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or(format!("missing array field `{key}`"))
-}
-
 fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
@@ -328,10 +315,10 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
 }
 
 fn parse_params(v: &Json) -> Result<Vec<(String, f64)>, String> {
-    arr_field(v, "params")?
+    req_arr(v, "params")?
         .iter()
         .map(|m| {
-            let p = str_field(m, "param")?;
+            let p = req_str(m, "param")?;
             let value = m
                 .get("value")
                 .and_then(Json::as_f64)
@@ -342,22 +329,22 @@ fn parse_params(v: &Json) -> Result<Vec<(String, f64)>, String> {
 }
 
 fn parse_run(v: &Json) -> Result<RunRecord, String> {
-    let digest_hex = str_field(v, "digest")?;
+    let digest_hex = req_str(v, "digest")?;
     let digest =
         u64::from_str_radix(&digest_hex, 16).map_err(|_| format!("bad digest `{digest_hex}`"))?;
     Ok(RunRecord {
         index: u64_field(v, "index")? as usize,
-        design: str_field(v, "design")?,
+        design: req_str(v, "design")?,
         seed: u64_field(v, "seed")?,
         params: parse_params(v)?,
         digest,
         events: u64_field(v, "events")?,
         samples: u64_field(v, "samples")?,
         p50_ps: u64_field(v, "p50_ps")?,
-        metrics: arr_field(v, "metrics")?
+        metrics: req_arr(v, "metrics")?
             .iter()
             .map(|m| {
-                let name = str_field(m, "name")?;
+                let name = req_str(m, "name")?;
                 let value = m
                     .get("value")
                     .and_then(Json::as_f64)
@@ -374,13 +361,13 @@ fn parse_cell(v: &Json) -> Result<CellStat, String> {
         Some(n) => Some(n.as_u64().ok_or("bad p999_ps")?),
     };
     Ok(CellStat {
-        design: str_field(v, "design")?,
+        design: req_str(v, "design")?,
         params: parse_params(v)?,
-        runs: arr_field(v, "runs")?
+        runs: req_arr(v, "runs")?
             .iter()
             .map(|i| i.as_u64().map(|i| i as usize).ok_or("bad run index"))
             .collect::<Result<Vec<_>, _>>()?,
-        seeds: arr_field(v, "seeds")?
+        seeds: req_arr(v, "seeds")?
             .iter()
             .map(|s| s.as_u64().ok_or("bad seed"))
             .collect::<Result<Vec<_>, _>>()?,

@@ -34,7 +34,7 @@ pub mod agg;
 pub mod runner;
 pub mod spec;
 
-pub use agg::{CellStat, LabReport, RunRecord, REPORT_SCHEMA};
+pub use agg::{LabReport, REPORT_SCHEMA};
 pub use runner::{
     build_config, resolve_design, run_batch, RunExecutor, RunOutcome, ScenarioExecutor,
 };

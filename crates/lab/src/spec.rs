@@ -383,14 +383,16 @@ impl SweepSpec {
     }
 }
 
-fn req_str(doc: &Json, key: &str) -> Result<String, String> {
+/// The string field `key` of `doc`, or an error naming it.
+pub(crate) fn req_str(doc: &Json, key: &str) -> Result<String, String> {
     doc.get(key)
         .and_then(Json::as_str)
         .map(String::from)
         .ok_or(format!("missing string field `{key}`"))
 }
 
-fn req_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+/// The array field `key` of `doc`, or an error naming it.
+pub(crate) fn req_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
     doc.get(key)
         .and_then(Json::as_arr)
         .ok_or(format!("missing array field `{key}`"))

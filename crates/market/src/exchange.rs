@@ -540,7 +540,8 @@ mod tests {
             price: 50_0000,
         }
         .emit(1, &mut payload);
-        let seg = stack::build_tcp(
+        let mut seg = Vec::new();
+        stack::emit_tcp_into(
             firm_mac,
             ex_mac,
             firm_ip,
@@ -551,6 +552,7 @@ mod tests {
             0,
             tcp::Flags::ACK | tcp::Flags::PSH,
             &payload,
+            &mut seg,
         );
         let f = sim.frame().copy_from(&seg).build();
         sim.inject_frame(SimTime::from_us(1), ex, PortId(0), f);

@@ -145,11 +145,6 @@ impl FeedPublisher {
             bytes: &bytes[range.clone()],
         })
     }
-
-    /// Orders currently tracked for unit routing.
-    pub fn tracked_orders(&self) -> usize {
-        self.order_units.len()
-    }
 }
 
 #[cfg(test)]
@@ -228,14 +223,14 @@ mod tests {
         let packets: Vec<_> = p.publish(&d, 1_000_000_100, &[exec]).collect();
         assert_eq!(packets.len(), 1);
         assert_eq!(packets[0].unit, u1);
-        assert_eq!(p.tracked_orders(), 2);
+        assert_eq!(p.order_units.len(), 2);
         // Deletes release tracking.
         let del = pitch::Message::DeleteOrder {
             offset_ns: 3,
             order_id: 1,
         };
         let _ = p.publish(&d, 1_000_000_200, &[del]);
-        assert_eq!(p.tracked_orders(), 1);
+        assert_eq!(p.order_units.len(), 1);
     }
 
     #[test]
@@ -261,7 +256,7 @@ mod tests {
         }
         // The buy filled the first sell and half the second; it never rested.
         assert_eq!(engine.open_orders(), 1);
-        assert_eq!(p.tracked_orders(), engine.open_orders());
+        assert_eq!(p.order_units.len(), engine.open_orders());
         // A reduction that takes an order to nothing forgets it too.
         let reduce = pitch::Message::ReduceSize {
             offset_ns: 0,
@@ -269,7 +264,7 @@ mod tests {
             qty: 20,
         };
         let _ = p.publish(&d, 1_000_000_000, &[reduce]);
-        assert_eq!(p.tracked_orders(), 0);
+        assert_eq!(p.order_units.len(), 0);
     }
 
     #[test]

@@ -28,12 +28,11 @@ pub mod profiles;
 pub mod symbols;
 pub mod workload;
 
-pub use book::OrderBook;
 pub use engine::{MatchingEngine, Owner};
-pub use exchange::{Exchange, ExchangeConfig, ExchangeStats, ORDER_ENTRY_PORT, TICK};
+pub use exchange::{Exchange, ExchangeConfig, TICK};
 pub use feedpub::FeedPublisher;
 pub use flow::{FlowMix, OrderFlowGenerator};
 pub use partition::PartitionScheme;
 pub use profiles::ExchangeProfile;
-pub use symbols::{InstrumentClass, SymbolDirectory};
+pub use symbols::SymbolDirectory;
 pub use workload::{GrowthModel, IntradayModel, MicroburstModel};

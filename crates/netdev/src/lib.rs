@@ -20,6 +20,6 @@ pub mod links;
 pub mod queues;
 pub mod service;
 
-pub use capture::{CaptureRecord, Tap};
+pub use capture::Tap;
 pub use links::{fiber_propagation, microwave_propagation, EtherLink};
-pub use service::{ServiceClock, TxQueue};
+pub use service::TxQueue;

@@ -15,6 +15,10 @@ pub fn microwave_propagation(km: f64) -> SimTime {
     SimTime::from_secs_f64(km / 299_700.0)
 }
 
+/// The largest frame, in whole-frame bytes (jumbo), an [`EtherLink`]
+/// carries.
+const MTU: usize = 9216;
+
 /// A directional Ethernet-style link.
 ///
 /// Models:
@@ -23,14 +27,13 @@ pub fn microwave_propagation(km: f64) -> SimTime {
 ///   after more than `queue_bytes` of backlog are dropped),
 /// * fixed one-way propagation delay,
 /// * independent random loss (microwave fade / injected faults),
-/// * an MTU (oversized frames are dropped, never fragmented — feeds do
-///   not fragment).
+/// * a jumbo MTU (oversized frames are dropped, never fragmented —
+///   feeds do not fragment).
 #[derive(Debug, Clone)]
 pub struct EtherLink {
     rate_bps: u64,
     propagation: SimTime,
     queue_bytes: usize,
-    mtu: usize,
     loss: f64,
     /// Absolute time the transmitter becomes idle.
     busy_until: SimTime,
@@ -44,7 +47,6 @@ impl EtherLink {
             rate_bps,
             propagation,
             queue_bytes: usize::MAX,
-            mtu: 9216,
             loss: 0.0,
             busy_until: SimTime::ZERO,
         }
@@ -68,12 +70,6 @@ impl EtherLink {
         self
     }
 
-    /// Set an MTU (whole-frame bytes).
-    pub fn with_mtu(mut self, mtu: usize) -> EtherLink {
-        self.mtu = mtu;
-        self
-    }
-
     /// Add independent per-frame loss probability.
     pub fn with_loss(mut self, loss: f64) -> EtherLink {
         assert!((0.0..=1.0).contains(&loss));
@@ -84,7 +80,7 @@ impl EtherLink {
 
 impl Link for EtherLink {
     fn transmit(&mut self, now: SimTime, len: usize, coin: f64) -> LinkOutcome {
-        if len > self.mtu {
+        if len > MTU {
             return LinkOutcome::Drop(DropReason::Mtu);
         }
         if self.loss > 0.0 && coin < self.loss {
@@ -184,13 +180,13 @@ mod tests {
 
     #[test]
     fn mtu_enforced() {
-        let mut l = EtherLink::ten_gig(SimTime::ZERO).with_mtu(1514);
+        let mut l = EtherLink::ten_gig(SimTime::ZERO);
         assert_eq!(
-            l.transmit(SimTime::ZERO, 1515, 0.9),
+            l.transmit(SimTime::ZERO, 9217, 0.9),
             LinkOutcome::Drop(DropReason::Mtu)
         );
         assert!(matches!(
-            l.transmit(SimTime::ZERO, 1514, 0.9),
+            l.transmit(SimTime::ZERO, 9216, 0.9),
             LinkOutcome::Deliver(_)
         ));
     }

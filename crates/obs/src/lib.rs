@@ -15,7 +15,7 @@
 //!   a snapshot is built fresh from plain counts — its per-reason link
 //!   drops, per-node hop distributions and dispatch count rows, and the
 //!   stats each device keeps.
-//! - [`TraceWriter`] / [`parse`] / [`TraceSummary`] — the
+//! - [`TraceWriter`] / [`parse`] / [`summarize()`] — the
 //!   versioned `tn-trace/v1` JSONL span/event export and its summarizer.
 //! - [`FlightRecorder`] — tn-flight: a bounded ring of the last N kernel
 //!   events (fixed-size [`FlightRecord`]s), dumped on panic, divergence
@@ -46,13 +46,11 @@ mod summarize;
 pub mod timeline;
 pub mod trace;
 
-pub use config::{ObsConfig, DEFAULT_FLIGHT_CAPACITY};
+pub use config::ObsConfig;
 pub use flight::{FlightKind, FlightRecord, FlightRecorder};
-pub use profile::{
-    KernelProfile, KernelProfiler, NodeProfile, PROFILE_WHEEL_LEVELS, QUEUE_SERIES_CAP,
-};
-pub use provenance::{HopSegment, Provenance, SegmentKind};
-pub use registry::{Distribution, MetricsRegistry, Snapshot, SnapshotEntry, SnapshotValue};
-pub use summarize::{summarize, SegStat, TraceSummary};
+pub use profile::{KernelProfile, KernelProfiler, NodeProfile};
+pub use provenance::{Provenance, SegmentKind};
+pub use registry::{Distribution, MetricsRegistry, Snapshot, SnapshotValue};
+pub use summarize::summarize;
 pub use timeline::{chrome_trace, folded_stacks, FLIGHT_SCHEMA};
-pub use trace::{parse, EventRecord, MetricRecord, SpanRecord, TraceDoc, TraceWriter, SCHEMA};
+pub use trace::{parse, TraceWriter};

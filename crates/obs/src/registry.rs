@@ -81,15 +81,6 @@ impl Distribution {
         self.max
     }
 
-    /// Mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Approximate quantile (`q` in percent), resolving histogram
     /// under/overflow to the exact min/max.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -303,6 +294,5 @@ mod tests {
         d.observe(1_000);
         assert_eq!(d.quantile(99.0), 1_000_000_000);
         assert!(d.quantile(50.0) <= 100_000);
-        assert!(d.mean() > 0.0);
     }
 }

@@ -45,9 +45,9 @@ impl Context<'_> {
     /// Start building a new frame born now: the unified arena-first
     /// constructor. The payload buffer is drawn from the kernel's
     /// [`FrameArena`](crate::FrameArena) (in steady state a recycled
-    /// buffer — no allocation); fill it with [`FrameBuilder::fill`] /
-    /// [`FrameBuilder::copy_from`] / [`FrameBuilder::zeroed`] and finish
-    /// with [`FrameBuilder::build`].
+    /// buffer — no allocation); fill it with `FrameBuilder::fill` /
+    /// `FrameBuilder::copy_from` / `FrameBuilder::zeroed` and finish
+    /// with `FrameBuilder::build`.
     pub fn frame(&mut self) -> FrameBuilder<'_> {
         self.sim.start_frame(self.me.0)
     }

@@ -17,9 +17,9 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` keyed through [`FastHasher`].
+/// A `HashMap` keyed through `FastHasher`.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-/// A `HashSet` keyed through [`FastHasher`].
+/// A `HashSet` keyed through `FastHasher`.
 pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// The odd multiplier rustc-hash 2 folds each word in with; the run

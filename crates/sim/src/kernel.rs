@@ -658,7 +658,7 @@ impl Simulator {
     /// Replace the frame arena with one parking at most `max_free`
     /// buffers (`0` disables pooling entirely: every frame build becomes
     /// a fresh allocation). Call before the first frame is built — the
-    /// swap resets [`ArenaStats`](crate::ArenaStats). Pooling is pure side-state, so runs
+    /// swap resets `ArenaStats`. Pooling is pure side-state, so runs
     /// with any cap produce bit-identical trace digests (pinned by
     /// `tests/kernel_properties.rs`).
     pub fn set_arena_max_free(&mut self, max_free: usize) {

@@ -61,24 +61,23 @@ mod time;
 mod trace;
 
 pub use context::{Context, TimerToken};
-pub use frame::{ArenaStats, Frame, FrameArena, FrameBuilder, FrameId, FrameMeta};
-pub use hash::{FastHasher, FastMap, FastSet};
-pub use kernel::{AnyNode, SimStats, Simulator};
-pub use link::{DropReason, HopTiming, IdealLink, Link, LinkOutcome};
+pub use frame::{Frame, FrameArena, FrameId, FrameMeta};
+pub use hash::{FastMap, FastSet};
+pub use kernel::{SimStats, Simulator};
+pub use link::{DropReason, IdealLink, Link, LinkOutcome};
 pub use node::{Node, NodeId, PortId};
-pub use sched::{BinaryHeapScheduler, CalendarQueue, SchedStats, Scheduler, SchedulerKind};
+pub use sched::SchedulerKind;
 pub use shard::{ShardError, ShardPlan, ShardRunStats, ShardedSimulator};
 pub use time::SimTime;
-pub use trace::{fnv1a_fold, fold_event, TraceEvent, TraceKind, TraceLog, EMPTY_DIGEST};
+pub use trace::{fnv1a_fold, fold_event, TraceEvent, TraceKind, EMPTY_DIGEST};
 
 /// Re-export of the telemetry types the kernel integrates with (see
 /// [`Simulator::set_provenance`] / [`Simulator::metrics_snapshot`] /
 /// [`Simulator::set_flight_capacity`] / [`Simulator::set_profile`]), so
 /// models can name them without depending on `tn-obs` directly.
 pub use tn_obs::{
-    Distribution, FlightKind, FlightRecord, FlightRecorder, HopSegment, KernelProfile,
-    KernelProfiler, MetricsRegistry, NodeProfile, ObsConfig, Provenance, SegmentKind, Snapshot,
-    SnapshotEntry, SnapshotValue,
+    Distribution, FlightKind, FlightRecord, FlightRecorder, KernelProfile, MetricsRegistry,
+    NodeProfile, ObsConfig, Provenance, SegmentKind, Snapshot, SnapshotValue,
 };
 
 /// The workspace's one JSON module, so every crate that writes or reads a

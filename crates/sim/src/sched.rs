@@ -141,12 +141,6 @@ pub trait Scheduler: Send {
     fn next_at(&mut self) -> Option<SimTime>;
     /// Number of pending events.
     fn len(&self) -> usize;
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Short implementation name for diagnostics and bench output.
-    fn name(&self) -> &'static str;
     /// Structural counters for the profiler. Pure observation: calling
     /// this must not change future pop order.
     fn stats(&self) -> SchedStats {
@@ -154,7 +148,7 @@ pub trait Scheduler: Send {
     }
 }
 
-/// Which [`Scheduler`] a simulator uses. Selectable per scenario via
+/// Which `Scheduler` a simulator uses. Selectable per scenario via
 /// `ScenarioConfig::scheduler` in `tn-core`; the default stays the
 /// reference heap so existing runs are untouched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -185,7 +179,7 @@ impl SchedulerKind {
         }
     }
 
-    /// Stable name, matching [`Scheduler::name`].
+    /// Stable name, as `FromStr` parses it.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::BinaryHeap => "binary-heap",
@@ -302,14 +296,6 @@ impl Scheduler for EventQueue {
             EventQueue::Heap(heap) => heap.len(),
             EventQueue::Calendar(cal) => cal.len(),
             EventQueue::Wheel(wheel) => wheel.len(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            EventQueue::Heap(heap) => heap.name(),
-            EventQueue::Calendar(cal) => cal.name(),
-            EventQueue::Wheel(wheel) => wheel.name(),
         }
     }
 
@@ -569,10 +555,6 @@ impl Scheduler for BinaryHeapScheduler {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn name(&self) -> &'static str {
-        "binary-heap"
     }
 }
 
@@ -850,10 +832,6 @@ impl Scheduler for CalendarQueue {
         self.len
     }
 
-    fn name(&self) -> &'static str {
-        "calendar-queue"
-    }
-
     fn stats(&self) -> SchedStats {
         SchedStats {
             rebuilds: self.rebuilds,
@@ -1125,10 +1103,6 @@ impl Scheduler for TimingWheel {
         self.len
     }
 
-    fn name(&self) -> &'static str {
-        "timing-wheel"
-    }
-
     fn stats(&self) -> SchedStats {
         let mut s = SchedStats {
             cascades: self.cascades,
@@ -1204,7 +1178,7 @@ mod tests {
                 assert_eq!((h.at, h.seq), (c.at, c.seq), "{}", kind.name());
             }
             assert!(other.pop().is_none());
-            assert!(other.is_empty());
+            assert_eq!(other.len(), 0);
         }
     }
 
@@ -1354,7 +1328,7 @@ mod tests {
                     prop_assert_eq!(heap.len(), oracle.len());
                     prop_assert_eq!(heap.next_at(), oracle.first().map(|&(at, _)| at));
                 }
-                prop_assert_eq!(heap.is_empty(), oracle.is_empty());
+                prop_assert_eq!(heap.len(), oracle.len());
                 prop_assert!(heap.keys.len() <= heap.len(), "more runs than events");
                 prop_assert_eq!(heap.slab.len(), high_water);
                 let vacant = heap.slab.iter().filter(|s| s.kind.is_none()).count();
@@ -1479,7 +1453,7 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, spans_ps.len() * 8);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.len(), 0);
     }
 
     #[test]
@@ -1583,10 +1557,9 @@ mod tests {
     #[test]
     fn each_kind_builds_a_queue_that_reports_as_itself() {
         // The kernel's queue forwards every call to the arm its kind
-        // built: a swapped arm shows up as the wrong name or counters.
+        // built: a swapped arm shows up as the wrong counters.
         for kind in SchedulerKind::ALL {
             let mut queue = kind.build();
-            assert_eq!(queue.name(), kind.name());
             queue.push(timer(SimTime::from_ps(1_000), 0));
             queue.push(timer(SimTime::from_ms(20), 1));
             let s = queue.stats();

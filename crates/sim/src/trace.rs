@@ -61,7 +61,7 @@ pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Fold one record into a run digest: its time, its frame id, and its
 /// node, port and kind packed as `node | port << 32 | kind << 48`, each
-/// word by one add–multiply–rotate step with [`crate::FastHasher`]'s
+/// word by one add–multiply–rotate step with `crate::FastHasher`'s
 /// multiplier. Each step is a bijection of the running hash for a fixed
 /// word and of the word for a fixed hash, so two streams that differ in
 /// one field of one record never share a digest.

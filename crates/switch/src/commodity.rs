@@ -419,7 +419,8 @@ mod tests {
     }
 
     fn feed_frame(group: ipv4::Addr, payload_len: usize) -> Vec<u8> {
-        stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             MacAddr::host(1),
             None,
             ipv4::Addr::host(1),
@@ -427,11 +428,14 @@ mod tests {
             30001,
             30001,
             &vec![0xAB; payload_len],
-        )
+            &mut frame,
+        );
+        frame
     }
 
     fn unicast_frame(src: u32, dst: u32) -> Vec<u8> {
-        stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             MacAddr::host(src),
             Some(MacAddr::host(dst)),
             ipv4::Addr::host(src),
@@ -439,7 +443,9 @@ mod tests {
             1,
             2,
             b"x",
-        )
+            &mut frame,
+        );
+        frame
     }
 
     /// Rig: switch port 0 = source, ports 1..=n = sinks.

@@ -237,7 +237,8 @@ mod tests {
     }
 
     fn feed(group: ipv4::Addr) -> Vec<u8> {
-        stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             MacAddr::host(1),
             None,
             ipv4::Addr::host(1),
@@ -245,7 +246,9 @@ mod tests {
             1,
             1,
             &[0; 64],
-        )
+            &mut frame,
+        );
+        frame
     }
 
     fn rig(cfg: FpgaConfig, sinks: usize) -> (Simulator, tn_sim::NodeId, Vec<tn_sim::NodeId>) {
@@ -351,7 +354,8 @@ mod tests {
         sim.node_mut::<FpgaL1Switch>(sw)
             .unwrap()
             .add_route(ipv4::Addr::host(50), PortId(2));
-        let uni = stack::build_udp(
+        let mut uni = Vec::new();
+        stack::emit_udp_into(
             MacAddr::host(1),
             Some(MacAddr::host(50)),
             ipv4::Addr::host(1),
@@ -359,6 +363,7 @@ mod tests {
             1,
             2,
             b"x",
+            &mut uni,
         );
         let f = sim.frame().copy_from(&uni).build();
         let t = sim.now();

@@ -23,7 +23,6 @@ pub mod fpga;
 pub mod generations;
 pub mod l1s;
 
-pub use commodity::{CommoditySwitch, McastOverflowPolicy, SwitchConfig, SwitchStats};
-pub use fpga::{FpgaConfig, FpgaL1Switch, FpgaStats};
-pub use generations::{host_generations, switch_generations, DeviceGen};
-pub use l1s::{L1Config, L1Switch, PortRole};
+pub use commodity::{CommoditySwitch, McastOverflowPolicy, SwitchConfig};
+pub use fpga::{FpgaConfig, FpgaL1Switch};
+pub use generations::{host_generations, switch_generations};

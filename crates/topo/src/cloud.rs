@@ -341,7 +341,8 @@ mod tests {
         // Send from tenant 0 to tenants 1..3; arrival deltas must match.
         let mut arrivals = Vec::new();
         for dst in 1..4u32 {
-            let frame = stack::build_udp(
+            let mut frame = Vec::new();
+            stack::emit_udp_into(
                 eth::MacAddr::host(1),
                 Some(eth::MacAddr::host(dst + 1)),
                 ipv4::Addr::host(1),
@@ -349,6 +350,7 @@ mod tests {
                 1,
                 2,
                 &[0u8; 60],
+                &mut frame,
             );
             let f = sim.frame().copy_from(&frame).build();
             let t0 = sim.now();
@@ -479,7 +481,8 @@ mod tests {
             cloud.external_port,
         );
 
-        let frame = stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             eth::MacAddr::host(1),
             Some(eth::MacAddr::host(2)),
             ipv4::Addr::host(1),
@@ -487,6 +490,7 @@ mod tests {
             1,
             2,
             &[0u8; 26],
+            &mut frame,
         );
         let f = sim.frame().copy_from(&frame).build();
         sim.inject_frame(SimTime::ZERO, cloud.fabric, t_port, f);

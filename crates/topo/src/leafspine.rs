@@ -286,7 +286,8 @@ mod tests {
         fabric.install_host_routes(&mut sim, leaf_a, port_a, addr_a);
         fabric.install_host_routes(&mut sim, leaf_b, port_b, addr_b);
 
-        let frame = stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             eth::MacAddr::host(1),
             Some(eth::MacAddr::host(2)),
             addr_a,
@@ -294,6 +295,7 @@ mod tests {
             1,
             2,
             &[0u8; 58],
+            &mut frame,
         );
         let f = sim.frame().copy_from(&frame).build();
         sim.inject_frame(SimTime::ZERO, leaf_a, port_a, f);
@@ -333,7 +335,8 @@ mod tests {
         sim.run();
 
         // Feed data from the exchange port.
-        let data = stack::build_udp(
+        let mut data = Vec::new();
+        stack::emit_udp_into(
             eth::MacAddr::host(1),
             None,
             ipv4::Addr::new(10, 200, 1, 1),
@@ -341,6 +344,7 @@ mod tests {
             30_001,
             30_001,
             &[0xAB; 100],
+            &mut data,
         );
         let f = sim.frame().copy_from(&data).build();
         let t0 = sim.now();

@@ -23,4 +23,3 @@ pub mod placement;
 pub use cloud::{CloudConfig, CloudFabric, CloudFairnessSpec, CloudOverlayFeed};
 pub use l1fabric::{L1FabricConfig, L1TradingFabric};
 pub use leafspine::{LeafSpine, LeafSpineConfig};
-pub use metro::{Colo, MetroRegion};

@@ -411,7 +411,8 @@ mod tests {
         for (i, m) in msgs.iter().enumerate() {
             m.emit(i as u32, &mut payload);
         }
-        stack::build_tcp(
+        let mut frame = Vec::new();
+        stack::emit_tcp_into(
             eth::MacAddr::host(1),
             eth::MacAddr::host(0x6000),
             src_ip,
@@ -422,7 +423,9 @@ mod tests {
             0,
             tcp::Flags::ACK,
             &payload,
-        )
+            &mut frame,
+        );
+        frame
     }
 
     fn rig() -> (Simulator, tn_sim::NodeId, tn_sim::NodeId, tn_sim::NodeId) {
@@ -525,7 +528,8 @@ mod tests {
             exch_ord_id: 42,
         }
         .emit(1, &mut payload);
-        let ack = stack::build_tcp(
+        let mut ack = Vec::new();
+        stack::emit_tcp_into(
             eth::MacAddr::host(0xEE01),
             eth::MacAddr::host(0x6000),
             ipv4::Addr::new(10, 200, 1, 1),
@@ -536,6 +540,7 @@ mod tests {
             0,
             tcp::Flags::ACK,
             &payload,
+            &mut ack,
         );
         let f = sim.frame().copy_from(&ack).build();
         let t = sim.now();
@@ -564,7 +569,8 @@ mod tests {
             exch_ord_id: 1,
         }
         .emit(1, &mut payload);
-        let ack = stack::build_tcp(
+        let mut ack = Vec::new();
+        stack::emit_tcp_into(
             eth::MacAddr::host(0xEE01),
             eth::MacAddr::host(0x6000),
             ipv4::Addr::new(10, 200, 1, 1),
@@ -575,6 +581,7 @@ mod tests {
             0,
             tcp::Flags::ACK,
             &payload,
+            &mut ack,
         );
         let f = sim.frame().copy_from(&ack).build();
         sim.inject_frame(SimTime::ZERO, gw, EXCHANGE, f);

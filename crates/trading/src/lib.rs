@@ -20,11 +20,6 @@ pub mod normalizer;
 pub mod risk;
 pub mod strategy;
 
-pub use filter::{FilterPlacement, PlacementCost};
-pub use gateway::{Gateway, GatewayConfig, GatewayStats};
-pub use normalizer::{Normalizer, NormalizerConfig, NormalizerNodeStats, OutputTransport};
-pub use risk::{ComplianceMonitor, MarketSide};
-pub use strategy::{
-    CrossMarketArb, MomentumLogic, OrderIntent, Strategy, StrategyConfig, StrategyLogic,
-    StrategyStats,
-};
+pub use gateway::{Gateway, GatewayConfig};
+pub use normalizer::{Normalizer, NormalizerConfig, OutputTransport};
+pub use strategy::{CrossMarketArb, MomentumLogic, Strategy, StrategyConfig};

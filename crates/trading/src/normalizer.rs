@@ -289,7 +289,8 @@ mod tests {
             });
         }
         let payload = pb.flush().unwrap();
-        stack::build_udp(
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
             eth::MacAddr::host(1),
             None,
             ipv4::Addr::new(10, 200, 1, 1),
@@ -297,7 +298,9 @@ mod tests {
             30_001,
             30_001,
             &payload,
-        )
+            &mut frame,
+        );
+        frame
     }
 
     fn rig(cfg: NormalizerConfig) -> (Simulator, tn_sim::NodeId, tn_sim::NodeId) {

@@ -159,7 +159,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
 }
 
 /// Append a complete frame around `payload` to `out`, reusing whatever
-/// capacity `out` already has. The writer-style counterpart of [`build`].
+/// capacity `out` already has.
 pub fn emit_into(
     dst: MacAddr,
     src: MacAddr,
@@ -176,13 +176,6 @@ pub fn emit_into(
     out.extend_from_slice(payload);
 }
 
-/// Allocate and fill a complete frame around `payload`.
-pub fn build(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_into(dst, src, ethertype, payload, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,11 +183,13 @@ mod tests {
     #[test]
     fn build_and_parse_roundtrip() {
         let payload = [0xAAu8; 46];
-        let buf = build(
+        let mut buf = Vec::new();
+        emit_into(
             MacAddr::BROADCAST,
             MacAddr::host(3),
             EtherType::Ipv4,
             &payload,
+            &mut buf,
         );
         assert_eq!(buf.len(), 60);
         let f = Frame::new_checked(&buf[..]).unwrap();

@@ -52,14 +52,11 @@ pub struct Message {
 
 impl Message {
     /// Append the 8-byte encoding to `out`, reusing whatever capacity
-    /// `out` already has. Writer-style counterpart of [`Message::emit`].
+    /// `out` already has.
     pub fn emit_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + MESSAGE_LEN, 0);
-        self.write(&mut out[start..]);
-    }
-
-    fn write(&self, buf: &mut [u8]) {
+        let buf = &mut out[start..];
         buf[0] = self.kind.to_wire();
         buf[1] = 0; // max response time (unused in the simulator)
         buf[2] = 0;
@@ -67,13 +64,6 @@ impl Message {
         buf[4..8].copy_from_slice(&self.group.0);
         let ck = internet_checksum(0, buf);
         set_u16_be(buf, 2, ck);
-    }
-
-    /// Encode to the fixed 8-byte wire form (no heap).
-    pub fn emit(&self) -> [u8; MESSAGE_LEN] {
-        let mut buf = [0u8; MESSAGE_LEN];
-        self.write(&mut buf);
-        buf
     }
 
     /// Decode from wire bytes, verifying length and checksum.
@@ -102,7 +92,8 @@ mod tests {
                 kind,
                 group: ipv4::Addr::multicast_group(123),
             };
-            let buf = m.emit();
+            let mut buf = Vec::new();
+            m.emit_into(&mut buf);
             assert_eq!(buf.len(), MESSAGE_LEN);
             assert_eq!(Message::parse(&buf).unwrap(), m);
         }
@@ -114,7 +105,8 @@ mod tests {
             kind: MessageType::Report,
             group: ipv4::Addr::multicast_group(1),
         };
-        let mut buf = m.emit();
+        let mut buf = Vec::new();
+        m.emit_into(&mut buf);
         buf[5] ^= 0xff;
         assert_eq!(Message::parse(&buf).unwrap_err(), WireError::BadChecksum);
         assert_eq!(Message::parse(&buf[..7]).unwrap_err(), WireError::Truncated);
@@ -126,7 +118,8 @@ mod tests {
             kind: MessageType::Report,
             group: ipv4::Addr::multicast_group(1),
         };
-        let mut buf = m.emit();
+        let mut buf = Vec::new();
+        m.emit_into(&mut buf);
         buf[0] = 0x99;
         // Fix up checksum so the type check is what fails.
         set_u16_be(&mut buf, 2, 0);

@@ -187,8 +187,7 @@ pub fn pseudo_header_sum(src: Addr, dst: Addr, protocol: u8, l4_len: u16) -> u32
 }
 
 /// Append a complete IPv4 packet around `payload` to `out`, reusing
-/// whatever capacity `out` already has. Writer-style counterpart of
-/// [`build`].
+/// whatever capacity `out` already has.
 pub fn emit_into(src: Addr, dst: Addr, protocol: u8, payload: &[u8], out: &mut Vec<u8>) {
     let total = HEADER_LEN + payload.len();
     debug_assert!(total <= u16::MAX as usize);
@@ -214,13 +213,6 @@ pub fn finish_header(packet: &mut [u8], src: Addr, dst: Addr, protocol: u8) {
     p.fill_checksum();
 }
 
-/// Allocate and fill a complete IPv4 packet around `payload`.
-pub fn build(src: Addr, dst: Addr, protocol: u8, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_into(src, dst, protocol, payload, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +220,14 @@ mod tests {
     #[test]
     fn build_parse_roundtrip_with_checksum() {
         let payload = b"market data";
-        let buf = build(Addr::host(1), Addr::multicast_group(17), PROTO_UDP, payload);
+        let mut buf = Vec::new();
+        emit_into(
+            Addr::host(1),
+            Addr::multicast_group(17),
+            PROTO_UDP,
+            payload,
+            &mut buf,
+        );
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.src(), Addr::host(1));
         assert_eq!(p.dst(), Addr::multicast_group(17));
@@ -240,7 +239,8 @@ mod tests {
 
     #[test]
     fn corrupted_header_fails_checksum() {
-        let mut buf = build(Addr::host(1), Addr::host(2), PROTO_TCP, b"x");
+        let mut buf = Vec::new();
+        emit_into(Addr::host(1), Addr::host(2), PROTO_TCP, b"x", &mut buf);
         buf[15] ^= 0xff;
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert!(!p.verify_checksum());
@@ -252,7 +252,8 @@ mod tests {
             Packet::new_checked(&[0u8; 10][..]).unwrap_err(),
             WireError::Truncated
         );
-        let mut buf = build(Addr::host(1), Addr::host(2), PROTO_UDP, b"abc");
+        let mut buf = Vec::new();
+        emit_into(Addr::host(1), Addr::host(2), PROTO_UDP, b"abc", &mut buf);
         buf[0] = 0x65; // version 6
         assert_eq!(
             Packet::new_checked(&buf[..]).unwrap_err(),
@@ -276,7 +277,8 @@ mod tests {
     fn payload_respects_total_len() {
         // A frame padded to the Ethernet minimum must not leak pad bytes
         // into the payload.
-        let mut buf = build(Addr::host(1), Addr::host(2), PROTO_UDP, b"abc");
+        let mut buf = Vec::new();
+        emit_into(Addr::host(1), Addr::host(2), PROTO_UDP, b"abc", &mut buf);
         buf.extend_from_slice(&[0u8; 20]); // Ethernet pad
         let p = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.payload(), b"abc");

@@ -69,7 +69,7 @@ impl<T: AsRef<[u8]>> Frame<T> {
 }
 
 /// Append a complete frame to `out`, reusing whatever capacity `out`
-/// already has. Writer-style counterpart of [`build`].
+/// already has.
 pub fn emit_into(stream: u16, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
     let total = HEADER_LEN + payload.len();
     debug_assert!(total <= u16::MAX as usize);
@@ -82,20 +82,14 @@ pub fn emit_into(stream: u16, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
     set_u32_le(buf, 4, seq);
 }
 
-/// Allocate and fill a frame.
-pub fn build(stream: u16, seq: u32, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_into(stream, seq, payload, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip() {
-        let buf = build(5, 1000, b"normalized records here");
+        let mut buf = Vec::new();
+        emit_into(5, 1000, b"normalized records here", &mut buf);
         assert_eq!(buf.len(), HEADER_LEN + 23);
         let f = Frame::new_checked(&buf[..]).unwrap();
         assert_eq!(f.stream(), 5);
@@ -107,7 +101,8 @@ mod tests {
     fn header_is_8_bytes() {
         // The whole point: 8 vs 42/54 bytes of standard-stack headers.
         assert_eq!(HEADER_LEN, 8);
-        let buf = build(0, 0, b"");
+        let mut buf = Vec::new();
+        emit_into(0, 0, b"", &mut buf);
         assert_eq!(buf.len(), 8);
     }
 
@@ -117,7 +112,8 @@ mod tests {
             Frame::new_checked(&[0u8; 4][..]).unwrap_err(),
             WireError::Truncated
         );
-        let mut buf = build(1, 1, b"abc");
+        let mut buf = Vec::new();
+        emit_into(1, 1, b"abc", &mut buf);
         buf[0] = 200;
         assert_eq!(
             Frame::new_checked(&buf[..]).unwrap_err(),
@@ -133,7 +129,8 @@ mod tests {
 
     #[test]
     fn padded_payload_not_leaked() {
-        let mut buf = build(1, 1, b"abc");
+        let mut buf = Vec::new();
+        emit_into(1, 1, b"abc", &mut buf);
         buf.extend_from_slice(&[0; 30]);
         let f = Frame::new_checked(&buf[..]).unwrap();
         assert_eq!(f.payload(), b"abc");

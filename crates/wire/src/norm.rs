@@ -212,25 +212,10 @@ impl PacketBuilder {
         self.count
     }
 
-    /// Append a record; returns a sealed packet when the buffer filled up
-    /// *before* this record (which then starts the next packet).
-    pub fn push(&mut self, rec: &Record) -> Option<Vec<u8>> {
-        let flushed = if self.count == self.max_records {
-            let mut packet = Vec::with_capacity(self.buf.len());
-            self.seal_into(&mut packet);
-            Some(packet)
-        } else {
-            None
-        };
-        rec.emit(&mut self.buf);
-        self.count += 1;
-        flushed
-    }
-
-    /// Writer-style [`PacketBuilder::push`]: when the buffer was full, the
-    /// sealed packet is appended to `out` and `true` is returned. The
-    /// builder's working buffer is length-reset in place, so steady-state
-    /// packing never allocates.
+    /// Append a record. When the buffer filled up *before* this record
+    /// (which then starts the next packet), the sealed packet is appended
+    /// to `out` and `true` is returned. The builder's working buffer is
+    /// length-reset in place, so steady-state packing never allocates.
     pub fn push_into(&mut self, rec: &Record, out: &mut Vec<u8>) -> bool {
         let sealed = self.count == self.max_records;
         if sealed {
@@ -241,19 +226,8 @@ impl PacketBuilder {
         sealed
     }
 
-    /// Seal and return the pending packet, if any.
-    pub fn flush(&mut self) -> Option<Vec<u8>> {
-        if self.count == 0 {
-            None
-        } else {
-            let mut packet = Vec::with_capacity(self.buf.len());
-            self.seal_into(&mut packet);
-            Some(packet)
-        }
-    }
-
-    /// Writer-style [`PacketBuilder::flush`]: appends the sealed packet to
-    /// `out` (if any records are pending) and returns whether it did.
+    /// Seal the pending packet, if any records are pending, append it to
+    /// `out` and return whether it did.
     pub fn flush_into(&mut self, out: &mut Vec<u8>) -> bool {
         if self.count == 0 {
             false
@@ -326,11 +300,14 @@ mod tests {
         let mut packets = Vec::new();
         let n = 100u32;
         for i in 0..n {
-            if let Some(p) = pb.push(&rec(i)) {
+            let mut p = Vec::new();
+            if pb.push_into(&rec(i), &mut p) {
                 packets.push(p);
             }
         }
-        packets.extend(pb.flush());
+        let mut last = Vec::new();
+        assert!(pb.flush_into(&mut last));
+        packets.push(last);
         let mut seen = Vec::new();
         let mut expect_seq = 1000;
         for p in &packets {
@@ -356,8 +333,9 @@ mod tests {
             WireError::Truncated
         );
         let mut pb = PacketBuilder::new(0, 0, 200);
-        pb.push(&rec(0));
-        let mut p = pb.flush().unwrap();
+        let mut p = Vec::new();
+        pb.push_into(&rec(0), &mut p);
+        pb.flush_into(&mut p);
         p[0] = 10; // count larger than buffer
         assert_eq!(
             Packet::new_checked(&p[..]).unwrap_err(),
@@ -374,10 +352,9 @@ mod tests {
     fn builder_caps_records_per_packet() {
         // Tiny payload: header + 1 record.
         let mut pb = PacketBuilder::new(0, 0, PACKET_HEADER_LEN + RECORD_LEN);
-        assert!(pb.push(&rec(0)).is_none());
-        let sealed = pb.push(&rec(1));
-        assert!(sealed.is_some());
-        let pkt_bytes = sealed.unwrap();
+        let mut pkt_bytes = Vec::new();
+        assert!(!pb.push_into(&rec(0), &mut pkt_bytes));
+        assert!(pb.push_into(&rec(1), &mut pkt_bytes));
         let pkt = Packet::new_checked(&pkt_bytes[..]).unwrap();
         assert_eq!(pkt.count(), 1);
         assert_eq!(pb.pending(), 1);

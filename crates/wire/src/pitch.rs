@@ -616,27 +616,16 @@ const GAP_MAGIC: u8 = 0x47;
 
 impl GapRequest {
     /// Append the 9-byte encoding to `out`, reusing whatever capacity
-    /// `out` already has. Writer-style counterpart of
-    /// [`GapRequest::emit`].
+    /// `out` already has.
     pub fn emit_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + GAP_REQUEST_LEN, 0);
-        self.write(&mut out[start..]);
-    }
-
-    fn write(&self, b: &mut [u8]) {
+        let b = &mut out[start..];
         b[0] = GAP_MAGIC;
         b[1] = self.unit;
         set_u32_le(b, 2, self.seq);
         set_u16_le(b, 6, self.count);
         b[8] = b[..8].iter().fold(0, |a, &x| a ^ x);
-    }
-
-    /// Encode to the fixed 9-byte wire form (no heap).
-    pub fn emit(&self) -> [u8; GAP_REQUEST_LEN] {
-        let mut b = [0u8; GAP_REQUEST_LEN];
-        self.write(&mut b);
-        b
     }
 
     /// Decode from wire bytes.
@@ -1004,13 +993,14 @@ mod tests {
             seq: 1_000_000,
             count: 250,
         };
-        let buf = g.emit();
+        let mut buf = Vec::new();
+        g.emit_into(&mut buf);
         assert_eq!(buf.len(), GAP_REQUEST_LEN);
         assert_eq!(GapRequest::parse(&buf).unwrap(), g);
-        let mut bad = buf;
+        let mut bad = buf.clone();
         bad[3] ^= 0xFF;
         assert_eq!(GapRequest::parse(&bad).unwrap_err(), WireError::BadChecksum);
-        let mut bad = buf;
+        let mut bad = buf.clone();
         bad[0] = 0;
         assert_eq!(GapRequest::parse(&bad).unwrap_err(), WireError::BadField);
         assert_eq!(

@@ -62,8 +62,8 @@ pub fn finish_udp(
 }
 
 /// Append a complete Ethernet/IPv4/UDP frame to `out` in a single pass
-/// (one buffer, no per-layer copies). Writer-style counterpart of
-/// [`build_udp`].
+/// (one buffer, no per-layer copies). Multicast destinations (`dst_mac`
+/// `None`) get the RFC 1112 MAC mapping.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_udp_into(
     src_mac: MacAddr,
@@ -89,24 +89,6 @@ pub fn emit_udp_into(
         src_port,
         dst_port,
     );
-}
-
-/// Build a complete Ethernet/IPv4/UDP frame. Multicast destinations get
-/// the RFC 1112 MAC mapping automatically.
-pub fn build_udp(
-    src_mac: MacAddr,
-    dst_mac: Option<MacAddr>,
-    src_ip: ipv4::Addr,
-    dst_ip: ipv4::Addr,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    emit_udp_into(
-        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, payload, &mut buf,
-    );
-    buf
 }
 
 /// Append `TCP_OVERHEAD` zero bytes of Eth+IPv4+TCP header space to
@@ -159,8 +141,7 @@ pub fn finish_tcp(
 }
 
 /// Append a complete Ethernet/IPv4/TCP frame to `out` in a single pass
-/// (one buffer, no per-layer copies). Writer-style counterpart of
-/// [`build_tcp`].
+/// (one buffer, no per-layer copies).
 #[allow(clippy::too_many_arguments)]
 pub fn emit_tcp_into(
     src_mac: MacAddr,
@@ -190,27 +171,6 @@ pub fn emit_tcp_into(
         ack,
         flags,
     );
-}
-
-/// Build a complete Ethernet/IPv4/TCP frame.
-#[allow(clippy::too_many_arguments)]
-pub fn build_tcp(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src_ip: ipv4::Addr,
-    dst_ip: ipv4::Addr,
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ack: u32,
-    flags: tcp::Flags,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    emit_tcp_into(
-        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack, flags, payload, &mut buf,
-    );
-    buf
 }
 
 /// A parsed view of a UDP frame: addressing plus payload bounds.
@@ -318,7 +278,8 @@ mod tests {
     #[test]
     fn udp_stack_roundtrip_multicast() {
         let group = ipv4::Addr::multicast_group(42);
-        let frame = build_udp(
+        let mut frame = Vec::new();
+        emit_udp_into(
             MacAddr::host(1),
             None,
             SRC_IP,
@@ -326,6 +287,7 @@ mod tests {
             30001,
             30001,
             b"pitch packet",
+            &mut frame,
         );
         assert_eq!(frame.len(), UDP_OVERHEAD + 12);
         let v = parse_udp(&frame).unwrap();
@@ -341,7 +303,8 @@ mod tests {
     #[test]
     fn tcp_stack_roundtrip() {
         let dst_ip = ipv4::Addr::new(10, 0, 255, 1);
-        let frame = build_tcp(
+        let mut frame = Vec::new();
+        emit_tcp_into(
             MacAddr::host(1),
             MacAddr::host(2),
             SRC_IP,
@@ -352,6 +315,7 @@ mod tests {
             222,
             tcp::Flags::ACK | tcp::Flags::PSH,
             b"boe msg",
+            &mut frame,
         );
         assert_eq!(frame.len(), TCP_OVERHEAD + 7);
         let v = parse_tcp(&frame).unwrap();
@@ -373,9 +337,20 @@ mod tests {
     #[test]
     fn parse_rejects_wrong_protocols() {
         let group = ipv4::Addr::multicast_group(1);
-        let udp_frame = build_udp(MacAddr::host(1), None, SRC_IP, group, 1, 2, b"x");
+        let mut udp_frame = Vec::new();
+        emit_udp_into(
+            MacAddr::host(1),
+            None,
+            SRC_IP,
+            group,
+            1,
+            2,
+            b"x",
+            &mut udp_frame,
+        );
         assert_eq!(parse_tcp(&udp_frame).unwrap_err(), WireError::BadField);
-        let tcp_frame = build_tcp(
+        let mut tcp_frame = Vec::new();
+        emit_tcp_into(
             MacAddr::host(1),
             MacAddr::host(2),
             SRC_IP,
@@ -386,14 +361,17 @@ mod tests {
             0,
             tcp::Flags::SYN,
             b"",
+            &mut tcp_frame,
         );
         assert_eq!(parse_udp(&tcp_frame).unwrap_err(), WireError::BadField);
         // Non-IPv4 ethertype.
-        let l1 = eth::build(
+        let mut l1 = Vec::new();
+        eth::emit_into(
             MacAddr::host(2),
             MacAddr::host(1),
             EtherType::L1Transport,
             b"xx",
+            &mut l1,
         );
         assert_eq!(parse_udp(&l1).unwrap_err(), WireError::BadField);
     }
@@ -402,7 +380,17 @@ mod tests {
     fn padded_frames_parse_cleanly() {
         // Ethernet minimum-size padding must not corrupt payload bounds.
         let group = ipv4::Addr::multicast_group(1);
-        let mut frame = build_udp(MacAddr::host(1), None, SRC_IP, group, 1, 2, b"ab");
+        let mut frame = Vec::new();
+        emit_udp_into(
+            MacAddr::host(1),
+            None,
+            SRC_IP,
+            group,
+            1,
+            2,
+            b"ab",
+            &mut frame,
+        );
         frame.resize(60, 0); // the 64-byte minimum frame, FCS excluded
         let v = parse_udp(&frame).unwrap();
         assert_eq!(v.payload, b"ab");

@@ -156,7 +156,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Segment<T> {
 }
 
 /// Append a complete segment around `payload` to `out`, reusing whatever
-/// capacity `out` already has. Writer-style counterpart of [`build`].
+/// capacity `out` already has.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_into(
     src: ipv4::Addr,
@@ -209,25 +209,6 @@ pub fn finish_header(
     s.fill_checksum(src, dst);
 }
 
-/// Allocate and fill a complete segment.
-#[allow(clippy::too_many_arguments)]
-pub fn build(
-    src: ipv4::Addr,
-    dst: ipv4::Addr,
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ack: u32,
-    flags: Flags,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_into(
-        src, dst, src_port, dst_port, seq, ack, flags, payload, &mut buf,
-    );
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +218,8 @@ mod tests {
 
     #[test]
     fn build_parse_roundtrip() {
-        let buf = build(
+        let mut buf = Vec::new();
+        emit_into(
             A,
             B,
             49000,
@@ -246,6 +228,7 @@ mod tests {
             2000,
             Flags::ACK | Flags::PSH,
             b"new order bytes",
+            &mut buf,
         );
         let s = Segment::new_checked(&buf[..]).unwrap();
         assert_eq!(s.src_port(), 49000);
@@ -262,7 +245,8 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut buf = build(A, B, 1, 2, 0, 0, Flags::SYN, b"");
+        let mut buf = Vec::new();
+        emit_into(A, B, 1, 2, 0, 0, Flags::SYN, b"", &mut buf);
         buf[4] ^= 1;
         let s = Segment::new_checked(&buf[..]).unwrap();
         assert!(!s.verify_checksum(A, B));
@@ -274,7 +258,8 @@ mod tests {
             Segment::new_checked(&[0u8; 19][..]).unwrap_err(),
             WireError::Truncated
         );
-        let mut buf = build(A, B, 1, 2, 0, 0, Flags::SYN, b"");
+        let mut buf = Vec::new();
+        emit_into(A, B, 1, 2, 0, 0, Flags::SYN, b"", &mut buf);
         buf[12] = 2 << 4; // data offset below minimum
         assert_eq!(
             Segment::new_checked(&buf[..]).unwrap_err(),

@@ -101,8 +101,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
 }
 
 /// Append a UDP datagram (with checksum) around `payload` to `out`,
-/// reusing whatever capacity `out` already has. Writer-style counterpart
-/// of [`build`].
+/// reusing whatever capacity `out` already has.
 pub fn emit_into(
     src: ipv4::Addr,
     dst: ipv4::Addr,
@@ -136,19 +135,6 @@ pub fn finish_header(
     d.fill_checksum(src, dst);
 }
 
-/// Allocate and fill a UDP datagram (with checksum) around `payload`.
-pub fn build(
-    src: ipv4::Addr,
-    dst: ipv4::Addr,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_into(src, dst, src_port, dst_port, payload, &mut buf);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +144,8 @@ mod tests {
 
     #[test]
     fn build_parse_roundtrip() {
-        let buf = build(SRC, DST, 30001, 30001, b"feed");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 30001, 30001, b"feed", &mut buf);
         let d = Datagram::new_checked(&buf[..]).unwrap();
         assert_eq!(d.src_port(), 30001);
         assert_eq!(d.dst_port(), 30001);
@@ -169,19 +156,22 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut buf = build(SRC, DST, 1, 2, b"payload");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 1, 2, b"payload", &mut buf);
         buf[HEADER_LEN] ^= 0x55;
         let d = Datagram::new_checked(&buf[..]).unwrap();
         assert!(!d.verify_checksum(SRC, DST));
         // Wrong pseudo-header (different dst) also fails.
-        let buf = build(SRC, DST, 1, 2, b"payload");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 1, 2, b"payload", &mut buf);
         let d = Datagram::new_checked(&buf[..]).unwrap();
         assert!(!d.verify_checksum(SRC, ipv4::Addr::new(239, 0, 0, 6)));
     }
 
     #[test]
     fn zero_checksum_passes() {
-        let mut buf = build(SRC, DST, 1, 2, b"x");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 1, 2, b"x", &mut buf);
         buf[6] = 0;
         buf[7] = 0;
         let d = Datagram::new_checked(&buf[..]).unwrap();
@@ -194,7 +184,8 @@ mod tests {
             Datagram::new_checked(&[0u8; 7][..]).unwrap_err(),
             WireError::Truncated
         );
-        let mut buf = build(SRC, DST, 1, 2, b"abc");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 1, 2, b"abc", &mut buf);
         buf[4] = 0xff; // length > buffer
         assert_eq!(
             Datagram::new_checked(&buf[..]).unwrap_err(),
@@ -210,7 +201,8 @@ mod tests {
 
     #[test]
     fn padded_payload_not_leaked() {
-        let mut buf = build(SRC, DST, 1, 2, b"abc");
+        let mut buf = Vec::new();
+        emit_into(SRC, DST, 1, 2, b"abc", &mut buf);
         buf.extend_from_slice(&[0u8; 16]);
         let d = Datagram::new_checked(&buf[..]).unwrap();
         assert_eq!(d.payload(), b"abc");

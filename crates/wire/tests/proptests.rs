@@ -7,20 +7,19 @@ use proptest::TestCaseError;
 use tn_wire::pitch::{self, Side};
 use tn_wire::{boe, eth, igmp, ipv4, l1t, norm, stack, tcp, udp, Symbol};
 
-/// Assert a writer-style emitter appends exactly `built` to `out` while
-/// leaving whatever `out` already held untouched.
-fn assert_appends(
-    prefix: &[u8],
-    built: &[u8],
-    emit: impl FnOnce(&mut Vec<u8>),
-) -> Result<(), TestCaseError> {
+/// Assert a writer-style emitter appends to a buffer that already holds
+/// `prefix` exactly the bytes it writes into an empty one, leaving the
+/// prefix untouched.
+fn assert_appends(prefix: &[u8], emit: impl Fn(&mut Vec<u8>)) -> Result<(), TestCaseError> {
+    let mut alone = Vec::new();
+    emit(&mut alone);
     let mut out = prefix.to_vec();
     emit(&mut out);
     prop_assert_eq!(&out[..prefix.len()], prefix, "prefix clobbered");
     prop_assert_eq!(
         &out[prefix.len()..],
-        built,
-        "appended bytes diverge from build()"
+        &alone[..],
+        "appended bytes diverge from an empty buffer's"
     );
     Ok(())
 }
@@ -388,7 +387,8 @@ proptest! {
     #[test]
     fn l1t_roundtrip(stream in any::<u16>(), seq in any::<u32>(),
                      payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let buf = l1t::build(stream, seq, &payload);
+        let mut buf = Vec::new();
+        l1t::emit_into(stream, seq, &payload, &mut buf);
         let f = l1t::Frame::new_checked(&buf[..]).unwrap();
         prop_assert_eq!(f.stream(), stream);
         prop_assert_eq!(f.seq(), seq);
@@ -403,9 +403,9 @@ proptest! {
     ) {
         let src_ip = ipv4::Addr::host(src);
         let dst_ip = ipv4::Addr::multicast_group(group);
-        let frame = stack::build_udp(
-            tn_wire::eth::MacAddr::host(src), None, src_ip, dst_ip, src_port, dst_port, &payload,
-        );
+        let mut frame = Vec::new();
+        stack::emit_udp_into(
+            tn_wire::eth::MacAddr::host(src), None, src_ip, dst_ip, src_port, dst_port, &payload, &mut frame);
         let v = stack::parse_udp(&frame).unwrap();
         prop_assert_eq!(v.src_ip, src_ip);
         prop_assert_eq!(v.dst_ip, dst_ip);
@@ -426,10 +426,10 @@ proptest! {
     ) {
         let a = ipv4::Addr::host(1);
         let b = ipv4::Addr::host(2);
-        let frame = stack::build_tcp(
+        let mut frame = Vec::new();
+        stack::emit_tcp_into(
             tn_wire::eth::MacAddr::host(1), tn_wire::eth::MacAddr::host(2),
-            a, b, 100, 200, seq, ack, tcp::Flags::ACK, &payload,
-        );
+            a, b, 100, 200, seq, ack, tcp::Flags::ACK, &payload, &mut frame);
         let v = stack::parse_tcp(&frame).unwrap();
         prop_assert_eq!(v.seq, seq);
         prop_assert_eq!(v.ack, ack);
@@ -459,51 +459,26 @@ proptest! {
         let src_mac = eth::MacAddr::host(src);
         let dst_mac = eth::MacAddr::host(src.wrapping_add(1));
 
-        assert_appends(
-            &prefix,
-            &eth::build(dst_mac, src_mac, eth::EtherType::Ipv4, &payload),
-            |o| eth::emit_into(dst_mac, src_mac, eth::EtherType::Ipv4, &payload, o),
-        )?;
-        assert_appends(
-            &prefix,
-            &ipv4::build(src_ip, mc_ip, ipv4::PROTO_UDP, &payload),
-            |o| ipv4::emit_into(src_ip, mc_ip, ipv4::PROTO_UDP, &payload, o),
-        )?;
-        assert_appends(
-            &prefix,
-            &udp::build(src_ip, mc_ip, src_port, dst_port, &payload),
-            |o| udp::emit_into(src_ip, mc_ip, src_port, dst_port, &payload, o),
-        )?;
-        assert_appends(
-            &prefix,
-            &tcp::build(src_ip, dst_ip, src_port, dst_port, seq, ack, tcp::Flags::ACK, &payload),
-            |o| tcp::emit_into(
-                src_ip, dst_ip, src_port, dst_port, seq, ack, tcp::Flags::ACK, &payload, o,
-            ),
-        )?;
-        assert_appends(&prefix, &l1t::build(stream, seq, &payload), |o| {
-            l1t::emit_into(stream, seq, &payload, o)
+        assert_appends(&prefix, |o| {
+            eth::emit_into(dst_mac, src_mac, eth::EtherType::Ipv4, &payload, o)
         })?;
-        assert_appends(
-            &prefix,
-            &stack::build_udp(src_mac, None, src_ip, mc_ip, src_port, dst_port, &payload),
-            |o| stack::emit_udp_into(src_mac, None, src_ip, mc_ip, src_port, dst_port, &payload, o),
-        )?;
-        assert_appends(
-            &prefix,
-            &stack::build_tcp(
-                src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack,
-                tcp::Flags::ACK, &payload,
-            ),
-            |o| stack::emit_tcp_into(
-                src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack,
-                tcp::Flags::ACK, &payload, o,
-            ),
-        )?;
+        assert_appends(&prefix, |o| ipv4::emit_into(src_ip, mc_ip, ipv4::PROTO_UDP, &payload, o))?;
+        assert_appends(&prefix, |o| udp::emit_into(src_ip, mc_ip, src_port, dst_port, &payload, o))?;
+        assert_appends(&prefix, |o| {
+            tcp::emit_into(src_ip, dst_ip, src_port, dst_port, seq, ack, tcp::Flags::ACK, &payload, o)
+        })?;
+        assert_appends(&prefix, |o| l1t::emit_into(stream, seq, &payload, o))?;
+        assert_appends(&prefix, |o| {
+            stack::emit_udp_into(src_mac, None, src_ip, mc_ip, src_port, dst_port, &payload, o)
+        })?;
+        assert_appends(&prefix, |o| stack::emit_tcp_into(
+            src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, seq, ack,
+            tcp::Flags::ACK, &payload, o,
+        ))?;
         let join = igmp::Message { kind: igmp::MessageType::Report, group: mc_ip };
-        assert_appends(&prefix, &join.emit(), |o| join.emit_into(o))?;
+        assert_appends(&prefix, |o| join.emit_into(o))?;
         let gap = pitch::GapRequest { unit, seq, count };
-        assert_appends(&prefix, &gap.emit(), |o| gap.emit_into(o))?;
+        assert_appends(&prefix, |o| gap.emit_into(o))?;
     }
 
     /// The writer-style PITCH packer produces the identical packet stream
@@ -533,47 +508,31 @@ proptest! {
         prop_assert_eq!(writer.next_seq(), alloc.next_seq());
     }
 
-    /// Same equivalence for the normalized-feed packer.
+    /// The normalized-feed packer hands back every record it was given,
+    /// in order, in packets whose sequence numbers run on without a gap.
     #[test]
-    fn norm_push_into_streams_identical_bytes(
-        recs in proptest::collection::vec(
-            (any::<u8>(), any::<u32>(), any::<i64>(), any::<u32>(), any::<u64>()),
-            1..60,
-        ),
+    fn norm_packets_carry_every_record_in_sequence(
+        recs in proptest::collection::vec(arb_norm_record(), 1..60),
         partition in any::<u16>(), first_seq in any::<u32>(),
     ) {
-        let recs: Vec<norm::Record> = recs
-            .iter()
-            .map(|&(side, symbol_id, price, size, src_time_ns)| norm::Record {
-                kind: norm::Kind::Bbo,
-                exchange: 1,
-                side,
-                flags: 0,
-                symbol_id,
-                price,
-                size,
-                aux: 0,
-                src_time_ns,
-            })
-            .collect();
-        let mut alloc = norm::PacketBuilder::new(partition, first_seq, 128);
-        let mut expect = Vec::new();
+        let mut pb = norm::PacketBuilder::new(partition, first_seq, 128);
+        let mut stream = Vec::new();
         for r in &recs {
-            if let Some(p) = alloc.push(r) {
-                expect.extend_from_slice(&p);
+            pb.push_into(r, &mut stream);
+        }
+        prop_assert!(pb.flush_into(&mut stream));
+        let (mut at, mut seq, mut got) = (0, first_seq, Vec::new());
+        while at < stream.len() {
+            let pkt = norm::Packet::new_checked(&stream[at..]).unwrap();
+            prop_assert_eq!((pkt.partition(), pkt.sequence()), (partition, seq));
+            seq = seq.wrapping_add(u32::from(pkt.count()));
+            at += norm::PACKET_HEADER_LEN + usize::from(pkt.count()) * norm::RECORD_LEN;
+            for r in pkt.records() {
+                got.push(r.unwrap());
             }
         }
-        if let Some(p) = alloc.flush() {
-            expect.extend_from_slice(&p);
-        }
-        let mut writer = norm::PacketBuilder::new(partition, first_seq, 128);
-        let mut got = Vec::new();
-        for r in &recs {
-            writer.push_into(r, &mut got);
-        }
-        writer.flush_into(&mut got);
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(writer.next_seq(), alloc.next_seq());
+        prop_assert_eq!(got, recs);
+        prop_assert_eq!(pb.next_seq(), seq);
     }
 
     /// Whatever the budget, no sealed packet exceeds it, and every
@@ -595,8 +554,16 @@ proptest! {
             src_time_ns: 0,
         };
         let mut pb = norm::PacketBuilder::new(3, 0, max_payload);
-        let mut packets: Vec<Vec<u8>> = (0..n).filter_map(|_| pb.push(&rec)).collect();
-        packets.extend(pb.flush());
+        let mut packets: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..n {
+            let mut p = Vec::new();
+            if pb.push_into(&rec, &mut p) {
+                packets.push(p);
+            }
+        }
+        let mut last = Vec::new();
+        prop_assert!(pb.flush_into(&mut last));
+        packets.push(last);
         for p in &packets {
             prop_assert!(p.len() <= max_payload, "{} > {}", p.len(), max_payload);
         }
@@ -633,16 +600,15 @@ proptest! {
             kind: igmp::MessageType::Report,
             group: ipv4::Addr::multicast_group(group),
         };
-        let tcp_frame = stack::build_tcp(
+        let mut tcp_frame = Vec::new();
+        stack::emit_tcp_into(
             eth::MacAddr::host(1), eth::MacAddr::host(2), ipv4::Addr::host(1),
-            ipv4::Addr::host(2), 100, 200, seq, ack, tcp::Flags::ACK, &payload,
-        );
-        for frame in [
-            norm_packet,
-            l1t::build(stream, seq, &payload),
-            join.emit().to_vec(),
-            tcp_frame,
-        ] {
+            ipv4::Addr::host(2), 100, 200, seq, ack, tcp::Flags::ACK, &payload, &mut tcp_frame);
+        let mut l1t_frame = Vec::new();
+        l1t::emit_into(stream, seq, &payload, &mut l1t_frame);
+        let mut igmp_msg = Vec::new();
+        join.emit_into(&mut igmp_msg);
+        for frame in [norm_packet, l1t_frame, igmp_msg, tcp_frame] {
             decode_damaged(&frame);
         }
     }

@@ -42,6 +42,9 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
 run bin tn-audit check --json target/audit-report.json
 leads_with target/audit-report.json tn-audit/v1
 
+# Non-test lines per crate, by the rule simplicity changes quote them.
+run sh scripts/loc.sh
+
 # SipHash stays off the per-frame path: outside tests, the per-frame
 # crates key their maps through tn_sim::FastMap / FastSet, never std's
 # default-hasher HashMap / HashSet (by path or in a `use` list). A file's
